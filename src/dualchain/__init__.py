@@ -45,6 +45,7 @@ from .dual_action import (
     hessian,
     pack_free,
     perturb_base,
+    restrict_base,
     unpack_free,
     zero_base,
 )

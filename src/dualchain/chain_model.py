@@ -9,7 +9,7 @@ processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,12 +50,18 @@ class QuadraticForce:
     with B symmetric in its last two indices (enforced by symmetrization at
     construction).  Expansions about other base points come from `reexpand`
     and are exact: the force is polynomial, so nothing is truncated.
+
+    Derived at construction: ``B_flat``, a read-only (n, n^2) view of B with
+    the index pair (r, s) flattened, and ``has_quadratic``, true when any B
+    entry is nonzero (the genuinely nonlinear case).
     """
 
     n: int
     C: np.ndarray | None = None
     A: np.ndarray | None = None
     B: np.ndarray | None = None
+    B_flat: np.ndarray = field(init=False, repr=False)
+    has_quadratic: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.n
@@ -77,11 +83,8 @@ class QuadraticForce:
         object.__setattr__(self, "C", _readonly(C))
         object.__setattr__(self, "A", _readonly(A))
         object.__setattr__(self, "B", _readonly(B))
-
-    @property
-    def has_quadratic(self) -> bool:
-        """True when any B entry is nonzero (the genuinely nonlinear case)."""
-        return bool(np.any(self.B))
+        object.__setattr__(self, "B_flat", self.B.reshape(n, n * n))
+        object.__setattr__(self, "has_quadratic", bool(np.any(B)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,7 +125,8 @@ def eval_force(force: QuadraticForce, x) -> np.ndarray:
         raise ValueError(f"x must have trailing length {force.n}, got shape {x.shape}")
     out = force.C + x @ force.A.T
     if force.has_quadratic:
-        out = out + 0.5 * np.einsum("jrs,...r,...s->...j", force.B, x, x)
+        xx = (x[..., :, None] * x[..., None, :]).reshape(x.shape[:-1] + (force.n ** 2,))
+        out = out + 0.5 * (xx @ force.B_flat.T)
     return out
 
 

@@ -35,8 +35,8 @@ from .dual_action import (
     ProblemSpec,
     ScaleParams,
     SingularStiffnessError,
-    base_from_primal,
     perturb_base,
+    restrict_base,
     zero_base,
 )
 from .dual_solver import (
@@ -93,6 +93,8 @@ _REPEATABLE = {
     ("initial", "v0"),
 }
 _BASE_KINDS = ("zero", "primal", "perturbed-primal", "settled-primal", "trajectory")
+# verify compares against a direct solve on a grid this many times finer
+_ORACLE_REFINE = 10
 
 
 class ConfigError(ValueError):
@@ -226,19 +228,25 @@ class ScenarioConfig:
                             step_control=self.step_control)
 
     def base(self, params: ChainParams, grid: TimeGrid) -> BaseState:
+        return self._base(params, grid)[0]
+
+    def _base(self, params: ChainParams, grid: TimeGrid):
+        """The base state, and the refined direct solve it was restricted
+        from (None for the kinds that use no such solve)."""
         kind = self.base_kind
         if kind == "zero":
-            return zero_base(grid, self.n)
+            return zero_base(grid, self.n), None
         if kind in ("primal", "perturbed-primal"):
             if self.x0 is None or self.v0 is None:
                 raise ConfigError(f"base kind {kind} needs [initial] x0 and v0")
-            base = base_from_primal(params, self.x0, self.v0, grid,
-                                    refine=self.base_refine)
+            fine = integrate_primal(params, self.x0, self.v0,
+                                    grid.refined(self.base_refine))
+            base = restrict_base(fine, self.base_refine)
             if kind == "perturbed-primal":
                 base = perturb_base(base, self.base_amplitude, seed=self.seed)
-            return base
+            return base, fine
         if kind == "settled-primal":
-            return self._settled_base(params, grid)
+            return self._settled_base(params, grid), None
         if kind == "trajectory":
             if self.base_path is None:
                 raise ConfigError("base kind trajectory needs base.path")
@@ -246,7 +254,7 @@ class ScenarioConfig:
             if traj.grid != grid or traj.x.shape[1] != self.n:
                 raise ConfigError(
                     f"base trajectory {self.base_path} does not match the run grid")
-            return BaseState(grid, traj.x, traj.v)
+            return BaseState(grid, traj.x, traj.v), None
         raise ConfigError(f"unknown base kind {kind!r}")
 
     def _settled_base(self, params: ChainParams, grid: TimeGrid) -> BaseState:
@@ -258,26 +266,28 @@ class ScenarioConfig:
         long_grid = TimeGrid(T=k * grid.T, M=k * grid.M * r)
         traj = integrate_primal(params, x0, v0, long_grid, method=self.method)
         start = (k - 1) * grid.M * r
-        xb = traj.x[start::r][:grid.M + 1].copy()
-        vb = traj.v[start::r][:grid.M + 1].copy()
+        last = restrict_base(Trajectory(grid.refined(r), traj.x[start:], traj.v[start:]), r)
+        xb, vb = last.xbar.copy(), last.vbar.copy()
         xb[-1], vb[-1] = xb[0], vb[0]
-        if r % 2 == 0:
-            xm = traj.x[start + r // 2::r][:grid.M]
-            vm = traj.v[start + r // 2::r][:grid.M]
-        else:
-            lo = start + np.arange(grid.M) * r + r // 2
-            xm = 0.5 * (traj.x[lo] + traj.x[lo + 1])
-            vm = 0.5 * (traj.v[lo] + traj.v[lo + 1])
-        return BaseState(grid, xb, vb, xm, vm)
+        return BaseState(grid, xb, vb, last.xbar_mid, last.vbar_mid)
 
     def problem(self) -> ProblemSpec:
+        return self._problem()[0]
+
+    def _problem(self):
+        """The initial-value problem, and the verify oracle when the base was
+        restricted from the oracle's own integration (None otherwise)."""
         if self.x0 is None or self.v0 is None:
             raise ConfigError(f"mode {self.mode} needs [initial] x0 and v0")
         params = self.chain_params()
         grid = self.grid()
-        return ProblemSpec(params=params, scales=ScaleParams(self.c_x, self.c_v),
-                           base=self.base(params, grid), grid=grid,
-                           x0=self.x0, v0=self.v0)
+        base, fine = self._base(params, grid)
+        spec = ProblemSpec(params=params, scales=ScaleParams(self.c_x, self.c_v),
+                           base=base, grid=grid, x0=self.x0, v0=self.v0)
+        # base solves are rk4, whatever the run method
+        shared = (self.mode == "verify" and fine is not None
+                  and self.base_refine == _ORACLE_REFINE and self.method == "rk4")
+        return spec, fine.restrict(_ORACLE_REFINE) if shared else None
 
     def periodic_problem(self) -> PeriodicSpec:
         params = self.chain_params()
@@ -616,7 +626,7 @@ def run_one(config_path, out_dir, sets=(), mode: str | None = None) -> int:
         elif cfg.mode == "periodic":
             spec = cfg.periodic_problem()
         else:
-            spec = cfg.problem()
+            spec, oracle = cfg._problem()
     except IntegrationBlowUpError as exc:
         print(f"base-state integration diverged: {exc}", file=sys.stderr)
         return 3
@@ -649,9 +659,10 @@ def run_one(config_path, out_dir, sets=(), mode: str | None = None) -> int:
             code = 0 if sol.converged else 3
         elif cfg.mode == "verify":
             sol = solve_dual(spec, cfg.solver_options())
-            oracle = integrate_primal(spec.params, spec.x0, spec.v0,
-                                      spec.grid.refined(10),
-                                      method=cfg.method).restrict(10)
+            if oracle is None:
+                oracle = integrate_primal(spec.params, spec.x0, spec.v0,
+                                          spec.grid.refined(_ORACLE_REFINE),
+                                          method=cfg.method).restrict(_ORACLE_REFINE)
             convergence = _convergence_dict(sol)
             verification = _verification_dict(verify(sol, spec, oracle=oracle))
             code = 0 if sol.converged else 3

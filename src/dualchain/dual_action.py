@@ -41,6 +41,7 @@ __all__ = [
     "zero_base",
     "constant_base",
     "base_from_primal",
+    "restrict_base",
     "perturb_base",
 ]
 
@@ -156,23 +157,30 @@ def constant_base(grid: TimeGrid, x, v) -> BaseState:
 
 def base_from_primal(params: ChainParams, x0, v0, grid: TimeGrid,
                      refine: int = 10, method: str = "rk4") -> BaseState:
-    """Base state from a direct solve on a ``refine``-times finer grid.
+    """Base state from a direct solve on a ``refine``-times finer grid,
+    restricted to ``grid`` by `restrict_base`."""
+    fine = integrate_primal(params, x0, v0, grid.refined(refine), method=method)
+    return restrict_base(fine, refine)
+
+
+def restrict_base(fine: Trajectory, refine: int) -> BaseState:
+    """Base state on the grid ``refine`` times coarser than ``fine``'s.
 
     Nodal values restrict exactly; midpoint values are sampled from the fine
-    solve (for odd ``refine`` the midpoint falls between fine nodes and the
-    two neighbours are averaged).
+    trajectory (for odd ``refine`` the midpoint falls between fine nodes and
+    the two neighbours are averaged).
     """
-    fine = integrate_primal(params, x0, v0, grid.refined(refine), method=method)
     coarse = fine.restrict(refine)
+    M = coarse.grid.M
     half, rem = divmod(refine, 2)
     if rem == 0:
-        xm = fine.x[half::refine][: grid.M]
-        vm = fine.v[half::refine][: grid.M]
+        xm = fine.x[half::refine][:M]
+        vm = fine.v[half::refine][:M]
     else:
-        lo = np.arange(grid.M) * refine + half
+        lo = np.arange(M) * refine + half
         xm = 0.5 * (fine.x[lo] + fine.x[lo + 1])
         vm = 0.5 * (fine.v[lo] + fine.v[lo + 1])
-    return BaseState(grid, coarse.x, coarse.v, xm, vm, provenance="primal-solve")
+    return BaseState(coarse.grid, coarse.x, coarse.v, xm, vm, provenance="primal-solve")
 
 
 def perturb_base(base: BaseState, amplitude: float, seed: int, harmonics: int = 3) -> BaseState:

@@ -142,17 +142,18 @@ def solve_dual(spec: ProblemSpec, opts: SolveOptions | None = None) -> DualSolut
         return action(unpack_free(grid, n, u), spec)
 
     zeros = DualField.zeros(grid, n)
-    scale = 1.0 + float(np.max(np.abs(gradient(zeros, spec))))
+    g = gradient(zeros, spec)
+    scale = 1.0 + float(np.max(np.abs(g)))
     tol = opts.tolerance * scale
 
     if opts.initial_guess is not None:
         if opts.initial_guess.grid != grid or opts.initial_guess.n != n:
             raise ValueError("initial guess must live on the problem grid")
         u = pack_free(opts.initial_guess)
+        g = grad_fn(u)
     else:
         u = pack_free(zeros)
 
-    g = grad_fn(u)
     gnorm = float(np.max(np.abs(g))) if g.size else 0.0
     history = [gnorm]
     iterations = 0

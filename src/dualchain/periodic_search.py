@@ -180,23 +180,22 @@ def solve_periodic(spec: PeriodicSpec, opts: SolveOptions | None = None) -> Peri
     grid, n = spec.grid, spec.n
     md = _midpoint_data(spec.params, spec.scales, spec.base, spec.grid, freeze_A=False)
 
+    u = np.zeros(2 * n * grid.M)
+    g = _gradient_cyclic(md, u)
+    scale = 1.0 + float(np.max(np.abs(g)))
+    tol = opts.tolerance * scale
+
     if opts.initial_guess is not None:
         ig = opts.initial_guess
         if ig.grid != grid or ig.n != n:
             raise ValueError("initial guess must live on the problem grid")
         if np.any(ig.gamma[0] != ig.gamma[-1]) or np.any(ig.lam[0] != ig.lam[-1]):
             raise ValueError("initial guess must be periodic (node M equal to node 0)")
-        u = np.empty(2 * n * grid.M)
         w = u.reshape(grid.M, 2 * n)
         w[:, :n] = ig.gamma[:-1]
         w[:, n:] = ig.lam[:-1]
-    else:
-        u = np.zeros(2 * n * grid.M)
+        g = _gradient_cyclic(md, u)
 
-    scale = 1.0 + float(np.max(np.abs(_gradient_cyclic(md, np.zeros_like(u)))))
-    tol = opts.tolerance * scale
-
-    g = _gradient_cyclic(md, u)
     gnorm = float(np.max(np.abs(g)))
     history = [gnorm]
     iterations = 0

@@ -8,7 +8,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from dualchain import TimeGrid, dtp_map, eval_force, eval_forcing
+from dualchain import (
+    IntegrationBlowUpError,
+    TimeGrid,
+    dtp_map,
+    eval_force,
+    eval_forcing,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +96,51 @@ def sinusoid_steady_state(A, m, d, amp, omega, phase, t):
     x = np.real(phasor * coef)
     v = np.real(1j * omega * phasor * coef)
     return x, v
+
+
+# ---------------------------------------------------------------------------
+# direct force evaluation and the per-stage RK4 loop
+
+
+def einsum_force(force, x):
+    """K(x) = C + A x + 1/2 B : x x by the three-operand contraction."""
+    x = np.asarray(x)
+    return force.C + x @ force.A.T + 0.5 * np.einsum("jrs,...r,...s->...j", force.B, x, x)
+
+
+def rk4_reference(params, x0, v0, grid, dtype=float):
+    """Classical RK4 on (x, v) one stage at a time, with the acceleration
+    (f - d v - K(x)) / m from ``einsum_force``; returns the (M+1, n) arrays
+    (xs, vs).  ``dtype`` sets the precision of the state: np.longdouble has
+    a wider exponent range than float on most platforms."""
+    m, d = params.m, params.d
+    h = grid.h
+    f_nodes = eval_forcing(params.forcing, grid.nodes())
+    f_mid = eval_forcing(params.forcing, grid.midpoints())
+
+    def accel(x, v, f):
+        return (f - d * v - einsum_force(params.force, x)) / m
+
+    xs = np.empty((grid.M + 1, params.n), dtype=dtype)
+    vs = np.empty_like(xs)
+    xs[0], vs[0] = x0, v0
+    x, v = xs[0].copy(), vs[0].copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(grid.M):
+            k1x = v
+            k1v = accel(x, v, f_nodes[k])
+            k2x = v + 0.5 * h * k1v
+            k2v = accel(x + 0.5 * h * k1x, v + 0.5 * h * k1v, f_mid[k])
+            k3x = v + 0.5 * h * k2v
+            k3v = accel(x + 0.5 * h * k2x, v + 0.5 * h * k2v, f_mid[k])
+            k4x = v + h * k3v
+            k4v = accel(x + h * k3x, v + h * k3v, f_nodes[k + 1])
+            x = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+            v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
+                raise IntegrationBlowUpError(step=k + 1, t=(k + 1) * h)
+            xs[k + 1], vs[k + 1] = x, v
+    return xs, vs
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,11 @@
 """Force model, forcing signals, and weighted stiffness."""
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dualchain import (
     ChainParams,
@@ -14,7 +19,7 @@ from dualchain import (
     reexpand,
     stiffness_lambda,
 )
-from oracles import bond_potential, fd_gradient
+from oracles import bond_potential, einsum_force, fd_gradient
 
 
 def test_eval_force_pure_linear():
@@ -158,6 +163,43 @@ def test_reexpand_exactness_random():
         ref = eval_force(force, x)
         scale = np.max(np.abs(ref)) + 1.0
         assert np.max(np.abs(exp.evaluate(x) - ref)) < 1e-12 * scale
+
+
+@st.composite
+def _forces_and_states(draw):
+    n = draw(st.integers(1, 6))
+    entries = st.floats(-10.0, 10.0)
+    B = draw(st.none() | hnp.arrays(float, (n, n, n), elements=entries))
+    force = QuadraticForce(n=n, C=draw(hnp.arrays(float, n, elements=entries)),
+                           A=draw(hnp.arrays(float, (n, n), elements=entries)), B=B)
+    batch = draw(st.sampled_from(((), (7,), (3, 5))))
+    return force, draw(hnp.arrays(float, batch + (n,), elements=entries))
+
+
+@settings(deadline=None)
+@given(_forces_and_states())
+def test_eval_force_matches_einsum_contraction(case):
+    force, x = case
+    got = eval_force(force, x)
+    assert got.shape == x.shape
+    # relative to the size of the terms summed; the smallest normal float
+    # covers results that underflow into the subnormal range
+    size = (np.abs(force.C) + np.abs(x) @ np.abs(force.A).T
+            + 0.5 * np.einsum("jrs,...r,...s->...j", np.abs(force.B), np.abs(x), np.abs(x)))
+    assert np.all(np.abs(got - einsum_force(force, x)) <= 1e-14 * size + np.finfo(float).tiny)
+
+
+def test_quadratic_force_is_immutable():
+    force = fput_alpha(3, 0.25)
+    assert force.has_quadratic
+    assert not QuadraticForce(n=3, A=np.eye(3)).has_quadratic
+    np.testing.assert_array_equal(force.B_flat, force.B.reshape(3, 9))
+    for arr in (force.B, force.B_flat):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+    for name, value in (("has_quadratic", False), ("B_flat", np.zeros((3, 9)))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(force, name, value)
 
 
 def test_reexpand_dimension_mismatch():

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualchain import eval_forcing, fput_alpha
+from dualchain import cli, dual_action, eval_forcing, fput_alpha
 from dualchain.cli import (
     ConfigError,
     load_config,
@@ -168,6 +168,30 @@ def test_verify_mode_reports_oracle_deviation(tmp_path):
     assert report["verification"]["concavity_ok"] == "true"
     assert report["manifest"] == {}
     assert float(report["run"]["wall_time_s"]) >= 0.0
+
+
+@pytest.mark.parametrize("preset", ["harmonic_n1", "perturbed_base_n4"])
+def test_verify_shares_the_base_integration_with_the_oracle(tmp_path, monkeypatch, preset):
+    # a primal base restricts the oracle's own 10x-refined rk4 solve: verify
+    # integrates it once, and reports what two separate integrations give
+    calls = []
+    integrate = cli.integrate_primal
+
+    def counted(params, x0, v0, grid, **kwargs):
+        calls.append(grid.M)
+        return integrate(params, x0, v0, grid, **kwargs)
+
+    monkeypatch.setattr(cli, "integrate_primal", counted)
+    monkeypatch.setattr(dual_action, "integrate_primal", counted)
+    assert run_one(PRESETS[preset], tmp_path / "shared", sets=("grid.M=128",)) == 0
+    assert calls == [1280]
+    problem = cli.ScenarioConfig._problem
+    monkeypatch.setattr(cli.ScenarioConfig, "_problem", lambda cfg: (problem(cfg)[0], None))
+    assert run_one(PRESETS[preset], tmp_path / "separate", sets=("grid.M=128",)) == 0
+    assert calls == [1280, 1280, 1280]
+    reports = [[line for line in (tmp_path / run / f"{preset}_report.txt").read_text().splitlines()
+                if not line.startswith("wall_time_s")] for run in ("shared", "separate")]
+    assert reports[0] == reports[1]
 
 
 def test_periodic_mode_emits_closing_orbit(tmp_path):

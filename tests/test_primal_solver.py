@@ -1,6 +1,9 @@
 """Direct integration, residual diagnostics, and the energy series."""
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dualchain import (
     ChainParams,
@@ -8,6 +11,7 @@ from dualchain import (
     IntegrationBlowUpError,
     NonGradientForceError,
     QuadraticForce,
+    SampledSignal,
     Sinusoid,
     TimeGrid,
     Trajectory,
@@ -22,6 +26,7 @@ from oracles import (
     forced_damped_solution,
     harmonic_solution,
     linear_chain_solution,
+    rk4_reference,
 )
 
 
@@ -253,3 +258,107 @@ def test_trajectory_restrict_inverse_of_refine():
     assert coarse.grid == grid
     np.testing.assert_array_equal(coarse.x, fine.x[::4])
     np.testing.assert_array_equal(coarse.v, fine.v[::4])
+
+
+# ---------------------------------------------------------------------------
+# the stacked-state RK4 against the one-stage-at-a-time reference
+
+_UNIT = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def _chains(draw, T, anti_restoring=False):
+    """A chain of 1..6 particles with random A, C, and B (zero or random),
+    d >= 0, m > 0, and any mix of sinusoid, constant and table forcing on
+    [0, T].  ``anti_restoring`` makes A = -(I + A'/5), which drives every
+    mode away from rest."""
+    n = draw(st.integers(1, 6))
+    A = draw(hnp.arrays(float, (n, n), elements=_UNIT))
+    if anti_restoring:
+        A = -(np.eye(n) + 0.2 * A)
+    B = draw(st.none() | hnp.arrays(float, (n, n, n), elements=_UNIT))
+    force = QuadraticForce(n=n, C=draw(hnp.arrays(float, n, elements=_UNIT)), A=A, B=B)
+    kinds = draw(st.sets(st.sampled_from(("sinusoid", "constant", "table"))))
+    sinusoids = tables = ()
+    constant = None
+    if "sinusoid" in kinds:
+        sinusoids = [(draw(st.integers(0, n - 1)),
+                      Sinusoid(draw(_UNIT), draw(st.floats(0.0, 5.0)), draw(st.floats(0.0, 6.3))))]
+    if "constant" in kinds:
+        constant = draw(hnp.arrays(float, n, elements=_UNIT))
+    if "table" in kinds:
+        values = draw(hnp.arrays(float, draw(st.integers(2, 20)), elements=_UNIT))
+        tables = [(draw(st.integers(0, n - 1)),
+                   SampledSignal(np.linspace(0.0, T, values.size), values))]
+    forcing = ForcingSpec(n=n, constant=constant, sinusoids=sinusoids, tables=tables)
+    params = ChainParams(m=draw(st.floats(0.25, 4.0)), d=draw(st.floats(0.0, 2.0)),
+                         force=force, forcing=forcing)
+    x0 = draw(hnp.arrays(float, n, elements=_UNIT))
+    v0 = draw(hnp.arrays(float, n, elements=_UNIT))
+    return params, x0, v0
+
+
+@st.composite
+def _bounded_runs(draw):
+    T = draw(st.floats(0.1, 3.0))
+    return draw(_chains(T)) + (TimeGrid(T=T, M=draw(st.integers(1, 200))),)
+
+
+@settings(deadline=None)
+@given(_bounded_runs())
+def test_rk4_matches_per_stage_reference(run):
+    params, x0, v0, grid = run
+    try:
+        xs, vs = rk4_reference(params, x0, v0, grid)
+    except IntegrationBlowUpError:
+        assume(False)  # overflowing runs are compared in the divergence test
+    size = max(np.max(np.abs(xs)), np.max(np.abs(vs)))
+    # on the way to a finite-time blow-up the flow magnifies every rounding
+    # difference without bound, so the tolerance speaks of moderate states
+    assume(size <= 1e4)
+    traj = integrate_primal(params, x0, v0, grid)
+    dev = max(np.max(np.abs(traj.x - xs)), np.max(np.abs(traj.v - vs)))
+    assert dev <= 1e-12 * (1.0 + size)
+
+
+@st.composite
+def _diverging_runs(draw):
+    # steps of 1e10..1e25 time units put RK4 far outside its stability
+    # region: every step multiplies the state by 1e40 or more
+    M = draw(st.integers(1, 200))
+    h = 10.0 ** draw(st.floats(10.0, 25.0))
+    params, x0, v0 = draw(_chains(h * M, anti_restoring=True))
+    # a state of size 1 keeps the growth from starting below the rounding
+    # level of C and f, where the two forms of the rate disagree in full
+    size = max(np.max(np.abs(x0)), np.max(np.abs(v0)))
+    assume(size > 0.0)
+    return params, x0 / size, v0 / size, TimeGrid(T=h * M, M=M)
+
+
+def _blow_up_step(integrate, *args):
+    try:
+        integrate(*args)
+    except IntegrationBlowUpError as exc:
+        return exc.step
+    return None
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).maxexp <= np.finfo(float).maxexp,
+                    reason="needs a long double with a wider exponent range than float")
+@settings(deadline=None)
+@given(_diverging_runs())
+def test_rk4_blows_up_at_the_reference_step(run):
+    params, x0, v0, grid = run
+    ref = _blow_up_step(rk4_reference, params, x0, v0, grid)
+    new = _blow_up_step(integrate_primal, params, x0, v0, grid)
+    # The two order their sums differently, so a step whose exact state
+    # comes near the largest float may overflow in one and not the other.
+    # The exact states, from the reference in extended precision, must keep
+    # well clear of that band for the steps to be comparable.
+    steps = max(ref or 0, new or 0) or grid.M
+    xs, vs = rk4_reference(params, x0, v0, TimeGrid(T=grid.h * steps, M=steps),
+                           dtype=np.longdouble)
+    size = np.maximum(np.max(np.abs(xs), axis=1), np.max(np.abs(vs), axis=1))
+    digits = np.log10(np.maximum(size, 1.0))
+    assume(not np.any((digits > 304) & (digits < 312)))
+    assert new == ref
