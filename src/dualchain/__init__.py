@@ -11,13 +11,12 @@ from .chain_model import (
     ChainParams,
     ForcingSpec,
     QuadraticForce,
-    ExpandedForce,
     SampledSignal,
     Sinusoid,
     eval_force,
     eval_forcing,
+    force_jacobian,
     fput_alpha,
-    reexpand,
     stiffness_lambda,
 )
 from .primal_solver import (

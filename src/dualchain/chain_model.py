@@ -15,13 +15,12 @@ import numpy as np
 
 __all__ = [
     "QuadraticForce",
-    "ExpandedForce",
     "Sinusoid",
     "SampledSignal",
     "ForcingSpec",
     "ChainParams",
     "eval_force",
-    "reexpand",
+    "force_jacobian",
     "fput_alpha",
     "eval_forcing",
     "stiffness_lambda",
@@ -48,8 +47,8 @@ class QuadraticForce:
         K_j(x) = C_j + A[j, r] x_r + 1/2 B[j, r, s] x_r x_s,
 
     with B symmetric in its last two indices (enforced by symmetrization at
-    construction).  Expansions about other base points come from `reexpand`
-    and are exact: the force is polynomial, so nothing is truncated.
+    construction).  The Jacobian about any point is `force_jacobian`; the
+    force is polynomial, so the expansion about that point is exact.
 
     Derived at construction: ``B_flat``, a read-only (n, n^2) view of B with
     the index pair (r, s) flattened, and ``has_quadratic``, true when any B
@@ -87,34 +86,6 @@ class QuadraticForce:
         object.__setattr__(self, "has_quadratic", bool(np.any(B)))
 
 
-@dataclass(frozen=True, eq=False)
-class ExpandedForce:
-    """The same force re-expanded about a base point ``xbar``.
-
-    K_j(x) = K0_j + A_bar[j, r] (x - xbar)_r
-             + 1/2 B[j, r, s] (x - xbar)_r (x - xbar)_s
-    """
-
-    xbar: np.ndarray
-    K0: np.ndarray
-    A_bar: np.ndarray
-    B: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "xbar", _readonly(self.xbar))
-        object.__setattr__(self, "K0", _readonly(self.K0))
-        object.__setattr__(self, "A_bar", _readonly(self.A_bar))
-        object.__setattr__(self, "B", _readonly(self.B))
-
-    def evaluate(self, x) -> np.ndarray:
-        """Evaluate the expanded form at x (exact, not a truncation)."""
-        dx = np.asarray(x, dtype=float) - self.xbar
-        out = self.K0 + dx @ self.A_bar.T
-        if np.any(self.B):
-            out = out + 0.5 * np.einsum("jrs,...r,...s->...j", self.B, dx, dx)
-        return out
-
-
 def eval_force(force: QuadraticForce, x) -> np.ndarray:
     """Force K(x) = C + A x + 1/2 B : x x.
 
@@ -130,19 +101,12 @@ def eval_force(force: QuadraticForce, x) -> np.ndarray:
     return out
 
 
-def reexpand(force: QuadraticForce, xbar) -> ExpandedForce:
-    """Exact re-expansion of the quadratic force about ``xbar``.
+def force_jacobian(force: QuadraticForce, x) -> np.ndarray:
+    """Jacobian dK/dx = A + B·x (contraction over the last index of B).
 
-    The linear coefficient about the base point is A + B·xbar (contraction
-    over the last index of B); the quadratic coefficient is unchanged.
+    ``x`` may carry leading batch axes; the result has shape x.shape + (n,).
     """
-    xbar = np.asarray(xbar, dtype=float)
-    if xbar.shape != (force.n,):
-        raise ValueError(f"xbar must have shape ({force.n},), got {xbar.shape}")
-    _require_finite("xbar", xbar)
-    K0 = eval_force(force, xbar)
-    A_bar = force.A + np.einsum("jrs,s->jr", force.B, xbar)
-    return ExpandedForce(xbar=xbar, K0=K0, A_bar=A_bar, B=force.B)
+    return force.A + np.einsum("jrs,...s->...jr", force.B, x)
 
 
 def fput_alpha(n: int, alpha: float, boundary: str = "fixed") -> QuadraticForce:

@@ -6,7 +6,8 @@ comments starting with '#'.  Particle indices in configs and file headers are
 a file back reproduces the arrays bit for bit.
 
 Exit codes: 0 success, 2 config or validation error, 3 solver did not
-converge (reports are still written), 4 numerical singularity.
+converge (reports are still written) or a direct integration could not
+continue, 4 numerical singularity.
 """
 
 from __future__ import annotations
@@ -240,7 +241,7 @@ class ScenarioConfig:
             if self.x0 is None or self.v0 is None:
                 raise ConfigError(f"base kind {kind} needs [initial] x0 and v0")
             fine = integrate_primal(params, self.x0, self.v0,
-                                    grid.refined(self.base_refine))
+                                    grid.refined(self.base_refine), method=self.method)
             base = restrict_base(fine, self.base_refine)
             if kind == "perturbed-primal":
                 base = perturb_base(base, self.base_amplitude, seed=self.seed)
@@ -284,9 +285,8 @@ class ScenarioConfig:
         base, fine = self._base(params, grid)
         spec = ProblemSpec(params=params, scales=ScaleParams(self.c_x, self.c_v),
                            base=base, grid=grid, x0=self.x0, v0=self.v0)
-        # base solves are rk4, whatever the run method
         shared = (self.mode == "verify" and fine is not None
-                  and self.base_refine == _ORACLE_REFINE and self.method == "rk4")
+                  and self.base_refine == _ORACLE_REFINE)
         return spec, fine.restrict(_ORACLE_REFINE) if shared else None
 
     def periodic_problem(self) -> PeriodicSpec:
@@ -619,6 +619,7 @@ def run_one(config_path, out_dir, sets=(), mode: str | None = None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     try:
+        opts = cfg.solver_options()
         if cfg.mode == "simulate":
             if cfg.x0 is None or cfg.v0 is None:
                 raise ConfigError("mode simulate needs [initial] x0 and v0")
@@ -646,7 +647,7 @@ def run_one(config_path, out_dir, sets=(), mode: str | None = None) -> int:
             write_trajectory(traj_path, traj)
             manifest[traj_path.name] = _sha256_file(traj_path)
         elif cfg.mode == "dual-solve":
-            sol = solve_dual(spec, cfg.solver_options())
+            sol = solve_dual(spec, opts)
             traj = recover_primal(sol, spec)
             dual_path = out / f"{cfg.prefix}_dual.txt"
             traj_path = out / f"{cfg.prefix}_trajectory.txt"
@@ -658,7 +659,7 @@ def run_one(config_path, out_dir, sets=(), mode: str | None = None) -> int:
             verification = _verification_dict(verify(sol, spec))
             code = 0 if sol.converged else 3
         elif cfg.mode == "verify":
-            sol = solve_dual(spec, cfg.solver_options())
+            sol = solve_dual(spec, opts)
             if oracle is None:
                 oracle = integrate_primal(spec.params, spec.x0, spec.v0,
                                           spec.grid.refined(_ORACLE_REFINE),
@@ -667,7 +668,7 @@ def run_one(config_path, out_dir, sets=(), mode: str | None = None) -> int:
             verification = _verification_dict(verify(sol, spec, oracle=oracle))
             code = 0 if sol.converged else 3
         else:  # periodic
-            sol = solve_periodic(spec, cfg.solver_options())
+            sol = solve_periodic(spec, opts)
             orbit = recover_periodic_orbit(sol, spec)
             traj_path = out / f"{cfg.prefix}_trajectory.txt"
             write_trajectory(traj_path, orbit)

@@ -17,11 +17,18 @@ produce bit-identical outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
-from .chain_model import ChainParams, eval_force, eval_forcing, stiffness_lambda
+from .chain_model import (
+    ChainParams,
+    eval_force,
+    eval_forcing,
+    force_jacobian,
+    stiffness_lambda,
+)
 from .primal_solver import TimeGrid, Trajectory, integrate_primal
 
 __all__ = [
@@ -270,7 +277,6 @@ class ProblemSpec:
     grid: TimeGrid
     x0: np.ndarray
     v0: np.ndarray
-    freeze_A: bool = False
 
     def __post_init__(self):
         if self.base.grid != self.grid:
@@ -290,11 +296,15 @@ class ProblemSpec:
         v0.setflags(write=False)
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "v0", v0)
-        object.__setattr__(self, "freeze_A", bool(self.freeze_A))
 
     @property
     def n(self) -> int:
         return self.params.n
+
+    @cached_property
+    def _midpoints(self) -> _MidpointData:
+        # every field is immutable, so one build serves every assembly
+        return _midpoint_data(self)
 
 
 # ---------------------------------------------------------------------------
@@ -319,23 +329,22 @@ class _MidpointData:
     Abar_mid: np.ndarray
 
 
-def _midpoint_data(params: ChainParams, scales: ScaleParams, base: BaseState,
-                   grid: TimeGrid, freeze_A: bool) -> _MidpointData:
+def _midpoint_data(spec) -> _MidpointData:
+    """Midpoint data of an initial-value or periodic spec."""
+    params, grid = spec.params, spec.grid
     force = params.force
-    xbar_mid = base.xbar_mid
-    vbar_mid = base.vbar_mid
-    f_mid = eval_forcing(params.forcing, grid.midpoints())
-    Kbar_mid = eval_force(force, xbar_mid)
-    if force.has_quadratic and not freeze_A:
-        Abar_mid = force.A + np.einsum("jrs,ms->mjr", force.B, xbar_mid)
+    xbar_mid = spec.base.xbar_mid
+    if force.has_quadratic:
+        Abar_mid = force_jacobian(force, xbar_mid)
     else:
         Abar_mid = np.broadcast_to(force.A, (grid.M, force.n, force.n))
     return _MidpointData(
-        m=params.m, d=params.d, c_x=scales.c_x, c_v=scales.c_v,
+        m=params.m, d=params.d, c_x=spec.scales.c_x, c_v=spec.scales.c_v,
         h=grid.h, n=force.n, M=grid.M,
         B=force.B if force.has_quadratic else None,
-        xbar_mid=xbar_mid, vbar_mid=vbar_mid, f_mid=f_mid,
-        Kbar_mid=Kbar_mid, Abar_mid=Abar_mid,
+        xbar_mid=xbar_mid, vbar_mid=spec.base.vbar_mid,
+        f_mid=eval_forcing(params.forcing, grid.midpoints()),
+        Kbar_mid=eval_force(force, xbar_mid), Abar_mid=Abar_mid,
     )
 
 
@@ -347,19 +356,19 @@ def _element_fields(ga, la, gb, lb, h):
     return gmid, lmid, gdot, ldot
 
 
-def _stiffness_eig(md: _MidpointData, lmid):
-    """Eigendecomposition of the weighted stiffness at each midpoint.
+def _stiffness_eig(B, lam, c_x: float):
+    """Eigendecomposition of the weighted stiffness at each point of ``lam``
+    (leading batch axes allowed).
 
-    Returns None when B == 0 (stiffness is the identity).  Raises
-    SingularStiffnessError when any point is singular or has a condition
-    number beyond COND_LIMIT.
+    Returns None when B is None (stiffness is the identity).  Raises
+    SingularStiffnessError, naming the first point in C order, when any
+    point is singular or has a condition number beyond COND_LIMIT.
     """
-    if md.B is None:
+    if B is None:
         return None
-    mats = stiffness_lambda(md.B, lmid, md.c_x)
-    mu, Q = np.linalg.eigh(mats)
-    amin = np.min(np.abs(mu), axis=-1)
-    amax = np.max(np.abs(mu), axis=-1)
+    mu, Q = np.linalg.eigh(stiffness_lambda(B, lam, c_x))
+    amin = np.min(np.abs(mu), axis=-1).ravel()
+    amax = np.max(np.abs(mu), axis=-1).ravel()
     bad = (amin == 0.0) | (amax > COND_LIMIT * amin)
     if np.any(bad):
         where = int(np.argmax(bad))
@@ -379,7 +388,7 @@ def _core_state(md: _MidpointData, gmid, lmid, gdot, ldot):
     """Mapped primal state and intermediate covectors at element midpoints."""
     w = gmid + md.m * ldot - md.d * lmid
     r = gdot - np.einsum("mji,mj->mi", md.Abar_mid, lmid)
-    eig = _stiffness_eig(md, lmid)
+    eig = _stiffness_eig(md.B, lmid, md.c_x)
     y = r if eig is None else _apply_inv(eig, r)
     dx = y / md.c_x
     x = md.xbar_mid + dx
@@ -649,23 +658,11 @@ def dtp_map(lam, lamdot, gamma, gammadot, xbar, vbar, spec) -> tuple[np.ndarray,
     lam, lamdot, gamma, gammadot, xbar, vbar = arrs
     force = p.force
 
-    if force.has_quadratic and not spec.freeze_A:
-        A_used = force.A + np.einsum("jrs,...s->...jr", force.B, xbar)
-        r = gammadot - np.einsum("...j,...ji->...i", lam, A_used)
-    else:
-        r = gammadot - lam @ force.A
     if force.has_quadratic:
-        mats = stiffness_lambda(force.B, lam, s.c_x)
-        mu, Q = np.linalg.eigh(mats)
-        amin = np.min(np.abs(mu), axis=-1)
-        amax = np.max(np.abs(mu), axis=-1)
-        bad = (amin == 0.0) | (amax > COND_LIMIT * amin)
-        if np.any(bad):
-            where = int(np.argmax(bad.reshape(-1)))
-            raise SingularStiffnessError(where)
-        y = _apply_inv((mu, Q), r)
+        r = gammadot - np.einsum("...j,...ji->...i", lam, force_jacobian(force, xbar))
+        y = _apply_inv(_stiffness_eig(force.B, lam, s.c_x), r)
     else:
-        y = r
+        y = gammadot - lam @ force.A
     x = xbar + y / s.c_x
     v = vbar + (gamma + p.m * lamdot - p.d * lam) / s.c_v
     return x, v
@@ -675,7 +672,7 @@ def action(D: DualField, spec: ProblemSpec) -> float:
     """Value of the discretized dual functional, boundary terms included."""
     _require_match(D, spec)
     _require_final_zero(D)
-    md = _midpoint_data(spec.params, spec.scales, spec.base, spec.grid, spec.freeze_A)
+    md = spec._midpoints
     S = _action_elements(md, D.gamma[:-1], D.lam[:-1], D.gamma[1:], D.lam[1:])
     S -= spec.params.m * float(D.lam[0] @ spec.v0)
     S -= float(D.gamma[0] @ spec.x0)
@@ -686,7 +683,7 @@ def gradient(D: DualField, spec: ProblemSpec) -> np.ndarray:
     """Exact gradient of ``action`` over the free nodal values (packed)."""
     _require_match(D, spec)
     _require_final_zero(D)
-    md = _midpoint_data(spec.params, spec.scales, spec.base, spec.grid, spec.freeze_A)
+    md = spec._midpoints
     g_ga, g_la, g_gb, g_lb = _gradient_elements(
         md, D.gamma[:-1], D.lam[:-1], D.gamma[1:], D.lam[1:])
     M, n = spec.grid.M, spec.n
@@ -709,7 +706,7 @@ def hessian(D: DualField, spec: ProblemSpec) -> BlockTridiagonal:
     """Exact Hessian of ``action`` over the free nodal values."""
     _require_match(D, spec)
     _require_final_zero(D)
-    md = _midpoint_data(spec.params, spec.scales, spec.base, spec.grid, spec.freeze_A)
+    md = spec._midpoints
     E = _hessian_elements(md, D.gamma[:-1], D.lam[:-1], D.gamma[1:], D.lam[1:])
     M, n = spec.grid.M, spec.n
     b = 2 * n

@@ -3,15 +3,18 @@ solved multipliers, and the verification report.
 
 The extremum of the dual functional is a maximum wherever the weighted
 stiffness is positive definite, so the default step control is damped Newton
-with an ascent line search (the Newton system is solved with the banded
-Cholesky factorization of the negated Hessian).  When the Hessian is not
-negative definite at an iterate, steps fall back to a Levenberg-style
-trust-region iteration that must decrease the gradient norm.
+with an ascent line search.  When no ascent Newton step is available at an
+iterate, steps fall back to a Levenberg-style trust-region iteration that
+must decrease the gradient norm.  One engine runs both the initial-value
+problem here (Newton system solved by the banded Cholesky factorization of
+the negated Hessian) and the periodic problem of `periodic_search` (checked
+sparse LU of the cyclic Hessian).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -99,6 +102,88 @@ _TR_MU_GROWTH = 10.0
 _TR_MAX_TRIES = 25
 
 
+@dataclass(frozen=True)
+class _Problem:
+    """One dual maximization over packed unknowns u, as the Newton engine
+    sees it.  ``hessian`` may return any object the two solves accept."""
+
+    action: Callable         # u -> S(u)
+    gradient: Callable       # u -> dS/du
+    hessian: Callable        # u -> H
+    direction: Callable      # (H, g) -> ascent Newton direction, or None
+    shifted_solve: Callable  # (H, mu, rhs) -> (H - mu I)^{-1} rhs
+    diagonal: Callable       # H -> entries whose largest magnitude scales mu
+
+
+def _maximize(problem: _Problem, spec, opts: SolveOptions):
+    """Damped Newton ascent with a Levenberg-style trust-region fallback,
+    shared by the initial-value and periodic problems.
+
+    Starts from the zero field or ``opts.initial_guess`` (packed by
+    `pack_free`); the tolerance is scaled by the zero-field gradient.
+    Returns the final iterate, whether it converged, and the gradient
+    max-norm history.
+    """
+    u = np.zeros(2 * spec.n * spec.grid.M)
+    g = problem.gradient(u)
+    tol = opts.tolerance * (1.0 + float(np.max(np.abs(g))))
+    if opts.initial_guess is not None:
+        if opts.initial_guess.grid != spec.grid or opts.initial_guess.n != spec.n:
+            raise ValueError("initial guess must live on the problem grid")
+        u = pack_free(opts.initial_guess)
+        g = problem.gradient(u)
+
+    gnorm = float(np.max(np.abs(g)))
+    history = [gnorm]
+    # written so that a nan residual keeps iterating, like any unconverged one
+    while not gnorm <= tol and len(history) <= opts.max_iterations:
+        H = problem.hessian(u)
+        step = None
+        if opts.step_control == "damped-newton":
+            direction = problem.direction(H, g)
+            if direction is not None and np.all(np.isfinite(direction)):
+                step = _line_search(problem.action, u, direction)
+        if step is None:
+            step = _trust_region_step(problem, H, g, u, gnorm)
+        u = u + step
+        g = problem.gradient(u)
+        gnorm = float(np.max(np.abs(g)))
+        history.append(gnorm)
+    return u, gnorm <= tol, history
+
+
+def _line_search(act, u, direction):
+    """Backtracking ascent step along ``direction``; None if none passes."""
+    S_cur = act(u)
+    floor = 1e-12 * (1.0 + abs(S_cur))
+    t = 1.0
+    for _ in range(_MAX_BACKTRACK):
+        drop = _C_LS * t * t * float(direction @ direction)
+        if act(u + t * direction) >= S_cur - drop - floor:
+            return t * direction
+        t *= 0.5
+    return None
+
+
+def _trust_region_step(problem: _Problem, H, g, u, gnorm):
+    """Levenberg-style step: solve (H - mu I) step = -g with growing mu until
+    the gradient norm strictly decreases."""
+    mu = 1e-8 * (1.0 + float(np.max(np.abs(problem.diagonal(H)))))
+    for _ in range(_TR_MAX_TRIES):
+        try:
+            step = problem.shifted_solve(H, mu, -g)
+        except (ValueError, RuntimeError):  # LinAlgError is a ValueError
+            mu *= _TR_MU_GROWTH
+            continue
+        if np.all(np.isfinite(step)):
+            if float(np.max(np.abs(problem.gradient(u + step)))) < gnorm:
+                return step
+        mu *= _TR_MU_GROWTH
+    raise SingularSystemError(
+        "trust-region fallback could not reduce the gradient norm; "
+        "the Newton system appears numerically singular")
+
+
 def _newton_direction(H: BlockTridiagonal, g: np.ndarray):
     """Ascent Newton direction via Cholesky of -H; None if H is not
     negative definite."""
@@ -109,91 +194,29 @@ def _newton_direction(H: BlockTridiagonal, g: np.ndarray):
     return scipy.linalg.cho_solve_banded((fac, True), g)
 
 
-def _trust_region_step(H, g, u, grad_fn, gnorm):
-    """Levenberg-style step: solve (H - mu I) step = -g with growing mu until
-    the gradient norm strictly decreases."""
-    scale = 1.0 + float(np.max(np.abs(H.diag)))
-    mu = 1e-8 * scale
-    for _ in range(_TR_MAX_TRIES):
-        try:
-            step = H.shifted(mu).solve(-g)
-        except (scipy.linalg.LinAlgError, ValueError):
-            mu *= _TR_MU_GROWTH
-            continue
-        if np.all(np.isfinite(step)):
-            if float(np.max(np.abs(grad_fn(u + step)))) < gnorm:
-                return step
-        mu *= _TR_MU_GROWTH
-    raise SingularSystemError(
-        "trust-region fallback could not reduce the gradient norm; "
-        "the Newton system appears numerically singular")
-
-
 def solve_dual(spec: ProblemSpec, opts: SolveOptions | None = None) -> DualSolution:
     """Maximize the discrete dual action by Newton iteration from the zero
     field (or ``opts.initial_guess``)."""
-    opts = opts or SolveOptions()
     grid, n = spec.grid, spec.n
 
-    def grad_fn(u):
-        return gradient(unpack_free(grid, n, u), spec)
+    def field(u):
+        return unpack_free(grid, n, u)
 
-    def act_fn(u):
-        return action(unpack_free(grid, n, u), spec)
-
-    zeros = DualField.zeros(grid, n)
-    g = gradient(zeros, spec)
-    scale = 1.0 + float(np.max(np.abs(g)))
-    tol = opts.tolerance * scale
-
-    if opts.initial_guess is not None:
-        if opts.initial_guess.grid != grid or opts.initial_guess.n != n:
-            raise ValueError("initial guess must live on the problem grid")
-        u = pack_free(opts.initial_guess)
-        g = grad_fn(u)
-    else:
-        u = pack_free(zeros)
-
-    gnorm = float(np.max(np.abs(g))) if g.size else 0.0
-    history = [gnorm]
-    iterations = 0
-    converged = False
-    while True:
-        if gnorm <= tol:
-            converged = True
-            break
-        if iterations >= opts.max_iterations:
-            break
-        H = hessian(unpack_free(grid, n, u), spec)
-        step = None
-        if opts.step_control == "damped-newton":
-            direction = _newton_direction(H, g)
-            if direction is not None:
-                S_cur = act_fn(u)
-                floor = 1e-12 * (1.0 + abs(S_cur))
-                t = 1.0
-                for _ in range(_MAX_BACKTRACK):
-                    trial = u + t * direction
-                    drop = _C_LS * t * t * float(direction @ direction)
-                    if act_fn(trial) >= S_cur - drop - floor:
-                        step = t * direction
-                        break
-                    t *= 0.5
-        if step is None:
-            step = _trust_region_step(H, g, u, grad_fn, gnorm)
-        u = u + step
-        g = grad_fn(u)
-        gnorm = float(np.max(np.abs(g)))
-        history.append(gnorm)
-        iterations += 1
-
-    inertia = hessian(unpack_free(grid, n, u), spec).inertia()
+    u, converged, history = _maximize(_Problem(
+        action=lambda u: action(field(u), spec),
+        gradient=lambda u: gradient(field(u), spec),
+        hessian=lambda u: hessian(field(u), spec),
+        direction=_newton_direction,
+        shifted_solve=lambda H, mu, rhs: H.shifted(mu).solve(rhs),
+        diagonal=lambda H: H.diag,
+    ), spec, opts or SolveOptions())
+    D = field(u)
     return DualSolution(
-        D=unpack_free(grid, n, u),
+        D=D,
         converged=converged,
-        iterations=iterations,
+        iterations=len(history) - 1,
         residual_history=tuple(history),
-        hessian_inertia=inertia,
+        hessian_inertia=hessian(D, spec).inertia(),
     )
 
 

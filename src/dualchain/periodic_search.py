@@ -1,8 +1,11 @@
 """Periodic-orbit variant of the dual problem: same element assembly with
 cyclic index wrap, no boundary terms, node M identified with node 0.
 
-The period is fixed to the grid span, which must be an integer number of
-forcing periods; searching for orbits of unknown period is out of scope.
+This module supplies the cyclic assembly and its checked sparse LU; the
+Newton iteration is the one `dual_solver` runs for the initial-value
+problem.  The period is fixed to the grid span, which must be an integer
+number of forcing periods; searching for orbits of unknown period is out of
+scope.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import scipy.sparse.linalg
 
 from .chain_model import ChainParams
 from .dual_action import (
+    COND_LIMIT,
     DualField,
     ScaleParams,
     BaseState,
@@ -24,7 +28,7 @@ from .dual_action import (
     _midpoint_data,
     dtp_map,
 )
-from .dual_solver import SingularSystemError, SolveOptions
+from .dual_solver import SingularSystemError, SolveOptions, _maximize, _Problem
 from .primal_solver import TimeGrid, Trajectory
 
 __all__ = [
@@ -33,8 +37,6 @@ __all__ = [
     "solve_periodic",
     "recover_periodic_orbit",
 ]
-
-_COND_LIMIT = 1e12
 
 
 def _check_periodic_forcing(params: ChainParams, P: float) -> None:
@@ -69,8 +71,6 @@ class PeriodicSpec:
     scales: ScaleParams
     base: BaseState
     grid: TimeGrid
-
-    freeze_A = False  # origin-frame A is never frozen for orbits
 
     def __post_init__(self):
         if self.grid.M < 2:
@@ -114,10 +114,6 @@ def _cyclic_parts(md, u):
     ga, la = w[:, :n], w[:, n:]
     gb, lb = np.roll(ga, -1, axis=0), np.roll(la, -1, axis=0)
     return ga, la, gb, lb
-
-
-def _action_cyclic(md, u) -> float:
-    return _action_elements(md, *_cyclic_parts(md, u))
 
 
 def _gradient_cyclic(md, u) -> np.ndarray:
@@ -166,7 +162,7 @@ def _factorize_checked(H: scipy.sparse.csc_matrix):
     # H is symmetric, so the inverse is its own adjoint
     inv_op = scipy.sparse.linalg.LinearOperator(H.shape, matvec=lu.solve, rmatvec=lu.solve)
     cond = scipy.sparse.linalg.onenormest(H) * scipy.sparse.linalg.onenormest(inv_op)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
+    if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularSystemError(
             f"cyclic dual system is numerically singular "
             f"(1-norm condition estimate {cond:.3e}); for undamped linear chains this "
@@ -177,83 +173,31 @@ def _factorize_checked(H: scipy.sparse.csc_matrix):
 def solve_periodic(spec: PeriodicSpec, opts: SolveOptions | None = None) -> PeriodicDualSolution:
     """Newton iteration for the periodic dual problem (cyclic unknowns)."""
     opts = opts or SolveOptions()
-    grid, n = spec.grid, spec.n
-    md = _midpoint_data(spec.params, spec.scales, spec.base, spec.grid, freeze_A=False)
+    ig = opts.initial_guess
+    if ig is not None and (np.any(ig.gamma[0] != ig.gamma[-1])
+                           or np.any(ig.lam[0] != ig.lam[-1])):
+        raise ValueError("initial guess must be periodic (node M equal to node 0)")
+    md = _midpoint_data(spec)
 
-    u = np.zeros(2 * n * grid.M)
-    g = _gradient_cyclic(md, u)
-    scale = 1.0 + float(np.max(np.abs(g)))
-    tol = opts.tolerance * scale
-
-    if opts.initial_guess is not None:
-        ig = opts.initial_guess
-        if ig.grid != grid or ig.n != n:
-            raise ValueError("initial guess must live on the problem grid")
-        if np.any(ig.gamma[0] != ig.gamma[-1]) or np.any(ig.lam[0] != ig.lam[-1]):
-            raise ValueError("initial guess must be periodic (node M equal to node 0)")
-        w = u.reshape(grid.M, 2 * n)
-        w[:, :n] = ig.gamma[:-1]
-        w[:, n:] = ig.lam[:-1]
-        g = _gradient_cyclic(md, u)
-
-    gnorm = float(np.max(np.abs(g)))
-    history = [gnorm]
-    iterations = 0
-    converged = False
-    while True:
-        if gnorm <= tol:
-            converged = True
-            break
-        if iterations >= opts.max_iterations:
-            break
+    def hessian(u):
         H = _hessian_cyclic(md, u)
-        lu = _factorize_checked(H)
-        step = None
-        if opts.step_control == "damped-newton":
-            direction = lu.solve(-g)
-            if np.all(np.isfinite(direction)):
-                S_cur = _action_cyclic(md, u)
-                floor = 1e-12 * (1.0 + abs(S_cur))
-                t = 1.0
-                for _ in range(40):
-                    trial = u + t * direction
-                    drop = 1e-8 * t * t * float(direction @ direction)
-                    if _action_cyclic(md, trial) >= S_cur - drop - floor:
-                        step = t * direction
-                        break
-                    t *= 0.5
-        if step is None:
-            step = _trust_region_cyclic(md, H, g, u, gnorm)
-        u = u + step
-        g = _gradient_cyclic(md, u)
-        gnorm = float(np.max(np.abs(g)))
-        history.append(gnorm)
-        iterations += 1
+        return H, _factorize_checked(H)
 
+    u, converged, history = _maximize(_Problem(
+        action=lambda u: _action_elements(md, *_cyclic_parts(md, u)),
+        gradient=lambda u: _gradient_cyclic(md, u),
+        hessian=hessian,
+        direction=lambda H_lu, g: H_lu[1].solve(-g),
+        shifted_solve=lambda H_lu, mu, rhs: scipy.sparse.linalg.splu(
+            H_lu[0] - mu * scipy.sparse.identity(rhs.size, format="csc")).solve(rhs),
+        diagonal=lambda H_lu: H_lu[0].diagonal(),
+    ), spec, opts)
     return PeriodicDualSolution(
-        D=_unpack_cyclic(grid, n, u),
+        D=_unpack_cyclic(spec.grid, spec.n, u),
         converged=converged,
-        iterations=iterations,
+        iterations=len(history) - 1,
         residual_history=tuple(history),
     )
-
-
-def _trust_region_cyclic(md, H, g, u, gnorm):
-    eye = scipy.sparse.identity(H.shape[0], format="csc")
-    mu = 1e-8 * (1.0 + float(np.max(np.abs(H.diagonal()))))
-    for _ in range(25):
-        try:
-            lu = scipy.sparse.linalg.splu(H - mu * eye)
-            step = lu.solve(-g)
-        except RuntimeError:
-            mu *= 10.0
-            continue
-        if np.all(np.isfinite(step)):
-            if float(np.max(np.abs(_gradient_cyclic(md, u + step)))) < gnorm:
-                return step
-        mu *= 10.0
-    raise SingularSystemError(
-        "trust-region fallback could not reduce the gradient norm on the cyclic system")
 
 
 def recover_periodic_orbit(sol: PeriodicDualSolution, spec: PeriodicSpec) -> Trajectory:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_model import ChainParams, eval_force, eval_forcing, reexpand
+from .chain_model import ChainParams, eval_force, eval_forcing, force_jacobian
 
 __all__ = [
     "TimeGrid",
@@ -25,10 +25,11 @@ __all__ = [
 
 
 class IntegrationBlowUpError(RuntimeError):
-    """State became non-finite during integration; carries the failing step."""
+    """Integration could not take a step: the state became non-finite, or
+    an implicit step's Newton iteration stalled.  Carries the failing step."""
 
-    def __init__(self, step: int, t: float):
-        super().__init__(f"state became non-finite at step {step} (t = {t:.6g})")
+    def __init__(self, step: int, t: float, what: str = "state became non-finite"):
+        super().__init__(f"{what} at step {step} (t = {t:.6g})")
         self.step = step
         self.t = t
 
@@ -120,7 +121,9 @@ def integrate_primal(params: ChainParams, x0, v0, grid: TimeGrid,
 
     method: "rk4" (classical fixed-step) or "implicit-midpoint" (per-step
     Newton, tolerance 1e-12, at most 20 iterations; exact in one Newton
-    iteration when the force is linear).
+    iteration when the force is linear).  A step that cannot be completed,
+    by a non-finite state or a stalled Newton iteration, raises
+    IntegrationBlowUpError.
     """
     n = params.n
     x0 = _check_state("x0", x0, n)
@@ -226,14 +229,14 @@ def _integrate_midpoint(params, x0, v0, grid, tol=1e-12, max_newton=20):
             if np.max(np.abs(res)) <= tol * (1.0 + np.max(np.abs(z_new))):
                 ok = True
                 break
-            A_bar = reexpand(params.force, zm[:n]).A_bar
             jac_f = np.zeros((2 * n, 2 * n))
             jac_f[:n, n:] = np.eye(n)
-            jac_f[n:, :n] = -A_bar / m
+            jac_f[n:, :n] = -force_jacobian(params.force, zm[:n]) / m
             jac_f[n:, n:] = -(d / m) * np.eye(n)
             z_new = z_new + np.linalg.solve(eye - 0.5 * h * jac_f, -res)
         if not ok:
-            raise RuntimeError(f"implicit midpoint Newton stalled at step {k}")
+            raise IntegrationBlowUpError(step=k + 1, t=(k + 1) * h,
+                                         what="implicit midpoint Newton stalled")
         if not np.all(np.isfinite(z_new)):
             raise IntegrationBlowUpError(step=k + 1, t=(k + 1) * h)
         z = z_new

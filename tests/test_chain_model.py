@@ -15,8 +15,8 @@ from dualchain import (
     Sinusoid,
     eval_force,
     eval_forcing,
+    force_jacobian,
     fput_alpha,
-    reexpand,
     stiffness_lambda,
 )
 from oracles import bond_potential, einsum_force, fd_gradient
@@ -25,6 +25,11 @@ from oracles import bond_potential, einsum_force, fd_gradient
 def test_eval_force_pure_linear():
     force = QuadraticForce(n=1, A=[[1.0]])
     assert eval_force(force, [2.0]) == pytest.approx([2.0], abs=0)
+    # the same spring with B = 2: K(0.9) = 0.9 + 0.81 = 1.71
+    B = np.zeros((1, 1, 1))
+    B[0, 0, 0] = 2.0
+    stiffening = QuadraticForce(n=1, A=[[1.0]], B=B)
+    assert eval_force(stiffening, [0.9]) == pytest.approx([1.71], rel=1e-14)
 
 
 def test_eval_force_constant():
@@ -121,48 +126,36 @@ def test_fput_alpha_rejects_bad_input():
         fput_alpha(3, 0.1, boundary="clamped")
 
 
-def test_reexpand_at_origin_is_identity():
+def test_force_jacobian_at_origin_is_linear_coefficient():
     rng = np.random.default_rng(4)
     force = QuadraticForce(n=3, C=rng.normal(size=3), A=rng.normal(size=(3, 3)),
                            B=rng.normal(size=(3, 3, 3)))
-    exp = reexpand(force, np.zeros(3))
-    np.testing.assert_array_equal(exp.K0, force.C)
-    np.testing.assert_array_equal(exp.A_bar, force.A)
+    np.testing.assert_array_equal(force_jacobian(force, np.zeros(3)), force.A)
 
 
-def test_reexpand_linear_case():
+def test_force_jacobian_linear_case():
     rng = np.random.default_rng(5)
     force = QuadraticForce(n=3, C=rng.normal(size=3), A=rng.normal(size=(3, 3)))
-    xbar = rng.normal(size=3)
-    exp = reexpand(force, xbar)
-    np.testing.assert_array_equal(exp.A_bar, force.A)
-    np.testing.assert_allclose(exp.K0, force.C + force.A @ xbar, rtol=1e-15)
+    np.testing.assert_array_equal(force_jacobian(force, rng.normal(size=3)), force.A)
 
 
-def test_reexpand_worked_scalar_example():
-    B = np.zeros((1, 1, 1))
-    B[0, 0, 0] = 2.0
-    force = QuadraticForce(n=1, A=[[1.0]], B=B)
-    exp = reexpand(force, [0.5])
-    assert exp.K0 == pytest.approx([0.75], rel=1e-15)
-    np.testing.assert_allclose(exp.A_bar, [[2.0]], rtol=1e-15)
-    # both forms at x = 0.9 give 0.9 + 0.81 = 1.71
-    assert eval_force(force, [0.9]) == pytest.approx([1.71], rel=1e-14)
-    assert exp.evaluate([0.9]) == pytest.approx([1.71], rel=1e-14)
-
-
-def test_reexpand_exactness_random():
+def test_force_jacobian_exact_expansion_random():
+    # the force is quadratic, so K(x) = K(xbar) + J(xbar) dx + 1/2 B : dx dx
+    # holds exactly about any base point, batch axes included
     rng = np.random.default_rng(6)
     for _ in range(100):
         n = int(rng.integers(1, 9))
         force = QuadraticForce(n=n, C=rng.normal(size=n), A=rng.normal(size=(n, n)),
                                B=rng.normal(size=(n, n, n)))
-        xbar = rng.normal(size=n)
-        x = rng.normal(size=n)
-        exp = reexpand(force, xbar)
-        ref = eval_force(force, x)
+        xbar = rng.normal(size=(2, n))
+        dx = rng.normal(size=(2, n))
+        J = force_jacobian(force, xbar)
+        assert J.shape == (2, n, n)
+        expanded = (eval_force(force, xbar) + np.einsum("mjr,mr->mj", J, dx)
+                    + 0.5 * np.einsum("jrs,mr,ms->mj", force.B, dx, dx))
+        ref = eval_force(force, xbar + dx)
         scale = np.max(np.abs(ref)) + 1.0
-        assert np.max(np.abs(exp.evaluate(x) - ref)) < 1e-12 * scale
+        assert np.max(np.abs(expanded - ref)) < 1e-12 * scale
 
 
 @st.composite
@@ -202,10 +195,10 @@ def test_quadratic_force_is_immutable():
             setattr(force, name, value)
 
 
-def test_reexpand_dimension_mismatch():
+def test_force_jacobian_dimension_mismatch():
     force = QuadraticForce(n=2)
     with pytest.raises(ValueError):
-        reexpand(force, [1.0, 2.0, 3.0])
+        force_jacobian(force, [1.0, 2.0, 3.0])
 
 
 def test_eval_forcing_constant():

@@ -194,6 +194,39 @@ def test_verify_shares_the_base_integration_with_the_oracle(tmp_path, monkeypatc
     assert reports[0] == reports[1]
 
 
+def test_primal_base_honours_run_method(tmp_path, monkeypatch):
+    # the base and the oracle come from one integration, by the run's method
+    methods = []
+    integrate = cli.integrate_primal
+
+    def spied(params, x0, v0, grid, method="rk4"):
+        methods.append((grid.M, method))
+        return integrate(params, x0, v0, grid, method=method)
+
+    monkeypatch.setattr(cli, "integrate_primal", spied)
+    code = run_one(PRESETS["harmonic_n1"], tmp_path,
+                   sets=("grid.M=128", "run.method=implicit-midpoint"))
+    assert code == 0
+    assert methods == [(1280, "implicit-midpoint")]
+
+
+@pytest.mark.parametrize("setting", ["solver.step_control=bogus",
+                                     "solver.max_iterations=0",
+                                     "solver.tolerance=-1"])
+def test_invalid_solver_values_exit_2(tmp_path, capsys, setting):
+    assert run_one(PRESETS["harmonic_n1"], tmp_path, sets=(setting,)) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "harmonic_n1_report.txt").exists()
+
+
+def test_stalled_implicit_midpoint_exits_3(tmp_path, capsys):
+    code = run_one(PRESETS["fput_alpha_n8"], tmp_path, mode="simulate",
+                   sets=("run.method=implicit-midpoint",
+                         "initial.x0=10 10 10 10 10 10 10 10", "grid.M=20"))
+    assert code == 3
+    assert "stalled at step 19" in capsys.readouterr().err
+
+
 def test_periodic_mode_emits_closing_orbit(tmp_path):
     out = tmp_path / "orbit"
     code = run_one(PRESETS["periodic_forced_n4"], out,

@@ -44,8 +44,7 @@ def _scalar_spec(m=1.0, d=1.0, k=1.0, c_x=1.0, c_v=1.0, T=1.0, M=1,
                        x0=np.array([x0]), v0=np.array([v0]))
 
 
-def _random_spec(rng, n=None, M=None, with_B=True, freeze_A=False,
-                 base_kind="table"):
+def _random_spec(rng, n=None, M=None, with_B=True, base_kind="table"):
     n = n or int(rng.integers(1, 5))
     M = M or int(rng.integers(2, 17))
     C = rng.normal(size=n) * 0.3
@@ -73,7 +72,7 @@ def _random_spec(rng, n=None, M=None, with_B=True, freeze_A=False,
                          0.3 * np.cos(t + rng.normal(size=n)))
     scales = ScaleParams(float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
     return ProblemSpec(params=params, scales=scales, base=base, grid=grid,
-                       x0=x0, v0=v0, freeze_A=freeze_A)
+                       x0=x0, v0=v0)
 
 
 def _small_dual(rng, spec, scale=0.05):
@@ -235,23 +234,6 @@ def test_action_dimension_mismatch():
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(5)
     spec = _random_spec(rng, n=2, M=8)
-    D = _small_dual(rng, spec)
-    u0 = pack_free(D)
-    g = gradient(D, spec)
-    step = 1e-6
-    fd = np.empty_like(u0)
-    for i in range(u0.size):
-        up, dn = u0.copy(), u0.copy()
-        up[i] += step
-        dn[i] -= step
-        fd[i] = (action(unpack_free(spec.grid, spec.n, up), spec)
-                 - action(unpack_free(spec.grid, spec.n, dn), spec)) / (2 * step)
-    assert np.linalg.norm(g - fd) < 1e-6 * np.linalg.norm(fd)
-
-
-def test_gradient_matches_finite_differences_frozen_linear_coefficient():
-    rng = np.random.default_rng(6)
-    spec = _random_spec(rng, n=3, M=5, freeze_A=True, base_kind="primal")
     D = _small_dual(rng, spec)
     u0 = pack_free(D)
     g = gradient(D, spec)

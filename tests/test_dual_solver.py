@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from dualchain import dual_action
 from dualchain import (
     ChainParams,
     DualField,
@@ -233,3 +234,19 @@ def test_residual_history_tracks_iterations():
     assert sol.converged
     assert len(sol.residual_history) == sol.iterations + 1
     assert sol.residual_history[-1] < sol.residual_history[0]
+
+
+def test_midpoint_data_built_once_per_solve(monkeypatch):
+    calls = []
+    build = dual_action._midpoint_data
+
+    def counted(spec):
+        calls.append(spec)
+        return build(spec)
+
+    monkeypatch.setattr(dual_action, "_midpoint_data", counted)
+    spec = _fput_spec(n=3, M=64, perturb=0.05, seed=2)
+    sol = solve_dual(spec)
+    assert sol.iterations > 1
+    verify(sol, spec)  # the report reuses the solve's midpoint data
+    assert calls == [spec]

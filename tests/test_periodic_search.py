@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from dualchain import dual_action, periodic_search
 from dualchain import (
     BaseState,
     ChainParams,
@@ -235,3 +236,46 @@ def test_periodic_solve_deterministic():
     b = solve_periodic(spec)
     np.testing.assert_array_equal(a.D.gamma, b.D.gamma)
     np.testing.assert_array_equal(a.D.lam, b.D.lam)
+
+
+def _fput_forced_spec(M=200):
+    force = fput_alpha(3, 0.25)
+    forcing = ForcingSpec(n=3, sinusoids=[(0, Sinusoid(0.15, 1.0, 0.3))])
+    params = ChainParams(m=1.0, d=0.4, force=force, forcing=forcing)
+    grid = TimeGrid(T=2 * np.pi, M=M)
+    return PeriodicSpec(params=params, scales=UNIT, base=zero_base(grid, 3), grid=grid)
+
+
+def test_trust_region_converges_to_the_damped_newton_orbit():
+    spec = _fput_forced_spec()
+    newton = solve_periodic(spec)
+    trust = solve_periodic(spec, SolveOptions(step_control="trust-region"))
+    assert newton.converged and trust.converged
+    assert newton.iterations > 1  # nonlinear: several Newton steps
+    scale = np.max(np.abs(newton.D.lam))
+    np.testing.assert_allclose(trust.D.lam, newton.D.lam, rtol=0, atol=1e-8 * scale)
+    np.testing.assert_allclose(trust.D.gamma, newton.D.gamma, rtol=0, atol=1e-8 * scale)
+
+
+def test_periodic_non_convergence_is_reported_not_raised():
+    sol = solve_periodic(_fput_forced_spec(), SolveOptions(max_iterations=1))
+    assert not sol.converged
+    assert sol.iterations == 1
+    assert len(sol.residual_history) == 2
+    assert sol.residual_history[1] < sol.residual_history[0]
+
+
+def test_midpoint_data_built_once_per_solve(monkeypatch):
+    calls = []
+    build = dual_action._midpoint_data
+
+    def counted(spec):
+        calls.append(spec)
+        return build(spec)
+
+    monkeypatch.setattr(dual_action, "_midpoint_data", counted)
+    monkeypatch.setattr(periodic_search, "_midpoint_data", counted)
+    spec = _fput_forced_spec(M=64)
+    sol = solve_periodic(spec)
+    assert sol.iterations > 1
+    assert calls == [spec]

@@ -130,6 +130,18 @@ def test_implicit_midpoint_agrees_with_rk4_on_fput():
     assert np.max(np.abs(a.x - b.x)) < 1e-6
 
 
+def test_implicit_midpoint_stall_reports_step_index():
+    # a stiffening chain from a large displacement: the per-step Newton
+    # iteration stops converging partway through
+    params = ChainParams(m=1.0, d=0.0, force=fput_alpha(8, 0.25),
+                         forcing=ForcingSpec.zero(8))
+    with pytest.raises(IntegrationBlowUpError, match="stalled at step 19") as info:
+        integrate_primal(params, np.full(8, 10.0), np.zeros(8), TimeGrid(T=3.0, M=20),
+                         method="implicit-midpoint")
+    assert info.value.step == 19
+    assert info.value.t == pytest.approx(19 * 3.0 / 20)
+
+
 def test_integrate_primal_rejects_unknown_method():
     with pytest.raises(ValueError):
         integrate_primal(_oscillator(), [1.0], [0.0], TimeGrid(T=1.0, M=2),
