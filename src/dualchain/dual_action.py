@@ -12,6 +12,15 @@ as [gamma_k, lambda_k] per node.
 
 All reductions are plain numpy sums over fixed axes, so identical inputs
 produce bit-identical outputs.
+
+No eigendecomposition runs on the Newton path when every point is well
+conditioned.  The multiplier-weighted stiffness K is inverted directly, and
+kappa_2(K) <= ||K||_F ||K^-1||_F certifies each point; the eigenvalue test,
+the only place a SingularStiffnessError is raised, sees just the points this
+bound cannot certify.  `BlockTridiagonal.inertia` likewise answers
+(N, 0, 0) from a Cholesky factorization when it certifies negative
+definiteness beyond the zero tolerance, and runs the Schur recursion
+otherwise.
 """
 
 from __future__ import annotations
@@ -55,6 +64,12 @@ __all__ = [
 #: Relative condition limit on the multiplier-weighted stiffness; beyond this
 #: the matrix is treated as numerically singular.
 COND_LIMIT = 1e12
+
+#: Largest Frobenius bound ||K||_F ||K^-1||_F accepted without the eigenvalue
+#: test.  The margin below COND_LIMIT absorbs the round-off of the computed
+#: inverse and of the eigenvalues, so the test would pass every point
+#: accepted here.
+_CERT_LIMIT = 1e-2 * COND_LIMIT
 
 
 class SingularStiffnessError(RuntimeError):
@@ -356,44 +371,59 @@ def _element_fields(ga, la, gb, lb, h):
     return gmid, lmid, gdot, ldot
 
 
-def _stiffness_eig(B, lam, c_x: float):
-    """Eigendecomposition of the weighted stiffness at each point of ``lam``
-    (leading batch axes allowed).
-
-    Returns None when B is None (stiffness is the identity).  Raises
-    SingularStiffnessError, naming the first point in C order, when any
-    point is singular or has a condition number beyond COND_LIMIT.
-    """
-    if B is None:
-        return None
-    mu, Q = np.linalg.eigh(stiffness_lambda(B, lam, c_x))
+def _check_stiffness(K, points=None):
+    """Eigenvalue test of weighted stiffness matrices K (leading batch axes
+    allowed): raises SingularStiffnessError, naming the first failing point
+    in C order (its index in ``points`` when given), when a point is singular
+    or has a condition number beyond COND_LIMIT.  Returns (mu, Q)."""
+    mu, Q = np.linalg.eigh(K)
     amin = np.min(np.abs(mu), axis=-1).ravel()
     amax = np.max(np.abs(mu), axis=-1).ravel()
     bad = (amin == 0.0) | (amax > COND_LIMIT * amin)
     if np.any(bad):
-        where = int(np.argmax(bad))
-        cond = None if amin[where] == 0.0 else float(amax[where] / amin[where])
-        raise SingularStiffnessError(where, cond)
+        first = int(np.argmax(bad))
+        cond = None if amin[first] == 0.0 else float(amax[first] / amin[first])
+        raise SingularStiffnessError(first if points is None else int(points[first]), cond)
     return mu, Q
 
 
-def _apply_inv(eig, r):
-    """Apply the inverse weighted stiffness via its eigendecomposition."""
-    mu, Q = eig
-    return np.einsum("...ik,...k->...i", Q,
-                     np.einsum("...ki,...k->...i", Q, r) / mu)
+def _stiffness_inv(B, lam, c_x: float):
+    """Inverse of the weighted stiffness K = I + (1/c_x) B·lam at each point
+    of ``lam`` (leading batch axes allowed); None when B is None (K = I).
+
+    kappa_2(K) <= ||K||_F ||K^-1||_F certifies a point cheaply.  Only the
+    points whose bound exceeds _CERT_LIMIT, or the whole batch when the
+    inverse itself fails, go through `_check_stiffness`, so exactly the
+    points it rejects raise SingularStiffnessError.
+    """
+    if B is None:
+        return None
+    K = stiffness_lambda(B, lam, c_x)
+    try:
+        Kinv = np.linalg.inv(K)
+    except np.linalg.LinAlgError:
+        mu, Q = _check_stiffness(K)
+        return (Q / mu[..., None, :]) @ np.swapaxes(Q, -1, -2)
+    # a bound that overflows is not a certificate; the eigenvalue test decides
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = np.sqrt(np.sum(K * K, axis=(-2, -1)) * np.sum(Kinv * Kinv, axis=(-2, -1)))
+    unsure = np.flatnonzero(~(bound <= _CERT_LIMIT))
+    if unsure.size:
+        n = K.shape[-1]
+        _check_stiffness(K.reshape(-1, n, n)[unsure], unsure)
+    return Kinv
 
 
 def _core_state(md: _MidpointData, gmid, lmid, gdot, ldot):
     """Mapped primal state and intermediate covectors at element midpoints."""
     w = gmid + md.m * ldot - md.d * lmid
     r = gdot - np.einsum("mji,mj->mi", md.Abar_mid, lmid)
-    eig = _stiffness_eig(md.B, lmid, md.c_x)
-    y = r if eig is None else _apply_inv(eig, r)
+    Kinv = _stiffness_inv(md.B, lmid, md.c_x)
+    y = r if Kinv is None else (Kinv @ r[:, :, None])[:, :, 0]
     dx = y / md.c_x
     x = md.xbar_mid + dx
     v = md.vbar_mid + w / md.c_v
-    return w, r, y, dx, x, v, eig
+    return w, r, y, dx, x, v, Kinv
 
 
 def _action_elements(md: _MidpointData, ga, la, gb, lb) -> float:
@@ -422,7 +452,9 @@ def _gradient_elements(md: _MidpointData, ga, la, gb, lb):
     _, _, _, dx, x, v, _ = _core_state(md, gmid, lmid, gdot, ldot)
     Kx = md.Kbar_mid + np.einsum("mjr,mr->mj", md.Abar_mid, dx)
     if md.B is not None:
-        Kx = Kx + 0.5 * np.einsum("jrs,mr,ms->mj", md.B, dx, dx)
+        n = md.n
+        dxdx = (dx[:, :, None] * dx[:, None, :]).reshape(md.M, n * n)
+        Kx = Kx + 0.5 * (dxdx @ md.B.reshape(n, n * n).T)
     mom = md.d * v + Kx - md.f_mid
     h = md.h
     g_ga = -0.5 * h * v + x
@@ -440,33 +472,29 @@ def _hessian_elements(md: _MidpointData, ga, la, gb, lb) -> np.ndarray:
     mixed second derivatives of the generating integrand, which is what makes
     the dual integrand concave wherever the weighted stiffness is positive
     definite.
+
+    In the midpoint variables (gamma_mid, lambda_mid, gamma_rate,
+    lambda_rate) that Hessian is a scalar multiple of I in every block except
+    three: -P at (rate, rate) with P = K|_lam^{-1} / c_x, Mx P at (lambda_mid,
+    gamma_rate) and its transpose, and -Mx P Mx^T at (lambda_mid,
+    lambda_mid), with Mx = dK/dx at the mapped state.  The end-node blocks
+    are h S^T H S for the 4x4 map S from end-node values to midpoint
+    variables: the scalar parts combine once as 4x4 numbers, and each matrix
+    part lands in the end-node blocks with the weights S gives it.
     """
     n, M, h = md.n, md.M, md.h
     gmid, lmid, gdot, ldot = _element_fields(ga, la, gb, lb, md.h)
-    _, _, _, dx, _, _, eig = _core_state(md, gmid, lmid, gdot, ldot)
+    _, _, _, dx, _, _, Kinv = _core_state(md, gmid, lmid, gdot, ldot)
 
-    if eig is None:
+    if Kinv is None:
         P = np.broadcast_to(np.eye(n) / md.c_x, (M, n, n))
     else:
-        mu, Q = eig
-        P = np.einsum("mik,mk,mjk->mij", Q, 1.0 / (md.c_x * mu), Q)
+        P = Kinv / md.c_x
     Mx = md.Abar_mid
     if md.B is not None:
-        Mx = Mx + np.einsum("jrs,ms->mjr", md.B, dx)
-
-    eyen = np.eye(n)
-    g, l, gd, ld = (slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n), slice(3 * n, 4 * n))
-    Hm = np.zeros((M, 4 * n, 4 * n))
-    Hm[:, g, g] = -(1.0 / md.c_v) * eyen
-    Hm[:, g, l] = Hm[:, l, g] = (md.d / md.c_v) * eyen
-    Hm[:, g, ld] = Hm[:, ld, g] = -(md.m / md.c_v) * eyen
-    MxP = np.einsum("mjr,mri->mji", Mx, P)
-    Hm[:, l, l] = -(md.d * md.d / md.c_v) * eyen - np.einsum("mjr,mkr->mjk", MxP, Mx)
-    Hm[:, l, gd] = MxP
-    Hm[:, gd, l] = np.swapaxes(MxP, 1, 2)
-    Hm[:, l, ld] = Hm[:, ld, l] = (md.d * md.m / md.c_v) * eyen
-    Hm[:, gd, gd] = -P
-    Hm[:, ld, ld] = -(md.m * md.m / md.c_v) * eyen
+        Mx = Mx + (dx @ md.B.reshape(n * n, n).T).reshape(M, n, n)
+    MxP = Mx @ P
+    L = MxP @ np.swapaxes(Mx, 1, 2)
 
     # map (gamma_mid, lambda_mid, gamma_rate, lambda_rate) -> end-node values
     smap = np.array([
@@ -475,8 +503,33 @@ def _hessian_elements(md: _MidpointData, ga, la, gb, lb) -> np.ndarray:
         [-1.0 / h, 0.0, 1.0 / h, 0.0],
         [0.0, -1.0 / h, 0.0, 1.0 / h],
     ])
-    W = np.kron(smap, eyen)
-    return h * (W.T @ (Hm @ W))
+    # coefficients of I in the midpoint Hessian; gamma_rate has none
+    m, d, c_v = md.m, md.d, md.c_v
+    scalar = np.array([
+        [-1.0, d, 0.0, -m],
+        [d, -d * d, 0.0, d * m],
+        [0.0, 0.0, 0.0, 0.0],
+        [-m, d * m, 0.0, -m * m],
+    ]) / c_v
+    E = np.empty((M, 4 * n, 4 * n))
+    E[:] = np.kron(h * (smap.T @ scalar @ smap), np.eye(n))
+    # gamma_rate = (gamma_b - gamma_a) / h, lambda_mid = (lambda_a + lambda_b) / 2
+    blocks = E.reshape(M, 4, n, 4, n)  # [element, node value, i, node value, j]
+    GA, LA, GB, LB = range(4)
+    Ph, G, Lq = P / h, 0.5 * MxP, (0.25 * h) * L
+    Gt = np.swapaxes(G, 1, 2)
+    blocks[:, GA, :, GA] -= Ph
+    blocks[:, GB, :, GB] -= Ph
+    blocks[:, GA, :, GB] += Ph
+    blocks[:, GB, :, GA] += Ph
+    for lam_end in (LA, LB):
+        blocks[:, GA, :, lam_end] -= Gt
+        blocks[:, GB, :, lam_end] += Gt
+        blocks[:, lam_end, :, GA] -= G
+        blocks[:, lam_end, :, GB] += G
+        blocks[:, lam_end, :, LA] -= Lq
+        blocks[:, lam_end, :, LB] -= Lq
+    return E
 
 
 # ---------------------------------------------------------------------------
@@ -533,12 +586,10 @@ class BlockTridiagonal:
         """Band storage: ab[offset + i - j, j] = A[i, j]."""
         F, b, _ = self.diag.shape
         bw = 2 * b - 1
-        offset = 0 if lower_only else bw
-        ab = np.zeros((bw + 1 if lower_only else 2 * bw + 1, F * b))
-        _scatter_band(ab, self.diag, np.arange(F), 0, offset)
-        if F > 1:
-            _scatter_band(ab, np.swapaxes(self.off, 1, 2), np.arange(F - 1), b, offset)
-            _scatter_band(ab, self.off, np.arange(1, F), -b, offset)
+        lo = 0 if lower_only else -bw
+        ab = np.zeros((bw - lo + 1, F * b))
+        for p in range(lo, bw + 1):
+            _band_row(ab[p - lo].reshape(F, b), self.diag, self.off, p)
         return ab
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -557,12 +608,21 @@ class BlockTridiagonal:
         return scipy.linalg.eigvals_banded(self.to_banded(lower_only=True), lower=True)
 
     def inertia(self, zero_tol: float | None = None) -> tuple[int, int, int]:
-        """(negative, zero, positive) eigenvalue counts via the Schur-complement
-        recursion on the block factorization (Sylvester's law)."""
+        """(negative, zero, positive) eigenvalue counts, eigenvalues within
+        the zero tolerance counting as zero.
+
+        Certificate first: when A + tol I is negative definite (its negated
+        banded Cholesky succeeds), every Schur complement of A lies below
+        -tol I, so the answer is (size, 0, 0).  Otherwise the counts come
+        from the Schur-complement recursion on the block factorization
+        (Sylvester's law).
+        """
         F, b, _ = self.diag.shape
         scale = max(float(np.max(np.abs(self.diag))),
                     float(np.max(np.abs(self.off))) if F > 1 else 0.0, 1e-300)
         tol = zero_tol if zero_tol is not None else 1e-11 * scale
+        if self.shifted(-tol).neg_cholesky() is not None:
+            return self.size, 0, 0
         neg = zero = pos = 0
         S = self.diag[0]
         for k in range(F):
@@ -581,23 +641,17 @@ class BlockTridiagonal:
         return BlockTridiagonal(self.diag - eye, self.off)
 
 
-def _scatter_band(ab, blocks, block_cols, rel, offset):
-    """Scatter (K, b, b) blocks into band storage; block k occupies global
-    rows block_cols[k]*b + rel + p and columns block_cols[k]*b + q."""
-    K, b, _ = blocks.shape
-    if K == 0:
-        return
-    p = np.arange(b)[:, None]
-    q = np.arange(b)[None, :]
-    r = offset + rel + (p - q)
-    mask = (r >= 0) & (r < ab.shape[0])
-    if not np.any(mask):
-        return
-    rr = np.broadcast_to(r, (b, b))[mask]
-    qq = np.broadcast_to(q, (b, b))[mask]
-    vals = blocks[:, mask]
-    cols = block_cols[:, None] * b + qq[None, :]
-    ab[np.broadcast_to(rr, cols.shape), cols] = vals
+def _band_row(rows, diag, off, p):
+    """Fill one band row: rows[k, q] = A[k b + q + p, k b + q] for the
+    block-tridiagonal A with diagonal blocks ``diag`` and upper blocks
+    ``off`` (so the blocks below the diagonal are off[k].T)."""
+    b = diag.shape[1]
+    if -b < p < b:
+        rows[:, max(0, -p):min(b, b - p)] = np.diagonal(diag, -p, 1, 2)
+    if p > 0:    # row in the next node: off[k].T[q + p - b, q]
+        rows[:-1, max(0, b - p):min(b, 2 * b - p)] = np.diagonal(off, p - b, 1, 2)
+    elif p < 0:  # row in the previous node: off[k - 1][q + p + b, q]
+        rows[1:, max(0, -b - p):min(b, -p)] = np.diagonal(off, -(p + b), 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +714,8 @@ def dtp_map(lam, lamdot, gamma, gammadot, xbar, vbar, spec) -> tuple[np.ndarray,
 
     if force.has_quadratic:
         r = gammadot - np.einsum("...j,...ji->...i", lam, force_jacobian(force, xbar))
-        y = _apply_inv(_stiffness_eig(force.B, lam, s.c_x), r)
+        Kinv = _stiffness_inv(force.B, lam, s.c_x)
+        y = (Kinv @ r[..., None])[..., 0]
     else:
         y = gammadot - lam @ force.A
     x = xbar + y / s.c_x

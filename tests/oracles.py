@@ -14,7 +14,9 @@ from dualchain import (
     dtp_map,
     eval_force,
     eval_forcing,
+    stiffness_lambda,
 )
+from dualchain.dual_action import COND_LIMIT, SingularStiffnessError, _element_fields
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +143,105 @@ def rk4_reference(params, x0, v0, grid, dtype=float):
                 raise IntegrationBlowUpError(step=k + 1, t=(k + 1) * h)
             xs[k + 1], vs[k + 1] = x, v
     return xs, vs
+
+
+# ---------------------------------------------------------------------------
+# dense-eigendecomposition assembly: the weighted stiffness inverse through
+# eigh, the element Hessian as the triple product W^T Hm W with W = kron(S, I),
+# and the inertia of a block-tridiagonal matrix by the Schur recursion alone
+
+
+def stiffness_eig(B, lam, c_x: float):
+    """Eigendecomposition of the weighted stiffness at each point of ``lam``
+    (leading batch axes allowed).
+
+    Returns None when B is None (stiffness is the identity).  Raises
+    SingularStiffnessError, naming the first point in C order, when any
+    point is singular or has a condition number beyond COND_LIMIT.
+    """
+    if B is None:
+        return None
+    mu, Q = np.linalg.eigh(stiffness_lambda(B, lam, c_x))
+    amin = np.min(np.abs(mu), axis=-1).ravel()
+    amax = np.max(np.abs(mu), axis=-1).ravel()
+    bad = (amin == 0.0) | (amax > COND_LIMIT * amin)
+    if np.any(bad):
+        where = int(np.argmax(bad))
+        cond = None if amin[where] == 0.0 else float(amax[where] / amin[where])
+        raise SingularStiffnessError(where, cond)
+    return mu, Q
+
+
+def apply_inv(eig, r):
+    """Apply the inverse weighted stiffness via its eigendecomposition."""
+    mu, Q = eig
+    return np.einsum("...ik,...k->...i", Q,
+                     np.einsum("...ki,...k->...i", Q, r) / mu)
+
+
+def hessian_elements_kron(md, ga, la, gb, lb) -> np.ndarray:
+    """Per-element nodal Hessian blocks, shape (M, 4n, 4n), by the dense
+    triple product; the mapped state comes from the eigh inverse."""
+    n, M, h = md.n, md.M, md.h
+    gmid, lmid, gdot, ldot = _element_fields(ga, la, gb, lb, md.h)
+    r = gdot - np.einsum("mji,mj->mi", md.Abar_mid, lmid)
+    eig = stiffness_eig(md.B, lmid, md.c_x)
+    dx = (r if eig is None else apply_inv(eig, r)) / md.c_x
+
+    if eig is None:
+        P = np.broadcast_to(np.eye(n) / md.c_x, (M, n, n))
+    else:
+        mu, Q = eig
+        P = np.einsum("mik,mk,mjk->mij", Q, 1.0 / (md.c_x * mu), Q)
+    Mx = md.Abar_mid
+    if md.B is not None:
+        Mx = Mx + np.einsum("jrs,ms->mjr", md.B, dx)
+
+    eyen = np.eye(n)
+    g, l, gd, ld = (slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n), slice(3 * n, 4 * n))
+    Hm = np.zeros((M, 4 * n, 4 * n))
+    Hm[:, g, g] = -(1.0 / md.c_v) * eyen
+    Hm[:, g, l] = Hm[:, l, g] = (md.d / md.c_v) * eyen
+    Hm[:, g, ld] = Hm[:, ld, g] = -(md.m / md.c_v) * eyen
+    MxP = np.einsum("mjr,mri->mji", Mx, P)
+    Hm[:, l, l] = -(md.d * md.d / md.c_v) * eyen - np.einsum("mjr,mkr->mjk", MxP, Mx)
+    Hm[:, l, gd] = MxP
+    Hm[:, gd, l] = np.swapaxes(MxP, 1, 2)
+    Hm[:, l, ld] = Hm[:, ld, l] = (md.d * md.m / md.c_v) * eyen
+    Hm[:, gd, gd] = -P
+    Hm[:, ld, ld] = -(md.m * md.m / md.c_v) * eyen
+
+    # map (gamma_mid, lambda_mid, gamma_rate, lambda_rate) -> end-node values
+    smap = np.array([
+        [0.5, 0.0, 0.5, 0.0],
+        [0.0, 0.5, 0.0, 0.5],
+        [-1.0 / h, 0.0, 1.0 / h, 0.0],
+        [0.0, -1.0 / h, 0.0, 1.0 / h],
+    ])
+    W = np.kron(smap, eyen)
+    return h * (W.T @ (Hm @ W))
+
+
+def schur_inertia(H, zero_tol=None):
+    """(negative, zero, positive) eigenvalue counts of a BlockTridiagonal via
+    the Schur-complement recursion on the block factorization (Sylvester's
+    law)."""
+    F, b, _ = H.diag.shape
+    scale = max(float(np.max(np.abs(H.diag))),
+                float(np.max(np.abs(H.off))) if F > 1 else 0.0, 1e-300)
+    tol = zero_tol if zero_tol is not None else 1e-11 * scale
+    neg = zero = pos = 0
+    S = H.diag[0]
+    for k in range(F):
+        mu, Q = np.linalg.eigh(S)
+        neg += int(np.sum(mu < -tol))
+        pos += int(np.sum(mu > tol))
+        zero += int(np.sum(np.abs(mu) <= tol))
+        if k < F - 1:
+            inv = np.where(np.abs(mu) > tol, 1.0 / np.where(mu == 0, 1.0, mu), 0.0)
+            X = Q @ (inv[:, None] * (Q.T @ H.off[k]))
+            S = H.diag[k + 1] - H.off[k].T @ X
+    return neg, zero, pos
 
 
 # ---------------------------------------------------------------------------

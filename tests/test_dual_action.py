@@ -1,6 +1,9 @@
 """Discrete action, dual-to-primal map, derivatives, and ellipticity."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dualchain import (
     BaseState,
@@ -27,7 +30,16 @@ from dualchain import (
     unpack_free,
     zero_base,
 )
-from oracles import fine_quadrature_action, predual_action
+from dualchain.dual_action import COND_LIMIT, _hessian_elements, _stiffness_inv
+from oracles import (
+    fine_quadrature_action,
+    hessian_elements_kron,
+    predual_action,
+    schur_inertia,
+    stiffness_eig,
+)
+
+_EPS = np.finfo(float).eps
 
 
 def _scalar_spec(m=1.0, d=1.0, k=1.0, c_x=1.0, c_v=1.0, T=1.0, M=1,
@@ -463,6 +475,166 @@ def test_block_tridiagonal_negative_cholesky():
     assert chol is not None
     indefinite = _random_block_tridiagonal(rng, M=5, b=3)
     assert indefinite.neg_cholesky() is None
+
+
+def test_block_tridiagonal_band_storage_matches_dense():
+    rng = np.random.default_rng(23)
+    for F, b in ((1, 3), (2, 1), (5, 2), (4, 5)):
+        H = _random_block_tridiagonal(rng, M=F, b=b)
+        dense = H.to_dense()
+        bw = 2 * b - 1
+        for lower_only, offset in ((True, 0), (False, bw)):
+            ab = H.to_banded(lower_only)
+            want = np.zeros_like(ab)
+            for i in range(F * b):
+                for j in range(F * b):
+                    if 0 <= offset + i - j < ab.shape[0]:
+                        want[offset + i - j, j] = dense[i, j]
+            np.testing.assert_array_equal(ab, want)
+
+
+@st.composite
+def _block_tridiagonals(draw):
+    """Random symmetric block-tridiagonal matrices of four kinds: negative
+    definite, negative semidefinite up to eigenvalues inside the zero
+    tolerance, indefinite, and a single block (F = 1)."""
+    kind = draw(st.sampled_from(("negative", "near-zero", "indefinite", "single")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    F = 1 if kind == "single" else draw(st.integers(2, 6))
+    b = draw(st.integers(1, 4))
+    H = _random_block_tridiagonal(rng, M=F, b=b,
+                                  definite=None if kind == "indefinite" else "negative")
+    if kind == "near-zero":
+        # move the top eigenvalue to a point well inside the zero tolerance
+        top = np.linalg.eigvalsh(H.to_dense())[-1]
+        H = H.shifted(top + draw(st.floats(-0.5, 0.5)) * 1e-11 * np.max(np.abs(H.diag)))
+    elif kind == "single" and draw(st.booleans()):
+        H = BlockTridiagonal(-H.diag, H.off)
+    return H
+
+
+@settings(deadline=None, max_examples=200)
+@given(_block_tridiagonals())
+def test_inertia_matches_schur_recursion(H):
+    assert H.inertia() == schur_inertia(H)
+
+
+def test_inertia_of_negative_definite_matrix_needs_no_eigendecomposition(monkeypatch):
+    rng = np.random.default_rng(24)
+    H = _random_block_tridiagonal(rng, M=6, b=3, definite="negative")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Schur recursion ran")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    assert H.inertia() == (H.size, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# the weighted stiffness inverse and the element Hessian against the dense
+# eigendecomposition references
+
+
+def _eig_inverse(mu, Q):
+    return (Q / mu[..., None, :]) @ np.swapaxes(Q, -1, -2)
+
+
+def _outcome(fn):
+    try:
+        return fn(), None
+    except SingularStiffnessError as exc:
+        return None, (exc.where, exc.cond)
+
+
+@st.composite
+def _stiffness_batches(draw):
+    """(B, lam, c_x) with lam a batch of points where the weighted stiffness
+    is well conditioned, plus, in most draws, one planted point at which K
+    has the eigenvalues 1 + (1 - delta) beta_i: beta_0 = -1 makes the smallest
+    delta, so condition numbers run over 1e9..1e13, or an exactly singular
+    K when delta = 0 (in the coordinate basis, so the zero is exact)."""
+    n = draw(st.integers(1, 5))
+    c_x = draw(st.floats(0.5, 2.0))
+    B = draw(hnp.arrays(float, (n, n, n), elements=st.floats(-1.0, 1.0)))
+    lam = draw(hnp.arrays(float, (draw(st.integers(1, 8)), n),
+                          elements=st.floats(-0.2, 0.2)))
+    plant = draw(st.sampled_from(("none", "ill-conditioned", "singular")))
+    if plant != "none":
+        beta = np.concatenate(
+            [[-1.0], draw(hnp.arrays(float, n - 1, elements=st.floats(-0.5, 0.5)))])
+        if plant == "singular":
+            Q, delta = np.eye(n), 0.0
+        else:
+            Q = np.linalg.qr(draw(hnp.arrays(float, (n, n), elements=st.floats(-1.0, 1.0)))
+                             + 3.0 * np.eye(n))[0]
+            delta = 10.0 ** -draw(st.floats(9.0, 13.0))
+        B[0] = (Q * beta) @ Q.T
+        point = np.zeros(n)
+        point[0] = c_x if plant == "singular" else c_x * (1.0 - delta)
+        lam = np.insert(lam, draw(st.integers(0, lam.shape[0])), point, axis=0)
+    return QuadraticForce(n=n, B=B).B, lam, c_x
+
+
+@settings(deadline=None, max_examples=300)
+@given(_stiffness_batches())
+def test_stiffness_inverse_matches_eigh_reference(case):
+    B, lam, c_x = case
+    ref, ref_err = _outcome(lambda: stiffness_eig(B, lam, c_x))
+    got, got_err = _outcome(lambda: _stiffness_inv(B, lam, c_x))
+    assert got_err == ref_err  # same point, same condition estimate
+    if ref_err is None:
+        mu, Q = ref
+        want = _eig_inverse(mu, Q)
+        cond = np.max(np.abs(mu), axis=-1) / np.min(np.abs(mu), axis=-1)
+        # backward-stable inverses agree to about n eps kappa in relative terms
+        tol = 64 * B.shape[0] * _EPS * cond * np.max(np.abs(want), axis=(-2, -1))
+        assert np.all(np.max(np.abs(got - want), axis=(-2, -1)) <= tol)
+
+
+def test_stiffness_inverse_falls_back_to_eigh_when_inv_fails(monkeypatch):
+    rng = np.random.default_rng(25)
+    B = QuadraticForce(n=3, B=rng.normal(size=(3, 3, 3))).B
+    lam = rng.normal(size=(4, 3)) * 0.1
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    want = _eig_inverse(*stiffness_eig(B, lam, 1.5))
+    monkeypatch.setattr(np.linalg, "inv", fail)
+    np.testing.assert_array_equal(_stiffness_inv(B, lam, 1.5), want)
+
+
+def test_stiffness_inverse_rejects_the_first_bad_point_in_batch_order():
+    # point 1 is singular and point 3 exceeds the condition limit
+    B = QuadraticForce(n=2, B=np.array([[[-1.0, 0.0], [0.0, 0.0]],
+                                        [[0.0, 0.0], [0.0, 0.0]]])).B
+    lam = np.array([[0.1, 0.0], [1.0, 0.0], [0.2, 0.0], [1.0 - 1e-13, 0.0]])
+    with pytest.raises(SingularStiffnessError) as info:
+        _stiffness_inv(B, lam, 1.0)
+    assert (info.value.where, info.value.cond) == (1, None)
+    with pytest.raises(SingularStiffnessError) as info:
+        _stiffness_inv(B, lam[[0, 2, 3]], 1.0)
+    assert info.value.where == 2 and info.value.cond > COND_LIMIT
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.floats(0.01, 0.5))
+def test_element_hessian_matches_kron_reference(seed, with_B, scale):
+    rng = np.random.default_rng(seed)
+    spec = _random_spec(rng, with_B=with_B)
+    D = _small_dual(rng, spec, scale=scale)
+    md = spec._midpoints
+    args = (D.gamma[:-1], D.lam[:-1], D.gamma[1:], D.lam[1:])
+    want = hessian_elements_kron(md, *args)
+    got = _hessian_elements(md, *args)
+    cond = 1.0
+    if with_B:
+        mu = stiffness_eig(md.B, 0.5 * (args[1] + args[3]), md.c_x)[0]
+        cond = float(np.max(np.max(np.abs(mu), axis=1) / np.min(np.abs(mu), axis=1)))
+    # both sum the same terms in other orders; the stiffness inverse adds
+    # its condition number
+    tol = 64 * 4 * spec.n * _EPS * cond * np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= tol
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 """Direct integration, residual diagnostics, and the energy series."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -140,6 +142,18 @@ def test_implicit_midpoint_stall_reports_step_index():
                          method="implicit-midpoint")
     assert info.value.step == 19
     assert info.value.t == pytest.approx(19 * 3.0 / 20)
+
+
+def test_implicit_midpoint_overflow_is_a_blow_up_not_a_stall():
+    # the first Newton residual overflows; the iterate it produces is not finite
+    force = QuadraticForce(n=1, A=[[-1.0]])
+    params = ChainParams(m=1.0, d=0.0, force=force, forcing=ForcingSpec.zero(1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationBlowUpError, match="state became non-finite at step 1") as info:
+            integrate_primal(params, [1e300], [0.0], TimeGrid(T=1e6, M=10),
+                             method="implicit-midpoint")
+    assert info.value.step == 1
 
 
 def test_integrate_primal_rejects_unknown_method():
