@@ -37,7 +37,6 @@ from .dual_action import (
     SingularStiffnessError,
     action,
     base_from_primal,
-    constant_base,
     dtp_map,
     ellipticity_check,
     gradient,

@@ -477,10 +477,6 @@ def scenario_presets() -> list:
                   if item.name.endswith(".cfg"))
 
 
-def _format_row(values) -> str:
-    return " ".join("%.17g" % v for v in values)
-
-
 def write_trajectory(path, traj: Trajectory) -> None:
     n = traj.x.shape[1]
     header = ("t " + " ".join(f"x_{i}" for i in range(1, n + 1))

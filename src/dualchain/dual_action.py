@@ -55,7 +55,6 @@ __all__ = [
     "pack_free",
     "unpack_free",
     "zero_base",
-    "constant_base",
     "base_from_primal",
     "restrict_base",
     "perturb_base",
@@ -168,13 +167,6 @@ class BaseState:
 def zero_base(grid: TimeGrid, n: int) -> BaseState:
     z = np.zeros((grid.M + 1, n))
     return BaseState(grid, z, z, provenance="zero")
-
-
-def constant_base(grid: TimeGrid, x, v) -> BaseState:
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    ones = np.ones((grid.M + 1, 1))
-    return BaseState(grid, ones * x, ones * v, provenance="constant")
 
 
 def base_from_primal(params: ChainParams, x0, v0, grid: TimeGrid,
@@ -540,7 +532,13 @@ class BlockTridiagonal:
     """Symmetric block-tridiagonal matrix stored as node blocks.
 
     diag[k] is the (b, b) diagonal block of node k; off[k] couples node k
-    (rows) to node k+1 (columns).  Scalar bandwidth is 2b - 1.
+    (rows) to node k+1 (columns).  ``off`` of length F-1 is the open layout,
+    scalar bandwidth 2b - 1.  Length F is the cyclic layout (F >= 2), where
+    off[F-1] couples node F-1 to node 0; it is banded in the folded node
+    order 0, F-1, 1, F-2, ..., in which every coupling joins nodes at most
+    two places apart (scalar bandwidth 3b - 1).  `to_banded` writes that
+    band and `solve` permutes into and out of it; `neg_cholesky` and
+    `inertia` work in node order and reject a cyclic matrix.
     """
 
     diag: np.ndarray
@@ -550,8 +548,9 @@ class BlockTridiagonal:
         d, o = np.asarray(self.diag, float), np.asarray(self.off, float)
         if d.ndim != 3 or d.shape[1] != d.shape[2]:
             raise ValueError("diag must be (F, b, b)")
-        if o.ndim != 3 or o.shape[1:] != d.shape[1:] or o.shape[0] != d.shape[0] - 1:
-            raise ValueError("off must be (F-1, b, b)")
+        if (o.ndim != 3 or o.shape[1:] != d.shape[1:]
+                or not (o.shape[0] == d.shape[0] - 1 or o.shape[0] == d.shape[0] >= 2)):
+            raise ValueError("off must be (F-1, b, b), or (F, b, b) with F >= 2 when cyclic")
         object.__setattr__(self, "diag", d)
         object.__setattr__(self, "off", o)
 
@@ -563,42 +562,72 @@ class BlockTridiagonal:
     def size(self) -> int:
         return self.diag.shape[0] * self.diag.shape[1]
 
+    @property
+    def cyclic(self) -> bool:
+        return self.off.shape[0] == self.diag.shape[0]
+
+    @property
+    def bandwidth(self) -> int:
+        return (3 if self.cyclic else 2) * self.block - 1
+
+    @cached_property
+    def _order(self) -> np.ndarray:
+        F = self.diag.shape[0]
+        return np.stack([np.arange(F), np.arange(F)[::-1]], axis=1).ravel()[:F]
+
     def to_dense(self) -> np.ndarray:
         F, b, _ = self.diag.shape
-        out = np.zeros((F * b, F * b))
-        for k in range(F):
-            out[k * b:(k + 1) * b, k * b:(k + 1) * b] = self.diag[k]
-        for k in range(F - 1):
-            out[k * b:(k + 1) * b, (k + 1) * b:(k + 2) * b] = self.off[k]
-            out[(k + 1) * b:(k + 2) * b, k * b:(k + 1) * b] = self.off[k].T
-        return out
-
-    def matvec(self, u: np.ndarray) -> np.ndarray:
-        F, b, _ = self.diag.shape
-        un = u.reshape(F, b)
-        out = np.einsum("kij,kj->ki", self.diag, un)
-        if F > 1:
-            out[:-1] += np.einsum("kij,kj->ki", self.off, un[1:])
-            out[1:] += np.einsum("kji,kj->ki", self.off, un[:-1])
-        return out.reshape(-1)
+        k = np.arange(self.off.shape[0])
+        out = np.zeros((F, b, F, b))  # [row node, row, column node, column]
+        out[np.arange(F), :, np.arange(F)] = self.diag
+        out[k, :, (k + 1) % F] = self.off
+        out[(k + 1) % F, :, k] += np.swapaxes(self.off, 1, 2)  # F = 2: both couplings join 0, 1
+        return out.reshape(F * b, F * b)
 
     def to_banded(self, lower_only: bool = True) -> np.ndarray:
-        """Band storage: ab[offset + i - j, j] = A[i, j]."""
+        """Band storage, folded when cyclic: ab[offset + i - j, j] = A[i, j]."""
         F, b, _ = self.diag.shape
-        bw = 2 * b - 1
+        blocks = [self.diag, self.off]
+        if self.cyclic:  # diagonal, then upper blocks one and two places off it
+            pos = np.argsort(self._order)
+            rows, cols = pos, pos[(np.arange(F) + 1) % F]
+            first, gap = np.minimum(rows, cols), np.abs(rows - cols)
+            upper = np.where((rows < cols)[:, None, None], self.off, np.swapaxes(self.off, 1, 2))
+            blocks = [self.diag[self._order], np.zeros((F - 1, b, b)), np.zeros((F - 2, b, b))]
+            np.add.at(blocks[1], first[gap == 1], upper[gap == 1])  # F = 2: both join 0 and 1
+            blocks[2][first[gap == 2]] = upper[gap == 2]
+        bw = self.bandwidth
         lo = 0 if lower_only else -bw
         ab = np.zeros((bw - lo + 1, F * b))
         for p in range(lo, bw + 1):
-            _band_row(ab[p - lo].reshape(F, b), self.diag, self.off, p)
+            _band_row(ab[p - lo].reshape(F, b), blocks, p)
         return ab
 
+    @cached_property
+    def lu(self) -> tuple[np.ndarray, np.ndarray]:
+        """LAPACK banded LU (lu, piv), kept for `solve`; LinAlgError if singular."""
+        bw = self.bandwidth
+        ab = np.zeros((3 * bw + 1, self.size))
+        ab[bw:] = self.to_banded(lower_only=False)
+        lu, piv, info = scipy.linalg.lapack.dgbtrf(ab, bw, bw, overwrite_ab=True)
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
+        return lu, piv
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        bw = 2 * self.block - 1
-        return scipy.linalg.solve_banded((bw, bw), self.to_banded(lower_only=False), rhs)
+        F, b, _ = self.diag.shape
+        order = self._order if self.cyclic else slice(None)
+        (lu, piv), bw = self.lu, self.bandwidth
+        y = scipy.linalg.lapack.dgbtrs(lu, bw, bw, rhs.reshape(F, b)[order].ravel(), piv)[0]
+        x = np.empty((F, b))
+        x[order] = y.reshape(F, b)
+        return x.ravel()
 
     def neg_cholesky(self):
         """Banded Cholesky factor of -A, or None when A is not negative
         definite (doubles as the definiteness probe in the Newton loop)."""
+        if self.cyclic:  # the factor is in node order, where a cyclic matrix is not banded
+            raise ValueError("neg_cholesky and inertia need the open layout, not a cyclic one")
         try:
             return scipy.linalg.cholesky_banded(-self.to_banded(lower_only=True), lower=True)
         except np.linalg.LinAlgError:
@@ -615,7 +644,7 @@ class BlockTridiagonal:
         banded Cholesky succeeds), every Schur complement of A lies below
         -tol I, so the answer is (size, 0, 0).  Otherwise the counts come
         from the Schur-complement recursion on the block factorization
-        (Sylvester's law).
+        (Sylvester's law).  A cyclic matrix fails in the certificate.
         """
         F, b, _ = self.diag.shape
         scale = max(float(np.max(np.abs(self.diag))),
@@ -641,17 +670,19 @@ class BlockTridiagonal:
         return BlockTridiagonal(self.diag - eye, self.off)
 
 
-def _band_row(rows, diag, off, p):
+def _band_row(rows, blocks, p):
     """Fill one band row: rows[k, q] = A[k b + q + p, k b + q] for the
-    block-tridiagonal A with diagonal blocks ``diag`` and upper blocks
-    ``off`` (so the blocks below the diagonal are off[k].T)."""
-    b = diag.shape[1]
+    symmetric A with diagonal blocks blocks[0] and block (k, k+s) blocks[s][k]."""
+    b = rows.shape[1]
     if -b < p < b:
-        rows[:, max(0, -p):min(b, b - p)] = np.diagonal(diag, -p, 1, 2)
-    if p > 0:    # row in the next node: off[k].T[q + p - b, q]
-        rows[:-1, max(0, b - p):min(b, 2 * b - p)] = np.diagonal(off, p - b, 1, 2)
-    elif p < 0:  # row in the previous node: off[k - 1][q + p + b, q]
-        rows[1:, max(0, -b - p):min(b, -p)] = np.diagonal(off, -(p + b), 1, 2)
+        rows[:, max(0, -p):min(b, b - p)] = np.diagonal(blocks[0], -p, 1, 2)
+    for s, up in enumerate(blocks[1:], start=1):
+        if (s - 1) * b < p < (s + 1) * b:  # row s nodes below: up[k][q, q + p - s b]
+            rows[:-s, max(0, s * b - p):min(b, (s + 1) * b - p)] = np.diagonal(
+                up, p - s * b, 1, 2)
+        elif (s - 1) * b < -p < (s + 1) * b:  # row s nodes above: up[k - s][q + p + s b, q]
+            rows[s:, max(0, -s * b - p):min(b, (1 - s) * b - p)] = np.diagonal(
+                up, -p - s * b, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -763,12 +794,10 @@ def hessian(D: DualField, spec: ProblemSpec) -> BlockTridiagonal:
     _require_final_zero(D)
     md = spec._midpoints
     E = _hessian_elements(md, D.gamma[:-1], D.lam[:-1], D.gamma[1:], D.lam[1:])
-    M, n = spec.grid.M, spec.n
-    b = 2 * n
+    b = 2 * spec.n
     diag = E[:, :b, :b].copy()
     diag[1:] += E[:-1, b:, b:]
-    off = E[:-1, :b, b:].copy()
-    return BlockTridiagonal(diag, off)
+    return BlockTridiagonal(diag, E[:-1, :b, b:].copy())
 
 
 def ellipticity_check(D: DualField, spec) -> np.ndarray:

@@ -8,7 +8,8 @@ iterate, steps fall back to a Levenberg-style trust-region iteration that
 must decrease the gradient norm.  One engine runs both the initial-value
 problem here (Newton system solved by the banded Cholesky factorization of
 the negated Hessian) and the periodic problem of `periodic_search` (checked
-sparse LU of the cyclic Hessian).
+banded LU of the folded cyclic Hessian).  Both Hessians are
+`BlockTridiagonal` matrices, so the trust-region solves are the same code.
 """
 
 from __future__ import annotations
@@ -105,14 +106,12 @@ _TR_MAX_TRIES = 25
 @dataclass(frozen=True)
 class _Problem:
     """One dual maximization over packed unknowns u, as the Newton engine
-    sees it.  ``hessian`` may return any object the two solves accept."""
+    sees it."""
 
-    action: Callable         # u -> S(u)
-    gradient: Callable       # u -> dS/du
-    hessian: Callable        # u -> H
-    direction: Callable      # (H, g) -> ascent Newton direction, or None
-    shifted_solve: Callable  # (H, mu, rhs) -> (H - mu I)^{-1} rhs
-    diagonal: Callable       # H -> entries whose largest magnitude scales mu
+    action: Callable     # u -> S(u)
+    gradient: Callable   # u -> dS/du
+    hessian: Callable    # u -> H, a BlockTridiagonal
+    direction: Callable  # (H, g) -> ascent Newton direction, or None
 
 
 def _maximize(problem: _Problem, spec, opts: SolveOptions):
@@ -165,14 +164,14 @@ def _line_search(act, u, direction):
     return None
 
 
-def _trust_region_step(problem: _Problem, H, g, u, gnorm):
+def _trust_region_step(problem: _Problem, H: BlockTridiagonal, g, u, gnorm):
     """Levenberg-style step: solve (H - mu I) step = -g with growing mu until
     the gradient norm strictly decreases."""
-    mu = 1e-8 * (1.0 + float(np.max(np.abs(problem.diagonal(H)))))
+    mu = 1e-8 * (1.0 + float(np.max(np.abs(H.diag))))
     for _ in range(_TR_MAX_TRIES):
         try:
-            step = problem.shifted_solve(H, mu, -g)
-        except (ValueError, RuntimeError):  # LinAlgError is a ValueError
+            step = H.shifted(mu).solve(-g)
+        except np.linalg.LinAlgError:
             mu *= _TR_MU_GROWTH
             continue
         if np.all(np.isfinite(step)):
@@ -207,8 +206,6 @@ def solve_dual(spec: ProblemSpec, opts: SolveOptions | None = None) -> DualSolut
         gradient=lambda u: gradient(field(u), spec),
         hessian=lambda u: hessian(field(u), spec),
         direction=_newton_direction,
-        shifted_solve=lambda H, mu, rhs: H.shifted(mu).solve(rhs),
-        diagonal=lambda H: H.diag,
     ), spec, opts or SolveOptions())
     D = field(u)
     return DualSolution(

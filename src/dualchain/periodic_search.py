@@ -1,8 +1,9 @@
 """Periodic-orbit variant of the dual problem: same element assembly with
 cyclic index wrap, no boundary terms, node M identified with node 0.
 
-This module supplies the cyclic assembly and its checked sparse LU; the
-Newton iteration is the one `dual_solver` runs for the initial-value
+This module supplies the cyclic assembly as a cyclic `BlockTridiagonal` and
+the singularity check on its banded LU, which the Newton direction reuses;
+the Newton iteration is the one `dual_solver` runs for the initial-value
 problem.  The period is fixed to the grid span, which must be an integer
 number of forcing periods; searching for orbits of unknown period is out of
 scope.
@@ -13,12 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
+from scipy.sparse.linalg import LinearOperator, onenormest
 
 from .chain_model import ChainParams
 from .dual_action import (
     COND_LIMIT,
+    BlockTridiagonal,
     DualField,
     ScaleParams,
     BaseState,
@@ -128,46 +129,31 @@ def _gradient_cyclic(md, u) -> np.ndarray:
     return out
 
 
-def _hessian_cyclic(md, u) -> scipy.sparse.csc_matrix:
-    ga, la, gb, lb = _cyclic_parts(md, u)
-    E = _hessian_elements(md, ga, la, gb, lb)
-    M, b = md.M, 2 * md.n
-    idx = np.arange(M)
-    nxt = (idx + 1) % M
-    p = np.arange(b)
-    rows, cols, data = [], [], []
-    for rblk, cblk, blocks in (
-        (idx, idx, E[:, :b, :b]),
-        (idx, nxt, E[:, :b, b:]),
-        (nxt, idx, E[:, b:, :b]),
-        (nxt, nxt, E[:, b:, b:]),
-    ):
-        rows.append((rblk[:, None, None] * b + p[None, :, None]
-                     + np.zeros((1, 1, b), dtype=int)).ravel())
-        cols.append((cblk[:, None, None] * b + p[None, None, :]
-                     + np.zeros((1, b, 1), dtype=int)).ravel())
-        data.append(blocks.ravel())
-    H = scipy.sparse.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(M * b, M * b))
-    return H.tocsc()
+def _hessian_cyclic(md, u) -> BlockTridiagonal:
+    E = _hessian_elements(md, *_cyclic_parts(md, u))
+    b = 2 * md.n
+    # element k joins node k to node k+1 mod M, so node k also ends element k-1
+    return BlockTridiagonal(E[:, :b, :b] + np.roll(E[:, b:, b:], 1, axis=0), E[:, :b, b:])
 
 
-def _factorize_checked(H: scipy.sparse.csc_matrix):
-    """Sparse LU plus a 1-norm condition estimate; raises on singularity."""
+def _factorize_checked(H: BlockTridiagonal) -> BlockTridiagonal:
+    """Banded LU plus a 1-norm condition estimate; raises on singularity.
+    Returns H, which keeps the LU for the Newton direction."""
     try:
-        lu = scipy.sparse.linalg.splu(H)
-    except RuntimeError as exc:
+        H.lu  # cached on H: the condition estimate and the Newton direction reuse it
+    except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"cyclic dual system is singular: {exc}") from exc
-    # H is symmetric, so the inverse is its own adjoint
-    inv_op = scipy.sparse.linalg.LinearOperator(H.shape, matvec=lu.solve, rmatvec=lu.solve)
-    cond = scipy.sparse.linalg.onenormest(H) * scipy.sparse.linalg.onenormest(inv_op)
+    # H is symmetric, so the inverse is its own adjoint; folding permutes rows
+    # and columns alike, so the band's column sums give H's exact 1-norm
+    inv_op = LinearOperator((H.size, H.size), matvec=H.solve, rmatvec=H.solve)
+    norm = np.max(np.sum(np.abs(H.to_banded(lower_only=False)), axis=0))
+    cond = norm * onenormest(inv_op)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularSystemError(
             f"cyclic dual system is numerically singular "
             f"(1-norm condition estimate {cond:.3e}); for undamped linear chains this "
             f"is the signature of forcing at a resonant frequency")
-    return lu
+    return H
 
 
 def solve_periodic(spec: PeriodicSpec, opts: SolveOptions | None = None) -> PeriodicDualSolution:
@@ -178,19 +164,12 @@ def solve_periodic(spec: PeriodicSpec, opts: SolveOptions | None = None) -> Peri
                            or np.any(ig.lam[0] != ig.lam[-1])):
         raise ValueError("initial guess must be periodic (node M equal to node 0)")
     md = _midpoint_data(spec)
-
-    def hessian(u):
-        H = _hessian_cyclic(md, u)
-        return H, _factorize_checked(H)
-
     u, converged, history = _maximize(_Problem(
         action=lambda u: _action_elements(md, *_cyclic_parts(md, u)),
         gradient=lambda u: _gradient_cyclic(md, u),
-        hessian=hessian,
-        direction=lambda H_lu, g: H_lu[1].solve(-g),
-        shifted_solve=lambda H_lu, mu, rhs: scipy.sparse.linalg.splu(
-            H_lu[0] - mu * scipy.sparse.identity(rhs.size, format="csc")).solve(rhs),
-        diagonal=lambda H_lu: H_lu[0].diagonal(),
+        # checked on every iteration, whatever the step control
+        hessian=lambda u: _factorize_checked(_hessian_cyclic(md, u)),
+        direction=lambda H, g: H.solve(-g),
     ), spec, opts)
     return PeriodicDualSolution(
         D=_unpack_cyclic(spec.grid, spec.n, u),

@@ -7,16 +7,26 @@ checked against a second route, not against themselves.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse
+import scipy.sparse.linalg
 
 from dualchain import (
+    BaseState,
     IntegrationBlowUpError,
+    SingularSystemError,
     TimeGrid,
     dtp_map,
     eval_force,
     eval_forcing,
     stiffness_lambda,
 )
-from dualchain.dual_action import COND_LIMIT, SingularStiffnessError, _element_fields
+from dualchain.dual_action import (
+    COND_LIMIT,
+    SingularStiffnessError,
+    _element_fields,
+    _hessian_elements,
+)
+from dualchain.periodic_search import _cyclic_parts
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +232,19 @@ def hessian_elements_kron(md, ga, la, gb, lb) -> np.ndarray:
     return h * (W.T @ (Hm @ W))
 
 
+def block_matvec(H, u):
+    """Product of a BlockTridiagonal (open or cyclic) with a vector, block by
+    block in node order."""
+    F, b, _ = H.diag.shape
+    un = u.reshape(F, b)
+    out = np.einsum("kij,kj->ki", H.diag, un)
+    for k in range(H.off.shape[0]):
+        j = (k + 1) % F
+        out[k] += H.off[k] @ un[j]
+        out[j] += H.off[k].T @ un[k]
+    return out.reshape(-1)
+
+
 def schur_inertia(H, zero_tol=None):
     """(negative, zero, positive) eigenvalue counts of a BlockTridiagonal via
     the Schur-complement recursion on the block factorization (Sylvester's
@@ -242,6 +265,67 @@ def schur_inertia(H, zero_tol=None):
             X = Q @ (inv[:, None] * (Q.T @ H.off[k]))
             S = H.diag[k + 1] - H.off[k].T @ X
     return neg, zero, pos
+
+
+# ---------------------------------------------------------------------------
+# the cyclic Hessian as a scipy sparse matrix, assembled from COO triplets,
+# and its singularity check by sparse LU
+
+
+def hessian_cyclic_coo(md, u) -> scipy.sparse.csc_matrix:
+    """Cyclic dual Hessian in node order, element blocks scattered as COO
+    triplets (duplicates summed by the CSC conversion)."""
+    ga, la, gb, lb = _cyclic_parts(md, u)
+    E = _hessian_elements(md, ga, la, gb, lb)
+    M, b = md.M, 2 * md.n
+    idx = np.arange(M)
+    nxt = (idx + 1) % M
+    p = np.arange(b)
+    rows, cols, data = [], [], []
+    for rblk, cblk, blocks in (
+        (idx, idx, E[:, :b, :b]),
+        (idx, nxt, E[:, :b, b:]),
+        (nxt, idx, E[:, b:, :b]),
+        (nxt, nxt, E[:, b:, b:]),
+    ):
+        rows.append((rblk[:, None, None] * b + p[None, :, None]
+                     + np.zeros((1, 1, b), dtype=int)).ravel())
+        cols.append((cblk[:, None, None] * b + p[None, None, :]
+                     + np.zeros((1, b, 1), dtype=int)).ravel())
+        data.append(blocks.ravel())
+    H = scipy.sparse.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(M * b, M * b))
+    return H.tocsc()
+
+
+def factorize_checked_splu(H: scipy.sparse.csc_matrix):
+    """Sparse LU plus a 1-norm condition estimate; raises SingularSystemError
+    with the package's messages on singularity."""
+    try:
+        lu = scipy.sparse.linalg.splu(H)
+    except RuntimeError as exc:
+        raise SingularSystemError(f"cyclic dual system is singular: {exc}") from exc
+    # H is symmetric, so the inverse is its own adjoint
+    inv_op = scipy.sparse.linalg.LinearOperator(H.shape, matvec=lu.solve, rmatvec=lu.solve)
+    cond = scipy.sparse.linalg.onenormest(H) * scipy.sparse.linalg.onenormest(inv_op)
+    if not np.isfinite(cond) or cond > COND_LIMIT:
+        raise SingularSystemError(
+            f"cyclic dual system is numerically singular "
+            f"(1-norm condition estimate {cond:.3e}); for undamped linear chains this "
+            f"is the signature of forcing at a resonant frequency")
+    return lu
+
+
+# ---------------------------------------------------------------------------
+# a base state that is constant in time
+
+
+def constant_base(grid: TimeGrid, x, v) -> BaseState:
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    ones = np.ones((grid.M + 1, 1))
+    return BaseState(grid, ones * x, ones * v, provenance="constant")
 
 
 # ---------------------------------------------------------------------------

@@ -265,9 +265,14 @@ M = 500
 [base]
 kind = zero
 """
-    code = run_one(_write(tmp_path, text, "resonant.cfg"), tmp_path)
-    assert code == 4
-    assert "singular" in capsys.readouterr().err.lower()
+    path = _write(tmp_path, text, "resonant.cfg")
+    for sets in ((), ("grid.M=501",), ("solver.step_control=trust-region",),
+                 ("grid.M=501", "solver.step_control=trust-region")):
+        code = run_one(path, tmp_path, sets=sets)
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "singular" in err.lower()
+        assert "1-norm condition estimate" in err
 
 
 def test_hash_tracks_semantic_changes_only():

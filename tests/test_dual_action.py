@@ -19,7 +19,6 @@ from dualchain import (
     TimeGrid,
     action,
     base_from_primal,
-    constant_base,
     dtp_map,
     ellipticity_check,
     fput_alpha,
@@ -32,6 +31,8 @@ from dualchain import (
 )
 from dualchain.dual_action import COND_LIMIT, _hessian_elements, _stiffness_inv
 from oracles import (
+    block_matvec,
+    constant_base,
     fine_quadrature_action,
     hessian_elements_kron,
     predual_action,
@@ -342,7 +343,7 @@ def test_quadratic_identity_when_linear():
     for _ in range(5):
         D = _small_dual(rng, spec, scale=0.8)
         u = pack_free(D)
-        S_quad = S0 + g0 @ u + 0.5 * (u @ H.matvec(u))
+        S_quad = S0 + g0 @ u + 0.5 * (u @ block_matvec(H, u))
         S = action(D, spec)
         assert abs(S - S_quad) < 1e-12 * (1.0 + abs(S))
 
@@ -421,10 +422,10 @@ def test_pack_unpack_round_trip():
     np.testing.assert_array_equal(D2.gamma[-1], np.zeros(3))
 
 
-def _random_block_tridiagonal(rng, M, b, definite=None):
+def _random_block_tridiagonal(rng, M, b, definite=None, cyclic=False):
     diag = rng.normal(size=(M, b, b))
     diag = 0.5 * (diag + np.swapaxes(diag, 1, 2))
-    off = rng.normal(size=(M - 1, b, b))
+    off = rng.normal(size=(M if cyclic else M - 1, b, b))
     if definite == "negative":
         for k in range(M):
             diag[k] -= (b + 2.0) * np.eye(b) * (2.0 + abs(rng.normal()))
@@ -438,7 +439,7 @@ def test_block_tridiagonal_dense_and_matvec_agree():
     np.testing.assert_allclose(dense, dense.T, atol=1e-15)
     for _ in range(3):
         u = rng.normal(size=H.size)
-        np.testing.assert_allclose(H.matvec(u), dense @ u, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(block_matvec(H, u), dense @ u, rtol=1e-13, atol=1e-13)
 
 
 def test_block_tridiagonal_solve_matches_dense():
@@ -491,6 +492,62 @@ def test_block_tridiagonal_band_storage_matches_dense():
                     if 0 <= offset + i - j < ab.shape[0]:
                         want[offset + i - j, j] = dense[i, j]
             np.testing.assert_array_equal(ab, want)
+
+
+def _cyclic_dense(H):
+    """Dense cyclic matrix written block by block from diag and off."""
+    F, b, _ = H.diag.shape
+    out = np.zeros((F, b, F, b))
+    for k in range(F):
+        out[k, :, k] += H.diag[k]
+        out[k, :, (k + 1) % F] += H.off[k]
+        out[(k + 1) % F, :, k] += H.off[k].T
+    return out.reshape(F * b, F * b)
+
+
+@pytest.mark.parametrize("F", [2, 3, 4, 5, 8])
+@pytest.mark.parametrize("b", [1, 3])
+def test_cyclic_block_tridiagonal_matches_dense(F, b):
+    rng = np.random.default_rng(100 * F + b)
+    H = _random_block_tridiagonal(rng, M=F, b=b, cyclic=True)
+    dense = _cyclic_dense(H)
+    assert H.cyclic
+    np.testing.assert_array_equal(H.to_dense(), dense)
+    u = rng.normal(size=H.size)
+    np.testing.assert_allclose(block_matvec(H, u), dense @ u, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(H.solve(u), np.linalg.solve(dense, u), rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(np.sort(H.eigenvalues()), np.linalg.eigvalsh(dense),
+                               rtol=1e-8, atol=1e-10)
+    np.testing.assert_array_equal(H.shifted(0.5).to_dense(), dense - 0.5 * np.eye(H.size))
+    # the band is that of the folded node order 0, F-1, 1, F-2, ...
+    order = [k for pair in zip(range(F), range(F - 1, -1, -1)) for k in pair][:F]
+    perm = (np.array(order)[:, None] * b + np.arange(b)).ravel()
+    folded = dense[np.ix_(perm, perm)]
+    bw = 3 * b - 1
+    assert H.bandwidth == bw
+    i, j = np.indices(folded.shape)
+    assert not np.any(folded[np.abs(i - j) > bw])
+    for lower_only, offset in ((True, 0), (False, bw)):
+        ab = H.to_banded(lower_only)
+        want = np.zeros_like(ab)
+        inside = (offset + i - j >= 0) & (offset + i - j < ab.shape[0])
+        want[(offset + i - j)[inside], j[inside]] = folded[inside]
+        np.testing.assert_array_equal(ab, want)
+
+
+def test_cyclic_block_tridiagonal_rejects_node_order_methods():
+    rng = np.random.default_rng(25)
+    H = _random_block_tridiagonal(rng, M=5, b=2, definite="negative", cyclic=True)
+    with pytest.raises(ValueError, match="cyclic"):
+        H.neg_cholesky()
+    with pytest.raises(ValueError, match="cyclic"):
+        H.inertia()
+
+
+@pytest.mark.parametrize("F, n_off", [(4, 2), (4, 5), (1, 1), (2, 0), (0, 0)])
+def test_block_tridiagonal_rejects_malformed_off_length(F, n_off):
+    with pytest.raises(ValueError, match="off must be"):
+        BlockTridiagonal(np.zeros((F, 2, 2)), np.zeros((n_off, 2, 2)))
 
 
 @st.composite

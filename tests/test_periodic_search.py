@@ -1,6 +1,9 @@
 """Periodic-orbit dual solves: cyclic assembly, resonance detection, recovery."""
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from dualchain import dual_action, periodic_search
 from dualchain import (
@@ -22,8 +25,10 @@ from dualchain import (
     solve_periodic,
     zero_base,
 )
+from oracles import factorize_checked_splu, hessian_cyclic_coo
 
 UNIT = ScaleParams(1.0, 1.0)
+_EPS = np.finfo(float).eps
 
 
 def _sampled_base(grid, fx, fv):
@@ -94,12 +99,13 @@ def test_resonant_forcing_raises_singular_system():
     force = QuadraticForce(n=1, A=[[1.0]])
     forcing = ForcingSpec(n=1, sinusoids=[(0, Sinusoid(1.0, 1.0, 0.0))])
     params = ChainParams(m=1.0, d=0.0, force=force, forcing=forcing)
-    for M in (500, 1000):
+    for M in (500, 501, 1000):
         grid = TimeGrid(T=2 * np.pi, M=M)
         spec = PeriodicSpec(params=params, scales=UNIT,
                             base=zero_base(grid, 1), grid=grid)
-        with pytest.raises(SingularSystemError):
-            solve_periodic(spec)
+        for step_control in ("damped-newton", "trust-region"):
+            with pytest.raises(SingularSystemError, match="1-norm condition estimate"):
+                solve_periodic(spec, SolveOptions(step_control=step_control))
 
 
 def test_undamped_off_resonance_solves():
@@ -108,13 +114,14 @@ def test_undamped_off_resonance_solves():
     force = QuadraticForce(n=1, A=[[2.0]])
     forcing = ForcingSpec(n=1, sinusoids=[(0, Sinusoid(1.0, 1.0, 0.0))])
     params = ChainParams(m=1.0, d=0.0, force=force, forcing=forcing)
-    grid = TimeGrid(T=2 * np.pi, M=400)
-    spec = PeriodicSpec(params=params, scales=UNIT, base=zero_base(grid, 1),
-                        grid=grid)
-    sol = solve_periodic(spec)
-    assert sol.converged
-    orbit = recover_periodic_orbit(sol, spec)
-    assert np.max(np.abs(orbit.x[:, 0] - np.cos(grid.nodes()))) < 1e-3
+    for M in (400, 501):
+        grid = TimeGrid(T=2 * np.pi, M=M)
+        spec = PeriodicSpec(params=params, scales=UNIT, base=zero_base(grid, 1),
+                            grid=grid)
+        sol = solve_periodic(spec)
+        assert sol.converged
+        orbit = recover_periodic_orbit(sol, spec)
+        assert np.max(np.abs(orbit.x[:, 0] - np.cos(grid.nodes()))) < 1e-3
 
 
 def test_table_forcing_matches_sinusoid():
@@ -279,3 +286,78 @@ def test_midpoint_data_built_once_per_solve(monkeypatch):
     sol = solve_periodic(spec)
     assert sol.iterations > 1
     assert calls == [spec]
+
+
+def _outcome(fn, H):
+    try:
+        fn(H)
+    except SingularSystemError:
+        return "singular"
+    return "regular"
+
+
+@settings(deadline=None, max_examples=150)
+@given(n=st.integers(1, 3), M=st.integers(2, 13), singular=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=1, M=2, singular=False, seed=0)
+@example(n=3, M=2, singular=True, seed=1)
+@example(n=2, M=7, singular=False, seed=2)
+@example(n=2, M=8, singular=True, seed=3)
+def test_cyclic_hessian_matches_coo_reference(n, M, singular, seed):
+    # without a restoring force (A = 0, B = 0) every constant shift is a
+    # periodic orbit, so the cyclic Hessian is exactly singular
+    rng = np.random.default_rng(seed)
+    if singular:
+        force = QuadraticForce(n=n, A=np.zeros((n, n)))
+    else:
+        X = rng.normal(size=(n, n))
+        B = 0.3 * rng.normal(size=(n, n, n)) if rng.uniform() < 0.5 else None
+        force = QuadraticForce(n=n, A=X @ X.T + 0.5 * np.eye(n), B=B)
+    params = ChainParams(m=rng.uniform(0.5, 2.0), d=rng.uniform(0.0, 1.0), force=force,
+                         forcing=ForcingSpec.zero(n))
+    grid = TimeGrid(T=2 * np.pi, M=M)
+    spec = PeriodicSpec(params=params, scales=UNIT, base=zero_base(grid, n), grid=grid)
+    md = dual_action._midpoint_data(spec)
+    u = 0.05 * rng.normal(size=2 * n * M)
+
+    H = periodic_search._hessian_cyclic(md, u)
+    ref_sparse = hessian_cyclic_coo(md, u)
+    ref = ref_sparse.toarray()
+    assert H.cyclic
+    scale = np.max(np.abs(ref))
+    np.testing.assert_allclose(H.to_dense(), ref, rtol=0, atol=64 * _EPS * scale)
+
+    # an estimate cannot be asked to agree near its own threshold
+    cond = np.linalg.cond(ref, 1)
+    assume(not dual_action.COND_LIMIT / 100 < cond < dual_action.COND_LIMIT * 100)
+    decision = _outcome(periodic_search._factorize_checked, H)
+    assert decision == _outcome(factorize_checked_splu, ref_sparse)
+    assert decision == ("singular" if singular else "regular")
+    if decision == "regular":
+        rhs = rng.normal(size=H.size)
+        want = np.linalg.solve(ref, rhs)
+        np.testing.assert_allclose(H.solve(rhs), want, rtol=0,
+                                   atol=1e3 * _EPS * cond * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("step_control", ["damped-newton", "trust-region"])
+def test_each_iteration_factorizes_its_hessian_once(monkeypatch, step_control):
+    # the Newton direction reuses the checked LU; only shifted trust-region
+    # matrices get factorizations of their own
+    counts = {"lu": 0, "shifted": 0}
+    dgbtrf, shifted = scipy.linalg.lapack.dgbtrf, dual_action.BlockTridiagonal.shifted
+
+    def counted_lu(*args, **kwargs):
+        counts["lu"] += 1
+        return dgbtrf(*args, **kwargs)
+
+    def counted_shift(self, mu):
+        counts["shifted"] += 1
+        return shifted(self, mu)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf", counted_lu)
+    monkeypatch.setattr(dual_action.BlockTridiagonal, "shifted", counted_shift)
+    sol = solve_periodic(_fput_forced_spec(M=64), SolveOptions(step_control=step_control))
+    assert sol.converged and sol.iterations > 1
+    assert counts["lu"] == sol.iterations + counts["shifted"]
+    assert (counts["shifted"] > 0) == (step_control == "trust-region")
