@@ -56,11 +56,9 @@ from .dual_solver import (
     solve_dual,
     verify,
 )
-from .periodic_search import (
-    PeriodicDualSolution,
-    PeriodicSpec,
-    recover_periodic_orbit,
-    solve_periodic,
-)
+
+# earlier names for the periodic problem, which is now a ProblemSpec without
+# initial conditions, solved and recovered by the shared functions
+from .periodic_search import PeriodicSpec, recover_periodic_orbit, solve_periodic
 
 __version__ = "0.1.0"

@@ -5,9 +5,14 @@ comments starting with '#'.  Particle indices in configs and file headers are
 1-based.  Emitted trajectories use 17-significant-digit decimals, so reading
 a file back reproduces the arrays bit for bit.
 
+Modes dual-solve, verify and periodic solve the dual problem that
+`ScenarioConfig.problem` poses, periodic in periodic mode (whose [initial]
+values only start a settled-primal base), and each writes a report with
+[convergence] and [verification].
+
 Exit codes: 0 success, 2 config or validation error, 3 solver did not
-converge (reports are still written) or a direct integration could not
-continue, 4 numerical singularity.
+converge, a trust-region stall included (reports are still written), or a
+direct integration could not continue, 4 numerical singularity.
 """
 
 from __future__ import annotations
@@ -47,7 +52,6 @@ from .dual_solver import (
     solve_dual,
     verify,
 )
-from .periodic_search import PeriodicSpec, recover_periodic_orbit, solve_periodic
 from .primal_solver import (
     IntegrationBlowUpError,
     TimeGrid,
@@ -228,9 +232,6 @@ class ScenarioConfig:
                             tolerance=self.tolerance,
                             step_control=self.step_control)
 
-    def base(self, params: ChainParams, grid: TimeGrid) -> BaseState:
-        return self._base(params, grid)[0]
-
     def _base(self, params: ChainParams, grid: TimeGrid):
         """The base state, and the refined direct solve it was restricted
         from (None for the kinds that use no such solve)."""
@@ -275,25 +276,25 @@ class ScenarioConfig:
     def problem(self) -> ProblemSpec:
         return self._problem()[0]
 
+    # earlier name of `problem` for periodic mode, kept for its callers
+    periodic_problem = problem
+
     def _problem(self):
-        """The initial-value problem, and the verify oracle when the base was
-        restricted from the oracle's own integration (None otherwise)."""
-        if self.x0 is None or self.v0 is None:
+        """The dual problem, periodic in periodic mode, and the verify oracle
+        when the base was restricted from the oracle's own integration (None
+        otherwise)."""
+        periodic = self.mode == "periodic"
+        if not periodic and (self.x0 is None or self.v0 is None):
             raise ConfigError(f"mode {self.mode} needs [initial] x0 and v0")
         params = self.chain_params()
         grid = self.grid()
         base, fine = self._base(params, grid)
+        x0, v0 = (None, None) if periodic else (self.x0, self.v0)
         spec = ProblemSpec(params=params, scales=ScaleParams(self.c_x, self.c_v),
-                           base=base, grid=grid, x0=self.x0, v0=self.v0)
+                           base=base, grid=grid, x0=x0, v0=v0)
         shared = (self.mode == "verify" and fine is not None
                   and self.base_refine == _ORACLE_REFINE)
         return spec, fine.restrict(_ORACLE_REFINE) if shared else None
-
-    def periodic_problem(self) -> PeriodicSpec:
-        params = self.chain_params()
-        grid = self.grid()
-        return PeriodicSpec(params=params, scales=ScaleParams(self.c_x, self.c_v),
-                            base=self.base(params, grid), grid=grid)
 
     def semantic_hash(self) -> str:
         """Digest of every field that changes the computation.
@@ -620,8 +621,6 @@ def run_one(config_path, out_dir, sets=(), mode: str | None = None) -> int:
             if cfg.x0 is None or cfg.v0 is None:
                 raise ConfigError("mode simulate needs [initial] x0 and v0")
             sim_params, sim_grid = cfg.chain_params(), cfg.grid()
-        elif cfg.mode == "periodic":
-            spec = cfg.periodic_problem()
         else:
             spec, oracle = cfg._problem()
     except IntegrationBlowUpError as exc:
@@ -642,34 +641,22 @@ def run_one(config_path, out_dir, sets=(), mode: str | None = None) -> int:
             traj_path = out / f"{cfg.prefix}_trajectory.txt"
             write_trajectory(traj_path, traj)
             manifest[traj_path.name] = _sha256_file(traj_path)
-        elif cfg.mode == "dual-solve":
+        else:
             sol = solve_dual(spec, opts)
-            traj = recover_primal(sol, spec)
-            dual_path = out / f"{cfg.prefix}_dual.txt"
-            traj_path = out / f"{cfg.prefix}_trajectory.txt"
-            write_dual_field(dual_path, sol.D)
-            write_trajectory(traj_path, traj)
-            manifest[dual_path.name] = _sha256_file(dual_path)
-            manifest[traj_path.name] = _sha256_file(traj_path)
-            convergence = _convergence_dict(sol)
-            verification = _verification_dict(verify(sol, spec))
-            code = 0 if sol.converged else 3
-        elif cfg.mode == "verify":
-            sol = solve_dual(spec, opts)
-            if oracle is None:
+            if cfg.mode == "verify" and oracle is None:
                 oracle = integrate_primal(spec.params, spec.x0, spec.v0,
                                           spec.grid.refined(_ORACLE_REFINE),
                                           method=cfg.method).restrict(_ORACLE_REFINE)
+            if cfg.mode == "dual-solve":
+                dual_path = out / f"{cfg.prefix}_dual.txt"
+                write_dual_field(dual_path, sol.D)
+                manifest[dual_path.name] = _sha256_file(dual_path)
+            if cfg.mode != "verify":
+                traj_path = out / f"{cfg.prefix}_trajectory.txt"
+                write_trajectory(traj_path, recover_primal(sol, spec))
+                manifest[traj_path.name] = _sha256_file(traj_path)
             convergence = _convergence_dict(sol)
             verification = _verification_dict(verify(sol, spec, oracle=oracle))
-            code = 0 if sol.converged else 3
-        else:  # periodic
-            sol = solve_periodic(spec, opts)
-            orbit = recover_periodic_orbit(sol, spec)
-            traj_path = out / f"{cfg.prefix}_trajectory.txt"
-            write_trajectory(traj_path, orbit)
-            manifest[traj_path.name] = _sha256_file(traj_path)
-            convergence = _convergence_dict(sol)
             code = 0 if sol.converged else 3
     except (SingularStiffnessError, SingularSystemError) as exc:
         print(f"numerical singularity: {exc}", file=sys.stderr)

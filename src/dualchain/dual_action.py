@@ -5,10 +5,13 @@ functional.
 Discretization contract: the multiplier fields (gamma, lambda) are nodal and
 piecewise linear on a uniform grid, rates are constant on each element, and
 every integrand is sampled at element midpoints (midpoint quadrature) with
-the base state interpolated and the forcing evaluated there.  The final-time
-condition gamma(T) = lambda(T) = 0 is imposed strongly: node M carries no
-unknowns, and the free unknowns are the nodal values at nodes 0..M-1 packed
-as [gamma_k, lambda_k] per node.
+the base state interpolated and the forcing evaluated there.  The free
+unknowns are the nodal values at nodes 0..M-1 packed as [gamma_k, lambda_k]
+per node; node M is fixed by the boundary condition of the `ProblemSpec`.
+The initial-value problem imposes gamma(T) = lambda(T) = 0 strongly (node M
+is zero) and adds the x0/v0 boundary terms at node 0.  The periodic problem
+identifies node M with node 0, so the element assembly wraps around
+cyclically and its Hessian is a cyclic `BlockTridiagonal`.
 
 All reductions are plain numpy sums over fixed axes, so identical inputs
 produce bit-identical outputs.
@@ -19,8 +22,8 @@ kappa_2(K) <= ||K||_F ||K^-1||_F certifies each point; the eigenvalue test,
 the only place a SingularStiffnessError is raised, sees just the points this
 bound cannot certify.  `BlockTridiagonal.inertia` likewise answers
 (N, 0, 0) from a Cholesky factorization when it certifies negative
-definiteness beyond the zero tolerance, and runs the Schur recursion
-otherwise.
+definiteness beyond the zero tolerance, and otherwise counts by the Schur
+recursion, over nodes (open layout) or over folded node pairs (cyclic).
 """
 
 from __future__ import annotations
@@ -81,12 +84,6 @@ class SingularStiffnessError(RuntimeError):
         )
         self.where = where
         self.cond = cond
-
-
-def _readonly(a) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -274,24 +271,60 @@ class DualField:
         return cls(grid, z, z)
 
 
+def _check_periodic_forcing(params: ChainParams, P: float) -> None:
+    for j, s in params.forcing.sinusoids:
+        if s.omega == 0.0:
+            continue
+        k = s.omega * P / (2.0 * np.pi)
+        if abs(k - round(k)) > 1e-12 * max(1.0, abs(k)):
+            raise ValueError(
+                f"sinusoid on particle {j} has period {2 * np.pi / s.omega:.6g}, "
+                f"which does not divide the orbit period {P:.6g}")
+    for j, tab in params.forcing.tables:
+        span_ok = (abs(tab.times[0]) <= 1e-12 * max(1.0, P)
+                   and abs(tab.times[-1] - P) <= 1e-12 * max(1.0, P))
+        if not span_ok:
+            raise ValueError(f"table on particle {j} must cover exactly one period [0, {P:.6g}]")
+        vtol = 1e-12 * (1.0 + float(np.max(np.abs(tab.values))))
+        if abs(tab.values[0] - tab.values[-1]) > vtol:
+            raise ValueError(f"table on particle {j} is not periodic (endpoint values differ)")
+
+
 @dataclass(frozen=True, eq=False)
 class ProblemSpec:
-    """Everything needed to pose the initial-value dual problem."""
+    """Everything needed to pose the dual problem.
+
+    With initial conditions x0 and v0 this is the initial-value problem.
+    With both omitted it is the periodic problem on one period P = grid.T:
+    the forcing must be P-periodic, the base state must close up (first and
+    last nodes equal), and M >= 2.
+    """
 
     params: ChainParams
     scales: ScaleParams
     base: BaseState
     grid: TimeGrid
-    x0: np.ndarray
-    v0: np.ndarray
+    x0: np.ndarray | None = None
+    v0: np.ndarray | None = None
 
     def __post_init__(self):
+        if (self.x0 is None) != (self.v0 is None):
+            raise ValueError("give both x0 and v0, or neither for a periodic problem")
+        if self.periodic and self.grid.M < 2:
+            raise ValueError("periodic problems need at least M = 2 elements")
         if self.base.grid != self.grid:
             raise ValueError("base state must live on the problem grid")
         if self.base.n != self.params.n:
             raise ValueError(
                 f"base state is for n={self.base.n} particles, params for n={self.params.n}"
             )
+        if self.periodic:
+            _check_periodic_forcing(self.params, self.grid.T)
+            for name, arr in (("xbar", self.base.xbar), ("vbar", self.base.vbar)):
+                tol = 1e-12 * (1.0 + float(np.max(np.abs(arr))))
+                if np.max(np.abs(arr[0] - arr[-1])) > tol:
+                    raise ValueError(f"base {name} is not periodic (first and last nodes differ)")
+            return
         n = self.params.n
         x0 = np.array(self.x0, dtype=float)
         v0 = np.array(self.v0, dtype=float)
@@ -308,6 +341,10 @@ class ProblemSpec:
     def n(self) -> int:
         return self.params.n
 
+    @property
+    def periodic(self) -> bool:
+        return self.x0 is None
+
     @cached_property
     def _midpoints(self) -> _MidpointData:
         # every field is immutable, so one build serves every assembly
@@ -315,7 +352,7 @@ class ProblemSpec:
 
 
 # ---------------------------------------------------------------------------
-# assembly internals (shared with the periodic variant)
+# assembly internals
 
 @dataclass(frozen=True, eq=False)
 class _MidpointData:
@@ -336,7 +373,7 @@ class _MidpointData:
     Abar_mid: np.ndarray
 
 
-def _midpoint_data(spec) -> _MidpointData:
+def _midpoint_data(spec: ProblemSpec) -> _MidpointData:
     """Midpoint data of an initial-value or periodic spec."""
     params, grid = spec.params, spec.grid
     force = params.force
@@ -537,8 +574,8 @@ class BlockTridiagonal:
     off[F-1] couples node F-1 to node 0; it is banded in the folded node
     order 0, F-1, 1, F-2, ..., in which every coupling joins nodes at most
     two places apart (scalar bandwidth 3b - 1).  `to_banded` writes that
-    band and `solve` permutes into and out of it; `neg_cholesky` and
-    `inertia` work in node order and reject a cyclic matrix.
+    band and `solve` permutes into and out of it; `neg_cholesky` returns a
+    factor in node order and rejects a cyclic matrix.
     """
 
     diag: np.ndarray
@@ -584,18 +621,25 @@ class BlockTridiagonal:
         out[(k + 1) % F, :, k] += np.swapaxes(self.off, 1, 2)  # F = 2: both couplings join 0, 1
         return out.reshape(F * b, F * b)
 
+    def _band_blocks(self) -> list:
+        """[diagonal blocks, upper blocks one place off it, ...] in band order;
+        folded when cyclic, with upper blocks one and two places off."""
+        F, b, _ = self.diag.shape
+        if not self.cyclic:
+            return [self.diag, self.off]
+        pos = np.argsort(self._order)
+        rows, cols = pos, pos[(np.arange(F) + 1) % F]
+        first, gap = np.minimum(rows, cols), np.abs(rows - cols)
+        upper = np.where((rows < cols)[:, None, None], self.off, np.swapaxes(self.off, 1, 2))
+        blocks = [self.diag[self._order], np.zeros((F - 1, b, b)), np.zeros((F - 2, b, b))]
+        np.add.at(blocks[1], first[gap == 1], upper[gap == 1])  # F = 2: both join 0 and 1
+        blocks[2][first[gap == 2]] = upper[gap == 2]
+        return blocks
+
     def to_banded(self, lower_only: bool = True) -> np.ndarray:
         """Band storage, folded when cyclic: ab[offset + i - j, j] = A[i, j]."""
         F, b, _ = self.diag.shape
-        blocks = [self.diag, self.off]
-        if self.cyclic:  # diagonal, then upper blocks one and two places off it
-            pos = np.argsort(self._order)
-            rows, cols = pos, pos[(np.arange(F) + 1) % F]
-            first, gap = np.minimum(rows, cols), np.abs(rows - cols)
-            upper = np.where((rows < cols)[:, None, None], self.off, np.swapaxes(self.off, 1, 2))
-            blocks = [self.diag[self._order], np.zeros((F - 1, b, b)), np.zeros((F - 2, b, b))]
-            np.add.at(blocks[1], first[gap == 1], upper[gap == 1])  # F = 2: both join 0 and 1
-            blocks[2][first[gap == 2]] = upper[gap == 2]
+        blocks = self._band_blocks()
         bw = self.bandwidth
         lo = 0 if lower_only else -bw
         ab = np.zeros((bw - lo + 1, F * b))
@@ -604,20 +648,23 @@ class BlockTridiagonal:
         return ab
 
     @cached_property
-    def lu(self) -> tuple[np.ndarray, np.ndarray]:
-        """LAPACK banded LU (lu, piv), kept for `solve`; LinAlgError if singular."""
+    def lu(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """LAPACK banded LU (lu, piv), kept for `solve`, and the exact 1-norm
+        of the matrix, summed from the band before dgbtrf overwrites it (the
+        band holds every entry once, folded or not); LinAlgError if singular."""
         bw = self.bandwidth
         ab = np.zeros((3 * bw + 1, self.size))
         ab[bw:] = self.to_banded(lower_only=False)
+        norm = float(np.max(np.sum(np.abs(ab[bw:]), axis=0)))
         lu, piv, info = scipy.linalg.lapack.dgbtrf(ab, bw, bw, overwrite_ab=True)
         if info > 0:
             raise np.linalg.LinAlgError("singular matrix")
-        return lu, piv
+        return lu, piv, norm
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         F, b, _ = self.diag.shape
         order = self._order if self.cyclic else slice(None)
-        (lu, piv), bw = self.lu, self.bandwidth
+        (lu, piv, _), bw = self.lu, self.bandwidth
         y = scipy.linalg.lapack.dgbtrs(lu, bw, bw, rhs.reshape(F, b)[order].ravel(), piv)[0]
         x = np.empty((F, b))
         x[order] = y.reshape(F, b)
@@ -627,7 +674,11 @@ class BlockTridiagonal:
         """Banded Cholesky factor of -A, or None when A is not negative
         definite (doubles as the definiteness probe in the Newton loop)."""
         if self.cyclic:  # the factor is in node order, where a cyclic matrix is not banded
-            raise ValueError("neg_cholesky and inertia need the open layout, not a cyclic one")
+            raise ValueError("neg_cholesky needs the open layout, not a cyclic one")
+        return self._band_neg_cholesky()
+
+    def _band_neg_cholesky(self):
+        """Cholesky factor of the negated band (folded when cyclic), or None."""
         try:
             return scipy.linalg.cholesky_banded(-self.to_banded(lower_only=True), lower=True)
         except np.linalg.LinAlgError:
@@ -640,34 +691,56 @@ class BlockTridiagonal:
         """(negative, zero, positive) eigenvalue counts, eigenvalues within
         the zero tolerance counting as zero.
 
-        Certificate first: when A + tol I is negative definite (its negated
-        banded Cholesky succeeds), every Schur complement of A lies below
-        -tol I, so the answer is (size, 0, 0).  Otherwise the counts come
-        from the Schur-complement recursion on the block factorization
-        (Sylvester's law).  A cyclic matrix fails in the certificate.
+        Certificate first: when A + tol I is negative definite (the Cholesky
+        factorization of its negated band succeeds; for a cyclic matrix, the
+        folded band), every eigenvalue of A lies below -tol, so the answer
+        is (size, 0, 0).  Otherwise the counts come from the Schur-complement
+        recursion on the block factorization (Sylvester's law).  A cyclic
+        matrix enters it as the open layout of the node pairs (k, F-1-k),
+        which the folded order makes adjacent; an odd F's middle node is
+        padded with -scale I, whose b negative eigenvalues are taken off.
         """
         F, b, _ = self.diag.shape
         scale = max(float(np.max(np.abs(self.diag))),
                     float(np.max(np.abs(self.off))) if F > 1 else 0.0, 1e-300)
         tol = zero_tol if zero_tol is not None else 1e-11 * scale
-        if self.shifted(-tol).neg_cholesky() is not None:
+        if self.shifted(-tol)._band_neg_cholesky() is not None:
             return self.size, 0, 0
-        neg = zero = pos = 0
-        S = self.diag[0]
-        for k in range(F):
-            mu, Q = np.linalg.eigh(S)
-            neg += int(np.sum(mu < -tol))
-            pos += int(np.sum(mu > tol))
-            zero += int(np.sum(np.abs(mu) <= tol))
-            if k < F - 1:
-                inv = np.where(np.abs(mu) > tol, 1.0 / np.where(mu == 0, 1.0, mu), 0.0)
-                X = Q @ (inv[:, None] * (Q.T @ self.off[k]))
-                S = self.diag[k + 1] - self.off[k].T @ X
-        return neg, zero, pos
+        if not self.cyclic:
+            return _schur_inertia(self.diag, self.off, tol)
+        D, up1, up2 = self._band_blocks()
+        D = np.concatenate([D, -scale * np.eye(b)[None]][:1 + F % 2])
+        up1, up2 = (np.pad(u, ((0, F % 2), (0, 0), (0, 0))) for u in (up1, up2))
+        P = D.shape[0] // 2  # pair j: folded places 2j, 2j+1
+        pair = np.zeros((P, 2 * b, 2 * b))
+        pair[:, :b, :b], pair[:, b:, b:], pair[:, :b, b:] = D[0::2], D[1::2], up1[0::2]
+        pair[:, b:, :b] = np.swapaxes(up1[0::2], 1, 2)
+        link = np.zeros((P - 1, 2 * b, 2 * b))
+        link[:, :b, :b], link[:, b:, :b], link[:, b:, b:] = up2[0::2], up1[1::2], up2[1::2]
+        neg, zero, pos = _schur_inertia(pair, link, tol)
+        return neg - b * (F % 2), zero, pos
 
     def shifted(self, mu: float) -> "BlockTridiagonal":
         eye = mu * np.eye(self.block)
         return BlockTridiagonal(self.diag - eye, self.off)
+
+
+def _schur_inertia(diag, off, tol):
+    """Inertia of the open block-tridiagonal matrix (diag, off) from the
+    eigenvalues of its successive Schur complements; pivots within tol are
+    counted as zero and skipped."""
+    neg = zero = pos = 0
+    S = diag[0]
+    for k in range(diag.shape[0]):
+        mu, Q = np.linalg.eigh(S)
+        neg += int(np.sum(mu < -tol))
+        pos += int(np.sum(mu > tol))
+        zero += int(np.sum(np.abs(mu) <= tol))
+        if k < diag.shape[0] - 1:
+            inv = np.where(np.abs(mu) > tol, 1.0 / np.where(mu == 0, 1.0, mu), 0.0)
+            X = Q @ (inv[:, None] * (Q.T @ off[k]))
+            S = diag[k + 1] - off[k].T @ X
+    return neg, zero, pos
 
 
 def _band_row(rows, blocks, p):
@@ -698,8 +771,9 @@ def pack_free(D: DualField) -> np.ndarray:
     return u
 
 
-def unpack_free(grid: TimeGrid, n: int, u: np.ndarray) -> DualField:
-    """Inverse of pack_free; node M is restored as exactly zero."""
+def unpack_free(grid: TimeGrid, n: int, u: np.ndarray, periodic: bool = False) -> DualField:
+    """Inverse of pack_free; node M is restored as exactly zero, or as a copy
+    of node 0 when ``periodic``."""
     u = np.asarray(u, dtype=float)
     if u.shape != (2 * n * grid.M,):
         raise ValueError(f"expected a flat vector of length {2 * n * grid.M}")
@@ -708,20 +782,24 @@ def unpack_free(grid: TimeGrid, n: int, u: np.ndarray) -> DualField:
     lam = np.zeros((grid.M + 1, n))
     gamma[:-1] = w[:, :n]
     lam[:-1] = w[:, n:]
+    if periodic:
+        gamma[-1], lam[-1] = gamma[0], lam[0]
     return DualField(grid, gamma, lam)
 
 
-def _require_final_zero(D: DualField) -> None:
-    if np.any(D.gamma[-1] != 0.0) or np.any(D.lam[-1] != 0.0):
-        raise ValueError("final-time condition violated: gamma and lambda must be "
-                         "exactly zero at the last node")
-
-
-def _require_match(D: DualField, spec: ProblemSpec) -> None:
+def _require_boundary(D: DualField, spec: ProblemSpec) -> None:
+    """D must live on the problem grid and meet its node-M condition."""
     if D.grid != spec.grid:
         raise ValueError("dual field must live on the problem grid")
     if D.n != spec.n:
         raise ValueError(f"dual field is for n={D.n}, problem for n={spec.n}")
+    if spec.periodic:
+        if np.any(D.gamma[-1] != D.gamma[0]) or np.any(D.lam[-1] != D.lam[0]):
+            raise ValueError("periodic condition violated: gamma and lambda must be "
+                             "equal at the first and last nodes")
+    elif np.any(D.gamma[-1] != 0.0) or np.any(D.lam[-1] != 0.0):
+        raise ValueError("final-time condition violated: gamma and lambda must be "
+                         "exactly zero at the last node")
 
 
 # ---------------------------------------------------------------------------
@@ -756,19 +834,18 @@ def dtp_map(lam, lamdot, gamma, gammadot, xbar, vbar, spec) -> tuple[np.ndarray,
 
 def action(D: DualField, spec: ProblemSpec) -> float:
     """Value of the discretized dual functional, boundary terms included."""
-    _require_match(D, spec)
-    _require_final_zero(D)
+    _require_boundary(D, spec)
     md = spec._midpoints
     S = _action_elements(md, D.gamma[:-1], D.lam[:-1], D.gamma[1:], D.lam[1:])
-    S -= spec.params.m * float(D.lam[0] @ spec.v0)
-    S -= float(D.gamma[0] @ spec.x0)
+    if not spec.periodic:
+        S -= spec.params.m * float(D.lam[0] @ spec.v0)
+        S -= float(D.gamma[0] @ spec.x0)
     return S
 
 
 def gradient(D: DualField, spec: ProblemSpec) -> np.ndarray:
     """Exact gradient of ``action`` over the free nodal values (packed)."""
-    _require_match(D, spec)
-    _require_final_zero(D)
+    _require_boundary(D, spec)
     md = spec._midpoints
     g_ga, g_la, g_gb, g_lb = _gradient_elements(
         md, D.gamma[:-1], D.lam[:-1], D.gamma[1:], D.lam[1:])
@@ -779,8 +856,12 @@ def gradient(D: DualField, spec: ProblemSpec) -> np.ndarray:
     g_gamma[1:] += g_gb
     g_lam[:-1] += g_la
     g_lam[1:] += g_lb
-    g_gamma[0] -= spec.x0
-    g_lam[0] -= spec.params.m * spec.v0
+    if spec.periodic:  # node M is node 0
+        g_gamma[0] += g_gamma[M]
+        g_lam[0] += g_lam[M]
+    else:  # node M is pinned to zero; node 0 carries the initial conditions
+        g_gamma[0] -= spec.x0
+        g_lam[0] -= spec.params.m * spec.v0
     u = np.empty(2 * n * M)
     w = u.reshape(M, 2 * n)
     w[:, :n] = g_gamma[:-1]
@@ -789,14 +870,17 @@ def gradient(D: DualField, spec: ProblemSpec) -> np.ndarray:
 
 
 def hessian(D: DualField, spec: ProblemSpec) -> BlockTridiagonal:
-    """Exact Hessian of ``action`` over the free nodal values."""
-    _require_match(D, spec)
-    _require_final_zero(D)
+    """Exact Hessian of ``action`` over the free nodal values; cyclic for
+    the periodic problem."""
+    _require_boundary(D, spec)
     md = spec._midpoints
     E = _hessian_elements(md, D.gamma[:-1], D.lam[:-1], D.gamma[1:], D.lam[1:])
     b = 2 * spec.n
     diag = E[:, :b, :b].copy()
     diag[1:] += E[:-1, b:, b:]
+    if spec.periodic:  # element M-1 ends at node M, which is node 0
+        diag[0] += E[-1, b:, b:]
+        return BlockTridiagonal(diag, E[:, :b, b:].copy())
     return BlockTridiagonal(diag, E[:-1, :b, b:].copy())
 
 

@@ -1,26 +1,30 @@
 """Newton solver for the discrete dual problem, primal recovery from the
-solved multipliers, and the verification report.
+solved multipliers, and the verification report, for the initial-value and
+the periodic problem alike.
 
 The extremum of the dual functional is a maximum wherever the weighted
 stiffness is positive definite, so the default step control is damped Newton
 with an ascent line search.  When no ascent Newton step is available at an
 iterate, steps fall back to a Levenberg-style trust-region iteration that
-must decrease the gradient norm.  One engine runs both the initial-value
-problem here (Newton system solved by the banded Cholesky factorization of
-the negated Hessian) and the periodic problem of `periodic_search` (checked
-banded LU of the folded cyclic Hessian).  Both Hessians are
-`BlockTridiagonal` matrices, so the trust-region solves are the same code.
+must decrease the gradient norm; when that cannot make progress either, the
+iteration stops unconverged.  The initial-value problem takes its Newton
+direction from the banded Cholesky factorization of the negated Hessian.
+The periodic problem's cyclic Hessian gets a banded LU on every iteration,
+checked against `COND_LIMIT` by a deterministic Hager-Higham estimate of the
+inverse's 1-norm, and the direction reuses that LU.  The period is fixed to
+the grid span, which must be an integer number of forcing periods; searching
+for orbits of unknown period is out of scope.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
 
 from .dual_action import (
+    COND_LIMIT,
     BlockTridiagonal,
     DualField,
     ProblemSpec,
@@ -103,52 +107,51 @@ _TR_MU_GROWTH = 10.0
 _TR_MAX_TRIES = 25
 
 
-@dataclass(frozen=True)
-class _Problem:
-    """One dual maximization over packed unknowns u, as the Newton engine
-    sees it."""
-
-    action: Callable     # u -> S(u)
-    gradient: Callable   # u -> dS/du
-    hessian: Callable    # u -> H, a BlockTridiagonal
-    direction: Callable  # (H, g) -> ascent Newton direction, or None
-
-
-def _maximize(problem: _Problem, spec, opts: SolveOptions):
-    """Damped Newton ascent with a Levenberg-style trust-region fallback,
-    shared by the initial-value and periodic problems.
+def _maximize(spec: ProblemSpec, opts: SolveOptions):
+    """Damped Newton ascent with a Levenberg-style trust-region fallback.
 
     Starts from the zero field or ``opts.initial_guess`` (packed by
     `pack_free`); the tolerance is scaled by the zero-field gradient.
-    Returns the final iterate, whether it converged, and the gradient
-    max-norm history.
+    Stops unconverged when no step makes progress; returns the final field,
+    whether it converged, and the gradient max-norm history.
     """
+    def field(u):
+        return unpack_free(spec.grid, spec.n, u, periodic=spec.periodic)
+
+    def act(u):
+        return action(field(u), spec)
+
+    def grad(u):
+        return gradient(field(u), spec)
+
     u = np.zeros(2 * spec.n * spec.grid.M)
-    g = problem.gradient(u)
+    g = grad(u)
     tol = opts.tolerance * (1.0 + float(np.max(np.abs(g))))
     if opts.initial_guess is not None:
-        if opts.initial_guess.grid != spec.grid or opts.initial_guess.n != spec.n:
-            raise ValueError("initial guess must live on the problem grid")
+        g = gradient(opts.initial_guess, spec)  # checks its grid and boundary condition
         u = pack_free(opts.initial_guess)
-        g = problem.gradient(u)
 
     gnorm = float(np.max(np.abs(g)))
     history = [gnorm]
     # written so that a nan residual keeps iterating, like any unconverged one
     while not gnorm <= tol and len(history) <= opts.max_iterations:
-        H = problem.hessian(u)
+        H = hessian(field(u), spec)
+        if spec.periodic:
+            _factorize_checked(H)  # on every iteration, whatever the step control
         step = None
         if opts.step_control == "damped-newton":
-            direction = problem.direction(H, g)
+            direction = H.solve(-g) if spec.periodic else _newton_direction(H, g)
             if direction is not None and np.all(np.isfinite(direction)):
-                step = _line_search(problem.action, u, direction)
+                step = _line_search(act, u, direction)
         if step is None:
-            step = _trust_region_step(problem, H, g, u, gnorm)
+            step = _trust_region_step(grad, H, g, u, gnorm)
+        if step is None:
+            break
         u = u + step
-        g = problem.gradient(u)
+        g = grad(u)
         gnorm = float(np.max(np.abs(g)))
         history.append(gnorm)
-    return u, gnorm <= tol, history
+    return field(u), gnorm <= tol, history
 
 
 def _line_search(act, u, direction):
@@ -164,9 +167,9 @@ def _line_search(act, u, direction):
     return None
 
 
-def _trust_region_step(problem: _Problem, H: BlockTridiagonal, g, u, gnorm):
+def _trust_region_step(grad, H: BlockTridiagonal, g, u, gnorm):
     """Levenberg-style step: solve (H - mu I) step = -g with growing mu until
-    the gradient norm strictly decreases."""
+    the gradient norm strictly decreases; None if no shift achieves that."""
     mu = 1e-8 * (1.0 + float(np.max(np.abs(H.diag))))
     for _ in range(_TR_MAX_TRIES):
         try:
@@ -175,12 +178,53 @@ def _trust_region_step(problem: _Problem, H: BlockTridiagonal, g, u, gnorm):
             mu *= _TR_MU_GROWTH
             continue
         if np.all(np.isfinite(step)):
-            if float(np.max(np.abs(problem.gradient(u + step)))) < gnorm:
+            if float(np.max(np.abs(grad(u + step)))) < gnorm:
                 return step
         mu *= _TR_MU_GROWTH
-    raise SingularSystemError(
-        "trust-region fallback could not reduce the gradient norm; "
-        "the Newton system appears numerically singular")
+    return None
+
+
+def _inverse_norm1(H: BlockTridiagonal) -> float:
+    """Hager-Higham lower estimate of ||H^-1||_1 from the fixed start of
+    LAPACK dlacn2 (Higham, ACM TOMS 14, 1988), so equal matrices give equal
+    estimates.  H is symmetric, so the adjoint solves are `H.solve` too."""
+    N = H.size
+    y = H.solve(np.full(N, 1.0 / N))
+    est = float(np.sum(np.abs(y)))
+    if N == 1:
+        return est
+    signs = np.where(y >= 0.0, 1.0, -1.0)
+    z = H.solve(signs)
+    j = int(np.argmax(np.abs(z)))
+    for _ in range(4):  # dlacn2's five iterations, the start counting as one
+        y = H.solve(np.eye(1, N, j).ravel())
+        previous, est = est, float(np.sum(np.abs(y)))
+        new_signs = np.where(y >= 0.0, 1.0, -1.0)
+        if np.array_equal(new_signs, signs) or est <= previous:
+            break
+        signs = new_signs
+        z = H.solve(signs)
+        last, j = j, int(np.argmax(np.abs(z)))
+        if z[last] == abs(z[j]):
+            break
+    # Higham's extra step guards against the estimate getting stuck
+    alt = (-1.0) ** np.arange(N) * (1.0 + np.arange(N) / (N - 1))
+    return max(est, 2.0 * float(np.sum(np.abs(H.solve(alt)))) / (3.0 * N))
+
+
+def _factorize_checked(H: BlockTridiagonal) -> None:
+    """Banded LU of H (kept on H for the Newton direction) plus a 1-norm
+    condition estimate; raises SingularSystemError on singularity."""
+    try:
+        _, _, norm = H.lu
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"cyclic dual system is singular: {exc}") from exc
+    cond = norm * _inverse_norm1(H)
+    if not np.isfinite(cond) or cond > COND_LIMIT:
+        raise SingularSystemError(
+            f"cyclic dual system is numerically singular "
+            f"(1-norm condition estimate {cond:.3e}); for undamped linear chains this "
+            f"is the signature of forcing at a resonant frequency")
 
 
 def _newton_direction(H: BlockTridiagonal, g: np.ndarray):
@@ -196,18 +240,7 @@ def _newton_direction(H: BlockTridiagonal, g: np.ndarray):
 def solve_dual(spec: ProblemSpec, opts: SolveOptions | None = None) -> DualSolution:
     """Maximize the discrete dual action by Newton iteration from the zero
     field (or ``opts.initial_guess``)."""
-    grid, n = spec.grid, spec.n
-
-    def field(u):
-        return unpack_free(grid, n, u)
-
-    u, converged, history = _maximize(_Problem(
-        action=lambda u: action(field(u), spec),
-        gradient=lambda u: gradient(field(u), spec),
-        hessian=lambda u: hessian(field(u), spec),
-        direction=_newton_direction,
-    ), spec, opts or SolveOptions())
-    D = field(u)
+    D, converged, history = _maximize(spec, opts or SolveOptions())
     return DualSolution(
         D=D,
         converged=converged,
@@ -217,10 +250,15 @@ def solve_dual(spec: ProblemSpec, opts: SolveOptions | None = None) -> DualSolut
     )
 
 
-def _nodal_rates(values: np.ndarray, h: float) -> np.ndarray:
+def _nodal_rates(values: np.ndarray, h: float, periodic: bool) -> np.ndarray:
     """Nodal rates from element-constant rates: adjacent-element average at
     interior nodes, second-order one-sided values at the ends (linear
-    extrapolation of the two nearest element rates)."""
+    extrapolation of the two nearest element rates).  A periodic field gets
+    central differences with cyclic wrap at nodes 0..M-1 (node M repeats
+    node 0)."""
+    if periodic:
+        vals = values[:-1]
+        return (np.roll(vals, -1, axis=0) - np.roll(vals, 1, axis=0)) / (2.0 * h)
     elem = np.diff(values, axis=0) / h
     M = elem.shape[0]
     out = np.empty_like(values)
@@ -235,15 +273,21 @@ def _nodal_rates(values: np.ndarray, h: float) -> np.ndarray:
 
 def recover_primal(sol: DualSolution, spec: ProblemSpec) -> Trajectory:
     """Primal trajectory from the solved multipliers via the dual-to-primal
-    map at every node."""
+    map at every node.
+
+    A periodic orbit is mapped at nodes 0..M-1 and repeats node 0 at node M,
+    so it closes exactly.
+    """
     D = sol.D if isinstance(sol, DualSolution) else sol
     if D.grid != spec.grid or D.n != spec.n:
         raise ValueError("dual field must live on the problem grid")
-    h = spec.grid.h
-    lamdot = _nodal_rates(D.lam, h)
-    gammadot = _nodal_rates(D.gamma, h)
-    x, v = dtp_map(D.lam, lamdot, D.gamma, gammadot,
-                   spec.base.xbar, spec.base.vbar, spec)
+    h, periodic = spec.grid.h, spec.periodic
+    nodes = slice(None, -1) if periodic else slice(None)
+    x, v = dtp_map(D.lam[nodes], _nodal_rates(D.lam, h, periodic),
+                   D.gamma[nodes], _nodal_rates(D.gamma, h, periodic),
+                   spec.base.xbar[nodes], spec.base.vbar[nodes], spec)
+    if periodic:
+        x, v = np.concatenate([x, x[:1]]), np.concatenate([v, v[:1]])
     return Trajectory(spec.grid, x, v)
 
 

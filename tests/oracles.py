@@ -26,7 +26,6 @@ from dualchain.dual_action import (
     _element_fields,
     _hessian_elements,
 )
-from dualchain.periodic_search import _cyclic_parts
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +271,12 @@ def schur_inertia(H, zero_tol=None):
 # and its singularity check by sparse LU
 
 
-def hessian_cyclic_coo(md, u) -> scipy.sparse.csc_matrix:
-    """Cyclic dual Hessian in node order, element blocks scattered as COO
-    triplets (duplicates summed by the CSC conversion)."""
-    ga, la, gb, lb = _cyclic_parts(md, u)
-    E = _hessian_elements(md, ga, la, gb, lb)
-    M, b = md.M, 2 * md.n
+def hessian_cyclic_coo(spec, D) -> scipy.sparse.csc_matrix:
+    """Cyclic dual Hessian of a periodic spec at the periodic field D, in
+    node order, element blocks scattered as COO triplets (duplicates summed
+    by the CSC conversion)."""
+    E = _hessian_elements(spec._midpoints, D.gamma[:-1], D.lam[:-1], D.gamma[1:], D.lam[1:])
+    M, b = spec.grid.M, 2 * spec.n
     idx = np.arange(M)
     nxt = (idx + 1) % M
     p = np.arange(b)

@@ -275,6 +275,56 @@ kind = zero
         assert "1-norm condition estimate" in err
 
 
+def test_zero_base_trust_region_stall_exits_3_with_report(tmp_path, capsys):
+    # from the zero base at M = 500 the damped-newton iteration reaches a point
+    # where no trust-region shift reduces the gradient norm: that is "did not
+    # converge", while the coarser grids are genuinely near-singular
+    for M, want in ((500, 3), (250, 4), (100, 4)):
+        out = tmp_path / f"M{M}"
+        code = run_one(PRESETS["periodic_forced_n4"], out,
+                       sets=("base.kind=zero", f"grid.M={M}"))
+        err = capsys.readouterr().err
+        assert code == want
+        if want == 4:
+            assert "1-norm condition estimate" in err
+            continue
+        assert "did not converge" in err
+        report = parse_report(out / "periodic_forced_n4_report.txt")
+        assert report["convergence"]["converged"] == "false"
+        assert "hessian_inertia" in report["verification"]
+
+
+# the shipped presets in their shipped modes, on grids a tenth as fine
+COARSE = {
+    "damped_n1": ("grid.M=200",),
+    "forced_damped_n1": ("grid.M=200",),
+    "fput_alpha_n8": ("grid.M=400",),
+    "harmonic_n1": ("grid.M=200",),
+    "periodic_forced_n4": ("grid.M=100", "base.settle_periods=4"),
+    "perturbed_base_n4": ("grid.M=128",),
+}
+
+
+def test_every_preset_writes_a_readable_report(tmp_path):
+    wanted = {"gradient_norm", "momentum_residual_max", "kinematic_residual_max",
+              "ellipticity_min", "hessian_inertia", "concavity_ok"}
+    for stem, path in sorted(PRESETS.items()):
+        out = tmp_path / stem
+        assert run_one(path, out, sets=COARSE[stem]) == 0
+        report = parse_report(out / f"{stem}_report.txt")
+        mode = load_config(path).mode
+        assert report["run"]["mode"] == mode
+        assert report["convergence"]["converged"] == "true"
+        keys = set(report["verification"])
+        assert wanted <= keys
+        assert ("oracle_deviation_max" in keys) == (mode == "verify")
+        for name, digest in report["manifest"].items():
+            assert digest == "sha256:" + hashlib.sha256((out / name).read_bytes()).hexdigest()
+    orbit = parse_report(tmp_path / "periodic_forced_n4" / "periodic_forced_n4_report.txt")
+    assert set(orbit["manifest"]) == {"periodic_forced_n4_trajectory.txt"}
+    assert orbit["verification"]["hessian_inertia"] == "800 0 0"
+
+
 def test_hash_tracks_semantic_changes_only():
     base = load_config(PRESETS["harmonic_n1"]).semantic_hash()
     coarser = load_config(PRESETS["harmonic_n1"],

@@ -422,6 +422,19 @@ def test_pack_unpack_round_trip():
     np.testing.assert_array_equal(D2.gamma[-1], np.zeros(3))
 
 
+@pytest.mark.parametrize("periodic", [False, True])
+def test_unpack_free_restores_node_m_by_boundary(periodic):
+    rng = np.random.default_rng(26)
+    grid = TimeGrid(T=1.0, M=4)
+    u = rng.normal(size=2 * 3 * 4)
+    D = unpack_free(grid, 3, u, periodic=periodic)
+    np.testing.assert_array_equal(pack_free(D), u)
+    for field in (D.gamma, D.lam):
+        np.testing.assert_array_equal(field[-1], field[0] if periodic else np.zeros(3))
+    np.testing.assert_array_equal(D.gamma[0], u[:3])
+    np.testing.assert_array_equal(D.lam[0], u[3:6])
+
+
 def _random_block_tridiagonal(rng, M, b, definite=None, cyclic=False):
     diag = rng.normal(size=(M, b, b))
     diag = 0.5 * (diag + np.swapaxes(diag, 1, 2))
@@ -540,8 +553,30 @@ def test_cyclic_block_tridiagonal_rejects_node_order_methods():
     H = _random_block_tridiagonal(rng, M=5, b=2, definite="negative", cyclic=True)
     with pytest.raises(ValueError, match="cyclic"):
         H.neg_cholesky()
-    with pytest.raises(ValueError, match="cyclic"):
-        H.inertia()
+
+
+@pytest.mark.parametrize("definite", ["negative", "singular", None])
+@pytest.mark.parametrize("F, b", [(2, 1), (2, 3), (3, 2), (4, 2), (5, 1), (7, 3), (8, 3)])
+def test_cyclic_inertia_matches_dense_eigenvalue_counts(monkeypatch, definite, F, b):
+    # negative definite matrices pass the Cholesky certificate on the folded
+    # band; the others fall back to the Schur recursion over node pairs (an
+    # odd F pads its middle node), which needs no full eigendecomposition
+    rng = np.random.default_rng(10 * F + b)
+    H = _random_block_tridiagonal(rng, M=F, b=b, definite=definite, cyclic=True)
+    if definite == "singular":  # cyclic chain Laplacian: b exact zero eigenvalues
+        H = BlockTridiagonal(np.tile(-2.0 * np.eye(b), (F, 1, 1)), np.tile(np.eye(b), (F, 1, 1)))
+    eigs = np.linalg.eigvalsh(_cyclic_dense(H))
+    tol = 1e-11 * max(np.max(np.abs(H.diag)), np.max(np.abs(H.off)))
+    expected = (int(np.sum(eigs < -tol)), int(np.sum(np.abs(eigs) <= tol)),
+                int(np.sum(eigs > tol)))
+    assert (expected == (H.size, 0, 0)) == (definite == "negative")
+    assert (expected[1] == b) == (definite == "singular")
+    recursion = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda S: recursion.append(S.shape) or eigh(S))
+    monkeypatch.setattr(BlockTridiagonal, "eigenvalues", None)
+    assert H.inertia() == expected
+    assert recursion == ([] if definite == "negative" else [(2 * b, 2 * b)] * ((F + 1) // 2))
 
 
 @pytest.mark.parametrize("F, n_off", [(4, 2), (4, 5), (1, 1), (2, 0), (0, 0)])

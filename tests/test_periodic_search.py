@@ -5,13 +5,14 @@ import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dualchain import dual_action, periodic_search
+from dualchain import dual_action, dual_solver
 from dualchain import (
     BaseState,
     ChainParams,
     DualField,
     ForcingSpec,
     PeriodicSpec,
+    ProblemSpec,
     QuadraticForce,
     SampledSignal,
     ScaleParams,
@@ -19,13 +20,18 @@ from dualchain import (
     Sinusoid,
     SolveOptions,
     TimeGrid,
+    action,
     fput_alpha,
+    gradient,
+    hessian,
     integrate_primal,
     recover_periodic_orbit,
+    solve_dual,
     solve_periodic,
+    unpack_free,
     zero_base,
 )
-from oracles import factorize_checked_splu, hessian_cyclic_coo
+from oracles import fd_gradient, fd_jacobian, factorize_checked_splu, hessian_cyclic_coo
 
 UNIT = ScaleParams(1.0, 1.0)
 _EPS = np.finfo(float).eps
@@ -245,6 +251,21 @@ def test_periodic_solve_deterministic():
     np.testing.assert_array_equal(a.D.lam, b.D.lam)
 
 
+def test_earlier_import_path_forwards_to_the_shared_solver():
+    from dualchain import periodic_search
+
+    assert periodic_search.PeriodicSpec is ProblemSpec
+    assert periodic_search.solve_periodic is solve_periodic
+    assert periodic_search.recover_periodic_orbit is recover_periodic_orbit
+    assert solve_periodic is not dual_solver.solve_dual  # a name of its own
+    spec = _forced_damped_spec(32)
+    a, b = solve_periodic(spec), solve_dual(spec)
+    np.testing.assert_array_equal(a.D.lam, b.D.lam)
+    assert a.hessian_inertia == b.hessian_inertia
+    np.testing.assert_array_equal(recover_periodic_orbit(a, spec).x,
+                                  dual_solver.recover_primal(b, spec).x)
+
+
 def _fput_forced_spec(M=200):
     force = fput_alpha(3, 0.25)
     forcing = ForcingSpec(n=3, sinusoids=[(0, Sinusoid(0.15, 1.0, 0.3))])
@@ -281,7 +302,6 @@ def test_midpoint_data_built_once_per_solve(monkeypatch):
         return build(spec)
 
     monkeypatch.setattr(dual_action, "_midpoint_data", counted)
-    monkeypatch.setattr(periodic_search, "_midpoint_data", counted)
     spec = _fput_forced_spec(M=64)
     sol = solve_periodic(spec)
     assert sol.iterations > 1
@@ -317,11 +337,11 @@ def test_cyclic_hessian_matches_coo_reference(n, M, singular, seed):
                          forcing=ForcingSpec.zero(n))
     grid = TimeGrid(T=2 * np.pi, M=M)
     spec = PeriodicSpec(params=params, scales=UNIT, base=zero_base(grid, n), grid=grid)
-    md = dual_action._midpoint_data(spec)
     u = 0.05 * rng.normal(size=2 * n * M)
+    D = unpack_free(grid, n, u, periodic=True)
 
-    H = periodic_search._hessian_cyclic(md, u)
-    ref_sparse = hessian_cyclic_coo(md, u)
+    H = hessian(D, spec)
+    ref_sparse = hessian_cyclic_coo(spec, D)
     ref = ref_sparse.toarray()
     assert H.cyclic
     scale = np.max(np.abs(ref))
@@ -330,7 +350,7 @@ def test_cyclic_hessian_matches_coo_reference(n, M, singular, seed):
     # an estimate cannot be asked to agree near its own threshold
     cond = np.linalg.cond(ref, 1)
     assume(not dual_action.COND_LIMIT / 100 < cond < dual_action.COND_LIMIT * 100)
-    decision = _outcome(periodic_search._factorize_checked, H)
+    decision = _outcome(dual_solver._factorize_checked, H)
     assert decision == _outcome(factorize_checked_splu, ref_sparse)
     assert decision == ("singular" if singular else "regular")
     if decision == "regular":
@@ -352,7 +372,8 @@ def test_each_iteration_factorizes_its_hessian_once(monkeypatch, step_control):
         return dgbtrf(*args, **kwargs)
 
     def counted_shift(self, mu):
-        counts["shifted"] += 1
+        # the final inertia's certificate shifts by -tol and factors by Cholesky
+        counts["shifted"] += mu > 0
         return shifted(self, mu)
 
     monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf", counted_lu)
@@ -361,3 +382,100 @@ def test_each_iteration_factorizes_its_hessian_once(monkeypatch, step_control):
     assert sol.converged and sol.iterations > 1
     assert counts["lu"] == sol.iterations + counts["shifted"]
     assert (counts["shifted"] > 0) == (step_control == "trust-region")
+
+
+def test_spec_needs_both_initial_conditions_or_neither():
+    spec = _forced_damped_spec(16)
+    for x0, v0 in ((np.zeros(1), None), (None, np.zeros(1))):
+        with pytest.raises(ValueError, match="both x0 and v0"):
+            ProblemSpec(params=spec.params, scales=UNIT, base=spec.base,
+                         grid=spec.grid, x0=x0, v0=v0)
+    assert spec.periodic
+
+
+@settings(deadline=None, max_examples=40)
+@given(n=st.integers(1, 3), M=st.integers(2, 9), with_B=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=1, M=2, with_B=False, seed=0)
+@example(n=3, M=2, with_B=True, seed=1)
+def test_periodic_derivatives_match_finite_differences(n, M, with_B, seed):
+    # the cyclic wrap of gradient and Hessian against differences of the
+    # periodic action over the packed unknowns (node M follows node 0)
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, n))
+    B = 0.4 * rng.normal(size=(n, n, n)) if with_B else None
+    force = QuadraticForce(n=n, C=0.3 * rng.normal(size=n), A=X @ X.T + n * np.eye(n), B=B)
+    forcing = ForcingSpec(n=n, constant=0.2 * rng.normal(size=n),
+                          sinusoids=[(int(rng.integers(0, n)), Sinusoid(0.5, 2.0, 0.3))])
+    params = ChainParams(m=rng.uniform(0.5, 2.0), d=rng.uniform(0.0, 1.0), force=force,
+                         forcing=forcing)
+    grid = TimeGrid(T=2 * np.pi, M=M)
+    tn, tm = grid.nodes()[:, None], grid.midpoints()[:, None]
+    phase = rng.uniform(0.0, 2 * np.pi, size=n)
+    xb, vb = 0.3 * np.sin(tn + phase), 0.3 * np.cos(tn + phase)
+    xb[-1], vb[-1] = xb[0], vb[0]
+    base = BaseState(grid, xb, vb, 0.3 * np.sin(tm + phase), 0.3 * np.cos(tm + phase))
+    spec = ProblemSpec(params=params,
+                        scales=ScaleParams(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)),
+                        base=base, grid=grid)
+    u = 0.05 * rng.normal(size=2 * n * M)
+
+    def field(w):
+        return unpack_free(grid, n, w, periodic=True)
+
+    g, g_fd = gradient(field(u), spec), fd_gradient(lambda w: action(field(w), spec), u)
+    assert np.max(np.abs(g - g_fd)) <= 1e-6 * (1.0 + np.max(np.abs(g_fd)))
+    H = hessian(field(u), spec)
+    H_fd = fd_jacobian(lambda w: gradient(field(w), spec), u)
+    assert H.cyclic
+    assert np.max(np.abs(H.to_dense() - H_fd)) <= 1e-5 * (1.0 + np.max(np.abs(H_fd)))
+
+
+def _resonant_hessian(M):
+    force = QuadraticForce(n=1, A=[[1.0]])
+    forcing = ForcingSpec(n=1, sinusoids=[(0, Sinusoid(1.0, 1.0, 0.0))])
+    params = ChainParams(m=1.0, d=0.0, force=force, forcing=forcing)
+    grid = TimeGrid(T=2 * np.pi, M=M)
+    spec = ProblemSpec(params=params, scales=UNIT, base=zero_base(grid, 1), grid=grid)
+    return hessian(DualField.zeros(grid, 1), spec)
+
+
+def test_condition_check_is_deterministic_and_draws_no_random_numbers():
+    state = np.random.get_state()
+    sol = solve_dual(_fput_forced_spec(M=64))
+    assert sol.converged and sol.iterations > 1
+    after = np.random.get_state()
+    assert after[0] == state[0] and after[2:] == state[2:]
+    np.testing.assert_array_equal(after[1], state[1])
+    # equal matrices, equal estimates, down to the last bit
+    estimates = [dual_solver._inverse_norm1(_resonant_hessian(500)) for _ in range(2)]
+    assert estimates[0] == estimates[1]
+
+
+@pytest.mark.parametrize("M", [8, 33, 64])
+def test_inverse_norm_estimate_matches_the_exact_norm(M):
+    # a lower bound in general, and exact on these chain Hessians
+    for H in (hessian(DualField.zeros(TimeGrid(T=2 * np.pi, M=M), 1), _forced_damped_spec(M)),
+              _resonant_hessian(M + 1).shifted(-0.5)):
+        exact = np.linalg.norm(np.linalg.inv(H.to_dense()), 1)
+        estimate = dual_solver._inverse_norm1(H)
+        assert abs(estimate - exact) <= 1e-10 * exact
+
+
+def test_condition_check_reads_the_band_of_its_lu(monkeypatch):
+    # the exact 1-norm comes from the band dgbtrf factorizes, so one check
+    # builds one band, and the Newton direction after it builds none
+    calls = []
+    to_banded = dual_action.BlockTridiagonal.to_banded
+
+    def counted(self, lower_only=True):
+        calls.append(lower_only)
+        return to_banded(self, lower_only)
+
+    H = _resonant_hessian(64).shifted(-0.5)
+    monkeypatch.setattr(dual_action.BlockTridiagonal, "to_banded", counted)
+    dual_solver._factorize_checked(H)
+    H.solve(np.ones(H.size))
+    assert calls == [False]
+    np.testing.assert_allclose(H.lu[2], np.max(np.sum(np.abs(H.to_dense()), axis=0)),
+                               rtol=1e-14)
