@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import multiprocessing
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -690,6 +692,25 @@ def _convergence_dict(sol) -> dict:
     }
 
 
+def _run_spawned(tasks, workers: int) -> list:
+    """`run_one` over ``tasks`` in spawned worker processes.
+
+    A spawned worker loads numpy afresh, so its BLAS reads its thread count
+    from the environment it inherits: one thread, unless the user set
+    OPENBLAS_NUM_THREADS, keeps the workers from oversubscribing the cores.
+    This process's environment is restored afterwards.
+    """
+    user_set = "OPENBLAS_NUM_THREADS" in os.environ
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    try:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            return list(pool.map(run_one, *zip(*tasks)))
+    finally:
+        if not user_set:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="dualchain",
@@ -721,8 +742,7 @@ def main(argv=None) -> int:
     if args.jobs == 1 or len(tasks) == 1:
         codes = [run_one(*task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
-            codes = list(pool.map(run_one, *zip(*tasks)))
+        codes = _run_spawned(tasks, min(args.jobs, len(tasks)))
     for cfg, code in zip(configs, codes):
         print(f"{cfg.stem}: exit {code}")
     return max(codes)

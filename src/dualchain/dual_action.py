@@ -16,6 +16,13 @@ cyclically and its Hessian is a cyclic `BlockTridiagonal`.
 All reductions are plain numpy sums over fixed axes, so identical inputs
 produce bit-identical outputs.
 
+One state per point: the mapped midpoint state of a DualField (the primal
+state, the intermediate covectors and the stiffness inverse) is computed
+once and kept on the immutable field, keyed by the spec's midpoint data, so
+the action, gradient and Hessian at that field share it.  The Hessian is
+assembled from three element quadrants, and its banded Cholesky factor comes
+from LAPACK dpbtrf directly.
+
 No eigendecomposition runs on the Newton path when every point is well
 conditioned.  The multiplier-weighted stiffness K is inverted directly, and
 kappa_2(K) <= ||K||_F ||K^-1||_F certifies each point; the eigenvalue test,
@@ -443,8 +450,20 @@ def _stiffness_inv(B, lam, c_x: float):
     return Kinv
 
 
-def _core_state(md: _MidpointData, gmid, lmid, gdot, ldot):
-    """Mapped primal state and intermediate covectors at element midpoints."""
+def _core_state(md: _MidpointData, D: DualField):
+    """Element-midpoint fields of D and the primal state they map to:
+    (lmid, gdot, w, r, y, dx, x, v, Kinv).
+
+    A DualField is immutable, so the state is computed once per point: it
+    is kept on D in a one-slot cache keyed by ``md`` (a spec's
+    `ProblemSpec._midpoints`), and the action, gradient and Hessian at D
+    share it.
+    """
+    cached = D.__dict__.get("_state")
+    if cached is not None and cached[0] is md:
+        return cached[1]
+    gmid, lmid, gdot, ldot = _element_fields(D.gamma[:-1], D.lam[:-1], D.gamma[1:], D.lam[1:],
+                                             md.h)
     w = gmid + md.m * ldot - md.d * lmid
     r = gdot - np.einsum("mji,mj->mi", md.Abar_mid, lmid)
     Kinv = _stiffness_inv(md.B, lmid, md.c_x)
@@ -452,13 +471,14 @@ def _core_state(md: _MidpointData, gmid, lmid, gdot, ldot):
     dx = y / md.c_x
     x = md.xbar_mid + dx
     v = md.vbar_mid + w / md.c_v
-    return w, r, y, dx, x, v, Kinv
+    state = (lmid, gdot, w, r, y, dx, x, v, Kinv)
+    object.__setattr__(D, "_state", (md, state))
+    return state
 
 
-def _action_elements(md: _MidpointData, ga, la, gb, lb) -> float:
+def _action_elements(md: _MidpointData, D: DualField) -> float:
     """Midpoint-quadrature integral part of the dual action (no boundary terms)."""
-    gmid, lmid, gdot, ldot = _element_fields(ga, la, gb, lb, md.h)
-    w, r, y, _, _, _, _ = _core_state(md, gmid, lmid, gdot, ldot)
+    lmid, gdot, w, r, y, _, _, _, _ = _core_state(md, D)
     quad = np.sum(w * w, axis=1) / md.c_v + np.sum(r * y, axis=1) / md.c_x
     rest = (
         -np.sum(md.vbar_mid * w, axis=1)
@@ -468,7 +488,7 @@ def _action_elements(md: _MidpointData, ga, la, gb, lb) -> float:
     return float(md.h * np.sum(-0.5 * quad + rest))
 
 
-def _gradient_elements(md: _MidpointData, ga, la, gb, lb):
+def _gradient_elements(md: _MidpointData, D: DualField):
     """Per-element gradient parts (g_ga, g_la, g_gb, g_lb), each (M, n).
 
     Derivatives follow from stationarity of the generating functional in the
@@ -477,8 +497,7 @@ def _gradient_elements(md: _MidpointData, ga, la, gb, lb):
     d/d(lambda_rate) = -h m v; the chain rule to the element's end nodes
     gives the four parts below.
     """
-    gmid, lmid, gdot, ldot = _element_fields(ga, la, gb, lb, md.h)
-    _, _, _, dx, x, v, _ = _core_state(md, gmid, lmid, gdot, ldot)
+    _, _, _, _, _, dx, x, v, _ = _core_state(md, D)
     Kx = md.Kbar_mid + np.einsum("mjr,mr->mj", md.Abar_mid, dx)
     if md.B is not None:
         n = md.n
@@ -493,14 +512,17 @@ def _gradient_elements(md: _MidpointData, ga, la, gb, lb):
     return g_ga, g_la, g_gb, g_lb
 
 
-def _hessian_elements(md: _MidpointData, ga, la, gb, lb) -> np.ndarray:
-    """Per-element nodal Hessian blocks, shape (M, 4n, 4n).
+def _hessian_elements(md: _MidpointData, D: DualField):
+    """Per-element nodal Hessian quadrants (aa, ab, bb), each (M, 2n, 2n).
 
-    Block order per element: [gamma_a, lambda_a, gamma_b, lambda_b].  The
-    reduced midpoint Hessian is -J^T diag(c_x K|_lam, c_v I)^{-1} J with J the
-    mixed second derivatives of the generating integrand, which is what makes
-    the dual integrand concave wherever the weighted stiffness is positive
-    definite.
+    An element couples its end nodes a and b, each with the values
+    [gamma, lambda]; aa and bb are its end-node diagonal blocks and ab
+    couples a (rows) to b (columns).  Each element's (4n, 4n) block is
+    symmetric, so its fourth quadrant, ba, is the transpose of ab and is
+    never formed.  The reduced midpoint Hessian is
+    -J^T diag(c_x K|_lam, c_v I)^{-1} J with J the mixed second derivatives
+    of the generating integrand, which is what makes the dual integrand
+    concave wherever the weighted stiffness is positive definite.
 
     In the midpoint variables (gamma_mid, lambda_mid, gamma_rate,
     lambda_rate) that Hessian is a scalar multiple of I in every block except
@@ -512,8 +534,7 @@ def _hessian_elements(md: _MidpointData, ga, la, gb, lb) -> np.ndarray:
     part lands in the end-node blocks with the weights S gives it.
     """
     n, M, h = md.n, md.M, md.h
-    gmid, lmid, gdot, ldot = _element_fields(ga, la, gb, lb, md.h)
-    _, _, _, dx, _, _, Kinv = _core_state(md, gmid, lmid, gdot, ldot)
+    _, _, _, _, _, dx, _, _, Kinv = _core_state(md, D)
 
     if Kinv is None:
         P = np.broadcast_to(np.eye(n) / md.c_x, (M, n, n))
@@ -540,25 +561,25 @@ def _hessian_elements(md: _MidpointData, ga, la, gb, lb) -> np.ndarray:
         [0.0, 0.0, 0.0, 0.0],
         [-m, d * m, 0.0, -m * m],
     ]) / c_v
-    E = np.empty((M, 4 * n, 4 * n))
-    E[:] = np.kron(h * (smap.T @ scalar @ smap), np.eye(n))
-    # gamma_rate = (gamma_b - gamma_a) / h, lambda_mid = (lambda_a + lambda_b) / 2
-    blocks = E.reshape(M, 4, n, 4, n)  # [element, node value, i, node value, j]
-    GA, LA, GB, LB = range(4)
-    Ph, G, Lq = P / h, 0.5 * MxP, (0.25 * h) * L
-    Gt = np.swapaxes(G, 1, 2)
-    blocks[:, GA, :, GA] -= Ph
-    blocks[:, GB, :, GB] -= Ph
-    blocks[:, GA, :, GB] += Ph
-    blocks[:, GB, :, GA] += Ph
-    for lam_end in (LA, LB):
-        blocks[:, GA, :, lam_end] -= Gt
-        blocks[:, GB, :, lam_end] += Gt
-        blocks[:, lam_end, :, GA] -= G
-        blocks[:, lam_end, :, GB] += G
-        blocks[:, lam_end, :, LA] -= Lq
-        blocks[:, lam_end, :, LB] -= Lq
-    return E
+    C = h * (smap.T @ scalar @ smap)  # rows, columns: gamma_a, lambda_a, gamma_b, lambda_b
+    eye = np.eye(n)
+    # gamma_rate = (gamma_b - gamma_a) / h and lambda_mid = (lambda_a +
+    # lambda_b) / 2 give each [gamma, lambda] x [gamma, lambda] block of a
+    # quadrant one matrix part, added with the sign listed for it
+    G = 0.5 * MxP
+    parts = ((P / h, np.swapaxes(G, 1, 2)), (G, (0.25 * h) * L))
+    quads = []
+    for row, col, signs in ((0, 0, ((-1, -1), (-1, -1))),
+                            (0, 2, ((1, -1), (1, -1))),
+                            (2, 2, ((-1, 1), (1, -1)))):
+        Q = np.empty((M, 2 * n, 2 * n))
+        blocks = Q.reshape(M, 2, n, 2, n)  # [element, value, i, value, j]
+        for i in range(2):
+            for j in range(2):
+                combine = np.add if signs[i][j] > 0 else np.subtract
+                combine(C[row + i, col + j] * eye, parts[i][j], out=blocks[:, i, :, j])
+        quads.append(Q)
+    return tuple(quads)
 
 
 # ---------------------------------------------------------------------------
@@ -678,11 +699,15 @@ class BlockTridiagonal:
         return self._band_neg_cholesky()
 
     def _band_neg_cholesky(self):
-        """Cholesky factor of the negated band (folded when cyclic), or None."""
-        try:
-            return scipy.linalg.cholesky_banded(-self.to_banded(lower_only=True), lower=True)
-        except np.linalg.LinAlgError:
-            return None
+        """Lower Cholesky factor of the negated band (folded when cyclic), by
+        LAPACK dpbtrf, or None; ValueError if the band is not finite."""
+        ab = self.to_banded(lower_only=True)
+        if not np.all(np.isfinite(ab)):
+            raise ValueError("array must not contain infs or NaNs")
+        fac, info = scipy.linalg.lapack.dpbtrf(np.negative(ab, out=ab), lower=1, overwrite_ab=1)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dpbtrf")
+        return fac if info == 0 else None
 
     def eigenvalues(self) -> np.ndarray:
         return scipy.linalg.eigvals_banded(self.to_banded(lower_only=True), lower=True)
@@ -835,8 +860,7 @@ def dtp_map(lam, lamdot, gamma, gammadot, xbar, vbar, spec) -> tuple[np.ndarray,
 def action(D: DualField, spec: ProblemSpec) -> float:
     """Value of the discretized dual functional, boundary terms included."""
     _require_boundary(D, spec)
-    md = spec._midpoints
-    S = _action_elements(md, D.gamma[:-1], D.lam[:-1], D.gamma[1:], D.lam[1:])
+    S = _action_elements(spec._midpoints, D)
     if not spec.periodic:
         S -= spec.params.m * float(D.lam[0] @ spec.v0)
         S -= float(D.gamma[0] @ spec.x0)
@@ -846,9 +870,7 @@ def action(D: DualField, spec: ProblemSpec) -> float:
 def gradient(D: DualField, spec: ProblemSpec) -> np.ndarray:
     """Exact gradient of ``action`` over the free nodal values (packed)."""
     _require_boundary(D, spec)
-    md = spec._midpoints
-    g_ga, g_la, g_gb, g_lb = _gradient_elements(
-        md, D.gamma[:-1], D.lam[:-1], D.gamma[1:], D.lam[1:])
+    g_ga, g_la, g_gb, g_lb = _gradient_elements(spec._midpoints, D)
     M, n = spec.grid.M, spec.n
     g_gamma = np.zeros((M + 1, n))
     g_lam = np.zeros((M + 1, n))
@@ -871,17 +893,16 @@ def gradient(D: DualField, spec: ProblemSpec) -> np.ndarray:
 
 def hessian(D: DualField, spec: ProblemSpec) -> BlockTridiagonal:
     """Exact Hessian of ``action`` over the free nodal values; cyclic for
-    the periodic problem."""
+    the periodic problem.  Node k's diagonal block sums element k's aa and
+    element k-1's bb quadrant; element k's ab quadrant couples node k to
+    node k+1.  The quadrants are used in place."""
     _require_boundary(D, spec)
-    md = spec._midpoints
-    E = _hessian_elements(md, D.gamma[:-1], D.lam[:-1], D.gamma[1:], D.lam[1:])
-    b = 2 * spec.n
-    diag = E[:, :b, :b].copy()
-    diag[1:] += E[:-1, b:, b:]
+    diag, off, bb = _hessian_elements(spec._midpoints, D)
+    diag[1:] += bb[:-1]
     if spec.periodic:  # element M-1 ends at node M, which is node 0
-        diag[0] += E[-1, b:, b:]
-        return BlockTridiagonal(diag, E[:, :b, b:].copy())
-    return BlockTridiagonal(diag, E[:-1, :b, b:].copy())
+        diag[0] += bb[-1]
+        return BlockTridiagonal(diag, off)
+    return BlockTridiagonal(diag, off[:-1])
 
 
 def ellipticity_check(D: DualField, spec) -> np.ndarray:

@@ -8,7 +8,8 @@ with an ascent line search.  When no ascent Newton step is available at an
 iterate, steps fall back to a Levenberg-style trust-region iteration that
 must decrease the gradient norm; when that cannot make progress either, the
 iteration stops unconverged.  The initial-value problem takes its Newton
-direction from the banded Cholesky factorization of the negated Hessian.
+direction from the banded Cholesky factorization of the negated Hessian
+(LAPACK dpbtrf and dpbtrs).
 The periodic problem's cyclic Hessian gets a banded LU on every iteration,
 checked against `COND_LIMIT` by a deterministic Hager-Higham estimate of the
 inverse's 1-norm, and the direction reuses that LU.  The period is fixed to
@@ -114,62 +115,67 @@ def _maximize(spec: ProblemSpec, opts: SolveOptions):
     `pack_free`); the tolerance is scaled by the zero-field gradient.
     Stops unconverged when no step makes progress; returns the final field,
     whether it converged, and the gradient max-norm history.
+
+    Each point is one DualField, passed to every evaluation there, so the
+    action, gradient and Hessian at a point share its mapped state; the
+    step searches return the field of the point they accept.
     """
-    def field(u):
-        return unpack_free(spec.grid, spec.n, u, periodic=spec.periodic)
-
-    def act(u):
-        return action(field(u), spec)
-
-    def grad(u):
-        return gradient(field(u), spec)
-
     u = np.zeros(2 * spec.n * spec.grid.M)
-    g = grad(u)
+    D = _field(spec, u)
+    g = gradient(D, spec)
     tol = opts.tolerance * (1.0 + float(np.max(np.abs(g))))
     if opts.initial_guess is not None:
-        g = gradient(opts.initial_guess, spec)  # checks its grid and boundary condition
-        u = pack_free(opts.initial_guess)
+        D = opts.initial_guess
+        g = gradient(D, spec)  # checks its grid and boundary condition
+        u = pack_free(D)
 
     gnorm = float(np.max(np.abs(g)))
     history = [gnorm]
     # written so that a nan residual keeps iterating, like any unconverged one
     while not gnorm <= tol and len(history) <= opts.max_iterations:
-        H = hessian(field(u), spec)
+        H = hessian(D, spec)
         if spec.periodic:
             _factorize_checked(H)  # on every iteration, whatever the step control
-        step = None
+        accepted = None
         if opts.step_control == "damped-newton":
             direction = H.solve(-g) if spec.periodic else _newton_direction(H, g)
             if direction is not None and np.all(np.isfinite(direction)):
-                step = _line_search(act, u, direction)
-        if step is None:
-            step = _trust_region_step(grad, H, g, u, gnorm)
-        if step is None:
+                accepted = _line_search(spec, D, u, direction)
+        if accepted is None:
+            accepted = _trust_region_step(spec, H, g, u, gnorm)
+        if accepted is None:
             break
-        u = u + step
-        g = grad(u)
+        u, D = accepted
+        g = gradient(D, spec)
         gnorm = float(np.max(np.abs(g)))
         history.append(gnorm)
-    return field(u), gnorm <= tol, history
+    return D, gnorm <= tol, history
 
 
-def _line_search(act, u, direction):
-    """Backtracking ascent step along ``direction``; None if none passes."""
-    S_cur = act(u)
+def _field(spec: ProblemSpec, u) -> DualField:
+    return unpack_free(spec.grid, spec.n, u, periodic=spec.periodic)
+
+
+def _line_search(spec: ProblemSpec, D: DualField, u, direction):
+    """Backtracking ascent step from the point u (field D) along
+    ``direction``; (new u, its field), or None if no step passes."""
+    S_cur = action(D, spec)
     floor = 1e-12 * (1.0 + abs(S_cur))
     t = 1.0
     for _ in range(_MAX_BACKTRACK):
         drop = _C_LS * t * t * float(direction @ direction)
-        if act(u + t * direction) >= S_cur - drop - floor:
-            return t * direction
+        trial = u + t * direction
+        D_trial = _field(spec, trial)
+        if action(D_trial, spec) >= S_cur - drop - floor:
+            return trial, D_trial
         t *= 0.5
     return None
 
 
-def _trust_region_step(grad, H: BlockTridiagonal, g, u, gnorm):
+def _trust_region_step(spec: ProblemSpec, H: BlockTridiagonal, g, u, gnorm):
     """Levenberg-style step: solve (H - mu I) step = -g with growing mu until
-    the gradient norm strictly decreases; None if no shift achieves that."""
+    the gradient norm strictly decreases; (new u, its field), or None if no
+    shift achieves that."""
     mu = 1e-8 * (1.0 + float(np.max(np.abs(H.diag))))
     for _ in range(_TR_MAX_TRIES):
         try:
@@ -178,8 +184,10 @@ def _trust_region_step(grad, H: BlockTridiagonal, g, u, gnorm):
             mu *= _TR_MU_GROWTH
             continue
         if np.all(np.isfinite(step)):
-            if float(np.max(np.abs(grad(u + step)))) < gnorm:
-                return step
+            trial = u + step
+            D_trial = _field(spec, trial)
+            if float(np.max(np.abs(gradient(D_trial, spec)))) < gnorm:
+                return trial, D_trial
         mu *= _TR_MU_GROWTH
     return None
 
@@ -233,8 +241,13 @@ def _newton_direction(H: BlockTridiagonal, g: np.ndarray):
     fac = H.neg_cholesky()
     if fac is None:
         return None
+    if not np.all(np.isfinite(g)):  # the factor of a finite band is finite
+        raise ValueError("array must not contain infs or NaNs")
     # H step = -g  <=>  step = (-H)^{-1} g
-    return scipy.linalg.cho_solve_banded((fac, True), g)
+    step, info = scipy.linalg.lapack.dpbtrs(fac, g, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of dpbtrs")
+    return step
 
 
 def solve_dual(spec: ProblemSpec, opts: SolveOptions | None = None) -> DualSolution:

@@ -24,7 +24,6 @@ from dualchain.dual_action import (
     COND_LIMIT,
     SingularStiffnessError,
     _element_fields,
-    _hessian_elements,
 )
 
 
@@ -275,7 +274,7 @@ def hessian_cyclic_coo(spec, D) -> scipy.sparse.csc_matrix:
     """Cyclic dual Hessian of a periodic spec at the periodic field D, in
     node order, element blocks scattered as COO triplets (duplicates summed
     by the CSC conversion)."""
-    E = _hessian_elements(spec._midpoints, D.gamma[:-1], D.lam[:-1], D.gamma[1:], D.lam[1:])
+    E = hessian_elements_kron(spec._midpoints, D.gamma[:-1], D.lam[:-1], D.gamma[1:], D.lam[1:])
     M, b = spec.grid.M, 2 * spec.n
     idx = np.arange(M)
     nxt = (idx + 1) % M

@@ -1,5 +1,6 @@
 """Config parsing, file round-trips, exit codes, reports, parallel fan-out."""
 import hashlib
+import os
 from pathlib import Path
 
 import numpy as np
@@ -360,17 +361,70 @@ def test_trajectory_base_kind(tmp_path):
     assert report["convergence"]["converged"] == "true"
 
 
-def test_parallel_fanout_isolates_outputs(tmp_path):
-    a = _write(tmp_path, SMALL_HARMONIC, "alpha.cfg")
-    b = _write(tmp_path, SMALL_HARMONIC.replace("d = 0.0", "d = 1.0"),
-               "beta.cfg")
-    out = tmp_path / "fan"
-    code = main(["--config", str(a), "--config", str(b),
-                 "--out", str(out), "--jobs", "2"])
+class _SpyPool(cli.ProcessPoolExecutor):
+    """Records the start method and the BLAS thread setting that the
+    workers inherit when they are started."""
+
+    seen: list = []
+
+    def __init__(self, *args, mp_context=None, **kwargs):
+        super().__init__(*args, mp_context=mp_context, **kwargs)
+        self.method = mp_context.get_start_method() if mp_context else None
+
+    def map(self, *args, **kwargs):
+        self.seen.append((self.method, os.environ.get("OPENBLAS_NUM_THREADS")))
+        return super().map(*args, **kwargs)
+
+
+def _fanout(tmp_path, name, jobs):
+    cfgs = [_write(tmp_path, SMALL_HARMONIC, "alpha.cfg"),
+            _write(tmp_path, SMALL_HARMONIC.replace("d = 0.0", "d = 1.0"), "beta.cfg"),
+            _write(tmp_path, SMALL_HARMONIC.replace("mode = verify", "mode = dual-solve"),
+                   "gamma.cfg")]
+    out = tmp_path / name
+    code = main([arg for cfg in cfgs for arg in ("--config", str(cfg))]
+                + ["--out", str(out), "--jobs", str(jobs)])
+    return code, out
+
+
+def _outputs(out):
+    """Every output file's bytes, reports without their wall time."""
+    files = {}
+    for path in sorted(out.rglob("*.txt")):
+        data = path.read_bytes()
+        if path.name.endswith("_report.txt"):
+            data = b"".join(line for line in data.splitlines(keepends=True)
+                            if not line.startswith(b"wall_time_s"))
+        files[str(path.relative_to(out))] = data
+    return files
+
+
+def test_parallel_fanout_isolates_outputs(tmp_path, monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _SpyPool)
+    monkeypatch.setattr(_SpyPool, "seen", [])
+    code, out = _fanout(tmp_path, "fan", jobs=2)
     assert code == 0
-    for stem in ("alpha", "beta"):
+    for stem in ("alpha", "beta", "gamma"):
         report = parse_report(out / stem / f"{stem}_report.txt")
         assert report["convergence"]["converged"] == "true"
+    # spawned workers get one BLAS thread; this process's environment is restored
+    assert _SpyPool.seen == [("spawn", "1")]
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
+    serial_code, serial = _fanout(tmp_path, "serial", jobs=1)
+    assert serial_code == 0 and len(_SpyPool.seen) == 1
+    assert (out / "gamma" / "gamma_dual.txt").is_file()
+    assert _outputs(out) == _outputs(serial)
+
+
+def test_parallel_workers_keep_a_user_set_blas_thread_count(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _SpyPool)
+    monkeypatch.setattr(_SpyPool, "seen", [])
+    code, _ = _fanout(tmp_path, "fan", jobs=2)
+    assert code == 0
+    assert _SpyPool.seen == [("spawn", "3")]
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
 
 
 def test_main_exit_code_is_worst_of_runs(tmp_path):

@@ -1,7 +1,10 @@
 """Discrete action, dual-to-primal map, derivatives, and ellipticity."""
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -30,6 +33,7 @@ from dualchain import (
     zero_base,
 )
 from dualchain.dual_action import COND_LIMIT, _hessian_elements, _stiffness_inv
+from dualchain.dual_solver import _newton_direction
 from oracles import (
     block_matvec,
     constant_base,
@@ -491,6 +495,31 @@ def test_block_tridiagonal_negative_cholesky():
     assert indefinite.neg_cholesky() is None
 
 
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 5))
+@example(seed=0, F=1, b=2)
+@example(seed=1, F=3, b=2)
+def test_banded_cholesky_and_direction_match_scipy_bit_for_bit(seed, F, b):
+    rng = np.random.default_rng(seed)
+    H = _random_block_tridiagonal(rng, M=F, b=b, definite="negative")
+    want = scipy.linalg.cholesky_banded(-H.to_banded(lower_only=True), lower=True)
+    fac = H.neg_cholesky()
+    assert fac.shape == want.shape and fac.tobytes() == want.tobytes()
+    g = rng.normal(size=H.size)
+    step = _newton_direction(H, g)
+    assert step.tobytes() == scipy.linalg.cho_solve_banded((want, True), g).tobytes()
+    diag = H.diag.copy()
+    diag[-1, -1, -1] = 1.0  # a positive diagonal entry: not negative definite
+    assert BlockTridiagonal(diag, H.off).neg_cholesky() is None
+    for bad in (np.nan, np.inf):
+        diag = H.diag.copy()
+        diag[-1, -1, 0] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            BlockTridiagonal(diag, H.off).neg_cholesky()
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _newton_direction(H, np.where(np.arange(H.size) == 0, bad, g))
+
+
 def test_block_tridiagonal_band_storage_matches_dense():
     rng = np.random.default_rng(23)
     for F, b in ((1, 3), (2, 1), (5, 2), (4, 5)):
@@ -718,7 +747,10 @@ def test_element_hessian_matches_kron_reference(seed, with_B, scale):
     md = spec._midpoints
     args = (D.gamma[:-1], D.lam[:-1], D.gamma[1:], D.lam[1:])
     want = hessian_elements_kron(md, *args)
-    got = _hessian_elements(md, *args)
+    # the package forms the aa, ab and bb quadrants; the element block is
+    # symmetric, so its ba quadrant is ab transposed
+    aa, ab, bb = _hessian_elements(md, D)
+    got = np.block([[aa, ab], [np.swapaxes(ab, 1, 2), bb]])
     cond = 1.0
     if with_B:
         mu = stiffness_eig(md.B, 0.5 * (args[1] + args[3]), md.c_x)[0]
@@ -727,6 +759,30 @@ def test_element_hessian_matches_kron_reference(seed, with_B, scale):
     # its condition number
     tol = 64 * 4 * spec.n * _EPS * cond * np.max(np.abs(want))
     assert np.max(np.abs(got - want)) <= tol
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.booleans(),
+       st.lists(st.tuples(st.sampled_from(("action", "gradient", "hessian")), st.booleans()),
+                min_size=1, max_size=8))
+def test_evaluations_share_one_state_in_any_order(seed, with_B, calls):
+    rng = np.random.default_rng(seed)
+    spec = _random_spec(rng, with_B=with_B)
+    D = _small_dual(rng, spec, scale=0.1)
+    # a second spec on the same grid has midpoint data of its own
+    other = dataclasses.replace(spec, scales=ScaleParams(spec.scales.c_x * 1.5, spec.scales.c_v))
+    evaluate = {"action": action, "gradient": gradient, "hessian": hessian}
+
+    def result(name, field, where):
+        out = evaluate[name](field, where)
+        if name == "hessian":
+            return out.diag.tobytes() + out.off.tobytes()
+        return np.asarray(out).tobytes()
+
+    for name, on_other in calls:
+        where = other if on_other else spec
+        fresh = DualField(D.grid, D.gamma, D.lam)
+        assert result(name, D, where) == result(name, fresh, where)
 
 
 # ---------------------------------------------------------------------------

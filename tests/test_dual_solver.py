@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from dualchain import dual_action
+from dualchain import dual_action, dual_solver
 from dualchain import (
     ChainParams,
     DualField,
@@ -250,3 +250,42 @@ def test_midpoint_data_built_once_per_solve(monkeypatch):
     assert sol.iterations > 1
     verify(sol, spec)  # the report reuses the solve's midpoint data
     assert calls == [spec]
+
+
+@pytest.mark.parametrize("step_control", ["damped-newton", "trust-region"])
+def test_each_point_inverts_its_stiffness_once(monkeypatch, step_control):
+    n, M = 4, 80
+    params = ChainParams(m=1.0, d=0.0, force=fput_alpha(n, 0.25),
+                         forcing=ForcingSpec.zero(n))
+    grid = TimeGrid(T=3.0, M=M)
+    spec = ProblemSpec(params=params, scales=ScaleParams(1.0, 1.0),
+                       base=zero_base(grid, n), grid=grid,
+                       x0=0.3 * np.sin(np.arange(1, n + 1) * np.pi / (n + 1)),
+                       v0=np.zeros(n))
+    inverted = []
+    invert = dual_action._stiffness_inv
+
+    def spy_inverse(B, lam, c_x):
+        inverted.append(lam.shape[0])  # M midpoints per point, M + 1 nodes in recovery
+        return invert(B, lam, c_x)
+
+    monkeypatch.setattr(dual_action, "_stiffness_inv", spy_inverse)
+    points = []  # every DualField evaluated, kept alive so identities stay distinct
+    for name in ("action", "gradient", "hessian"):
+        def spy(D, spec, _fn=getattr(dual_solver, name)):
+            if not any(D is seen for seen in points):
+                points.append(D)
+            return _fn(D, spec)
+        monkeypatch.setattr(dual_solver, name, spy)
+
+    sol = solve_dual(spec, SolveOptions(step_control=step_control))
+    verify(sol, spec)
+    assert sol.converged and sol.iterations >= 2
+    # the zero start plus one point per step trial, each inverted once, and
+    # the final Hessian and verify's gradient reuse the last point's inverse
+    assert inverted.count(M) == len(points)
+    assert len({D.gamma.tobytes() + D.lam.tobytes() for D in points}) == len(points)
+    assert inverted.count(M + 1) == 1 and len(inverted) == len(points) + 1
+    assert points[-1] is sol.D
+    if step_control == "damped-newton":
+        assert len(points) <= 2 * sol.iterations
