@@ -16,7 +16,11 @@ cyclically and its Hessian is a cyclic `BlockTridiagonal`.
 All reductions are plain numpy sums over fixed axes, so identical inputs
 produce bit-identical outputs.
 
-One state per point: the mapped midpoint state of a DualField (the primal
+One path per job: a linear force is the quadratic one with B = 0 (its
+weighted stiffness is exactly I); one map takes dual values and rates to the
+primal state, at midpoints for the assembly and at nodes for `dtp_map`; one
+writer fills the bands of the banded Cholesky and of the banded LU.  The
+mapped midpoint state of a DualField (the primal
 state, the intermediate covectors and the stiffness inverse) is computed
 once and kept on the immutable field, keyed by the spec's midpoint data, so
 the action, gradient and Hessian at that field share it.  The Hessian is
@@ -79,6 +83,8 @@ COND_LIMIT = 1e12
 #: inverse and of the eigenvalues, so the test would pass every point
 #: accepted here.
 _CERT_LIMIT = 1e-2 * COND_LIMIT
+
+_HARMONICS = 3  # sine terms per component of a `perturb_base` perturbation
 
 
 class SingularStiffnessError(RuntimeError):
@@ -201,7 +207,7 @@ def restrict_base(fine: Trajectory, refine: int) -> BaseState:
     return BaseState(coarse.grid, coarse.x, coarse.v, xm, vm, provenance="primal-solve")
 
 
-def perturb_base(base: BaseState, amplitude: float, seed: int, harmonics: int = 3) -> BaseState:
+def perturb_base(base: BaseState, amplitude: float, seed: int) -> BaseState:
     """Add a smooth random perturbation, bounded by ``amplitude``, to a base.
 
     Each component gets a short sine series with seeded random weights and
@@ -218,8 +224,8 @@ def perturb_base(base: BaseState, amplitude: float, seed: int, harmonics: int = 
     def series(n_cols):
         coeffs = []
         for _ in range(n_cols):
-            w = rng.uniform(-1.0, 1.0, size=harmonics)
-            ph = rng.uniform(0.0, 2.0 * np.pi, size=harmonics)
+            w = rng.uniform(-1.0, 1.0, size=_HARMONICS)
+            ph = rng.uniform(0.0, 2.0 * np.pi, size=_HARMONICS)
             total = np.sum(np.abs(w))
             if total > 0.0:
                 w = w / total
@@ -229,7 +235,7 @@ def perturb_base(base: BaseState, amplitude: float, seed: int, harmonics: int = 
     def evaluate(coeffs, t):
         out = np.zeros((t.size, len(coeffs)))
         for j, (w, ph) in enumerate(coeffs):
-            for k in range(harmonics):
+            for k in range(_HARMONICS):
                 out[:, j] += w[k] * np.sin((k + 1) * np.pi * t / T + ph[k])
         return amplitude * out
 
@@ -372,7 +378,7 @@ class _MidpointData:
     h: float
     n: int
     M: int
-    B: np.ndarray | None  # None when the force has no quadratic term
+    B: np.ndarray
     xbar_mid: np.ndarray
     vbar_mid: np.ndarray
     f_mid: np.ndarray
@@ -382,20 +388,14 @@ class _MidpointData:
 
 def _midpoint_data(spec: ProblemSpec) -> _MidpointData:
     """Midpoint data of an initial-value or periodic spec."""
-    params, grid = spec.params, spec.grid
+    params, grid, xbar_mid = spec.params, spec.grid, spec.base.xbar_mid
     force = params.force
-    xbar_mid = spec.base.xbar_mid
-    if force.has_quadratic:
-        Abar_mid = force_jacobian(force, xbar_mid)
-    else:
-        Abar_mid = np.broadcast_to(force.A, (grid.M, force.n, force.n))
     return _MidpointData(
         m=params.m, d=params.d, c_x=spec.scales.c_x, c_v=spec.scales.c_v,
-        h=grid.h, n=force.n, M=grid.M,
-        B=force.B if force.has_quadratic else None,
+        h=grid.h, n=force.n, M=grid.M, B=force.B,
         xbar_mid=xbar_mid, vbar_mid=spec.base.vbar_mid,
         f_mid=eval_forcing(params.forcing, grid.midpoints()),
-        Kbar_mid=eval_force(force, xbar_mid), Abar_mid=Abar_mid,
+        Kbar_mid=eval_force(force, xbar_mid), Abar_mid=force_jacobian(force, xbar_mid),
     )
 
 
@@ -425,15 +425,14 @@ def _check_stiffness(K, points=None):
 
 def _stiffness_inv(B, lam, c_x: float):
     """Inverse of the weighted stiffness K = I + (1/c_x) B·lam at each point
-    of ``lam`` (leading batch axes allowed); None when B is None (K = I).
+    of ``lam`` (leading batch axes allowed).  A linear force (B = 0) gives
+    K = I exactly, and its inverse is exactly I.
 
     kappa_2(K) <= ||K||_F ||K^-1||_F certifies a point cheaply.  Only the
     points whose bound exceeds _CERT_LIMIT, or the whole batch when the
     inverse itself fails, go through `_check_stiffness`, so exactly the
     points it rejects raise SingularStiffnessError.
     """
-    if B is None:
-        return None
     K = stiffness_lambda(B, lam, c_x)
     try:
         Kinv = np.linalg.inv(K)
@@ -450,6 +449,17 @@ def _stiffness_inv(B, lam, c_x: float):
     return Kinv
 
 
+def _dual_to_primal(lam, lamdot, gamma, gammadot, xbar, vbar, J, B, m, d, c_x, c_v):
+    """Dual-to-primal map at points (leading batch axes allowed), with J the
+    force Jacobian at xbar: (w, r, y, Kinv, x, v), where v = vbar + w / c_v,
+    x = xbar + y / c_x and y = K|_lam^{-1} r, r = gammadot - J^T lam."""
+    w = gamma + m * lamdot - d * lam
+    r = gammadot - np.einsum("...j,...ji->...i", lam, J)
+    Kinv = _stiffness_inv(B, lam, c_x)
+    y = (Kinv @ r[..., None])[..., 0]
+    return w, r, y, Kinv, xbar + y / c_x, vbar + w / c_v
+
+
 def _core_state(md: _MidpointData, D: DualField):
     """Element-midpoint fields of D and the primal state they map to:
     (lmid, gdot, w, r, y, dx, x, v, Kinv).
@@ -464,14 +474,9 @@ def _core_state(md: _MidpointData, D: DualField):
         return cached[1]
     gmid, lmid, gdot, ldot = _element_fields(D.gamma[:-1], D.lam[:-1], D.gamma[1:], D.lam[1:],
                                              md.h)
-    w = gmid + md.m * ldot - md.d * lmid
-    r = gdot - np.einsum("mji,mj->mi", md.Abar_mid, lmid)
-    Kinv = _stiffness_inv(md.B, lmid, md.c_x)
-    y = r if Kinv is None else (Kinv @ r[:, :, None])[:, :, 0]
-    dx = y / md.c_x
-    x = md.xbar_mid + dx
-    v = md.vbar_mid + w / md.c_v
-    state = (lmid, gdot, w, r, y, dx, x, v, Kinv)
+    w, r, y, Kinv, x, v = _dual_to_primal(lmid, ldot, gmid, gdot, md.xbar_mid, md.vbar_mid,
+                                          md.Abar_mid, md.B, md.m, md.d, md.c_x, md.c_v)
+    state = (lmid, gdot, w, r, y, y / md.c_x, x, v, Kinv)
     object.__setattr__(D, "_state", (md, state))
     return state
 
@@ -498,11 +503,10 @@ def _gradient_elements(md: _MidpointData, D: DualField):
     gives the four parts below.
     """
     _, _, _, _, _, dx, x, v, _ = _core_state(md, D)
-    Kx = md.Kbar_mid + np.einsum("mjr,mr->mj", md.Abar_mid, dx)
-    if md.B is not None:
-        n = md.n
-        dxdx = (dx[:, :, None] * dx[:, None, :]).reshape(md.M, n * n)
-        Kx = Kx + 0.5 * (dxdx @ md.B.reshape(n, n * n).T)
+    n = md.n
+    dxdx = (dx[:, :, None] * dx[:, None, :]).reshape(md.M, n * n)
+    Kx = (md.Kbar_mid + np.einsum("mjr,mr->mj", md.Abar_mid, dx)
+          + 0.5 * (dxdx @ md.B.reshape(n, n * n).T))
     mom = md.d * v + Kx - md.f_mid
     h = md.h
     g_ga = -0.5 * h * v + x
@@ -536,13 +540,8 @@ def _hessian_elements(md: _MidpointData, D: DualField):
     n, M, h = md.n, md.M, md.h
     _, _, _, _, _, dx, _, _, Kinv = _core_state(md, D)
 
-    if Kinv is None:
-        P = np.broadcast_to(np.eye(n) / md.c_x, (M, n, n))
-    else:
-        P = Kinv / md.c_x
-    Mx = md.Abar_mid
-    if md.B is not None:
-        Mx = Mx + (dx @ md.B.reshape(n * n, n).T).reshape(M, n, n)
+    P = Kinv / md.c_x
+    Mx = md.Abar_mid + (dx @ md.B.reshape(n * n, n).T).reshape(M, n, n)
     MxP = Mx @ P
     L = MxP @ np.swapaxes(Mx, 1, 2)
 
@@ -657,26 +656,51 @@ class BlockTridiagonal:
         blocks[2][first[gap == 2]] = upper[gap == 2]
         return blocks
 
-    def to_banded(self, lower_only: bool = True) -> np.ndarray:
-        """Band storage, folded when cyclic: ab[offset + i - j, j] = A[i, j]."""
+    def _band(self, top: int) -> np.ndarray:
+        """Band storage in Fortran order, folded when cyclic, with A[i, j] at
+        ab[top + i - j, j]: the lower band (0 <= i - j <= bw) for top = 0,
+        both halves in top + bw + 1 rows for top >= bw.  Column k b + q is
+        row q of node k's block row [D_k^T, U1_k, U2_k] (U2 when cyclic;
+        extended leftwards by [U2_{k-2}^T, U1_{k-1}^T] when top > 0) read
+        along a skew: entry c, counted from D_k^T, goes to ab[top + c - q].
+        One strided view writes each block whole, so each entry comes from
+        the triangle that stores it (D_k is not bitwise symmetric)."""
         F, b, _ = self.diag.shape
         blocks = self._band_blocks()
-        bw = self.bandwidth
-        lo = 0 if lower_only else -bw
-        ab = np.zeros((bw - lo + 1, F * b))
-        for p in range(lo, bw + 1):
-            _band_row(ab[p - lo].reshape(F, b), blocks, p)
+        s, bw = len(blocks) - 1, self.bandwidth
+        ab = np.zeros((top + bw + 1, F * b), order="F")
+        lead = s * b if top else 0  # block-row columns left of D_k^T
+        sr, sc = ab.strides
+        row = np.lib.stride_tricks.as_strided(
+            ab[top - lead:], (F, b, lead + (s + 1) * b), (b * sc, sc - sr, sr))
+        row[:, :, lead:lead + b] = np.swapaxes(blocks[0], 1, 2)
+        if not top:
+            # D_k^T's entries left of the diagonal have no row above the band
+            # to go to: in Fortran order they run into the foot of the column
+            # before, whose last b - 1 rows hold only zeros and U_s entries
+            ab[bw - b + 2:] = 0.0
+        for r, up in enumerate(blocks[1:], start=1):
+            c = lead + r * b
+            row[:F - r, :, c:c + b] = up
+            if top:
+                row[r:, :, lead - r * b:lead - (r - 1) * b] = np.swapaxes(up, 1, 2)
         return ab
+
+    def to_banded(self) -> np.ndarray:
+        """Lower band storage, folded when cyclic: ab[i - j, j] = A[i, j] for
+        0 <= i - j <= bandwidth, in Fortran order (LAPACK reads it in place)."""
+        return self._band(0)
 
     @cached_property
     def lu(self) -> tuple[np.ndarray, np.ndarray, float]:
         """LAPACK banded LU (lu, piv), kept for `solve`, and the exact 1-norm
         of the matrix, summed from the band before dgbtrf overwrites it (the
-        band holds every entry once, folded or not); LinAlgError if singular."""
+        band holds every entry once, folded or not); LinAlgError if singular.
+        dgbtrf's band is `_band` with its bw rows of fill-in room on top."""
         bw = self.bandwidth
-        ab = np.zeros((3 * bw + 1, self.size))
-        ab[bw:] = self.to_banded(lower_only=False)
-        norm = float(np.max(np.sum(np.abs(ab[bw:]), axis=0)))
+        ab = self._band(2 * bw)
+        # C order sums each column in the order the rows come
+        norm = float(np.max(np.sum(np.abs(ab[bw:], order="C"), axis=0)))
         lu, piv, info = scipy.linalg.lapack.dgbtrf(ab, bw, bw, overwrite_ab=True)
         if info > 0:
             raise np.linalg.LinAlgError("singular matrix")
@@ -701,7 +725,7 @@ class BlockTridiagonal:
     def _band_neg_cholesky(self):
         """Lower Cholesky factor of the negated band (folded when cyclic), by
         LAPACK dpbtrf, or None; ValueError if the band is not finite."""
-        ab = self.to_banded(lower_only=True)
+        ab = self.to_banded()
         if not np.all(np.isfinite(ab)):
             raise ValueError("array must not contain infs or NaNs")
         fac, info = scipy.linalg.lapack.dpbtrf(np.negative(ab, out=ab), lower=1, overwrite_ab=1)
@@ -710,11 +734,11 @@ class BlockTridiagonal:
         return fac if info == 0 else None
 
     def eigenvalues(self) -> np.ndarray:
-        return scipy.linalg.eigvals_banded(self.to_banded(lower_only=True), lower=True)
+        return scipy.linalg.eigvals_banded(self.to_banded(), lower=True)
 
-    def inertia(self, zero_tol: float | None = None) -> tuple[int, int, int]:
+    def inertia(self) -> tuple[int, int, int]:
         """(negative, zero, positive) eigenvalue counts, eigenvalues within
-        the zero tolerance counting as zero.
+        the zero tolerance 1e-11 max|entry| counting as zero.
 
         Certificate first: when A + tol I is negative definite (the Cholesky
         factorization of its negated band succeeds; for a cyclic matrix, the
@@ -728,7 +752,7 @@ class BlockTridiagonal:
         F, b, _ = self.diag.shape
         scale = max(float(np.max(np.abs(self.diag))),
                     float(np.max(np.abs(self.off))) if F > 1 else 0.0, 1e-300)
-        tol = zero_tol if zero_tol is not None else 1e-11 * scale
+        tol = 1e-11 * scale
         if self.shifted(-tol)._band_neg_cholesky() is not None:
             return self.size, 0, 0
         if not self.cyclic:
@@ -766,21 +790,6 @@ def _schur_inertia(diag, off, tol):
             X = Q @ (inv[:, None] * (Q.T @ off[k]))
             S = diag[k + 1] - off[k].T @ X
     return neg, zero, pos
-
-
-def _band_row(rows, blocks, p):
-    """Fill one band row: rows[k, q] = A[k b + q + p, k b + q] for the
-    symmetric A with diagonal blocks blocks[0] and block (k, k+s) blocks[s][k]."""
-    b = rows.shape[1]
-    if -b < p < b:
-        rows[:, max(0, -p):min(b, b - p)] = np.diagonal(blocks[0], -p, 1, 2)
-    for s, up in enumerate(blocks[1:], start=1):
-        if (s - 1) * b < p < (s + 1) * b:  # row s nodes below: up[k][q, q + p - s b]
-            rows[:-s, max(0, s * b - p):min(b, (s + 1) * b - p)] = np.diagonal(
-                up, p - s * b, 1, 2)
-        elif (s - 1) * b < -p < (s + 1) * b:  # row s nodes above: up[k - s][q + p + s b, q]
-            rows[s:, max(0, -s * b - p):min(b, (1 - s) * b - p)] = np.diagonal(
-                up, -p - s * b, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -844,17 +853,8 @@ def dtp_map(lam, lamdot, gamma, gammadot, xbar, vbar, spec) -> tuple[np.ndarray,
         if a.shape != arrs[0].shape or a.shape[-1] != n:
             raise ValueError("all dtp_map inputs must share one shape with trailing length n")
     lam, lamdot, gamma, gammadot, xbar, vbar = arrs
-    force = p.force
-
-    if force.has_quadratic:
-        r = gammadot - np.einsum("...j,...ji->...i", lam, force_jacobian(force, xbar))
-        Kinv = _stiffness_inv(force.B, lam, s.c_x)
-        y = (Kinv @ r[..., None])[..., 0]
-    else:
-        y = gammadot - lam @ force.A
-    x = xbar + y / s.c_x
-    v = vbar + (gamma + p.m * lamdot - p.d * lam) / s.c_v
-    return x, v
+    return _dual_to_primal(lam, lamdot, gamma, gammadot, xbar, vbar,
+                           force_jacobian(p.force, xbar), p.force.B, p.m, p.d, s.c_x, s.c_v)[4:]
 
 
 def action(D: DualField, spec: ProblemSpec) -> float:
@@ -918,8 +918,6 @@ def ellipticity_check(D: DualField, spec) -> np.ndarray:
     if D.n != p.n:
         raise ValueError(f"dual field is for n={D.n}, problem for n={p.n}")
     floor = p.m * p.m / s.c_v
-    if not p.force.has_quadratic:
-        return np.full(D.grid.M + 1, min(floor, 1.0 / s.c_x))
     mats = stiffness_lambda(p.force.B, D.lam, s.c_x)
     mu = np.linalg.eigvalsh(mats)
     amin = np.min(np.abs(mu), axis=1)

@@ -291,7 +291,7 @@ def recover_primal(sol: DualSolution, spec: ProblemSpec) -> Trajectory:
     A periodic orbit is mapped at nodes 0..M-1 and repeats node 0 at node M,
     so it closes exactly.
     """
-    D = sol.D if isinstance(sol, DualSolution) else sol
+    D = sol.D
     if D.grid != spec.grid or D.n != spec.n:
         raise ValueError("dual field must live on the problem grid")
     h, periodic = spec.grid.h, spec.periodic

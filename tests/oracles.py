@@ -163,12 +163,9 @@ def stiffness_eig(B, lam, c_x: float):
     """Eigendecomposition of the weighted stiffness at each point of ``lam``
     (leading batch axes allowed).
 
-    Returns None when B is None (stiffness is the identity).  Raises
-    SingularStiffnessError, naming the first point in C order, when any
-    point is singular or has a condition number beyond COND_LIMIT.
+    Raises SingularStiffnessError, naming the first point in C order, when
+    any point is singular or has a condition number beyond COND_LIMIT.
     """
-    if B is None:
-        return None
     mu, Q = np.linalg.eigh(stiffness_lambda(B, lam, c_x))
     amin = np.min(np.abs(mu), axis=-1).ravel()
     amax = np.max(np.abs(mu), axis=-1).ravel()
@@ -194,16 +191,11 @@ def hessian_elements_kron(md, ga, la, gb, lb) -> np.ndarray:
     gmid, lmid, gdot, ldot = _element_fields(ga, la, gb, lb, md.h)
     r = gdot - np.einsum("mji,mj->mi", md.Abar_mid, lmid)
     eig = stiffness_eig(md.B, lmid, md.c_x)
-    dx = (r if eig is None else apply_inv(eig, r)) / md.c_x
+    dx = apply_inv(eig, r) / md.c_x
 
-    if eig is None:
-        P = np.broadcast_to(np.eye(n) / md.c_x, (M, n, n))
-    else:
-        mu, Q = eig
-        P = np.einsum("mik,mk,mjk->mij", Q, 1.0 / (md.c_x * mu), Q)
-    Mx = md.Abar_mid
-    if md.B is not None:
-        Mx = Mx + np.einsum("jrs,ms->mjr", md.B, dx)
+    mu, Q = eig
+    P = np.einsum("mik,mk,mjk->mij", Q, 1.0 / (md.c_x * mu), Q)
+    Mx = md.Abar_mid + np.einsum("jrs,ms->mjr", md.B, dx)
 
     eyen = np.eye(n)
     g, l, gd, ld = (slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n), slice(3 * n, 4 * n))

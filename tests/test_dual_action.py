@@ -32,7 +32,14 @@ from dualchain import (
     unpack_free,
     zero_base,
 )
-from dualchain.dual_action import COND_LIMIT, _hessian_elements, _stiffness_inv
+from dualchain import dual_action
+from dualchain.dual_action import (
+    COND_LIMIT,
+    _core_state,
+    _element_fields,
+    _hessian_elements,
+    _stiffness_inv,
+)
 from dualchain.dual_solver import _newton_direction
 from oracles import (
     block_matvec,
@@ -154,6 +161,54 @@ def test_dtp_batched_rows_match_single_calls():
         x, v = dtp_map(lam[i], ld[i], gam[i], gd[i], xb[i], vb[i], spec)
         np.testing.assert_allclose(X[i], x, rtol=1e-14, atol=1e-16)
         np.testing.assert_allclose(V[i], v, rtol=1e-14, atol=1e-16)
+
+
+def _map_spec(rng, fput: bool, periodic: bool) -> ProblemSpec:
+    """A linear (B = 0) or FPUT chain on one forcing period, with a base
+    that closes up, posed as the periodic or the initial-value problem."""
+    n, M = int(rng.integers(1, 6)), int(rng.integers(2, 17))
+    params = ChainParams(m=float(rng.uniform(0.5, 2.0)), d=float(rng.uniform(0.0, 1.0)),
+                         force=fput_alpha(n, 0.25 if fput else 0.0),
+                         forcing=ForcingSpec(n=n, sinusoids=[(0, Sinusoid(0.3, 1.0, 0.2))]))
+    grid = TimeGrid(T=2.0 * np.pi, M=M)
+    amp, phase = 0.2 * rng.uniform(size=n), rng.uniform(0.0, 2.0 * np.pi, n)
+    t, tm = grid.nodes()[:, None] + phase, grid.midpoints()[:, None] + phase
+    base = BaseState(grid, amp * np.sin(t), amp * np.cos(t), amp * np.sin(tm), amp * np.cos(tm))
+    ic = {} if periodic else dict(x0=rng.normal(size=n) * 0.3, v0=rng.normal(size=n) * 0.3)
+    return ProblemSpec(params=params, scales=ScaleParams(*rng.uniform(0.5, 2.0, 2)),
+                       base=base, grid=grid, **ic)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans(), st.floats(0.01, 0.3))
+def test_dtp_map_at_midpoints_gives_the_element_state(seed, fput, periodic, scale):
+    # one map serves both: dtp_map at the element-midpoint values and rates
+    # is the assembly's mapped state, bit for bit
+    rng = np.random.default_rng(seed)
+    spec = _map_spec(rng, fput, periodic)
+    u = rng.normal(size=2 * spec.n * spec.grid.M) * scale
+    D = unpack_free(spec.grid, spec.n, u, periodic=periodic)
+
+    def unexpected(*args):
+        raise AssertionError("the element state must not go through dtp_map")
+
+    with pytest.MonkeyPatch.context() as patch:  # dtp_map is traced as the nodal recovery alone
+        patch.setattr(dual_action, "dtp_map", unexpected)
+        _, _, _, _, _, _, x, v, _ = _core_state(spec._midpoints, D)
+    gmid, lmid, gdot, ldot = _element_fields(D.gamma[:-1], D.lam[:-1], D.gamma[1:],
+                                             D.lam[1:], spec.grid.h)
+    X, V = dtp_map(lmid, ldot, gmid, gdot, spec.base.xbar_mid, spec.base.vbar_mid, spec)
+    assert X.tobytes() == x.tobytes() and V.tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_stiffness_inverse_is_exactly_the_identity_without_quadratic_term(n):
+    rng = np.random.default_rng(n)
+    B = QuadraticForce(n=n, A=np.eye(n)).B  # all zero
+    for shape in ((n,), (7, n), (3, 4, n)):
+        lam = rng.normal(size=shape)
+        got = _stiffness_inv(B, lam, float(rng.uniform(0.1, 3.0)))
+        assert got.tobytes() == np.broadcast_to(np.eye(n), shape + (n,)).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +557,7 @@ def test_block_tridiagonal_negative_cholesky():
 def test_banded_cholesky_and_direction_match_scipy_bit_for_bit(seed, F, b):
     rng = np.random.default_rng(seed)
     H = _random_block_tridiagonal(rng, M=F, b=b, definite="negative")
-    want = scipy.linalg.cholesky_banded(-H.to_banded(lower_only=True), lower=True)
+    want = scipy.linalg.cholesky_banded(-H.to_banded(), lower=True)
     fac = H.neg_cholesky()
     assert fac.shape == want.shape and fac.tobytes() == want.tobytes()
     g = rng.normal(size=H.size)
@@ -520,20 +575,40 @@ def test_banded_cholesky_and_direction_match_scipy_bit_for_bit(seed, F, b):
             _newton_direction(H, np.where(np.arange(H.size) == 0, bad, g))
 
 
+def _one_ulp_asymmetric(H):
+    """H with the strict upper triangle of each diagonal block raised by one
+    ulp: a band entry read from the other triangle then differs."""
+    diag = H.diag.copy()
+    upper = np.triu(np.ones(diag.shape[1:], dtype=bool), 1)
+    diag[:, upper] = np.nextafter(diag[:, upper], np.inf)
+    return BlockTridiagonal(diag, H.off)
+
+
+def _assert_bands_match(H, dense):
+    """The lower band (dpbtrf, eigvals_banded) and the dgbtrf band, with
+    bw rows of fill-in room on top, hold exactly the entries of ``dense``
+    in band order."""
+    bw = H.bandwidth
+    i, j = np.indices(dense.shape)
+    for ab, top in ((H.to_banded(), 0), (H._band(2 * bw), 2 * bw)):
+        assert ab.flags.f_contiguous  # LAPACK reads it in place
+        want = np.zeros_like(ab)
+        inside = (top + i - j >= 0) & (top + i - j < ab.shape[0])
+        want[(top + i - j)[inside], j[inside]] = dense[inside]
+        assert ab.shape == (top + bw + 1, H.size)
+        assert ab.tobytes("F") == want.tobytes("F")
+    # dgbtrf's 1-norm is summed from its band
+    np.testing.assert_allclose(H.lu[2], np.max(np.sum(np.abs(dense), axis=0)), rtol=1e-14)
+
+
 def test_block_tridiagonal_band_storage_matches_dense():
     rng = np.random.default_rng(23)
-    for F, b in ((1, 3), (2, 1), (5, 2), (4, 5)):
-        H = _random_block_tridiagonal(rng, M=F, b=b)
-        dense = H.to_dense()
-        bw = 2 * b - 1
-        for lower_only, offset in ((True, 0), (False, bw)):
-            ab = H.to_banded(lower_only)
-            want = np.zeros_like(ab)
-            for i in range(F * b):
-                for j in range(F * b):
-                    if 0 <= offset + i - j < ab.shape[0]:
-                        want[offset + i - j, j] = dense[i, j]
-            np.testing.assert_array_equal(ab, want)
+    cases = [(F, b) for F in (1, 2, 3) for b in range(1, 6)] + [(5, 2), (4, 5)]
+    for F, b in cases:
+        H = _one_ulp_asymmetric(_random_block_tridiagonal(rng, M=F, b=b))
+        dense = H.to_dense()  # each entry from the block and triangle that stores it
+        assert b == 1 or np.any(dense != dense.T)
+        _assert_bands_match(H, dense)
 
 
 def _cyclic_dense(H):
@@ -548,10 +623,10 @@ def _cyclic_dense(H):
 
 
 @pytest.mark.parametrize("F", [2, 3, 4, 5, 8])
-@pytest.mark.parametrize("b", [1, 3])
+@pytest.mark.parametrize("b", [1, 2, 3, 4, 5])
 def test_cyclic_block_tridiagonal_matches_dense(F, b):
     rng = np.random.default_rng(100 * F + b)
-    H = _random_block_tridiagonal(rng, M=F, b=b, cyclic=True)
+    H = _one_ulp_asymmetric(_random_block_tridiagonal(rng, M=F, b=b, cyclic=True))
     dense = _cyclic_dense(H)
     assert H.cyclic
     np.testing.assert_array_equal(H.to_dense(), dense)
@@ -569,12 +644,7 @@ def test_cyclic_block_tridiagonal_matches_dense(F, b):
     assert H.bandwidth == bw
     i, j = np.indices(folded.shape)
     assert not np.any(folded[np.abs(i - j) > bw])
-    for lower_only, offset in ((True, 0), (False, bw)):
-        ab = H.to_banded(lower_only)
-        want = np.zeros_like(ab)
-        inside = (offset + i - j >= 0) & (offset + i - j < ab.shape[0])
-        want[(offset + i - j)[inside], j[inside]] = folded[inside]
-        np.testing.assert_array_equal(ab, want)
+    _assert_bands_match(H, folded)
 
 
 def test_cyclic_block_tridiagonal_rejects_node_order_methods():

@@ -466,16 +466,16 @@ def test_condition_check_reads_the_band_of_its_lu(monkeypatch):
     # the exact 1-norm comes from the band dgbtrf factorizes, so one check
     # builds one band, and the Newton direction after it builds none
     calls = []
-    to_banded = dual_action.BlockTridiagonal.to_banded
+    band = dual_action.BlockTridiagonal._band
 
-    def counted(self, lower_only=True):
-        calls.append(lower_only)
-        return to_banded(self, lower_only)
+    def counted(self, top):
+        calls.append(top)
+        return band(self, top)
 
     H = _resonant_hessian(64).shifted(-0.5)
-    monkeypatch.setattr(dual_action.BlockTridiagonal, "to_banded", counted)
+    monkeypatch.setattr(dual_action.BlockTridiagonal, "_band", counted)
     dual_solver._factorize_checked(H)
     H.solve(np.ones(H.size))
-    assert calls == [False]
+    assert calls == [2 * H.bandwidth]
     np.testing.assert_allclose(H.lu[2], np.max(np.sum(np.abs(H.to_dense()), axis=0)),
                                rtol=1e-14)
