@@ -50,6 +50,7 @@ from .dual_action import (
 from .dual_solver import (
     SingularSystemError,
     SolveOptions,
+    _blas_threads_user_set,
     recover_primal,
     solve_dual,
     verify,
@@ -480,12 +481,28 @@ def scenario_presets() -> list:
                   if item.name.endswith(".cfg"))
 
 
+# rows formatted by one `%`; the block bounds the Python floats and strings
+# held at once, which for a whole table came to 9 times the size of its array
+_TABLE_BLOCK_ROWS = 128
+
+
+def _write_table(path, names: tuple, grid: TimeGrid, first, second) -> None:
+    """Header 't <names[0]>_1.. <names[1]>_1..', then one row per node of t
+    and the two (M+1, n) arrays, every value as "%.17g" (the bytes of
+    `np.savetxt` with that format), formatted by one `%` per block of rows."""
+    n = first.shape[1]
+    header = " ".join(["t"] + [f"{name}_{i}" for name in names for i in range(1, n + 1)])
+    data = np.column_stack([grid.nodes(), first, second])
+    row = " ".join(["%.17g"] * data.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for start in range(0, data.shape[0], _TABLE_BLOCK_ROWS):
+            block = data[start:start + _TABLE_BLOCK_ROWS]
+            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
 def write_trajectory(path, traj: Trajectory) -> None:
-    n = traj.x.shape[1]
-    header = ("t " + " ".join(f"x_{i}" for i in range(1, n + 1))
-              + " " + " ".join(f"v_{i}" for i in range(1, n + 1)))
-    data = np.column_stack([traj.grid.nodes(), traj.x, traj.v])
-    np.savetxt(path, data, fmt="%.17g", header=header, comments="")
+    _write_table(path, ("x", "v"), traj.grid, traj.x, traj.v)
 
 
 def read_trajectory(path) -> Trajectory:
@@ -503,11 +520,7 @@ def read_trajectory(path) -> Trajectory:
 
 
 def write_dual_field(path, D: DualField) -> None:
-    n = D.n
-    header = ("t " + " ".join(f"gamma_{i}" for i in range(1, n + 1))
-              + " " + " ".join(f"lambda_{i}" for i in range(1, n + 1)))
-    data = np.column_stack([D.grid.nodes(), D.gamma, D.lam])
-    np.savetxt(path, data, fmt="%.17g", header=header, comments="")
+    _write_table(path, ("gamma", "lambda"), D.grid, D.gamma, D.lam)
 
 
 def read_dual_field(path) -> DualField:
@@ -697,10 +710,11 @@ def _run_spawned(tasks, workers: int) -> list:
 
     A spawned worker loads numpy afresh, so its BLAS reads its thread count
     from the environment it inherits: one thread, unless the user set
-    OPENBLAS_NUM_THREADS, keeps the workers from oversubscribing the cores.
-    This process's environment is restored afterwards.
+    OPENBLAS_NUM_THREADS (the rule `solve_dual` follows in process), keeps
+    the workers from oversubscribing the cores.  This process's environment
+    is restored afterwards.
     """
-    user_set = "OPENBLAS_NUM_THREADS" in os.environ
+    user_set = _blas_threads_user_set()
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         with ProcessPoolExecutor(max_workers=workers,

@@ -699,8 +699,12 @@ class BlockTridiagonal:
         dgbtrf's band is `_band` with its bw rows of fill-in room on top."""
         bw = self.bandwidth
         ab = self._band(2 * bw)
-        # C order sums each column in the order the rows come
-        norm = float(np.max(np.sum(np.abs(ab[bw:], order="C"), axis=0)))
+        # each column summed in the order its band rows come, through one
+        # scratch row instead of a band-sized temporary
+        colsum, scratch = np.abs(ab[bw]), np.empty(ab.shape[1])
+        for row in ab[bw + 1:]:
+            colsum += np.abs(row, out=scratch)
+        norm = float(np.max(colsum))
         lu, piv, info = scipy.linalg.lapack.dgbtrf(ab, bw, bw, overwrite_ab=True)
         if info > 0:
             raise np.linalg.LinAlgError("singular matrix")

@@ -1,12 +1,16 @@
 """Config parsing, file round-trips, exit codes, reports, parallel fan-out."""
+import dataclasses
 import hashlib
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from dualchain import cli, dual_action, eval_forcing, fput_alpha
+from dualchain import DualField, TimeGrid, Trajectory, cli, dual_action, eval_forcing, fput_alpha
 from dualchain.cli import (
     ConfigError,
     load_config,
@@ -136,6 +140,39 @@ def test_simulate_round_trip(tmp_path):
     write_trajectory(again, traj)
     assert again.read_bytes() == traj_path.read_bytes()
     assert not (out / "case_report.txt").exists()  # simulate emits no report
+
+
+# signed zeros, subnormals and the extremes of the exponent range
+_AWKWARD = (-0.0, 0.0, 5e-324, -1.5e-320, 2.2250738585072014e-308,
+            1.7976931348623157e308, -1e-300, 1e300, -1.0 / 3.0, 0.1)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 3), st.integers(1, 6), st.data())
+@example(n=2, M=4, data=None)
+@example(n=1, M=2 * cli._TABLE_BLOCK_ROWS, data=None)  # three blocks, the last of one row
+def test_tables_write_the_bytes_of_savetxt_and_read_back(tmp_path_factory, n, M, data):
+    shape = (2, M + 1, n)
+    if data is None:  # every awkward value in every column
+        values = np.resize(np.array(_AWKWARD), shape)
+    else:
+        values = data.draw(hnp.arrays(float, shape, elements=st.one_of(
+            st.sampled_from(_AWKWARD), st.floats(allow_nan=False, allow_infinity=False))))
+    grid = TimeGrid(T=2.5, M=M)
+    tmp = tmp_path_factory.mktemp("tables")
+    writers = ((cli.write_trajectory, read_trajectory, ("x", "v"), Trajectory),
+               (cli.write_dual_field, read_dual_field, ("gamma", "lambda"), DualField))
+    for write, read, names, kind in writers:
+        path, want = tmp / f"{names[0]}.txt", tmp / "savetxt.txt"
+        write(path, kind(grid, values[0], values[1]))
+        header = " ".join(["t"] + [f"{name}_{i}" for name in names for i in range(1, n + 1)])
+        np.savetxt(want, np.column_stack([grid.nodes(), values[0], values[1]]),
+                   fmt="%.17g", header=header, comments="")
+        assert path.read_bytes() == want.read_bytes()
+        back = read(path)
+        assert back.grid == grid
+        for got, value in zip(dataclasses.astuple(back)[1:], values):
+            assert got.tobytes() == value.tobytes()  # -0.0 and subnormals survive
 
 
 def test_dual_solve_artifacts_and_manifest(tmp_path):

@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -599,6 +599,27 @@ def _assert_bands_match(H, dense):
         assert ab.tobytes("F") == want.tobytes("F")
     # dgbtrf's 1-norm is summed from its band
     np.testing.assert_allclose(H.lu[2], np.max(np.sum(np.abs(dense), axis=0)), rtol=1e-14)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 4), st.booleans(),
+       st.integers(0, 250))
+def test_lu_norm_sums_the_band_rows_in_order_bit_for_bit(seed, F, b, cyclic, spread):
+    # `lu` sums its 1-norm row by row through one scratch row; pinned against
+    # the band-sized C-ordered column sum it replaced, on entries spread over
+    # up to 2 * spread decades, where another summation order rounds differently
+    rng = np.random.default_rng(seed)
+    H = _random_block_tridiagonal(rng, M=max(F, 2) if cyclic else F, b=b, cyclic=cyclic)
+    H = BlockTridiagonal(*(a * 10.0 ** rng.uniform(-spread, spread, a.shape)
+                           for a in (H.diag, H.off)))
+    bw = H.bandwidth
+    ab = H._band(2 * bw)
+    want = float(np.max(np.sum(np.abs(ab[bw:], order="C"), axis=0)))
+    try:
+        norm = H.lu[2]
+    except np.linalg.LinAlgError:  # an exactly zero pivot
+        assume(False)
+    assert norm.hex() == want.hex()
 
 
 def test_block_tridiagonal_band_storage_matches_dense():

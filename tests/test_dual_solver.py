@@ -1,4 +1,9 @@
 """Newton solve of the dual system, primal recovery, verification reports."""
+import _ctypes
+import importlib.util
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -289,3 +294,180 @@ def test_each_point_inverts_its_stiffness_once(monkeypatch, step_control):
     assert points[-1] is sol.D
     if step_control == "damped-newton":
         assert len(points) <= 2 * sol.iterations
+
+
+@pytest.fixture
+def blas_pools(monkeypatch):
+    """The OpenBLAS pools the solver found, each set to two threads so that a
+    restore shows on a one-core machine too; their counts are put back after
+    the test.  Skips where this process has no OpenBLAS."""
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    pools = dual_solver._openblas_pools()
+    if not pools:
+        pytest.skip("no OpenBLAS is loaded")
+    before = _counts(pools)
+    for _, _, setter in pools:
+        setter(2)
+    yield pools
+    for (_, _, setter), count in zip(pools, before):
+        setter(count)
+
+
+def _counts(pools):
+    return [getter() for _, getter, _ in pools]
+
+
+def _resonant_periodic_spec():
+    # undamped unit oscillator forced at its natural frequency over one period
+    forcing = ForcingSpec(n=1, sinusoids=[(0, Sinusoid(1.0, 1.0, 0.0))])
+    params = ChainParams(m=1.0, d=0.0, force=QuadraticForce(n=1, A=[[1.0]]),
+                         forcing=forcing)
+    grid = TimeGrid(T=2 * np.pi, M=500)
+    return ProblemSpec(params=params, scales=ScaleParams(1.0, 1.0),
+                       base=zero_base(grid, 1), grid=grid)
+
+
+def _spy_maximize(monkeypatch, pools):
+    inside = []
+    maximize = dual_solver._maximize
+
+    def spy(spec, opts):
+        inside.append(_counts(pools))
+        return maximize(spec, opts)
+
+    monkeypatch.setattr(dual_solver, "_maximize", spy)
+    return inside
+
+
+def test_solve_runs_with_one_blas_thread_and_restores_the_counts(monkeypatch, blas_pools):
+    inside = _spy_maximize(monkeypatch, blas_pools)
+    sol = solve_dual(_fput_spec(n=3, M=40))
+    assert sol.converged
+    assert inside == [[1] * len(blas_pools)]
+    assert _counts(blas_pools) == [2] * len(blas_pools)
+    with pytest.raises(dual_solver.SingularSystemError):
+        solve_dual(_resonant_periodic_spec())
+    assert inside[1:] == [[1] * len(blas_pools)]
+    assert _counts(blas_pools) == [2] * len(blas_pools)
+
+
+def test_user_set_blas_threads_are_left_alone(monkeypatch, blas_pools):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    inside = _spy_maximize(monkeypatch, blas_pools)
+    solve_dual(_fput_spec(n=3, M=40))
+    assert inside == [[2] * len(blas_pools)]
+    assert _counts(blas_pools) == [2] * len(blas_pools)
+
+
+class _FakePool:
+    def __init__(self, count):
+        self.count, self.calls = count, []
+
+    def get(self):
+        return self.count
+
+    def set(self, count):
+        self.calls.append(count)
+        self.count = count
+
+
+def test_nested_and_concurrent_holders_set_and_restore_once(monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    fakes = [_FakePool(2), _FakePool(4)]
+    found = []
+    limit = dual_solver._OneBlasThread(
+        lambda: found.append(1) or [("fake", f.get, f.set) for f in fakes])
+    with limit:
+        with limit:
+            assert [f.count for f in fakes] == [1, 1]
+        assert [f.count for f in fakes] == [1, 1]  # the outer holder is still inside
+    assert [f.calls for f in fakes] == [[1, 2], [1, 4]] and len(found) == 1
+    # a holder that raises restores too, and the next entry reads the counts afresh
+    fakes[0].count = 3
+    with pytest.raises(ZeroDivisionError), limit:
+        1 / 0
+    assert [f.calls for f in fakes] == [[1, 2, 1, 3], [1, 4, 1, 4]]
+    # threads that overlap inside the limit share one set and one restore
+    barrier = threading.Barrier(4, timeout=10)
+
+    def hold():
+        with limit:
+            barrier.wait()  # all four are inside at once
+            barrier.wait()
+
+    threads = [threading.Thread(target=hold) for _ in range(3)]
+    for t in threads:
+        t.start()
+    with limit:
+        barrier.wait()
+        barrier.wait()
+    for t in threads:
+        t.join(timeout=10)
+        assert not t.is_alive()
+    assert [f.calls[4:] for f in fakes] == [[1, 3], [1, 4]]
+
+
+@pytest.fixture
+def fresh_pool_search():
+    """The once-per-process pool search, run afresh inside the test and
+    again by the next caller after it."""
+    dual_solver._openblas_pools.cache_clear()
+    yield dual_solver._openblas_pools
+    dual_solver._openblas_pools.cache_clear()
+
+
+def test_without_proc_or_an_openblas_setter_the_limit_does_nothing(
+        monkeypatch, fresh_pool_search):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+
+    def no_proc(path, *args, **kwargs):
+        raise FileNotFoundError(path)
+
+    monkeypatch.setattr(dual_solver, "open", no_proc, raising=False)
+    assert dual_solver._mapped_openblas() == []
+    assert fresh_pool_search() == ()
+    # a mapped library that neither exports nor links an OpenBLAS setter
+    fresh_pool_search.cache_clear()
+    monkeypatch.setattr(dual_solver, "_mapped_openblas", lambda: [_ctypes.__file__])
+    assert fresh_pool_search() == ()
+    with dual_solver._OneBlasThread(fresh_pool_search):
+        pass
+
+
+def test_the_pool_search_loads_no_library(monkeypatch, fresh_pool_search):
+    specs = (importlib.util.find_spec(name) for name in ("xxlimited", "_testbuffer"))
+    unloaded = [spec.origin for spec in specs
+                if spec and spec.origin.endswith(".so") and spec.origin not in _maps_paths()]
+    if not unloaded:
+        pytest.skip("no unloaded extension library to offer")
+    monkeypatch.setattr(dual_solver, "_mapped_openblas", lambda: unloaded[:1])
+    assert fresh_pool_search() == ()
+    assert unloaded[0] not in _maps_paths()
+
+
+def test_one_blas_thread_gives_the_same_bits(monkeypatch, blas_pools):
+    spec = _fput_spec(n=4, M=60, amplitude=0.3)
+    with_limit = solve_dual(spec)
+    monkeypatch.setattr(dual_solver, "_ONE_BLAS_THREAD", dual_solver._OneBlasThread(lambda: ()))
+    without = solve_dual(spec)
+    assert with_limit.iterations == without.iterations >= 2
+    for got, want in ((with_limit.D.gamma, without.D.gamma), (with_limit.D.lam, without.D.lam)):
+        assert got.tobytes() == want.tobytes()
+
+
+def _maps_paths():
+    """The file paths in /proc/self/maps, read apart from the solver's
+    finder; none without /proc."""
+    try:
+        with open("/proc/self/maps") as fh:
+            return {line.split(None, 5)[-1].strip() for line in fh if "/" in line}
+    except OSError:
+        return set()
+
+
+def test_every_mapped_openblas_has_a_thread_setter(fresh_pool_search):
+    # a wheel that renames the setter fails here instead of silently
+    # running every solve with the default thread count
+    found = {path for path, _, _ in fresh_pool_search()}
+    assert found == {path for path in _maps_paths()
+                     if "openblas" in os.path.basename(path).lower()}
