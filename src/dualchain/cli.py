@@ -1,9 +1,12 @@
 """Batch front end: scenario configs in, trajectories and reports out.
 
 Config files are flat key/value text grouped in [sections], with full-line
-comments starting with '#'.  Particle indices in configs and file headers are
-1-based.  Emitted trajectories use 17-significant-digit decimals, so reading
-a file back reproduces the arrays bit for bit.
+comments starting with '#'.  Each key is declared once, in `_KEYS`, with the
+`ScenarioConfig` field it fills, its parser and its default; `load_config`
+reads the run mode, the base kind, the paths and the output prefix itself.
+Particle indices in configs and file headers are 1-based.  Trajectory and
+dual files use 17-significant-digit decimals, so reading a file back
+reproduces the arrays bit for bit.
 
 Modes dual-solve, verify and periodic solve the dual problem that
 `ScenarioConfig.problem` poses, periodic in periodic mode (whose [initial]
@@ -27,6 +30,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -56,6 +60,7 @@ from .dual_solver import (
     verify,
 )
 from .primal_solver import (
+    METHODS,
     IntegrationBlowUpError,
     TimeGrid,
     Trajectory,
@@ -78,28 +83,6 @@ __all__ = [
 ]
 
 MODES = ("simulate", "dual-solve", "periodic", "verify")
-
-_KNOWN_KEYS = {
-    "run": {"mode", "seed", "method"},
-    "chain": {"n", "m", "d", "C", "A", "B"},
-    "forcing": {"sinusoid", "constant", "table"},
-    "grid": {"T", "M"},
-    "initial": {"x0", "v0"},
-    "scales": {"c_x", "c_v"},
-    "base": {"kind", "refine", "amplitude", "settle_periods", "path"},
-    "solver": {"max_iterations", "tolerance", "step_control"},
-    "output": {"prefix"},
-}
-_REPEATABLE = {
-    ("chain", "C"),
-    ("chain", "A"),
-    ("chain", "B"),
-    ("forcing", "sinusoid"),
-    ("forcing", "constant"),
-    ("forcing", "table"),
-    ("initial", "x0"),
-    ("initial", "v0"),
-}
 _BASE_KINDS = ("zero", "primal", "perturbed-primal", "settled-primal", "trajectory")
 # verify compares against a direct solve on a grid this many times finer
 _ORACLE_REFINE = 10
@@ -107,6 +90,113 @@ _ORACLE_REFINE = 10
 
 class ConfigError(ValueError):
     """Malformed or invalid scenario configuration."""
+
+
+def _converter(convert, noun: str):
+    def parse(text: str, what: str):
+        try:
+            return convert(text)
+        except ValueError:
+            raise ConfigError(f"{what} must be {noun}, got {text!r}") from None
+    return parse
+
+
+_to_int = _converter(int, "an integer")
+_to_float = _converter(float, "a number")
+
+
+def _choice(names: tuple):
+    def parse(text: str, what: str) -> str:
+        if text not in names:
+            raise ConfigError(f"{what} must be one of {', '.join(names)}, got {text!r}")
+        return text
+    return parse
+
+
+def _vector(rank: int):
+    """Parser of a repeatable key's values, read in order, as an array of
+    shape (n,) * rank (row-major for rank 2)."""
+    def parse(values: list, what: str, n: int) -> np.ndarray:
+        flat = np.array([_to_float(tok, what) for chunk in values for tok in chunk.split()])
+        if flat.size != n ** rank:
+            raise ConfigError(f"{what} needs {n ** rank} values, got {flat.size}")
+        return flat.reshape((n,) * rank)
+    return parse
+
+
+def _entries(form: str, build=lambda *entry: entry):
+    """Parser of a repeatable key whose entries take the form ``form`` (e.g.
+    'j r s value'): j, r and s are 1-based particle indices, read 0-based,
+    a path stays text and any other token is a number.  One
+    ``build(*entry)`` per entry."""
+    names = form.split()
+
+    def parse(values: list, what: str, n: int) -> tuple:
+        out = []
+        for chunk in values:
+            tokens = chunk.split()
+            if len(tokens) != len(names):
+                raise ConfigError(f"{what} entries are '{form}', got {chunk!r}")
+            entry = []
+            for name, tok in zip(names, tokens):
+                if name in ("j", "r", "s"):
+                    idx = _to_int(tok, f"{what} index")
+                    if not 1 <= idx <= n:
+                        raise ConfigError(f"{what} index {idx} outside 1..{n}")
+                    entry.append(idx - 1)
+                else:
+                    entry.append(tok if name == "path" else _to_float(tok, f"{what} value"))
+            out.append(build(*entry))
+        return tuple(out)
+    return parse
+
+
+class _Key(NamedTuple):
+    # parse(value, "section.key"), or parse(values, "section.key", n) for a
+    # repeatable key; None for a key load_config reads itself.  default is
+    # the field when the key is absent (a callable gets n), or _REQUIRED
+    field: str
+    parse: Callable | None = None
+    default: object = None
+    repeatable: bool = False
+
+
+_REQUIRED = object()
+
+# every config key, in the order load_config reads them; forcing.constant
+# appends to the field forcing.sinusoid fills
+_KEYS = {
+    ("run", "mode"): _Key("mode"),
+    ("run", "seed"): _Key("seed", _to_int, 0),
+    ("run", "method"): _Key("method", _choice(METHODS), "rk4"),
+    ("chain", "n"): _Key("n", _to_int, _REQUIRED),
+    ("chain", "m"): _Key("m", _to_float, _REQUIRED),
+    ("chain", "d"): _Key("d", _to_float, _REQUIRED),
+    ("chain", "C"): _Key("C", _vector(1), np.zeros, True),
+    ("chain", "A"): _Key("A", _vector(2), _REQUIRED, True),
+    ("chain", "B"): _Key("B_entries", _entries("j r s value"), (), True),
+    ("forcing", "sinusoid"): _Key("sinusoids", _entries(
+        "j amplitude omega phase", lambda j, *wave: (j, Sinusoid(*wave))), (), True),
+    ("forcing", "constant"): _Key("sinusoids", _entries(
+        "j value", lambda j, value: (j, Sinusoid(value, 0.0, 0.0))), (), True),
+    ("forcing", "table"): _Key("tables", _entries("j path"), (), True),
+    ("grid", "T"): _Key("T", _to_float, _REQUIRED),
+    ("grid", "M"): _Key("M", _to_int, _REQUIRED),
+    ("initial", "x0"): _Key("x0", _vector(1), None, True),
+    ("initial", "v0"): _Key("v0", _vector(1), None, True),
+    ("scales", "c_x"): _Key("c_x", _to_float, 1.0),
+    ("scales", "c_v"): _Key("c_v", _to_float, 1.0),
+    ("base", "kind"): _Key("base_kind"),
+    ("base", "refine"): _Key("base_refine", _to_int, 10),
+    ("base", "amplitude"): _Key("base_amplitude", _to_float, 0.0),
+    ("base", "settle_periods"): _Key("base_settle", _to_int, 10),
+    ("base", "path"): _Key("base_path"),
+    ("solver", "max_iterations"): _Key("max_iterations", _to_int, 50),
+    ("solver", "tolerance"): _Key("tolerance", _to_float, 1e-10),
+    ("solver", "step_control"): _Key("step_control", lambda text, what: text, "damped-newton"),
+    ("output", "prefix"): _Key("prefix"),
+}
+_SECTIONS = {section for section, _ in _KEYS}
 
 
 def _parse_entries(text: str, origin: str) -> dict:
@@ -119,7 +209,7 @@ def _parse_entries(text: str, origin: str) -> dict:
         where = f"{origin}:{lineno}"
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in _KNOWN_KEYS:
+            if section not in _SECTIONS:
                 raise ConfigError(f"{where}: unknown section [{section}]")
             continue
         if "=" not in line:
@@ -127,10 +217,10 @@ def _parse_entries(text: str, origin: str) -> dict:
         if section is None:
             raise ConfigError(f"{where}: key outside any [section]")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KNOWN_KEYS[section]:
-            raise ConfigError(f"{where}: unknown key {section}.{key}")
         slot = (section, key)
-        if slot in entries and slot not in _REPEATABLE:
+        if slot not in _KEYS:
+            raise ConfigError(f"{where}: unknown key {section}.{key}")
+        if slot in entries and not _KEYS[slot].repeatable:
             raise ConfigError(f"{where}: duplicate key {section}.{key}")
         entries.setdefault(slot, []).append(value)
     return entries
@@ -141,39 +231,9 @@ def _apply_set(entries: dict, assignment: str) -> None:
         raise ConfigError(f"--set needs SECTION.KEY=VALUE, got {assignment!r}")
     target, value = assignment.split("=", 1)
     section, key = (part.strip() for part in target.split(".", 1))
-    if section not in _KNOWN_KEYS or key not in _KNOWN_KEYS[section]:
+    if (section, key) not in _KEYS:
         raise ConfigError(f"--set names unknown key {section}.{key}")
     entries[(section, key)] = [value.strip()]
-
-
-def _take(entries: dict, section: str, key: str) -> list[str] | None:
-    return entries.pop((section, key), None)
-
-
-def _one(values: list[str] | None, default: str | None = None) -> str | None:
-    return values[0] if values else default
-
-
-def _to_int(text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"{what} must be an integer, got {text!r}") from None
-
-
-def _to_float(text: str, what: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"{what} must be a number, got {text!r}") from None
-
-
-def _to_floats(values: list[str], what: str) -> np.ndarray:
-    out = []
-    for chunk in values:
-        for token in chunk.split():
-            out.append(_to_float(token, what))
-    return np.array(out)
 
 
 @dataclass(frozen=True)
@@ -217,14 +277,13 @@ class ScenarioConfig:
                 B[j, r, s] = value
                 B[j, s, r] = value
         force = QuadraticForce(n=self.n, A=self.A, B=B, C=self.C)
-        sinusoids = [(j, s) for j, s in self.sinusoids]
         tables = []
         for j, path in self.tables:
             data = np.loadtxt(path, ndmin=2)
             if data.shape[1] != 2:
                 raise ConfigError(f"forcing table {path} needs two columns (t, value)")
             tables.append((j, SampledSignal(data[:, 0], data[:, 1])))
-        forcing = ForcingSpec(n=self.n, sinusoids=sinusoids, tables=tables)
+        forcing = ForcingSpec(n=self.n, sinusoids=self.sinusoids, tables=tables)
         return ChainParams(m=self.m, d=self.d, force=force, forcing=forcing)
 
     def grid(self) -> TimeGrid:
@@ -342,136 +401,41 @@ def load_config(path, sets=(), mode: str | None = None) -> ScenarioConfig:
     for assignment in sets:
         _apply_set(entries, assignment)
 
-    config_mode = _one(_take(entries, "run", "mode"))
+    config_mode = entries.pop(("run", "mode"), [None])[0]
     run_mode = mode or config_mode
     if run_mode is None:
         raise ConfigError(f"{path}: no mode given on the command line or in [run]")
-    if run_mode not in MODES:
-        raise ConfigError(f"{path}: mode must be one of {', '.join(MODES)}, "
-                          f"got {run_mode!r}")
-    seed = _to_int(_one(_take(entries, "run", "seed"), "0"), "run.seed")
-    method = _one(_take(entries, "run", "method"), "rk4")
-
-    n_text = _one(_take(entries, "chain", "n"))
-    if n_text is None:
-        raise ConfigError(f"{path}: chain.n is required")
-    n = _to_int(n_text, "chain.n")
-    m_text = _one(_take(entries, "chain", "m"))
-    d_text = _one(_take(entries, "chain", "d"))
-    if m_text is None or d_text is None:
-        raise ConfigError(f"{path}: chain.m and chain.d are required")
-    m = _to_float(m_text, "chain.m")
-    d = _to_float(d_text, "chain.d")
-
-    C_vals = _take(entries, "chain", "C")
-    C = _to_floats(C_vals, "chain.C") if C_vals else np.zeros(n)
-    if C.shape != (n,):
-        raise ConfigError(f"{path}: chain.C needs {n} values, got {C.size}")
-    A_vals = _take(entries, "chain", "A")
-    if A_vals is None:
-        raise ConfigError(f"{path}: chain.A is required")
-    A_flat = _to_floats(A_vals, "chain.A")
-    if A_flat.size != n * n:
-        raise ConfigError(f"{path}: chain.A needs {n * n} values row-major, "
-                          f"got {A_flat.size}")
-    A = A_flat.reshape(n, n)
-
-    B_entries = []
-    for chunk in _take(entries, "chain", "B") or []:
-        tokens = chunk.split()
-        if len(tokens) != 4:
-            raise ConfigError(f"{path}: chain.B entries are 'j r s value', "
-                              f"got {chunk!r}")
-        j, r, s = (_to_int(t, "chain.B index") for t in tokens[:3])
-        for idx in (j, r, s):
-            if not 1 <= idx <= n:
-                raise ConfigError(f"{path}: chain.B index {idx} outside 1..{n}")
-        B_entries.append((j - 1, r - 1, s - 1, _to_float(tokens[3], "chain.B value")))
-
-    sinusoids = []
-    for chunk in _take(entries, "forcing", "sinusoid") or []:
-        tokens = chunk.split()
-        if len(tokens) != 4:
-            raise ConfigError(f"{path}: forcing.sinusoid entries are "
-                              f"'j amplitude omega phase', got {chunk!r}")
-        j = _to_int(tokens[0], "forcing.sinusoid index")
-        if not 1 <= j <= n:
-            raise ConfigError(f"{path}: forcing.sinusoid index {j} outside 1..{n}")
-        amp, omega, phase = (_to_float(t, "forcing.sinusoid") for t in tokens[1:])
-        sinusoids.append((j - 1, Sinusoid(amp, omega, phase)))
-    for chunk in _take(entries, "forcing", "constant") or []:
-        tokens = chunk.split()
-        if len(tokens) != 2:
-            raise ConfigError(f"{path}: forcing.constant entries are 'j value', "
-                              f"got {chunk!r}")
-        j = _to_int(tokens[0], "forcing.constant index")
-        if not 1 <= j <= n:
-            raise ConfigError(f"{path}: forcing.constant index {j} outside 1..{n}")
-        value = _to_float(tokens[1], "forcing.constant value")
-        sinusoids.append((j - 1, Sinusoid(value, 0.0, 0.0)))
-    tables = []
-    for chunk in _take(entries, "forcing", "table") or []:
-        tokens = chunk.split()
-        if len(tokens) != 2:
-            raise ConfigError(f"{path}: forcing.table entries are 'j path', "
-                              f"got {chunk!r}")
-        j = _to_int(tokens[0], "forcing.table index")
-        if not 1 <= j <= n:
-            raise ConfigError(f"{path}: forcing.table index {j} outside 1..{n}")
-        tables.append((j - 1, (path.parent / tokens[1]).resolve()))
-
-    T_text = _one(_take(entries, "grid", "T"))
-    M_text = _one(_take(entries, "grid", "M"))
-    if T_text is None or M_text is None:
-        raise ConfigError(f"{path}: grid.T and grid.M are required")
-    T = _to_float(T_text, "grid.T")
-    M = _to_int(M_text, "grid.M")
-
-    x0_vals = _take(entries, "initial", "x0")
-    v0_vals = _take(entries, "initial", "v0")
-    x0 = _to_floats(x0_vals, "initial.x0") if x0_vals else None
-    v0 = _to_floats(v0_vals, "initial.v0") if v0_vals else None
-    for label, vec in (("x0", x0), ("v0", v0)):
-        if vec is not None and vec.shape != (n,):
-            raise ConfigError(f"{path}: initial.{label} needs {n} values, "
-                              f"got {vec.size}")
-
-    c_x = _to_float(_one(_take(entries, "scales", "c_x"), "1.0"), "scales.c_x")
-    c_v = _to_float(_one(_take(entries, "scales", "c_v"), "1.0"), "scales.c_v")
-
-    base_kind = _one(_take(entries, "base", "kind"),
-                     "zero" if run_mode == "periodic" else "primal")
-    if base_kind not in _BASE_KINDS:
-        raise ConfigError(f"{path}: base.kind must be one of "
-                          f"{', '.join(_BASE_KINDS)}, got {base_kind!r}")
-    base_refine = _to_int(_one(_take(entries, "base", "refine"), "10"),
-                          "base.refine")
-    base_amplitude = _to_float(_one(_take(entries, "base", "amplitude"), "0.0"),
-                               "base.amplitude")
-    base_settle = _to_int(_one(_take(entries, "base", "settle_periods"), "10"),
-                          "base.settle_periods")
-    base_path_text = _one(_take(entries, "base", "path"))
-    base_path = (path.parent / base_path_text).resolve() if base_path_text else None
-
-    max_iterations = _to_int(_one(_take(entries, "solver", "max_iterations"), "50"),
-                             "solver.max_iterations")
-    tolerance = _to_float(_one(_take(entries, "solver", "tolerance"), "1e-10"),
-                          "solver.tolerance")
-    step_control = _one(_take(entries, "solver", "step_control"), "damped-newton")
-
-    prefix = _one(_take(entries, "output", "prefix"), path.stem)
+    fields = {"name": path.name, "config_dir": path.parent, "mode": run_mode}
+    try:
+        _choice(MODES)(run_mode, "mode")
+        for (section, key), spec in _KEYS.items():
+            if spec.parse is None:
+                continue
+            what, values = f"{section}.{key}", entries.pop((section, key), None)
+            if values is None and spec.default is _REQUIRED:
+                raise ConfigError(f"{what} is required")
+            if values is None:
+                value = spec.default(fields["n"]) if callable(spec.default) else spec.default
+            elif spec.repeatable:
+                value = spec.parse(values, what, fields["n"])
+            else:
+                value = spec.parse(values[0], what)
+            if spec.field in fields:  # forcing.constant after forcing.sinusoid
+                value = fields[spec.field] + value
+            fields[spec.field] = value
+        fields["base_kind"] = _choice(_BASE_KINDS)(
+            entries.pop(("base", "kind"), ["zero" if run_mode == "periodic" else "primal"])[0],
+            "base.kind")
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    fields["tables"] = tuple((j, (path.parent / name).resolve())
+                             for j, name in fields["tables"])
+    base_path = entries.pop(("base", "path"), [None])[0]
+    fields["base_path"] = (path.parent / base_path).resolve() if base_path else None
+    fields["prefix"] = entries.pop(("output", "prefix"), [path.stem])[0]
 
     assert not entries, f"unconsumed config entries: {sorted(entries)}"
-    return ScenarioConfig(
-        name=path.name, config_dir=path.parent, mode=run_mode, seed=seed,
-        method=method, n=n, m=m, d=d, C=C, A=A, B_entries=tuple(B_entries),
-        sinusoids=tuple(sinusoids), tables=tuple(tables), T=T, M=M,
-        x0=x0, v0=v0, c_x=c_x, c_v=c_v, base_kind=base_kind,
-        base_refine=base_refine, base_amplitude=base_amplitude,
-        base_settle=base_settle, base_path=base_path,
-        max_iterations=max_iterations, tolerance=tolerance,
-        step_control=step_control, prefix=prefix,
-    )
+    return ScenarioConfig(**fields)
 
 
 def scenario_presets() -> list:
@@ -501,22 +465,30 @@ def _write_table(path, names: tuple, grid: TimeGrid, first, second) -> None:
             fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
-def write_trajectory(path, traj: Trajectory) -> None:
-    _write_table(path, ("x", "v"), traj.grid, traj.x, traj.v)
-
-
-def read_trajectory(path) -> Trajectory:
+def _read_table(path, names: tuple):
+    """The grid and the two (M+1, n) arrays of a file `_write_table` wrote
+    with these ``names``."""
+    first, second = names
     with open(path) as fh:
         tokens = fh.readline().split()
-    n = sum(1 for tok in tokens if tok.startswith("x_"))
+    n = sum(1 for tok in tokens if tok.startswith(f"{first}_"))
     if n == 0 or tokens[0] != "t" or len(tokens) != 1 + 2 * n:
-        raise ValueError(f"{path} lacks a 't x_1..x_n v_1..v_n' header")
+        raise ValueError(f"{path} lacks a 't {first}_1..{first}_n "
+                         f"{second}_1..{second}_n' header")
     data = np.loadtxt(path, skiprows=1, ndmin=2)
     if data.shape[1] != 1 + 2 * n:
         raise ValueError(f"{path}: rows have {data.shape[1]} columns, "
                          f"expected {1 + 2 * n}")
     grid = TimeGrid(T=float(data[-1, 0]), M=data.shape[0] - 1)
-    return Trajectory(grid, data[:, 1:1 + n].copy(), data[:, 1 + n:].copy())
+    return grid, data[:, 1:1 + n].copy(), data[:, 1 + n:].copy()
+
+
+def write_trajectory(path, traj: Trajectory) -> None:
+    _write_table(path, ("x", "v"), traj.grid, traj.x, traj.v)
+
+
+def read_trajectory(path) -> Trajectory:
+    return Trajectory(*_read_table(path, ("x", "v")))
 
 
 def write_dual_field(path, D: DualField) -> None:
@@ -524,14 +496,7 @@ def write_dual_field(path, D: DualField) -> None:
 
 
 def read_dual_field(path) -> DualField:
-    with open(path) as fh:
-        tokens = fh.readline().split()
-    n = sum(1 for tok in tokens if tok.startswith("gamma_"))
-    if n == 0 or tokens[0] != "t" or len(tokens) != 1 + 2 * n:
-        raise ValueError(f"{path} lacks a 't gamma_1.. lambda_1..' header")
-    data = np.loadtxt(path, skiprows=1, ndmin=2)
-    grid = TimeGrid(T=float(data[-1, 0]), M=data.shape[0] - 1)
-    return DualField(grid, data[:, 1:1 + n].copy(), data[:, 1 + n:].copy())
+    return DualField(*_read_table(path, ("gamma", "lambda")))
 
 
 def _fmt_value(value) -> str:

@@ -115,9 +115,6 @@ class ScaleParams:
         object.__setattr__(self, "c_v", float(self.c_v))
 
 
-_PROVENANCE = ("zero", "constant", "primal-solve", "user-table")
-
-
 @dataclass(frozen=True, eq=False)
 class BaseState:
     """Base trajectory (xbar, vbar) on the nodes and element midpoints of a grid.
@@ -134,7 +131,6 @@ class BaseState:
     vbar: np.ndarray
     xbar_mid: np.ndarray | None = None
     vbar_mid: np.ndarray | None = None
-    provenance: str = "user-table"
 
     def __post_init__(self):
         xb = np.array(self.xbar, dtype=float)
@@ -146,8 +142,6 @@ class BaseState:
             )
         if not (np.all(np.isfinite(xb)) and np.all(np.isfinite(vb))):
             raise ValueError("base state must be finite")
-        if self.provenance not in _PROVENANCE:
-            raise ValueError(f"provenance must be one of {_PROVENANCE}, got {self.provenance!r}")
         if (self.xbar_mid is None) != (self.vbar_mid is None):
             raise ValueError("give both midpoint arrays or neither")
         if self.xbar_mid is None:
@@ -176,7 +170,7 @@ class BaseState:
 
 def zero_base(grid: TimeGrid, n: int) -> BaseState:
     z = np.zeros((grid.M + 1, n))
-    return BaseState(grid, z, z, provenance="zero")
+    return BaseState(grid, z, z)
 
 
 def base_from_primal(params: ChainParams, x0, v0, grid: TimeGrid,
@@ -204,7 +198,7 @@ def restrict_base(fine: Trajectory, refine: int) -> BaseState:
         lo = np.arange(M) * refine + half
         xm = 0.5 * (fine.x[lo] + fine.x[lo + 1])
         vm = 0.5 * (fine.v[lo] + fine.v[lo + 1])
-    return BaseState(coarse.grid, coarse.x, coarse.v, xm, vm, provenance="primal-solve")
+    return BaseState(coarse.grid, coarse.x, coarse.v, xm, vm)
 
 
 def perturb_base(base: BaseState, amplitude: float, seed: int) -> BaseState:
@@ -247,7 +241,6 @@ def perturb_base(base: BaseState, amplitude: float, seed: int) -> BaseState:
         base.vbar + evaluate(cv, t_nodes),
         base.xbar_mid + evaluate(cx, t_mid),
         base.vbar_mid + evaluate(cv, t_mid),
-        provenance="user-table",
     )
 
 

@@ -23,6 +23,9 @@ __all__ = [
     "energy_series",
 ]
 
+# the names integrate_primal accepts for its ``method``
+METHODS = ("rk4", "implicit-midpoint")
+
 
 class IntegrationBlowUpError(RuntimeError):
     """Integration could not take a step: the state became non-finite, or
@@ -132,7 +135,7 @@ def integrate_primal(params: ChainParams, x0, v0, grid: TimeGrid,
         return _integrate_rk4(params, x0, v0, grid)
     if method == "implicit-midpoint":
         return _integrate_midpoint(params, x0, v0, grid)
-    raise ValueError(f"unknown method {method!r}; use 'rk4' or 'implicit-midpoint'")
+    raise ValueError(f"unknown method {method!r}; use {' or '.join(map(repr, METHODS))}")
 
 
 def _integrate_rk4(params, x0, v0, grid):

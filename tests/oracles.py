@@ -315,7 +315,7 @@ def constant_base(grid: TimeGrid, x, v) -> BaseState:
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     ones = np.ones((grid.M + 1, 1))
-    return BaseState(grid, ones * x, ones * v, provenance="constant")
+    return BaseState(grid, ones * x, ones * v)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 import dataclasses
 import hashlib
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -65,13 +66,33 @@ def test_preset_quadratic_blocks_match_library_constructor():
     np.testing.assert_array_equal(np.asarray(force.B), np.asarray(ref.B))
 
 
+# the config_hash of each preset in its own mode, then with the mode given as
+# simulate, dual-solve, periodic and verify; every report prints these
+PINNED_HASHES = {
+    "damped_n1": ("f06fef204f65bcce", "539896ba8fdebb04", "2c4420a44f7c8825",
+                  "f0d3deed7332f995", "f06fef204f65bcce"),
+    "forced_damped_n1": ("7dcaf3492d20c7b8", "6063e1b0fc964ceb", "f30645dc3d32c755",
+                         "c532b73938bf1456", "7dcaf3492d20c7b8"),
+    "fput_alpha_n8": ("ec49ca08b5110166", "726b1be5a3d48549", "ec49ca08b5110166",
+                      "57f10078e4d2e89f", "c998d0112556d9a8"),
+    "harmonic_n1": ("6e8e65d46a2db031", "a71aadc30b4a354c", "1b80d4c8799848cf",
+                    "f06a92d53b858889", "6e8e65d46a2db031"),
+    "periodic_forced_n4": ("3a5c9a180f17e7c0", "183564c0a95ec080", "9c2591256a5b5325",
+                           "3a5c9a180f17e7c0", "e6eab531380b9ff5"),
+    "perturbed_base_n4": ("3bcb0201d1436ea6", "a14a1d4fe56b242e", "7154d1be5e841e28",
+                          "321b3bc039dd69bc", "3bcb0201d1436ea6"),
+}
+
+
 def test_every_preset_loads_and_hashes():
-    seen = set()
-    for path in PRESETS.values():
+    assert sorted(PINNED_HASHES) == sorted(PRESETS)
+    for stem, path in PRESETS.items():
         cfg = load_config(path)
-        assert cfg.mode in ("simulate", "dual-solve", "periodic", "verify")
-        seen.add(cfg.semantic_hash())
-    assert len(seen) == len(PRESETS)
+        assert cfg.mode in cli.MODES
+        hashes = [cfg.semantic_hash()]
+        hashes += [load_config(path, mode=mode).semantic_hash() for mode in cli.MODES]
+        assert tuple(hashes) == PINNED_HASHES[stem], stem
+    assert len({hashes[0] for hashes in PINNED_HASHES.values()}) == len(PRESETS)
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -103,6 +124,108 @@ def test_missing_mode_rejected(tmp_path):
     with pytest.raises(ConfigError, match="mode"):
         load_config(path)
     assert load_config(path, mode="verify").mode == "verify"
+
+
+EVERY_KEY = """\
+[run]
+mode = dual-solve
+seed = 3
+method = implicit-midpoint
+[chain]
+n = 2
+m = 2.0
+d = 0.1
+C = 0.5
+C = 0.25
+A = 2.0 -1.0
+A = -1.0 2.0
+B = 1 1 2 -0.25
+B = 2 2 2 0.5
+[forcing]
+constant = 2 0.1
+sinusoid = 1 0.5 1.0 0.25
+table = 2 drive.txt
+[grid]
+T = 6.0
+M = 20
+[initial]
+x0 = 0.3 0.0
+v0 = 0.0 -0.1
+[scales]
+c_x = 2.0
+c_v = 0.5
+[base]
+kind = trajectory
+refine = 4
+amplitude = 0.05
+settle_periods = 20
+path = base.txt
+[solver]
+max_iterations = 7
+tolerance = 1e-9
+step_control = trust-region
+[output]
+prefix = myrun
+"""
+
+
+def test_every_key_reaches_its_field(tmp_path):
+    cfg = load_config(_write(tmp_path, EVERY_KEY))
+    want = dict(name="case.cfg", config_dir=tmp_path, mode="dual-solve", seed=3,
+                method="implicit-midpoint", n=2, m=2.0, d=0.1,
+                B_entries=((0, 0, 1, -0.25), (1, 1, 1, 0.5)), tables=((1, tmp_path / "drive.txt"),),
+                T=6.0, M=20, c_x=2.0, c_v=0.5, base_kind="trajectory", base_refine=4,
+                base_amplitude=0.05, base_settle=20, base_path=tmp_path / "base.txt",
+                max_iterations=7, tolerance=1e-9, step_control="trust-region", prefix="myrun")
+    for field, value in want.items():
+        assert getattr(cfg, field) == value, field
+    # constant entries follow the sinusoids, as zero-frequency sinusoids
+    assert [(j, tuple(vars(s).values())) for j, s in cfg.sinusoids] == [
+        (0, (0.5, 1.0, 0.25)), (1, (0.1, 0.0, 0.0))]
+    arrays = dict(C=[0.5, 0.25], A=[[2.0, -1.0], [-1.0, 2.0]], x0=[0.3, 0.0], v0=[0.0, -0.1])
+    for field, value in arrays.items():
+        np.testing.assert_array_equal(getattr(cfg, field), value)
+    assert {f.name for f in dataclasses.fields(cfg)} == set(want) | {"sinusoids"} | set(arrays)
+
+
+def test_absent_keys_take_their_defaults(tmp_path):
+    cfg = load_config(_write(tmp_path, SMALL_HARMONIC.replace("[base]\nkind = primal\nrefine = 10\n", "")
+                             .replace("[initial]\nx0 = 1.0\nv0 = 0.0\n", "")), mode="periodic")
+    assert (cfg.seed, cfg.method, cfg.B_entries, cfg.sinusoids, cfg.tables) == (0, "rk4", (), (), ())
+    assert (cfg.x0, cfg.v0, cfg.c_x, cfg.c_v) == (None, None, 1.0, 1.0)
+    assert (cfg.base_kind, cfg.base_refine, cfg.base_amplitude, cfg.base_settle,
+            cfg.base_path) == ("zero", 10, 0.0, 10, None)
+    assert (cfg.max_iterations, cfg.tolerance, cfg.step_control, cfg.prefix) == (
+        50, 1e-10, "damped-newton", "case")
+    np.testing.assert_array_equal(cfg.C, [0.0])
+    assert load_config(tmp_path / "case.cfg", mode="verify").base_kind == "primal"
+
+
+@pytest.mark.parametrize("line", ["n = 1", "m = 1.0", "d = 0.0", "A = 1.0",
+                                  "T = 6.283185307179586", "M = 128"])
+def test_each_required_key_is_named(tmp_path, line):
+    path = _write(tmp_path, SMALL_HARMONIC.replace(line + "\n", ""))
+    key = {"n": "chain.n", "m": "chain.m", "d": "chain.d", "A": "chain.A",
+           "T": "grid.T", "M": "grid.M"}[line.split()[0]]
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: {key} is required")):
+        load_config(path)
+
+
+# the four indexed keys share one token-count and index-range check
+@pytest.mark.parametrize("entry, message", [
+    ("chain.B=1 1 1", "chain.B entries are 'j r s value', got '1 1 1'"),
+    ("chain.B=1 2 1 0.5", "chain.B index 2 outside 1..1"),
+    ("chain.B=1 1 1.5 0.5", "chain.B index must be an integer, got '1.5'"),
+    ("forcing.sinusoid=2 1.0 1.0 0.0", "forcing.sinusoid index 2 outside 1..1"),
+    ("forcing.sinusoid=1 1.0 x 0.0", "forcing.sinusoid value must be a number, got 'x'"),
+    ("forcing.constant=0 1.0", "forcing.constant index 0 outside 1..1"),
+    ("forcing.constant=1", "forcing.constant entries are 'j value', got '1'"),
+    ("forcing.table=1", "forcing.table entries are 'j path', got '1'"),
+    ("forcing.table=-1 drive.txt", "forcing.table index -1 outside 1..1"),
+])
+def test_indexed_entries_are_checked_alike(entry, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(PRESETS["harmonic_n1"], sets=(entry,))
 
 
 def test_constant_forcing_entry(tmp_path):
@@ -173,6 +296,13 @@ def test_tables_write_the_bytes_of_savetxt_and_read_back(tmp_path_factory, n, M,
         assert back.grid == grid
         for got, value in zip(dataclasses.astuple(back)[1:], values):
             assert got.tobytes() == value.tobytes()  # -0.0 and subnormals survive
+        # a row one column short is named with its file, for both kinds
+        lines = path.read_text().splitlines()
+        short = tmp / "short.txt"
+        short.write_text("\n".join([lines[0]] + [row.rsplit(" ", 1)[0] for row in lines[1:]]))
+        with pytest.raises(ValueError, match=f"short.txt: rows have {2 * n} columns, "
+                                             f"expected {2 * n + 1}"):
+            read(short)
 
 
 def test_dual_solve_artifacts_and_manifest(tmp_path):
@@ -248,13 +378,28 @@ def test_primal_base_honours_run_method(tmp_path, monkeypatch):
     assert methods == [(1280, "implicit-midpoint")]
 
 
-@pytest.mark.parametrize("setting", ["solver.step_control=bogus",
-                                     "solver.max_iterations=0",
-                                     "solver.tolerance=-1"])
-def test_invalid_solver_values_exit_2(tmp_path, capsys, setting):
-    assert run_one(PRESETS["harmonic_n1"], tmp_path, sets=(setting,)) == 2
+@pytest.mark.parametrize("preset, sets, mode", [
+    pytest.param("harmonic_n1", ("solver.step_control=bogus",), None,
+                 id="solver.step_control=bogus"),
+    pytest.param("harmonic_n1", ("solver.max_iterations=0",), None,
+                 id="solver.max_iterations=0"),
+    pytest.param("harmonic_n1", ("solver.tolerance=-1",), None, id="solver.tolerance=-1"),
+    # an unknown method is rejected in every mode, before any solve and also
+    # where the method would not be used (a periodic run from the zero base)
+    pytest.param("damped_n1", ("run.method=foo",), "simulate", id="run.method=foo-simulate"),
+    pytest.param("damped_n1", ("run.method=foo", "base.kind=zero"), "verify",
+                 id="run.method=foo-verify"),
+    pytest.param("periodic_forced_n4", ("run.method=foo", "grid.M=100"), "periodic",
+                 id="run.method=foo-periodic"),
+])
+def test_invalid_solver_values_exit_2(tmp_path, capsys, preset, sets, mode):
+    assert run_one(PRESETS[preset], tmp_path, sets=sets, mode=mode) == 2
     assert "config error" in capsys.readouterr().err
-    assert not (tmp_path / "harmonic_n1_report.txt").exists()
+    assert not list(tmp_path.iterdir())
+    if "run.method=foo" in sets:
+        with pytest.raises(ConfigError, match="run.method must be one of rk4, "
+                                              "implicit-midpoint, got 'foo'"):
+            load_config(PRESETS[preset], sets=sets, mode=mode)
 
 
 def test_stalled_implicit_midpoint_exits_3(tmp_path, capsys):

@@ -917,7 +917,6 @@ def test_table_base_interpolates_midpoints():
     v = -x
     base = BaseState(grid, x, v)
     np.testing.assert_array_equal(base.xbar_mid, 0.5 * (x[:-1] + x[1:]))
-    assert base.provenance == "user-table"
 
 
 def test_perturb_base_bounded_and_reproducible():
