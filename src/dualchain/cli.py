@@ -52,6 +52,7 @@ from .dual_action import (
     zero_base,
 )
 from .dual_solver import (
+    STEP_CONTROLS,
     SingularSystemError,
     SolveOptions,
     _blas_threads_user_set,
@@ -101,7 +102,15 @@ def _converter(convert, noun: str):
     return parse
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
 _to_int = _converter(int, "an integer")
+_to_count = _converter(_count, "an integer >= 1")
 _to_float = _converter(float, "a number")
 
 
@@ -169,7 +178,7 @@ _KEYS = {
     ("run", "mode"): _Key("mode"),
     ("run", "seed"): _Key("seed", _to_int, 0),
     ("run", "method"): _Key("method", _choice(METHODS), "rk4"),
-    ("chain", "n"): _Key("n", _to_int, _REQUIRED),
+    ("chain", "n"): _Key("n", _to_count, _REQUIRED),
     ("chain", "m"): _Key("m", _to_float, _REQUIRED),
     ("chain", "d"): _Key("d", _to_float, _REQUIRED),
     ("chain", "C"): _Key("C", _vector(1), np.zeros, True),
@@ -181,19 +190,19 @@ _KEYS = {
         "j value", lambda j, value: (j, Sinusoid(value, 0.0, 0.0))), (), True),
     ("forcing", "table"): _Key("tables", _entries("j path"), (), True),
     ("grid", "T"): _Key("T", _to_float, _REQUIRED),
-    ("grid", "M"): _Key("M", _to_int, _REQUIRED),
+    ("grid", "M"): _Key("M", _to_count, _REQUIRED),
     ("initial", "x0"): _Key("x0", _vector(1), None, True),
     ("initial", "v0"): _Key("v0", _vector(1), None, True),
     ("scales", "c_x"): _Key("c_x", _to_float, 1.0),
     ("scales", "c_v"): _Key("c_v", _to_float, 1.0),
     ("base", "kind"): _Key("base_kind"),
-    ("base", "refine"): _Key("base_refine", _to_int, 10),
+    ("base", "refine"): _Key("base_refine", _to_count, 10),
     ("base", "amplitude"): _Key("base_amplitude", _to_float, 0.0),
-    ("base", "settle_periods"): _Key("base_settle", _to_int, 10),
+    ("base", "settle_periods"): _Key("base_settle", _to_count, 10),
     ("base", "path"): _Key("base_path"),
-    ("solver", "max_iterations"): _Key("max_iterations", _to_int, 50),
+    ("solver", "max_iterations"): _Key("max_iterations", _to_count, 50),
     ("solver", "tolerance"): _Key("tolerance", _to_float, 1e-10),
-    ("solver", "step_control"): _Key("step_control", lambda text, what: text, "damped-newton"),
+    ("solver", "step_control"): _Key("step_control", _choice(STEP_CONTROLS), STEP_CONTROLS[0]),
     ("output", "prefix"): _Key("prefix"),
 }
 _SECTIONS = {section for section, _ in _KEYS}
@@ -282,7 +291,13 @@ class ScenarioConfig:
             data = np.loadtxt(path, ndmin=2)
             if data.shape[1] != 2:
                 raise ConfigError(f"forcing table {path} needs two columns (t, value)")
-            tables.append((j, SampledSignal(data[:, 0], data[:, 1])))
+            table = SampledSignal(data[:, 0], data[:, 1])
+            t0, t1 = float(table.times[0]), float(table.times[-1])
+            slack = 1e-12 * max(1.0, t1 - t0)  # eval_forcing's own
+            if t0 > slack or t1 < self.T - slack:
+                raise ConfigError(f"forcing.table {path} spans [{t0!r}, {t1!r}], "
+                                  f"which does not cover [0, T] with T = {self.T!r}")
+            tables.append((j, table))
         forcing = ForcingSpec(n=self.n, sinusoids=self.sinusoids, tables=tables)
         return ChainParams(m=self.m, d=self.d, force=force, forcing=forcing)
 

@@ -19,13 +19,13 @@ produce bit-identical outputs.
 One path per job: a linear force is the quadratic one with B = 0 (its
 weighted stiffness is exactly I); one map takes dual values and rates to the
 primal state, at midpoints for the assembly and at nodes for `dtp_map`; one
-writer fills the bands of the banded Cholesky and of the banded LU.  The
-mapped midpoint state of a DualField (the primal
-state, the intermediate covectors and the stiffness inverse) is computed
-once and kept on the immutable field, keyed by the spec's midpoint data, so
-the action, gradient and Hessian at that field share it.  The Hessian is
-assembled from three element quadrants, and its banded Cholesky factor comes
-from LAPACK dpbtrf directly.
+factorization, the banded Cholesky of the negated Hessian (LAPACK dpbtrf
+directly), serves the open and the cyclic band alike.  The mapped
+midpoint state of a DualField (the primal state, the intermediate covectors
+and the stiffness inverse) is computed once and kept on the immutable
+field, keyed by the spec's midpoint data, so the action, gradient and
+Hessian at that field share it.  The Hessian is assembled from three
+element quadrants.
 
 No eigendecomposition runs on the Newton path when every point is well
 conditioned.  The multiplier-weighted stiffness K is inverted directly, and
@@ -587,8 +587,8 @@ class BlockTridiagonal:
     off[F-1] couples node F-1 to node 0; it is banded in the folded node
     order 0, F-1, 1, F-2, ..., in which every coupling joins nodes at most
     two places apart (scalar bandwidth 3b - 1).  `to_banded` writes that
-    band and `solve` permutes into and out of it; `neg_cholesky` returns a
-    factor in node order and rejects a cyclic matrix.
+    band, `neg_cholesky` factors its negation, and `solve` permutes into and
+    out of the folded order; it needs a negative definite matrix.
     """
 
     diag: np.ndarray
@@ -649,79 +649,59 @@ class BlockTridiagonal:
         blocks[2][first[gap == 2]] = upper[gap == 2]
         return blocks
 
-    def _band(self, top: int) -> np.ndarray:
-        """Band storage in Fortran order, folded when cyclic, with A[i, j] at
-        ab[top + i - j, j]: the lower band (0 <= i - j <= bw) for top = 0,
-        both halves in top + bw + 1 rows for top >= bw.  Column k b + q is
-        row q of node k's block row [D_k^T, U1_k, U2_k] (U2 when cyclic;
-        extended leftwards by [U2_{k-2}^T, U1_{k-1}^T] when top > 0) read
-        along a skew: entry c, counted from D_k^T, goes to ab[top + c - q].
-        One strided view writes each block whole, so each entry comes from
-        the triangle that stores it (D_k is not bitwise symmetric)."""
-        F, b, _ = self.diag.shape
-        blocks = self._band_blocks()
-        s, bw = len(blocks) - 1, self.bandwidth
-        ab = np.zeros((top + bw + 1, F * b), order="F")
-        lead = s * b if top else 0  # block-row columns left of D_k^T
-        sr, sc = ab.strides
-        row = np.lib.stride_tricks.as_strided(
-            ab[top - lead:], (F, b, lead + (s + 1) * b), (b * sc, sc - sr, sr))
-        row[:, :, lead:lead + b] = np.swapaxes(blocks[0], 1, 2)
-        if not top:
-            # D_k^T's entries left of the diagonal have no row above the band
-            # to go to: in Fortran order they run into the foot of the column
-            # before, whose last b - 1 rows hold only zeros and U_s entries
-            ab[bw - b + 2:] = 0.0
-        for r, up in enumerate(blocks[1:], start=1):
-            c = lead + r * b
-            row[:F - r, :, c:c + b] = up
-            if top:
-                row[r:, :, lead - r * b:lead - (r - 1) * b] = np.swapaxes(up, 1, 2)
-        return ab
-
     def to_banded(self) -> np.ndarray:
         """Lower band storage, folded when cyclic: ab[i - j, j] = A[i, j] for
-        0 <= i - j <= bandwidth, in Fortran order (LAPACK reads it in place)."""
-        return self._band(0)
-
-    @cached_property
-    def lu(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """LAPACK banded LU (lu, piv), kept for `solve`, and the exact 1-norm
-        of the matrix, summed from the band before dgbtrf overwrites it (the
-        band holds every entry once, folded or not); LinAlgError if singular.
-        dgbtrf's band is `_band` with its bw rows of fill-in room on top."""
+        0 <= i - j <= bandwidth, in Fortran order (LAPACK reads it in place).
+        Column k b + q is row q of node k's block row [D_k^T, U1_k, U2_k]
+        (U2 when cyclic) read along a skew: entry c, counted from D_k^T, goes
+        to ab[c - q].  One strided view writes each block whole, so each
+        entry comes from the triangle that stores it (D_k is not bitwise
+        symmetric)."""
+        F, b, _ = self.diag.shape
+        blocks = self._band_blocks()
         bw = self.bandwidth
-        ab = self._band(2 * bw)
-        # each column summed in the order its band rows come, through one
-        # scratch row instead of a band-sized temporary
-        colsum, scratch = np.abs(ab[bw]), np.empty(ab.shape[1])
-        for row in ab[bw + 1:]:
-            colsum += np.abs(row, out=scratch)
-        norm = float(np.max(colsum))
-        lu, piv, info = scipy.linalg.lapack.dgbtrf(ab, bw, bw, overwrite_ab=True)
-        if info > 0:
-            raise np.linalg.LinAlgError("singular matrix")
-        return lu, piv, norm
+        ab = np.zeros((bw + 1, F * b), order="F")
+        sr, sc = ab.strides
+        row = np.lib.stride_tricks.as_strided(ab, (F, b, len(blocks) * b), (b * sc, sc - sr, sr))
+        row[:, :, :b] = np.swapaxes(blocks[0], 1, 2)
+        # D_k^T's entries left of the diagonal have no row above the band to
+        # go to: in Fortran order they run into the foot of the column before,
+        # whose last b - 1 rows hold only zeros and U_s entries
+        ab[bw - b + 2:] = 0.0
+        for r, up in enumerate(blocks[1:], start=1):
+            row[:F - r, :, r * b:(r + 1) * b] = up
+        return ab
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+    def norm1(self) -> float:
+        """Exact 1-norm, from the lower band: column j sums its band column
+        and its band row, the entries A[j, i] = A[i, j] (i < j) that the band
+        holds along the skew ab[j - i, i]."""
+        ab = np.abs(self.to_banded())
+        N = ab.shape[1]
+        sums = np.sum(ab, axis=0)
+        for r in range(1, min(ab.shape[0], N)):  # F = 2 cyclic: bandwidth >= N
+            sums[r:] += ab[r, :N - r]
+        return float(np.max(sums))
+
+    def solve(self, rhs: np.ndarray, fac=None) -> np.ndarray:
+        """x with A x = rhs, through `neg_cholesky`'s factor ``fac`` (computed
+        here when not given); LinAlgError if A is not negative definite."""
+        if fac is None:
+            fac = self.neg_cholesky()
+            if fac is None:
+                raise np.linalg.LinAlgError("matrix is not negative definite")
         F, b, _ = self.diag.shape
         order = self._order if self.cyclic else slice(None)
-        (lu, piv, _), bw = self.lu, self.bandwidth
-        y = scipy.linalg.lapack.dgbtrs(lu, bw, bw, rhs.reshape(F, b)[order].ravel(), piv)[0]
+        # A x = rhs  <=>  x = (-A)^{-1} (-rhs)
+        y = scipy.linalg.lapack.dpbtrs(fac, -rhs.reshape(F, b)[order].ravel(), lower=1)[0]
         x = np.empty((F, b))
         x[order] = y.reshape(F, b)
         return x.ravel()
 
     def neg_cholesky(self):
-        """Banded Cholesky factor of -A, or None when A is not negative
-        definite (doubles as the definiteness probe in the Newton loop)."""
-        if self.cyclic:  # the factor is in node order, where a cyclic matrix is not banded
-            raise ValueError("neg_cholesky needs the open layout, not a cyclic one")
-        return self._band_neg_cholesky()
-
-    def _band_neg_cholesky(self):
         """Lower Cholesky factor of the negated band (folded when cyclic), by
-        LAPACK dpbtrf, or None; ValueError if the band is not finite."""
+        LAPACK dpbtrf, or None when A is not negative definite (doubles as
+        the definiteness probe); ValueError if the band is not finite."""
         ab = self.to_banded()
         if not np.all(np.isfinite(ab)):
             raise ValueError("array must not contain infs or NaNs")
@@ -750,7 +730,7 @@ class BlockTridiagonal:
         scale = max(float(np.max(np.abs(self.diag))),
                     float(np.max(np.abs(self.off))) if F > 1 else 0.0, 1e-300)
         tol = 1e-11 * scale
-        if self.shifted(-tol)._band_neg_cholesky() is not None:
+        if self.shifted(-tol).neg_cholesky() is not None:
             return self.size, 0, 0
         if not self.cyclic:
             return _schur_inertia(self.diag, self.off, tol)

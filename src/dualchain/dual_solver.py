@@ -7,13 +7,14 @@ stiffness is positive definite, so the default step control is damped Newton
 with an ascent line search.  When no ascent Newton step is available at an
 iterate, steps fall back to a Levenberg-style trust-region iteration that
 must decrease the gradient norm; when that cannot make progress either, the
-iteration stops unconverged.  The initial-value problem takes its Newton
-direction from the banded Cholesky factorization of the negated Hessian
-(LAPACK dpbtrf and dpbtrs).
-The periodic problem's cyclic Hessian gets a banded LU on every iteration,
-checked against `COND_LIMIT` by a deterministic Hager-Higham estimate of the
-inverse's 1-norm, and the direction reuses that LU.  The period is fixed to
-the grid span, which must be an integer number of forcing periods; searching
+iteration stops unconverged.  Both problems factor the negated Hessian once
+per iterate by the banded Cholesky (LAPACK dpbtrf and dpbtrs, on the folded
+band when cyclic); where it does not factor, the iterate is indefinite and
+goes to the trust region, which grows its shift until it factors.  The
+cyclic Hessian is also checked against `COND_LIMIT` on every iteration, by
+a deterministic Hager-Higham estimate of the inverse's 1-norm, or by one
+shifted factorization when it does not factor.  The period is fixed to the
+grid span, which must be an integer number of forcing periods; searching
 for orbits of unknown period is out of scope.
 
 Every `solve_dual` runs with the OpenBLAS libraries already loaded into the
@@ -36,7 +37,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .dual_action import (
     COND_LIMIT,
@@ -64,6 +64,10 @@ __all__ = [
 ]
 
 
+# the step controls SolveOptions accepts, the default first
+STEP_CONTROLS = ("damped-newton", "trust-region")
+
+
 class SingularSystemError(RuntimeError):
     """The Newton linear system is numerically singular."""
 
@@ -79,7 +83,7 @@ class SolveOptions:
 
     max_iterations: int = 50
     tolerance: float = 1e-10
-    step_control: str = "damped-newton"
+    step_control: str = STEP_CONTROLS[0]
     initial_guess: DualField | None = None
 
     def __post_init__(self):
@@ -87,8 +91,8 @@ class SolveOptions:
             raise ValueError("max_iterations must be >= 1")
         if not (np.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError("tolerance must be positive")
-        if self.step_control not in ("damped-newton", "trust-region"):
-            raise ValueError("step_control must be 'damped-newton' or 'trust-region'")
+        if self.step_control not in STEP_CONTROLS:
+            raise ValueError(f"step_control must be one of {', '.join(STEP_CONTROLS)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,16 +149,19 @@ def _maximize(spec: ProblemSpec, opts: SolveOptions):
 
     gnorm = float(np.max(np.abs(g)))
     history = [gnorm]
+    damped = opts.step_control == "damped-newton"
     # written so that a nan residual keeps iterating, like any unconverged one
     while not gnorm <= tol and len(history) <= opts.max_iterations:
         H = hessian(D, spec)
-        if spec.periodic:
-            _factorize_checked(H)  # on every iteration, whatever the step control
+        if spec.periodic:  # checked on every iteration, whatever the step control
+            fac = _factorize_checked(H)
+        else:  # factored only for a Newton direction; None if indefinite
+            fac = H.neg_cholesky() if damped else None
+        direction = _newton_direction(H, fac, g) if damped and fac is not None else None
+        del fac  # not held through the step searches
         accepted = None
-        if opts.step_control == "damped-newton":
-            direction = H.solve(-g) if spec.periodic else _newton_direction(H, g)
-            if direction is not None and np.all(np.isfinite(direction)):
-                accepted = _line_search(spec, D, u, direction)
+        if direction is not None and np.all(np.isfinite(direction)):
+            accepted = _line_search(spec, D, u, direction)
         if accepted is None:
             accepted = _trust_region_step(spec, H, g, u, gnorm)
         if accepted is None:
@@ -188,16 +195,15 @@ def _line_search(spec: ProblemSpec, D: DualField, u, direction):
 
 def _trust_region_step(spec: ProblemSpec, H: BlockTridiagonal, g, u, gnorm):
     """Levenberg-style step: solve (H - mu I) step = -g with growing mu until
-    the gradient norm strictly decreases; (new u, its field), or None if no
-    shift achieves that."""
+    H - mu I is negative definite and the gradient norm strictly decreases;
+    (new u, its field), or None if no shift achieves that."""
     mu = 1e-8 * (1.0 + float(np.max(np.abs(H.diag))))
     for _ in range(_TR_MAX_TRIES):
         try:
             step = H.shifted(mu).solve(-g)
-        except np.linalg.LinAlgError:
-            mu *= _TR_MU_GROWTH
-            continue
-        if np.all(np.isfinite(step)):
+        except np.linalg.LinAlgError:  # H - mu I is not negative definite
+            step = None
+        if step is not None and np.all(np.isfinite(step)):
             trial = u + step
             D_trial = _field(spec, trial)
             if float(np.max(np.abs(gradient(D_trial, spec)))) < gnorm:
@@ -206,62 +212,61 @@ def _trust_region_step(spec: ProblemSpec, H: BlockTridiagonal, g, u, gnorm):
     return None
 
 
-def _inverse_norm1(H: BlockTridiagonal) -> float:
+def _inverse_norm1(H: BlockTridiagonal, fac) -> float:
     """Hager-Higham lower estimate of ||H^-1||_1 from the fixed start of
     LAPACK dlacn2 (Higham, ACM TOMS 14, 1988), so equal matrices give equal
-    estimates.  H is symmetric, so the adjoint solves are `H.solve` too."""
+    estimates.  H is symmetric, so the adjoint solves through ``fac`` too."""
     N = H.size
-    y = H.solve(np.full(N, 1.0 / N))
+    y = H.solve(np.full(N, 1.0 / N), fac)
     est = float(np.sum(np.abs(y)))
     if N == 1:
         return est
     signs = np.where(y >= 0.0, 1.0, -1.0)
-    z = H.solve(signs)
+    z = H.solve(signs, fac)
     j = int(np.argmax(np.abs(z)))
     for _ in range(4):  # dlacn2's five iterations, the start counting as one
-        y = H.solve(np.eye(1, N, j).ravel())
+        y = H.solve(np.eye(1, N, j).ravel(), fac)
         previous, est = est, float(np.sum(np.abs(y)))
         new_signs = np.where(y >= 0.0, 1.0, -1.0)
         if np.array_equal(new_signs, signs) or est <= previous:
             break
         signs = new_signs
-        z = H.solve(signs)
+        z = H.solve(signs, fac)
         last, j = j, int(np.argmax(np.abs(z)))
         if z[last] == abs(z[j]):
             break
     # Higham's extra step guards against the estimate getting stuck
     alt = (-1.0) ** np.arange(N) * (1.0 + np.arange(N) / (N - 1))
-    return max(est, 2.0 * float(np.sum(np.abs(H.solve(alt)))) / (3.0 * N))
+    return max(est, 2.0 * float(np.sum(np.abs(H.solve(alt, fac)))) / (3.0 * N))
 
 
-def _factorize_checked(H: BlockTridiagonal) -> None:
-    """Banded LU of H (kept on H for the Newton direction) plus a 1-norm
-    condition estimate; raises SingularSystemError on singularity."""
-    try:
-        _, _, norm = H.lu
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"cyclic dual system is singular: {exc}") from exc
-    cond = norm * _inverse_norm1(H)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularSystemError(
-            f"cyclic dual system is numerically singular "
-            f"(1-norm condition estimate {cond:.3e}); for undamped linear chains this "
-            f"is the signature of forcing at a resonant frequency")
-
-
-def _newton_direction(H: BlockTridiagonal, g: np.ndarray):
-    """Ascent Newton direction via Cholesky of -H; None if H is not
-    negative definite."""
-    fac = H.neg_cholesky()
-    if fac is None:
+def _factorize_checked(H: BlockTridiagonal):
+    """Cholesky factor of -H for a cyclic Hessian, None when H is indefinite,
+    and SingularSystemError when H is singular to `COND_LIMIT`.  When -H does
+    not factor but -(H - delta I) does, delta = ||H||_1 / COND_LIMIT, H has an
+    eigenvalue in [0, delta) to rounding, so ||H^-1||_1 > 1/delta."""
+    fac, norm = H.neg_cholesky(), H.norm1()
+    if fac is not None:
+        cond = norm * _inverse_norm1(H, fac)
+        if cond <= COND_LIMIT:
+            return fac
+        estimate = f"{cond:.3e}"
+    elif H.shifted(norm / COND_LIMIT).neg_cholesky() is None:
         return None
+    else:
+        estimate = f"> {COND_LIMIT:.3e}"
+    raise SingularSystemError(
+        f"cyclic dual system is numerically singular "
+        f"(1-norm condition estimate {estimate}); for undamped linear chains this "
+        f"is the signature of forcing at a resonant frequency")
+
+
+def _newton_direction(H: BlockTridiagonal, fac, g: np.ndarray) -> np.ndarray:
+    """Ascent Newton direction, H step = -g, from the Cholesky factor
+    ``fac`` of -H."""
     if not np.all(np.isfinite(g)):  # the factor of a finite band is finite
         raise ValueError("array must not contain infs or NaNs")
-    # H step = -g  <=>  step = (-H)^{-1} g
-    step, info = scipy.linalg.lapack.dpbtrs(fac, g, lower=1)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of dpbtrs")
-    return step
+    return H.solve(-g, fac)
 
 
 # the thread setters of upstream OpenBLAS, of its ILP64 build (numpy 1.24-era

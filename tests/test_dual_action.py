@@ -561,7 +561,7 @@ def test_banded_cholesky_and_direction_match_scipy_bit_for_bit(seed, F, b):
     fac = H.neg_cholesky()
     assert fac.shape == want.shape and fac.tobytes() == want.tobytes()
     g = rng.normal(size=H.size)
-    step = _newton_direction(H, g)
+    step = _newton_direction(H, fac, g)
     assert step.tobytes() == scipy.linalg.cho_solve_banded((want, True), g).tobytes()
     diag = H.diag.copy()
     diag[-1, -1, -1] = 1.0  # a positive diagonal entry: not negative definite
@@ -572,7 +572,7 @@ def test_banded_cholesky_and_direction_match_scipy_bit_for_bit(seed, F, b):
         with pytest.raises(ValueError, match="infs or NaNs"):
             BlockTridiagonal(diag, H.off).neg_cholesky()
         with pytest.raises(ValueError, match="infs or NaNs"):
-            _newton_direction(H, np.where(np.arange(H.size) == 0, bad, g))
+            _newton_direction(H, fac, np.where(np.arange(H.size) == 0, bad, g))
 
 
 def _one_ulp_asymmetric(H):
@@ -585,41 +585,52 @@ def _one_ulp_asymmetric(H):
 
 
 def _assert_bands_match(H, dense):
-    """The lower band (dpbtrf, eigvals_banded) and the dgbtrf band, with
-    bw rows of fill-in room on top, hold exactly the entries of ``dense``
-    in band order."""
+    """The lower band (dpbtrf, eigvals_banded) holds exactly the entries of
+    ``dense`` in band order, and `norm1` is the 1-norm of the symmetric
+    matrix it stores."""
     bw = H.bandwidth
     i, j = np.indices(dense.shape)
-    for ab, top in ((H.to_banded(), 0), (H._band(2 * bw), 2 * bw)):
-        assert ab.flags.f_contiguous  # LAPACK reads it in place
-        want = np.zeros_like(ab)
-        inside = (top + i - j >= 0) & (top + i - j < ab.shape[0])
-        want[(top + i - j)[inside], j[inside]] = dense[inside]
-        assert ab.shape == (top + bw + 1, H.size)
-        assert ab.tobytes("F") == want.tobytes("F")
-    # dgbtrf's 1-norm is summed from its band
-    np.testing.assert_allclose(H.lu[2], np.max(np.sum(np.abs(dense), axis=0)), rtol=1e-14)
+    ab = H.to_banded()
+    assert ab.flags.f_contiguous  # LAPACK reads it in place
+    want = np.zeros_like(ab)
+    inside = (i - j >= 0) & (i - j < ab.shape[0])
+    want[(i - j)[inside], j[inside]] = dense[inside]
+    assert ab.shape == (bw + 1, H.size)
+    assert ab.tobytes("F") == want.tobytes("F")
+    lower = np.tril(dense) + np.tril(dense, -1).T
+    np.testing.assert_allclose(H.norm1(), np.max(np.sum(np.abs(lower), axis=0)), rtol=1e-14)
 
 
-@settings(deadline=None, max_examples=80)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 4), st.booleans(),
-       st.integers(0, 250))
-def test_lu_norm_sums_the_band_rows_in_order_bit_for_bit(seed, F, b, cyclic, spread):
-    # `lu` sums its 1-norm row by row through one scratch row; pinned against
-    # the band-sized C-ordered column sum it replaced, on entries spread over
-    # up to 2 * spread decades, where another summation order rounds differently
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 9), st.integers(1, 4), st.booleans(),
+       st.integers(0, 12))
+@example(seed=0, F=2, b=3, cyclic=True, spread=0)
+@example(seed=1, F=9, b=4, cyclic=True, spread=12)
+def test_one_factorization_serves_open_and_cyclic_matrices(seed, F, b, cyclic, spread):
+    # the Cholesky factor of the negated band, open or folded, solves every
+    # system, and refuses a matrix with a clearly positive eigenvalue
     rng = np.random.default_rng(seed)
-    H = _random_block_tridiagonal(rng, M=max(F, 2) if cyclic else F, b=b, cyclic=cyclic)
-    H = BlockTridiagonal(*(a * 10.0 ** rng.uniform(-spread, spread, a.shape)
+    H = _random_block_tridiagonal(rng, M=F, b=b, definite="negative", cyclic=cyclic)
+    top = np.linalg.eigvalsh(H.to_dense())[-1]
+    H = H.shifted(max(top + 1.0, 0.0))  # negative definite, eigenvalues <= -1
+    dense = H.to_dense()
+    rhs = rng.normal(size=H.size)
+    want = np.linalg.solve(dense, rhs)
+    fac = H.neg_cholesky()
+    assert fac is not None
+    x = H.solve(rhs, fac)
+    np.testing.assert_allclose(x, want, rtol=0, atol=1e-10 * np.max(np.abs(want)))
+    assert x.tobytes() == H.solve(rhs).tobytes()  # factored inside when not given
+    positive = H.shifted(np.linalg.eigvalsh(dense)[-1] - 1e-6 * H.norm1())
+    assert positive.neg_cholesky() is None
+    with pytest.raises(np.linalg.LinAlgError, match="not negative definite"):
+        positive.solve(rhs)
+    # the exact 1-norm, to rounding, on entries spread over 2 * spread decades
+    S = BlockTridiagonal(*(a * 10.0 ** rng.uniform(-spread, spread, a.shape)
                            for a in (H.diag, H.off)))
-    bw = H.bandwidth
-    ab = H._band(2 * bw)
-    want = float(np.max(np.sum(np.abs(ab[bw:], order="C"), axis=0)))
-    try:
-        norm = H.lu[2]
-    except np.linalg.LinAlgError:  # an exactly zero pivot
-        assume(False)
-    assert norm.hex() == want.hex()
+    lower = np.tril(S.to_dense()) + np.tril(S.to_dense(), -1).T
+    norm = np.max(np.sum(np.abs(lower), axis=0))
+    assert abs(S.norm1() - norm) <= 4 * S.bandwidth * _EPS * norm
 
 
 def test_block_tridiagonal_band_storage_matches_dense():
@@ -647,7 +658,8 @@ def _cyclic_dense(H):
 @pytest.mark.parametrize("b", [1, 2, 3, 4, 5])
 def test_cyclic_block_tridiagonal_matches_dense(F, b):
     rng = np.random.default_rng(100 * F + b)
-    H = _one_ulp_asymmetric(_random_block_tridiagonal(rng, M=F, b=b, cyclic=True))
+    H = _one_ulp_asymmetric(_random_block_tridiagonal(rng, M=F, b=b, definite="negative",
+                                                      cyclic=True))
     dense = _cyclic_dense(H)
     assert H.cyclic
     np.testing.assert_array_equal(H.to_dense(), dense)
@@ -666,13 +678,6 @@ def test_cyclic_block_tridiagonal_matches_dense(F, b):
     i, j = np.indices(folded.shape)
     assert not np.any(folded[np.abs(i - j) > bw])
     _assert_bands_match(H, folded)
-
-
-def test_cyclic_block_tridiagonal_rejects_node_order_methods():
-    rng = np.random.default_rng(25)
-    H = _random_block_tridiagonal(rng, M=5, b=2, definite="negative", cyclic=True)
-    with pytest.raises(ValueError, match="cyclic"):
-        H.neg_cholesky()
 
 
 @pytest.mark.parametrize("definite", ["negative", "singular", None])

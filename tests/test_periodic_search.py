@@ -362,26 +362,31 @@ def test_cyclic_hessian_matches_coo_reference(n, M, singular, seed):
 
 @pytest.mark.parametrize("step_control", ["damped-newton", "trust-region"])
 def test_each_iteration_factorizes_its_hessian_once(monkeypatch, step_control):
-    # the Newton direction reuses the checked LU; only shifted trust-region
-    # matrices get factorizations of their own
-    counts = {"lu": 0, "shifted": 0}
-    dgbtrf, shifted = scipy.linalg.lapack.dgbtrf, dual_action.BlockTridiagonal.shifted
+    # one Cholesky factorization of -H per iterate serves the condition check
+    # and the Newton direction; each shifted matrix (a trust-region shift, or
+    # the final inertia's certificate) gets one of its own, and no LU runs
+    counts = {"dpbtrf": 0, "shifted": 0}
+    dpbtrf, shifted = scipy.linalg.lapack.dpbtrf, dual_action.BlockTridiagonal.shifted
 
-    def counted_lu(*args, **kwargs):
-        counts["lu"] += 1
-        return dgbtrf(*args, **kwargs)
+    def counted_cholesky(*args, **kwargs):
+        counts["dpbtrf"] += 1
+        return dpbtrf(*args, **kwargs)
 
     def counted_shift(self, mu):
-        # the final inertia's certificate shifts by -tol and factors by Cholesky
-        counts["shifted"] += mu > 0
+        counts["shifted"] += 1
         return shifted(self, mu)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf", counted_lu)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a banded LU ran")
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", counted_cholesky)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf", refuse)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgbtrs", refuse)
     monkeypatch.setattr(dual_action.BlockTridiagonal, "shifted", counted_shift)
     sol = solve_periodic(_fput_forced_spec(M=64), SolveOptions(step_control=step_control))
     assert sol.converged and sol.iterations > 1
-    assert counts["lu"] == sol.iterations + counts["shifted"]
-    assert (counts["shifted"] > 0) == (step_control == "trust-region")
+    assert counts["dpbtrf"] == sol.iterations + counts["shifted"]
+    assert (counts["shifted"] > 1) == (step_control == "trust-region")
 
 
 def test_spec_needs_both_initial_conditions_or_neither():
@@ -448,7 +453,8 @@ def test_condition_check_is_deterministic_and_draws_no_random_numbers():
     assert after[0] == state[0] and after[2:] == state[2:]
     np.testing.assert_array_equal(after[1], state[1])
     # equal matrices, equal estimates, down to the last bit
-    estimates = [dual_solver._inverse_norm1(_resonant_hessian(500)) for _ in range(2)]
+    H = _resonant_hessian(500)
+    estimates = [dual_solver._inverse_norm1(H, H.neg_cholesky()) for _ in range(2)]
     assert estimates[0] == estimates[1]
 
 
@@ -456,26 +462,53 @@ def test_condition_check_is_deterministic_and_draws_no_random_numbers():
 def test_inverse_norm_estimate_matches_the_exact_norm(M):
     # a lower bound in general, and exact on these chain Hessians
     for H in (hessian(DualField.zeros(TimeGrid(T=2 * np.pi, M=M), 1), _forced_damped_spec(M)),
-              _resonant_hessian(M + 1).shifted(-0.5)):
+              _resonant_hessian(M + 1).shifted(0.5)):
         exact = np.linalg.norm(np.linalg.inv(H.to_dense()), 1)
-        estimate = dual_solver._inverse_norm1(H)
+        estimate = dual_solver._inverse_norm1(H, H.neg_cholesky())
         assert abs(estimate - exact) <= 1e-10 * exact
 
 
-def test_condition_check_reads_the_band_of_its_lu(monkeypatch):
-    # the exact 1-norm comes from the band dgbtrf factorizes, so one check
-    # builds one band, and the Newton direction after it builds none
+def test_condition_check_returns_the_factor_it_checked(monkeypatch):
+    # the check factors -H once and hands that factor to the Newton
+    # direction, which factors nothing; the 1-norm is exact
     calls = []
-    band = dual_action.BlockTridiagonal._band
-
-    def counted(self, top):
-        calls.append(top)
-        return band(self, top)
-
-    H = _resonant_hessian(64).shifted(-0.5)
-    monkeypatch.setattr(dual_action.BlockTridiagonal, "_band", counted)
-    dual_solver._factorize_checked(H)
-    H.solve(np.ones(H.size))
-    assert calls == [2 * H.bandwidth]
-    np.testing.assert_allclose(H.lu[2], np.max(np.sum(np.abs(H.to_dense()), axis=0)),
+    dpbtrf = scipy.linalg.lapack.dpbtrf
+    H = _resonant_hessian(64).shifted(0.5)
+    want = H.neg_cholesky()
+    monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf",
+                        lambda *args, **kwargs: calls.append(1) or dpbtrf(*args, **kwargs))
+    fac = dual_solver._factorize_checked(H)
+    step = dual_solver._newton_direction(H, fac, np.ones(H.size))
+    assert calls == [1]
+    assert fac.tobytes() == want.tobytes()
+    np.testing.assert_allclose(step, np.linalg.solve(H.to_dense(), -np.ones(H.size)),
+                               rtol=1e-10)
+    np.testing.assert_allclose(H.norm1(), np.max(np.sum(np.abs(H.to_dense()), axis=0)),
                                rtol=1e-14)
+
+
+@pytest.mark.parametrize("step_control", ["damped-newton", "trust-region"])
+@pytest.mark.parametrize("M", [200, 500, 501])
+def test_chain_without_restoring_force_is_singular(step_control, M):
+    # with A = 0 the forced damped chain has a one-parameter family of
+    # orbits (any constant shift), so the cyclic Hessian is singular; -H need
+    # not factor, and the shifted probe still reports it as singular rather
+    # than sending it to the trust region as an indefinite one
+    force = QuadraticForce(n=1, A=[[0.0]])
+    forcing = ForcingSpec(n=1, sinusoids=[(0, Sinusoid(1.0, 1.0, 0.0))])
+    params = ChainParams(m=1.0, d=1.0, force=force, forcing=forcing)
+    grid = TimeGrid(T=2 * np.pi, M=M)
+    spec = PeriodicSpec(params=params, scales=UNIT, base=zero_base(grid, 1), grid=grid)
+    with pytest.raises(SingularSystemError, match="1-norm condition estimate"):
+        solve_periodic(spec, SolveOptions(step_control=step_control))
+
+
+def test_singular_probe_tells_singular_from_indefinite():
+    # a Hessian that does not factor is singular when its shift by
+    # ||H||_1 / COND_LIMIT factors, and indefinite when that does not either
+    H = _resonant_hessian(65).shifted(0.5)
+    top = np.linalg.eigvalsh(H.to_dense())[-1]
+    delta = H.norm1() / dual_action.COND_LIMIT
+    with pytest.raises(SingularSystemError, match="condition estimate > 1.000e"):
+        dual_solver._factorize_checked(H.shifted(top - 0.5 * delta))
+    assert dual_solver._factorize_checked(H.shifted(top - 10.0 * delta)) is None
