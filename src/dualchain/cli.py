@@ -337,15 +337,17 @@ class ScenarioConfig:
         raise ConfigError(f"unknown base kind {kind!r}")
 
     def _settled_base(self, params: ChainParams, grid: TimeGrid) -> BaseState:
-        # integrate through settle_periods copies of the span on a refined
-        # grid, keep the last copy, and close it up for the cyclic problem
-        x0 = self.x0 if self.x0 is not None else np.zeros(self.n)
-        v0 = self.v0 if self.v0 is not None else np.zeros(self.n)
-        k, r = self.base_settle, self.base_refine
-        long_grid = TimeGrid(T=k * grid.T, M=k * grid.M * r)
-        traj = integrate_primal(params, x0, v0, long_grid, method=self.method)
-        start = (k - 1) * grid.M * r
-        last = restrict_base(Trajectory(grid.refined(r), traj.x[start:], traj.v[start:]), r)
+        # integrate settle_periods periods on a refined grid, each from the
+        # clock's zero, so the forcing is read modulo the period (a table
+        # covers one period), keep the last and close it up for the cyclic
+        # problem
+        x = self.x0 if self.x0 is not None else np.zeros(self.n)
+        v = self.v0 if self.v0 is not None else np.zeros(self.n)
+        fine = grid.refined(self.base_refine)
+        for _ in range(self.base_settle):
+            traj = integrate_primal(params, x, v, fine, method=self.method)
+            x, v = traj.x[-1], traj.v[-1]
+        last = restrict_base(traj, self.base_refine)
         xb, vb = last.xbar.copy(), last.vbar.copy()
         xb[-1], vb[-1] = xb[0], vb[0]
         return BaseState(grid, xb, vb, last.xbar_mid, last.vbar_mid)

@@ -138,18 +138,60 @@ def integrate_primal(params: ChainParams, x0, v0, grid: TimeGrid,
     raise ValueError(f"unknown method {method!r}; use {' or '.join(map(repr, METHODS))}")
 
 
+# steps the stage maps take between two checks of their bound; every step
+# does the same arithmetic whatever the block, so only the step at which a
+# diverging run leaves the maps depends on it
+RK4_BLOCK = 256
+# a block stays on the stage maps only while every intermediate of its steps
+# is bounded below this, far enough under the largest float that no order
+# of the same sums overflows
+_RK4_LIMIT = 1e300
+
+
 def _integrate_rk4(params, x0, v0, grid):
-    # The stacked state z = [x, v] obeys mass * z' = W [z, P] + g(t), with
-    # mass = [1, m], g = [0, f - C] and P[j, r] = (B x)[j, r] x_r, whose
+    # The stacked state z = [x, v] obeys mass * z' = W [z, P] + [0, g(t)],
+    # with mass = [1, m], g = f - C and P[j, r] = (B x)[j, r] x_r, whose
     # row sums are B : x x.  W = [[0, I, 0], [-A, -d I, -S/2]], S summing
-    # each row of P.  Each stage writes its input state and P into one
-    # buffer, so a stage rate is one matrix-vector product.  Contracting B
-    # with x before multiplying by x again, dividing by the mass last, and
-    # scaling the stage sum by h/6 after adding it up keep every
-    # intermediate at the size the one-stage-at-a-time form gives it, so a
-    # diverging run overflows at the same step.
-    n, h, M = params.n, grid.h, grid.M
-    force = params.force
+    # each row of P.  With r = W [z, P_1] + [0, g(t_k)], mass times the
+    # first stage rate, every later stage input is z plus a linear map of
+    # r, the differences P_i - P_1 and the forcing's increments over the
+    # step, and so is the next state.  `_rk4_maps` folds W, the mass and h
+    # into those maps once per integration: a stage costs one product for
+    # its x plus two for its P, and a linear chain's step is two products,
+    # r and then z + h phi(hL) applied to the rate and the increments, with
+    # R(hL) = I + hL phi(hL) the stability polynomial.  z enters every map
+    # through an identity block, so a linear chain at rest on an
+    # equilibrium under constant forcing stays there exactly, as it does
+    # one stage at a time; R(hL) z beside the forcing's image would cancel
+    # terms of size |R(hL)| |z| instead.
+    #
+    # The folded maps sum in another order, and their products can overflow
+    # where the stage-at-a-time form stays finite.  So each block of
+    # RK4_BLOCK steps is kept only while `_rk4_bound` of its largest state
+    # stays below _RK4_LIMIT, which bounds the intermediates of both forms.
+    # The first block that leaves the bound is redone, with the rest of the
+    # run, by `_rk4_stages`, the stage loop, which keeps every intermediate
+    # at the size the stage-at-a-time form gives it, so a diverging run
+    # overflows at the same step.
+    n, M = params.n, grid.M
+    C = params.force.C
+    g_nodes = eval_forcing(params.forcing, grid.nodes()) - C
+    g_mid = eval_forcing(params.forcing, grid.midpoints()) - C
+    zs = np.empty((M + 1, 2 * n))
+    zs[0, :n], zs[0, n:] = x0, v0
+    W = _rate_operator(params)
+    # overflow inside a diverging step is expected; the bound and the finite
+    # check report it
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = _rk4_by_maps(params, W, grid.h, g_nodes, g_mid, zs)
+        if k < M:
+            _rk4_stages(params, W, grid.h, g_nodes, g_mid, zs, k)
+    return Trajectory(grid, zs[:, :n], zs[:, n:])
+
+
+def _rate_operator(params):
+    """W, with mass * z' = W [z, P] + [0, g]; no P columns for a linear force."""
+    n, force = params.n, params.force
     nq = n * n if force.has_quadratic else 0
     W = np.zeros((2 * n, 2 * n + nq))
     W[:n, n:2 * n] = np.eye(n)
@@ -157,10 +199,147 @@ def _integrate_rk4(params, x0, v0, grid):
     W[n:, n:2 * n] = -params.d * np.eye(n)
     if nq:
         W[n:, 2 * n:] = np.kron(np.eye(n), np.full(n, -0.5))
-    g_nodes = np.zeros((M + 1, 2 * n))
-    g_nodes[:, n:] = eval_forcing(params.forcing, grid.nodes()) - force.C
-    g_mid = np.zeros((M, 2 * n))
-    g_mid[:, n:] = eval_forcing(params.forcing, grid.midpoints()) - force.C
+    return W
+
+
+def _rk4_maps(params, W, h):
+    """The maps of one RK4 step on u = [dq_2, dq_4, g_1, z, P_1, r, P_2,
+    P_3, P_4], where g_1 = g(t_k), dq_2 = g(t_k + h/2) - g_1 and dq_4 =
+    g(t_k + h) - g_1.
+
+    Returns R, giving r from [g_1, z, P_1]; T_2, T_3, T_4, each giving the
+    x part of a stage input from the columns of u before P_i (the only ones
+    it reads); and Z, giving the next z from all of u.
+    """
+    n = params.n
+    nq = W.shape[1] - 2 * n
+    mass = np.repeat([1.0, params.m], n)[:, None]
+    cols = np.eye(7 * n + 4 * nq)
+    dq2, dq4, z = cols[:n], cols[n:2 * n], cols[3 * n:5 * n]
+    P1, r = cols[5 * n:5 * n + nq], cols[5 * n + nq:7 * n + nq]
+    P2, P3, P4 = (cols[7 * n + i * nq:7 * n + (i + 1) * nq] for i in (1, 2, 3))
+    Wz, Wp = W[:, :2 * n], W[:, 2 * n:]
+
+    def rate(dy, P, dq):
+        # mass times the rate at z + dy, P and g_1 + dq: r plus the change
+        k = r + Wz @ dy + Wp @ (P - P1)
+        k[n:] += dq
+        return k / mass
+
+    k1 = r / mass
+    k2 = rate(0.5 * h * k1, P2, dq2)
+    k3 = rate(0.5 * h * k2, P3, dq2)
+    k4 = rate(h * k3, P4, dq4)
+    R = np.zeros((2 * n, 3 * n + nq))
+    R[n:, :n] = np.eye(n)
+    R[:, n:] = W
+    T = [(z + c * k)[:n, :width] for c, k, width in
+         ((0.5 * h, k1, 7 * n + nq), (0.5 * h, k2, 7 * n + 2 * nq), (h, k3, 7 * n + 3 * nq))]
+    Z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return tuple(np.ascontiguousarray(a) for a in [R, *T, Z])
+
+
+def _rk4_bound(s, h, a, b, beta, gamma, mu):
+    """A bound on every intermediate of one RK4 step from a state of max
+    norm s, in either form: the stage inputs and their distance from z,
+    the products P and B x, the rates, the weighted stage sum and the next
+    state.  a and b are the max norms of W's z and P columns, beta bounds
+    |B x| / |x|, gamma bounds |g| and mu is the smaller mass.  Returns the
+    sum of the bounds, which is nan for a nan s.  A map's terms are the
+    terms of the stages it composes, so its partial sums obey the same
+    bounds."""
+    p1 = beta * s * s
+    r = a * s + b * p1 + gamma
+    k = r / mu
+    total = s + beta * s + p1 + r + k
+    stage_sum = k
+    for c, weight in ((0.5 * h, 2.0), (0.5 * h, 2.0), (h, 1.0)):
+        dy = c * k
+        y = s + dy
+        p = beta * y * y
+        k = (r + a * dy + b * (p + p1) + 2.0 * gamma) / mu
+        stage_sum += weight * k
+        total += dy + y + beta * y + p + k
+    return total + stage_sum * (1.0 + h / 6.0)
+
+
+def _rk4_by_maps(params, W, h, g_nodes, g_mid, zs) -> int:
+    """RK4 steps on the maps of `_rk4_maps` from zs[0], RK4_BLOCK at a
+    time, into zs; returns the first step of the block that left the bound,
+    or M when none did."""
+    n, M = params.n, g_mid.shape[0]
+    force = params.force
+    nq = W.shape[1] - 2 * n
+    gains = (np.abs(W[:, :2 * n]).sum(axis=1).max(),
+             np.abs(W[:, 2 * n:]).sum(axis=1).max(),
+             np.abs(force.B).sum(axis=2).max(),
+             max(np.abs(g_nodes).max(), np.abs(g_mid).max()),
+             min(1.0, params.m))
+
+    def bounded(states):
+        return _rk4_bound(float(np.max(np.abs(states))), h, *gains) <= _RK4_LIMIT
+
+    if not bounded(zs[0]):
+        return 0
+    R, T2, T3, T4, Z = _rk4_maps(params, W, h)
+    u = np.zeros(Z.shape[1])
+    q, z, x1 = u[:3 * n], u[3 * n:5 * n], u[3 * n:4 * n]
+    rate_in, r = u[2 * n:5 * n + nq], u[5 * n + nq:7 * n + nq]
+    P1 = u[5 * n:5 * n + nq].reshape(-1, n)
+    P2, P3, P4 = (u[7 * n + i * nq:7 * n + (i + 1) * nq].reshape(-1, n) for i in (1, 2, 3))
+    u2, u3, u4 = (u[:a.shape[1]] for a in (T2, T3, T4))
+    x2, x3, x4 = np.empty((3, n))
+    B_jr_s = force.B.reshape(n * n, n)
+    Bx = np.empty(n * n)
+    Bx_jr = Bx.reshape(n, n)
+    mul, sub, dot = np.multiply, np.subtract, np.dot
+
+    for k0 in range(0, M, RK4_BLOCK):
+        L = min(RK4_BLOCK, M - k0)
+        Q = np.empty((L, 3 * n))
+        g1 = g_nodes[k0:k0 + L]
+        sub(g_mid[k0:k0 + L], g1, out=Q[:, :n])
+        sub(g_nodes[k0 + 1:k0 + L + 1], g1, out=Q[:, n:2 * n])
+        Q[:, 2 * n:] = g1
+        for qk, zk, z_next in zip(Q, zs[k0:k0 + L], zs[k0 + 1:k0 + L + 1]):
+            q[:] = qk
+            z[:] = zk
+            if nq:
+                dot(B_jr_s, x1, out=Bx)
+                mul(Bx_jr, x1, out=P1)
+            dot(R, rate_in, out=r)
+            if nq:
+                dot(T2, u2, out=x2)
+                dot(B_jr_s, x2, out=Bx)
+                mul(Bx_jr, x2, out=P2)
+                dot(T3, u3, out=x3)
+                dot(B_jr_s, x3, out=Bx)
+                mul(Bx_jr, x3, out=P3)
+                dot(T4, u4, out=x4)
+                dot(B_jr_s, x4, out=Bx)
+                mul(Bx_jr, x4, out=P4)
+            dot(Z, u, out=z_next)
+        if not bounded(zs[k0 + 1:k0 + L + 1]):
+            return k0
+    return M
+
+
+def _rk4_stages(params, W, h, g_nodes, g_mid, zs, start):
+    """RK4 one stage at a time from zs[start] to the end of zs; raises
+    IntegrationBlowUpError at the first non-finite state.
+
+    Each stage writes its input state and P into one buffer, so a stage
+    rate is one product with W.  Contracting B with x before multiplying by
+    x again, dividing by the mass last, and scaling the stage sum by h/6
+    after adding it up keep every intermediate at the size the
+    stage-at-a-time form gives it."""
+    n, M = params.n, g_mid.shape[0]
+    force = params.force
+    nq = W.shape[1] - 2 * n
+    g_n = np.zeros((M + 1 - start, 2 * n))
+    g_n[:, n:] = g_nodes[start:]
+    g_m = np.zeros((M - start, 2 * n))
+    g_m[:, n:] = g_mid[start:]
     mass = np.repeat([1.0, params.m], n)
 
     buf = np.zeros(2 * n + nq)
@@ -185,24 +364,20 @@ def _integrate_rk4(params, x0, v0, grid):
     # when every entry of z is
     zero = np.zeros(2 * n)
 
-    zs = np.empty((M + 1, 2 * n))
-    zs[0, :n], zs[0, n:] = x0, v0
-    # overflow inside a diverging step is expected; the finite check reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(M):
-            z = zs[k]
-            y[:] = z
-            rate(g_nodes[k], k1)
-            add(z, mul(k1, 0.5 * h, out=tmp), out=y)
-            rate(g_mid[k], k2)
-            add(z, mul(k2, 0.5 * h, out=tmp), out=y)
-            rate(g_mid[k], k3)
-            add(z, mul(k3, h, out=tmp), out=y)
-            rate(g_nodes[k + 1], k4)
-            z = add(z, mul(weights.dot(stages), h / 6.0, out=tmp), out=zs[k + 1])
-            if not np.isfinite(z.dot(zero)):
-                raise IntegrationBlowUpError(step=k + 1, t=(k + 1) * h)
-    return Trajectory(grid, zs[:, :n], zs[:, n:])
+    for k in range(start, M):
+        z = zs[k]
+        y[:] = z
+        j = k - start
+        rate(g_n[j], k1)
+        add(z, mul(k1, 0.5 * h, out=tmp), out=y)
+        rate(g_m[j], k2)
+        add(z, mul(k2, 0.5 * h, out=tmp), out=y)
+        rate(g_m[j], k3)
+        add(z, mul(k3, h, out=tmp), out=y)
+        rate(g_n[j + 1], k4)
+        z = add(z, mul(weights.dot(stages), h / 6.0, out=tmp), out=zs[k + 1])
+        if not np.isfinite(z.dot(zero)):
+            raise IntegrationBlowUpError(step=k + 1, t=(k + 1) * h)
 
 
 def _integrate_midpoint(params, x0, v0, grid, tol=1e-12, max_newton=20):

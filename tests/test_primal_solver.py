@@ -3,10 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from dualchain import primal_solver
 from dualchain import (
     ChainParams,
     ForcingSpec,
@@ -369,10 +370,20 @@ def _blow_up_step(integrate, *args):
     return None
 
 
+# folded stage maps without the overflow bound overflowed here at step 9:
+# x0 is the equilibrium of x'' = x - C, which the reference holds exactly,
+# while R(hL) z and the forcing's image, each about h^4 / 24 = 4e38, cancel
+_AT_REST_ON_AN_UNSTABLE_EQUILIBRIUM = (
+    ChainParams(m=1.0, d=0.0, force=QuadraticForce(n=2, A=-np.eye(2), C=[1.0, 0.0]),
+                forcing=ForcingSpec.zero(2)),
+    np.array([1.0, 0.0]), np.zeros(2), TimeGrid(T=9e10, M=9))
+
+
 @pytest.mark.skipif(np.finfo(np.longdouble).maxexp <= np.finfo(float).maxexp,
                     reason="needs a long double with a wider exponent range than float")
 @settings(deadline=None)
 @given(_diverging_runs())
+@example(run=_AT_REST_ON_AN_UNSTABLE_EQUILIBRIUM)
 def test_rk4_blows_up_at_the_reference_step(run):
     params, x0, v0, grid = run
     ref = _blow_up_step(rk4_reference, params, x0, v0, grid)
@@ -388,3 +399,81 @@ def test_rk4_blows_up_at_the_reference_step(run):
     digits = np.log10(np.maximum(size, 1.0))
     assume(not np.any((digits > 304) & (digits < 312)))
     assert new == ref
+
+
+# ---------------------------------------------------------------------------
+# the stage maps: blocks of steps, and the stage loop behind their bound
+
+_BLOCKS = (1, 7, primal_solver.RK4_BLOCK)
+
+
+def _integrate_in_blocks(block, *args):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primal_solver, "RK4_BLOCK", block)
+        return integrate_primal(*args)
+
+
+@settings(deadline=None)
+@given(_bounded_runs())
+def test_rk4_trajectory_does_not_depend_on_the_block_size(run):
+    params, x0, v0, grid = run
+    try:
+        trajs = [_integrate_in_blocks(block, params, x0, v0, grid) for block in _BLOCKS]
+    except IntegrationBlowUpError:
+        assume(False)  # the step where a run leaves the maps depends on the block
+    # states this moderate keep every block on the maps
+    assume(max(np.max(np.abs(trajs[0].x)), np.max(np.abs(trajs[0].v))) <= 1e4)
+    for traj in trajs[1:]:
+        assert traj.x.tobytes() == trajs[0].x.tobytes()
+        assert traj.v.tobytes() == trajs[0].v.tobytes()
+
+
+def _quadratic_blow_up():
+    # x_1'' = x_1^2 - x_1 / 2 + ..., from x_1 = 3: a finite-time blow-up
+    B = np.zeros((2, 2, 2))
+    B[0, 0, 0] = -2.0
+    B[1, 0, 1] = 0.5
+    force = QuadraticForce(n=2, A=0.5 * np.eye(2), B=B)
+    return ChainParams(m=1.0, d=0.1, force=force,
+                       forcing=ForcingSpec(n=2, sinusoids=[(0, Sinusoid(0.5, 1.0))]))
+
+
+_DIVERGING = {
+    # an anti-restoring linear chain grows about 2.7-fold per step
+    "linear": (ChainParams(m=1.0, d=0.0, force=QuadraticForce(n=2, A=-np.eye(2)),
+                           forcing=ForcingSpec(n=2, sinusoids=[(1, Sinusoid(0.5, 1.0))])),
+               np.array([1.0, 1.0]), TimeGrid(T=1000.0, M=1000)),
+    "quadratic": (_quadratic_blow_up(), np.array([3.0, 3.0]), TimeGrid(T=3.0, M=1000)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DIVERGING))
+def test_rk4_leaves_the_maps_for_the_stage_loop_before_a_blow_up(case, monkeypatch):
+    params, x0, grid = _DIVERGING[case]
+    v0 = np.zeros(params.n)
+    ref = _blow_up_step(rk4_reference, params, x0, v0, grid)
+    assert ref is not None
+    starts = []
+    stage_loop = primal_solver._rk4_stages
+
+    def spy(*args):
+        starts.append(args[-1])
+        return stage_loop(*args)
+
+    monkeypatch.setattr(primal_solver, "_rk4_stages", spy)
+    for block in _BLOCKS:
+        monkeypatch.setattr(primal_solver, "RK4_BLOCK", block)
+        assert _blow_up_step(integrate_primal, params, x0, v0, grid) == ref
+    # every block size ran the maps partway and the stage loop from there
+    assert len(starts) == len(_BLOCKS)
+    assert all(0 < start < ref for start in starts)
+
+
+def test_rk4_blows_up_where_the_stage_sum_overflows():
+    # each rate is about 5e307, so the stage sum k1 + 2 k2 + 2 k3 + k4
+    # overflows one stage at a time, while the maps, with h / 6 folded in,
+    # would give a finite state; the bound sends the run to the stage loop
+    params = _oscillator()
+    args = (params, [5e307], [0.0], TimeGrid(T=1e-2, M=10))
+    assert _blow_up_step(rk4_reference, *args) == 1
+    assert _blow_up_step(integrate_primal, *args) == 1
