@@ -27,7 +27,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -588,16 +588,9 @@ def _dual_max(D: DualField) -> float:
 
 
 def _verification_dict(report) -> dict:
-    body = {
-        "gradient_norm": report.gradient_norm,
-        "momentum_residual_max": report.momentum_residual_max,
-        "kinematic_residual_max": report.kinematic_residual_max,
-    }
-    if report.oracle_deviation_max is not None:
-        body["oracle_deviation_max"] = report.oracle_deviation_max
-    body["ellipticity_min"] = report.ellipticity_min
-    body["hessian_inertia"] = report.hessian_inertia
-    body["concavity_ok"] = report.concavity_ok
+    body = asdict(report)
+    if body["oracle_deviation_max"] is None:
+        del body["oracle_deviation_max"]
     return body
 
 
@@ -730,8 +723,14 @@ def main(argv=None) -> int:
 
     configs = [Path(p) for p in args.configs]
     out = Path(args.out)
-    # several scenarios fan out into isolated per-config directories
-    dirs = [out / p.stem for p in configs] if len(configs) > 1 else [out]
+    # several scenarios fan out into isolated per-config directories, one
+    # per file stem, so two files with one stem would overwrite each other
+    stems = [p.stem for p in configs]
+    clash = next((stem for stem in stems if stems.count(stem) > 1), None)
+    if clash is not None:
+        parser.error(f"two --config files share the stem {clash!r}, "
+                     f"so their runs would share the directory {out / clash}")
+    dirs = [out / stem for stem in stems] if len(configs) > 1 else [out]
     tasks = [(cfg, str(dest), tuple(args.sets), args.mode)
              for cfg, dest in zip(configs, dirs)]
 

@@ -12,10 +12,12 @@ per iterate by the banded Cholesky (LAPACK dpbtrf and dpbtrs, on the folded
 band when cyclic); where it does not factor, the iterate is indefinite and
 goes to the trust region, which grows its shift until it factors.  The
 cyclic Hessian is also checked against `COND_LIMIT` on every iteration, by
-a deterministic Hager-Higham estimate of the inverse's 1-norm, or by one
-shifted factorization when it does not factor.  The period is fixed to the
-grid span, which must be an integer number of forcing periods; searching
-for orbits of unknown period is out of scope.
+one more factorization: of H shifted by ||H||_1 / COND_LIMIT towards the
+other side of zero, which tells a regular or indefinite iterate from a
+singular one.  So every definiteness question the solver asks is answered
+by the one banded Cholesky.  The period is fixed to the grid span, which
+must be an integer number of forcing periods; searching for orbits of
+unknown period is out of scope.
 
 Every `solve_dual` runs with the OpenBLAS libraries already loaded into the
 process (numpy and scipy each bundle one) set to one thread, and gives each
@@ -212,53 +214,25 @@ def _trust_region_step(spec: ProblemSpec, H: BlockTridiagonal, g, u, gnorm):
     return None
 
 
-def _inverse_norm1(H: BlockTridiagonal, fac) -> float:
-    """Hager-Higham lower estimate of ||H^-1||_1 from the fixed start of
-    LAPACK dlacn2 (Higham, ACM TOMS 14, 1988), so equal matrices give equal
-    estimates.  H is symmetric, so the adjoint solves through ``fac`` too."""
-    N = H.size
-    y = H.solve(np.full(N, 1.0 / N), fac)
-    est = float(np.sum(np.abs(y)))
-    if N == 1:
-        return est
-    signs = np.where(y >= 0.0, 1.0, -1.0)
-    z = H.solve(signs, fac)
-    j = int(np.argmax(np.abs(z)))
-    for _ in range(4):  # dlacn2's five iterations, the start counting as one
-        y = H.solve(np.eye(1, N, j).ravel(), fac)
-        previous, est = est, float(np.sum(np.abs(y)))
-        new_signs = np.where(y >= 0.0, 1.0, -1.0)
-        if np.array_equal(new_signs, signs) or est <= previous:
-            break
-        signs = new_signs
-        z = H.solve(signs, fac)
-        last, j = j, int(np.argmax(np.abs(z)))
-        if z[last] == abs(z[j]):
-            break
-    # Higham's extra step guards against the estimate getting stuck
-    alt = (-1.0) ** np.arange(N) * (1.0 + np.arange(N) / (N - 1))
-    return max(est, 2.0 * float(np.sum(np.abs(H.solve(alt, fac)))) / (3.0 * N))
-
-
 def _factorize_checked(H: BlockTridiagonal):
     """Cholesky factor of -H for a cyclic Hessian, None when H is indefinite,
-    and SingularSystemError when H is singular to `COND_LIMIT`.  When -H does
-    not factor but -(H - delta I) does, delta = ||H||_1 / COND_LIMIT, H has an
-    eigenvalue in [0, delta) to rounding, so ||H^-1||_1 > 1/delta."""
-    fac, norm = H.neg_cholesky(), H.norm1()
-    if fac is not None:
-        cond = norm * _inverse_norm1(H, fac)
-        if cond <= COND_LIMIT:
-            return fac
-        estimate = f"{cond:.3e}"
-    elif H.shifted(norm / COND_LIMIT).neg_cholesky() is None:
-        return None
-    else:
-        estimate = f"> {COND_LIMIT:.3e}"
+    and SingularSystemError when H is singular to `COND_LIMIT`.
+
+    One more factorization, of H shifted by delta = ||H||_1 / COND_LIMIT
+    towards the other side of zero, settles it (Weyl's inequality, to
+    rounding): when -H factors but -(H + delta I) does not, H's top
+    eigenvalue lies in [-delta, 0); when -H does not factor but
+    -(H - delta I) does, it lies in [0, delta).  Either way
+    ||H^-1||_1 >= 1/delta, so the 1-norm condition number is at least
+    COND_LIMIT."""
+    fac, delta = H.neg_cholesky(), H.norm1() / COND_LIMIT
+    probe = H.shifted(delta if fac is None else -delta).neg_cholesky()
+    if (fac is None) == (probe is None):
+        return fac  # regular: the factor of -H; indefinite: None
     raise SingularSystemError(
         f"cyclic dual system is numerically singular "
-        f"(1-norm condition estimate {estimate}); for undamped linear chains this "
-        f"is the signature of forcing at a resonant frequency")
+        f"(1-norm condition estimate > {COND_LIMIT:.3e}); for undamped linear "
+        f"chains this is the signature of forcing at a resonant frequency")
 
 
 def _newton_direction(H: BlockTridiagonal, fac, g: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dualchain import DualField, TimeGrid, Trajectory, cli, dual_action, eval_forcing, fput_alpha
+from dualchain import DualField, TimeGrid, Trajectory, cli, eval_forcing, fput_alpha
 from dualchain.cli import (
     ConfigError,
     load_config,
@@ -350,7 +350,6 @@ def test_verify_shares_the_base_integration_with_the_oracle(tmp_path, monkeypatc
         return integrate(params, x0, v0, grid, **kwargs)
 
     monkeypatch.setattr(cli, "integrate_primal", counted)
-    monkeypatch.setattr(dual_action, "integrate_primal", counted)
     assert run_one(PRESETS[preset], tmp_path / "shared", sets=("grid.M=128",)) == 0
     assert calls == [1280]
     problem = cli.ScenarioConfig._problem
@@ -675,6 +674,21 @@ def test_parallel_workers_keep_a_user_set_blas_thread_count(tmp_path, monkeypatc
     assert code == 0
     assert _SpyPool.seen == [("spawn", "3")]
     assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+
+
+def test_two_configs_with_one_stem_are_rejected_before_any_run(tmp_path, capsys):
+    # both runs would write into out/case, the second report over the first
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    first = _write(tmp_path / "a", SMALL_HARMONIC)
+    second = _write(tmp_path / "b", SMALL_HARMONIC.replace("d = 0.0", "d = 1.0"))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", str(first), "--config", str(second),
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert "'case'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_main_exit_code_is_worst_of_runs(tmp_path):
