@@ -36,6 +36,7 @@ from .dual_action import (
     ScaleParams,
     SingularStiffnessError,
     action,
+    base_from_primal,
     dtp_map,
     ellipticity_check,
     gradient,
@@ -58,6 +59,6 @@ from .dual_solver import (
 
 # earlier names for the periodic problem, which is now a ProblemSpec without
 # initial conditions, solved and recovered by the shared functions
-PeriodicSpec, solve_periodic, recover_periodic_orbit = ProblemSpec, solve_dual, recover_primal
+from .periodic_search import PeriodicSpec, recover_periodic_orbit, solve_periodic
 
 __version__ = "0.1.0"

@@ -52,7 +52,7 @@ from .chain_model import (
     force_jacobian,
     stiffness_lambda,
 )
-from .primal_solver import TimeGrid, Trajectory
+from .primal_solver import TimeGrid, Trajectory, integrate_primal
 
 __all__ = [
     "ScaleParams",
@@ -69,6 +69,7 @@ __all__ = [
     "pack_free",
     "unpack_free",
     "zero_base",
+    "base_from_primal",
     "restrict_base",
     "perturb_base",
 ]
@@ -170,6 +171,14 @@ class BaseState:
 def zero_base(grid: TimeGrid, n: int) -> BaseState:
     z = np.zeros((grid.M + 1, n))
     return BaseState(grid, z, z)
+
+
+def base_from_primal(params: ChainParams, x0, v0, grid: TimeGrid,
+                     refine: int = 10, method: str = "rk4") -> BaseState:
+    """Base state from a direct solve on a ``refine``-times finer grid,
+    restricted to ``grid`` by `restrict_base`."""
+    fine = integrate_primal(params, x0, v0, grid.refined(refine), method=method)
+    return restrict_base(fine, refine)
 
 
 def restrict_base(fine: Trajectory, refine: int) -> BaseState:

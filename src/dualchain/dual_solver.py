@@ -224,7 +224,10 @@ def _factorize_checked(H: BlockTridiagonal):
     eigenvalue lies in [-delta, 0); when -H does not factor but
     -(H - delta I) does, it lies in [0, delta).  Either way
     ||H^-1||_1 >= 1/delta, so the 1-norm condition number is at least
-    COND_LIMIT."""
+    COND_LIMIT.  The converse does not hold: since ||H^-1||_1 can exceed
+    ||H^-1||_2 by up to sqrt(N), an H whose condition number is above
+    COND_LIMIT, but with no eigenvalue within delta of zero, passes as
+    regular."""
     fac, delta = H.neg_cholesky(), H.norm1() / COND_LIMIT
     probe = H.shifted(delta if fac is None else -delta).neg_cholesky()
     if (fac is None) == (probe is None):

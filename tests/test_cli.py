@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dualchain import DualField, TimeGrid, Trajectory, cli, eval_forcing, fput_alpha
+from dualchain import DualField, TimeGrid, Trajectory, cli, dual_action, eval_forcing, fput_alpha
 from dualchain.cli import (
     ConfigError,
     load_config,
@@ -350,6 +350,7 @@ def test_verify_shares_the_base_integration_with_the_oracle(tmp_path, monkeypatc
         return integrate(params, x0, v0, grid, **kwargs)
 
     monkeypatch.setattr(cli, "integrate_primal", counted)
+    monkeypatch.setattr(dual_action, "integrate_primal", counted)
     assert run_one(PRESETS[preset], tmp_path / "shared", sets=("grid.M=128",)) == 0
     assert calls == [1280]
     problem = cli.ScenarioConfig._problem

@@ -21,15 +21,14 @@ from dualchain import (
     Sinusoid,
     TimeGrid,
     action,
+    base_from_primal,
     dtp_map,
     ellipticity_check,
     fput_alpha,
     gradient,
     hessian,
-    integrate_primal,
     pack_free,
     perturb_base,
-    restrict_base,
     unpack_free,
     zero_base,
 )
@@ -89,7 +88,7 @@ def _random_spec(rng, n=None, M=None, with_B=True, base_kind="table"):
     x0 = rng.normal(size=n) * 0.3
     v0 = rng.normal(size=n) * 0.3
     if base_kind == "primal":
-        base = restrict_base(integrate_primal(params, x0, v0, grid.refined(10)), 10)
+        base = base_from_primal(params, x0, v0, grid, refine=10)
     else:
         t = grid.nodes()[:, None]
         base = BaseState(grid,
@@ -330,7 +329,7 @@ def test_gradient_zero_dual_refinement_with_solution_base():
     norms = []
     for M in (100, 200, 400):
         grid = TimeGrid(T=2 * np.pi, M=M)
-        base = restrict_base(integrate_primal(params, x0, v0, grid.refined(10)), 10)
+        base = base_from_primal(params, x0, v0, grid, refine=10)
         spec = ProblemSpec(params=params, scales=ScaleParams(1.0, 1.0),
                            base=base, grid=grid, x0=x0, v0=v0)
         norms.append(np.max(np.abs(gradient(DualField.zeros(grid, 1), spec))))
@@ -900,7 +899,7 @@ def test_base_from_primal_midpoints_are_fine_samples():
     force = QuadraticForce(n=1, A=[[1.0]])
     params = ChainParams(m=1.0, d=0.0, force=force, forcing=ForcingSpec.zero(1))
     grid = TimeGrid(T=2 * np.pi, M=50)
-    base = restrict_base(integrate_primal(params, [1.0], [0.0], grid.refined(10)), 10)
+    base = base_from_primal(params, [1.0], [0.0], grid, refine=10)
     # midpoint samples are much closer to the solution than nodal averages
     mid_exact = np.cos(grid.midpoints())
     averaged = 0.5 * (base.xbar[:-1] + base.xbar[1:])
@@ -912,7 +911,7 @@ def test_base_from_primal_odd_refine():
     force = QuadraticForce(n=1, A=[[1.0]])
     params = ChainParams(m=1.0, d=0.0, force=force, forcing=ForcingSpec.zero(1))
     grid = TimeGrid(T=1.0, M=8)
-    base = restrict_base(integrate_primal(params, [1.0], [0.0], grid.refined(5)), 5)
+    base = base_from_primal(params, [1.0], [0.0], grid, refine=5)
     assert base.xbar_mid.shape == (8, 1)
     assert np.max(np.abs(base.xbar_mid[:, 0] - np.cos(grid.midpoints()))) < 1e-3
 

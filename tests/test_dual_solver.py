@@ -20,11 +20,11 @@ from dualchain import (
     Sinusoid,
     SolveOptions,
     TimeGrid,
+    base_from_primal,
     fput_alpha,
     integrate_primal,
     perturb_base,
     recover_primal,
-    restrict_base,
     solve_dual,
     verify,
     zero_base,
@@ -39,7 +39,7 @@ def _harmonic_spec(M, T=2 * np.pi, base=None, x0=1.0, v0=0.0):
     x0v = np.array([x0])
     v0v = np.array([v0])
     if base is None:
-        base = restrict_base(integrate_primal(params, x0v, v0v, grid.refined(10)), 10)
+        base = base_from_primal(params, x0v, v0v, grid, refine=10)
     return ProblemSpec(params=params, scales=ScaleParams(1.0, 1.0), base=base,
                        grid=grid, x0=x0v, v0=v0v)
 
@@ -51,7 +51,7 @@ def _fput_spec(n, M, T=3.0, alpha=0.25, amplitude=0.2, d=0.0, perturb=None,
     grid = TimeGrid(T=T, M=M)
     x0 = amplitude * np.sin(np.arange(1, n + 1) * np.pi / (n + 1))
     v0 = np.zeros(n)
-    base = restrict_base(integrate_primal(params, x0, v0, grid.refined(10)), 10)
+    base = base_from_primal(params, x0, v0, grid, refine=10)
     if perturb is not None:
         base = perturb_base(base, perturb, seed=seed)
     return ProblemSpec(params=params, scales=ScaleParams(1.0, 1.0), base=base,
@@ -135,7 +135,7 @@ def test_recovery_forced_damped_vs_fine_oracle():
     errs = []
     for M in (100, 200, 400):
         grid = TimeGrid(T=2 * np.pi, M=M)
-        base = restrict_base(integrate_primal(params, x0, v0, grid.refined(10)), 10)
+        base = base_from_primal(params, x0, v0, grid, refine=10)
         spec = ProblemSpec(params=params, scales=ScaleParams(1.0, 1.0),
                            base=base, grid=grid, x0=x0, v0=v0)
         sol = solve_dual(spec)
