@@ -20,21 +20,25 @@ One path per job: a linear force is the quadratic one with B = 0 (its
 weighted stiffness is exactly I); one map takes dual values and rates to the
 primal state, at midpoints for the assembly and at nodes for `dtp_map`; one
 factorization, the banded Cholesky of the negated Hessian (LAPACK dpbtrf
-directly), serves the open and the cyclic band alike.  The mapped
-midpoint state of a DualField (the primal state, the intermediate covectors
-and the stiffness inverse) is computed once and kept on the immutable
-field, keyed by the spec's midpoint data, so the action, gradient and
-Hessian at that field share it.  The Hessian is assembled from three
-element quadrants.
+directly), serves the open and the cyclic band alike, and at a shift,
+`BlockTridiagonal.neg_cholesky(shift)`, answers every definiteness question.
+A cyclic matrix keeps its folded band for all its factorizations; an open
+one keeps none: it is factored once per iterate, and a kept open band
+raised the dual-newton benchmark's peak RSS by 6 MB (87.6 to 94 MB).
+The mapped midpoint state of a DualField (the primal state, the
+intermediate covectors and the stiffness inverse) is computed once and kept
+on the immutable field, keyed by the spec's midpoint data, so the action,
+gradient and Hessian at that field share it.  The Hessian is assembled from
+three element quadrants.
 
 No eigendecomposition runs on the Newton path when every point is well
 conditioned.  The multiplier-weighted stiffness K is inverted directly, and
 kappa_2(K) <= ||K||_F ||K^-1||_F certifies each point; the eigenvalue test,
 the only place a SingularStiffnessError is raised, sees just the points this
-bound cannot certify.  `BlockTridiagonal.inertia` likewise answers
-(N, 0, 0) from a Cholesky factorization when it certifies negative
-definiteness beyond the zero tolerance, and otherwise counts by the Schur
-recursion, over nodes (open layout) or over folded node pairs (cyclic).
+bound cannot certify.  `BlockTridiagonal.inertia` likewise answers (N, 0, 0)
+when `neg_cholesky(-tol)` certifies negative definiteness beyond the zero
+tolerance, and otherwise counts by the Schur recursion, over nodes (open
+layout) or over folded node pairs (cyclic).
 """
 
 from __future__ import annotations
@@ -588,7 +592,7 @@ class BlockTridiagonal:
     order 0, F-1, 1, F-2, ..., in which every coupling joins nodes at most
     two places apart (scalar bandwidth 3b - 1).  `to_banded` writes that
     band, `neg_cholesky` factors its negation, and `solve` permutes into and
-    out of the folded order; it needs a negative definite matrix.
+    out of the folded order with that factor.
     """
 
     diag: np.ndarray
@@ -672,24 +676,27 @@ class BlockTridiagonal:
             row[:F - r, :, r * b:(r + 1) * b] = up
         return ab
 
+    @cached_property
+    def _folded_band(self) -> np.ndarray:
+        ab = self.to_banded()
+        ab.setflags(write=False)
+        return ab
+
     def norm1(self) -> float:
         """Exact 1-norm, from the lower band: column j sums its band column
         and its band row, the entries A[j, i] = A[i, j] (i < j) that the band
         holds along the skew ab[j - i, i]."""
-        ab = np.abs(self.to_banded())
+        ab = np.abs(self._folded_band if self.cyclic else self.to_banded())
         N = ab.shape[1]
         sums = np.sum(ab, axis=0)
         for r in range(1, min(ab.shape[0], N)):  # F = 2 cyclic: bandwidth >= N
             sums[r:] += ab[r, :N - r]
         return float(np.max(sums))
 
-    def solve(self, rhs: np.ndarray, fac=None) -> np.ndarray:
-        """x with A x = rhs, through `neg_cholesky`'s factor ``fac`` (computed
-        here when not given); LinAlgError if A is not negative definite."""
-        if fac is None:
-            fac = self.neg_cholesky()
-            if fac is None:
-                raise np.linalg.LinAlgError("matrix is not negative definite")
+    def solve(self, rhs: np.ndarray, fac) -> np.ndarray:
+        """x with A x = rhs, from ``fac``, `neg_cholesky`'s factor of -A;
+        ValueError if rhs is not finite."""
+        rhs = np.asarray_chkfinite(rhs)  # the factor of a finite band is finite
         F, b, _ = self.diag.shape
         order = self._order if self.cyclic else slice(None)
         # A x = rhs  <=>  x = (-A)^{-1} (-rhs)
@@ -698,14 +705,15 @@ class BlockTridiagonal:
         x[order] = y.reshape(F, b)
         return x.ravel()
 
-    def neg_cholesky(self):
-        """Lower Cholesky factor of the negated band (folded when cyclic), by
-        LAPACK dpbtrf, or None when A is not negative definite (doubles as
-        the definiteness probe); ValueError if the band is not finite."""
-        ab = self.to_banded()
-        if not np.all(np.isfinite(ab)):
-            raise ValueError("array must not contain infs or NaNs")
-        fac, info = scipy.linalg.lapack.dpbtrf(np.negative(ab, out=ab), lower=1, overwrite_ab=1)
+    def neg_cholesky(self, shift: float = 0.0):
+        """Lower Cholesky factor of -(A - shift I) by LAPACK dpbtrf on the
+        negated band (folded when cyclic), or None when A - shift I is not
+        negative definite; ValueError if that band is not finite.  The shift
+        is added to row 0, the negated diagonal -d: fl(shift - d) = -fl(d - shift)."""
+        ab = self._folded_band if self.cyclic else self.to_banded()
+        ab = np.negative(ab, out=None if self.cyclic else ab)  # the kept band is read-only
+        ab[0] += shift
+        fac, info = scipy.linalg.lapack.dpbtrf(np.asarray_chkfinite(ab), lower=1, overwrite_ab=1)
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of dpbtrf")
         return fac if info == 0 else None
@@ -717,9 +725,8 @@ class BlockTridiagonal:
         """(negative, zero, positive) eigenvalue counts, eigenvalues within
         the zero tolerance 1e-11 max|entry| counting as zero.
 
-        Certificate first: when A + tol I is negative definite (the Cholesky
-        factorization of its negated band succeeds; for a cyclic matrix, the
-        folded band), every eigenvalue of A lies below -tol, so the answer
+        Certificate first: when A + tol I is negative definite (its negated
+        band factors), every eigenvalue of A lies below -tol, so the answer
         is (size, 0, 0).  Otherwise the counts come from the Schur-complement
         recursion on the block factorization (Sylvester's law).  A cyclic
         matrix enters it as the open layout of the node pairs (k, F-1-k),
@@ -730,7 +737,7 @@ class BlockTridiagonal:
         scale = max(float(np.max(np.abs(self.diag))),
                     float(np.max(np.abs(self.off))) if F > 1 else 0.0, 1e-300)
         tol = 1e-11 * scale
-        if self.shifted(-tol).neg_cholesky() is not None:
+        if self.neg_cholesky(-tol) is not None:
             return self.size, 0, 0
         if not self.cyclic:
             return _schur_inertia(self.diag, self.off, tol)
@@ -745,10 +752,6 @@ class BlockTridiagonal:
         link[:, :b, :b], link[:, b:, :b], link[:, b:, b:] = up2[0::2], up1[1::2], up2[1::2]
         neg, zero, pos = _schur_inertia(pair, link, tol)
         return neg - b * (F % 2), zero, pos
-
-    def shifted(self, mu: float) -> "BlockTridiagonal":
-        eye = mu * np.eye(self.block)
-        return BlockTridiagonal(self.diag - eye, self.off)
 
 
 def _schur_inertia(diag, off, tol):

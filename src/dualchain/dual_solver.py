@@ -7,17 +7,16 @@ stiffness is positive definite, so the default step control is damped Newton
 with an ascent line search.  When no ascent Newton step is available at an
 iterate, steps fall back to a Levenberg-style trust-region iteration that
 must decrease the gradient norm; when that cannot make progress either, the
-iteration stops unconverged.  Both problems factor the negated Hessian once
-per iterate by the banded Cholesky (LAPACK dpbtrf and dpbtrs, on the folded
-band when cyclic); where it does not factor, the iterate is indefinite and
-goes to the trust region, which grows its shift until it factors.  The
-cyclic Hessian is also checked against `COND_LIMIT` on every iteration, by
-one more factorization: of H shifted by ||H||_1 / COND_LIMIT towards the
-other side of zero, which tells a regular or indefinite iterate from a
-singular one.  So every definiteness question the solver asks is answered
-by the one banded Cholesky.  The period is fixed to the grid span, which
-must be an integer number of forcing periods; searching for orbits of
-unknown period is out of scope.
+iteration stops unconverged, as it does at an overflowed point.  Each
+iterate's negated Hessian is factored once by the banded Cholesky (LAPACK
+dpbtrf and dpbtrs, on the folded band when cyclic); an iterate where it
+does not factor is indefinite and goes to the trust region, whose shift
+grows until it factors.  A cyclic Hessian is also checked against
+`COND_LIMIT` by a probe at ||H||_1 / COND_LIMIT on the other side of zero.
+Each of these factorizations is `neg_cholesky(shift)` on the iterate's
+Hessian, and a cyclic Hessian writes its band once for all of them.  The
+period is the grid span, an integer number of forcing periods; orbits of
+unknown period are out of scope.
 
 Every `solve_dual` runs with the OpenBLAS libraries already loaded into the
 process (numpy and scipy each bundle one) set to one thread, and gives each
@@ -105,7 +104,7 @@ class DualSolution:
     converged: bool
     iterations: int
     residual_history: tuple
-    hessian_inertia: tuple
+    hessian_inertia: tuple | None  # None when the final Hessian is not finite
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,8 +116,8 @@ class VerificationReport:
     kinematic_residual_max: float
     oracle_deviation_max: float | None
     ellipticity_min: float
-    hessian_inertia: tuple
-    concavity_ok: bool | None  # asserted only for linear forces; None otherwise
+    hessian_inertia: tuple | None
+    concavity_ok: bool | None  # asserted only for linear forces with an inertia
 
 
 # line-search acceptance: S_new >= S_cur - C_LS |step|^2, plus a round-off floor
@@ -133,8 +132,8 @@ def _maximize(spec: ProblemSpec, opts: SolveOptions):
 
     Starts from the zero field or ``opts.initial_guess`` (packed by
     `pack_free`); the tolerance is scaled by the zero-field gradient.
-    Stops unconverged when no step makes progress; returns the final field,
-    whether it converged, and the gradient max-norm history.
+    Stops unconverged when no step makes progress or a point overflows;
+    returns the final field, whether it converged and the max-norm history.
 
     Each point is one DualField, passed to every evaluation there, so the
     action, gradient and Hessian at a point share its mapped state; the
@@ -152,14 +151,16 @@ def _maximize(spec: ProblemSpec, opts: SolveOptions):
     gnorm = float(np.max(np.abs(g)))
     history = [gnorm]
     damped = opts.step_control == "damped-newton"
-    # written so that a nan residual keeps iterating, like any unconverged one
-    while not gnorm <= tol and len(history) <= opts.max_iterations:
+    # an overflowed (inf or nan) residual ends the loop unconverged
+    while tol < gnorm < np.inf and len(history) <= opts.max_iterations:
         H = hessian(D, spec)
+        if not _finite(H):
+            break
         if spec.periodic:  # checked on every iteration, whatever the step control
             fac = _factorize_checked(H)
         else:  # factored only for a Newton direction; None if indefinite
             fac = H.neg_cholesky() if damped else None
-        direction = _newton_direction(H, fac, g) if damped and fac is not None else None
+        direction = H.solve(-g, fac) if damped and fac is not None else None
         del fac  # not held through the step searches
         accepted = None
         if direction is not None and np.all(np.isfinite(direction)):
@@ -177,6 +178,10 @@ def _maximize(spec: ProblemSpec, opts: SolveOptions):
 
 def _field(spec: ProblemSpec, u) -> DualField:
     return unpack_free(spec.grid, spec.n, u, periodic=spec.periodic)
+
+
+def _finite(H: BlockTridiagonal) -> bool:
+    return bool(np.all(np.isfinite(H.diag)) and np.all(np.isfinite(H.off)))
 
 
 def _line_search(spec: ProblemSpec, D: DualField, u, direction):
@@ -198,13 +203,13 @@ def _line_search(spec: ProblemSpec, D: DualField, u, direction):
 def _trust_region_step(spec: ProblemSpec, H: BlockTridiagonal, g, u, gnorm):
     """Levenberg-style step: solve (H - mu I) step = -g with growing mu until
     H - mu I is negative definite and the gradient norm strictly decreases;
-    (new u, its field), or None if no shift achieves that."""
+    (new u, its field), or None if no finite shift achieves that."""
     mu = 1e-8 * (1.0 + float(np.max(np.abs(H.diag))))
     for _ in range(_TR_MAX_TRIES):
-        try:
-            step = H.shifted(mu).solve(-g)
-        except np.linalg.LinAlgError:  # H - mu I is not negative definite
-            step = None
+        if not np.isfinite(mu):
+            return None
+        fac = H.neg_cholesky(mu)  # None: H - mu I is not negative definite
+        step = None if fac is None else H.solve(-g, fac)
         if step is not None and np.all(np.isfinite(step)):
             trial = u + step
             D_trial = _field(spec, trial)
@@ -218,32 +223,21 @@ def _factorize_checked(H: BlockTridiagonal):
     """Cholesky factor of -H for a cyclic Hessian, None when H is indefinite,
     and SingularSystemError when H is singular to `COND_LIMIT`.
 
-    One more factorization, of H shifted by delta = ||H||_1 / COND_LIMIT
-    towards the other side of zero, settles it (Weyl's inequality, to
-    rounding): when -H factors but -(H + delta I) does not, H's top
-    eigenvalue lies in [-delta, 0); when -H does not factor but
-    -(H - delta I) does, it lies in [0, delta).  Either way
-    ||H^-1||_1 >= 1/delta, so the 1-norm condition number is at least
-    COND_LIMIT.  The converse does not hold: since ||H^-1||_1 can exceed
-    ||H^-1||_2 by up to sqrt(N), an H whose condition number is above
-    COND_LIMIT, but with no eigenvalue within delta of zero, passes as
-    regular."""
+    One more factorization, at delta = ||H||_1 / COND_LIMIT towards the other
+    side of zero, settles it (Weyl's inequality, to rounding): when -H factors
+    but -(H + delta I) does not, H's top eigenvalue lies in [-delta, 0); when
+    -H does not factor but -(H - delta I) does, it lies in [0, delta).  Either
+    way ||H^-1||_1 >= 1/delta, so cond_1(H) >= COND_LIMIT.  Not conversely:
+    ||H^-1||_1 can exceed ||H^-1||_2 by up to sqrt(N), so an H with cond_1
+    above COND_LIMIT but no eigenvalue within delta of zero passes as regular."""
     fac, delta = H.neg_cholesky(), H.norm1() / COND_LIMIT
-    probe = H.shifted(delta if fac is None else -delta).neg_cholesky()
+    probe = H.neg_cholesky(delta if fac is None else -delta)
     if (fac is None) == (probe is None):
         return fac  # regular: the factor of -H; indefinite: None
     raise SingularSystemError(
         f"cyclic dual system is numerically singular "
         f"(1-norm condition estimate > {COND_LIMIT:.3e}); for undamped linear "
         f"chains this is the signature of forcing at a resonant frequency")
-
-
-def _newton_direction(H: BlockTridiagonal, fac, g: np.ndarray) -> np.ndarray:
-    """Ascent Newton direction, H step = -g, from the Cholesky factor
-    ``fac`` of -H."""
-    if not np.all(np.isfinite(g)):  # the factor of a finite band is finite
-        raise ValueError("array must not contain infs or NaNs")
-    return H.solve(-g, fac)
 
 
 # the thread setters of upstream OpenBLAS, of its ILP64 build (numpy 1.24-era
@@ -330,7 +324,8 @@ def solve_dual(spec: ProblemSpec, opts: SolveOptions | None = None) -> DualSolut
     one thread (see the module docstring)."""
     with _ONE_BLAS_THREAD:
         D, converged, history = _maximize(spec, opts or SolveOptions())
-        inertia = hessian(D, spec).inertia()
+        H = hessian(D, spec)
+        inertia = H.inertia() if _finite(H) else None
     return DualSolution(
         D=D,
         converged=converged,
@@ -402,7 +397,7 @@ def verify(sol: DualSolution, spec: ProblemSpec,
     ell = ellipticity_check(sol.D, spec)
     inertia = sol.hessian_inertia
     concavity_ok = None
-    if not spec.params.force.has_quadratic:
+    if inertia is not None and not spec.params.force.has_quadratic:
         concavity_ok = bool(inertia[2] == 0)  # no positive eigenvalues
     return VerificationReport(
         gradient_norm=gnorm,
@@ -410,6 +405,6 @@ def verify(sol: DualSolution, spec: ProblemSpec,
         kinematic_residual_max=float(np.max(res_k)),
         oracle_deviation_max=deviation,
         ellipticity_min=float(np.min(ell)),
-        hessian_inertia=tuple(inertia),
+        hessian_inertia=None if inertia is None else tuple(inertia),
         concavity_ok=concavity_ok,
     )

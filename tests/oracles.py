@@ -12,6 +12,7 @@ import scipy.sparse.linalg
 
 from dualchain import (
     BaseState,
+    BlockTridiagonal,
     IntegrationBlowUpError,
     SingularSystemError,
     TimeGrid,
@@ -233,6 +234,12 @@ def block_matvec(H, u):
         out[k] += H.off[k] @ un[j]
         out[j] += H.off[k].T @ un[k]
     return out.reshape(-1)
+
+
+def shifted(H, mu):
+    """H - mu I, built from its blocks: the matrix that ``H.neg_cholesky(mu)``
+    factors the negation of."""
+    return BlockTridiagonal(H.diag - mu * np.eye(H.block), H.off)
 
 
 def schur_inertia(H, zero_tol=None):

@@ -1,4 +1,5 @@
 """Config parsing, file round-trips, exit codes, reports, parallel fan-out."""
+import contextlib
 import dataclasses
 import hashlib
 import os
@@ -543,6 +544,28 @@ def test_zero_base_trust_region_stall_exits_3_with_report(tmp_path, capsys):
         report = parse_report(out / "periodic_forced_n4_report.txt")
         assert report["convergence"]["converged"] == "false"
         assert "hessian_inertia" in report["verification"]
+
+
+@pytest.mark.parametrize("preset, sets, codes, inertia", [
+    # the trust-region shift outgrows the float range
+    ("forced_damped_n1", ("scales.c_x=1e-300",), {3}, "20 20 0"),
+    ("forced_damped_n1", ("scales.c_v=1e-300",), {3}, "20 20 0"),
+    # the final Hessian overflows; the tolerance scales with the zero-field
+    # gradient, which overflows with it, so the zero field may pass as solved
+    ("forced_damped_n1", ("chain.m=1e300",), {0, 3}, "none"),
+    # the first Hessian overflows: the iteration stops where it starts
+    ("periodic_forced_n4", ("base.settle_periods=1", "chain.m=1e300"), {3}, "none"),
+], ids=["tiny-c_x", "tiny-c_v", "huge-m", "periodic-huge-m"])
+def test_overflow_gives_an_exit_code_and_a_report(tmp_path, preset, sets, codes, inertia):
+    # numpy warns where the Hessian assembly overflows
+    overflowing = pytest.warns(RuntimeWarning) if inertia == "none" else contextlib.nullcontext()
+    with overflowing:
+        code = run_one(PRESETS[preset], tmp_path, sets=("grid.M=20",) + sets)
+    assert code in codes
+    verification = parse_report(tmp_path / f"{preset}_report.txt")["verification"]
+    assert verification["hessian_inertia"] == inertia
+    if inertia == "none":
+        assert verification["concavity_ok"] == "none"
 
 
 # the shipped presets in their shipped modes, on grids a tenth as fine

@@ -40,7 +40,6 @@ from dualchain.dual_action import (
     _hessian_elements,
     _stiffness_inv,
 )
-from dualchain.dual_solver import _newton_direction
 from oracles import (
     block_matvec,
     constant_base,
@@ -48,6 +47,7 @@ from oracles import (
     hessian_elements_kron,
     predual_action,
     schur_inertia,
+    shifted,
     stiffness_eig,
 )
 
@@ -518,8 +518,8 @@ def test_block_tridiagonal_solve_matches_dense():
     rng = np.random.default_rng(18)
     H = _random_block_tridiagonal(rng, M=5, b=4, definite="negative")
     rhs = rng.normal(size=H.size)
-    np.testing.assert_allclose(H.solve(rhs), np.linalg.solve(H.to_dense(), rhs),
-                               rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(H.solve(rhs, H.neg_cholesky()),
+                               np.linalg.solve(H.to_dense(), rhs), rtol=1e-9, atol=1e-12)
 
 
 def test_block_tridiagonal_eigenvalues_match_dense():
@@ -561,7 +561,7 @@ def test_banded_cholesky_and_direction_match_scipy_bit_for_bit(seed, F, b):
     fac = H.neg_cholesky()
     assert fac.shape == want.shape and fac.tobytes() == want.tobytes()
     g = rng.normal(size=H.size)
-    step = _newton_direction(H, fac, g)
+    step = H.solve(-g, fac)
     assert step.tobytes() == scipy.linalg.cho_solve_banded((want, True), g).tobytes()
     diag = H.diag.copy()
     diag[-1, -1, -1] = 1.0  # a positive diagonal entry: not negative definite
@@ -572,7 +572,7 @@ def test_banded_cholesky_and_direction_match_scipy_bit_for_bit(seed, F, b):
         with pytest.raises(ValueError, match="infs or NaNs"):
             BlockTridiagonal(diag, H.off).neg_cholesky()
         with pytest.raises(ValueError, match="infs or NaNs"):
-            _newton_direction(H, fac, np.where(np.arange(H.size) == 0, bad, g))
+            H.solve(np.where(np.arange(H.size) == 0, bad, -g), fac)
 
 
 def _one_ulp_asymmetric(H):
@@ -612,7 +612,7 @@ def test_one_factorization_serves_open_and_cyclic_matrices(seed, F, b, cyclic, s
     rng = np.random.default_rng(seed)
     H = _random_block_tridiagonal(rng, M=F, b=b, definite="negative", cyclic=cyclic)
     top = np.linalg.eigvalsh(H.to_dense())[-1]
-    H = H.shifted(max(top + 1.0, 0.0))  # negative definite, eigenvalues <= -1
+    H = shifted(H, max(top + 1.0, 0.0))  # negative definite, eigenvalues <= -1
     dense = H.to_dense()
     rhs = rng.normal(size=H.size)
     want = np.linalg.solve(dense, rhs)
@@ -620,17 +620,58 @@ def test_one_factorization_serves_open_and_cyclic_matrices(seed, F, b, cyclic, s
     assert fac is not None
     x = H.solve(rhs, fac)
     np.testing.assert_allclose(x, want, rtol=0, atol=1e-10 * np.max(np.abs(want)))
-    assert x.tobytes() == H.solve(rhs).tobytes()  # factored inside when not given
-    positive = H.shifted(np.linalg.eigvalsh(dense)[-1] - 1e-6 * H.norm1())
+    assert x.tobytes() == H.solve(rhs, H.neg_cholesky()).tobytes()  # a fresh factor
+    positive = shifted(H, np.linalg.eigvalsh(dense)[-1] - 1e-6 * H.norm1())
     assert positive.neg_cholesky() is None
-    with pytest.raises(np.linalg.LinAlgError, match="not negative definite"):
-        positive.solve(rhs)
     # the exact 1-norm, to rounding, on entries spread over 2 * spread decades
     S = BlockTridiagonal(*(a * 10.0 ** rng.uniform(-spread, spread, a.shape)
                            for a in (H.diag, H.off)))
     lower = np.tril(S.to_dense()) + np.tril(S.to_dense(), -1).T
     norm = np.max(np.sum(np.abs(lower), axis=0))
     assert abs(S.norm1() - norm) <= 4 * S.bandwidth * _EPS * norm
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(1, 4), st.booleans(),
+       st.sampled_from([None, "negative"]))
+@example(seed=0, F=2, b=2, cyclic=True, definite=None)
+@example(seed=1, F=3, b=3, cyclic=True, definite="negative")
+def test_shifted_factorization_matches_the_shifted_matrix_bit_for_bit(seed, F, b, cyclic,
+                                                                     definite):
+    # neg_cholesky(s) adds s to the diagonal of -H's band, which gives the
+    # bytes of the negated band of H - s I, since fl(s - d) = -fl(d - s)
+    assume(F >= 2 or not cyclic)
+    rng = np.random.default_rng(seed)
+    H = _random_block_tridiagonal(rng, M=F, b=b, definite=definite, cyclic=cyclic)
+    top = np.linalg.eigvalsh(H.to_dense())[-1]
+    delta = H.norm1() / COND_LIMIT
+    lift = top + 0.5 * (1.0 + abs(top))  # above the top eigenvalue: H - lift I factors
+    for s in (0.0, delta, -delta, lift):
+        got, want = H.neg_cholesky(s), shifted(H, s).neg_cholesky()
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.tobytes() == want.tobytes()
+    assert H.neg_cholesky(lift) is not None
+    assert (H.neg_cholesky() is not None) == (top < 0)
+
+
+def test_cyclic_matrix_writes_its_band_once_and_keeps_it_read_only(monkeypatch):
+    # norm1 and every factorization of a cyclic matrix read one kept band;
+    # an open matrix writes a band for each factorization
+    rng = np.random.default_rng(26)
+    to_banded, writes = BlockTridiagonal.to_banded, []
+    monkeypatch.setattr(BlockTridiagonal, "to_banded",
+                        lambda self: writes.append(self.cyclic) or to_banded(self))
+    H = _random_block_tridiagonal(rng, M=5, b=3, definite="negative", cyclic=True)
+    delta = H.norm1() / COND_LIMIT
+    assert H.neg_cholesky() is not None and H.neg_cholesky(-delta) is not None
+    assert writes == [True]
+    with pytest.raises(ValueError, match="read-only"):
+        H._folded_band[0, 0] = 0.0
+    assert H._folded_band.tobytes() == to_banded(H).tobytes()  # factoring left it as written
+    H = _random_block_tridiagonal(rng, M=5, b=3, definite="negative")
+    assert H.neg_cholesky() is not None and H.neg_cholesky(1.0) is not None
+    assert writes == [True, False, False]
 
 
 def test_block_tridiagonal_band_storage_matches_dense():
@@ -665,10 +706,11 @@ def test_cyclic_block_tridiagonal_matches_dense(F, b):
     np.testing.assert_array_equal(H.to_dense(), dense)
     u = rng.normal(size=H.size)
     np.testing.assert_allclose(block_matvec(H, u), dense @ u, rtol=1e-13, atol=1e-13)
-    np.testing.assert_allclose(H.solve(u), np.linalg.solve(dense, u), rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(H.solve(u, H.neg_cholesky()), np.linalg.solve(dense, u),
+                               rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(np.sort(H.eigenvalues()), np.linalg.eigvalsh(dense),
                                rtol=1e-8, atol=1e-10)
-    np.testing.assert_array_equal(H.shifted(0.5).to_dense(), dense - 0.5 * np.eye(H.size))
+    np.testing.assert_array_equal(shifted(H, 0.5).to_dense(), dense - 0.5 * np.eye(H.size))
     # the band is that of the folded node order 0, F-1, 1, F-2, ...
     order = [k for pair in zip(range(F), range(F - 1, -1, -1)) for k in pair][:F]
     perm = (np.array(order)[:, None] * b + np.arange(b)).ravel()
@@ -724,7 +766,7 @@ def _block_tridiagonals(draw):
     if kind == "near-zero":
         # move the top eigenvalue to a point well inside the zero tolerance
         top = np.linalg.eigvalsh(H.to_dense())[-1]
-        H = H.shifted(top + draw(st.floats(-0.5, 0.5)) * 1e-11 * np.max(np.abs(H.diag)))
+        H = shifted(H, top + draw(st.floats(-0.5, 0.5)) * 1e-11 * np.max(np.abs(H.diag)))
     elif kind == "single" and draw(st.booleans()):
         H = BlockTridiagonal(-H.diag, H.off)
     return H

@@ -261,30 +261,39 @@ def test_midpoint_data_built_once_per_solve(monkeypatch):
 @pytest.mark.parametrize("step_control", ["damped-newton", "trust-region"])
 def test_open_problem_factors_only_for_a_newton_direction(monkeypatch, step_control):
     # damped Newton factors -H once per iterate; the trust region factors only
-    # its shifted matrices (and the final inertia's certificate is one more)
+    # at its shifts (and the final inertia's certificate is one more), and
+    # each factorization writes the open band it factors
     n = 4
     grid = TimeGrid(T=3.0, M=80)
     spec = ProblemSpec(params=ChainParams(m=1.0, d=0.0, force=fput_alpha(n, 0.25),
                                           forcing=ForcingSpec.zero(n)),
                        scales=ScaleParams(1.0, 1.0), base=zero_base(grid, n), grid=grid,
                        x0=0.3 * np.sin(np.arange(1, n + 1) * np.pi / (n + 1)), v0=np.zeros(n))
-    counts = {"dpbtrf": 0, "shifted": 0}
-    dpbtrf, shifted = scipy.linalg.lapack.dpbtrf, dual_action.BlockTridiagonal.shifted
+    counts = {"dpbtrf": 0, "shifted": 0, "bands": 0}
+    dpbtrf = scipy.linalg.lapack.dpbtrf
+    neg_cholesky = dual_action.BlockTridiagonal.neg_cholesky
+    to_banded = dual_action.BlockTridiagonal.to_banded
 
     def counted_cholesky(*args, **kwargs):
         counts["dpbtrf"] += 1
         return dpbtrf(*args, **kwargs)
 
-    def counted_shift(self, mu):
-        counts["shifted"] += 1
-        return shifted(self, mu)
+    def counted_neg_cholesky(self, shift=0.0):
+        counts["shifted"] += shift != 0.0
+        return neg_cholesky(self, shift)
+
+    def counted_band(self):
+        counts["bands"] += 1
+        return to_banded(self)
 
     monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", counted_cholesky)
-    monkeypatch.setattr(dual_action.BlockTridiagonal, "shifted", counted_shift)
+    monkeypatch.setattr(dual_action.BlockTridiagonal, "neg_cholesky", counted_neg_cholesky)
+    monkeypatch.setattr(dual_action.BlockTridiagonal, "to_banded", counted_band)
     sol = solve_dual(spec, SolveOptions(step_control=step_control))
     assert sol.converged and sol.iterations >= 2
     newton = sol.iterations if step_control == "damped-newton" else 0
     assert counts["dpbtrf"] == newton + counts["shifted"]
+    assert counts["bands"] == counts["dpbtrf"]
 
 
 @pytest.mark.parametrize("step_control", ["damped-newton", "trust-region"])

@@ -31,7 +31,13 @@ from dualchain import (
     unpack_free,
     zero_base,
 )
-from oracles import fd_gradient, fd_jacobian, factorize_checked_splu, hessian_cyclic_coo
+from oracles import (
+    factorize_checked_splu,
+    fd_gradient,
+    fd_jacobian,
+    hessian_cyclic_coo,
+    shifted,
+)
 
 UNIT = ScaleParams(1.0, 1.0)
 _EPS = np.finfo(float).eps
@@ -356,26 +362,37 @@ def test_cyclic_hessian_matches_coo_reference(n, M, singular, seed):
     if decision == "regular":
         rhs = rng.normal(size=H.size)
         want = np.linalg.solve(ref, rhs)
-        np.testing.assert_allclose(H.solve(rhs), want, rtol=0,
+        np.testing.assert_allclose(H.solve(rhs, H.neg_cholesky()), want, rtol=0,
                                    atol=1e3 * _EPS * cond * np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize("step_control", ["damped-newton", "trust-region"])
 def test_each_iteration_factorizes_its_hessian_once(monkeypatch, step_control):
     # one Cholesky factorization of -H per iterate serves the condition check
-    # and the Newton direction; each shifted matrix (the check's probe, a
-    # trust-region shift, or the final inertia's certificate) gets one of its
-    # own, and no LU runs
-    counts = {"dpbtrf": 0, "shifted": 0}
-    dpbtrf, shifted = scipy.linalg.lapack.dpbtrf, dual_action.BlockTridiagonal.shifted
+    # and the Newton direction; each shift (the check's probe, a trust-region
+    # shift, or the final inertia's certificate) gets one of its own, every
+    # factorization of a Hessian reads the one band it wrote, and no LU runs
+    counts = {"dpbtrf": 0, "shifted": 0, "bands": 0, "hessians": 0}
+    dpbtrf = scipy.linalg.lapack.dpbtrf
+    neg_cholesky = dual_action.BlockTridiagonal.neg_cholesky
+    to_banded = dual_action.BlockTridiagonal.to_banded
+    hessian = dual_solver.hessian
 
     def counted_cholesky(*args, **kwargs):
         counts["dpbtrf"] += 1
         return dpbtrf(*args, **kwargs)
 
-    def counted_shift(self, mu):
-        counts["shifted"] += 1
-        return shifted(self, mu)
+    def counted_neg_cholesky(self, shift=0.0):
+        counts["shifted"] += shift != 0.0
+        return neg_cholesky(self, shift)
+
+    def counted_band(self):
+        counts["bands"] += 1
+        return to_banded(self)
+
+    def counted_hessian(D, spec):
+        counts["hessians"] += 1
+        return hessian(D, spec)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a banded LU ran")
@@ -383,10 +400,13 @@ def test_each_iteration_factorizes_its_hessian_once(monkeypatch, step_control):
     monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", counted_cholesky)
     monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf", refuse)
     monkeypatch.setattr(scipy.linalg.lapack, "dgbtrs", refuse)
-    monkeypatch.setattr(dual_action.BlockTridiagonal, "shifted", counted_shift)
+    monkeypatch.setattr(dual_action.BlockTridiagonal, "neg_cholesky", counted_neg_cholesky)
+    monkeypatch.setattr(dual_action.BlockTridiagonal, "to_banded", counted_band)
+    monkeypatch.setattr(dual_solver, "hessian", counted_hessian)
     sol = solve_periodic(_fput_forced_spec(M=64), SolveOptions(step_control=step_control))
     assert sol.converged and sol.iterations > 1
     assert counts["dpbtrf"] == sol.iterations + counts["shifted"]
+    assert counts["bands"] == counts["hessians"] == sol.iterations + 1
     if step_control == "damped-newton":  # one probe per iterate, one certificate
         assert counts["shifted"] == sol.iterations + 1
     else:
@@ -464,7 +484,7 @@ def test_condition_check_is_deterministic_and_draws_no_random_numbers():
     assert after[0] == state[0] and after[2:] == state[2:]
     np.testing.assert_array_equal(after[1], state[1])
     # equal matrices, equal decisions: byte-equal factors or the same message
-    for H in (_resonant_hessian(500), _resonant_hessian(64).shifted(0.5)):
+    for H in (_resonant_hessian(500), shifted(_resonant_hessian(64), 0.5)):
         decisions = [_decision_bytes(H) for _ in range(2)]
         assert decisions[0] == decisions[1]
 
@@ -474,12 +494,12 @@ def test_condition_check_returns_the_factor_it_checked(monkeypatch):
     # the Newton direction, which factors nothing; the 1-norm is exact
     calls = []
     dpbtrf = scipy.linalg.lapack.dpbtrf
-    H = _resonant_hessian(64).shifted(0.5)
+    H = shifted(_resonant_hessian(64), 0.5)
     want = H.neg_cholesky()
     monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf",
                         lambda *args, **kwargs: calls.append(1) or dpbtrf(*args, **kwargs))
     fac = dual_solver._factorize_checked(H)
-    step = dual_solver._newton_direction(H, fac, np.ones(H.size))
+    step = H.solve(-np.ones(H.size), fac)
     assert calls == [1, 1]
     assert fac.tobytes() == want.tobytes()
     np.testing.assert_allclose(step, np.linalg.solve(H.to_dense(), -np.ones(H.size)),
@@ -508,17 +528,17 @@ def test_singular_probe_tells_singular_from_indefinite():
     # a Hessian that does not factor is singular when its shift by
     # ||H||_1 / COND_LIMIT factors, and indefinite when that does not either;
     # one that factors is singular when its shift the other way does not
-    H = _resonant_hessian(65).shifted(0.5)
+    H = shifted(_resonant_hessian(65), 0.5)
     top = np.linalg.eigvalsh(H.to_dense())[-1]
     delta = H.norm1() / dual_action.COND_LIMIT
     with pytest.raises(SingularSystemError, match="condition estimate > 1.000e"):
-        dual_solver._factorize_checked(H.shifted(top - 0.5 * delta))
-    assert dual_solver._factorize_checked(H.shifted(top - 10.0 * delta)) is None
+        dual_solver._factorize_checked(shifted(H, top - 0.5 * delta))
+    assert dual_solver._factorize_checked(shifted(H, top - 10.0 * delta)) is None
     with pytest.raises(SingularSystemError, match="condition estimate > 1.000e"):
-        dual_solver._factorize_checked(H.shifted(top + 0.5 * delta))
+        dual_solver._factorize_checked(shifted(H, top + 0.5 * delta))
     # the test is the eigenvalue's distance from zero, not cond_1: 1.1 delta
     # below zero passes as regular though cond_1 is above COND_LIMIT
-    for regular in (H.shifted(top + 10.0 * delta), H.shifted(top + 1.1 * delta)):
+    for regular in (shifted(H, top + 10.0 * delta), shifted(H, top + 1.1 * delta)):
         assert (dual_solver._factorize_checked(regular).tobytes()
                 == regular.neg_cholesky().tobytes())
     dense = regular.to_dense()
