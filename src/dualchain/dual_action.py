@@ -557,7 +557,6 @@ def _hessian_elements(md: _MidpointData, D: DualField):
         [0.0, 0.0, 0.0, 0.0],
         [-m, d * m, 0.0, -m * m],
     ]) / c_v
-    C = h * (smap.T @ scalar @ smap)  # rows, columns: gamma_a, lambda_a, gamma_b, lambda_b
     eye = np.eye(n)
     # gamma_rate = (gamma_b - gamma_a) / h and lambda_mid = (lambda_a +
     # lambda_b) / 2 give each [gamma, lambda] x [gamma, lambda] block of a
@@ -565,16 +564,20 @@ def _hessian_elements(md: _MidpointData, D: DualField):
     G = 0.5 * MxP
     parts = ((P / h, np.swapaxes(G, 1, 2)), (G, (0.25 * h) * L))
     quads = []
-    for row, col, signs in ((0, 0, ((-1, -1), (-1, -1))),
-                            (0, 2, ((1, -1), (1, -1))),
-                            (2, 2, ((-1, 1), (1, -1)))):
-        Q = np.empty((M, 2 * n, 2 * n))
-        blocks = Q.reshape(M, 2, n, 2, n)  # [element, value, i, value, j]
-        for i in range(2):
-            for j in range(2):
-                combine = np.add if signs[i][j] > 0 else np.subtract
-                combine(C[row + i, col + j] * eye, parts[i][j], out=blocks[:, i, :, j])
-        quads.append(Q)
+    # a scalar part that overflows (a huge mass, say) is expected; the
+    # solver's finite checks on the Hessian report it
+    with np.errstate(over="ignore", invalid="ignore"):
+        C = h * (smap.T @ scalar @ smap)  # rows, columns: gamma_a, lambda_a, gamma_b, lambda_b
+        for row, col, signs in ((0, 0, ((-1, -1), (-1, -1))),
+                                (0, 2, ((1, -1), (1, -1))),
+                                (2, 2, ((-1, 1), (1, -1)))):
+            Q = np.empty((M, 2 * n, 2 * n))
+            blocks = Q.reshape(M, 2, n, 2, n)  # [element, value, i, value, j]
+            for i in range(2):
+                for j in range(2):
+                    combine = np.add if signs[i][j] > 0 else np.subtract
+                    combine(C[row + i, col + j] * eye, parts[i][j], out=blocks[:, i, :, j])
+            quads.append(Q)
     return tuple(quads)
 
 

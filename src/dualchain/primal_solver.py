@@ -170,8 +170,8 @@ def _integrate_rk4(params, x0, v0, grid):
     # RK4_BLOCK steps is kept only while `_rk4_bound` of its largest state
     # stays below _RK4_LIMIT, which bounds the intermediates of both forms.
     # The first block that leaves the bound is redone, with the rest of the
-    # run, by `_rk4_stages`, the stage loop, which keeps every intermediate
-    # at the size the stage-at-a-time form gives it, so a diverging run
+    # run, by `_rk4_stages`, the plain stage-at-a-time loop over `_rate`
+    # (the rate the implicit midpoint uses too), so a diverging run
     # overflows at the same step.
     n, M = params.n, grid.M
     C = params.force.C
@@ -324,106 +324,69 @@ def _rk4_by_maps(params, W, h, g_nodes, g_mid, zs) -> int:
     return M
 
 
+def _rate(params, W, z, g):
+    """The rate of the stacked state z at g = f - C, one stage at a time:
+    mass times it is W [z, P] + [0, g].  B meets x before x again, and the
+    mass divides last."""
+    n = params.n
+    if W.shape[1] > 2 * n:
+        x = z[:n]
+        P = (params.force.B.reshape(n * n, n) @ x).reshape(n, n) * x
+        z = np.concatenate([z, P.ravel()])
+    k = W @ z
+    k[n:] += g
+    k[n:] /= params.m
+    return k
+
+
 def _rk4_stages(params, W, h, g_nodes, g_mid, zs, start):
     """RK4 one stage at a time from zs[start] to the end of zs; raises
-    IntegrationBlowUpError at the first non-finite state.
-
-    Each stage writes its input state and P into one buffer, so a stage
-    rate is one product with W.  Contracting B with x before multiplying by
-    x again, dividing by the mass last, and scaling the stage sum by h/6
-    after adding it up keep every intermediate at the size the
-    stage-at-a-time form gives it."""
-    n, M = params.n, g_mid.shape[0]
-    force = params.force
-    nq = W.shape[1] - 2 * n
-    g_n = np.zeros((M + 1 - start, 2 * n))
-    g_n[:, n:] = g_nodes[start:]
-    g_m = np.zeros((M - start, 2 * n))
-    g_m[:, n:] = g_mid[start:]
-    mass = np.repeat([1.0, params.m], n)
-
-    buf = np.zeros(2 * n + nq)
-    y, x = buf[:2 * n], buf[:n]
-    P = buf[2 * n:].reshape(n, n) if nq else None
-    B_jr_s = force.B.reshape(n * n, n)
-    Bx = np.empty(n * n)
-    Bx_jr = Bx.reshape(n, n)
-    mul, add, div, dot = np.multiply, np.add, np.divide, np.dot
-
-    def rate(g, out):
-        if nq:
-            dot(B_jr_s, x, out=Bx)
-            mul(Bx_jr, x, out=P)
-        div(add(W.dot(buf), g, out=out), mass, out=out)
-
-    stages = np.empty((4, 2 * n))
-    k1, k2, k3, k4 = stages
-    weights = np.array([1.0, 2.0, 2.0, 1.0])
-    tmp = np.empty(2 * n)
-    # 0 * z is nan exactly where z is inf or nan, so z . 0 is finite exactly
-    # when every entry of z is
-    zero = np.zeros(2 * n)
-
-    for k in range(start, M):
+    IntegrationBlowUpError at the first non-finite state.  With `_rate`'s
+    order and the stage sum scaled by h/6 after it is added up, every
+    intermediate has the size the stage-at-a-time form gives it."""
+    for k in range(start, g_mid.shape[0]):
         z = zs[k]
-        y[:] = z
-        j = k - start
-        rate(g_n[j], k1)
-        add(z, mul(k1, 0.5 * h, out=tmp), out=y)
-        rate(g_m[j], k2)
-        add(z, mul(k2, 0.5 * h, out=tmp), out=y)
-        rate(g_m[j], k3)
-        add(z, mul(k3, h, out=tmp), out=y)
-        rate(g_n[j + 1], k4)
-        z = add(z, mul(weights.dot(stages), h / 6.0, out=tmp), out=zs[k + 1])
-        if not np.isfinite(z.dot(zero)):
+        k1 = _rate(params, W, z, g_nodes[k])
+        k2 = _rate(params, W, z + 0.5 * h * k1, g_mid[k])
+        k3 = _rate(params, W, z + 0.5 * h * k2, g_mid[k])
+        k4 = _rate(params, W, z + h * k3, g_nodes[k + 1])
+        zs[k + 1] = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(zs[k + 1])):
             raise IntegrationBlowUpError(step=k + 1, t=(k + 1) * h)
 
 
 def _integrate_midpoint(params, x0, v0, grid, tol=1e-12, max_newton=20):
-    m, d = params.m, params.d
-    n = params.n
-    h = grid.h
-    f_mid = eval_forcing(params.forcing, grid.midpoints())
+    n, m, h = params.n, params.m, grid.h
+    g_mid = eval_forcing(params.forcing, grid.midpoints()) - params.force.C
+    W = _rate_operator(params)
     eye = np.eye(2 * n)
-
-    xs = np.empty((grid.M + 1, n))
-    vs = np.empty_like(xs)
-    xs[0], vs[0] = x0, v0
-    z = np.concatenate([x0, v0])
+    # the Jacobian of the rate; only its force block changes with the state
+    jac_f = W[:, :2 * n] / np.repeat([1.0, m], n)[:, None]
+    zs = np.empty((grid.M + 1, 2 * n))
+    zs[0, :n], zs[0, n:] = x0, v0
     # overflow inside a diverging step is expected; the finite checks report it
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(grid.M):
-            f = f_mid[k]
-
-            def rhs(zm):
-                xm, vm = zm[:n], zm[n:]
-                a = (f - d * vm - eval_force(params.force, xm)) / m
-                return np.concatenate([vm, a])
-
-            z_new = z + h * rhs(z)  # explicit predictor
+            z, g = zs[k], g_mid[k]
+            z_new = z + h * _rate(params, W, z, g)  # explicit predictor
             ok = False
             for _ in range(max_newton):
                 if not np.all(np.isfinite(z_new)):
                     break
                 zm = 0.5 * (z + z_new)
-                res = z_new - z - h * rhs(zm)
+                res = z_new - z - h * _rate(params, W, zm, g)
                 if np.max(np.abs(res)) <= tol * (1.0 + np.max(np.abs(z_new))):
                     ok = True
                     break
-                jac_f = np.zeros((2 * n, 2 * n))
-                jac_f[:n, n:] = np.eye(n)
                 jac_f[n:, :n] = -force_jacobian(params.force, zm[:n]) / m
-                jac_f[n:, n:] = -(d / m) * np.eye(n)
                 z_new = z_new + np.linalg.solve(eye - 0.5 * h * jac_f, -res)
             if not np.all(np.isfinite(z_new)):
                 raise IntegrationBlowUpError(step=k + 1, t=(k + 1) * h)
             if not ok:
                 raise IntegrationBlowUpError(step=k + 1, t=(k + 1) * h,
                                              what="implicit midpoint Newton stalled")
-            z = z_new
-            xs[k + 1], vs[k + 1] = z[:n], z[n:]
-    return Trajectory(grid, xs, vs)
+            zs[k + 1] = z_new
+    return Trajectory(grid, zs[:, :n], zs[:, n:])
 
 
 def _time_derivative(y: np.ndarray, h: float) -> np.ndarray:

@@ -1,5 +1,4 @@
 """Config parsing, file round-trips, exit codes, reports, parallel fan-out."""
-import contextlib
 import dataclasses
 import hashlib
 import os
@@ -12,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dualchain import DualField, TimeGrid, Trajectory, cli, dual_action, eval_forcing, fput_alpha
+from dualchain import (DualField, TimeGrid, Trajectory, cli, dual_action, eval_forcing, fput_alpha,
+                       primal_solver)
 from dualchain.cli import (
     ConfigError,
     load_config,
@@ -481,6 +481,67 @@ def test_stalled_implicit_midpoint_exits_3(tmp_path, capsys):
     assert "stalled at step 19" in capsys.readouterr().err
 
 
+def test_diverging_base_integration_exits_3(tmp_path, capsys, monkeypatch):
+    # an anti-restoring chain on refined steps of 5,000 time units: the base
+    # integration leaves the stage maps' bound in its first block and
+    # overflows in the stage loop
+    starts = []
+    stage_loop = primal_solver._rk4_stages
+
+    def spy(*args):
+        starts.append(args[-1])
+        return stage_loop(*args)
+
+    monkeypatch.setattr(primal_solver, "_rk4_stages", spy)
+    code = run_one(PRESETS["harmonic_n1"], tmp_path,
+                   sets=("grid.M=20", "chain.A=-1", "grid.T=1e6"))
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "base-state integration diverged: state became non-finite at step 23 (t = 115000)\n")
+    assert starts == [0]
+
+
+NO_INITIAL = SMALL_HARMONIC.replace("[initial]\nx0 = 1.0\nv0 = 0.0\n", "")
+
+
+@pytest.mark.parametrize("text, mode, message", [
+    (NO_INITIAL, "simulate", "mode simulate needs [initial] x0 and v0"),
+    (NO_INITIAL, "dual-solve", "mode dual-solve needs [initial] x0 and v0"),
+    (NO_INITIAL, "periodic", "base kind primal needs [initial] x0 and v0"),
+    (SMALL_HARMONIC.replace("kind = primal", "kind = trajectory"), "dual-solve",
+     "base kind trajectory needs base.path"),
+], ids=["simulate", "dual-solve", "periodic-primal-base", "trajectory-no-path"])
+def test_missing_run_inputs_exit_2(tmp_path, capsys, text, mode, message):
+    out = tmp_path / "out"
+    assert run_one(_write(tmp_path, text), out, mode=mode) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists() or not list(out.iterdir())
+
+
+def test_trajectory_base_on_another_grid_exits_2(tmp_path, capsys):
+    base = tmp_path / "base.txt"
+    cli.write_trajectory(base, Trajectory(TimeGrid(T=2 * np.pi, M=64),
+                                          np.zeros((65, 1)), np.zeros((65, 1))))
+    text = SMALL_HARMONIC.replace("kind = primal", f"kind = trajectory\npath = {base}")
+    out = tmp_path / "out"
+    assert run_one(_write(tmp_path, text), out, mode="dual-solve") == 2
+    assert capsys.readouterr().err == (
+        f"config error: base trajectory {base.resolve()} does not match the run grid\n")
+    assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize("M", [1, 2])
+def test_dual_solve_on_one_or_two_elements(tmp_path, capsys, M):
+    # the one-element branches of the nodal rates and the time derivative
+    assert run_one(PRESETS["harmonic_n1"], tmp_path, sets=(f"grid.M={M}",),
+                   mode="dual-solve") == 0
+    assert capsys.readouterr().err == ""
+    report = parse_report(tmp_path / "harmonic_n1_report.txt")
+    assert report["convergence"]["converged"] == "true"
+    assert report["verification"]["hessian_inertia"] == f"{2 * M} 0 0"
+    assert read_trajectory(tmp_path / "harmonic_n1_trajectory.txt").grid.M == M
+
+
 def test_periodic_mode_emits_closing_orbit(tmp_path):
     out = tmp_path / "orbit"
     code = run_one(PRESETS["periodic_forced_n4"], out,
@@ -557,10 +618,8 @@ def test_zero_base_trust_region_stall_exits_3_with_report(tmp_path, capsys):
     ("periodic_forced_n4", ("base.settle_periods=1", "chain.m=1e300"), {3}, "none"),
 ], ids=["tiny-c_x", "tiny-c_v", "huge-m", "periodic-huge-m"])
 def test_overflow_gives_an_exit_code_and_a_report(tmp_path, preset, sets, codes, inertia):
-    # numpy warns where the Hessian assembly overflows
-    overflowing = pytest.warns(RuntimeWarning) if inertia == "none" else contextlib.nullcontext()
-    with overflowing:
-        code = run_one(PRESETS[preset], tmp_path, sets=("grid.M=20",) + sets)
+    # no RuntimeWarning escapes: pyproject's filterwarnings makes one an error
+    code = run_one(PRESETS[preset], tmp_path, sets=("grid.M=20",) + sets)
     assert code in codes
     verification = parse_report(tmp_path / f"{preset}_report.txt")["verification"]
     assert verification["hessian_inertia"] == inertia

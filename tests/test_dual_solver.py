@@ -167,6 +167,31 @@ def test_trust_region_path_also_converges():
     assert sol.converged
 
 
+def test_line_search_backtracks_once_then_newton_converges(monkeypatch):
+    # a stiff FPUT chain from the zero base: the second full Newton step
+    # lowers the action too far, and its half is accepted
+    n = 3
+    grid = TimeGrid(T=2.0, M=20)
+    params = ChainParams(m=1.0, d=0.5, force=fput_alpha(n, 1.0), forcing=ForcingSpec.zero(n))
+    spec = ProblemSpec(params=params, scales=ScaleParams(5.0, 1.0), base=zero_base(grid, n),
+                       grid=grid, x0=0.5 * np.sin(np.arange(1, n + 1) * np.pi / (n + 1)),
+                       v0=np.zeros(n))
+    steps = []
+    line_search = dual_solver._line_search
+
+    def spy(spec, D, u, direction):
+        trial, D_trial = line_search(spec, D, u, direction)
+        steps.append(float((trial - u) @ direction / (direction @ direction)))
+        return trial, D_trial
+
+    monkeypatch.setattr(dual_solver, "_line_search", spy)
+    sol = solve_dual(spec)
+    assert sol.converged and sol.iterations == 6
+    assert len(steps) == 6
+    assert steps[1] == pytest.approx(0.5)
+    assert all(t == pytest.approx(1.0) for i, t in enumerate(steps) if i != 1)
+
+
 def test_non_convergence_is_reported_not_raised():
     spec = _fput_spec(n=3, M=64, perturb=0.3, seed=5, amplitude=0.4)
     sol = solve_dual(spec, SolveOptions(max_iterations=1))
