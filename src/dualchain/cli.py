@@ -14,8 +14,9 @@ values only start a settled-primal base), and each writes a report with
 [convergence] and [verification].
 
 Exit codes: 0 success, 2 config or validation error, 3 solver did not
-converge, a trust-region stall included (reports are still written), or a
-direct integration could not continue, 4 numerical singularity.
+converge (a trust-region stall included) or an integration diverged, 4
+numerical singularity.  Exits 0 and 3 write a report, with the sections the
+run completed, in every mode but simulate; exits 2 and 4 write none.
 """
 
 from __future__ import annotations
@@ -605,26 +606,21 @@ def run_one(config_path, out_dir, sets=(), mode: str | None = None) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
+    code, convergence, verification, manifest = 0, None, None, {}
+    stage = "base-state"
     try:
-        opts = cfg.solver_options()
-        if cfg.mode == "simulate":
-            if cfg.x0 is None or cfg.v0 is None:
-                raise ConfigError("mode simulate needs [initial] x0 and v0")
-            sim_params, sim_grid = cfg.chain_params(), cfg.grid()
-        else:
-            spec, oracle = cfg._problem()
-    except IntegrationBlowUpError as exc:
-        print(f"base-state integration diverged: {exc}", file=sys.stderr)
-        return 3
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    code = 0
-    convergence = None
-    verification = None
-    manifest = {}
-    try:
+        try:
+            opts = cfg.solver_options()
+            if cfg.mode == "simulate":
+                if cfg.x0 is None or cfg.v0 is None:
+                    raise ConfigError("mode simulate needs [initial] x0 and v0")
+                sim_params, sim_grid = cfg.chain_params(), cfg.grid()
+            else:
+                spec, oracle = cfg._problem()
+        except (ConfigError, ValueError, OSError) as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        stage = "direct"
         if cfg.mode == "simulate":
             traj = integrate_primal(sim_params, cfg.x0, cfg.v0, sim_grid,
                                     method=cfg.method)
@@ -633,6 +629,7 @@ def run_one(config_path, out_dir, sets=(), mode: str | None = None) -> int:
             manifest[traj_path.name] = _sha256_file(traj_path)
         else:
             sol = solve_dual(spec, opts)
+            convergence = _convergence_dict(sol)
             if cfg.mode == "verify" and oracle is None:
                 oracle = integrate_primal(spec.params, spec.x0, spec.v0,
                                           spec.grid.refined(_ORACLE_REFINE),
@@ -645,15 +642,14 @@ def run_one(config_path, out_dir, sets=(), mode: str | None = None) -> int:
                 traj_path = out / f"{cfg.prefix}_trajectory.txt"
                 write_trajectory(traj_path, recover_primal(sol, spec))
                 manifest[traj_path.name] = _sha256_file(traj_path)
-            convergence = _convergence_dict(sol)
             verification = _verification_dict(verify(sol, spec, oracle=oracle))
             code = 0 if sol.converged else 3
     except (SingularStiffnessError, SingularSystemError) as exc:
         print(f"numerical singularity: {exc}", file=sys.stderr)
         return 4
     except IntegrationBlowUpError as exc:
-        print(f"direct integration diverged: {exc}", file=sys.stderr)
-        return 3
+        print(f"{stage} integration diverged: {exc}", file=sys.stderr)
+        code = 3
 
     if cfg.mode != "simulate":
         report = RunReport(
@@ -664,7 +660,7 @@ def run_one(config_path, out_dir, sets=(), mode: str | None = None) -> int:
             manifest=manifest,
         )
         (out / f"{cfg.prefix}_report.txt").write_text(report.to_text())
-    if code == 3:
+    if code == 3 and verification is not None:  # the solver's own exit 3
         print(f"{cfg.name}: solver did not converge (report written)",
               file=sys.stderr)
     return code

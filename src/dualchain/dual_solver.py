@@ -7,16 +7,18 @@ stiffness is positive definite, so the default step control is damped Newton
 with an ascent line search.  When no ascent Newton step is available at an
 iterate, steps fall back to a Levenberg-style trust-region iteration that
 must decrease the gradient norm; when that cannot make progress either, the
-iteration stops unconverged, as it does at an overflowed point.  Each
-iterate's negated Hessian is factored once by the banded Cholesky (LAPACK
-dpbtrf and dpbtrs, on the folded band when cyclic); an iterate where it
-does not factor is indefinite and goes to the trust region, whose shift
-grows until it factors.  A cyclic Hessian is also checked against
-`COND_LIMIT` by a probe at ||H||_1 / COND_LIMIT on the other side of zero.
-Each of these factorizations is `neg_cholesky(shift)` on the iterate's
-Hessian, and a cyclic Hessian writes its band once for all of them.  The
-period is the grid span, an integer number of forcing periods; orbits of
-unknown period are out of scope.
+iteration stops unconverged, as it does at an overflowed point.  A damped
+Newton iterate's negated Hessian is factored once by the banded Cholesky
+(LAPACK dpbtrf and dpbtrs, on the folded band when cyclic); where it does
+not factor, the iterate is indefinite and goes to the trust region, whose
+shift grows until it factors.  A cyclic solve checks its first Hessian only
+against `COND_LIMIT`, by a probe at ||H||_1 / COND_LIMIT on the other side
+of zero: a linear chain's Hessian does not depend on the field, so its
+resonance or missing restoring force shows there, and a later iterate near
+singular is not a singular problem.  Each factorization is
+`neg_cholesky(shift)` on the iterate's Hessian, and a cyclic Hessian writes
+its band once for all of them.  The period is the grid span, an integer
+number of forcing periods; orbits of unknown period are out of scope.
 
 Every `solve_dual` runs with the OpenBLAS libraries already loaded into the
 process (numpy and scipy each bundle one) set to one thread, and gives each
@@ -156,7 +158,9 @@ def _maximize(spec: ProblemSpec, opts: SolveOptions):
         H = hessian(D, spec)
         if not _finite(H):
             break
-        if spec.periodic:  # checked on every iteration, whatever the step control
+        # singular or not is judged on a cyclic problem's first Hessian only,
+        # which shows a linear chain's resonance; later iterates go as open ones
+        if spec.periodic and len(history) == 1:
             fac = _factorize_checked(H)
         else:  # factored only for a Newton direction; None if indefinite
             fac = H.neg_cholesky() if damped else None

@@ -499,6 +499,32 @@ def test_diverging_base_integration_exits_3(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == (
         "base-state integration diverged: state became non-finite at step 23 (t = 115000)\n")
     assert starts == [0]
+    # the exit 3 writes a report, which holds only the sections it completed
+    report = parse_report(tmp_path / "harmonic_n1_report.txt")
+    assert report["run"]["mode"] == "verify"
+    assert "convergence" not in report and report["manifest"] == {}
+
+
+def test_diverging_oracle_integration_exits_3_with_the_solve_reported(tmp_path, capsys):
+    # from the zero base the solve converges; the verify oracle, integrated
+    # on its own, then diverges, and the report keeps [convergence] only
+    code = run_one(PRESETS["harmonic_n1"], tmp_path,
+                   sets=("grid.M=20", "chain.A=-1", "grid.T=1e6", "base.kind=zero"))
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "direct integration diverged: state became non-finite at step 23 (t = 115000)\n")
+    report = parse_report(tmp_path / "harmonic_n1_report.txt")
+    assert report["convergence"]["converged"] == "true"
+    assert "verification" not in report
+
+
+def test_diverging_simulation_exits_3_without_files(tmp_path, capsys):
+    code = run_one(PRESETS["harmonic_n1"], tmp_path, mode="simulate",
+                   sets=("grid.M=20", "chain.A=-1", "grid.T=1e6"))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("direct integration diverged: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 NO_INITIAL = SMALL_HARMONIC.replace("[initial]\nx0 = 1.0\nv0 = 0.0\n", "")

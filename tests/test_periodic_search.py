@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dualchain import dual_action, dual_solver
+from dualchain.cli import load_config, scenario_presets
 from dualchain import (
     BaseState,
     ChainParams,
@@ -40,6 +41,7 @@ from oracles import (
 )
 
 UNIT = ScaleParams(1.0, 1.0)
+PRESETS = {p.stem: p for p in scenario_presets()}
 _EPS = np.finfo(float).eps
 
 
@@ -367,11 +369,14 @@ def test_cyclic_hessian_matches_coo_reference(n, M, singular, seed):
 
 
 @pytest.mark.parametrize("step_control", ["damped-newton", "trust-region"])
-def test_each_iteration_factorizes_its_hessian_once(monkeypatch, step_control):
-    # one Cholesky factorization of -H per iterate serves the condition check
-    # and the Newton direction; each shift (the check's probe, a trust-region
-    # shift, or the final inertia's certificate) gets one of its own, every
-    # factorization of a Hessian reads the one band it wrote, and no LU runs
+def test_periodic_solve_probes_once_and_factors_only_newton_directions(monkeypatch,
+                                                                        step_control):
+    # the singularity check factors -H and one shifted probe on the first
+    # iterate; a later iterate factors -H only for a damped Newton direction,
+    # so trust-region factors it that once; each shift (the probe, a
+    # trust-region shift, or the final inertia's certificate) gets one
+    # factorization of its own, every factorization of a Hessian reads the one
+    # band it wrote, and no LU runs
     counts = {"dpbtrf": 0, "shifted": 0, "bands": 0, "hessians": 0}
     dpbtrf = scipy.linalg.lapack.dpbtrf
     neg_cholesky = dual_action.BlockTridiagonal.neg_cholesky
@@ -404,13 +409,45 @@ def test_each_iteration_factorizes_its_hessian_once(monkeypatch, step_control):
     monkeypatch.setattr(dual_action.BlockTridiagonal, "to_banded", counted_band)
     monkeypatch.setattr(dual_solver, "hessian", counted_hessian)
     sol = solve_periodic(_fput_forced_spec(M=64), SolveOptions(step_control=step_control))
-    assert sol.converged and sol.iterations > 1
-    assert counts["dpbtrf"] == sol.iterations + counts["shifted"]
-    assert counts["bands"] == counts["hessians"] == sol.iterations + 1
-    if step_control == "damped-newton":  # one probe per iterate, one certificate
-        assert counts["shifted"] == sol.iterations + 1
-    else:
-        assert counts["shifted"] > sol.iterations + 1
+    k = sol.iterations
+    assert sol.converged and k > 1
+    assert counts["bands"] == counts["hessians"] == k + 1
+    if step_control == "damped-newton":  # k Newton factors, one probe, one certificate
+        assert counts["dpbtrf"] == k + 2
+        assert counts["shifted"] == 2
+    else:  # the first iterate's -H, then only shifts
+        assert counts["dpbtrf"] == 1 + counts["shifted"]
+        assert counts["shifted"] > k + 1
+
+
+@pytest.mark.parametrize("step_control", ["damped-newton", "trust-region"])
+def test_singularity_check_runs_on_the_first_periodic_iterate_only(monkeypatch,
+                                                                   step_control):
+    # the check runs once per periodic solve, on its first Hessian, whether
+    # the solve converges or stalls (the zero-base periodic_forced_n4 run
+    # stops unconverged under both step controls), and never in an
+    # initial-value solve
+    calls = []
+    check = dual_solver._factorize_checked
+
+    def counted(H):
+        calls.append(H)
+        return check(H)
+
+    monkeypatch.setattr(dual_solver, "_factorize_checked", counted)
+    opts = SolveOptions(step_control=step_control)
+    stalling = load_config(PRESETS["periodic_forced_n4"],
+                           sets=("base.kind=zero", "grid.M=100")).problem()
+    for spec, converged in ((_fput_forced_spec(M=64), True), (stalling, False)):
+        calls.clear()
+        sol = solve_periodic(spec, opts)
+        assert sol.converged == converged and sol.iterations >= 1
+        assert len(calls) == 1
+    calls.clear()
+    open_spec = load_config(PRESETS["fput_alpha_n8"], sets=("grid.M=100",)).problem()
+    sol = solve_dual(open_spec, opts)
+    assert not open_spec.periodic and sol.iterations >= 1
+    assert calls == []
 
 
 def test_spec_needs_both_initial_conditions_or_neither():
