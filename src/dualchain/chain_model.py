@@ -118,7 +118,7 @@ def fput_alpha(n: int, alpha: float, boundary: str = "fixed") -> QuadraticForce:
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError("n must be a positive integer")
-    if boundary in ("fixed", "fixed-ends"):
+    if boundary == "fixed":
         pairs = [(None, 0)] + [(j, j + 1) for j in range(n - 1)] + [(n - 1, None)]
     elif boundary == "free":
         pairs = [(j, j + 1) for j in range(n - 1)]

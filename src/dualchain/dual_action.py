@@ -35,10 +35,10 @@ No eigendecomposition runs on the Newton path when every point is well
 conditioned.  The multiplier-weighted stiffness K is inverted directly, and
 kappa_2(K) <= ||K||_F ||K^-1||_F certifies each point; the eigenvalue test,
 the only place a SingularStiffnessError is raised, sees just the points this
-bound cannot certify.  `BlockTridiagonal.inertia` likewise answers (N, 0, 0)
-when `neg_cholesky(-tol)` certifies negative definiteness beyond the zero
-tolerance, and otherwise counts by the Schur recursion, over nodes (open
-layout) or over folded node pairs (cyclic).
+bound cannot certify; `ellipticity_check` reports 0.0 where it would fail.
+`BlockTridiagonal.inertia` counts an eigenvalue within the singularity
+probe's delta = ||H||_1 / COND_LIMIT of zero as zero: (N, 0, 0) when
+`neg_cholesky(-delta)` factors, else Sylvester's law at -delta and delta.
 """
 
 from __future__ import annotations
@@ -404,15 +404,21 @@ def _element_fields(ga, la, gb, lb, h):
     return gmid, lmid, gdot, ldot
 
 
+def _singular(mu):
+    """(singular, min|mu|, max|mu|) at the points of eigenvalues ``mu`` (last
+    axis), in C order: singular when min|mu| = 0 or max/min > COND_LIMIT."""
+    amin = np.min(np.abs(mu), axis=-1).ravel()
+    amax = np.max(np.abs(mu), axis=-1).ravel()
+    return (amin == 0.0) | (amax > COND_LIMIT * amin), amin, amax
+
+
 def _check_stiffness(K, points=None):
     """Eigenvalue test of weighted stiffness matrices K (leading batch axes
     allowed): raises SingularStiffnessError, naming the first failing point
     in C order (its index in ``points`` when given), when a point is singular
     or has a condition number beyond COND_LIMIT.  Returns (mu, Q)."""
     mu, Q = np.linalg.eigh(K)
-    amin = np.min(np.abs(mu), axis=-1).ravel()
-    amax = np.max(np.abs(mu), axis=-1).ravel()
-    bad = (amin == 0.0) | (amax > COND_LIMIT * amin)
+    bad, amin, amax = _singular(mu)
     if np.any(bad):
         first = int(np.argmax(bad))
         cond = None if amin[first] == 0.0 else float(amax[first] / amin[first])
@@ -686,14 +692,18 @@ class BlockTridiagonal:
         return ab
 
     def norm1(self) -> float:
-        """Exact 1-norm, from the lower band: column j sums its band column
-        and its band row, the entries A[j, i] = A[i, j] (i < j) that the band
-        holds along the skew ab[j - i, i]."""
-        ab = np.abs(self._folded_band if self.cyclic else self.to_banded())
-        N = ab.shape[1]
-        sums = np.sum(ab, axis=0)
-        for r in range(1, min(ab.shape[0], N)):  # F = 2 cyclic: bandwidth >= N
-            sums[r:] += ab[r, :N - r]
+        """Exact 1-norm of the symmetric matrix `to_banded` stores, in one
+        pass over the blocks: each diagonal block's lower triangle, and each
+        coupling by columns and, for its mirror, by rows (the two F = 2
+        cyclic couplings join the same nodes and are merged first)."""
+        F, b, _ = self.diag.shape
+        d = np.abs(self.diag)  # lower triangle by columns, its mirror by rows
+        sums = np.einsum("kij,ij->kj", d, np.tri(b)) + np.einsum("kij,ij->ki", d, np.tri(b, k=-1))
+        off = self.off[:1] + np.swapaxes(self.off[1:], 1, 2) if self.cyclic and F == 2 else self.off
+        up = np.abs(off)
+        k = np.arange(up.shape[0])
+        sums[k] += np.einsum("kij->ki", up)
+        sums[(k + 1) % F] += np.einsum("kij->kj", up)
         return float(np.max(sums))
 
     def solve(self, rhs: np.ndarray, fac) -> np.ndarray:
@@ -725,54 +735,47 @@ class BlockTridiagonal:
         return scipy.linalg.eigvals_banded(self.to_banded(), lower=True)
 
     def inertia(self) -> tuple[int, int, int]:
-        """(negative, zero, positive) eigenvalue counts, eigenvalues within
-        the zero tolerance 1e-11 max|entry| counting as zero.
-
-        Certificate first: when A + tol I is negative definite (its negated
-        band factors), every eigenvalue of A lies below -tol, so the answer
-        is (size, 0, 0).  Otherwise the counts come from the Schur-complement
-        recursion on the block factorization (Sylvester's law).  A cyclic
-        matrix enters it as the open layout of the node pairs (k, F-1-k),
-        which the folded order makes adjacent; an odd F's middle node is
-        padded with -scale I, whose b negative eigenvalues are taken off.
-        """
-        F, b, _ = self.diag.shape
-        scale = max(float(np.max(np.abs(self.diag))),
-                    float(np.max(np.abs(self.off))) if F > 1 else 0.0, 1e-300)
-        tol = 1e-11 * scale
-        if self.neg_cholesky(-tol) is not None:
+        """(negative, zero, positive) eigenvalue counts, an eigenvalue in
+        [-delta, delta] counting as zero, delta = ||A||_1 / COND_LIMIT as in
+        the cyclic singularity probe: (size, 0, 0) when -(A + delta I)
+        factors, else, by Sylvester's law (Golub & Van Loan, Matrix
+        Computations, 4th ed., 8.1), the negative Schur pivots of A + delta I
+        and of delta I - A, over nodes, or over the node pairs (k, F-1-k)
+        that a cyclic matrix's folded order makes adjacent."""
+        delta = self.norm1() / COND_LIMIT
+        if self.neg_cholesky(-delta) is not None:
             return self.size, 0, 0
-        if not self.cyclic:
-            return _schur_inertia(self.diag, self.off, tol)
-        D, up1, up2 = self._band_blocks()
-        D = np.concatenate([D, -scale * np.eye(b)[None]][:1 + F % 2])
-        up1, up2 = (np.pad(u, ((0, F % 2), (0, 0), (0, 0))) for u in (up1, up2))
-        P = D.shape[0] // 2  # pair j: folded places 2j, 2j+1
-        pair = np.zeros((P, 2 * b, 2 * b))
-        pair[:, :b, :b], pair[:, b:, b:], pair[:, :b, b:] = D[0::2], D[1::2], up1[0::2]
-        pair[:, b:, :b] = np.swapaxes(up1[0::2], 1, 2)
-        link = np.zeros((P - 1, 2 * b, 2 * b))
-        link[:, :b, :b], link[:, b:, :b], link[:, b:, b:] = up2[0::2], up1[1::2], up2[1::2]
-        neg, zero, pos = _schur_inertia(pair, link, tol)
-        return neg - b * (F % 2), zero, pos
+        F, b, _ = self.diag.shape
+        diag, off, pad = self.diag, self.off, 0
+        if self.cyclic:
+            D, up1, up2 = (np.pad(x, ((0, F % 2), (0, 0), (0, 0))) for x in self._band_blocks())
+            P, pad = D.shape[0] // 2, b * (F % 2)  # pair j: folded places 2j, 2j+1
+            diag = np.zeros((P, 2 * b, 2 * b))
+            diag[:, :b, :b], diag[:, b:, b:], diag[:, :b, b:] = D[0::2], D[1::2], up1[0::2]
+            diag[:, b:, :b] = np.swapaxes(up1[0::2], 1, 2)
+            off = np.zeros((P - 1, 2 * b, 2 * b))
+            off[:, :b, :b], off[:, b:, :b], off[:, b:, b:] = up2[0::2], up1[1::2], up2[1::2]
+        eye = np.eye(diag.shape[1])  # eigenvalues below -delta, then above delta
+        neg, pos = (_negative_pivots(s * diag + delta * eye, s * off, pad) for s in (1.0, -1.0))
+        return neg, self.size - neg - pos, pos
 
 
-def _schur_inertia(diag, off, tol):
-    """Inertia of the open block-tridiagonal matrix (diag, off) from the
-    eigenvalues of its successive Schur complements; pivots within tol are
-    counted as zero and skipped."""
-    neg = zero = pos = 0
+def _negative_pivots(diag, off, pad=0) -> int:
+    """Number of negative eigenvalues of the open block-tridiagonal matrix
+    (diag, off): by Sylvester's law, those of its successive Schur
+    complements, a zero pivot eigenvalue skipped.  The last block's trailing
+    ``pad`` rows and columns are padding, set to -I and not counted."""
+    if pad:
+        diag[-1, -pad:, -pad:] = -np.eye(pad)
+    neg = -pad
     S = diag[0]
     for k in range(diag.shape[0]):
         mu, Q = np.linalg.eigh(S)
-        neg += int(np.sum(mu < -tol))
-        pos += int(np.sum(mu > tol))
-        zero += int(np.sum(np.abs(mu) <= tol))
+        neg += int(np.sum(mu < 0.0))
         if k < diag.shape[0] - 1:
-            inv = np.where(np.abs(mu) > tol, 1.0 / np.where(mu == 0, 1.0, mu), 0.0)
-            X = Q @ (inv[:, None] * (Q.T @ off[k]))
-            S = diag[k + 1] - off[k].T @ X
-    return neg, zero, pos
+            inv = np.divide(1.0, mu, out=np.zeros_like(mu), where=mu != 0.0)
+            S = diag[k + 1] - off[k].T @ (Q @ (inv[:, None] * (Q.T @ off[k])))
+    return neg
 
 
 # ---------------------------------------------------------------------------
@@ -892,21 +895,18 @@ def ellipticity_check(D: DualField, spec) -> np.ndarray:
     """Per-node minimum eigenvalue of the ellipticity block
     diag(m^2/c_v I, (1/c_x) K|_lam^{-1}).
 
-    Positive entries certify the pointwise ellipticity bound; a singular
-    weighted stiffness is reported as 0.0 and an indefinite one as the
-    (negative) extreme eigenvalue.  Works for both the initial-value and the
-    periodic problem spec.
+    Positive entries certify the pointwise ellipticity bound; a weighted
+    stiffness singular by the stiffness test's rule (min|mu| = 0 or
+    max|mu| / min|mu| > COND_LIMIT) is reported as 0.0, and an indefinite one
+    as the (negative) extreme eigenvalue.  Works for both the initial-value
+    and the periodic problem spec.
     """
     p, s = spec.params, spec.scales
     if D.n != p.n:
         raise ValueError(f"dual field is for n={D.n}, problem for n={p.n}")
     floor = p.m * p.m / s.c_v
-    mats = stiffness_lambda(p.force.B, D.lam, s.c_x)
-    mu = np.linalg.eigvalsh(mats)
-    amin = np.min(np.abs(mu), axis=1)
-    amax = np.max(np.abs(mu), axis=1)
-    degenerate = amin <= 1e-14 * np.maximum(1.0, amax)
+    mu = np.linalg.eigvalsh(stiffness_lambda(p.force.B, D.lam, s.c_x))
     safe_mu = np.where(mu == 0.0, 1.0, mu)
     out = np.minimum(floor, np.min(1.0 / (s.c_x * safe_mu), axis=1))
-    out[degenerate] = 0.0
+    out[_singular(mu)[0]] = 0.0
     return out

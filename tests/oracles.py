@@ -156,8 +156,7 @@ def rk4_reference(params, x0, v0, grid, dtype=float):
 
 # ---------------------------------------------------------------------------
 # dense-eigendecomposition assembly: the weighted stiffness inverse through
-# eigh, the element Hessian as the triple product W^T Hm W with W = kron(S, I),
-# and the inertia of a block-tridiagonal matrix by the Schur recursion alone
+# eigh, and the element Hessian as the triple product W^T Hm W with W = kron(S, I)
 
 
 def stiffness_eig(B, lam, c_x: float):
@@ -240,28 +239,6 @@ def shifted(H, mu):
     """H - mu I, built from its blocks: the matrix that ``H.neg_cholesky(mu)``
     factors the negation of."""
     return BlockTridiagonal(H.diag - mu * np.eye(H.block), H.off)
-
-
-def schur_inertia(H, zero_tol=None):
-    """(negative, zero, positive) eigenvalue counts of a BlockTridiagonal via
-    the Schur-complement recursion on the block factorization (Sylvester's
-    law)."""
-    F, b, _ = H.diag.shape
-    scale = max(float(np.max(np.abs(H.diag))),
-                float(np.max(np.abs(H.off))) if F > 1 else 0.0, 1e-300)
-    tol = zero_tol if zero_tol is not None else 1e-11 * scale
-    neg = zero = pos = 0
-    S = H.diag[0]
-    for k in range(F):
-        mu, Q = np.linalg.eigh(S)
-        neg += int(np.sum(mu < -tol))
-        pos += int(np.sum(mu > tol))
-        zero += int(np.sum(np.abs(mu) <= tol))
-        if k < F - 1:
-            inv = np.where(np.abs(mu) > tol, 1.0 / np.where(mu == 0, 1.0, mu), 0.0)
-            X = Q @ (inv[:, None] * (Q.T @ H.off[k]))
-            S = H.diag[k + 1] - H.off[k].T @ X
-    return neg, zero, pos
 
 
 # ---------------------------------------------------------------------------

@@ -122,8 +122,9 @@ def test_fput_alpha_free_chain_total_force_zero():
 def test_fput_alpha_rejects_bad_input():
     with pytest.raises(ValueError):
         fput_alpha(0, 0.1)
-    with pytest.raises(ValueError):
-        fput_alpha(3, 0.1, boundary="clamped")
+    for boundary in ("clamped", "fixed-ends"):
+        with pytest.raises(ValueError, match="boundary must be"):
+            fput_alpha(3, 0.1, boundary=boundary)
 
 
 def test_force_jacobian_at_origin_is_linear_coefficient():

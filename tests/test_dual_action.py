@@ -18,6 +18,7 @@ from dualchain import (
     QuadraticForce,
     ScaleParams,
     SingularStiffnessError,
+    SingularSystemError,
     Sinusoid,
     TimeGrid,
     action,
@@ -32,7 +33,7 @@ from dualchain import (
     unpack_free,
     zero_base,
 )
-from dualchain import dual_action
+from dualchain import dual_action, dual_solver
 from dualchain.dual_action import (
     COND_LIMIT,
     _core_state,
@@ -46,7 +47,6 @@ from oracles import (
     fine_quadrature_action,
     hessian_elements_kron,
     predual_action,
-    schur_inertia,
     shifted,
     stiffness_eig,
 )
@@ -530,15 +530,24 @@ def test_block_tridiagonal_eigenvalues_match_dense():
                                atol=1e-10)
 
 
+def _dense_inertia(H):
+    """(negative, zero, positive) counts of the dense eigenvalues, an
+    eigenvalue in [-delta, delta] counting as zero, delta = ||H||_1 / COND_LIMIT."""
+    eigs = np.linalg.eigvalsh(H.to_dense())
+    delta = H.norm1() / COND_LIMIT
+    return (int(np.sum(eigs < -delta)), int(np.sum(np.abs(eigs) <= delta)),
+            int(np.sum(eigs > delta)))
+
+
 def test_block_tridiagonal_inertia_matches_dense_signs():
+    # the zero matrix has delta = 0 and every eigenvalue in [-delta, delta]
     rng = np.random.default_rng(20)
     for definite in (None, "negative"):
         H = _random_block_tridiagonal(rng, M=6, b=3, definite=definite)
-        eigs = np.linalg.eigvalsh(H.to_dense())
-        tol = 1e-11 * np.max(np.abs(eigs))
-        expected = (int(np.sum(eigs < -tol)), int(np.sum(np.abs(eigs) <= tol)),
-                    int(np.sum(eigs > tol)))
-        assert H.inertia() == expected
+        assert H.inertia() == _dense_inertia(H)
+    for cyclic in (False, True):
+        zero = BlockTridiagonal(np.zeros((5, 2, 2)), np.zeros((5 if cyclic else 4, 2, 2)))
+        assert zero.inertia() == _dense_inertia(zero) == (0, 10, 0)
 
 
 def test_block_tridiagonal_negative_cholesky():
@@ -656,8 +665,8 @@ def test_shifted_factorization_matches_the_shifted_matrix_bit_for_bit(seed, F, b
 
 
 def test_cyclic_matrix_writes_its_band_once_and_keeps_it_read_only(monkeypatch):
-    # norm1 and every factorization of a cyclic matrix read one kept band;
-    # an open matrix writes a band for each factorization
+    # every factorization of a cyclic matrix reads one kept band; an open
+    # matrix writes a band for each factorization; norm1 reads the blocks
     rng = np.random.default_rng(26)
     to_banded, writes = BlockTridiagonal.to_banded, []
     monkeypatch.setattr(BlockTridiagonal, "to_banded",
@@ -670,6 +679,7 @@ def test_cyclic_matrix_writes_its_band_once_and_keeps_it_read_only(monkeypatch):
         H._folded_band[0, 0] = 0.0
     assert H._folded_band.tobytes() == to_banded(H).tobytes()  # factoring left it as written
     H = _random_block_tridiagonal(rng, M=5, b=3, definite="negative")
+    assert H.norm1() > 0.0 and writes == [True]
     assert H.neg_cholesky() is not None and H.neg_cholesky(1.0) is not None
     assert writes == [True, False, False]
 
@@ -726,16 +736,14 @@ def test_cyclic_block_tridiagonal_matches_dense(F, b):
 @pytest.mark.parametrize("F, b", [(2, 1), (2, 3), (3, 2), (4, 2), (5, 1), (7, 3), (8, 3)])
 def test_cyclic_inertia_matches_dense_eigenvalue_counts(monkeypatch, definite, F, b):
     # negative definite matrices pass the Cholesky certificate on the folded
-    # band; the others fall back to the Schur recursion over node pairs (an
-    # odd F pads its middle node), which needs no full eigendecomposition
+    # band; the others fall back to two Schur recursions over node pairs (an
+    # odd F pads its middle node), one at each shift, which need no full
+    # eigendecomposition
     rng = np.random.default_rng(10 * F + b)
     H = _random_block_tridiagonal(rng, M=F, b=b, definite=definite, cyclic=True)
     if definite == "singular":  # cyclic chain Laplacian: b exact zero eigenvalues
         H = BlockTridiagonal(np.tile(-2.0 * np.eye(b), (F, 1, 1)), np.tile(np.eye(b), (F, 1, 1)))
-    eigs = np.linalg.eigvalsh(_cyclic_dense(H))
-    tol = 1e-11 * max(np.max(np.abs(H.diag)), np.max(np.abs(H.off)))
-    expected = (int(np.sum(eigs < -tol)), int(np.sum(np.abs(eigs) <= tol)),
-                int(np.sum(eigs > tol)))
+    expected = _dense_inertia(H)
     assert (expected == (H.size, 0, 0)) == (definite == "negative")
     assert (expected[1] == b) == (definite == "singular")
     recursion = []
@@ -743,7 +751,8 @@ def test_cyclic_inertia_matches_dense_eigenvalue_counts(monkeypatch, definite, F
     monkeypatch.setattr(np.linalg, "eigh", lambda S: recursion.append(S.shape) or eigh(S))
     monkeypatch.setattr(BlockTridiagonal, "eigenvalues", None)
     assert H.inertia() == expected
-    assert recursion == ([] if definite == "negative" else [(2 * b, 2 * b)] * ((F + 1) // 2))
+    pairs = (F + 1) // 2
+    assert recursion == ([] if definite == "negative" else [(2 * b, 2 * b)] * (2 * pairs))
 
 
 @pytest.mark.parametrize("F, n_off", [(4, 2), (4, 5), (1, 1), (2, 0), (0, 0)])
@@ -754,19 +763,19 @@ def test_block_tridiagonal_rejects_malformed_off_length(F, n_off):
 
 @st.composite
 def _block_tridiagonals(draw):
-    """Random symmetric block-tridiagonal matrices of four kinds: negative
-    definite, negative semidefinite up to eigenvalues inside the zero
-    tolerance, indefinite, and a single block (F = 1)."""
+    """Random symmetric block-tridiagonal matrices, open or cyclic, of four
+    kinds: negative definite, negative definite but for a top eigenvalue
+    moved to within a few multiples of ||H||_1 / COND_LIMIT of zero,
+    indefinite, and a single block (F = 1)."""
     kind = draw(st.sampled_from(("negative", "near-zero", "indefinite", "single")))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     F = 1 if kind == "single" else draw(st.integers(2, 6))
     b = draw(st.integers(1, 4))
-    H = _random_block_tridiagonal(rng, M=F, b=b,
+    H = _random_block_tridiagonal(rng, M=F, b=b, cyclic=F > 1 and draw(st.booleans()),
                                   definite=None if kind == "indefinite" else "negative")
     if kind == "near-zero":
-        # move the top eigenvalue to a point well inside the zero tolerance
         top = np.linalg.eigvalsh(H.to_dense())[-1]
-        H = shifted(H, top + draw(st.floats(-0.5, 0.5)) * 1e-11 * np.max(np.abs(H.diag)))
+        H = shifted(H, top - draw(st.floats(-3.0, 3.0)) * H.norm1() / COND_LIMIT)
     elif kind == "single" and draw(st.booleans()):
         H = BlockTridiagonal(-H.diag, H.off)
     return H
@@ -774,8 +783,36 @@ def _block_tridiagonals(draw):
 
 @settings(deadline=None, max_examples=200)
 @given(_block_tridiagonals())
-def test_inertia_matches_schur_recursion(H):
-    assert H.inertia() == schur_inertia(H)
+def test_inertia_matches_dense_eigenvalue_counts_at_delta(H):
+    # an eigenvalue within rounding of -delta or delta may fall either side
+    eigs = np.linalg.eigvalsh(H.to_dense())
+    delta = H.norm1() / COND_LIMIT
+    assume(np.min(np.abs(np.abs(eigs) - delta)) > 0.05 * delta)
+    assert H.inertia() == _dense_inertia(H)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(1, 3), st.floats(-3.0, 3.0))
+@example(seed=0, F=5, b=2, where=-0.5)
+@example(seed=1, F=4, b=1, where=0.5)
+def test_singularity_probe_and_inertia_agree_on_cyclic_matrices(seed, F, b, where):
+    # the probe and the inertia read one delta = ||H||_1 / COND_LIMIT: a
+    # factor returned means (N, 0, 0), a singular verdict at least one
+    # eigenvalue in [-delta, delta]; the top eigenvalue is moved to about
+    # `where` deltas, and draws with an eigenvalue within rounding of -delta
+    # or delta are skipped
+    rng = np.random.default_rng(seed)
+    H = _random_block_tridiagonal(rng, M=F, b=b, definite="negative", cyclic=True)
+    top = np.linalg.eigvalsh(H.to_dense())[-1]
+    H = shifted(H, top - where * H.norm1() / COND_LIMIT)
+    delta = H.norm1() / COND_LIMIT
+    assume(np.min(np.abs(np.abs(np.linalg.eigvalsh(H.to_dense())) - delta)) > 0.05 * delta)
+    try:
+        fac = dual_solver._factorize_checked(H)
+    except SingularSystemError:
+        assert H.inertia()[1] >= 1
+    else:
+        assert fac is None or H.inertia() == (H.size, 0, 0)
 
 
 def test_inertia_of_negative_definite_matrix_needs_no_eigendecomposition(monkeypatch):

@@ -561,6 +561,18 @@ def test_chain_without_restoring_force_is_singular(step_control, M):
         solve_periodic(spec, SolveOptions(step_control=step_control))
 
 
+def test_singularity_probe_and_inertia_agree_on_the_resonant_hessian():
+    # the undamped n = 1 oscillator over its own period at M = 500 (the
+    # forcing does not enter the Hessian): its top eigenvalues, -2.6e-12 and
+    # -2.1e-12, lie within delta = ||H||_1 / COND_LIMIT = 3.2e-10 of zero, so
+    # -H factors and -(H + delta I) does not; the probe calls H singular and
+    # the inertia counts those two eigenvalues as zero
+    H = _resonant_hessian(500)
+    assert H.inertia() == (998, 2, 0)
+    with pytest.raises(SingularSystemError, match="condition estimate > 1.000e"):
+        dual_solver._factorize_checked(H)
+
+
 def test_singular_probe_tells_singular_from_indefinite():
     # a Hessian that does not factor is singular when its shift by
     # ||H||_1 / COND_LIMIT factors, and indefinite when that does not either;
