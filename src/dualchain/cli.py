@@ -385,9 +385,6 @@ class ScenarioConfig:
         def arr(a):
             return "none" if a is None else ",".join(repr(float(v)) for v in np.ravel(a))
 
-        def digest(path):
-            return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
         parts = [
             f"mode={self.mode}", f"seed={self.seed}", f"method={self.method}",
             f"n={self.n}", f"m={self.m!r}", f"d={self.d!r}",
@@ -396,13 +393,13 @@ class ScenarioConfig:
                             for j, r, s, v in sorted(self.B_entries)),
             "sin=" + ";".join(f"{j},{s.amplitude!r},{s.omega!r},{s.phase!r}"
                               for j, s in self.sinusoids),
-            "tab=" + ";".join(f"{j},{digest(p)}" for j, p in self.tables),
+            "tab=" + ";".join(f"{j},{_sha256_file(p)}" for j, p in self.tables),
             f"T={self.T!r}", f"M={self.M}",
             f"x0={arr(self.x0)}", f"v0={arr(self.v0)}",
             f"c_x={self.c_x!r}", f"c_v={self.c_v!r}",
             f"base={self.base_kind},{self.base_refine},{self.base_amplitude!r},"
             f"{self.base_settle}",
-            "base_file=" + (digest(self.base_path) if self.base_path else "none"),
+            "base_file=" + (_sha256_file(self.base_path) if self.base_path else "none"),
             f"solver={self.max_iterations},{self.tolerance!r},{self.step_control}",
         ]
         return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
@@ -485,7 +482,8 @@ def _write_table(path, names: tuple, grid: TimeGrid, first, second) -> None:
 
 def _read_table(path, names: tuple):
     """The grid and the two (M+1, n) arrays of a file `_write_table` wrote
-    with these ``names``."""
+    with these ``names``.  M is the row count less one and T the last time;
+    every time must be its grid node to within 1e-12 T."""
     first, second = names
     with open(path) as fh:
         tokens = fh.readline().split()
@@ -498,7 +496,10 @@ def _read_table(path, names: tuple):
         raise ValueError(f"{path}: rows have {data.shape[1]} columns, "
                          f"expected {1 + 2 * n}")
     grid = TimeGrid(T=float(data[-1, 0]), M=data.shape[0] - 1)
-    return grid, data[:, 1:1 + n].copy(), data[:, 1 + n:].copy()
+    if not np.max(np.abs(data[:, 0] - grid.nodes())) <= 1e-12 * grid.T:
+        raise ValueError(f"{path}: the t column is not the nodes of a uniform "
+                         f"grid of {grid.M} elements on [0, {grid.T:.17g}]")
+    return grid, data[:, 1:1 + n], data[:, 1 + n:]
 
 
 def write_trajectory(path, traj: Trajectory) -> None:

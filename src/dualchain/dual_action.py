@@ -56,7 +56,7 @@ from .chain_model import (
     force_jacobian,
     stiffness_lambda,
 )
-from .primal_solver import TimeGrid, Trajectory, integrate_primal
+from .primal_solver import TimeGrid, Trajectory, _check_state, _freeze_arrays, integrate_primal
 
 __all__ = [
     "ScaleParams",
@@ -137,35 +137,14 @@ class BaseState:
     vbar_mid: np.ndarray | None = None
 
     def __post_init__(self):
-        xb = np.array(self.xbar, dtype=float)
-        vb = np.array(self.vbar, dtype=float)
-        if xb.ndim != 2 or vb.shape != xb.shape or xb.shape[0] != self.grid.M + 1:
-            raise ValueError(
-                f"xbar and vbar must both have shape ({self.grid.M + 1}, n), "
-                f"got {xb.shape} and {vb.shape}"
-            )
-        if not (np.all(np.isfinite(xb)) and np.all(np.isfinite(vb))):
-            raise ValueError("base state must be finite")
+        M = self.grid.M
+        _freeze_arrays(self, ("xbar", "vbar"), M + 1)
         if (self.xbar_mid is None) != (self.vbar_mid is None):
             raise ValueError("give both midpoint arrays or neither")
         if self.xbar_mid is None:
-            xm = 0.5 * (xb[:-1] + xb[1:])
-            vm = 0.5 * (vb[:-1] + vb[1:])
-        else:
-            xm = np.array(self.xbar_mid, dtype=float)
-            vm = np.array(self.vbar_mid, dtype=float)
-            want = (self.grid.M, xb.shape[1])
-            if xm.shape != want or vm.shape != want:
-                raise ValueError(
-                    f"midpoint arrays must have shape {want}, got {xm.shape} and {vm.shape}")
-            if not (np.all(np.isfinite(xm)) and np.all(np.isfinite(vm))):
-                raise ValueError("base state must be finite")
-        for arr in (xb, vb, xm, vm):
-            arr.setflags(write=False)
-        object.__setattr__(self, "xbar", xb)
-        object.__setattr__(self, "vbar", vb)
-        object.__setattr__(self, "xbar_mid", xm)
-        object.__setattr__(self, "vbar_mid", vm)
+            object.__setattr__(self, "xbar_mid", 0.5 * (self.xbar[:-1] + self.xbar[1:]))
+            object.__setattr__(self, "vbar_mid", 0.5 * (self.vbar[:-1] + self.vbar[1:]))
+        _freeze_arrays(self, ("xbar_mid", "vbar_mid"), M, self.n)
 
     @property
     def n(self) -> int:
@@ -257,19 +236,7 @@ class DualField:
     lam: np.ndarray
 
     def __post_init__(self):
-        g = np.array(self.gamma, dtype=float)
-        l = np.array(self.lam, dtype=float)
-        if g.ndim != 2 or l.shape != g.shape or g.shape[0] != self.grid.M + 1:
-            raise ValueError(
-                f"gamma and lam must both have shape ({self.grid.M + 1}, n), "
-                f"got {g.shape} and {l.shape}"
-            )
-        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(l))):
-            raise ValueError("dual fields must be finite")
-        g.setflags(write=False)
-        l.setflags(write=False)
-        object.__setattr__(self, "gamma", g)
-        object.__setattr__(self, "lam", l)
+        _freeze_arrays(self, ("gamma", "lam"), self.grid.M + 1)
 
     @property
     def n(self) -> int:
@@ -335,17 +302,8 @@ class ProblemSpec:
                 if np.max(np.abs(arr[0] - arr[-1])) > tol:
                     raise ValueError(f"base {name} is not periodic (first and last nodes differ)")
             return
-        n = self.params.n
-        x0 = np.array(self.x0, dtype=float)
-        v0 = np.array(self.v0, dtype=float)
-        if x0.shape != (n,) or v0.shape != (n,):
-            raise ValueError(f"x0 and v0 must have shape ({n},)")
-        if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(v0))):
-            raise ValueError("initial conditions must be finite")
-        x0.setflags(write=False)
-        v0.setflags(write=False)
-        object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "v0", v0)
+        for name in ("x0", "v0"):
+            object.__setattr__(self, name, _check_state(name, getattr(self, name), (self.n,)))
 
     @property
     def n(self) -> int:
@@ -781,14 +739,15 @@ def _negative_pivots(diag, off, pad=0) -> int:
 # ---------------------------------------------------------------------------
 # packing
 
+def _pack(gamma: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Nodes 0..M-1 of two (M+1, n) nodal arrays, flat as [gamma_k, lambda_k]
+    per node."""
+    return np.hstack((gamma[:-1], lam[:-1])).ravel()
+
+
 def pack_free(D: DualField) -> np.ndarray:
     """Flatten the free nodal values (nodes 0..M-1) as [gamma_k, lambda_k]."""
-    M, n = D.grid.M, D.n
-    u = np.empty(2 * n * M)
-    w = u.reshape(M, 2 * n)
-    w[:, :n] = D.gamma[:-1]
-    w[:, n:] = D.lam[:-1]
-    return u
+    return _pack(D.gamma, D.lam)
 
 
 def unpack_free(grid: TimeGrid, n: int, u: np.ndarray, periodic: bool = False) -> DualField:
@@ -797,14 +756,11 @@ def unpack_free(grid: TimeGrid, n: int, u: np.ndarray, periodic: bool = False) -
     u = np.asarray(u, dtype=float)
     if u.shape != (2 * n * grid.M,):
         raise ValueError(f"expected a flat vector of length {2 * n * grid.M}")
-    w = u.reshape(grid.M, 2 * n)
-    gamma = np.zeros((grid.M + 1, n))
-    lam = np.zeros((grid.M + 1, n))
-    gamma[:-1] = w[:, :n]
-    lam[:-1] = w[:, n:]
+    nodal = np.zeros((grid.M + 1, 2 * n))
+    nodal[:-1] = u.reshape(grid.M, 2 * n)
     if periodic:
-        gamma[-1], lam[-1] = gamma[0], lam[0]
-    return DualField(grid, gamma, lam)
+        nodal[-1] = nodal[0]
+    return DualField(grid, nodal[:, :n], nodal[:, n:])
 
 
 def _require_boundary(D: DualField, spec: ProblemSpec) -> None:
@@ -870,11 +826,7 @@ def gradient(D: DualField, spec: ProblemSpec) -> np.ndarray:
     else:  # node M is pinned to zero; node 0 carries the initial conditions
         g_gamma[0] -= spec.x0
         g_lam[0] -= spec.params.m * spec.v0
-    u = np.empty(2 * n * M)
-    w = u.reshape(M, 2 * n)
-    w[:, :n] = g_gamma[:-1]
-    w[:, n:] = g_lam[:-1]
-    return u
+    return _pack(g_gamma, g_lam)
 
 
 def hessian(D: DualField, spec: ProblemSpec) -> BlockTridiagonal:

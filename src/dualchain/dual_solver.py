@@ -54,7 +54,7 @@ from .dual_action import (
     pack_free,
     unpack_free,
 )
-from .primal_solver import Trajectory, primal_residual
+from .primal_solver import Trajectory, _time_derivative, primal_residual
 
 __all__ = [
     "SolveOptions",
@@ -339,30 +339,11 @@ def solve_dual(spec: ProblemSpec, opts: SolveOptions | None = None) -> DualSolut
     )
 
 
-def _nodal_rates(values: np.ndarray, h: float, periodic: bool) -> np.ndarray:
-    """Nodal rates from element-constant rates: adjacent-element average at
-    interior nodes, second-order one-sided values at the ends (linear
-    extrapolation of the two nearest element rates).  A periodic field gets
-    central differences with cyclic wrap at nodes 0..M-1 (node M repeats
-    node 0)."""
-    if periodic:
-        vals = values[:-1]
-        return (np.roll(vals, -1, axis=0) - np.roll(vals, 1, axis=0)) / (2.0 * h)
-    elem = np.diff(values, axis=0) / h
-    M = elem.shape[0]
-    out = np.empty_like(values)
-    out[1:-1] = 0.5 * (elem[:-1] + elem[1:])
-    if M >= 2:
-        out[0] = 1.5 * elem[0] - 0.5 * elem[1]
-        out[-1] = 1.5 * elem[-1] - 0.5 * elem[-2]
-    else:
-        out[0] = out[-1] = elem[0]
-    return out
-
-
 def recover_primal(sol: DualSolution, spec: ProblemSpec) -> Trajectory:
     """Primal trajectory from the solved multipliers via the dual-to-primal
-    map at every node.
+    map at every node, with the nodal rates of gamma and lambda taken by the
+    rule `primal_residual` judges the trajectory with
+    (`primal_solver._time_derivative`).
 
     A periodic orbit is mapped at nodes 0..M-1 and repeats node 0 at node M,
     so it closes exactly.
@@ -372,8 +353,8 @@ def recover_primal(sol: DualSolution, spec: ProblemSpec) -> Trajectory:
         raise ValueError("dual field must live on the problem grid")
     h, periodic = spec.grid.h, spec.periodic
     nodes = slice(None, -1) if periodic else slice(None)
-    x, v = dtp_map(D.lam[nodes], _nodal_rates(D.lam, h, periodic),
-                   D.gamma[nodes], _nodal_rates(D.gamma, h, periodic),
+    x, v = dtp_map(D.lam[nodes], _time_derivative(D.lam, h, periodic),
+                   D.gamma[nodes], _time_derivative(D.gamma, h, periodic),
                    spec.base.xbar[nodes], spec.base.vbar[nodes], spec)
     if periodic:
         x, v = np.concatenate([x, x[:1]]), np.concatenate([v, v[:1]])
@@ -388,8 +369,7 @@ def verify(sol: DualSolution, spec: ProblemSpec,
 
     Failures are report entries, not exceptions.
     """
-    g = gradient(sol.D, spec)
-    gnorm = float(np.max(np.abs(g))) if g.size else 0.0
+    gnorm = float(np.max(np.abs(gradient(sol.D, spec))))
     traj = recover_primal(sol, spec)
     res_m, res_k = primal_residual(traj, spec.params)
     deviation = None

@@ -2,7 +2,10 @@
 used to judge any trajectory against the equations of motion.
 
 The state is (x, v) with m v' + d v + K(x) = f(t) and x' = v.  Two fixed-step
-schemes are provided: classical rk4 and the implicit midpoint rule.
+schemes are provided: classical rk4 and the implicit midpoint rule.  Nodal
+rates follow one rule, `_time_derivative`, which both the residuals here and
+the primal recovery from a dual solution use.  Trajectories, dual fields and
+base states take their node arrays through one check, `_freeze_arrays`.
 """
 
 from __future__ import annotations
@@ -82,19 +85,7 @@ class Trajectory:
     v: np.ndarray
 
     def __post_init__(self):
-        x = np.array(self.x, dtype=float)
-        v = np.array(self.v, dtype=float)
-        want = (self.grid.M + 1,)
-        if x.ndim != 2 or v.shape != x.shape or x.shape[:1] != want:
-            raise ValueError(
-                f"x and v must both have shape ({self.grid.M + 1}, n), got {x.shape} and {v.shape}"
-            )
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
-            raise ValueError("trajectory samples must be finite")
-        x.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "v", v)
+        _freeze_arrays(self, ("x", "v"), self.grid.M + 1)
 
     @property
     def n(self) -> int:
@@ -109,13 +100,29 @@ class Trajectory:
         return Trajectory(coarse, self.x[::factor], self.v[::factor])
 
 
-def _check_state(name: str, a: np.ndarray, n: int) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.shape != (n,):
-        raise ValueError(f"{name} must have shape ({n},), got {a.shape}")
+def _check_state(name: str, a, shape: tuple) -> np.ndarray:
+    """A read-only float copy of ``a``, which must have ``shape`` and finite
+    entries; anything else raises ValueError."""
+    a = np.array(a, dtype=float)
+    if a.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} must be finite")
+    a.setflags(write=False)
     return a
+
+
+def _freeze_arrays(obj, names: tuple, rows: int, cols: int | None = None) -> None:
+    """Store each named field of the frozen dataclass ``obj`` as its
+    `_check_state` copy of shape (rows, cols), cols by default the first
+    array's, so that a pair must match."""
+    if cols is None:
+        first = np.shape(getattr(obj, names[0]))
+        if len(first) != 2:
+            raise ValueError(f"{names[0]} must have shape ({rows}, n), got {first}")
+        cols = first[1]
+    for name in names:
+        object.__setattr__(obj, name, _check_state(name, getattr(obj, name), (rows, cols)))
 
 
 def integrate_primal(params: ChainParams, x0, v0, grid: TimeGrid,
@@ -128,9 +135,8 @@ def integrate_primal(params: ChainParams, x0, v0, grid: TimeGrid,
     by a non-finite state or a stalled Newton iteration, raises
     IntegrationBlowUpError.
     """
-    n = params.n
-    x0 = _check_state("x0", x0, n)
-    v0 = _check_state("v0", v0, n)
+    x0 = _check_state("x0", x0, (params.n,))
+    v0 = _check_state("v0", v0, (params.n,))
     if method == "rk4":
         return _integrate_rk4(params, x0, v0, grid)
     if method == "implicit-midpoint":
@@ -389,16 +395,25 @@ def _integrate_midpoint(params, x0, v0, grid, tol=1e-12, max_newton=20):
     return Trajectory(grid, zs[:, :n], zs[:, n:])
 
 
-def _time_derivative(y: np.ndarray, h: float) -> np.ndarray:
-    """Second-order differences: central inside, one-sided at the ends."""
-    dy = np.empty_like(y)
-    dy[1:-1] = (y[2:] - y[:-2]) / (2.0 * h)
-    if y.shape[0] >= 3:
-        dy[0] = (-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2.0 * h)
-        dy[-1] = (3.0 * y[-1] - 4.0 * y[-2] + y[-3]) / (2.0 * h)
+def _time_derivative(values: np.ndarray, h: float, periodic: bool = False) -> np.ndarray:
+    """Second-order nodal rates from the element rates (differences over h):
+    their mean inside (the central difference), linear extrapolation of the
+    two nearest at the ends (the one-sided three-point formula), the one
+    element rate at M = 1.  Periodic values (node M repeats node 0) get the
+    cyclic central difference at nodes 0..M-1 only.  Primal recovery and
+    `primal_residual` both take their rates from here."""
+    if periodic:
+        vals = values[:-1]
+        return (np.roll(vals, -1, axis=0) - np.roll(vals, 1, axis=0)) / (2.0 * h)
+    elem = np.diff(values, axis=0) / h
+    out = np.empty_like(values)
+    out[1:-1] = 0.5 * (elem[:-1] + elem[1:])
+    if elem.shape[0] >= 2:
+        out[0] = 1.5 * elem[0] - 0.5 * elem[1]
+        out[-1] = 1.5 * elem[-1] - 0.5 * elem[-2]
     else:
-        dy[0] = dy[-1] = (y[1] - y[0]) / h
-    return dy
+        out[0] = out[-1] = elem[0]
+    return out
 
 
 def primal_residual(traj: Trajectory, params: ChainParams):
@@ -406,7 +421,8 @@ def primal_residual(traj: Trajectory, params: ChainParams):
 
     Returns (momentum, kinematic): length M+1 arrays with
     momentum[k] = |m v' + d v + K(x) - f(t)|_inf and kinematic[k] = |x' - v|_inf,
-    time derivatives by second-order differences (one-sided at the ends).
+    time derivatives by `_time_derivative`'s second-order rule (one-sided at
+    the ends), the rule primal recovery uses.
     """
     if traj.n != params.n:
         raise ValueError(f"trajectory has n={traj.n}, params have n={params.n}")

@@ -556,9 +556,35 @@ def test_trajectory_base_on_another_grid_exits_2(tmp_path, capsys):
     assert not out.exists() or not list(out.iterdir())
 
 
+def _squeeze_times(path):
+    """Rewrite a data file with every time but the last halved."""
+    header = path.read_text().splitlines()[0]
+    data = np.loadtxt(path, skiprows=1, ndmin=2)
+    data[:-1, 0] *= 0.5
+    np.savetxt(path, data, fmt="%.17g", header=header, comments="")
+
+
+def test_data_file_times_off_the_grid_are_refused(tmp_path, capsys):
+    # T comes from the last row and M from the row count; the other times
+    # must be the nodes too
+    stage = tmp_path / "stage"
+    assert run_one(_write(tmp_path, SMALL_HARMONIC), stage, mode="dual-solve") == 0
+    traj_path, dual_path = stage / "case_trajectory.txt", stage / "case_dual.txt"
+    for path, read in ((traj_path, read_trajectory), (dual_path, read_dual_field)):
+        read(path)  # as written, the file reads back
+        _squeeze_times(path)
+    with pytest.raises(ValueError, match="t column"):
+        read_dual_field(dual_path)
+    text = SMALL_HARMONIC.replace("kind = primal", f"kind = trajectory\npath = {traj_path}")
+    out = tmp_path / "out"
+    assert run_one(_write(tmp_path, text, "follow.cfg"), out) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {traj_path.resolve()}: the t column")
+    assert not out.exists() or not list(out.iterdir())
+
+
 @pytest.mark.parametrize("M", [1, 2])
 def test_dual_solve_on_one_or_two_elements(tmp_path, capsys, M):
-    # the one-element branches of the nodal rates and the time derivative
+    # the one-element branch of the nodal-rate rule recovery and residuals share
     assert run_one(PRESETS["harmonic_n1"], tmp_path, sets=(f"grid.M={M}",),
                    mode="dual-solve") == 0
     assert capsys.readouterr().err == ""

@@ -21,6 +21,7 @@ from dualchain import (
     SingularSystemError,
     Sinusoid,
     TimeGrid,
+    Trajectory,
     action,
     base_from_primal,
     dtp_map,
@@ -1039,3 +1040,60 @@ def test_determinism_of_assembly():
     H1, H2 = hessian(D, spec), hessian(D, spec)
     np.testing.assert_array_equal(H1.diag, H2.diag)
     np.testing.assert_array_equal(H1.off, H2.off)
+
+
+_NODE_GRID = TimeGrid(T=1.0, M=4)
+
+
+def _initial_state(x0, v0):
+    params = ChainParams(m=1.0, d=0.0, force=QuadraticForce(n=2, A=np.eye(2)),
+                         forcing=ForcingSpec.zero(2))
+    return ProblemSpec(params=params, scales=ScaleParams(1.0, 1.0),
+                       base=zero_base(_NODE_GRID, 2), grid=_NODE_GRID, x0=x0, v0=v0)
+
+
+# every pair of node arrays the package takes from its caller: how to build
+# the holder from the pair, the pair's field names and the shape each needs
+_NODE_ARRAYS = {
+    "trajectory": (lambda a, b: Trajectory(_NODE_GRID, a, b), ("x", "v"), (5, 2)),
+    "dual field": (lambda a, b: DualField(_NODE_GRID, a, b), ("gamma", "lam"), (5, 2)),
+    "base nodes": (lambda a, b: BaseState(_NODE_GRID, a, b), ("xbar", "vbar"), (5, 2)),
+    "base midpoints": (lambda a, b: BaseState(_NODE_GRID, np.zeros((5, 2)), np.zeros((5, 2)),
+                                              a, b),
+                       ("xbar_mid", "vbar_mid"), (4, 2)),
+    "initial state": (_initial_state, ("x0", "v0"), (2,)),
+}
+
+
+@pytest.mark.parametrize("defect", ["rows", "pair", "rank", "nan", "inf"])
+@pytest.mark.parametrize("kind", sorted(_NODE_ARRAYS))
+def test_node_arrays_reject_bad_shapes_and_non_finite_entries(kind, defect):
+    make, (first, second), shape = _NODE_ARRAYS[kind]
+    a, b = np.ones(shape), np.ones(shape)
+    culprit = first
+    if defect == "rows":  # one node too many
+        a = b = np.ones((shape[0] + 1,) + shape[1:])
+    elif defect == "pair":  # the second array has one column more
+        b = np.ones(shape[:-1] + (shape[-1] + 1,))
+        culprit = second
+    elif defect == "rank":  # a vector where a table belongs, or the reverse
+        a = b = np.ones(shape[:1]) if len(shape) == 2 else np.ones((1,) + shape)
+    elif defect == "nan":
+        a.flat[-1] = np.nan
+    else:
+        b.flat[0] = np.inf
+        culprit = second
+    with pytest.raises(ValueError, match=f"^{culprit} must"):
+        make(a, b)
+
+
+@pytest.mark.parametrize("kind", sorted(_NODE_ARRAYS))
+def test_node_arrays_are_read_only_copies(kind):
+    make, names, shape = _NODE_ARRAYS[kind]
+    given = [np.arange(np.prod(shape), dtype=float).reshape(shape) + i for i in (0.5, 1.5)]
+    held = make(*given)
+    for name, arr in zip(names, given):
+        kept, before = getattr(held, name), arr.copy()
+        arr[...] = -7.0
+        np.testing.assert_array_equal(kept, before)
+        assert kept.dtype == float and not kept.flags.writeable

@@ -163,6 +163,35 @@ def test_integrate_primal_rejects_unknown_method():
                          method="euler")
 
 
+@pytest.mark.parametrize("M", [2, 3, 7])
+def test_nodal_rates_are_exact_for_a_quadratic(M):
+    # central inside, the one-sided three-point formula at the ends: both
+    # exact for a quadratic in t, at every node
+    grid = TimeGrid(T=1.7, M=M)
+    t = grid.nodes()[:, None]
+    a, b, c = np.array([0.3, -1.0]), np.array([2.0, 0.5]), np.array([-1.5, 4.0])
+    rates = primal_solver._time_derivative(a + b * t + c * t * t, grid.h)
+    np.testing.assert_allclose(rates, b + 2.0 * c * t, rtol=0, atol=1e-13)
+
+
+def test_nodal_rates_on_one_element_are_its_rate():
+    grid = TimeGrid(T=0.3, M=1)
+    t = grid.nodes()[:, None]
+    rates = primal_solver._time_derivative(1.0 - 2.5 * t, grid.h)
+    np.testing.assert_allclose(rates, np.full((2, 1), -2.5), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("M", [2, 3, 8])
+def test_periodic_nodal_rates_are_the_cyclic_central_difference(M):
+    rng = np.random.default_rng(M)
+    h = 0.25
+    values = rng.normal(size=(M + 1, 3))
+    values[-1] = values[0]
+    rates = primal_solver._time_derivative(values, h, periodic=True)
+    expected = [(values[(k + 1) % M] - values[(k - 1) % M]) / (2.0 * h) for k in range(M)]
+    np.testing.assert_array_equal(rates, expected)
+
+
 def test_primal_residual_zero_at_equilibrium():
     # constant state with K(x*) = f exactly
     params = _oscillator(f=ForcingSpec(n=1, constant=[0.5]))
