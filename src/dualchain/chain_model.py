@@ -4,7 +4,13 @@ Quadratic interaction forces, external forcing signals, and the pointwise
 evaluations built on them.  Everything in this module is a pure function of
 immutable value objects: arrays are copied at construction and marked
 read-only, so instances can be shared freely across threads or worker
-processes.
+processes.  A constant forcing is a zero-frequency `Sinusoid`.
+
+Each rule on the package's inputs is written once, here, and its errors
+name the offending field: `_check_state` for arrays (one shape, finite
+entries, a read-only float copy), which frozen dataclasses store through
+`_freeze_arrays`; `_count` and `_positive` for scalars; and `_check_forcing`
+for where a forcing can be read and whether it has a given period.
 """
 
 from __future__ import annotations
@@ -27,15 +33,49 @@ __all__ = [
 ]
 
 
-def _readonly(a) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _require_finite(name: str, a: np.ndarray) -> None:
+def _count(name: str, value) -> int:
+    """``value`` as an int; ValueError unless it is an integer >= 1 (a bool
+    is not one)."""
+    if not _is_integer(value) or value < 1:
+        raise ValueError(f"{name} must be a positive integer")
+    return int(value)
+
+
+def _positive(name: str, value) -> float:
+    """``value`` as a float; ValueError unless it is finite and > 0."""
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite")
+    return float(value)
+
+
+def _check_state(name: str, a, shape: tuple) -> np.ndarray:
+    """A read-only float copy of ``a``, which must have ``shape`` and finite
+    entries; anything else raises ValueError."""
+    a = np.array(a, dtype=float)
+    if a.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} must contain only finite entries")
+        raise ValueError(f"{name} must be finite")
+    a.setflags(write=False)
+    return a
+
+
+def _freeze_arrays(obj, names: tuple, *shape) -> None:
+    """Store each named field of the frozen dataclass ``obj`` as its
+    `_check_state` copy of ``shape``.  An extent given as None is the first
+    array's, so that the arrays must match there."""
+    if None in shape:
+        first = np.shape(getattr(obj, names[0]))
+        if len(first) != len(shape):
+            wanted = str(tuple("n" if s is None else s for s in shape)).replace("'", "")
+            raise ValueError(f"{names[0]} must have shape {wanted}, got {first}")
+        shape = tuple(f if s is None else s for f, s in zip(first, shape))
+    for name in names:
+        object.__setattr__(obj, name, _check_state(name, getattr(obj, name), shape))
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,26 +103,15 @@ class QuadraticForce:
     has_quadratic: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = self.n
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError("n must be a positive integer")
-        C = np.zeros(n) if self.C is None else np.asarray(self.C, dtype=float)
-        A = np.zeros((n, n)) if self.A is None else np.asarray(self.A, dtype=float)
-        B = np.zeros((n, n, n)) if self.B is None else np.asarray(self.B, dtype=float)
-        if C.shape != (n,):
-            raise ValueError(f"C must have shape ({n},), got {C.shape}")
-        if A.shape != (n, n):
-            raise ValueError(f"A must have shape ({n}, {n}), got {A.shape}")
-        if B.shape != (n, n, n):
-            raise ValueError(f"B must have shape ({n}, {n}, {n}), got {B.shape}")
-        for name, arr in (("C", C), ("A", A), ("B", B)):
-            _require_finite(name, arr)
-        B = 0.5 * (B + np.swapaxes(B, 1, 2))
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "C", _readonly(C))
-        object.__setattr__(self, "A", _readonly(A))
-        object.__setattr__(self, "B", _readonly(B))
-        object.__setattr__(self, "B_flat", self.B.reshape(n, n * n))
+        n = _count("n", self.n)
+        for name, shape in (("C", (n,)), ("A", (n, n)), ("B", (n, n, n))):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, np.zeros(shape))
+            _freeze_arrays(self, (name,), *shape)
+        B = _check_state("B", 0.5 * (self.B + np.swapaxes(self.B, 1, 2)), (n, n, n))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "B_flat", B.reshape(n, n * n))
         object.__setattr__(self, "has_quadratic", bool(np.any(B)))
 
 
@@ -116,8 +145,7 @@ def fput_alpha(n: int, alpha: float, boundary: str = "fixed") -> QuadraticForce:
     ``boundary`` is "fixed" (walls at both ends) or "free" (interior bonds
     only).  The returned coefficients satisfy eval_force == grad V exactly.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError("n must be a positive integer")
+    n = _count("n", n)
     if boundary == "fixed":
         pairs = [(None, 0)] + [(j, j + 1) for j in range(n - 1)] + [(n - 1, None)]
     elif boundary == "free":
@@ -136,16 +164,21 @@ def fput_alpha(n: int, alpha: float, boundary: str = "fixed") -> QuadraticForce:
         A += np.outer(d, d)
         if alpha != 0.0:
             B += 2.0 * alpha * np.einsum("j,r,s->jrs", d, d, d)
-    return QuadraticForce(n=int(n), C=None, A=A, B=B)
+    return QuadraticForce(n=n, C=None, A=A, B=B)
 
 
 @dataclass(frozen=True)
 class Sinusoid:
-    """One sinusoidal forcing component: amplitude * cos(omega t + phase)."""
+    """One sinusoidal forcing component: amplitude * cos(omega t + phase).
+    A constant is the component of zero frequency and phase."""
 
     amplitude: float
     omega: float
     phase: float = 0.0
+
+    def __post_init__(self):
+        for name in ("amplitude", "omega", "phase"):
+            _check_state(name, getattr(self, name), ())
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,84 +189,92 @@ class SampledSignal:
     values: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if t.ndim != 1 or t.shape != v.shape or t.size < 2:
-            raise ValueError("times and values must be equal-length 1-d arrays (>= 2 samples)")
-        _require_finite("times", t)
-        _require_finite("values", v)
+        _freeze_arrays(self, ("times", "values"), None)
+        t = self.times
+        if t.size < 2:
+            raise ValueError("times must hold at least 2 samples")
         steps = np.diff(t)
         if steps[0] <= 0 or not np.allclose(steps, steps[0], rtol=0, atol=1e-12 * (t[-1] - t[0])):
             raise ValueError("times must be strictly increasing and uniformly spaced")
-        object.__setattr__(self, "times", _readonly(t))
-        object.__setattr__(self, "values", _readonly(v))
 
 
 @dataclass(frozen=True, eq=False)
 class ForcingSpec:
-    """Per-particle forcing: constant + sinusoids + optional sampled tables.
+    """Per-particle forcing: sinusoids plus optional sampled tables.
 
     ``sinusoids`` and ``tables`` are sequences of (particle index, component)
     pairs; a particle may carry any number of components.
     """
 
     n: int
-    constant: np.ndarray | None = None
     sinusoids: tuple = ()
     tables: tuple = ()
 
     def __post_init__(self):
-        n = self.n
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError("n must be a positive integer")
-        const = np.zeros(n) if self.constant is None else np.asarray(self.constant, dtype=float)
-        if const.shape != (n,):
-            raise ValueError(f"constant must have shape ({n},), got {const.shape}")
-        _require_finite("constant", const)
-        sins = []
-        for j, s in self.sinusoids:
-            if not 0 <= int(j) < n:
-                raise ValueError(f"sinusoid particle index {j} out of range for n={n}")
-            if not isinstance(s, Sinusoid):
-                s = Sinusoid(*s)
-            sins.append((int(j), s))
-        tabs = []
-        for j, tab in self.tables:
-            if not 0 <= int(j) < n:
-                raise ValueError(f"table particle index {j} out of range for n={n}")
-            if not isinstance(tab, SampledSignal):
-                tab = SampledSignal(*tab)
-            tabs.append((int(j), tab))
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "constant", _readonly(const))
-        object.__setattr__(self, "sinusoids", tuple(sins))
-        object.__setattr__(self, "tables", tuple(tabs))
+        n = _count("n", self.n)
+        for name, kind in (("sinusoids", Sinusoid), ("tables", SampledSignal)):
+            parts = []
+            for j, part in getattr(self, name):
+                if not (_is_integer(j) and 0 <= j < n):
+                    raise ValueError(f"{name} must name a particle by an integer index "
+                                     f"in 0..{n - 1}, got {j!r}")
+                parts.append((int(j), part if isinstance(part, kind) else kind(*part)))
+            object.__setattr__(self, name, tuple(parts))
+        object.__setattr__(self, "n", n)
 
     @classmethod
     def zero(cls, n: int) -> "ForcingSpec":
         return cls(n=n)
 
 
+def _check_forcing(forcing: ForcingSpec, start: float, end: float,
+                   periodic: bool = False, names=None) -> None:
+    """ValueError unless `eval_forcing` can read ``forcing`` on [start, end]:
+    each table must cover it, to a slack of 1e-12 of its span (1e-12 at
+    least).  ``periodic`` asks for forcing of period P = end - start too:
+    each sinusoid's period divides P, and each table spans exactly one
+    period, to the same slack, with equal end values.  ``names`` names the
+    tables in the messages, in order; by default "table on particle j"."""
+    if periodic:
+        P = end - start
+        # an omega P that overflows is no whole number of periods
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, s in forcing.sinusoids:
+                k = np.float64(s.omega) * P / (2.0 * np.pi)
+                if s.omega != 0.0 and not abs(k - np.round(k)) <= 1e-12 * max(1.0, abs(k)):
+                    raise ValueError(
+                        f"sinusoid on particle {j} has period {2 * np.pi / s.omega:.6g}, "
+                        f"which does not divide the orbit period {P:.6g}")
+    for i, (j, tab) in enumerate(forcing.tables):
+        name = names[i] if names else f"table on particle {j}"
+        t0, t1 = float(tab.times[0]), float(tab.times[-1])
+        slack = 1e-12 * max(1.0, t1 - t0)
+        if start < t0 - slack or end > t1 + slack:
+            raise ValueError(f"{name} spans [{t0!r}, {t1!r}], "
+                             f"which does not cover [{start!r}, {end!r}]")
+        if periodic and (start > t0 + slack or end < t1 - slack):
+            raise ValueError(f"{name} must cover exactly one period [{start!r}, {end!r}]")
+        v = tab.values
+        if periodic and abs(v[0] - v[-1]) > 1e-12 * (1.0 + np.max(np.abs(v))):
+            raise ValueError(f"{name} is not periodic (endpoint values differ)")
+
+
 def eval_forcing(forcing: ForcingSpec, t) -> np.ndarray:
     """Forcing vector at time(s) t: scalar t -> (n,), array (...,) -> (..., n).
 
-    Times handed to a tabulated component must lie inside its sample range.
+    Times handed to a tabulated component must lie inside its sample range,
+    to `_check_forcing`'s slack.
     """
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    t_arr = np.atleast_1d(t_arr)
-    out = np.tile(forcing.constant, t_arr.shape + (1,))
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    if forcing.tables:
+        _check_forcing(forcing, float(np.min(t_arr)), float(np.max(t_arr)))
+    out = np.zeros(t_arr.shape + (forcing.n,))
     for j, s in forcing.sinusoids:
         out[..., j] += s.amplitude * np.cos(s.omega * t_arr + s.phase)
     for j, tab in forcing.tables:
-        t0, t1 = tab.times[0], tab.times[-1]
-        slack = 1e-12 * max(1.0, abs(t1 - t0))
-        if np.any(t_arr < t0 - slack) or np.any(t_arr > t1 + slack):
-            raise ValueError(
-                f"time outside table domain [{t0}, {t1}] for particle {j}"
-            )
-        out[..., j] += np.interp(np.clip(t_arr, t0, t1), tab.times, tab.values)
-    return out[0] if scalar else out
+        out[..., j] += np.interp(np.clip(t_arr, tab.times[0], tab.times[-1]),
+                                 tab.times, tab.values)
+    return out[0] if np.ndim(t) == 0 else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,15 +287,13 @@ class ChainParams:
     forcing: ForcingSpec
 
     def __post_init__(self):
-        if not (np.isfinite(self.m) and self.m > 0):
-            raise ValueError("mass m must be positive")
+        object.__setattr__(self, "m", _positive("mass m", self.m))
         if not (np.isfinite(self.d) and self.d >= 0):
             raise ValueError("damping d must be nonnegative")
         if self.forcing.n != self.force.n:
             raise ValueError(
                 f"forcing is for n={self.forcing.n} particles, force for n={self.force.n}"
             )
-        object.__setattr__(self, "m", float(self.m))
         object.__setattr__(self, "d", float(self.d))
 
     @property
@@ -268,8 +307,7 @@ def stiffness_lambda(B, lam, c_x: float) -> np.ndarray:
     ``lam`` may carry leading batch axes.  Always symmetric because B is
     symmetric in its last two indices.
     """
-    if not (np.isfinite(c_x) and c_x > 0):
-        raise ValueError("c_x must be positive")
+    _positive("c_x", c_x)
     B = np.asarray(B, dtype=float)
     lam = np.asarray(lam, dtype=float)
     n = B.shape[0]

@@ -41,6 +41,7 @@ from .chain_model import (
     QuadraticForce,
     SampledSignal,
     Sinusoid,
+    _check_forcing,
 )
 from .dual_action import (
     BaseState,
@@ -156,7 +157,10 @@ def _entries(form: str, build=lambda *entry: entry):
                     entry.append(idx - 1)
                 else:
                     entry.append(tok if name == "path" else _to_float(tok, f"{what} value"))
-            out.append(build(*entry))
+            try:
+                out.append(build(*entry))
+            except ValueError as exc:  # a value the component refuses
+                raise ConfigError(f"{what} {exc}") from None
         return tuple(out)
     return parse
 
@@ -292,14 +296,10 @@ class ScenarioConfig:
             data = np.loadtxt(path, ndmin=2)
             if data.shape[1] != 2:
                 raise ConfigError(f"forcing table {path} needs two columns (t, value)")
-            table = SampledSignal(data[:, 0], data[:, 1])
-            t0, t1 = float(table.times[0]), float(table.times[-1])
-            slack = 1e-12 * max(1.0, t1 - t0)  # eval_forcing's own
-            if t0 > slack or t1 < self.T - slack:
-                raise ConfigError(f"forcing.table {path} spans [{t0!r}, {t1!r}], "
-                                  f"which does not cover [0, T] with T = {self.T!r}")
-            tables.append((j, table))
+            tables.append((j, SampledSignal(data[:, 0], data[:, 1])))
         forcing = ForcingSpec(n=self.n, sinusoids=self.sinusoids, tables=tables)
+        _check_forcing(forcing, 0.0, self.T,
+                       names=[f"forcing.table {path}" for _, path in self.tables])
         return ChainParams(m=self.m, d=self.d, force=force, forcing=forcing)
 
     def grid(self) -> TimeGrid:
@@ -310,6 +310,12 @@ class ScenarioConfig:
                             tolerance=self.tolerance,
                             step_control=self.step_control)
 
+    def _initial(self, what: str) -> tuple:
+        """(x0, v0), which ``what``, a mode or a base kind, needs."""
+        if self.x0 is None or self.v0 is None:
+            raise ConfigError(f"{what} needs [initial] x0 and v0")
+        return self.x0, self.v0
+
     def _base(self, params: ChainParams, grid: TimeGrid):
         """The base state, and the refined direct solve it was restricted
         from (None for the kinds that use no such solve)."""
@@ -317,9 +323,7 @@ class ScenarioConfig:
         if kind == "zero":
             return zero_base(grid, self.n), None
         if kind in ("primal", "perturbed-primal"):
-            if self.x0 is None or self.v0 is None:
-                raise ConfigError(f"base kind {kind} needs [initial] x0 and v0")
-            fine = integrate_primal(params, self.x0, self.v0,
+            fine = integrate_primal(params, *self._initial(f"base kind {kind}"),
                                     grid.refined(self.base_refine), method=self.method)
             base = restrict_base(fine, self.base_refine)
             if kind == "perturbed-primal":
@@ -364,12 +368,10 @@ class ScenarioConfig:
         when the base was restricted from the oracle's own integration (None
         otherwise)."""
         periodic = self.mode == "periodic"
-        if not periodic and (self.x0 is None or self.v0 is None):
-            raise ConfigError(f"mode {self.mode} needs [initial] x0 and v0")
+        x0, v0 = (None, None) if periodic else self._initial(f"mode {self.mode}")
         params = self.chain_params()
         grid = self.grid()
         base, fine = self._base(params, grid)
-        x0, v0 = (None, None) if periodic else (self.x0, self.v0)
         spec = ProblemSpec(params=params, scales=ScaleParams(self.c_x, self.c_v),
                            base=base, grid=grid, x0=x0, v0=v0)
         shared = (self.mode == "verify" and fine is not None
@@ -613,8 +615,7 @@ def run_one(config_path, out_dir, sets=(), mode: str | None = None) -> int:
         try:
             opts = cfg.solver_options()
             if cfg.mode == "simulate":
-                if cfg.x0 is None or cfg.v0 is None:
-                    raise ConfigError("mode simulate needs [initial] x0 and v0")
+                x0, v0 = cfg._initial("mode simulate")
                 sim_params, sim_grid = cfg.chain_params(), cfg.grid()
             else:
                 spec, oracle = cfg._problem()
@@ -623,8 +624,7 @@ def run_one(config_path, out_dir, sets=(), mode: str | None = None) -> int:
             return 2
         stage = "direct"
         if cfg.mode == "simulate":
-            traj = integrate_primal(sim_params, cfg.x0, cfg.v0, sim_grid,
-                                    method=cfg.method)
+            traj = integrate_primal(sim_params, x0, v0, sim_grid, method=cfg.method)
             traj_path = out / f"{cfg.prefix}_trajectory.txt"
             write_trajectory(traj_path, traj)
             manifest[traj_path.name] = _sha256_file(traj_path)

@@ -51,12 +51,16 @@ import scipy.linalg
 
 from .chain_model import (
     ChainParams,
+    _check_forcing,
+    _check_state,
+    _freeze_arrays,
+    _positive,
     eval_force,
     eval_forcing,
     force_jacobian,
     stiffness_lambda,
 )
-from .primal_solver import TimeGrid, Trajectory, _check_state, _freeze_arrays, integrate_primal
+from .primal_solver import TimeGrid, Trajectory, integrate_primal
 
 __all__ = [
     "ScaleParams",
@@ -112,11 +116,7 @@ class ScaleParams:
 
     def __post_init__(self):
         for name in ("c_x", "c_v"):
-            val = getattr(self, name)
-            if not (np.isfinite(val) and val > 0):
-                raise ValueError(f"{name} must be positive and finite")
-        object.__setattr__(self, "c_x", float(self.c_x))
-        object.__setattr__(self, "c_v", float(self.c_v))
+            object.__setattr__(self, name, _positive(name, getattr(self, name)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,7 +138,7 @@ class BaseState:
 
     def __post_init__(self):
         M = self.grid.M
-        _freeze_arrays(self, ("xbar", "vbar"), M + 1)
+        _freeze_arrays(self, ("xbar", "vbar"), M + 1, None)
         if (self.xbar_mid is None) != (self.vbar_mid is None):
             raise ValueError("give both midpoint arrays or neither")
         if self.xbar_mid is None:
@@ -236,7 +236,7 @@ class DualField:
     lam: np.ndarray
 
     def __post_init__(self):
-        _freeze_arrays(self, ("gamma", "lam"), self.grid.M + 1)
+        _freeze_arrays(self, ("gamma", "lam"), self.grid.M + 1, None)
 
     @property
     def n(self) -> int:
@@ -248,25 +248,6 @@ class DualField:
         return cls(grid, z, z)
 
 
-def _check_periodic_forcing(params: ChainParams, P: float) -> None:
-    for j, s in params.forcing.sinusoids:
-        if s.omega == 0.0:
-            continue
-        k = s.omega * P / (2.0 * np.pi)
-        if abs(k - round(k)) > 1e-12 * max(1.0, abs(k)):
-            raise ValueError(
-                f"sinusoid on particle {j} has period {2 * np.pi / s.omega:.6g}, "
-                f"which does not divide the orbit period {P:.6g}")
-    for j, tab in params.forcing.tables:
-        span_ok = (abs(tab.times[0]) <= 1e-12 * max(1.0, P)
-                   and abs(tab.times[-1] - P) <= 1e-12 * max(1.0, P))
-        if not span_ok:
-            raise ValueError(f"table on particle {j} must cover exactly one period [0, {P:.6g}]")
-        vtol = 1e-12 * (1.0 + float(np.max(np.abs(tab.values))))
-        if abs(tab.values[0] - tab.values[-1]) > vtol:
-            raise ValueError(f"table on particle {j} is not periodic (endpoint values differ)")
-
-
 @dataclass(frozen=True, eq=False)
 class ProblemSpec:
     """Everything needed to pose the dual problem.
@@ -274,7 +255,8 @@ class ProblemSpec:
     With initial conditions x0 and v0 this is the initial-value problem.
     With both omitted it is the periodic problem on one period P = grid.T:
     the forcing must be P-periodic, the base state must close up (first and
-    last nodes equal), and M >= 2.
+    last nodes equal), and M >= 2.  Either way `chain_model._check_forcing`
+    judges the forcing on [0, grid.T].
     """
 
     params: ChainParams
@@ -295,8 +277,8 @@ class ProblemSpec:
             raise ValueError(
                 f"base state is for n={self.base.n} particles, params for n={self.params.n}"
             )
+        _check_forcing(self.params.forcing, 0.0, self.grid.T, periodic=self.periodic)
         if self.periodic:
-            _check_periodic_forcing(self.params, self.grid.T)
             for name, arr in (("xbar", self.base.xbar), ("vbar", self.base.vbar)):
                 tol = 1e-12 * (1.0 + float(np.max(np.abs(arr))))
                 if np.max(np.abs(arr[0] - arr[-1])) > tol:

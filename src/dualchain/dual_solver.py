@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chain_model import _count, _positive
 from .dual_action import (
     COND_LIMIT,
     BlockTridiagonal,
@@ -90,10 +91,8 @@ class SolveOptions:
     initial_guess: DualField | None = None
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if not (np.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError("tolerance must be positive")
+        _count("max_iterations", self.max_iterations)
+        _positive("tolerance", self.tolerance)
         if self.step_control not in STEP_CONTROLS:
             raise ValueError(f"step_control must be one of {', '.join(STEP_CONTROLS)}")
 

@@ -4,8 +4,9 @@ used to judge any trajectory against the equations of motion.
 The state is (x, v) with m v' + d v + K(x) = f(t) and x' = v.  Two fixed-step
 schemes are provided: classical rk4 and the implicit midpoint rule.  Nodal
 rates follow one rule, `_time_derivative`, which both the residuals here and
-the primal recovery from a dual solution use.  Trajectories, dual fields and
-base states take their node arrays through one check, `_freeze_arrays`.
+the primal recovery from a dual solution use.  Trajectories, like every
+array the package takes from its caller, pass `chain_model._freeze_arrays`,
+and the initial state `chain_model._check_state`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_model import ChainParams, eval_force, eval_forcing, force_jacobian
+from .chain_model import (ChainParams, _check_state, _count, _freeze_arrays, _positive,
+                          eval_force, eval_forcing, force_jacobian)
 
 __all__ = [
     "TimeGrid",
@@ -52,12 +54,8 @@ class TimeGrid:
     M: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.T) and self.T > 0):
-            raise ValueError("T must be positive")
-        if not isinstance(self.M, (int, np.integer)) or self.M < 1:
-            raise ValueError("M must be a positive integer")
-        object.__setattr__(self, "T", float(self.T))
-        object.__setattr__(self, "M", int(self.M))
+        object.__setattr__(self, "T", _positive("T", self.T))
+        object.__setattr__(self, "M", _count("M", self.M))
 
     @property
     def h(self) -> float:
@@ -85,7 +83,7 @@ class Trajectory:
     v: np.ndarray
 
     def __post_init__(self):
-        _freeze_arrays(self, ("x", "v"), self.grid.M + 1)
+        _freeze_arrays(self, ("x", "v"), self.grid.M + 1, None)
 
     @property
     def n(self) -> int:
@@ -98,31 +96,6 @@ class Trajectory:
             raise ValueError("factor must divide the number of elements")
         coarse = TimeGrid(self.grid.T, self.grid.M // factor)
         return Trajectory(coarse, self.x[::factor], self.v[::factor])
-
-
-def _check_state(name: str, a, shape: tuple) -> np.ndarray:
-    """A read-only float copy of ``a``, which must have ``shape`` and finite
-    entries; anything else raises ValueError."""
-    a = np.array(a, dtype=float)
-    if a.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} must be finite")
-    a.setflags(write=False)
-    return a
-
-
-def _freeze_arrays(obj, names: tuple, rows: int, cols: int | None = None) -> None:
-    """Store each named field of the frozen dataclass ``obj`` as its
-    `_check_state` copy of shape (rows, cols), cols by default the first
-    array's, so that a pair must match."""
-    if cols is None:
-        first = np.shape(getattr(obj, names[0]))
-        if len(first) != 2:
-            raise ValueError(f"{names[0]} must have shape ({rows}, n), got {first}")
-        cols = first[1]
-    for name in names:
-        object.__setattr__(obj, name, _check_state(name, getattr(obj, name), (rows, cols)))
 
 
 def integrate_primal(params: ChainParams, x0, v0, grid: TimeGrid,

@@ -13,6 +13,8 @@ from dualchain import (
     QuadraticForce,
     SampledSignal,
     Sinusoid,
+    SolveOptions,
+    TimeGrid,
     eval_force,
     eval_forcing,
     force_jacobian,
@@ -203,7 +205,7 @@ def test_force_jacobian_dimension_mismatch():
 
 
 def test_eval_forcing_constant():
-    forcing = ForcingSpec(n=1, constant=[0.5])
+    forcing = ForcingSpec(n=1, sinusoids=[(0, Sinusoid(0.5, 0.0))])
     for t in (0.0, 1.7, 300.0):
         np.testing.assert_array_equal(eval_forcing(forcing, t), [0.5])
 
@@ -233,8 +235,7 @@ def test_eval_forcing_table_domain_error():
 def test_eval_forcing_array_times_and_mixed_components():
     forcing = ForcingSpec(
         n=2,
-        constant=[0.1, 0.0],
-        sinusoids=[(1, Sinusoid(0.5, 3.0, 0.2))],
+        sinusoids=[(0, Sinusoid(0.1, 0.0)), (1, Sinusoid(0.5, 3.0, 0.2))],
         tables=[(0, SampledSignal(np.linspace(0.0, 2.0, 21), np.linspace(0.0, 2.0, 21) ** 2))],
     )
     ts = np.array([0.0, 0.5, 1.0])
@@ -256,6 +257,33 @@ def test_forcing_index_validation():
         ForcingSpec(n=2, sinusoids=[(2, Sinusoid(1.0, 1.0))])
     with pytest.raises(ValueError):
         ForcingSpec(n=2, tables=[(-1, SampledSignal([0.0, 1.0], [0.0, 0.0]))])
+
+
+def test_forcing_particle_indices_are_integers():
+    # a fractional index was truncated to a particle, a bool taken as 0 or 1
+    signal = SampledSignal([0.0, 1.0], [0.0, 0.0])
+    for j in (0.5, 1.9, True, np.float64(1.0)):
+        with pytest.raises(ValueError, match=r"^sinusoids must name a particle by an integer "
+                                             r"index in 0\.\.1, got "):
+            ForcingSpec(n=2, sinusoids=[(j, Sinusoid(1.0, 1.0))])
+        with pytest.raises(ValueError, match=r"^tables must name a particle by an integer"):
+            ForcingSpec(n=2, tables=[(j, signal)])
+    forcing = ForcingSpec(n=2, sinusoids=[(np.int64(1), Sinusoid(1.0, 1.0))])
+    assert forcing.sinusoids[0][0] == 1 and type(forcing.sinusoids[0][0]) is int
+
+
+@pytest.mark.parametrize("make", [
+    lambda n: QuadraticForce(n=n),
+    lambda n: ForcingSpec(n=n),
+    lambda n: fput_alpha(n, 0.25),
+    lambda M: TimeGrid(T=1.0, M=M),
+    lambda k: SolveOptions(max_iterations=k),
+], ids=["QuadraticForce.n", "ForcingSpec.n", "fput_alpha", "TimeGrid.M", "max_iterations"])
+def test_counts_are_positive_integers_and_not_bools(make):
+    for bad in (True, False, 0, 2.0):
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            make(bad)
+    make(np.int64(2))
 
 
 def test_stiffness_lambda_identity_cases():

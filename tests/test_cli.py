@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import os
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -418,6 +419,33 @@ def test_invalid_solver_values_exit_2(tmp_path, capsys, preset, sets, mode, mess
             load_config(PRESETS[preset], sets=sets, mode=mode)
 
 
+@pytest.mark.parametrize("wave, field", [("1 nan 1.0 0.0", "amplitude"),
+                                         ("1 1.0 inf 0.0", "omega"),
+                                         ("1 1.0 1.0 -inf", "phase")])
+@pytest.mark.parametrize("mode", ["simulate", "dual-solve", "periodic"])
+def test_non_finite_sinusoid_exits_2_without_a_report(tmp_path, capsys, mode, wave, field):
+    # refused where the config is read, before any integration or solve
+    sets = ("grid.M=200", "base.kind=zero", f"forcing.sinusoid={wave}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_one(PRESETS["harmonic_n1"], tmp_path, sets=sets, mode=mode) == 2
+    assert capsys.readouterr().err == (f"config error: {PRESETS['harmonic_n1']}: "
+                                       f"forcing.sinusoid {field} must be finite\n")
+    assert not list(tmp_path.iterdir())
+
+
+def test_periodic_forcing_with_an_overflowing_period_count_exits_2(tmp_path, capsys):
+    # omega P / 2 pi overflows to inf, which is no whole number of periods
+    sets = ("grid.M=200", "base.kind=zero", "forcing.sinusoid=1 1.0 1e308 0.0")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_one(PRESETS["harmonic_n1"], tmp_path, sets=sets, mode="periodic") == 2
+    assert capsys.readouterr().err == (
+        "config error: sinusoid on particle 0 has period 6.28319e-308, "
+        "which does not divide the orbit period 6.28319\n")
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("mode", ["simulate", "dual-solve", "verify", "periodic"])
 def test_forcing_table_short_of_the_span_exits_2(tmp_path, capsys, mode):
     # a table on [0, 2] under T = 5 is a config error in every mode, found
@@ -432,8 +460,7 @@ def test_forcing_table_short_of_the_span_exits_2(tmp_path, capsys, mode):
     assert run_one(path, out, mode=mode) == 2
     err = capsys.readouterr().err
     table = (cfg_dir / "drive.txt").resolve()
-    assert (f"forcing.table {table} spans [0.0, 2.0], which does not cover [0, T] "
-            f"with T = 5.0") in err
+    assert f"forcing.table {table} spans [0.0, 2.0], which does not cover [0.0, 5.0]" in err
     assert not out.exists() or not list(out.iterdir())
 
 

@@ -16,6 +16,7 @@ from dualchain import (
     ForcingSpec,
     ProblemSpec,
     QuadraticForce,
+    SampledSignal,
     ScaleParams,
     SingularStiffnessError,
     SingularSystemError,
@@ -77,10 +78,11 @@ def _random_spec(rng, n=None, M=None, with_B=True, base_kind="table"):
     A = A + A.T + 2.0 * n * np.eye(n)
     B = rng.normal(size=(n, n, n)) * 0.4 if with_B else None
     force = QuadraticForce(n=n, C=C, A=A, B=B)
+    constant = rng.normal(size=n) * 0.2  # a zero-frequency sinusoid on each particle
     forcing = ForcingSpec(
         n=n,
-        constant=rng.normal(size=n) * 0.2,
-        sinusoids=[(int(rng.integers(0, n)), Sinusoid(0.5, 2.0, 0.3))],
+        sinusoids=[(j, Sinusoid(c, 0.0)) for j, c in enumerate(constant)]
+        + [(int(rng.integers(0, n)), Sinusoid(0.5, 2.0, 0.3))],
     )
     params = ChainParams(m=float(rng.uniform(0.5, 2.0)),
                          d=float(rng.uniform(0.0, 1.0)),
@@ -1065,9 +1067,9 @@ _NODE_ARRAYS = {
 }
 
 
-@pytest.mark.parametrize("defect", ["rows", "pair", "rank", "nan", "inf"])
-@pytest.mark.parametrize("kind", sorted(_NODE_ARRAYS))
-def test_node_arrays_reject_bad_shapes_and_non_finite_entries(kind, defect):
+def _spoilt_pair(kind, defect):
+    """A call building the node-array holder ``kind`` from a pair with
+    ``defect``, and the field its error must name."""
     make, (first, second), shape = _NODE_ARRAYS[kind]
     a, b = np.ones(shape), np.ones(shape)
     culprit = first
@@ -1083,8 +1085,41 @@ def test_node_arrays_reject_bad_shapes_and_non_finite_entries(kind, defect):
     else:
         b.flat[0] = np.inf
         culprit = second
+    return lambda: make(a, b), culprit
+
+
+_TIMES = np.linspace(0.0, 1.0, 3)
+
+# every input the package takes from its caller, spoilt one way: the call
+# that builds its holder, and the field the error must name; the node-array
+# pairs first, then the chain's data
+_SPOILT = {(kind, defect): _spoilt_pair(kind, defect)
+           for kind in sorted(_NODE_ARRAYS) for defect in ("rows", "pair", "rank", "nan", "inf")}
+_SPOILT.update({
+    ("force C", "rows"): (lambda: QuadraticForce(n=2, C=np.ones(3)), "C"),
+    ("force A", "rank"): (lambda: QuadraticForce(n=2, A=np.ones(2)), "A"),
+    ("force B", "nan"): (lambda: QuadraticForce(n=1, B=np.full((1, 1, 1), np.nan)), "B"),
+    ("force A", "inf"): (lambda: QuadraticForce(n=1, A=[[np.inf]]), "A"),
+    ("signal", "pair"): (lambda: SampledSignal(_TIMES, np.ones(4)), "values"),
+    ("signal", "rank"): (lambda: SampledSignal(np.ones((3, 1)), np.ones((3, 1))), "times"),
+    ("signal", "nan"): (lambda: SampledSignal(_TIMES, [0.0, np.nan, 0.0]), "values"),
+    ("signal", "inf"): (lambda: SampledSignal([0.0, 0.5, np.inf], np.zeros(3)), "times"),
+    ("sinusoid amplitude", "nan"): (lambda: Sinusoid(np.nan, 1.0), "amplitude"),
+    ("sinusoid omega", "inf"): (lambda: Sinusoid(1.0, np.inf), "omega"),
+    ("sinusoid phase", "inf"): (lambda: Sinusoid(1.0, 1.0, -np.inf), "phase"),
+    ("forcing", "nan"): (lambda: ForcingSpec(n=1, sinusoids=[(0, (1.0, np.nan))]), "omega"),
+    ("forcing", "index"): (lambda: ForcingSpec(n=2, sinusoids=[(0.5, Sinusoid(1.0, 1.0))]),
+                           "sinusoids"),
+    ("forcing", "range"): (lambda: ForcingSpec(n=2, tables=[(2, (_TIMES, np.zeros(3)))]),
+                           "tables"),
+})
+
+
+@pytest.mark.parametrize("kind, defect", list(_SPOILT))
+def test_node_arrays_reject_bad_shapes_and_non_finite_entries(kind, defect):
+    make, culprit = _SPOILT[kind, defect]
     with pytest.raises(ValueError, match=f"^{culprit} must"):
-        make(a, b)
+        make()
 
 
 @pytest.mark.parametrize("kind", sorted(_NODE_ARRAYS))

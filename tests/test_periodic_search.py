@@ -471,8 +471,9 @@ def test_periodic_derivatives_match_finite_differences(n, M, with_B, seed):
     X = rng.normal(size=(n, n))
     B = 0.4 * rng.normal(size=(n, n, n)) if with_B else None
     force = QuadraticForce(n=n, C=0.3 * rng.normal(size=n), A=X @ X.T + n * np.eye(n), B=B)
-    forcing = ForcingSpec(n=n, constant=0.2 * rng.normal(size=n),
-                          sinusoids=[(int(rng.integers(0, n)), Sinusoid(0.5, 2.0, 0.3))])
+    constant = 0.2 * rng.normal(size=n)  # a zero-frequency sinusoid on each particle
+    forcing = ForcingSpec(n=n, sinusoids=[(j, Sinusoid(c, 0.0)) for j, c in enumerate(constant)]
+                          + [(int(rng.integers(0, n)), Sinusoid(0.5, 2.0, 0.3))])
     params = ChainParams(m=rng.uniform(0.5, 2.0), d=rng.uniform(0.0, 1.0), force=force,
                          forcing=forcing)
     grid = TimeGrid(T=2 * np.pi, M=M)

@@ -194,7 +194,7 @@ def test_periodic_nodal_rates_are_the_cyclic_central_difference(M):
 
 def test_primal_residual_zero_at_equilibrium():
     # constant state with K(x*) = f exactly
-    params = _oscillator(f=ForcingSpec(n=1, constant=[0.5]))
+    params = _oscillator(f=ForcingSpec(n=1, sinusoids=[(0, Sinusoid(0.5, 0.0))]))
     grid = TimeGrid(T=3.0, M=12)
     x = np.full((13, 1), 0.5)
     v = np.zeros((13, 1))
@@ -336,17 +336,17 @@ def _chains(draw, T, anti_restoring=False):
     force = QuadraticForce(n=n, C=draw(hnp.arrays(float, n, elements=_UNIT)), A=A, B=B)
     kinds = draw(st.sets(st.sampled_from(("sinusoid", "constant", "table"))))
     sinusoids = tables = ()
-    constant = None
     if "sinusoid" in kinds:
         sinusoids = [(draw(st.integers(0, n - 1)),
                       Sinusoid(draw(_UNIT), draw(st.floats(0.0, 5.0)), draw(st.floats(0.0, 6.3))))]
-    if "constant" in kinds:
+    if "constant" in kinds:  # a zero-frequency sinusoid on each particle
         constant = draw(hnp.arrays(float, n, elements=_UNIT))
+        sinusoids = [(j, Sinusoid(c, 0.0)) for j, c in enumerate(constant)] + list(sinusoids)
     if "table" in kinds:
         values = draw(hnp.arrays(float, draw(st.integers(2, 20)), elements=_UNIT))
         tables = [(draw(st.integers(0, n - 1)),
                    SampledSignal(np.linspace(0.0, T, values.size), values))]
-    forcing = ForcingSpec(n=n, constant=constant, sinusoids=sinusoids, tables=tables)
+    forcing = ForcingSpec(n=n, sinusoids=sinusoids, tables=tables)
     params = ChainParams(m=draw(st.floats(0.25, 4.0)), d=draw(st.floats(0.0, 2.0)),
                          force=force, forcing=forcing)
     x0 = draw(hnp.arrays(float, n, elements=_UNIT))
