@@ -9,8 +9,9 @@ processes.  A constant forcing is a zero-frequency `Sinusoid`.
 Each rule on the package's inputs is written once, here, and its errors
 name the offending field: `_check_state` for arrays (one shape, finite
 entries, a read-only float copy), which frozen dataclasses store through
-`_freeze_arrays`; `_count` and `_positive` for scalars; and `_check_forcing`
-for where a forcing can be read and whether it has a given period.
+`_freeze_arrays`; `_count`, `_positive` and `_nonnegative` for scalars; and
+`_check_forcing` for where a forcing can be read and whether it has a given
+period.
 """
 
 from __future__ import annotations
@@ -49,6 +50,13 @@ def _positive(name: str, value) -> float:
     """``value`` as a float; ValueError unless it is finite and > 0."""
     if not (np.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be positive and finite")
+    return float(value)
+
+
+def _nonnegative(name: str, value) -> float:
+    """``value`` as a float; ValueError unless it is finite and >= 0."""
+    if not (np.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be nonnegative and finite")
     return float(value)
 
 
@@ -234,7 +242,8 @@ def _check_forcing(forcing: ForcingSpec, start: float, end: float,
     least).  ``periodic`` asks for forcing of period P = end - start too:
     each sinusoid's period divides P, and each table spans exactly one
     period, to the same slack, with equal end values.  ``names`` names the
-    tables in the messages, in order; by default "table on particle j"."""
+    tables in the messages, in order; by default "table on particle j", and
+    particles are counted from 1 there, as configs count them."""
     if periodic:
         P = end - start
         # an omega P that overflows is no whole number of periods
@@ -243,10 +252,10 @@ def _check_forcing(forcing: ForcingSpec, start: float, end: float,
                 k = np.float64(s.omega) * P / (2.0 * np.pi)
                 if s.omega != 0.0 and not abs(k - np.round(k)) <= 1e-12 * max(1.0, abs(k)):
                     raise ValueError(
-                        f"sinusoid on particle {j} has period {2 * np.pi / s.omega:.6g}, "
+                        f"sinusoid on particle {j + 1} has period {2 * np.pi / s.omega:.6g}, "
                         f"which does not divide the orbit period {P:.6g}")
     for i, (j, tab) in enumerate(forcing.tables):
-        name = names[i] if names else f"table on particle {j}"
+        name = names[i] if names else f"table on particle {j + 1}"
         t0, t1 = float(tab.times[0]), float(tab.times[-1])
         slack = 1e-12 * max(1.0, t1 - t0)
         if start < t0 - slack or end > t1 + slack:

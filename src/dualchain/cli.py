@@ -42,6 +42,7 @@ from .chain_model import (
     SampledSignal,
     Sinusoid,
     _check_forcing,
+    _nonnegative,
 )
 from .dual_action import (
     BaseState,
@@ -114,6 +115,8 @@ def _count(text: str) -> int:
 _to_int = _converter(int, "an integer")
 _to_count = _converter(_count, "an integer >= 1")
 _to_float = _converter(float, "a number")
+_to_nonnegative = _converter(lambda text: _nonnegative("value", float(text)),
+                             "a finite number >= 0")
 
 
 def _choice(names: tuple):
@@ -202,7 +205,7 @@ _KEYS = {
     ("scales", "c_v"): _Key("c_v", _to_float, 1.0),
     ("base", "kind"): _Key("base_kind"),
     ("base", "refine"): _Key("base_refine", _to_count, 10),
-    ("base", "amplitude"): _Key("base_amplitude", _to_float, 0.0),
+    ("base", "amplitude"): _Key("base_amplitude", _to_nonnegative, 0.0),
     ("base", "settle_periods"): _Key("base_settle", _to_count, 10),
     ("base", "path"): _Key("base_path"),
     ("solver", "max_iterations"): _Key("max_iterations", _to_count, 50),

@@ -241,6 +241,35 @@ def shifted(H, mu):
     return BlockTridiagonal(H.diag - mu * np.eye(H.block), H.off)
 
 
+def banded_by_positions(H) -> np.ndarray:
+    """H's lower band in Fortran order, as ``H.to_banded()`` stores it,
+    written by node positions: a cyclic H's folded position of each node
+    (argsort of the order 0, F-1, 1, F-2, ...) places every coupling as an
+    upper block one or two positions off the diagonal, and the one-position
+    blocks are summed into zeros in coupling order (np.add.at: the two F = 2
+    couplings join the same positions).  Each block row [D_k^T, U1_k, U2_k]
+    then goes into the band along the skew ab[c - q, k b + q]."""
+    F, b, _ = H.diag.shape
+    if H.cyclic:
+        order = np.stack([np.arange(F), np.arange(F)[::-1]], axis=1).ravel()[:F]
+        pos = np.argsort(order)
+        rows, cols = pos, pos[(np.arange(F) + 1) % F]
+        first, gap = np.minimum(rows, cols), np.abs(rows - cols)
+        upper = np.where((rows < cols)[:, None, None], H.off, np.swapaxes(H.off, 1, 2))
+        blocks = [H.diag[order], np.zeros((F - 1, b, b)), np.zeros((F - 2, b, b))]
+        np.add.at(blocks[1], first[gap == 1], upper[gap == 1])
+        blocks[2][first[gap == 2]] = upper[gap == 2]
+    else:
+        blocks = [H.diag, H.off]
+    ab = np.zeros((len(blocks) * b, F * b), order="F")
+    for k in range(F):
+        for r, up in enumerate(blocks):
+            for q in range(b if k < len(up) else 0):
+                for c in range(q if r == 0 else 0, b):  # D_k's lower triangle
+                    ab[r * b + c - q, k * b + q] = up[k][c, q] if r == 0 else up[k][q, c]
+    return ab
+
+
 # ---------------------------------------------------------------------------
 # the cyclic Hessian as a scipy sparse matrix, assembled from COO triplets,
 # and its singularity check by sparse LU

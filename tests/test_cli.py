@@ -409,6 +409,11 @@ def test_primal_base_honours_run_method(tmp_path, monkeypatch):
     pytest.param("periodic_forced_n4", ("base.settle_periods=0",), None,
                  "base.settle_periods must be an integer >= 1, got '0'",
                  id="base.settle_periods=0"),
+    # a perturbation amplitude is finite and >= 0, refused before the base
+    # is integrated
+    *(pytest.param("harmonic_n1", ("base.kind=perturbed-primal", f"base.amplitude={value}"),
+                   "dual-solve", f"base.amplitude must be a finite number >= 0, got {value!r}",
+                   id=f"base.amplitude={value}") for value in ("nan", "inf", "-inf", "-1.0")),
 ])
 def test_invalid_solver_values_exit_2(tmp_path, capsys, preset, sets, mode, message):
     assert run_one(PRESETS[preset], tmp_path, sets=sets, mode=mode) == 2
@@ -441,7 +446,7 @@ def test_periodic_forcing_with_an_overflowing_period_count_exits_2(tmp_path, cap
         warnings.simplefilter("error", RuntimeWarning)
         assert run_one(PRESETS["harmonic_n1"], tmp_path, sets=sets, mode="periodic") == 2
     assert capsys.readouterr().err == (
-        "config error: sinusoid on particle 0 has period 6.28319e-308, "
+        "config error: sinusoid on particle 1 has period 6.28319e-308, "
         "which does not divide the orbit period 6.28319\n")
     assert not list(tmp_path.iterdir())
 
@@ -704,6 +709,20 @@ def test_overflow_gives_an_exit_code_and_a_report(tmp_path, preset, sets, codes,
     assert verification["hessian_inertia"] == inertia
     if inertia == "none":
         assert verification["concavity_ok"] == "none"
+
+
+def test_huge_base_amplitude_stops_unconverged_with_a_report(tmp_path, capsys):
+    # the mapped state, the gradient and the recovered rates overflow inside
+    # np.errstate blocks: no RuntimeWarning escapes (pyproject's
+    # filterwarnings makes one an error), and the solver's finite checks stop
+    # the iteration where it starts
+    sets = ("grid.M=50", "base.kind=perturbed-primal", "base.amplitude=1e308")
+    assert run_one(PRESETS["harmonic_n1"], tmp_path, sets=sets, mode="dual-solve") == 3
+    assert "did not converge" in capsys.readouterr().err
+    report = parse_report(tmp_path / "harmonic_n1_report.txt")
+    assert report["convergence"]["converged"] == "false"
+    assert report["convergence"]["iterations"] == "0"
+    assert (tmp_path / "harmonic_n1_trajectory.txt").exists()
 
 
 # the shipped presets in their shipped modes, on grids a tenth as fine

@@ -44,6 +44,7 @@ from dualchain.dual_action import (
     _stiffness_inv,
 )
 from oracles import (
+    banded_by_positions,
     block_matvec,
     constant_base,
     fine_quadrature_action,
@@ -697,6 +698,30 @@ def test_block_tridiagonal_band_storage_matches_dense():
         _assert_bands_match(H, dense)
 
 
+@st.composite
+def _block_families(draw):
+    """(diag, off) of an open or cyclic BlockTridiagonal with F in 2..12 and
+    b in 1..4, entries drawn with signed zeros among them."""
+    F, b, cyclic = draw(st.integers(2, 12)), draw(st.integers(1, 4)), draw(st.booleans())
+    entries = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3))
+    return (draw(hnp.arrays(float, (F, b, b), elements=entries)),
+            draw(hnp.arrays(float, (F if cyclic else F - 1, b, b), elements=entries)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(_block_families())
+@example(blocks=(np.full((2, 1, 1), -0.0), np.full((2, 1, 1), -0.0)))
+@example(blocks=(np.zeros((3, 2, 2)), -np.zeros((3, 2, 2))))
+def test_band_matches_the_positional_writer_byte_for_byte(blocks):
+    # one slice assignment per block family writes the bytes that placing
+    # each coupling by its folded position and summing the one-place
+    # couplings into zeros writes, signed zeros included
+    H = BlockTridiagonal(*blocks)
+    ab = H.to_banded()
+    assert ab.flags.f_contiguous
+    assert ab.tobytes("F") == banded_by_positions(H).tobytes("F")
+
+
 def _cyclic_dense(H):
     """Dense cyclic matrix written block by block from diag and off."""
     F, b, _ = H.diag.shape
@@ -1112,6 +1137,12 @@ _SPOILT.update({
                            "sinusoids"),
     ("forcing", "range"): (lambda: ForcingSpec(n=2, tables=[(2, (_TIMES, np.zeros(3)))]),
                            "tables"),
+    ("perturbation amplitude", "nan"): (
+        lambda: perturb_base(zero_base(_NODE_GRID, 2), np.nan, seed=0), "amplitude"),
+    ("perturbation amplitude", "inf"): (
+        lambda: perturb_base(zero_base(_NODE_GRID, 2), np.inf, seed=0), "amplitude"),
+    ("perturbation amplitude", "sign"): (
+        lambda: perturb_base(zero_base(_NODE_GRID, 2), -1.0, seed=0), "amplitude"),
 })
 
 
