@@ -297,13 +297,11 @@ class ChainParams:
 
     def __post_init__(self):
         object.__setattr__(self, "m", _positive("mass m", self.m))
-        if not (np.isfinite(self.d) and self.d >= 0):
-            raise ValueError("damping d must be nonnegative")
+        object.__setattr__(self, "d", _nonnegative("damping d", self.d))
         if self.forcing.n != self.force.n:
             raise ValueError(
                 f"forcing is for n={self.forcing.n} particles, force for n={self.force.n}"
             )
-        object.__setattr__(self, "d", float(self.d))
 
     @property
     def n(self) -> int:

@@ -17,6 +17,8 @@ Exit codes: 0 success, 2 config or validation error, 3 solver did not
 converge (a trust-region stall included) or an integration diverged, 4
 numerical singularity.  Exits 0 and 3 write a report, with the sections the
 run completed, in every mode but simulate; exits 2 and 4 write none.
+An overflowed run exits 3, so `run_one` (in `--jobs` workers too) silences
+numpy's overflow warnings once, around all of its numerical work.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .chain_model import (
     SampledSignal,
     Sinusoid,
     _check_forcing,
+    _count,
     _nonnegative,
 )
 from .dual_action import (
@@ -105,15 +108,8 @@ def _converter(convert, noun: str):
     return parse
 
 
-def _count(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError(text)
-    return value
-
-
 _to_int = _converter(int, "an integer")
-_to_count = _converter(_count, "an integer >= 1")
+_to_count = _converter(lambda text: _count("value", int(text)), "an integer >= 1")
 _to_float = _converter(float, "a number")
 _to_nonnegative = _converter(lambda text: _nonnegative("value", float(text)),
                              "a finite number >= 0")
@@ -614,46 +610,49 @@ def run_one(config_path, out_dir, sets=(), mode: str | None = None) -> int:
     started = time.perf_counter()
     code, convergence, verification, manifest = 0, None, None, {}
     stage = "base-state"
-    try:
+    # far from the dual maximum (an extreme base or mass, say) the mapped
+    # state overflows; the solver's finite checks and exit 3 report such a
+    # run, so numpy's overflow warnings are silenced here, once
+    with np.errstate(over="ignore", invalid="ignore"):
         try:
-            opts = cfg.solver_options()
+            try:
+                opts = cfg.solver_options()
+                if cfg.mode == "simulate":
+                    x0, v0 = cfg._initial("mode simulate")
+                    sim_params, sim_grid = cfg.chain_params(), cfg.grid()
+                else:
+                    spec, oracle = cfg._problem()
+            except (ConfigError, ValueError, OSError) as exc:
+                print(f"config error: {exc}", file=sys.stderr)
+                return 2
+            stage = "direct"
             if cfg.mode == "simulate":
-                x0, v0 = cfg._initial("mode simulate")
-                sim_params, sim_grid = cfg.chain_params(), cfg.grid()
+                traj = integrate_primal(sim_params, x0, v0, sim_grid, method=cfg.method)
             else:
-                spec, oracle = cfg._problem()
-        except (ConfigError, ValueError, OSError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        stage = "direct"
-        if cfg.mode == "simulate":
-            traj = integrate_primal(sim_params, x0, v0, sim_grid, method=cfg.method)
-            traj_path = out / f"{cfg.prefix}_trajectory.txt"
-            write_trajectory(traj_path, traj)
-            manifest[traj_path.name] = _sha256_file(traj_path)
-        else:
-            sol = solve_dual(spec, opts)
-            convergence = _convergence_dict(sol)
-            if cfg.mode == "verify" and oracle is None:
-                oracle = integrate_primal(spec.params, spec.x0, spec.v0,
-                                          spec.grid.refined(_ORACLE_REFINE),
-                                          method=cfg.method).restrict(_ORACLE_REFINE)
-            if cfg.mode == "dual-solve":
-                dual_path = out / f"{cfg.prefix}_dual.txt"
-                write_dual_field(dual_path, sol.D)
-                manifest[dual_path.name] = _sha256_file(dual_path)
+                sol = solve_dual(spec, opts)
+                convergence = _convergence_dict(sol)
+                if cfg.mode == "verify" and oracle is None:
+                    oracle = integrate_primal(spec.params, spec.x0, spec.v0,
+                                              spec.grid.refined(_ORACLE_REFINE),
+                                              method=cfg.method).restrict(_ORACLE_REFINE)
+                traj = recover_primal(sol, spec)
+                if cfg.mode == "dual-solve":
+                    dual_path = out / f"{cfg.prefix}_dual.txt"
+                    write_dual_field(dual_path, sol.D)
+                    manifest[dual_path.name] = _sha256_file(dual_path)
             if cfg.mode != "verify":
                 traj_path = out / f"{cfg.prefix}_trajectory.txt"
-                write_trajectory(traj_path, recover_primal(sol, spec))
+                write_trajectory(traj_path, traj)
                 manifest[traj_path.name] = _sha256_file(traj_path)
-            verification = _verification_dict(verify(sol, spec, oracle=oracle))
-            code = 0 if sol.converged else 3
-    except (SingularStiffnessError, SingularSystemError) as exc:
-        print(f"numerical singularity: {exc}", file=sys.stderr)
-        return 4
-    except IntegrationBlowUpError as exc:
-        print(f"{stage} integration diverged: {exc}", file=sys.stderr)
-        code = 3
+            if cfg.mode != "simulate":
+                verification = _verification_dict(verify(sol, spec, traj, oracle=oracle))
+                code = 0 if sol.converged else 3
+        except (SingularStiffnessError, SingularSystemError) as exc:
+            print(f"numerical singularity: {exc}", file=sys.stderr)
+            return 4
+        except IntegrationBlowUpError as exc:
+            print(f"{stage} integration diverged: {exc}", file=sys.stderr)
+            code = 3
 
     if cfg.mode != "simulate":
         report = RunReport(

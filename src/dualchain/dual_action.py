@@ -39,6 +39,10 @@ bound cannot certify; `ellipticity_check` reports 0.0 where it would fail.
 `BlockTridiagonal.inertia` counts an eigenvalue within the singularity
 probe's delta = ||H||_1 / COND_LIMIT of zero as zero: (N, 0, 0) when
 `neg_cholesky(-delta)` factors, else Sylvester's law at -delta and delta.
+
+Overflow far from the maximum (a huge base or mass) follows numpy's default,
+and the solver's finite checks stop there; only an overflowed certificate
+bound is a decision, sent to the eigenvalue test.
 """
 
 from __future__ import annotations
@@ -447,18 +451,15 @@ def _gradient_elements(md: _MidpointData, D: DualField):
     """
     _, _, _, _, _, dx, x, v, _ = _core_state(md, D)
     n = md.n
-    # a mapped state that overflows (a huge base, say) is expected; the
-    # solver's finite checks on the gradient report it
-    with np.errstate(over="ignore", invalid="ignore"):
-        dxdx = (dx[:, :, None] * dx[:, None, :]).reshape(md.M, n * n)
-        Kx = (md.Kbar_mid + np.einsum("mjr,mr->mj", md.Abar_mid, dx)
-              + 0.5 * (dxdx @ md.B.reshape(n, n * n).T))
-        mom = md.d * v + Kx - md.f_mid
-        h = md.h
-        g_ga = -0.5 * h * v + x
-        g_gb = -0.5 * h * v - x
-        g_la = 0.5 * h * mom + md.m * v
-        g_lb = 0.5 * h * mom - md.m * v
+    dxdx = (dx[:, :, None] * dx[:, None, :]).reshape(md.M, n * n)
+    Kx = (md.Kbar_mid + np.einsum("mjr,mr->mj", md.Abar_mid, dx)
+          + 0.5 * (dxdx @ md.B.reshape(n, n * n).T))
+    mom = md.d * v + Kx - md.f_mid
+    h = md.h
+    g_ga = -0.5 * h * v + x
+    g_gb = -0.5 * h * v - x
+    g_la = 0.5 * h * mom + md.m * v
+    g_lb = 0.5 * h * mom - md.m * v
     return g_ga, g_la, g_gb, g_lb
 
 
@@ -513,20 +514,17 @@ def _hessian_elements(md: _MidpointData, D: DualField):
     G = 0.5 * MxP
     parts = ((P / h, np.swapaxes(G, 1, 2)), (G, (0.25 * h) * L))
     quads = []
-    # a scalar part that overflows (a huge mass, say) is expected; the
-    # solver's finite checks on the Hessian report it
-    with np.errstate(over="ignore", invalid="ignore"):
-        C = h * (smap.T @ scalar @ smap)  # rows, columns: gamma_a, lambda_a, gamma_b, lambda_b
-        for row, col, signs in ((0, 0, ((-1, -1), (-1, -1))),
-                                (0, 2, ((1, -1), (1, -1))),
-                                (2, 2, ((-1, 1), (1, -1)))):
-            Q = np.empty((M, 2 * n, 2 * n))
-            blocks = Q.reshape(M, 2, n, 2, n)  # [element, value, i, value, j]
-            for i in range(2):
-                for j in range(2):
-                    combine = np.add if signs[i][j] > 0 else np.subtract
-                    combine(C[row + i, col + j] * eye, parts[i][j], out=blocks[:, i, :, j])
-            quads.append(Q)
+    C = h * (smap.T @ scalar @ smap)  # rows, columns: gamma_a, lambda_a, gamma_b, lambda_b
+    for row, col, signs in ((0, 0, ((-1, -1), (-1, -1))),
+                            (0, 2, ((1, -1), (1, -1))),
+                            (2, 2, ((-1, 1), (1, -1)))):
+        Q = np.empty((M, 2 * n, 2 * n))
+        blocks = Q.reshape(M, 2, n, 2, n)  # [element, value, i, value, j]
+        for i in range(2):
+            for j in range(2):
+                combine = np.add if signs[i][j] > 0 else np.subtract
+                combine(C[row + i, col + j] * eye, parts[i][j], out=blocks[:, i, :, j])
+        quads.append(Q)
     return tuple(quads)
 
 

@@ -360,21 +360,22 @@ def recover_primal(sol: DualSolution, spec: ProblemSpec) -> Trajectory:
     return Trajectory(spec.grid, x, v)
 
 
-def verify(sol: DualSolution, spec: ProblemSpec,
+def verify(sol: DualSolution, spec: ProblemSpec, traj: Trajectory,
            oracle: Trajectory | None = None) -> VerificationReport:
-    """Check a dual solution: gradient norm, primal residuals of the recovered
-    trajectory, optional max deviation from an oracle trajectory, pointwise
-    ellipticity, and the Hessian concavity data.
+    """Check a dual solution: gradient norm, primal residuals of ``traj``,
+    the trajectory `recover_primal` gave for it, optional max deviation from
+    an oracle trajectory, pointwise ellipticity, and the Hessian concavity
+    data.
 
     Failures are report entries, not exceptions.
     """
+    for name, other in (("recovered", traj), ("oracle", oracle)):
+        if other is not None and other.grid != spec.grid:
+            raise ValueError(f"{name} trajectory must live on the problem grid")
     gnorm = float(np.max(np.abs(gradient(sol.D, spec))))
-    traj = recover_primal(sol, spec)
     res_m, res_k = primal_residual(traj, spec.params)
     deviation = None
     if oracle is not None:
-        if oracle.grid != spec.grid:
-            raise ValueError("oracle trajectory must live on the problem grid")
         deviation = float(max(np.max(np.abs(traj.x - oracle.x)),
                               np.max(np.abs(traj.v - oracle.v))))
     ell = ellipticity_check(sol.D, spec)

@@ -7,6 +7,10 @@ rates follow one rule, `_time_derivative`, which both the residuals here and
 the primal recovery from a dual solution use.  Trajectories, like every
 array the package takes from its caller, pass `chain_model._freeze_arrays`,
 and the initial state `chain_model._check_state`.
+
+Both integrators silence numpy's overflow warnings and raise
+`IntegrationBlowUpError` at the step that overflows; elsewhere overflow
+follows numpy's default.
 """
 
 from __future__ import annotations
@@ -374,20 +378,18 @@ def _time_derivative(values: np.ndarray, h: float, periodic: bool = False) -> np
     two nearest at the ends (the one-sided three-point formula), the one
     element rate at M = 1.  Periodic values (node M repeats node 0) get the
     cyclic central difference at nodes 0..M-1 only.  Primal recovery and
-    `primal_residual` both take their rates from here.  Values near the
-    overflow limit give non-finite rates, which the residuals report."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        if periodic:
-            vals = values[:-1]
-            return (np.roll(vals, -1, axis=0) - np.roll(vals, 1, axis=0)) / (2.0 * h)
-        elem = np.diff(values, axis=0) / h
-        out = np.empty_like(values)
-        out[1:-1] = 0.5 * (elem[:-1] + elem[1:])
-        if elem.shape[0] >= 2:
-            out[0] = 1.5 * elem[0] - 0.5 * elem[1]
-            out[-1] = 1.5 * elem[-1] - 0.5 * elem[-2]
-        else:
-            out[0] = out[-1] = elem[0]
+    `primal_residual` both take their rates from here."""
+    if periodic:
+        vals = values[:-1]
+        return (np.roll(vals, -1, axis=0) - np.roll(vals, 1, axis=0)) / (2.0 * h)
+    elem = np.diff(values, axis=0) / h
+    out = np.empty_like(values)
+    out[1:-1] = 0.5 * (elem[:-1] + elem[1:])
+    if elem.shape[0] >= 2:
+        out[0] = 1.5 * elem[0] - 0.5 * elem[1]
+        out[-1] = 1.5 * elem[-1] - 0.5 * elem[-2]
+    else:
+        out[0] = out[-1] = elem[0]
     return out
 
 

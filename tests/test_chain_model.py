@@ -338,8 +338,9 @@ def test_chain_params_validation():
     ChainParams(m=1.0, d=0.0, force=force, forcing=forcing)
     with pytest.raises(ValueError):
         ChainParams(m=0.0, d=0.0, force=force, forcing=forcing)
-    with pytest.raises(ValueError):
-        ChainParams(m=1.0, d=-0.1, force=force, forcing=forcing)
+    for d in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="damping d must be nonnegative and finite"):
+            ChainParams(m=1.0, d=d, force=force, forcing=forcing)
     with pytest.raises(ValueError):
         ChainParams(m=1.0, d=0.0, force=force, forcing=ForcingSpec.zero(2))
 

@@ -12,8 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dualchain import (DualField, TimeGrid, Trajectory, cli, dual_action, eval_forcing, fput_alpha,
-                       primal_solver)
+from dualchain import (DualField, TimeGrid, Trajectory, cli, dual_action, dual_solver, eval_forcing,
+                       fput_alpha, primal_solver)
 from dualchain.cli import (
     ConfigError,
     load_config,
@@ -711,18 +711,35 @@ def test_overflow_gives_an_exit_code_and_a_report(tmp_path, preset, sets, codes,
         assert verification["concavity_ok"] == "none"
 
 
-def test_huge_base_amplitude_stops_unconverged_with_a_report(tmp_path, capsys):
-    # the mapped state, the gradient and the recovered rates overflow inside
-    # np.errstate blocks: no RuntimeWarning escapes (pyproject's
-    # filterwarnings makes one an error), and the solver's finite checks stop
-    # the iteration where it starts
+@pytest.mark.parametrize("preset", ["harmonic_n1", "fput_alpha_n8"])
+def test_huge_base_amplitude_stops_unconverged_with_a_report(tmp_path, capsys, preset):
+    # the mapped state, the forces at it, the gradient, the Hessian and the
+    # recovered rates overflow, inside run_one's one overflow policy: no
+    # RuntimeWarning escapes (pyproject's filterwarnings makes one an error),
+    # and the solver's finite checks stop the iteration where it starts
     sets = ("grid.M=50", "base.kind=perturbed-primal", "base.amplitude=1e308")
-    assert run_one(PRESETS["harmonic_n1"], tmp_path, sets=sets, mode="dual-solve") == 3
+    assert run_one(PRESETS[preset], tmp_path, sets=sets, mode="dual-solve") == 3
     assert "did not converge" in capsys.readouterr().err
-    report = parse_report(tmp_path / "harmonic_n1_report.txt")
+    report = parse_report(tmp_path / f"{preset}_report.txt")
     assert report["convergence"]["converged"] == "false"
     assert report["convergence"]["iterations"] == "0"
-    assert (tmp_path / "harmonic_n1_trajectory.txt").exists()
+    assert (tmp_path / f"{preset}_trajectory.txt").exists()
+
+
+@pytest.mark.parametrize("mode", ["dual-solve", "periodic", "verify"])
+def test_one_run_recovers_the_primal_trajectory_once(tmp_path, monkeypatch, mode):
+    # verify checks the trajectory run_one recovered, not a second one
+    calls, recover = [], dual_solver.recover_primal
+
+    def counted(sol, spec):
+        calls.append(spec)
+        return recover(sol, spec)
+
+    monkeypatch.setattr(cli, "recover_primal", counted)
+    monkeypatch.setattr(dual_solver, "recover_primal", counted)
+    preset = "periodic_forced_n4" if mode == "periodic" else "harmonic_n1"
+    assert run_one(PRESETS[preset], tmp_path, sets=COARSE[preset], mode=mode) == 0
+    assert len(calls) == 1
 
 
 # the shipped presets in their shipped modes, on grids a tenth as fine

@@ -941,6 +941,20 @@ def test_stiffness_inverse_rejects_the_first_bad_point_in_batch_order():
     assert info.value.where == 2 and info.value.cond > COND_LIMIT
 
 
+def test_an_overflowing_certificate_bound_leaves_the_point_to_the_eigenvalue_test():
+    # at lambda = 1e200 the squared Frobenius norms overflow and underflow,
+    # so the bound is nan and certifies nothing, without a RuntimeWarning
+    # (pyproject's filterwarnings makes one an error); the eigenvalue test
+    # then passes K = (1 + 1e200) I and rejects K = diag(1 + 1e200, 1 + 1e180)
+    lam = np.array([[1e200, 0.0]])
+    B = QuadraticForce(n=2, B=np.array([np.eye(2), np.zeros((2, 2))])).B
+    np.testing.assert_allclose(_stiffness_inv(B, lam, 1.0), np.eye(2)[None] / (1.0 + 1e200))
+    B = QuadraticForce(n=2, B=np.array([np.diag([1.0, 1e-20]), np.zeros((2, 2))])).B
+    with pytest.raises(SingularStiffnessError) as info:
+        _stiffness_inv(B, lam, 1.0)
+    assert info.value.where == 0 and info.value.cond > COND_LIMIT
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.integers(0, 2**32 - 1), st.booleans(), st.floats(0.01, 0.5))
 def test_element_hessian_matches_kron_reference(seed, with_B, scale):

@@ -197,7 +197,7 @@ def test_non_convergence_is_reported_not_raised():
     sol = solve_dual(spec, SolveOptions(max_iterations=1))
     assert not sol.converged
     assert sol.iterations == 1
-    report = verify(sol, spec)
+    report = verify(sol, spec, recover_primal(sol, spec))
     assert report.gradient_norm > 1e-10
     assert np.isfinite(report.gradient_norm)
 
@@ -207,7 +207,13 @@ def test_verify_report_on_converged_linear_solve():
     sol = solve_dual(spec)
     oracle = integrate_primal(spec.params, spec.x0, spec.v0,
                               spec.grid.refined(10)).restrict(10)
-    report = verify(sol, spec, oracle=oracle)
+    traj = recover_primal(sol, spec)
+    report = verify(sol, spec, traj, oracle=oracle)
+    coarse = oracle.restrict(2)  # every other node: another grid
+    with pytest.raises(ValueError, match="recovered trajectory must live on the problem grid"):
+        verify(sol, spec, coarse)
+    with pytest.raises(ValueError, match="oracle trajectory must live on the problem grid"):
+        verify(sol, spec, traj, oracle=coarse)
     assert report.gradient_norm <= 1e-10 * (1.0 + sol.residual_history[0])
     assert report.momentum_residual_max < 1e-3
     assert report.kinematic_residual_max < 1e-3
@@ -232,7 +238,7 @@ def test_verify_reports_ellipticity_loss():
     D = DualField(grid, np.zeros((9, 1)), lam)
     sol = DualSolution(D=D, converged=False, iterations=0,
                        residual_history=(1.0,), hessian_inertia=(0, 0, 0))
-    report = verify(sol, spec)
+    report = verify(sol, spec, recover_primal(sol, spec))
     assert report.ellipticity_min < 0.0
     assert report.concavity_ok is None  # nonlinear force: reported, not asserted
 
@@ -279,7 +285,7 @@ def test_midpoint_data_built_once_per_solve(monkeypatch):
     spec = _fput_spec(n=3, M=64, perturb=0.05, seed=2)
     sol = solve_dual(spec)
     assert sol.iterations > 1
-    verify(sol, spec)  # the report reuses the solve's midpoint data
+    verify(sol, spec, recover_primal(sol, spec))  # the report reuses the solve's midpoint data
     assert calls == [spec]
 
 
@@ -348,7 +354,7 @@ def test_each_point_inverts_its_stiffness_once(monkeypatch, step_control):
         monkeypatch.setattr(dual_solver, name, spy)
 
     sol = solve_dual(spec, SolveOptions(step_control=step_control))
-    verify(sol, spec)
+    verify(sol, spec, recover_primal(sol, spec))
     assert sol.converged and sol.iterations >= 2
     # the zero start plus one point per step trial, each inverted once, and
     # the final Hessian and verify's gradient reuse the last point's inverse

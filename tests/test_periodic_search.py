@@ -190,13 +190,17 @@ def test_fput_limit_cycle_matches_long_integration():
 
 
 def test_nonperiodic_forcing_rejected():
+    # omega P / 2 pi overflows to inf at omega = 1e308, which the check
+    # refuses without a RuntimeWarning (pyproject's filterwarnings makes one
+    # an error)
     force = QuadraticForce(n=1, A=[[1.0]])
-    forcing = ForcingSpec(n=1, sinusoids=[(0, Sinusoid(1.0, 1.3, 0.0))])
-    params = ChainParams(m=1.0, d=1.0, force=force, forcing=forcing)
     grid = TimeGrid(T=2 * np.pi, M=16)
-    with pytest.raises(ValueError, match="does not divide"):
-        PeriodicSpec(params=params, scales=UNIT, base=zero_base(grid, 1),
-                     grid=grid)
+    for omega in (1.3, 1e308):
+        forcing = ForcingSpec(n=1, sinusoids=[(0, Sinusoid(1.0, omega, 0.0))])
+        params = ChainParams(m=1.0, d=1.0, force=force, forcing=forcing)
+        with pytest.raises(ValueError, match="does not divide"):
+            PeriodicSpec(params=params, scales=UNIT, base=zero_base(grid, 1),
+                         grid=grid)
 
 
 def test_nonperiodic_table_rejected():
