@@ -11,11 +11,15 @@ reproduces the arrays bit for bit.
 Modes dual-solve, verify and periodic solve the dual problem that
 `ScenarioConfig.problem` poses, periodic in periodic mode (whose [initial]
 values only start a settled-primal base), and each writes a report with
-[convergence] and [verification].
+[convergence] and [verification].  A settled-primal base settles at the
+run's own step until a period closes to within h^2 of its state's size,
+refines only the period it keeps, and adds the periods it took and that
+period's closing gap to [convergence].
 
 Exit codes: 0 success, 2 config or validation error, 3 solver did not
-converge (a trust-region stall included) or an integration diverged, 4
-numerical singularity.  Exits 0 and 3 write a report, with the sections the
+converge (a trust-region stall included), an integration diverged or a
+settled-primal base did not close within its period cap, 4 numerical
+singularity.  Exits 0 and 3 write a report, with the sections the
 run completed, in every mode but simulate; exits 2 and 4 write none.
 An overflowed run exits 3, so `run_one` (in `--jobs` workers too) silences
 numpy's overflow warnings once, around all of its numerical work.
@@ -97,6 +101,32 @@ _ORACLE_REFINE = 10
 
 class ConfigError(ValueError):
     """Malformed or invalid scenario configuration."""
+
+
+class Settling(NamedTuple):
+    """How a settled-primal base settled, as its report lines: the periods
+    integrated, the base's own included, and the base period's closing gap
+    relative to its state's size (see `_closing_gap`)."""
+
+    settle_periods: int
+    settle_gap: float
+
+
+class UnsettledBaseError(RuntimeError):
+    """A settled-primal base period whose closing gap exceeds h^2."""
+
+    def __init__(self, settling: Settling, bound: float):
+        super().__init__(f"closing gap {settling.settle_gap:.3g} above h^2 = {bound:.3g} "
+                         f"after {settling.settle_periods} periods")
+        self.settling = settling
+
+
+def _closing_gap(traj: Trajectory) -> float:
+    """max |z(T) - z(0)| / max |z| over the trajectory, z = (x, v); 0 for a
+    state at rest throughout."""
+    scale = max(np.max(np.abs(traj.x)), np.max(np.abs(traj.v)))
+    gap = max(np.max(np.abs(traj.x[-1] - traj.x[0])), np.max(np.abs(traj.v[-1] - traj.v[0])))
+    return float(gap / scale) if scale > 0 else 0.0
 
 
 def _converter(convert, noun: str):
@@ -316,20 +346,22 @@ class ScenarioConfig:
         return self.x0, self.v0
 
     def _base(self, params: ChainParams, grid: TimeGrid):
-        """The base state, and the refined direct solve it was restricted
-        from (None for the kinds that use no such solve)."""
+        """The base state, the refined direct solve it was restricted from
+        (None for the kinds that use no such solve), and how a settled-primal
+        base settled (None for the other kinds)."""
         kind = self.base_kind
         if kind == "zero":
-            return zero_base(grid, self.n), None
+            return zero_base(grid, self.n), None, None
         if kind in ("primal", "perturbed-primal"):
             fine = integrate_primal(params, *self._initial(f"base kind {kind}"),
                                     grid.refined(self.base_refine), method=self.method)
             base = restrict_base(fine, self.base_refine)
             if kind == "perturbed-primal":
                 base = perturb_base(base, self.base_amplitude, seed=self.seed)
-            return base, fine
+            return base, fine, None
         if kind == "settled-primal":
-            return self._settled_base(params, grid), None
+            base, settling = self._settled_base(params, grid)
+            return base, None, settling
         if kind == "trajectory":
             if self.base_path is None:
                 raise ConfigError("base kind trajectory needs base.path")
@@ -337,24 +369,42 @@ class ScenarioConfig:
             if traj.grid != grid or traj.x.shape[1] != self.n:
                 raise ConfigError(
                     f"base trajectory {self.base_path} does not match the run grid")
-            return BaseState(grid, traj.x, traj.v), None
+            return BaseState(grid, traj.x, traj.v), None, None
         raise ConfigError(f"unknown base kind {kind!r}")
 
-    def _settled_base(self, params: ChainParams, grid: TimeGrid) -> BaseState:
-        # integrate settle_periods periods on a refined grid, each from the
-        # clock's zero, so the forcing is read modulo the period (a table
-        # covers one period), keep the last and close it up for the cyclic
-        # problem
+    def _settled_base(self, params: ChainParams, grid: TimeGrid):
+        """The last of a run of periods from the [initial] state (rest when
+        it is absent), and its `Settling`.
+
+        Each period starts on the clock's zero, so the forcing is read
+        modulo the period (a table covers one period).  Periods at the run's
+        own step h only let the transient decay: they go on until there are
+        at least settle_periods periods in all, the base's own included, and
+        the last one closes, its relative closing gap at most h^2.  Then one
+        period on the grid refine times finer becomes the base.  At most
+        (settle_periods - 1) * refine periods run at step h, so settling
+        takes no more steps than settle_periods refined periods.  A base
+        period that does not close raises `UnsettledBaseError`; one that
+        does has its last node set to its first for the cyclic problem.
+        """
+        bound = grid.h ** 2
         x = self.x0 if self.x0 is not None else np.zeros(self.n)
         v = self.v0 if self.v0 is not None else np.zeros(self.n)
-        fine = grid.refined(self.base_refine)
-        for _ in range(self.base_settle):
-            traj = integrate_primal(params, x, v, fine, method=self.method)
-            x, v = traj.x[-1], traj.v[-1]
-        last = restrict_base(traj, self.base_refine)
+        cap = (self.base_settle - 1) * self.base_refine
+        periods, gap = 0, np.inf
+        while periods < cap and (periods < self.base_settle - 1 or not gap <= bound):
+            traj = integrate_primal(params, x, v, grid, method=self.method)
+            x, v, gap = traj.x[-1], traj.v[-1], _closing_gap(traj)
+            periods += 1
+        fine = integrate_primal(params, x, v, grid.refined(self.base_refine),
+                                method=self.method)
+        settling = Settling(periods + 1, _closing_gap(fine))
+        if not settling.settle_gap <= bound:
+            raise UnsettledBaseError(settling, bound)
+        last = restrict_base(fine, self.base_refine)
         xb, vb = last.xbar.copy(), last.vbar.copy()
         xb[-1], vb[-1] = xb[0], vb[0]
-        return BaseState(grid, xb, vb, last.xbar_mid, last.vbar_mid)
+        return BaseState(grid, xb, vb, last.xbar_mid, last.vbar_mid), settling
 
     def problem(self) -> ProblemSpec:
         return self._problem()[0]
@@ -363,19 +413,19 @@ class ScenarioConfig:
     periodic_problem = problem
 
     def _problem(self):
-        """The dual problem, periodic in periodic mode, and the verify oracle
+        """The dual problem, periodic in periodic mode; the verify oracle
         when the base was restricted from the oracle's own integration (None
-        otherwise)."""
+        otherwise); and the base's `Settling` (None unless settled-primal)."""
         periodic = self.mode == "periodic"
         x0, v0 = (None, None) if periodic else self._initial(f"mode {self.mode}")
         params = self.chain_params()
         grid = self.grid()
-        base, fine = self._base(params, grid)
+        base, fine, settling = self._base(params, grid)
         spec = ProblemSpec(params=params, scales=ScaleParams(self.c_x, self.c_v),
                            base=base, grid=grid, x0=x0, v0=v0)
         shared = (self.mode == "verify" and fine is not None
                   and self.base_refine == _ORACLE_REFINE)
-        return spec, fine.restrict(_ORACLE_REFINE) if shared else None
+        return spec, fine.restrict(_ORACLE_REFINE) if shared else None, settling
 
     def semantic_hash(self) -> str:
         """Digest of every field that changes the computation.
@@ -621,7 +671,7 @@ def run_one(config_path, out_dir, sets=(), mode: str | None = None) -> int:
                     x0, v0 = cfg._initial("mode simulate")
                     sim_params, sim_grid = cfg.chain_params(), cfg.grid()
                 else:
-                    spec, oracle = cfg._problem()
+                    spec, oracle, settling = cfg._problem()
             except (ConfigError, ValueError, OSError) as exc:
                 print(f"config error: {exc}", file=sys.stderr)
                 return 2
@@ -630,7 +680,8 @@ def run_one(config_path, out_dir, sets=(), mode: str | None = None) -> int:
                 traj = integrate_primal(sim_params, x0, v0, sim_grid, method=cfg.method)
             else:
                 sol = solve_dual(spec, opts)
-                convergence = _convergence_dict(sol)
+                convergence = {**(settling._asdict() if settling else {}),
+                               **_convergence_dict(sol)}
                 if cfg.mode == "verify" and oracle is None:
                     oracle = integrate_primal(spec.params, spec.x0, spec.v0,
                                               spec.grid.refined(_ORACLE_REFINE),
@@ -653,6 +704,9 @@ def run_one(config_path, out_dir, sets=(), mode: str | None = None) -> int:
         except IntegrationBlowUpError as exc:
             print(f"{stage} integration diverged: {exc}", file=sys.stderr)
             code = 3
+        except UnsettledBaseError as exc:
+            print(f"{stage} did not settle: {exc}", file=sys.stderr)
+            code, convergence = 3, exc.settling._asdict()
 
     if cfg.mode != "simulate":
         report = RunReport(

@@ -3,7 +3,6 @@ import dataclasses
 import hashlib
 import os
 import re
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -356,7 +355,7 @@ def test_verify_shares_the_base_integration_with_the_oracle(tmp_path, monkeypatc
     assert run_one(PRESETS[preset], tmp_path / "shared", sets=("grid.M=128",)) == 0
     assert calls == [1280]
     problem = cli.ScenarioConfig._problem
-    monkeypatch.setattr(cli.ScenarioConfig, "_problem", lambda cfg: (problem(cfg)[0], None))
+    monkeypatch.setattr(cli.ScenarioConfig, "_problem", lambda cfg: (problem(cfg)[0], None, None))
     assert run_one(PRESETS[preset], tmp_path / "separate", sets=("grid.M=128",)) == 0
     assert calls == [1280, 1280, 1280]
     reports = [[line for line in (tmp_path / run / f"{preset}_report.txt").read_text().splitlines()
@@ -424,27 +423,46 @@ def test_invalid_solver_values_exit_2(tmp_path, capsys, preset, sets, mode, mess
             load_config(PRESETS[preset], sets=sets, mode=mode)
 
 
+def _spy_on_integrations_and_solves(monkeypatch) -> list:
+    """(name, args) of each integrate_primal and solve_dual call that
+    run_one goes on to make, in order."""
+    calls = []
+
+    def spy(name, real):
+        def spied(*args, **kwargs):
+            calls.append((name, args))
+            return real(*args, **kwargs)
+        return spied
+
+    for name in ("integrate_primal", "solve_dual"):
+        monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
+    return calls
+
+
 @pytest.mark.parametrize("wave, field", [("1 nan 1.0 0.0", "amplitude"),
                                          ("1 1.0 inf 0.0", "omega"),
                                          ("1 1.0 1.0 -inf", "phase")])
 @pytest.mark.parametrize("mode", ["simulate", "dual-solve", "periodic"])
-def test_non_finite_sinusoid_exits_2_without_a_report(tmp_path, capsys, mode, wave, field):
+def test_non_finite_sinusoid_exits_2_without_a_report(tmp_path, capsys, monkeypatch,
+                                                      mode, wave, field):
     # refused where the config is read, before any integration or solve
+    calls = _spy_on_integrations_and_solves(monkeypatch)
     sets = ("grid.M=200", "base.kind=zero", f"forcing.sinusoid={wave}")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert run_one(PRESETS["harmonic_n1"], tmp_path, sets=sets, mode=mode) == 2
+    assert run_one(PRESETS["harmonic_n1"], tmp_path, sets=sets, mode=mode) == 2
+    assert calls == []
     assert capsys.readouterr().err == (f"config error: {PRESETS['harmonic_n1']}: "
                                        f"forcing.sinusoid {field} must be finite\n")
     assert not list(tmp_path.iterdir())
 
 
-def test_periodic_forcing_with_an_overflowing_period_count_exits_2(tmp_path, capsys):
-    # omega P / 2 pi overflows to inf, which is no whole number of periods
+def test_periodic_forcing_with_an_overflowing_period_count_exits_2(tmp_path, capsys,
+                                                                   monkeypatch):
+    # omega P / 2 pi overflows to inf, which is no whole number of periods;
+    # refused where the config is read, before any integration or solve
+    calls = _spy_on_integrations_and_solves(monkeypatch)
     sets = ("grid.M=200", "base.kind=zero", "forcing.sinusoid=1 1.0 1e308 0.0")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert run_one(PRESETS["harmonic_n1"], tmp_path, sets=sets, mode="periodic") == 2
+    assert run_one(PRESETS["harmonic_n1"], tmp_path, sets=sets, mode="periodic") == 2
+    assert calls == []
     assert capsys.readouterr().err == (
         "config error: sinusoid on particle 1 has period 6.28319e-308, "
         "which does not divide the orbit period 6.28319\n")
@@ -469,15 +487,7 @@ def test_forcing_table_short_of_the_span_exits_2(tmp_path, capsys, mode):
     assert not out.exists() or not list(out.iterdir())
 
 
-def test_settled_base_reads_a_one_period_table_modulo_the_period(tmp_path):
-    # settling runs two periods over a table of one period of cos t, read
-    # from its start in each; the orbit is the one the sinusoid cos t gives,
-    # to the table's interpolation error (below 1.2e-6 with 2048 intervals).
-    # The recovered orbit depends on the base, so the comparison is with a
-    # base settled the same way, not with the zero base's orbit
-    t = np.linspace(0.0, 2.0 * np.pi, 2049)
-    np.savetxt(tmp_path / "drive.txt", np.column_stack([t, np.cos(t)]))
-    text = """\
+DAMPED_N1_PERIODIC = """\
 [run]
 mode = periodic
 [chain]
@@ -486,23 +496,101 @@ m = 1.0
 d = 0.5
 A = 1.0
 [forcing]
-{forcing}
+sinusoid = 1 1.0 1.0 0.0
 [grid]
 T = 6.283185307179586
-M = 100
+M = {M}
 [base]
 kind = settled-primal
 settle_periods = 2
 refine = 10
 """
+
+
+def test_settled_base_reads_a_one_period_table_modulo_the_period(tmp_path):
+    # settling runs periods over a table of one period of cos t, read from
+    # its start in each; the orbit is the one the sinusoid cos t gives, to
+    # the table's interpolation error (below 1.2e-6 with 2048 intervals).
+    # The recovered orbit depends on the base, so the comparison is with a
+    # base settled the same way, not with the zero base's orbit
+    t = np.linspace(0.0, 2.0 * np.pi, 2049)
+    np.savetxt(tmp_path / "drive.txt", np.column_stack([t, np.cos(t)]))
     orbits = []
     for name, forcing in (("table", "table = 1 drive.txt"), ("sinusoid", "sinusoid = 1 1.0 1.0 0.0")):
-        path = _write(tmp_path, text.format(forcing=forcing), name=f"{name}.cfg")
+        text = DAMPED_N1_PERIODIC.format(M=100).replace("sinusoid = 1 1.0 1.0 0.0", forcing)
+        path = _write(tmp_path, text, name=f"{name}.cfg")
         assert run_one(path, tmp_path / name) == 0
         orbits.append(read_trajectory(tmp_path / name / f"{name}_trajectory.txt"))
     table, sinusoid = orbits
     np.testing.assert_allclose(table.x, sinusoid.x, rtol=0, atol=1e-5)
     np.testing.assert_allclose(table.v, sinusoid.v, rtol=0, atol=1e-5)
+
+
+@pytest.mark.parametrize("M", [100, 400])
+def test_settled_base_orbit_is_second_order_at_every_node(tmp_path, M):
+    # x'' + 0.5 x' + x = cos t has the orbit x = 2 sin t, v = 2 cos t.  Two
+    # periods from rest leave a closing gap of 0.34; settling goes on until
+    # the gap is within h^2, so node 0 (= node M) is as close to the orbit
+    # as every other node
+    path = _write(tmp_path, DAMPED_N1_PERIODIC.format(M=M))
+    assert run_one(path, tmp_path) == 0
+    orbit = read_trajectory(tmp_path / "case_trajectory.txt")
+    t, h2 = orbit.grid.nodes(), orbit.grid.h ** 2
+    np.testing.assert_allclose(orbit.x[:, 0], 2.0 * np.sin(t), rtol=0, atol=h2)
+    np.testing.assert_allclose(orbit.v[:, 0], 2.0 * np.cos(t), rtol=0, atol=h2)
+    convergence = parse_report(tmp_path / "case_report.txt")["convergence"]
+    assert int(convergence["settle_periods"]) > 2
+    assert 0.0 <= float(convergence["settle_gap"]) <= h2
+
+
+def test_settling_runs_at_the_run_step_and_refines_only_the_base_period(tmp_path, monkeypatch):
+    # the periods before the base's own run on the run grid, the base period
+    # alone on the refined grid, and in all no more steps than four refined
+    # periods
+    calls = _spy_on_integrations_and_solves(monkeypatch)
+    assert run_one(PRESETS["periodic_forced_n4"], tmp_path,
+                   sets=("grid.M=100", "base.settle_periods=4")) == 0
+    grids = [args[3].M for name, args in calls if name == "integrate_primal"]
+    assert grids[:-1] == [100] * (len(grids) - 1) and grids[-1] == 1000
+    assert len(grids) >= 4 and sum(grids) <= 4 * 1000
+    convergence = parse_report(tmp_path / "periodic_forced_n4_report.txt")["convergence"]
+    assert int(convergence["settle_periods"]) == len(grids)
+    assert float(convergence["settle_gap"]) <= (2 * np.pi / 100) ** 2
+
+
+def test_base_that_never_settles_exits_3_at_the_cap_with_a_report(tmp_path, capsys, monkeypatch):
+    # undamped, natural frequency sqrt 2, forced at 1 from rest: the free
+    # oscillation never decays, and no period closes to h^2.  Settling
+    # stops at the cap, (2 - 1) * 2 periods at step h and the base period on
+    # a grid twice as fine: the steps of two refined periods
+    calls = _spy_on_integrations_and_solves(monkeypatch)
+    sets = ("chain.A=2", "forcing.sinusoid=1 1.0 1.0 0.0", "initial.x0=0.0",
+            "base.kind=settled-primal", "base.settle_periods=2", "base.refine=2", "grid.M=50")
+    assert run_one(PRESETS["harmonic_n1"], tmp_path, sets=sets, mode="periodic") == 3
+    assert [(name, args[3].M) for name, args in calls] == [("integrate_primal", 50),
+                                                          ("integrate_primal", 50),
+                                                          ("integrate_primal", 100)]
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"base-state did not settle: closing gap (\S+) above "
+                        r"h\^2 = 0\.0158 after 3 periods\n", err)
+    report = parse_report(tmp_path / "harmonic_n1_report.txt")
+    assert report["convergence"]["settle_periods"] == "3"
+    assert float(report["convergence"]["settle_gap"]) > 0.5
+    assert "converged" not in report["convergence"] and "verification" not in report
+    assert report["manifest"] == {}
+
+
+@pytest.mark.parametrize("settling", [{}, {"settle_periods": 7, "settle_gap": 4.5e-4}])
+def test_parse_report_reads_convergence_with_and_without_settling(tmp_path, settling):
+    convergence = {**settling, "converged": True, "iterations": 2,
+                   "initial_residual": 2e-4, "final_residual": 8.6e-14, "dual_max": 3.6e-3}
+    report = cli.RunReport(mode="periodic", config_name="case.cfg", config_hash="0" * 16,
+                           seed=0, wall_time_s=0.5, convergence=convergence,
+                           verification=None, manifest={})
+    (tmp_path / "report.txt").write_text(report.to_text())
+    parsed = parse_report(tmp_path / "report.txt")
+    assert parsed["convergence"] == {key: cli._fmt_value(value)
+                                     for key, value in convergence.items()}
 
 
 def test_stalled_implicit_midpoint_exits_3(tmp_path, capsys):
