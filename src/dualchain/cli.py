@@ -103,21 +103,12 @@ class ConfigError(ValueError):
     """Malformed or invalid scenario configuration."""
 
 
-class Settling(NamedTuple):
-    """How a settled-primal base settled, as its report lines: the periods
-    integrated, the base's own included, and the base period's closing gap
-    relative to its state's size (see `_closing_gap`)."""
-
-    settle_periods: int
-    settle_gap: float
-
-
 class UnsettledBaseError(RuntimeError):
     """A settled-primal base period whose closing gap exceeds h^2."""
 
-    def __init__(self, settling: Settling, bound: float):
-        super().__init__(f"closing gap {settling.settle_gap:.3g} above h^2 = {bound:.3g} "
-                         f"after {settling.settle_periods} periods")
+    def __init__(self, settling: dict, bound: float):
+        super().__init__(f"closing gap {settling['settle_gap']:.3g} above h^2 = {bound:.3g} "
+                         f"after {settling['settle_periods']} periods")
         self.settling = settling
 
 
@@ -347,8 +338,8 @@ class ScenarioConfig:
 
     def _base(self, params: ChainParams, grid: TimeGrid):
         """The base state, the refined direct solve it was restricted from
-        (None for the kinds that use no such solve), and how a settled-primal
-        base settled (None for the other kinds)."""
+        (None for the kinds that use no such solve), and the report lines of
+        how a settled-primal base settled (None for the other kinds)."""
         kind = self.base_kind
         if kind == "zero":
             return zero_base(grid, self.n), None, None
@@ -374,7 +365,8 @@ class ScenarioConfig:
 
     def _settled_base(self, params: ChainParams, grid: TimeGrid):
         """The last of a run of periods from the [initial] state (rest when
-        it is absent), and its `Settling`.
+        it is absent), and its report lines: settle_periods, the periods
+        run with the base's own, and settle_gap, its `_closing_gap`.
 
         Each period starts on the clock's zero, so the forcing is read
         modulo the period (a table covers one period).  Periods at the run's
@@ -398,8 +390,8 @@ class ScenarioConfig:
             periods += 1
         fine = integrate_primal(params, x, v, grid.refined(self.base_refine),
                                 method=self.method)
-        settling = Settling(periods + 1, _closing_gap(fine))
-        if not settling.settle_gap <= bound:
+        settling = {"settle_periods": periods + 1, "settle_gap": _closing_gap(fine)}
+        if not settling["settle_gap"] <= bound:
             raise UnsettledBaseError(settling, bound)
         last = restrict_base(fine, self.base_refine)
         xb, vb = last.xbar.copy(), last.vbar.copy()
@@ -415,7 +407,7 @@ class ScenarioConfig:
     def _problem(self):
         """The dual problem, periodic in periodic mode; the verify oracle
         when the base was restricted from the oracle's own integration (None
-        otherwise); and the base's `Settling` (None unless settled-primal)."""
+        otherwise); and a settled-primal base's report lines (None otherwise)."""
         periodic = self.mode == "periodic"
         x0, v0 = (None, None) if periodic else self._initial(f"mode {self.mode}")
         params = self.chain_params()
@@ -680,7 +672,7 @@ def run_one(config_path, out_dir, sets=(), mode: str | None = None) -> int:
                 traj = integrate_primal(sim_params, x0, v0, sim_grid, method=cfg.method)
             else:
                 sol = solve_dual(spec, opts)
-                convergence = {**(settling._asdict() if settling else {}),
+                convergence = {**(settling or {}),
                                **_convergence_dict(sol)}
                 if cfg.mode == "verify" and oracle is None:
                     oracle = integrate_primal(spec.params, spec.x0, spec.v0,
@@ -706,7 +698,7 @@ def run_one(config_path, out_dir, sets=(), mode: str | None = None) -> int:
             code = 3
         except UnsettledBaseError as exc:
             print(f"{stage} did not settle: {exc}", file=sys.stderr)
-            code, convergence = 3, exc.settling._asdict()
+            code, convergence = 3, exc.settling
 
     if cfg.mode != "simulate":
         report = RunReport(

@@ -22,14 +22,15 @@ primal state, at midpoints for the assembly and at nodes for `dtp_map`; one
 factorization, the banded Cholesky of the negated Hessian (LAPACK dpbtrf
 directly), serves the open and the cyclic band alike, and at a shift,
 `BlockTridiagonal.neg_cholesky(shift)`, answers every definiteness question.
-A cyclic matrix keeps its folded band for all its factorizations; an open
-one keeps none: it is factored once per iterate, and a kept open band
-raised the dual-newton benchmark's peak RSS by 6 MB (87.6 to 94 MB).
-The mapped midpoint state of a DualField (the primal state, the
-intermediate covectors and the stiffness inverse) is computed once and kept
-on the immutable field, keyed by the spec's midpoint data, so the action,
-gradient and Hessian at that field share it.  The Hessian is assembled from
-three element quadrants.
+Each factorization writes its own band, open or cyclic, and no matrix
+keeps one: a kept open band raised the dual-newton benchmark's peak RSS by
+6 MB (87.6 to 94 MB), and a kept cyclic band periodic-direct's by 3 MB
+(73.3 to 76.6 MB) to save about one band write per run.  The spec samples
+f, K and dK/dx at the element midpoints once; the mapped midpoint state of
+a DualField (the primal state, the intermediate covectors and the
+stiffness inverse) is computed once and kept on the immutable field, keyed
+by the spec, so the action, gradient and Hessian at that field share it.
+The Hessian is assembled from three element quadrants.
 
 No eigendecomposition runs on the Newton path when every point is well
 conditioned.  The multiplier-weighted stiffness K is inverted directly, and
@@ -300,45 +301,15 @@ class ProblemSpec:
         return self.x0 is None
 
     @cached_property
-    def _midpoints(self) -> _MidpointData:
-        # every field is immutable, so one build serves every assembly
-        return _midpoint_data(self)
+    def _midpoints(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(f, K(xbar), dK/dx(xbar)) at the element midpoints, for every assembly."""
+        force, xbar_mid = self.params.force, self.base.xbar_mid
+        return (eval_forcing(self.params.forcing, self.grid.midpoints()),
+                eval_force(force, xbar_mid), force_jacobian(force, xbar_mid))
 
 
 # ---------------------------------------------------------------------------
 # assembly internals
-
-@dataclass(frozen=True, eq=False)
-class _MidpointData:
-    """Element-midpoint samples and parameters for one assembly pass."""
-
-    m: float
-    d: float
-    c_x: float
-    c_v: float
-    h: float
-    n: int
-    M: int
-    B: np.ndarray
-    xbar_mid: np.ndarray
-    vbar_mid: np.ndarray
-    f_mid: np.ndarray
-    Kbar_mid: np.ndarray
-    Abar_mid: np.ndarray
-
-
-def _midpoint_data(spec: ProblemSpec) -> _MidpointData:
-    """Midpoint data of an initial-value or periodic spec."""
-    params, grid, xbar_mid = spec.params, spec.grid, spec.base.xbar_mid
-    force = params.force
-    return _MidpointData(
-        m=params.m, d=params.d, c_x=spec.scales.c_x, c_v=spec.scales.c_v,
-        h=grid.h, n=force.n, M=grid.M, B=force.B,
-        xbar_mid=xbar_mid, vbar_mid=spec.base.vbar_mid,
-        f_mid=eval_forcing(params.forcing, grid.midpoints()),
-        Kbar_mid=eval_force(force, xbar_mid), Abar_mid=force_jacobian(force, xbar_mid),
-    )
-
 
 def _element_fields(ga, la, gb, lb, h):
     gmid = 0.5 * (ga + gb)
@@ -407,40 +378,42 @@ def _dual_to_primal(lam, lamdot, gamma, gammadot, xbar, vbar, J, B, m, d, c_x, c
     return w, r, y, Kinv, xbar + y / c_x, vbar + w / c_v
 
 
-def _core_state(md: _MidpointData, D: DualField):
+def _core_state(spec: ProblemSpec, D: DualField):
     """Element-midpoint fields of D and the primal state they map to:
     (lmid, gdot, w, r, y, dx, x, v, Kinv).
 
     A DualField is immutable, so the state is computed once per point: it
-    is kept on D in a one-slot cache keyed by ``md`` (a spec's
-    `ProblemSpec._midpoints`), and the action, gradient and Hessian at D
-    share it.
+    is kept on D in a one-slot cache keyed by ``spec``, and the action,
+    gradient and Hessian at D share it.
     """
     cached = D.__dict__.get("_state")
-    if cached is not None and cached[0] is md:
+    if cached is not None and cached[0] is spec:
         return cached[1]
+    p, s, base = spec.params, spec.scales, spec.base
     gmid, lmid, gdot, ldot = _element_fields(D.gamma[:-1], D.lam[:-1], D.gamma[1:], D.lam[1:],
-                                             md.h)
-    w, r, y, Kinv, x, v = _dual_to_primal(lmid, ldot, gmid, gdot, md.xbar_mid, md.vbar_mid,
-                                          md.Abar_mid, md.B, md.m, md.d, md.c_x, md.c_v)
-    state = (lmid, gdot, w, r, y, y / md.c_x, x, v, Kinv)
-    object.__setattr__(D, "_state", (md, state))
+                                             spec.grid.h)
+    w, r, y, Kinv, x, v = _dual_to_primal(lmid, ldot, gmid, gdot, base.xbar_mid, base.vbar_mid,
+                                          spec._midpoints[2], p.force.B, p.m, p.d, s.c_x, s.c_v)
+    state = (lmid, gdot, w, r, y, y / s.c_x, x, v, Kinv)
+    object.__setattr__(D, "_state", (spec, state))
     return state
 
 
-def _action_elements(md: _MidpointData, D: DualField) -> float:
+def _action_elements(spec: ProblemSpec, D: DualField) -> float:
     """Midpoint-quadrature integral part of the dual action (no boundary terms)."""
-    lmid, gdot, w, r, y, _, _, _, _ = _core_state(md, D)
-    quad = np.sum(w * w, axis=1) / md.c_v + np.sum(r * y, axis=1) / md.c_x
+    lmid, gdot, w, r, y, _, _, _, _ = _core_state(spec, D)
+    f_mid, Kbar_mid, _ = spec._midpoints
+    s, base = spec.scales, spec.base
+    quad = np.sum(w * w, axis=1) / s.c_v + np.sum(r * y, axis=1) / s.c_x
     rest = (
-        -np.sum(md.vbar_mid * w, axis=1)
-        - np.sum(md.xbar_mid * gdot, axis=1)
-        + np.sum(lmid * (md.Kbar_mid - md.f_mid), axis=1)
+        -np.sum(base.vbar_mid * w, axis=1)
+        - np.sum(base.xbar_mid * gdot, axis=1)
+        + np.sum(lmid * (Kbar_mid - f_mid), axis=1)
     )
-    return float(md.h * np.sum(-0.5 * quad + rest))
+    return float(spec.grid.h * np.sum(-0.5 * quad + rest))
 
 
-def _gradient_elements(md: _MidpointData, D: DualField):
+def _gradient_elements(spec: ProblemSpec, D: DualField):
     """Per-element gradient parts (g_ga, g_la, g_gb, g_lb), each (M, n).
 
     Derivatives follow from stationarity of the generating functional in the
@@ -449,21 +422,21 @@ def _gradient_elements(md: _MidpointData, D: DualField):
     d/d(lambda_rate) = -h m v; the chain rule to the element's end nodes
     gives the four parts below.
     """
-    _, _, _, _, _, dx, x, v, _ = _core_state(md, D)
-    n = md.n
-    dxdx = (dx[:, :, None] * dx[:, None, :]).reshape(md.M, n * n)
-    Kx = (md.Kbar_mid + np.einsum("mjr,mr->mj", md.Abar_mid, dx)
-          + 0.5 * (dxdx @ md.B.reshape(n, n * n).T))
-    mom = md.d * v + Kx - md.f_mid
-    h = md.h
+    _, _, _, _, _, dx, x, v, _ = _core_state(spec, D)
+    f_mid, Kbar_mid, Abar_mid = spec._midpoints
+    p, n, h = spec.params, spec.n, spec.grid.h
+    dxdx = (dx[:, :, None] * dx[:, None, :]).reshape(spec.grid.M, n * n)
+    Kx = (Kbar_mid + np.einsum("mjr,mr->mj", Abar_mid, dx)
+          + 0.5 * (dxdx @ p.force.B.reshape(n, n * n).T))
+    mom = p.d * v + Kx - f_mid
     g_ga = -0.5 * h * v + x
     g_gb = -0.5 * h * v - x
-    g_la = 0.5 * h * mom + md.m * v
-    g_lb = 0.5 * h * mom - md.m * v
+    g_la = 0.5 * h * mom + p.m * v
+    g_lb = 0.5 * h * mom - p.m * v
     return g_ga, g_la, g_gb, g_lb
 
 
-def _hessian_elements(md: _MidpointData, D: DualField):
+def _hessian_elements(spec: ProblemSpec, D: DualField):
     """Per-element nodal Hessian quadrants (aa, ab, bb), each (M, 2n, 2n).
 
     An element couples its end nodes a and b, each with the values
@@ -484,11 +457,11 @@ def _hessian_elements(md: _MidpointData, D: DualField):
     variables: the scalar parts combine once as 4x4 numbers, and each matrix
     part lands in the end-node blocks with the weights S gives it.
     """
-    n, M, h = md.n, md.M, md.h
-    _, _, _, _, _, dx, _, _, Kinv = _core_state(md, D)
+    n, M, h = spec.n, spec.grid.M, spec.grid.h
+    _, _, _, _, _, dx, _, _, Kinv = _core_state(spec, D)
 
-    P = Kinv / md.c_x
-    Mx = md.Abar_mid + (dx @ md.B.reshape(n * n, n).T).reshape(M, n, n)
+    P = Kinv / spec.scales.c_x
+    Mx = spec._midpoints[2] + (dx @ spec.params.force.B.reshape(n * n, n).T).reshape(M, n, n)
     MxP = Mx @ P
     L = MxP @ np.swapaxes(Mx, 1, 2)
 
@@ -500,7 +473,7 @@ def _hessian_elements(md: _MidpointData, D: DualField):
         [0.0, -1.0 / h, 0.0, 1.0 / h],
     ])
     # coefficients of I in the midpoint Hessian; gamma_rate has none
-    m, d, c_v = md.m, md.d, md.c_v
+    m, d, c_v = spec.params.m, spec.params.d, spec.scales.c_v
     scalar = np.array([
         [-1.0, d, 0.0, -m],
         [d, -d * d, 0.0, d * m],
@@ -545,7 +518,8 @@ class BlockTridiagonal:
     out of the folded order with that factor.  The fold is a slice rule
     (`_fold`): no node is placed one at a time, so a folded band costs
     about one copy of the blocks, 0.3-0.8 ms at (F, b) = (1000, 8) to
-    (500, 16) on a 2-core Xeon, well below its factorization.
+    (500, 16) on a 2-core Xeon, well below its factorization; the matrix
+    holds only its blocks, and each factorization writes its own band.
     """
 
     diag: np.ndarray
@@ -576,11 +550,6 @@ class BlockTridiagonal:
     @property
     def bandwidth(self) -> int:
         return (3 if self.cyclic else 2) * self.block - 1
-
-    @cached_property
-    def _order(self) -> np.ndarray:
-        F = self.diag.shape[0]
-        return np.stack([np.arange(F), np.arange(F)[::-1]], axis=1).ravel()[:F]
 
     def to_dense(self) -> np.ndarray:
         F, b, _ = self.diag.shape
@@ -640,12 +609,6 @@ class BlockTridiagonal:
         row[1:F - 2:2, :, 2 * b:] = up2_odd
         return ab
 
-    @cached_property
-    def _folded_band(self) -> np.ndarray:
-        ab = self.to_banded()
-        ab.setflags(write=False)
-        return ab
-
     def norm1(self) -> float:
         """Exact 1-norm of the symmetric matrix `to_banded` stores, in one
         pass over the blocks: each diagonal block's lower triangle, and each
@@ -666,7 +629,8 @@ class BlockTridiagonal:
         ValueError if rhs is not finite."""
         rhs = np.asarray_chkfinite(rhs)  # the factor of a finite band is finite
         F, b, _ = self.diag.shape
-        order = self._order if self.cyclic else slice(None)
+        order = (np.stack([np.arange(F), np.arange(F)[::-1]], axis=1).ravel()[:F]
+                 if self.cyclic else slice(None))
         # A x = rhs  <=>  x = (-A)^{-1} (-rhs)
         y = scipy.linalg.lapack.dpbtrs(fac, -rhs.reshape(F, b)[order].ravel(), lower=1)[0]
         x = np.empty((F, b))
@@ -676,10 +640,11 @@ class BlockTridiagonal:
     def neg_cholesky(self, shift: float = 0.0):
         """Lower Cholesky factor of -(A - shift I) by LAPACK dpbtrf on the
         negated band (folded when cyclic), or None when A - shift I is not
-        negative definite; ValueError if that band is not finite.  The shift
-        is added to row 0, the negated diagonal -d: fl(shift - d) = -fl(d - shift)."""
-        ab = self._folded_band if self.cyclic else self.to_banded()
-        ab = np.negative(ab, out=None if self.cyclic else ab)  # the kept band is read-only
+        negative definite; ValueError if that band is not finite.  Each call
+        writes the band and negates it in place.  The shift is added to row
+        0, the negated diagonal -d: fl(shift - d) = -fl(d - shift)."""
+        ab = self.to_banded()
+        np.negative(ab, out=ab)
         ab[0] += shift
         fac, info = scipy.linalg.lapack.dpbtrf(np.asarray_chkfinite(ab), lower=1, overwrite_ab=1)
         if info < 0:
@@ -758,7 +723,7 @@ def unpack_free(grid: TimeGrid, n: int, u: np.ndarray, periodic: bool = False) -
     of node 0 when ``periodic``."""
     u = np.asarray(u, dtype=float)
     if u.shape != (2 * n * grid.M,):
-        raise ValueError(f"expected a flat vector of length {2 * n * grid.M}")
+        raise ValueError(f"u must be a flat vector of length {2 * n * grid.M}")
     nodal = np.zeros((grid.M + 1, 2 * n))
     nodal[:-1] = u.reshape(grid.M, 2 * n)
     if periodic:
@@ -805,7 +770,7 @@ def dtp_map(lam, lamdot, gamma, gammadot, xbar, vbar, spec) -> tuple[np.ndarray,
 def action(D: DualField, spec: ProblemSpec) -> float:
     """Value of the discretized dual functional, boundary terms included."""
     _require_boundary(D, spec)
-    S = _action_elements(spec._midpoints, D)
+    S = _action_elements(spec, D)
     if not spec.periodic:
         S -= spec.params.m * float(D.lam[0] @ spec.v0)
         S -= float(D.gamma[0] @ spec.x0)
@@ -815,7 +780,7 @@ def action(D: DualField, spec: ProblemSpec) -> float:
 def gradient(D: DualField, spec: ProblemSpec) -> np.ndarray:
     """Exact gradient of ``action`` over the free nodal values (packed)."""
     _require_boundary(D, spec)
-    g_ga, g_la, g_gb, g_lb = _gradient_elements(spec._midpoints, D)
+    g_ga, g_la, g_gb, g_lb = _gradient_elements(spec, D)
     M, n = spec.grid.M, spec.n
     g_gamma = np.zeros((M + 1, n))
     g_lam = np.zeros((M + 1, n))
@@ -838,7 +803,7 @@ def hessian(D: DualField, spec: ProblemSpec) -> BlockTridiagonal:
     element k-1's bb quadrant; element k's ab quadrant couples node k to
     node k+1.  The quadrants are used in place."""
     _require_boundary(D, spec)
-    diag, off, bb = _hessian_elements(spec._midpoints, D)
+    diag, off, bb = _hessian_elements(spec, D)
     diag[1:] += bb[:-1]
     if spec.periodic:  # element M-1 ends at node M, which is node 0
         diag[0] += bb[-1]

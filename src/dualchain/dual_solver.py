@@ -16,8 +16,8 @@ against `COND_LIMIT`, by a probe at ||H||_1 / COND_LIMIT on the other side
 of zero: a linear chain's Hessian does not depend on the field, so its
 resonance or missing restoring force shows there, and a later iterate near
 singular is not a singular problem.  Each factorization is
-`neg_cholesky(shift)` on the iterate's Hessian, and a cyclic Hessian writes
-its band once for all of them.  The period is the grid span, an integer
+`neg_cholesky(shift)` on the iterate's Hessian, and writes the band it
+factors, open or cyclic.  The period is the grid span, an integer
 number of forcing periods; orbits of unknown period are out of scope.
 
 Every `solve_dual` runs with the OpenBLAS libraries already loaded into the

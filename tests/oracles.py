@@ -19,6 +19,7 @@ from dualchain import (
     dtp_map,
     eval_force,
     eval_forcing,
+    force_jacobian,
     stiffness_lambda,
 )
 from dualchain.dual_action import (
@@ -184,32 +185,35 @@ def apply_inv(eig, r):
                      np.einsum("...ki,...k->...i", Q, r) / mu)
 
 
-def hessian_elements_kron(md, ga, la, gb, lb) -> np.ndarray:
-    """Per-element nodal Hessian blocks, shape (M, 4n, 4n), by the dense
-    triple product; the mapped state comes from the eigh inverse."""
-    n, M, h = md.n, md.M, md.h
-    gmid, lmid, gdot, ldot = _element_fields(ga, la, gb, lb, md.h)
-    r = gdot - np.einsum("mji,mj->mi", md.Abar_mid, lmid)
-    eig = stiffness_eig(md.B, lmid, md.c_x)
-    dx = apply_inv(eig, r) / md.c_x
+def hessian_elements_kron(spec, ga, la, gb, lb) -> np.ndarray:
+    """Per-element nodal Hessian blocks of ``spec``'s problem, shape
+    (M, 4n, 4n), by the dense triple product; the mapped state comes from
+    the eigh inverse."""
+    n, M, h = spec.n, spec.grid.M, spec.grid.h
+    p, c_x, c_v = spec.params, spec.scales.c_x, spec.scales.c_v
+    B, Abar_mid = p.force.B, force_jacobian(p.force, spec.base.xbar_mid)
+    gmid, lmid, gdot, ldot = _element_fields(ga, la, gb, lb, h)
+    r = gdot - np.einsum("mji,mj->mi", Abar_mid, lmid)
+    eig = stiffness_eig(B, lmid, c_x)
+    dx = apply_inv(eig, r) / c_x
 
     mu, Q = eig
-    P = np.einsum("mik,mk,mjk->mij", Q, 1.0 / (md.c_x * mu), Q)
-    Mx = md.Abar_mid + np.einsum("jrs,ms->mjr", md.B, dx)
+    P = np.einsum("mik,mk,mjk->mij", Q, 1.0 / (c_x * mu), Q)
+    Mx = Abar_mid + np.einsum("jrs,ms->mjr", B, dx)
 
     eyen = np.eye(n)
     g, l, gd, ld = (slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n), slice(3 * n, 4 * n))
     Hm = np.zeros((M, 4 * n, 4 * n))
-    Hm[:, g, g] = -(1.0 / md.c_v) * eyen
-    Hm[:, g, l] = Hm[:, l, g] = (md.d / md.c_v) * eyen
-    Hm[:, g, ld] = Hm[:, ld, g] = -(md.m / md.c_v) * eyen
+    Hm[:, g, g] = -(1.0 / c_v) * eyen
+    Hm[:, g, l] = Hm[:, l, g] = (p.d / c_v) * eyen
+    Hm[:, g, ld] = Hm[:, ld, g] = -(p.m / c_v) * eyen
     MxP = np.einsum("mjr,mri->mji", Mx, P)
-    Hm[:, l, l] = -(md.d * md.d / md.c_v) * eyen - np.einsum("mjr,mkr->mjk", MxP, Mx)
+    Hm[:, l, l] = -(p.d * p.d / c_v) * eyen - np.einsum("mjr,mkr->mjk", MxP, Mx)
     Hm[:, l, gd] = MxP
     Hm[:, gd, l] = np.swapaxes(MxP, 1, 2)
-    Hm[:, l, ld] = Hm[:, ld, l] = (md.d * md.m / md.c_v) * eyen
+    Hm[:, l, ld] = Hm[:, ld, l] = (p.d * p.m / c_v) * eyen
     Hm[:, gd, gd] = -P
-    Hm[:, ld, ld] = -(md.m * md.m / md.c_v) * eyen
+    Hm[:, ld, ld] = -(p.m * p.m / c_v) * eyen
 
     # map (gamma_mid, lambda_mid, gamma_rate, lambda_rate) -> end-node values
     smap = np.array([
@@ -279,7 +283,7 @@ def hessian_cyclic_coo(spec, D) -> scipy.sparse.csc_matrix:
     """Cyclic dual Hessian of a periodic spec at the periodic field D, in
     node order, element blocks scattered as COO triplets (duplicates summed
     by the CSC conversion)."""
-    E = hessian_elements_kron(spec._midpoints, D.gamma[:-1], D.lam[:-1], D.gamma[1:], D.lam[1:])
+    E = hessian_elements_kron(spec, D.gamma[:-1], D.lam[:-1], D.gamma[1:], D.lam[1:])
     M, b = spec.grid.M, 2 * spec.n
     idx = np.arange(M)
     nxt = (idx + 1) % M

@@ -591,6 +591,10 @@ def test_parse_report_reads_convergence_with_and_without_settling(tmp_path, sett
     parsed = parse_report(tmp_path / "report.txt")
     assert parsed["convergence"] == {key: cli._fmt_value(value)
                                      for key, value in convergence.items()}
+    # a '#' line, indented or not, is a comment wherever it stands
+    noted = report.to_text().replace("[convergence]\n", "# note\n[convergence]\n  # note\n")
+    (tmp_path / "noted.txt").write_text(noted)
+    assert parse_report(tmp_path / "noted.txt") == parsed
 
 
 def test_stalled_implicit_midpoint_exits_3(tmp_path, capsys):
@@ -650,17 +654,51 @@ def test_diverging_simulation_exits_3_without_files(tmp_path, capsys):
 NO_INITIAL = SMALL_HARMONIC.replace("[initial]\nx0 = 1.0\nv0 = 0.0\n", "")
 
 
-@pytest.mark.parametrize("text, mode, message", [
-    (NO_INITIAL, "simulate", "mode simulate needs [initial] x0 and v0"),
-    (NO_INITIAL, "dual-solve", "mode dual-solve needs [initial] x0 and v0"),
-    (NO_INITIAL, "periodic", "base kind primal needs [initial] x0 and v0"),
-    (SMALL_HARMONIC.replace("kind = primal", "kind = trajectory"), "dual-solve",
-     "base kind trajectory needs base.path"),
-], ids=["simulate", "dual-solve", "periodic-primal-base", "trajectory-no-path"])
-def test_missing_run_inputs_exit_2(tmp_path, capsys, text, mode, message):
+# files beside the config that some cases below read: a forcing table with
+# a third column, and a trajectory whose first line is data, not its header
+_SIDE_FILES = {"wide.txt": "0.0 1.0 0.0\n6.283185307179586 1.0 0.0\n",
+               "headless.txt": "0.0 1.0 0.0\n6.283185307179586 1.0 0.0\n"}
+
+
+# a message names the config as {cfg} and the directory it sits in as {dir};
+# text None leaves the config unwritten
+@pytest.mark.parametrize("text, sets, mode, message", [
+    pytest.param(NO_INITIAL, (), "simulate", "mode simulate needs [initial] x0 and v0",
+                 id="simulate"),
+    pytest.param(NO_INITIAL, (), "dual-solve", "mode dual-solve needs [initial] x0 and v0",
+                 id="dual-solve"),
+    pytest.param(NO_INITIAL, (), "periodic", "base kind primal needs [initial] x0 and v0",
+                 id="periodic-primal-base"),
+    pytest.param(SMALL_HARMONIC.replace("kind = primal", "kind = trajectory"), (), "dual-solve",
+                 "base kind trajectory needs base.path", id="trajectory-no-path"),
+    pytest.param(SMALL_HARMONIC.replace("A = 1.0", "A 1.0"), (), None,
+                 "{cfg}:7: expected 'key = value', got 'A 1.0'", id="line-without-equals"),
+    pytest.param("M = 128\n" + SMALL_HARMONIC, (), None, "{cfg}:1: key outside any [section]",
+                 id="key-before-section"),
+    pytest.param(SMALL_HARMONIC, ("grid.M",), None, "--set needs SECTION.KEY=VALUE, got 'grid.M'",
+                 id="set-without-value"),
+    pytest.param(SMALL_HARMONIC, ("M=64",), None, "--set needs SECTION.KEY=VALUE, got 'M=64'",
+                 id="set-without-section"),
+    pytest.param(SMALL_HARMONIC + "[forcing]\ntable = 1 wide.txt\n", (), "simulate",
+                 "forcing table {dir}/wide.txt needs two columns (t, value)",
+                 id="three-column-table"),
+    pytest.param(SMALL_HARMONIC.replace("kind = primal", "kind = trajectory\npath = headless.txt"),
+                 (), "dual-solve", "{dir}/headless.txt lacks a 't x_1..x_n v_1..v_n' header",
+                 id="trajectory-without-header"),
+    pytest.param(None, (), None,
+                 "cannot read config {cfg}: [Errno 2] No such file or directory: '{cfg}'",
+                 id="unreadable-config"),
+])
+def test_missing_run_inputs_exit_2(tmp_path, capsys, text, sets, mode, message):
+    for name, body in _SIDE_FILES.items():
+        (tmp_path / name).write_text(body)
+    cfg = tmp_path / "case.cfg"
+    if text is not None:
+        cfg.write_text(text)
     out = tmp_path / "out"
-    assert run_one(_write(tmp_path, text), out, mode=mode) == 2
-    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert run_one(cfg, out, sets=sets, mode=mode) == 2
+    expected = message.format(cfg=cfg, dir=tmp_path.resolve())
+    assert capsys.readouterr().err == f"config error: {expected}\n"
     assert not out.exists() or not list(out.iterdir())
 
 
@@ -974,6 +1012,16 @@ def test_two_configs_with_one_stem_are_rejected_before_any_run(tmp_path, capsys)
               "--out", str(out)])
     assert exc.value.code == 2
     assert "'case'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_jobs_below_one_is_rejected_before_any_run(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", str(_write(tmp_path, SMALL_HARMONIC)), "--out", str(out),
+              "--jobs", "0"])
+    assert exc.value.code == 2
+    assert "--jobs must be at least 1" in capsys.readouterr().err
     assert not out.exists()
 
 

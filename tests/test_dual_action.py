@@ -1,5 +1,6 @@
 """Discrete action, dual-to-primal map, derivatives, and ellipticity."""
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from dualchain import (
     ChainParams,
     DualField,
     ForcingSpec,
+    NonGradientForceError,
     ProblemSpec,
     QuadraticForce,
     SampledSignal,
@@ -27,11 +29,14 @@ from dualchain import (
     base_from_primal,
     dtp_map,
     ellipticity_check,
+    energy_series,
     fput_alpha,
     gradient,
     hessian,
     pack_free,
     perturb_base,
+    primal_residual,
+    stiffness_lambda,
     unpack_free,
     zero_base,
 )
@@ -198,7 +203,7 @@ def test_dtp_map_at_midpoints_gives_the_element_state(seed, fput, periodic, scal
 
     with pytest.MonkeyPatch.context() as patch:  # dtp_map is traced as the nodal recovery alone
         patch.setattr(dual_action, "dtp_map", unexpected)
-        _, _, _, _, _, _, x, v, _ = _core_state(spec._midpoints, D)
+        _, _, _, _, _, _, x, v, _ = _core_state(spec, D)
     gmid, lmid, gdot, ldot = _element_fields(D.gamma[:-1], D.lam[:-1], D.gamma[1:],
                                              D.lam[1:], spec.grid.h)
     X, V = dtp_map(lmid, ldot, gmid, gdot, spec.base.xbar_mid, spec.base.vbar_mid, spec)
@@ -668,24 +673,28 @@ def test_shifted_factorization_matches_the_shifted_matrix_bit_for_bit(seed, F, b
     assert (H.neg_cholesky() is not None) == (top < 0)
 
 
-def test_cyclic_matrix_writes_its_band_once_and_keeps_it_read_only(monkeypatch):
-    # every factorization of a cyclic matrix reads one kept band; an open
-    # matrix writes a band for each factorization; norm1 reads the blocks
+@pytest.mark.parametrize("cyclic", [True, False])
+def test_every_factorization_writes_one_band_and_the_matrix_keeps_only_its_blocks(monkeypatch,
+                                                                                cyclic):
+    # open or cyclic, each factorization writes the band it factors and
+    # negates it in place; norm1 and solve write none, and the matrix holds
+    # nothing but its blocks, as written
     rng = np.random.default_rng(26)
     to_banded, writes = BlockTridiagonal.to_banded, []
     monkeypatch.setattr(BlockTridiagonal, "to_banded",
                         lambda self: writes.append(self.cyclic) or to_banded(self))
-    H = _random_block_tridiagonal(rng, M=5, b=3, definite="negative", cyclic=True)
+    H = _random_block_tridiagonal(rng, M=5, b=3, definite="negative", cyclic=cyclic)
+    blocks = H.diag.tobytes() + H.off.tobytes()
     delta = H.norm1() / COND_LIMIT
-    assert H.neg_cholesky() is not None and H.neg_cholesky(-delta) is not None
-    assert writes == [True]
-    with pytest.raises(ValueError, match="read-only"):
-        H._folded_band[0, 0] = 0.0
-    assert H._folded_band.tobytes() == to_banded(H).tobytes()  # factoring left it as written
-    H = _random_block_tridiagonal(rng, M=5, b=3, definite="negative")
-    assert H.norm1() > 0.0 and writes == [True]
-    assert H.neg_cholesky() is not None and H.neg_cholesky(1.0) is not None
-    assert writes == [True, False, False]
+    assert writes == []
+    fac = H.neg_cholesky()
+    assert fac is not None and H.neg_cholesky(-delta) is not None
+    assert H.neg_cholesky(1.0) is not None
+    assert writes == [cyclic] * 3
+    H.solve(np.ones(H.size), fac)
+    assert writes == [cyclic] * 3
+    assert set(vars(H)) == {"diag", "off"}
+    assert H.diag.tobytes() + H.off.tobytes() == blocks
 
 
 def test_block_tridiagonal_band_storage_matches_dense():
@@ -961,16 +970,15 @@ def test_element_hessian_matches_kron_reference(seed, with_B, scale):
     rng = np.random.default_rng(seed)
     spec = _random_spec(rng, with_B=with_B)
     D = _small_dual(rng, spec, scale=scale)
-    md = spec._midpoints
     args = (D.gamma[:-1], D.lam[:-1], D.gamma[1:], D.lam[1:])
-    want = hessian_elements_kron(md, *args)
+    want = hessian_elements_kron(spec, *args)
     # the package forms the aa, ab and bb quadrants; the element block is
     # symmetric, so its ba quadrant is ab transposed
-    aa, ab, bb = _hessian_elements(md, D)
+    aa, ab, bb = _hessian_elements(spec, D)
     got = np.block([[aa, ab], [np.swapaxes(ab, 1, 2), bb]])
     cond = 1.0
     if with_B:
-        mu = stiffness_eig(md.B, 0.5 * (args[1] + args[3]), md.c_x)[0]
+        mu = stiffness_eig(spec.params.force.B, 0.5 * (args[1] + args[3]), spec.scales.c_x)[0]
         cond = float(np.max(np.max(np.abs(mu), axis=1) / np.min(np.abs(mu), axis=1)))
     # both sum the same terms in other orders; the stiffness inverse adds
     # its condition number
@@ -1093,6 +1101,16 @@ def _initial_state(x0, v0):
                        base=zero_base(_NODE_GRID, 2), grid=_NODE_GRID, x0=x0, v0=v0)
 
 
+def _node_problem(base=None, forcing=None, periodic=False, B=None):
+    """A two-particle problem on the node grid, initial-value from rest or
+    periodic, with ``base`` (zero by default) and ``forcing`` (none)."""
+    params = ChainParams(m=1.0, d=0.0, force=QuadraticForce(n=2, A=np.eye(2), B=B),
+                         forcing=forcing or ForcingSpec.zero(2))
+    rest = None if periodic else np.zeros(2)
+    return ProblemSpec(params=params, scales=ScaleParams(1.0, 1.0),
+                       base=base or zero_base(_NODE_GRID, 2), grid=_NODE_GRID, x0=rest, v0=rest)
+
+
 # every pair of node arrays the package takes from its caller: how to build
 # the holder from the pair, the pair's field names and the shape each needs
 _NODE_ARRAYS = {
@@ -1157,6 +1175,24 @@ _SPOILT.update({
         lambda: perturb_base(zero_base(_NODE_GRID, 2), np.inf, seed=0), "amplitude"),
     ("perturbation amplitude", "sign"): (
         lambda: perturb_base(zero_base(_NODE_GRID, 2), -1.0, seed=0), "amplitude"),
+    ("signal", "short"): (lambda: SampledSignal([0.0], [1.0]), "times"),
+    ("periodic table", "span"): (
+        lambda: _node_problem(periodic=True, forcing=ForcingSpec(
+            n=2, tables=[(0, (np.linspace(0.0, 2.0, 5), np.zeros(5)))])),
+        "table on particle 1"),
+    ("stiffness B", "rank"): (lambda: stiffness_lambda(np.ones((2, 2)), np.ones(2), 1.0), "B"),
+    ("stiffness lam", "pair"): (lambda: stiffness_lambda(np.ones((2, 2, 2)), np.ones(3), 1.0),
+                                "lam"),
+    ("problem base", "grid"): (lambda: _node_problem(base=zero_base(TimeGrid(T=1.0, M=8), 2)),
+                               "base state"),
+    ("block diag", "square"): (lambda: BlockTridiagonal(np.ones((2, 2, 3)), np.ones((1, 2, 3))),
+                               "diag"),
+    ("free vector", "rows"): (lambda: unpack_free(_NODE_GRID, 2, np.ones(15)), "u"),
+    ("dtp_map inputs", "pair"): (
+        lambda: dtp_map(*[np.ones(2)] * 5, np.ones((3, 2)), _node_problem()), "all dtp_map inputs"),
+    ("grid refinement", "zero"): (lambda: _NODE_GRID.refined(0), "refinement factor"),
+    ("trajectory restriction", "divisor"): (
+        lambda: Trajectory(_NODE_GRID, np.zeros((5, 2)), np.zeros((5, 2))).restrict(3), "factor"),
 })
 
 
@@ -1164,6 +1200,41 @@ _SPOILT.update({
 def test_node_arrays_reject_bad_shapes_and_non_finite_entries(kind, defect):
     make, culprit = _SPOILT[kind, defect]
     with pytest.raises(ValueError, match=f"^{culprit} must"):
+        make()
+
+
+_THREE_AT_REST = Trajectory(_NODE_GRID, np.zeros((5, 3)), np.zeros((5, 3)))
+_NOT_FULLY_SYMMETRIC = np.zeros((2, 2, 2))
+_NOT_FULLY_SYMMETRIC[0, 1, 1] = 1.0  # B[1, 0, 1] and B[1, 1, 0] stay 0
+
+# inputs that are well formed alone but do not fit what they meet: the call,
+# the error and its whole message, which names both sides
+_MISMATCHED = {
+    "base midpoints": (lambda: BaseState(_NODE_GRID, np.zeros((5, 2)), np.zeros((5, 2)),
+                                         np.zeros((4, 2))),
+                       ValueError, "give both midpoint arrays or neither"),
+    "problem base n": (lambda: _node_problem(base=zero_base(_NODE_GRID, 3)),
+                       ValueError, "base state is for n=3 particles, params for n=2"),
+    "dual field n": (lambda: action(DualField.zeros(_NODE_GRID, 3), _node_problem()),
+                     ValueError, "dual field is for n=3, problem for n=2"),
+    "ellipticity field n": (
+        lambda: ellipticity_check(DualField.zeros(_NODE_GRID, 3), _node_problem()),
+        ValueError, "dual field is for n=3, problem for n=2"),
+    "residual trajectory n": (lambda: primal_residual(_THREE_AT_REST, _node_problem().params),
+                              ValueError, "trajectory has n=3, params have n=2"),
+    "energy trajectory n": (lambda: energy_series(_THREE_AT_REST, _node_problem().params),
+                            ValueError, "trajectory has n=3, params have n=2"),
+    "energy of a non-gradient B": (
+        lambda: energy_series(Trajectory(_NODE_GRID, np.zeros((5, 2)), np.zeros((5, 2))),
+                              _node_problem(B=_NOT_FULLY_SYMMETRIC).params),
+        NonGradientForceError, "not a gradient force: B is not fully symmetric"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MISMATCHED))
+def test_mismatched_inputs_name_what_does_not_fit(case):
+    make, error, message = _MISMATCHED[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         make()
 
 

@@ -274,19 +274,20 @@ def test_residual_history_tracks_iterations():
 
 
 def test_midpoint_data_built_once_per_solve(monkeypatch):
+    # the spec samples the forcing at the element midpoints once
     calls = []
-    build = dual_action._midpoint_data
+    sample = dual_action.eval_forcing
 
-    def counted(spec):
-        calls.append(spec)
-        return build(spec)
+    def counted(forcing, t):
+        calls.append(forcing)
+        return sample(forcing, t)
 
-    monkeypatch.setattr(dual_action, "_midpoint_data", counted)
+    monkeypatch.setattr(dual_action, "eval_forcing", counted)
     spec = _fput_spec(n=3, M=64, perturb=0.05, seed=2)
     sol = solve_dual(spec)
     assert sol.iterations > 1
     verify(sol, spec, recover_primal(sol, spec))  # the report reuses the solve's midpoint data
-    assert calls == [spec]
+    assert calls == [spec.params.forcing]
 
 
 @pytest.mark.parametrize("step_control", ["damped-newton", "trust-region"])
@@ -325,6 +326,49 @@ def test_open_problem_factors_only_for_a_newton_direction(monkeypatch, step_cont
     newton = sol.iterations if step_control == "damped-newton" else 0
     assert counts["dpbtrf"] == newton + counts["shifted"]
     assert counts["bands"] == counts["dpbtrf"]
+
+
+def test_failed_line_search_falls_back_to_a_trust_region_step(monkeypatch):
+    # the first iterate's Newton direction is found, but every backtracked
+    # trial point's action is nan, so the line search accepts none; the same
+    # iterate then takes a trust-region step, and the solve still converges
+    # to the maximum the unspoilt solve finds
+    spec = _fput_spec(n=2, M=32)
+    ref = solve_dual(spec)
+    action, line_search = dual_solver.action, dual_solver._line_search
+    trust_region = dual_solver._trust_region_step
+    events, trials = [], []
+
+    def spoilt_first_search(spec, D, u, direction):
+        if events:
+            return line_search(spec, D, u, direction)
+
+        def nan_off_the_iterate(D_at, spec):
+            if D_at is D:
+                return action(D_at, spec)
+            trials.append(D_at)
+            return np.nan
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dual_solver, "action", nan_off_the_iterate)
+            accepted = line_search(spec, D, u, direction)
+        events.append(("line search", accepted is None))
+        return accepted
+
+    def spied_trust_region(spec, H, g, u, gnorm):
+        events.append(("trust region", u))
+        return trust_region(spec, H, g, u, gnorm)
+
+    monkeypatch.setattr(dual_solver, "_line_search", spoilt_first_search)
+    monkeypatch.setattr(dual_solver, "_trust_region_step", spied_trust_region)
+    sol = solve_dual(spec)
+    assert len(trials) == dual_solver._MAX_BACKTRACK
+    assert events[0] == ("line search", True)
+    assert events[1][0] == "trust region" and not np.any(events[1][1])  # from the zero field
+    assert sol.converged
+    scale = max(np.max(np.abs(ref.D.gamma)), np.max(np.abs(ref.D.lam)))
+    for got, want in ((sol.D.gamma, ref.D.gamma), (sol.D.lam, ref.D.lam)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-8 * scale)
 
 
 @pytest.mark.parametrize("step_control", ["damped-newton", "trust-region"])

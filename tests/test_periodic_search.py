@@ -306,18 +306,19 @@ def test_periodic_non_convergence_is_reported_not_raised():
 
 
 def test_midpoint_data_built_once_per_solve(monkeypatch):
+    # the spec samples the forcing at the element midpoints once
     calls = []
-    build = dual_action._midpoint_data
+    sample = dual_action.eval_forcing
 
-    def counted(spec):
-        calls.append(spec)
-        return build(spec)
+    def counted(forcing, t):
+        calls.append(forcing)
+        return sample(forcing, t)
 
-    monkeypatch.setattr(dual_action, "_midpoint_data", counted)
+    monkeypatch.setattr(dual_action, "eval_forcing", counted)
     spec = _fput_forced_spec(M=64)
     sol = solve_periodic(spec)
     assert sol.iterations > 1
-    assert calls == [spec]
+    assert calls == [spec.params.forcing]
 
 
 def _outcome(fn, H):
@@ -379,8 +380,8 @@ def test_periodic_solve_probes_once_and_factors_only_newton_directions(monkeypat
     # iterate; a later iterate factors -H only for a damped Newton direction,
     # so trust-region factors it that once; each shift (the probe, a
     # trust-region shift, or the final inertia's certificate) gets one
-    # factorization of its own, every factorization of a Hessian reads the one
-    # band it wrote, and no LU runs
+    # factorization of its own, every factorization writes the one band it
+    # factors, and no LU runs
     counts = {"dpbtrf": 0, "shifted": 0, "bands": 0, "hessians": 0}
     dpbtrf = scipy.linalg.lapack.dpbtrf
     neg_cholesky = dual_action.BlockTridiagonal.neg_cholesky
@@ -415,7 +416,7 @@ def test_periodic_solve_probes_once_and_factors_only_newton_directions(monkeypat
     sol = solve_periodic(_fput_forced_spec(M=64), SolveOptions(step_control=step_control))
     k = sol.iterations
     assert sol.converged and k > 1
-    assert counts["bands"] == counts["hessians"] == k + 1
+    assert counts["bands"] == counts["dpbtrf"] and counts["hessians"] == k + 1
     if step_control == "damped-newton":  # k Newton factors, one probe, one certificate
         assert counts["dpbtrf"] == k + 2
         assert counts["shifted"] == 2
