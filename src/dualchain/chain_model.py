@@ -142,8 +142,11 @@ def force_jacobian(force: QuadraticForce, x) -> np.ndarray:
     """Jacobian dK/dx = A + B·x (contraction over the last index of B).
 
     ``x`` may carry leading batch axes; the result has shape x.shape + (n,).
+    One matmul on the flattened B does the contraction.
     """
-    return force.A + np.einsum("jrs,...s->...jr", force.B, x)
+    x = np.asarray(x, dtype=float)
+    n = force.n
+    return force.A + (x @ force.B.reshape(n * n, n).T).reshape(x.shape[:-1] + (n, n))
 
 
 def fput_alpha(n: int, alpha: float, boundary: str = "fixed") -> QuadraticForce:
@@ -312,7 +315,8 @@ def stiffness_lambda(B, lam, c_x: float) -> np.ndarray:
     """Multiplier-weighted stiffness: delta_ir + (1/c_x) lam_j B[j, i, r].
 
     ``lam`` may carry leading batch axes.  Always symmetric because B is
-    symmetric in its last two indices.
+    symmetric in its last two indices.  One matmul on the flattened B does
+    the contraction.
     """
     _positive("c_x", c_x)
     B = np.asarray(B, dtype=float)
@@ -322,6 +326,5 @@ def stiffness_lambda(B, lam, c_x: float) -> np.ndarray:
         raise ValueError(f"B must be an (n, n, n) tensor, got {B.shape}")
     if lam.shape[-1] != n:
         raise ValueError(f"lam must have trailing length {n}, got shape {lam.shape}")
-    out = np.einsum("...j,jir->...ir", lam, B) / c_x
-    out = out + np.eye(n)
-    return out
+    out = (lam @ B.reshape(n, n * n)).reshape(lam.shape[:-1] + (n, n)) / c_x
+    return out + np.eye(n)

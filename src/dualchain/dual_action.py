@@ -22,15 +22,15 @@ primal state, at midpoints for the assembly and at nodes for `dtp_map`; one
 factorization, the banded Cholesky of the negated Hessian (LAPACK dpbtrf
 directly), serves the open and the cyclic band alike, and at a shift,
 `BlockTridiagonal.neg_cholesky(shift)`, answers every definiteness question.
-Each factorization writes its own band, open or cyclic, and no matrix
-keeps one: a kept open band raised the dual-newton benchmark's peak RSS by
-6 MB (87.6 to 94 MB), and a kept cyclic band periodic-direct's by 3 MB
-(73.3 to 76.6 MB) to save about one band write per run.  The spec samples
-f, K and dK/dx at the element midpoints once; the mapped midpoint state of
-a DualField (the primal state, the intermediate covectors and the
-stiffness inverse) is computed once and kept on the immutable field, keyed
-by the spec, so the action, gradient and Hessian at that field share it.
-The Hessian is assembled from three element quadrants.
+A Hessian is stored as that band and nothing else, open or folded when
+cyclic: `hessian` writes each [gamma, lambda] sub-block of it once, for all
+nodes, straight from the element parts (no element quadrant or node block
+is formed), and records there whether every entry is finite; each
+factorization negates one copy of it.  The spec samples f, K and dK/dx at
+the element midpoints once; the mapped midpoint state of a DualField (the
+primal state, the intermediate covectors and the stiffness inverse) is
+computed once and kept on the immutable field, keyed by the spec, so the
+action, gradient and Hessian at that field share it.
 
 No eigendecomposition runs on the Newton path when every point is well
 conditioned.  The multiplier-weighted stiffness K is inverted directly, and
@@ -349,8 +349,13 @@ def _stiffness_inv(B, lam, c_x: float):
     kappa_2(K) <= ||K||_F ||K^-1||_F certifies a point cheaply.  Only the
     points whose bound exceeds _CERT_LIMIT, or the whole batch when the
     inverse itself fails, go through `_check_stiffness`, so exactly the
-    points it rejects raise SingularStiffnessError.
+    points it rejects raise SingularStiffnessError.  Where lam·B is exactly
+    zero (a linear chain at finite lam, or the zero field) K is I, and the
+    inverse is a read-only broadcast of I, with no inversion or bound.
     """
+    if not np.any(lam) or (not np.any(B) and np.all(np.isfinite(lam))):
+        n = B.shape[0]
+        return np.broadcast_to(np.eye(n), np.shape(lam)[:-1] + (n, n))
     K = stiffness_lambda(B, lam, c_x)
     try:
         Kinv = np.linalg.inv(K)
@@ -436,26 +441,26 @@ def _gradient_elements(spec: ProblemSpec, D: DualField):
     return g_ga, g_la, g_gb, g_lb
 
 
-def _hessian_elements(spec: ProblemSpec, D: DualField):
-    """Per-element nodal Hessian quadrants (aa, ab, bb), each (M, 2n, 2n).
+def _hessian_parts(spec: ProblemSpec, D: DualField):
+    """The element Hessian's parts (C, P, G, L): the 4x4 scalar matrix C and
+    the (M, n, n) matrices P = K|_lam^{-1} / c_x, G = Mx P / 2 and
+    L = Mx P Mx^T.
 
     An element couples its end nodes a and b, each with the values
-    [gamma, lambda]; aa and bb are its end-node diagonal blocks and ab
-    couples a (rows) to b (columns).  Each element's (4n, 4n) block is
-    symmetric, so its fourth quadrant, ba, is the transpose of ab and is
-    never formed.  The reduced midpoint Hessian is
-    -J^T diag(c_x K|_lam, c_v I)^{-1} J with J the mixed second derivatives
-    of the generating integrand, which is what makes the dual integrand
-    concave wherever the weighted stiffness is positive definite.
+    [gamma, lambda], by a symmetric (4n, 4n) block.  The reduced midpoint
+    Hessian is -J^T diag(c_x K|_lam, c_v I)^{-1} J with J the mixed second
+    derivatives of the generating integrand, which is what makes the dual
+    integrand concave wherever the weighted stiffness is positive definite.
 
     In the midpoint variables (gamma_mid, lambda_mid, gamma_rate,
     lambda_rate) that Hessian is a scalar multiple of I in every block except
-    three: -P at (rate, rate) with P = K|_lam^{-1} / c_x, Mx P at (lambda_mid,
-    gamma_rate) and its transpose, and -Mx P Mx^T at (lambda_mid,
-    lambda_mid), with Mx = dK/dx at the mapped state.  The end-node blocks
-    are h S^T H S for the 4x4 map S from end-node values to midpoint
-    variables: the scalar parts combine once as 4x4 numbers, and each matrix
-    part lands in the end-node blocks with the weights S gives it.
+    three: -P at (rate, rate), Mx P at (lambda_mid, gamma_rate) and its
+    transpose, and -L at (lambda_mid, lambda_mid), with Mx = dK/dx at the
+    mapped state.  The element block is h S^T H S for the 4x4 map S from
+    end-node values to midpoint variables: the scalar parts combine once as
+    C = h S^T (scalar) S, whose rows and columns are gamma_a, lambda_a,
+    gamma_b, lambda_b, and each matrix part lands in the end-node blocks
+    with the weights S gives it (see `hessian`).
     """
     n, M, h = spec.n, spec.grid.M, spec.grid.h
     _, _, _, _, _, dx, _, _, Kinv = _core_state(spec, D)
@@ -480,157 +485,226 @@ def _hessian_elements(spec: ProblemSpec, D: DualField):
         [0.0, 0.0, 0.0, 0.0],
         [-m, d * m, 0.0, -m * m],
     ]) / c_v
-    eye = np.eye(n)
-    # gamma_rate = (gamma_b - gamma_a) / h and lambda_mid = (lambda_a +
-    # lambda_b) / 2 give each [gamma, lambda] x [gamma, lambda] block of a
-    # quadrant one matrix part, added with the sign listed for it
-    G = 0.5 * MxP
-    parts = ((P / h, np.swapaxes(G, 1, 2)), (G, (0.25 * h) * L))
-    quads = []
-    C = h * (smap.T @ scalar @ smap)  # rows, columns: gamma_a, lambda_a, gamma_b, lambda_b
-    for row, col, signs in ((0, 0, ((-1, -1), (-1, -1))),
-                            (0, 2, ((1, -1), (1, -1))),
-                            (2, 2, ((-1, 1), (1, -1)))):
-        Q = np.empty((M, 2 * n, 2 * n))
-        blocks = Q.reshape(M, 2, n, 2, n)  # [element, value, i, value, j]
-        for i in range(2):
-            for j in range(2):
-                combine = np.add if signs[i][j] > 0 else np.subtract
-                combine(C[row + i, col + j] * eye, parts[i][j], out=blocks[:, i, :, j])
-        quads.append(Q)
-    return tuple(quads)
+    return h * (smap.T @ scalar @ smap), P, 0.5 * MxP, L
 
 
 # ---------------------------------------------------------------------------
 # block-tridiagonal matrix
 
-@dataclass(frozen=True, eq=False)
-class BlockTridiagonal:
-    """Symmetric block-tridiagonal matrix stored as node blocks.
+def _skew(ab, F: int, v: int, s: int, families: int) -> np.ndarray:
+    """Strided view of a lower band in Fortran order, by places of block size
+    b = v s split into v x v sub-blocks of size s: [place k, i, q, family f,
+    j, c] is ab[f b + j s + c - (i s + q), k b + i s + q], entry (j s + c) of
+    row (i s + q) of place k's block row [D_k^T, U1_k, U2_k] (f = 0, 1, 2).
+    Writable when ``ab`` is."""
+    b = v * s
+    sr, sc = ab.strides
+    return np.lib.stride_tricks.as_strided(
+        ab, (F, v, s, families, v, s), (b * sc, s * (sc - sr), sc - sr, b * sr, s * sr, sr))
 
-    diag[k] is the (b, b) diagonal block of node k; off[k] couples node k
-    (rows) to node k+1 (columns).  ``off`` of length F-1 is the open layout,
-    scalar bandwidth 2b - 1.  Length F is the cyclic layout (F >= 2), where
-    off[F-1] couples node F-1 to node 0; it is banded in the folded node
-    order 0, F-1, 1, F-2, ..., in which every coupling joins nodes at most
-    two places apart (scalar bandwidth 3b - 1).  `to_banded` writes that
-    band, `neg_cholesky` factors its negation, and `solve` permutes into and
-    out of the folded order with that factor.  The fold is a slice rule
-    (`_fold`): no node is placed one at a time, so a folded band costs
-    about one copy of the blocks, 0.3-0.8 ms at (F, b) = (1000, 8) to
-    (500, 16) on a 2-core Xeon, well below its factorization; the matrix
-    holds only its blocks, and each factorization writes its own band.
+
+def _folded_order(F: int) -> np.ndarray:
+    """Node at each place of the folded order 0, F-1, 1, F-2, ..."""
+    return np.stack([np.arange(F), np.arange(F)[::-1]], axis=1).ravel()[:F]
+
+
+class _BandWriter:
+    """Writes the band of a `BlockTridiagonal` once, from its node blocks
+    split into v x v sub-blocks of size s (block b = v s), each sub-block
+    given once for every node, in any order.
+
+    The band holds ab[i - j, j] = A[i, j] for 0 <= i - j <= bandwidth in
+    Fortran order, which LAPACK reads in place, through `_skew`: column
+    k b + q is row q of place k's block row [D_k^T, U1_k, U2_k] (U2 when
+    cyclic) read along a skew, and one slice assignment writes a sub-block
+    family.  D_k's upper triangle lies left of the diagonal in D_k^T's
+    rows, outside the band, so a diagonal sub-block is copied where it is
+    on or below the diagonal and one wholly above it not at all; every
+    entry then comes from the triangle of the block that stores it.  A
+    cyclic matrix is written in the folded order: place 2j holds node j
+    and place 2j+1 node F-1-j, so the couplings of even and of odd places
+    are gap-2 families, and only two couplings join places one apart, node
+    0 with node F-1 at place 0 and the middle one at place F-2 (both at
+    place 0 when F = 2).  Those two are added to the zero band, so the
+    F = 2 pair is summed and -0.0 becomes +0.0.
+
+    It records the largest |entry| of the diagonal blocks, both triangles,
+    and whether every coupling is finite: the matrix's finiteness is decided
+    here, once.
     """
 
-    diag: np.ndarray
-    off: np.ndarray
+    def __init__(self, F: int, v: int, s: int, cyclic: bool):
+        self.F, self.b, self.cyclic = F, v * s, cyclic
+        families = 3 if cyclic else 2
+        self.ab = np.zeros((families * self.b, F * self.b), order="F")
+        self.rows = _skew(self.ab, F, v, s, families)
+        self.diag_max = []
+        self.finite = True
 
-    def __post_init__(self):
-        d, o = np.asarray(self.diag, float), np.asarray(self.off, float)
+    def put_diag(self, v: int, w: int, d: np.ndarray) -> None:
+        """Sub-block (v, w) of every diagonal block, (F, s, s) in node order."""
+        self.diag_max.append(max(d.max(), -d.min()))
+        if v < w:
+            return
+        at = self.rows[:, w, :, 0, v, :]  # where D^T's sub-block (w, v) goes
+        dT = np.swapaxes(d, 1, 2)
+        lower = np.tri(d.shape[1], dtype=bool).T if v == w else True  # [q, c]: c >= q
+        if self.cyclic:
+            half = self.F // 2
+            np.copyto(at[0::2], dT[:self.F - half], where=lower)
+            np.copyto(at[1::2], dT[::-1][:half], where=lower)
+        else:
+            np.copyto(at, dT, where=lower)
+
+    def put_off(self, v: int, w: int, u: np.ndarray) -> None:
+        """Sub-block (v, w) of every coupling, in node order: F-1 of them,
+        or F when cyclic."""
+        self.finite = self.finite and bool(np.all(np.isfinite(u)))
+        F = self.F
+        up = self.rows[:, v, :, :, w, :]  # where U's sub-block (v, w) goes
+        down = self.rows[:, w, :, :, v, :]  # where U^T's sub-block (w, v) goes
+        if not self.cyclic:
+            up[:F - 1, :, 1] = u
+            return
+        mid = u[(F - 1) // 2]  # joins places F-2 and F-1, in reverse when F is odd
+        if F % 2:
+            down[F - 2, :, 1] += mid.T
+        else:
+            up[F - 2, :, 1] += mid
+        down[0, :, 1] += u[F - 1].T
+        up[0:F - 2:2, :, 2] = u[:(F - 1) // 2]
+        down[1:F - 2:2, :, 2] = np.swapaxes(u[F - 2::-1][:F // 2 - 1], 1, 2)
+
+    def matrix(self) -> "BlockTridiagonal":
+        H = BlockTridiagonal.__new__(BlockTridiagonal)
+        H._adopt(self)
+        return H
+
+
+class BlockTridiagonal:
+    """Symmetric block-tridiagonal matrix stored as one lower band.
+
+    Node k has the (b, b) diagonal block D_k, and U_k couples node k (rows)
+    to node k+1 (columns).  F-1 couplings make the open layout, scalar
+    bandwidth 2b - 1.  F couplings make the cyclic layout (F >= 2), where
+    U_{F-1} couples node F-1 to node 0; it is banded in the folded node
+    order 0, F-1, 1, F-2, ..., in which every coupling joins nodes at most
+    two places apart (scalar bandwidth 3b - 1).
+
+    ``band`` is that lower band (`to_banded`), folded when cyclic, in
+    Fortran order and read-only: it is written once, by `hessian` straight
+    from the element parts or by ``BlockTridiagonal(diag, off)`` from node
+    blocks (`_BandWriter`), and each factorization negates a copy of it.
+    The lower triangle of each D_k is what the band keeps, and every method
+    reads the band.  ``diag_max`` is the largest |entry| of the diagonal
+    blocks as given, both triangles, and ``finite`` says whether every entry
+    is finite.
+    """
+
+    __slots__ = ("band", "block", "cyclic", "diag_max", "finite")
+
+    def __init__(self, diag, off):
+        d, o = np.asarray(diag, float), np.asarray(off, float)
         if d.ndim != 3 or d.shape[1] != d.shape[2]:
             raise ValueError("diag must be (F, b, b)")
         if (o.ndim != 3 or o.shape[1:] != d.shape[1:]
                 or not (o.shape[0] == d.shape[0] - 1 or o.shape[0] == d.shape[0] >= 2)):
             raise ValueError("off must be (F-1, b, b), or (F, b, b) with F >= 2 when cyclic")
-        object.__setattr__(self, "diag", d)
-        object.__setattr__(self, "off", o)
+        writer = _BandWriter(d.shape[0], 1, d.shape[1], o.shape[0] == d.shape[0])
+        writer.put_diag(0, 0, d)
+        writer.put_off(0, 0, o)
+        self._adopt(writer)
 
-    @property
-    def block(self) -> int:
-        return self.diag.shape[1]
+    def _adopt(self, writer: _BandWriter) -> None:
+        writer.ab.setflags(write=False)
+        self.band, self.block, self.cyclic = writer.ab, writer.b, writer.cyclic
+        self.diag_max = float(np.max(writer.diag_max))
+        self.finite = bool(np.isfinite(self.diag_max)) and writer.finite
 
     @property
     def size(self) -> int:
-        return self.diag.shape[0] * self.diag.shape[1]
-
-    @property
-    def cyclic(self) -> bool:
-        return self.off.shape[0] == self.diag.shape[0]
+        return self.band.shape[1]
 
     @property
     def bandwidth(self) -> int:
-        return (3 if self.cyclic else 2) * self.block - 1
+        return self.band.shape[0] - 1
 
-    def to_dense(self) -> np.ndarray:
-        F, b, _ = self.diag.shape
-        k = np.arange(self.off.shape[0])
-        out = np.zeros((F, b, F, b))  # [row node, row, column node, column]
-        out[np.arange(F), :, np.arange(F)] = self.diag
-        out[k, :, (k + 1) % F] = self.off
-        out[(k + 1) % F, :, k] += np.swapaxes(self.off, 1, 2)  # F = 2: both couplings join 0, 1
-        return out.reshape(F * b, F * b)
+    def _places(self) -> np.ndarray:
+        """[place, q, family, c]: row q of each place's block row
+        [D^T, U1, U2], read from the band (`_skew`); entries left of the
+        diagonal of D^T are not the matrix's."""
+        F, b = self.size // self.block, self.block
+        return _skew(self.band, F, 1, b, self.band.shape[0] // b)[:, 0, :, :, 0, :]
 
-    def _fold(self) -> tuple:
-        """A cyclic matrix's blocks in the folded order, by slices: place 2j
-        holds node j and place 2j+1 node F-1-j.  Returns (even-place
-        diagonal blocks, odd-place diagonal blocks, gap-2 couplings from the
-        even places, gap-2 couplings from the odd places, the coupling of
-        node 0 with node F-1 at place 0, the middle coupling at place F-2),
-        each coupling as the upper block of its pair of places; only those
-        last two couplings join places one apart (both at place 0 when F = 2)."""
-        F = self.diag.shape[0]
-        half = F // 2
-        mid = self.off[(F - 1) // 2]  # joins places F-2 and F-1, in reverse when F is odd
-        return (self.diag[:F - half], self.diag[::-1][:half], self.off[:(F - 1) // 2],
-                np.swapaxes(self.off[F - 2::-1][:half - 1], 1, 2), self.off[F - 1].T,
-                mid.T if F % 2 else mid)
+    @property
+    def diag(self) -> np.ndarray:
+        """Node k's diagonal block, symmetric, from the band's lower triangle."""
+        D = np.swapaxes(self._places()[:, :, 0], 1, 2)
+        blocks = np.where(np.tri(self.block, dtype=bool), D, np.swapaxes(D, 1, 2))
+        if not self.cyclic:
+            return blocks
+        out = np.empty_like(blocks)
+        out[_folded_order(len(blocks))] = blocks
+        return out
+
+    @property
+    def off(self) -> np.ndarray:
+        """U_k, coupling node k to node k+1 (node 0 for the last when
+        cyclic), from the band; the F = 2 pair comes back summed in U_0."""
+        rows = self._places()
+        F, b = rows.shape[:2]
+        if not self.cyclic:
+            return rows[:-1, :, 1].copy()
+        off = np.zeros((F, b, b))
+        mid = rows[F - 2, :, 1]
+        off[(F - 1) // 2] = mid.T if F % 2 else mid
+        if F > 2:
+            off[F - 1] = rows[0, :, 1].T
+        off[:(F - 1) // 2] = rows[0:F - 2:2, :, 2]
+        off[F - 2::-1][:F // 2 - 1] = np.swapaxes(rows[1:F - 2:2, :, 2], 1, 2)
+        return off
 
     def to_banded(self) -> np.ndarray:
-        """Lower band storage, folded when cyclic: ab[i - j, j] = A[i, j] for
-        0 <= i - j <= bandwidth, in Fortran order (LAPACK reads it in place).
-        Column k b + q is row q of place k's block row [D_k^T, U1_k, U2_k]
-        (U2 when cyclic) read along a skew: entry c, counted from D_k^T, goes
-        to ab[c - q].  One strided view writes each block family with one
-        slice assignment, so each entry comes from the triangle that stores
-        it (D_k is not bitwise symmetric); a cyclic matrix's families are
-        `_fold`'s, and its two one-place couplings are added to the zero
-        band, as the F = 2 pair must be."""
-        F, b, _ = self.diag.shape
-        bw = self.bandwidth
-        ab = np.zeros((bw + 1, F * b), order="F")
-        sr, sc = ab.strides
-        row = np.lib.stride_tricks.as_strided(ab, (F, b, bw + 1), (b * sc, sc - sr, sr))
-        if self.cyclic:
-            even, odd, up2_even, up2_odd, wrap, mid = self._fold()
-            row[0::2, :, :b] = np.swapaxes(even, 1, 2)
-            row[1::2, :, :b] = np.swapaxes(odd, 1, 2)
-        else:
-            row[:, :, :b] = np.swapaxes(self.diag, 1, 2)
-        # D_k^T's entries left of the diagonal have no row above the band to
-        # go to: in Fortran order they run into the foot of the column before,
-        # whose last b - 1 rows hold only zeros and U_s entries
-        ab[bw - b + 2:] = 0.0
+        """The stored lower band, folded when cyclic: ab[i - j, j] = A[i, j]
+        for 0 <= i - j <= bandwidth, in Fortran order (read-only)."""
+        return self.band
+
+    def to_dense(self) -> np.ndarray:
+        """The symmetric matrix in node order."""
+        N = self.size
+        r, j = np.indices(self.band.shape)
+        inside = r + j < N
+        A = np.zeros((N, N))
+        A[(r + j)[inside], j[inside]] = self.band[inside]
+        A = np.where(np.tri(N, dtype=bool), A, A.T)
         if not self.cyclic:
-            row[:F - 1, :, b:] = self.off
-            return ab
-        row[F - 2, :, b:2 * b] += mid
-        row[0, :, b:2 * b] += wrap
-        row[0:F - 2:2, :, 2 * b:] = up2_even
-        row[1:F - 2:2, :, 2 * b:] = up2_odd
-        return ab
+            return A
+        b = self.block
+        node = (_folded_order(N // b)[:, None] * b + np.arange(b)).ravel()
+        out = np.empty_like(A)
+        out[np.ix_(node, node)] = A
+        return out
 
     def norm1(self) -> float:
-        """Exact 1-norm of the symmetric matrix `to_banded` stores, in one
-        pass over the blocks: each diagonal block's lower triangle, and each
-        coupling by columns and, for its mirror, by rows (the two F = 2
-        cyclic couplings join the same nodes and are merged first)."""
-        F, b, _ = self.diag.shape
-        d = np.abs(self.diag)  # lower triangle by columns, its mirror by rows
-        sums = np.einsum("kij,ij->kj", d, np.tri(b)) + np.einsum("kij,ij->ki", d, np.tri(b, k=-1))
-        off = self.off[:1] + np.swapaxes(self.off[1:], 1, 2) if self.cyclic and F == 2 else self.off
-        up = np.abs(off)
-        k = np.arange(up.shape[0])
-        sums[k] += np.einsum("kij->ki", up)
-        sums[(k + 1) % F] += np.einsum("kij->kj", up)
-        return float(np.max(sums))
+        """Exact 1-norm of the symmetric matrix the band stores: column j's
+        sum of |entries| is band column j (on and below the diagonal) plus
+        row j's entries left of the diagonal, read from a zero-padded copy
+        of |band| along a skew."""
+        w, N = self.band.shape
+        a = np.zeros((w, N + w - 1), order="F")
+        np.abs(self.band, out=a[:, w - 1:])
+        sr, sc = a.strides
+        # [i, r - 1] = |ab[r, i - r]| for r = 1..w-1, zero left of column 0
+        mirror = np.lib.stride_tricks.as_strided(a[1:, w - 2:], (N, w - 1), (sc, sr - sc))
+        return float(np.max(a[:, w - 1:].sum(axis=0) + mirror.sum(axis=1)))
 
     def solve(self, rhs: np.ndarray, fac) -> np.ndarray:
         """x with A x = rhs, from ``fac``, `neg_cholesky`'s factor of -A;
         ValueError if rhs is not finite."""
         rhs = np.asarray_chkfinite(rhs)  # the factor of a finite band is finite
-        F, b, _ = self.diag.shape
-        order = (np.stack([np.arange(F), np.arange(F)[::-1]], axis=1).ravel()[:F]
-                 if self.cyclic else slice(None))
+        b = self.block
+        F = self.size // b
+        order = _folded_order(F) if self.cyclic else slice(None)
         # A x = rhs  <=>  x = (-A)^{-1} (-rhs)
         y = scipy.linalg.lapack.dpbtrs(fac, -rhs.reshape(F, b)[order].ravel(), lower=1)[0]
         x = np.empty((F, b))
@@ -641,18 +715,21 @@ class BlockTridiagonal:
         """Lower Cholesky factor of -(A - shift I) by LAPACK dpbtrf on the
         negated band (folded when cyclic), or None when A - shift I is not
         negative definite; ValueError if that band is not finite.  Each call
-        writes the band and negates it in place.  The shift is added to row
-        0, the negated diagonal -d: fl(shift - d) = -fl(d - shift)."""
-        ab = self.to_banded()
-        np.negative(ab, out=ab)
-        ab[0] += shift
-        fac, info = scipy.linalg.lapack.dpbtrf(np.asarray_chkfinite(ab), lower=1, overwrite_ab=1)
+        negates the stored band into a fresh array in one pass, adds the
+        shift to its row 0, the negated diagonal -d (fl(shift - d) =
+        -fl(d - shift)), and factors that array in place."""
+        if self.finite:
+            ab = np.negative(self.band)
+            ab[0] += shift  # a shift that is not finite, or overflows, shows here
+        if not self.finite or not np.all(np.isfinite(ab[0])):
+            raise ValueError("array must not contain infs or NaNs")
+        fac, info = scipy.linalg.lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of dpbtrf")
         return fac if info == 0 else None
 
     def eigenvalues(self) -> np.ndarray:
-        return scipy.linalg.eigvals_banded(self.to_banded(), lower=True)
+        return scipy.linalg.eigvals_banded(self.band, lower=True)
 
     def inertia(self) -> tuple[int, int, int]:
         """(negative, zero, positive) eigenvalue counts, an eigenvalue in
@@ -661,28 +738,21 @@ class BlockTridiagonal:
         factors, else, by Sylvester's law (Golub & Van Loan, Matrix
         Computations, 4th ed., 8.1), the negative Schur pivots of A + delta I
         and of delta I - A, over nodes, or over the node pairs (k, F-1-k)
-        that a cyclic matrix's folded order makes adjacent, built from
-        `_fold`'s slices as the band is (an odd F pads its last pair)."""
+        that are adjacent places of a cyclic band, whose band is then an open
+        one of block size 2b (an odd F pads its last pair).  The blocks come
+        from the band's lower triangle, the triangle `eigh` reads."""
         delta = self.norm1() / COND_LIMIT
         if self.neg_cholesky(-delta) is not None:
             return self.size, 0, 0
-        F, b, _ = self.diag.shape
-        diag, off, pad = self.diag, self.off, 0
-        if self.cyclic:
-            even, odd, up2_even, up2_odd, wrap, mid = self._fold()
-            P, h, pad = len(even), len(odd), b * (F % 2)  # pair j: folded places 2j, 2j+1
-            diag = np.zeros((P, 2 * b, 2 * b))
-            off = np.zeros((P - 1, 2 * b, 2 * b))
-            diag[:, :b, :b], diag[:h, b:, b:] = even, odd
-            off[:, :b, :b], off[:h - 1, b:, b:] = up2_even, up2_odd
-            if F % 2:  # place F-2 is the second of the pair before the last
-                off[P - 2, b:, :b] += mid
-            else:  # the first of the last pair
-                diag[P - 1, :b, b:] += mid
-            diag[0, :b, b:] += wrap
-            diag[:, b:, :b] = np.swapaxes(diag[:, :b, b:], 1, 2)
-        eye = np.eye(diag.shape[1])  # eigenvalues below -delta, then above delta
-        neg, pos = (_negative_pivots(s * diag + delta * eye, s * off, pad) for s in (1.0, -1.0))
+        s = 2 * self.block if self.cyclic else self.block
+        count = -(-self.size // s)
+        wide = np.zeros((2 * s, count * s), order="F")
+        wide[:self.band.shape[0], :self.size] = self.band
+        rows = _skew(wide, count, 1, s, 2)[:, 0, :, :, 0, :]
+        diag, off = np.tril(np.swapaxes(rows[:, :, 0], 1, 2)), rows[:-1, :, 1]
+        eye = np.eye(s)  # eigenvalues below -delta, then above delta
+        neg, pos = (_negative_pivots(sg * diag + delta * eye, sg * off, count * s - self.size)
+                    for sg in (1.0, -1.0))
         return neg, self.size - neg - pos, pos
 
 
@@ -801,14 +871,33 @@ def hessian(D: DualField, spec: ProblemSpec) -> BlockTridiagonal:
     """Exact Hessian of ``action`` over the free nodal values; cyclic for
     the periodic problem.  Node k's diagonal block sums element k's aa and
     element k-1's bb quadrant; element k's ab quadrant couples node k to
-    node k+1.  The quadrants are used in place."""
+    node k+1.  Each [gamma, lambda] x [gamma, lambda] sub-block of a
+    quadrant is C I plus or minus one matrix part of `_hessian_parts`, made
+    for every element at once and written straight into the band; no
+    quadrant is formed."""
     _require_boundary(D, spec)
-    diag, off, bb = _hessian_elements(spec, D)
-    diag[1:] += bb[:-1]
-    if spec.periodic:  # element M-1 ends at node M, which is node 0
-        diag[0] += bb[-1]
-        return BlockTridiagonal(diag, off)
-    return BlockTridiagonal(diag, off[:-1])
+    C, P, G, L = _hessian_parts(spec, D)
+    n, M, h = spec.n, spec.grid.M, spec.grid.h
+    periodic = spec.periodic
+    # gamma_rate = (gamma_b - gamma_a) / h and lambda_mid = (lambda_a +
+    # lambda_b) / 2 give each sub-block one matrix part, subtracted in aa,
+    # in bb on the diagonal sub-blocks and in ab on the lambda columns
+    parts = ((P / h, np.swapaxes(G, 1, 2)), (G, (0.25 * h) * L))
+    eye = np.eye(n)
+    kept = slice(None) if periodic else slice(M - 1)  # open: node M is pinned
+    writer = _BandWriter(M, 2, n, periodic)
+    for v in range(2):
+        for w in range(2):
+            part = parts[v][w]
+            diag = np.subtract(C[v, w] * eye, part)
+            bb = (np.subtract if v == w else np.add)(C[2 + v, 2 + w] * eye, part)
+            diag[1:] += bb[:-1]
+            if periodic:  # element M-1 ends at node M, which is node 0
+                diag[0] += bb[-1]
+            writer.put_diag(v, w, diag)
+            ab = (np.add if w == 0 else np.subtract)(C[v, 2 + w] * eye, part[kept])
+            writer.put_off(v, w, ab)
+    return writer.matrix()
 
 
 def ellipticity_check(D: DualField, spec) -> np.ndarray:

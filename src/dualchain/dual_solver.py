@@ -16,9 +16,11 @@ against `COND_LIMIT`, by a probe at ||H||_1 / COND_LIMIT on the other side
 of zero: a linear chain's Hessian does not depend on the field, so its
 resonance or missing restoring force shows there, and a later iterate near
 singular is not a singular problem.  Each factorization is
-`neg_cholesky(shift)` on the iterate's Hessian, and writes the band it
-factors, open or cyclic.  The period is the grid span, an integer
-number of forcing periods; orbits of unknown period are out of scope.
+`neg_cholesky(shift)` on the iterate's Hessian, which negates a copy of the
+band the Hessian was written into, open or folded; a Hessian that is not
+finite, as its assembly records, ends the iteration.  The period is the
+grid span, an integer number of forcing periods; orbits of unknown period
+are out of scope.
 
 Every `solve_dual` runs with the OpenBLAS libraries already loaded into the
 process (numpy and scipy each bundle one) set to one thread, and gives each
@@ -155,7 +157,7 @@ def _maximize(spec: ProblemSpec, opts: SolveOptions):
     # an overflowed (inf or nan) residual ends the loop unconverged
     while tol < gnorm < np.inf and len(history) <= opts.max_iterations:
         H = hessian(D, spec)
-        if not _finite(H):
+        if not H.finite:
             break
         # singular or not is judged on a cyclic problem's first Hessian only,
         # which shows a linear chain's resonance; later iterates go as open ones
@@ -183,10 +185,6 @@ def _field(spec: ProblemSpec, u) -> DualField:
     return unpack_free(spec.grid, spec.n, u, periodic=spec.periodic)
 
 
-def _finite(H: BlockTridiagonal) -> bool:
-    return bool(np.all(np.isfinite(H.diag)) and np.all(np.isfinite(H.off)))
-
-
 def _line_search(spec: ProblemSpec, D: DualField, u, direction):
     """Backtracking ascent step from the point u (field D) along
     ``direction``; (new u, its field), or None if no step passes."""
@@ -207,7 +205,7 @@ def _trust_region_step(spec: ProblemSpec, H: BlockTridiagonal, g, u, gnorm):
     """Levenberg-style step: solve (H - mu I) step = -g with growing mu until
     H - mu I is negative definite and the gradient norm strictly decreases;
     (new u, its field), or None if no finite shift achieves that."""
-    mu = 1e-8 * (1.0 + float(np.max(np.abs(H.diag))))
+    mu = 1e-8 * (1.0 + H.diag_max)
     for _ in range(_TR_MAX_TRIES):
         if not np.isfinite(mu):
             return None
@@ -328,7 +326,7 @@ def solve_dual(spec: ProblemSpec, opts: SolveOptions | None = None) -> DualSolut
     with _ONE_BLAS_THREAD:
         D, converged, history = _maximize(spec, opts or SolveOptions())
         H = hessian(D, spec)
-        inertia = H.inertia() if _finite(H) else None
+        inertia = H.inertia() if H.finite else None
     return DualSolution(
         D=D,
         converged=converged,

@@ -26,6 +26,7 @@ from dualchain.dual_action import (
     COND_LIMIT,
     SingularStiffnessError,
     _element_fields,
+    _hessian_parts,
 )
 
 
@@ -111,13 +112,24 @@ def sinusoid_steady_state(A, m, d, amp, omega, phase, t):
 
 
 # ---------------------------------------------------------------------------
-# direct force evaluation and the per-stage RK4 loop
+# direct force, Jacobian and stiffness contractions, and the per-stage RK4 loop
 
 
 def einsum_force(force, x):
     """K(x) = C + A x + 1/2 B : x x by the three-operand contraction."""
     x = np.asarray(x)
     return force.C + x @ force.A.T + 0.5 * np.einsum("jrs,...r,...s->...j", force.B, x, x)
+
+
+def einsum_jacobian(force, x):
+    """dK/dx = A + B·x by the two-operand contraction over B's last index."""
+    return force.A + np.einsum("jrs,...s->...jr", force.B, np.asarray(x))
+
+
+def einsum_stiffness(B, lam, c_x: float):
+    """Weighted stiffness I + (1/c_x) lam_j B[j] by the two-operand
+    contraction over B's first index."""
+    return np.einsum("...j,jir->...ir", np.asarray(lam), B) / c_x + np.eye(B.shape[0])
 
 
 def rk4_reference(params, x0, v0, grid, dtype=float):
@@ -226,6 +238,46 @@ def hessian_elements_kron(spec, ga, la, gb, lb) -> np.ndarray:
     return h * (W.T @ (Hm @ W))
 
 
+def hessian_elements_quadrants(spec, D) -> np.ndarray:
+    """Per-element nodal Hessian blocks of ``spec``'s problem at D, shape
+    (M, 4n, 4n), from the package's parts (C, P, G, L) written into whole
+    (M, 2n, 2n) quadrants aa, ab and bb, ba being ab transposed: each
+    [gamma, lambda] x [gamma, lambda] block of a quadrant is C I plus or
+    minus one part, added or subtracted by the sign listed for it."""
+    C, P, G, L = _hessian_parts(spec, D)
+    n, M, h = spec.n, spec.grid.M, spec.grid.h
+    eye = np.eye(n)
+    parts = ((P / h, np.swapaxes(G, 1, 2)), (G, (0.25 * h) * L))
+    quads = []
+    for row, col, signs in ((0, 0, ((-1, -1), (-1, -1))),
+                            (0, 2, ((1, -1), (1, -1))),
+                            (2, 2, ((-1, 1), (1, -1)))):
+        Q = np.empty((M, 2 * n, 2 * n))
+        blocks = Q.reshape(M, 2, n, 2, n)  # [element, value, i, value, j]
+        for i in range(2):
+            for j in range(2):
+                combine = np.add if signs[i][j] > 0 else np.subtract
+                combine(C[row + i, col + j] * eye, parts[i][j], out=blocks[:, i, :, j])
+        quads.append(Q)
+    aa, ab, bb = quads
+    return np.block([[aa, ab], [np.swapaxes(ab, 1, 2), bb]])
+
+
+def assemble_nodes(E, periodic: bool):
+    """(diag, off) node blocks from per-element blocks E (M, 2b, 2b): node
+    k's diagonal block is element k's first diagonal quadrant plus element
+    k-1's second (element M-1's wraps to node 0 when periodic), and element
+    k's upper quadrant couples node k to node k+1, kept for every element
+    when periodic and for all but the last (node M is pinned) otherwise."""
+    b = E.shape[1] // 2
+    diag = E[:, :b, :b].copy()
+    diag[1:] += E[:-1, b:, b:]
+    if periodic:
+        diag[0] += E[-1, b:, b:]
+    off = E[:, :b, b:]
+    return diag, off if periodic else off[:-1]
+
+
 def block_matvec(H, u):
     """Product of a BlockTridiagonal (open or cyclic) with a vector, block by
     block in node order."""
@@ -245,26 +297,27 @@ def shifted(H, mu):
     return BlockTridiagonal(H.diag - mu * np.eye(H.block), H.off)
 
 
-def banded_by_positions(H) -> np.ndarray:
-    """H's lower band in Fortran order, as ``H.to_banded()`` stores it,
-    written by node positions: a cyclic H's folded position of each node
+def banded_by_positions(diag, off) -> np.ndarray:
+    """The lower band in Fortran order of the matrix with node blocks
+    (diag, off), as ``BlockTridiagonal(diag, off).to_banded()`` stores it,
+    written by node positions: a cyclic matrix's folded position of each node
     (argsort of the order 0, F-1, 1, F-2, ...) places every coupling as an
     upper block one or two positions off the diagonal, and the one-position
     blocks are summed into zeros in coupling order (np.add.at: the two F = 2
     couplings join the same positions).  Each block row [D_k^T, U1_k, U2_k]
     then goes into the band along the skew ab[c - q, k b + q]."""
-    F, b, _ = H.diag.shape
-    if H.cyclic:
+    F, b, _ = diag.shape
+    if len(off) == F:  # cyclic
         order = np.stack([np.arange(F), np.arange(F)[::-1]], axis=1).ravel()[:F]
         pos = np.argsort(order)
         rows, cols = pos, pos[(np.arange(F) + 1) % F]
         first, gap = np.minimum(rows, cols), np.abs(rows - cols)
-        upper = np.where((rows < cols)[:, None, None], H.off, np.swapaxes(H.off, 1, 2))
-        blocks = [H.diag[order], np.zeros((F - 1, b, b)), np.zeros((F - 2, b, b))]
+        upper = np.where((rows < cols)[:, None, None], off, np.swapaxes(off, 1, 2))
+        blocks = [diag[order], np.zeros((F - 1, b, b)), np.zeros((F - 2, b, b))]
         np.add.at(blocks[1], first[gap == 1], upper[gap == 1])
         blocks[2][first[gap == 2]] = upper[gap == 2]
     else:
-        blocks = [H.diag, H.off]
+        blocks = [diag, off]
     ab = np.zeros((len(blocks) * b, F * b), order="F")
     for k in range(F):
         for r, up in enumerate(blocks):

@@ -3,7 +3,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -21,7 +21,7 @@ from dualchain import (
     fput_alpha,
     stiffness_lambda,
 )
-from oracles import bond_potential, einsum_force, fd_gradient
+from oracles import bond_potential, einsum_force, einsum_jacobian, einsum_stiffness, fd_gradient
 
 
 def test_eval_force_pure_linear():
@@ -183,6 +183,42 @@ def test_eval_force_matches_einsum_contraction(case):
     size = (np.abs(force.C) + np.abs(x) @ np.abs(force.A).T
             + 0.5 * np.einsum("jrs,...r,...s->...j", np.abs(force.B), np.abs(x), np.abs(x)))
     assert np.all(np.abs(got - einsum_force(force, x)) <= 1e-14 * size + np.finfo(float).tiny)
+
+
+@st.composite
+def _contractions(draw):
+    """(force, points, c_x): an FPUT table or a random B, with a batch of
+    points at which to take the Jacobian and the weighted stiffness."""
+    n = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        force = fput_alpha(n, draw(st.floats(-2.0, 2.0)), draw(st.sampled_from(("fixed", "free"))))
+    else:
+        force = QuadraticForce(n=n, B=draw(hnp.arrays(float, (n, n, n),
+                                                      elements=st.floats(-10.0, 10.0))))
+    batch = draw(st.sampled_from(((), (7,), (3, 5))))
+    points = draw(hnp.arrays(float, batch + (n,), elements=st.floats(-10.0, 10.0)))
+    return force, points, draw(st.floats(0.1, 10.0))
+
+
+@settings(deadline=None)
+@given(_contractions())
+@example(case=(fput_alpha(2, 1.2429337899), np.array([7.0, 7.0]), 1.0))
+def test_jacobian_and_stiffness_match_the_einsum_contractions(case):
+    # one matmul on the flattened B against np.einsum, to the rounding of an
+    # n-term sum of the terms' size: BLAS may fuse a multiply and an add, so
+    # where the terms cancel exactly, as the bond terms of an FPUT table do
+    # at equal displacements (the explicit example), the two can differ by
+    # the rounding error of one product; the smallest normal float covers
+    # terms in the subnormal range
+    force, x, c_x = case
+    got = (force_jacobian(force, x), stiffness_lambda(force.B, x, c_x))
+    want = (einsum_jacobian(force, x), einsum_stiffness(force.B, x, c_x))
+    size = (np.abs(force.A) + np.einsum("jrs,...s->...jr", np.abs(force.B), np.abs(x)),
+            np.einsum("...j,jir->...ir", np.abs(x), np.abs(force.B)) / c_x + 1.0)
+    for g, w, s in zip(got, want, size):
+        assert g.shape == w.shape
+        assert np.all(np.abs(g - w) <= 2 * force.n * np.finfo(float).eps * s
+                      + np.finfo(float).tiny)
 
 
 def test_quadratic_force_is_immutable():

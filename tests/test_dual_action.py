@@ -45,15 +45,16 @@ from dualchain.dual_action import (
     COND_LIMIT,
     _core_state,
     _element_fields,
-    _hessian_elements,
     _stiffness_inv,
 )
 from oracles import (
+    assemble_nodes,
     banded_by_positions,
     block_matvec,
     constant_base,
     fine_quadrature_action,
     hessian_elements_kron,
+    hessian_elements_quadrants,
     predual_action,
     shifted,
     stiffness_eig,
@@ -211,13 +212,32 @@ def test_dtp_map_at_midpoints_gives_the_element_state(seed, fput, periodic, scal
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
-def test_stiffness_inverse_is_exactly_the_identity_without_quadratic_term(n):
+def test_stiffness_inverse_is_exactly_the_identity_without_quadratic_term(n, monkeypatch):
+    # lam.B is exactly zero for a linear chain (B = 0) at any finite lam, and
+    # for a quadratic chain at the zero field: the inverse is then a
+    # read-only I, with no stiffness, inversion or bound computed
     rng = np.random.default_rng(n)
-    B = QuadraticForce(n=n, A=np.eye(n)).B  # all zero
-    for shape in ((n,), (7, n), (3, 4, n)):
-        lam = rng.normal(size=shape)
+    linear = QuadraticForce(n=n, A=np.eye(n)).B  # all zero
+    quadratic = fput_alpha(n, 0.25).B
+    cases = [(linear, rng.normal(size=shape)) for shape in ((n,), (7, n), (3, 4, n))]
+    cases += [(quadratic, np.zeros(shape)) for shape in ((n,), (7, n))]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the identity was computed")
+
+    monkeypatch.setattr(dual_action, "stiffness_lambda", refuse)
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    for B, lam in cases:
         got = _stiffness_inv(B, lam, float(rng.uniform(0.1, 3.0)))
-        assert got.tobytes() == np.broadcast_to(np.eye(n), shape + (n,)).tobytes()
+        assert got.tobytes() == np.broadcast_to(np.eye(n), lam.shape + (n,)).tobytes()
+        assert not got.flags.writeable
+    # a field that is not finite makes no zero product: it reaches the stiffness
+    reached = []
+    monkeypatch.setattr(dual_action, "stiffness_lambda",
+                        lambda *args: reached.append(args) or refuse())
+    with pytest.raises(AssertionError):
+        _stiffness_inv(linear, np.full((2, n), np.nan), 1.0)
+    assert len(reached) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -591,15 +611,43 @@ def test_banded_cholesky_and_direction_match_scipy_bit_for_bit(seed, F, b):
             BlockTridiagonal(diag, H.off).neg_cholesky()
         with pytest.raises(ValueError, match="infs or NaNs"):
             H.solve(np.where(np.arange(H.size) == 0, bad, -g), fac)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            H.neg_cholesky(bad)
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+def test_finiteness_and_largest_diagonal_entry_are_recorded_with_the_band(cyclic):
+    # both triangles of every diagonal block and every coupling count,
+    # though the band keeps only the lower triangle: ``finite`` is the Newton
+    # loop's one finiteness check, and ``diag_max`` the trust region's scale
+    rng = np.random.default_rng(28)
+    H = _random_block_tridiagonal(rng, M=4, b=3, cyclic=cyclic)
+    diag, off = H.diag, H.off
+    assert H.finite and H.diag_max == float(np.max(np.abs(diag)))
+    raised = diag.copy()
+    raised[2, 0, 1] = 1e3  # above the diagonal: not in the band
+    assert BlockTridiagonal(raised, off).diag_max == 1e3
+    for where in ((0, 0, 2), (1, 2, 0), (3, 1, 1), "off"):
+        for bad in (np.nan, np.inf, -np.inf):
+            d, o = diag.copy(), off.copy()
+            if where == "off":
+                o[-1, 0, 1] = bad
+            else:
+                d[where] = bad
+            spoilt = BlockTridiagonal(d, o)
+            assert not spoilt.finite
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                spoilt.neg_cholesky()
 
 
 def _one_ulp_asymmetric(H):
-    """H with the strict upper triangle of each diagonal block raised by one
-    ulp: a band entry read from the other triangle then differs."""
+    """H's node blocks (diag, off) with the strict upper triangle of each
+    diagonal block raised by one ulp: a band entry read from the other
+    triangle then differs."""
     diag = H.diag.copy()
     upper = np.triu(np.ones(diag.shape[1:], dtype=bool), 1)
     diag[:, upper] = np.nextafter(diag[:, upper], np.inf)
-    return BlockTridiagonal(diag, H.off)
+    return diag, H.off
 
 
 def _assert_bands_match(H, dense):
@@ -674,37 +722,44 @@ def test_shifted_factorization_matches_the_shifted_matrix_bit_for_bit(seed, F, b
 
 
 @pytest.mark.parametrize("cyclic", [True, False])
-def test_every_factorization_writes_one_band_and_the_matrix_keeps_only_its_blocks(monkeypatch,
-                                                                                cyclic):
-    # open or cyclic, each factorization writes the band it factors and
-    # negates it in place; norm1 and solve write none, and the matrix holds
-    # nothing but its blocks, as written
+def test_factorizations_copy_the_band_once_each_and_leave_it_unchanged(monkeypatch, cyclic):
+    # open or cyclic, the band is written once, when the matrix is made;
+    # each factorization negates one fresh copy of it, which dpbtrf factors
+    # in place; norm1 and solve copy none, and the matrix holds its band and
+    # the two facts its writer recorded
     rng = np.random.default_rng(26)
-    to_banded, writes = BlockTridiagonal.to_banded, []
-    monkeypatch.setattr(BlockTridiagonal, "to_banded",
-                        lambda self: writes.append(self.cyclic) or to_banded(self))
     H = _random_block_tridiagonal(rng, M=5, b=3, definite="negative", cyclic=cyclic)
-    blocks = H.diag.tobytes() + H.off.tobytes()
+    band = H.to_banded()
+    assert band is H.band and band.flags.f_contiguous and not band.flags.writeable
+    written = band.tobytes("F")
+    copies, factored = [], []
+    negative, dpbtrf = np.negative, scipy.linalg.lapack.dpbtrf
+    monkeypatch.setattr(np, "negative",
+                        lambda a, *args, **kw: copies.append(a is band) or negative(a, *args, **kw))
+    monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf",
+                        lambda ab, **kw: factored.append(ab) or dpbtrf(ab, **kw))
     delta = H.norm1() / COND_LIMIT
-    assert writes == []
+    assert copies == []
     fac = H.neg_cholesky()
     assert fac is not None and H.neg_cholesky(-delta) is not None
     assert H.neg_cholesky(1.0) is not None
-    assert writes == [cyclic] * 3
     H.solve(np.ones(H.size), fac)
-    assert writes == [cyclic] * 3
-    assert set(vars(H)) == {"diag", "off"}
-    assert H.diag.tobytes() + H.off.tobytes() == blocks
+    assert copies == [True] * 3 and len(factored) == 3
+    assert all(ab.flags.f_contiguous and not np.may_share_memory(ab, band) for ab in factored)
+    assert set(BlockTridiagonal.__slots__) == {"band", "block", "cyclic", "diag_max", "finite"}
+    assert H.band is band and band.tobytes("F") == written
 
 
 def test_block_tridiagonal_band_storage_matches_dense():
     rng = np.random.default_rng(23)
     cases = [(F, b) for F in (1, 2, 3) for b in range(1, 6)] + [(5, 2), (4, 5)]
     for F, b in cases:
-        H = _one_ulp_asymmetric(_random_block_tridiagonal(rng, M=F, b=b))
-        dense = H.to_dense()  # each entry from the block and triangle that stores it
+        blocks = _one_ulp_asymmetric(_random_block_tridiagonal(rng, M=F, b=b))
+        H = BlockTridiagonal(*blocks)
+        dense = _dense_of_blocks(*blocks)  # each entry from the block and triangle that stores it
         assert b == 1 or np.any(dense != dense.T)
         _assert_bands_match(H, dense)
+        np.testing.assert_array_equal(H.to_dense(), np.tril(dense) + np.tril(dense, -1).T)
 
 
 @st.composite
@@ -724,21 +779,26 @@ def _block_families(draw):
 def test_band_matches_the_positional_writer_byte_for_byte(blocks):
     # one slice assignment per block family writes the bytes that placing
     # each coupling by its folded position and summing the one-place
-    # couplings into zeros writes, signed zeros included
+    # couplings into zeros writes, signed zeros included, and ``diag`` and
+    # ``off`` read back blocks that write those bytes again
     H = BlockTridiagonal(*blocks)
     ab = H.to_banded()
     assert ab.flags.f_contiguous
-    assert ab.tobytes("F") == banded_by_positions(H).tobytes("F")
+    assert ab.tobytes("F") == banded_by_positions(*blocks).tobytes("F")
+    # the node blocks read back from the band write the same band again
+    assert BlockTridiagonal(H.diag, H.off).to_banded().tobytes("F") == ab.tobytes("F")
 
 
-def _cyclic_dense(H):
-    """Dense cyclic matrix written block by block from diag and off."""
-    F, b, _ = H.diag.shape
+def _dense_of_blocks(diag, off):
+    """Dense matrix written block by block from node blocks diag and off,
+    open or cyclic, each diagonal block with both its triangles."""
+    F, b, _ = diag.shape
     out = np.zeros((F, b, F, b))
     for k in range(F):
-        out[k, :, k] += H.diag[k]
-        out[k, :, (k + 1) % F] += H.off[k]
-        out[(k + 1) % F, :, k] += H.off[k].T
+        out[k, :, k] += diag[k]
+    for k in range(len(off)):
+        out[k, :, (k + 1) % F] += off[k]
+        out[(k + 1) % F, :, k] += off[k].T
     return out.reshape(F * b, F * b)
 
 
@@ -746,18 +806,20 @@ def _cyclic_dense(H):
 @pytest.mark.parametrize("b", [1, 2, 3, 4, 5])
 def test_cyclic_block_tridiagonal_matches_dense(F, b):
     rng = np.random.default_rng(100 * F + b)
-    H = _one_ulp_asymmetric(_random_block_tridiagonal(rng, M=F, b=b, definite="negative",
-                                                      cyclic=True))
-    dense = _cyclic_dense(H)
+    blocks = _one_ulp_asymmetric(_random_block_tridiagonal(rng, M=F, b=b, definite="negative",
+                                                           cyclic=True))
+    H = BlockTridiagonal(*blocks)
+    dense = _dense_of_blocks(*blocks)
+    symmetric = np.tril(dense) + np.tril(dense, -1).T  # the matrix the band stores
     assert H.cyclic
-    np.testing.assert_array_equal(H.to_dense(), dense)
+    np.testing.assert_array_equal(H.to_dense(), symmetric)
     u = rng.normal(size=H.size)
-    np.testing.assert_allclose(block_matvec(H, u), dense @ u, rtol=1e-13, atol=1e-13)
-    np.testing.assert_allclose(H.solve(u, H.neg_cholesky()), np.linalg.solve(dense, u),
+    np.testing.assert_allclose(block_matvec(H, u), symmetric @ u, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(H.solve(u, H.neg_cholesky()), np.linalg.solve(symmetric, u),
                                rtol=1e-9, atol=1e-12)
-    np.testing.assert_allclose(np.sort(H.eigenvalues()), np.linalg.eigvalsh(dense),
+    np.testing.assert_allclose(np.sort(H.eigenvalues()), np.linalg.eigvalsh(symmetric),
                                rtol=1e-8, atol=1e-10)
-    np.testing.assert_array_equal(shifted(H, 0.5).to_dense(), dense - 0.5 * np.eye(H.size))
+    np.testing.assert_array_equal(shifted(H, 0.5).to_dense(), symmetric - 0.5 * np.eye(H.size))
     # the band is that of the folded node order 0, F-1, 1, F-2, ...
     order = [k for pair in zip(range(F), range(F - 1, -1, -1)) for k in pair][:F]
     perm = (np.array(order)[:, None] * b + np.arange(b)).ravel()
@@ -971,11 +1033,11 @@ def test_element_hessian_matches_kron_reference(seed, with_B, scale):
     spec = _random_spec(rng, with_B=with_B)
     D = _small_dual(rng, spec, scale=scale)
     args = (D.gamma[:-1], D.lam[:-1], D.gamma[1:], D.lam[1:])
-    want = hessian_elements_kron(spec, *args)
-    # the package forms the aa, ab and bb quadrants; the element block is
-    # symmetric, so its ba quadrant is ab transposed
-    aa, ab, bb = _hessian_elements(spec, D)
-    got = np.block([[aa, ab], [np.swapaxes(ab, 1, 2), bb]])
+    # the band the package writes from the element parts against the band
+    # of the node blocks summed from the dense triple products
+    want = BlockTridiagonal(*assemble_nodes(hessian_elements_kron(spec, *args),
+                                            periodic=False)).to_banded()
+    got = hessian(D, spec).to_banded()
     cond = 1.0
     if with_B:
         mu = stiffness_eig(spec.params.force.B, 0.5 * (args[1] + args[3]), spec.scales.c_x)[0]
@@ -984,6 +1046,48 @@ def test_element_hessian_matches_kron_reference(seed, with_B, scale):
     # its condition number
     tol = 64 * 4 * spec.n * _EPS * cond * np.max(np.abs(want))
     assert np.max(np.abs(got - want)) <= tol
+
+
+def _hessian_case(seed, n, M, with_B, periodic, scale):
+    """A random open or periodic spec with n particles on M elements and a
+    field of the given scale on it (the zero field at scale 0)."""
+    rng = np.random.default_rng(seed)
+    spec = _random_spec(rng, n=n, M=M, with_B=with_B)
+    if periodic:  # one forcing period, a base that closes, a field that wraps
+        grid = TimeGrid(T=2.0 * np.pi, M=M)
+        t = grid.nodes()[:, None]
+        base = BaseState(grid, 0.3 * np.sin(t + rng.normal(size=n)),
+                         0.3 * np.cos(t + rng.normal(size=n)))
+        forcing = ForcingSpec(n=n, sinusoids=[(0, Sinusoid(0.5, 1.0, 0.3))])
+        spec = ProblemSpec(params=dataclasses.replace(spec.params, forcing=forcing),
+                           scales=spec.scales, base=base, grid=grid)
+    u = rng.normal(size=2 * n * M) * scale
+    return spec, unpack_free(spec.grid, n, u, periodic=periodic)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(2, 9), st.booleans(),
+       st.booleans(), st.sampled_from([0.0, 0.05, 0.3]))
+@example(seed=0, n=2, M=2, with_B=False, periodic=True, scale=0.05)  # F = 2, linear
+@example(seed=1, n=3, M=2, with_B=True, periodic=True, scale=0.3)  # F = 2, quadratic
+@example(seed=2, n=3, M=7, with_B=False, periodic=True, scale=0.0)  # odd F, zero field
+@example(seed=3, n=2, M=8, with_B=True, periodic=False, scale=0.05)
+def test_hessian_band_matches_the_quadrant_assembly_byte_for_byte(seed, n, M, with_B,
+                                                                  periodic, scale):
+    # the band written straight from the element parts holds the bytes of
+    # the band written from node blocks summed from whole element quadrants:
+    # the same C I +- part and aa_k + bb_{k-1} arithmetic, signed zeros
+    # included (a linear chain's P is diagonal, so C 0 +- 0 sets the sign of
+    # its off-diagonal entries, and the F = 2 couplings are summed); the
+    # largest |diagonal-block entry| and finiteness match the blocks' too
+    spec, D = _hessian_case(seed, n, M, with_B, periodic, scale)
+    H = hessian(D, spec)
+    diag, off = assemble_nodes(hessian_elements_quadrants(spec, D), periodic)
+    want = BlockTridiagonal(diag, off)
+    assert H.cyclic == periodic and H.block == 2 * n
+    assert H.to_banded().tobytes("F") == want.to_banded().tobytes("F")
+    assert H.diag_max == float(np.max(np.abs(diag))) == want.diag_max
+    assert H.finite and want.finite
 
 
 @settings(deadline=None, max_examples=40)

@@ -6,7 +6,6 @@ import threading
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from dualchain import dual_action, dual_solver
 from dualchain import (
@@ -202,6 +201,20 @@ def test_non_convergence_is_reported_not_raised():
     assert np.isfinite(report.gradient_norm)
 
 
+def test_a_hessian_that_is_not_finite_ends_the_solve_unconverged(band_counts):
+    # finiteness is decided once, when hessian writes the band: at c_x =
+    # 1e-310, P = K^-1 / c_x overflows at the zero field while the gradient
+    # there stays finite, so the loop stops before any factorization, and
+    # the final Hessian has no inertia
+    base = _fput_spec(n=2, M=16)
+    spec = ProblemSpec(params=base.params, scales=ScaleParams(1e-310, 1.0), base=base.base,
+                       grid=base.grid, x0=base.x0, v0=base.v0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve_dual(spec)
+    assert not sol.converged and sol.iterations == 0 and sol.hessian_inertia is None
+    assert band_counts["hessians"] == 2 and band_counts["dpbtrf"] == 0
+
+
 def test_verify_report_on_converged_linear_solve():
     spec = _harmonic_spec(M=256)
     sol = solve_dual(spec)
@@ -291,41 +304,25 @@ def test_midpoint_data_built_once_per_solve(monkeypatch):
 
 
 @pytest.mark.parametrize("step_control", ["damped-newton", "trust-region"])
-def test_open_problem_factors_only_for_a_newton_direction(monkeypatch, step_control):
+def test_open_problem_factors_only_for_a_newton_direction(band_counts, step_control):
     # damped Newton factors -H once per iterate; the trust region factors only
-    # at its shifts (and the final inertia's certificate is one more), and
-    # each factorization writes the open band it factors
+    # at its shifts (and the final inertia's certificate is one more); each
+    # Hessian writes its open band once, and each factorization copies it
     n = 4
     grid = TimeGrid(T=3.0, M=80)
     spec = ProblemSpec(params=ChainParams(m=1.0, d=0.0, force=fput_alpha(n, 0.25),
                                           forcing=ForcingSpec.zero(n)),
                        scales=ScaleParams(1.0, 1.0), base=zero_base(grid, n), grid=grid,
                        x0=0.3 * np.sin(np.arange(1, n + 1) * np.pi / (n + 1)), v0=np.zeros(n))
-    counts = {"dpbtrf": 0, "shifted": 0, "bands": 0}
-    dpbtrf = scipy.linalg.lapack.dpbtrf
-    neg_cholesky = dual_action.BlockTridiagonal.neg_cholesky
-    to_banded = dual_action.BlockTridiagonal.to_banded
-
-    def counted_cholesky(*args, **kwargs):
-        counts["dpbtrf"] += 1
-        return dpbtrf(*args, **kwargs)
-
-    def counted_neg_cholesky(self, shift=0.0):
-        counts["shifted"] += shift != 0.0
-        return neg_cholesky(self, shift)
-
-    def counted_band(self):
-        counts["bands"] += 1
-        return to_banded(self)
-
-    monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", counted_cholesky)
-    monkeypatch.setattr(dual_action.BlockTridiagonal, "neg_cholesky", counted_neg_cholesky)
-    monkeypatch.setattr(dual_action.BlockTridiagonal, "to_banded", counted_band)
+    counts = band_counts
     sol = solve_dual(spec, SolveOptions(step_control=step_control))
     assert sol.converged and sol.iterations >= 2
     newton = sol.iterations if step_control == "damped-newton" else 0
     assert counts["dpbtrf"] == newton + counts["shifted"]
-    assert counts["bands"] == counts["dpbtrf"]
+    # one band per Hessian (the loop's and the final one), one negated copy
+    # of it per factorization
+    assert counts["bands"] == counts["hessians"] == sol.iterations + 1
+    assert counts["copies"] == counts["dpbtrf"]
 
 
 def test_failed_line_search_falls_back_to_a_trust_region_step(monkeypatch):

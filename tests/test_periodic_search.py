@@ -374,49 +374,26 @@ def test_cyclic_hessian_matches_coo_reference(n, M, singular, seed):
 
 
 @pytest.mark.parametrize("step_control", ["damped-newton", "trust-region"])
-def test_periodic_solve_probes_once_and_factors_only_newton_directions(monkeypatch,
+def test_periodic_solve_probes_once_and_factors_only_newton_directions(band_counts, monkeypatch,
                                                                         step_control):
     # the singularity check factors -H and one shifted probe on the first
     # iterate; a later iterate factors -H only for a damped Newton direction,
     # so trust-region factors it that once; each shift (the probe, a
     # trust-region shift, or the final inertia's certificate) gets one
-    # factorization of its own, every factorization writes the one band it
-    # factors, and no LU runs
-    counts = {"dpbtrf": 0, "shifted": 0, "bands": 0, "hessians": 0}
-    dpbtrf = scipy.linalg.lapack.dpbtrf
-    neg_cholesky = dual_action.BlockTridiagonal.neg_cholesky
-    to_banded = dual_action.BlockTridiagonal.to_banded
-    hessian = dual_solver.hessian
-
-    def counted_cholesky(*args, **kwargs):
-        counts["dpbtrf"] += 1
-        return dpbtrf(*args, **kwargs)
-
-    def counted_neg_cholesky(self, shift=0.0):
-        counts["shifted"] += shift != 0.0
-        return neg_cholesky(self, shift)
-
-    def counted_band(self):
-        counts["bands"] += 1
-        return to_banded(self)
-
-    def counted_hessian(D, spec):
-        counts["hessians"] += 1
-        return hessian(D, spec)
+    # factorization of its own; each Hessian writes its folded band once,
+    # every factorization negates one copy of it, and no LU runs
+    counts = band_counts
 
     def refuse(*args, **kwargs):
         raise AssertionError("a banded LU ran")
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", counted_cholesky)
     monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf", refuse)
     monkeypatch.setattr(scipy.linalg.lapack, "dgbtrs", refuse)
-    monkeypatch.setattr(dual_action.BlockTridiagonal, "neg_cholesky", counted_neg_cholesky)
-    monkeypatch.setattr(dual_action.BlockTridiagonal, "to_banded", counted_band)
-    monkeypatch.setattr(dual_solver, "hessian", counted_hessian)
     sol = solve_periodic(_fput_forced_spec(M=64), SolveOptions(step_control=step_control))
     k = sol.iterations
     assert sol.converged and k > 1
-    assert counts["bands"] == counts["dpbtrf"] and counts["hessians"] == k + 1
+    assert counts["bands"] == counts["hessians"] == k + 1
+    assert counts["copies"] == counts["dpbtrf"]
     if step_control == "damped-newton":  # k Newton factors, one probe, one certificate
         assert counts["dpbtrf"] == k + 2
         assert counts["shifted"] == 2
