@@ -135,18 +135,24 @@ def _integrate_rk4(params, x0, v0, grid):
     # The stacked state z = [x, v] obeys mass * z' = W [z, P] + [0, g(t)],
     # with mass = [1, m], g = f - C and P[j, r] = (B x)[j, r] x_r, whose
     # row sums are B : x x.  W = [[0, I, 0], [-A, -d I, -S/2]], S summing
-    # each row of P.  With r = W [z, P_1] + [0, g(t_k)], mass times the
-    # first stage rate, every later stage input is z plus a linear map of
-    # r, the differences P_i - P_1 and the forcing's increments over the
-    # step, and so is the next state.  `_rk4_maps` folds W, the mass and h
-    # into those maps once per integration: a stage costs one product for
-    # its x plus two for its P, and a linear chain's step is two products,
-    # r and then z + h phi(hL) applied to the rate and the increments, with
-    # R(hL) = I + hL phi(hL) the stability polynomial.  z enters every map
-    # through an identity block, so a linear chain at rest on an
-    # equilibrium under constant forcing stays there exactly, as it does
-    # one stage at a time; R(hL) z beside the forcing's image would cancel
-    # terms of size |R(hL)| |z| instead.
+    # each row of P.  The stage maps take the same rate from the outer
+    # product Y = x x^T instead, with -B/2 (B flattened to n x n^2) in
+    # place of -S/2: each entry of Y is one exact product, formed by one
+    # BLAS call, and B's contraction folds into the maps.  With r = mass
+    # times the first stage rate, every later stage input is z plus a
+    # linear map of r, the differences Y_i - Y_1 and the forcing's
+    # increments over the step, and so is the next state.  `_rk4_maps`
+    # folds the rate operator, the mass and h into those maps once per
+    # integration.  A quadratic step is 10 numpy calls: one copy of the
+    # step's forcing increments and state, r, one product for each later
+    # stage's x, one for each stage's Y, and the next state, which lands
+    # straight in the block's staged array.  A linear chain's step is 3:
+    # the copy, r, and z + h phi(hL) applied to the rate and the
+    # increments, with R(hL) = I + hL phi(hL) the stability polynomial.
+    # z enters every map through an identity block, so a linear chain at
+    # rest on an equilibrium under constant forcing stays there exactly, as
+    # it does one stage at a time; R(hL) z beside the forcing's image would
+    # cancel terms of size |R(hL)| |z| instead.
     #
     # The folded maps sum in another order, and their products can overflow
     # where the stage-at-a-time form stays finite.  So each block of
@@ -186,12 +192,12 @@ def _rate_operator(params):
 
 
 def _rk4_maps(params, W, h):
-    """The maps of one RK4 step on u = [dq_2, dq_4, g_1, z, P_1, r, P_2,
-    P_3, P_4], where g_1 = g(t_k), dq_2 = g(t_k + h/2) - g_1 and dq_4 =
-    g(t_k + h) - g_1.
+    """The maps of one RK4 step on u = [dq_2, dq_4, g_1, z, Y_1, r, Y_2,
+    Y_3, Y_4], where g_1 = g(t_k), dq_2 = g(t_k + h/2) - g_1, dq_4 =
+    g(t_k + h) - g_1 and Y_i = x_i x_i^T at stage i's positions x_i.
 
-    Returns R, giving r from [g_1, z, P_1]; T_2, T_3, T_4, each giving the
-    x part of a stage input from the columns of u before P_i (the only ones
+    Returns R, giving r from [g_1, z, Y_1]; T_2, T_3, T_4, each giving the
+    x part of a stage input from the columns of u before Y_i (the only ones
     it reads); and Z, giving the next z from all of u.
     """
     n = params.n
@@ -199,50 +205,64 @@ def _rk4_maps(params, W, h):
     mass = np.repeat([1.0, params.m], n)[:, None]
     cols = np.eye(7 * n + 4 * nq)
     dq2, dq4, z = cols[:n], cols[n:2 * n], cols[3 * n:5 * n]
-    P1, r = cols[5 * n:5 * n + nq], cols[5 * n + nq:7 * n + nq]
-    P2, P3, P4 = (cols[7 * n + i * nq:7 * n + (i + 1) * nq] for i in (1, 2, 3))
-    Wz, Wp = W[:, :2 * n], W[:, 2 * n:]
+    Y1, r = cols[5 * n:5 * n + nq], cols[5 * n + nq:7 * n + nq]
+    Y2, Y3, Y4 = (cols[7 * n + i * nq:7 * n + (i + 1) * nq] for i in (1, 2, 3))
+    # mass * z' = Wz z + Wy Y + [0, g]: -B/2 where W sums the rows of P
+    Wz, Wy = W[:, :2 * n], np.zeros((2 * n, nq))
+    if nq:
+        Wy[n:] = -0.5 * params.force.B_flat
 
-    def rate(dy, P, dq):
-        # mass times the rate at z + dy, P and g_1 + dq: r plus the change
-        k = r + Wz @ dy + Wp @ (P - P1)
+    def rate(dy, Y, dq):
+        # mass times the rate at z + dy, Y and g_1 + dq: r plus the change
+        k = r + Wz @ dy + Wy @ (Y - Y1)
         k[n:] += dq
         return k / mass
 
     k1 = r / mass
-    k2 = rate(0.5 * h * k1, P2, dq2)
-    k3 = rate(0.5 * h * k2, P3, dq2)
-    k4 = rate(h * k3, P4, dq4)
+    k2 = rate(0.5 * h * k1, Y2, dq2)
+    k3 = rate(0.5 * h * k2, Y3, dq2)
+    k4 = rate(h * k3, Y4, dq4)
     R = np.zeros((2 * n, 3 * n + nq))
     R[n:, :n] = np.eye(n)
-    R[:, n:] = W
+    R[:, n:3 * n] = Wz
+    R[:, 3 * n:] = Wy
     T = [(z + c * k)[:n, :width] for c, k, width in
          ((0.5 * h, k1, 7 * n + nq), (0.5 * h, k2, 7 * n + 2 * nq), (h, k3, 7 * n + 3 * nq))]
     Z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return tuple(np.ascontiguousarray(a) for a in [R, *T, Z])
 
 
-def _rk4_bound(s, h, a, b, beta, gamma, mu):
+def _rk4_bound(s, h, a, b, c, beta, gamma, mu):
     """A bound on every intermediate of one RK4 step from a state of max
     norm s, in either form: the stage inputs and their distance from z,
-    the products P and B x, the rates, the weighted stage sum and the next
-    state.  a and b are the max norms of W's z and P columns, beta bounds
-    |B x| / |x|, gamma bounds |g| and mu is the smaller mass.  Returns the
-    sum of the bounds, which is nan for a nan s.  A map's terms are the
-    terms of the stages it composes, so its partial sums obey the same
-    bounds."""
-    p1 = beta * s * s
-    r = a * s + b * p1 + gamma
-    k = r / mu
-    total = s + beta * s + p1 + r + k
-    stage_sum = k
-    for c, weight in ((0.5 * h, 2.0), (0.5 * h, 2.0), (h, 1.0)):
-        dy = c * k
-        y = s + dy
+    the stage loop's B x and P, the maps' Y, the rates, the weighted stage
+    sum and the next state.  a is the max norm of W's z columns, b and c
+    those of W's P columns and of the maps' Y columns, beta bounds
+    |B x| / |x|, gamma bounds |g| and mu is the smaller mass.  A chain
+    with B forms Y, whose entries are at most y^2 at a stage input of max
+    norm y.  Returns the sum of the bounds, which is nan for a nan s.  A
+    map's terms are the terms of the stages it composes, so its partial
+    sums obey the same bounds."""
+
+    def products(y):
+        # the entries of P and Y at a stage input of max norm y, and a
+        # bound on their image in a rate in either form
         p = beta * y * y
-        k = (r + a * dy + b * (p + p1) + 2.0 * gamma) / mu
+        yy = y * y if beta else 0.0
+        return p + yy, max(b * p, c * yy)
+
+    q1, w1 = products(s)
+    r = a * s + w1 + gamma
+    k = r / mu
+    total = s + beta * s + q1 + r + k
+    stage_sum = k
+    for step, weight in ((0.5 * h, 2.0), (0.5 * h, 2.0), (h, 1.0)):
+        dy = step * k
+        y = s + dy
+        q, w = products(y)
+        k = (r + a * dy + w + w1 + 2.0 * gamma) / mu
         stage_sum += weight * k
-        total += dy + y + beta * y + p + k
+        total += dy + y + beta * y + q + k
     return total + stage_sum * (1.0 + h / 6.0)
 
 
@@ -255,6 +275,7 @@ def _rk4_by_maps(params, W, h, g_nodes, g_mid, zs) -> int:
     nq = W.shape[1] - 2 * n
     gains = (np.abs(W[:, :2 * n]).sum(axis=1).max(),
              np.abs(W[:, 2 * n:]).sum(axis=1).max(),
+             0.5 * np.abs(force.B_flat).sum(axis=1).max(),
              np.abs(force.B).sum(axis=2).max(),
              max(np.abs(g_nodes).max(), np.abs(g_mid).max()),
              min(1.0, params.m))
@@ -266,42 +287,39 @@ def _rk4_by_maps(params, W, h, g_nodes, g_mid, zs) -> int:
         return 0
     R, T2, T3, T4, Z = _rk4_maps(params, W, h)
     u = np.zeros(Z.shape[1])
-    q, z, x1 = u[:3 * n], u[3 * n:5 * n], u[3 * n:4 * n]
+    staged, x1 = u[:5 * n], u[3 * n:4 * n]
     rate_in, r = u[2 * n:5 * n + nq], u[5 * n + nq:7 * n + nq]
-    P1 = u[5 * n:5 * n + nq].reshape(-1, n)
-    P2, P3, P4 = (u[7 * n + i * nq:7 * n + (i + 1) * nq].reshape(-1, n) for i in (1, 2, 3))
+    Y1 = u[5 * n:5 * n + nq].reshape(-1, n)
+    Y2, Y3, Y4 = (u[7 * n + i * nq:7 * n + (i + 1) * nq].reshape(-1, n) for i in (1, 2, 3))
     u2, u3, u4 = (u[:a.shape[1]] for a in (T2, T3, T4))
     x2, x3, x4 = np.empty((3, n))
-    B_jr_s = force.B.reshape(n * n, n)
-    Bx = np.empty(n * n)
-    Bx_jr = Bx.reshape(n, n)
-    mul, sub, dot = np.multiply, np.subtract, np.dot
+    # each stage's x as a column and as a row, whose product is its Y
+    (c1, r1), (c2, r2), (c3, r3), (c4, r4) = ((x[:, None], x[None, :]) for x in (x1, x2, x3, x4))
+    sub, dot = np.subtract, np.dot
 
     for k0 in range(0, M, RK4_BLOCK):
         L = min(RK4_BLOCK, M - k0)
-        Q = np.empty((L, 3 * n))
+        # row i is [dq_2, dq_4, g_1, z] of step k0 + i; Z writes z of row i + 1
+        S = np.empty((L + 1, 5 * n))
         g1 = g_nodes[k0:k0 + L]
-        sub(g_mid[k0:k0 + L], g1, out=Q[:, :n])
-        sub(g_nodes[k0 + 1:k0 + L + 1], g1, out=Q[:, n:2 * n])
-        Q[:, 2 * n:] = g1
-        for qk, zk, z_next in zip(Q, zs[k0:k0 + L], zs[k0 + 1:k0 + L + 1]):
-            q[:] = qk
-            z[:] = zk
+        sub(g_mid[k0:k0 + L], g1, out=S[:L, :n])
+        sub(g_nodes[k0 + 1:k0 + L + 1], g1, out=S[:L, n:2 * n])
+        S[:L, 2 * n:3 * n] = g1
+        S[0, 3 * n:] = zs[k0]
+        for row, z_next in zip(S[:L], S[1:, 3 * n:]):
+            staged[:] = row
             if nq:
-                dot(B_jr_s, x1, out=Bx)
-                mul(Bx_jr, x1, out=P1)
+                dot(c1, r1, out=Y1)
             dot(R, rate_in, out=r)
             if nq:
                 dot(T2, u2, out=x2)
-                dot(B_jr_s, x2, out=Bx)
-                mul(Bx_jr, x2, out=P2)
+                dot(c2, r2, out=Y2)
                 dot(T3, u3, out=x3)
-                dot(B_jr_s, x3, out=Bx)
-                mul(Bx_jr, x3, out=P3)
+                dot(c3, r3, out=Y3)
                 dot(T4, u4, out=x4)
-                dot(B_jr_s, x4, out=Bx)
-                mul(Bx_jr, x4, out=P4)
+                dot(c4, r4, out=Y4)
             dot(Z, u, out=z_next)
+        zs[k0 + 1:k0 + L + 1] = S[1:, 3 * n:]
         if not bounded(zs[k0 + 1:k0 + L + 1]):
             return k0
     return M

@@ -506,3 +506,22 @@ def test_rk4_blows_up_where_the_stage_sum_overflows():
     args = (params, [5e307], [0.0], TimeGrid(T=1e-2, M=10))
     assert _blow_up_step(rk4_reference, *args) == 1
     assert _blow_up_step(integrate_primal, *args) == 1
+
+
+def test_rk4_bound_counts_the_outer_product_of_the_maps(monkeypatch):
+    # B ~ 1e-300 keeps the stage loop's P = (B x) x near 1e20 at x ~ 1e160,
+    # but every entry of the maps' Y = x x^T overflows: the bound must send
+    # the run to the stage loop before the maps are built
+    force = QuadraticForce(n=2, A=np.eye(2), B=np.full((2, 2, 2), 1e-300))
+    params = ChainParams(m=1.0, d=0.1, force=force, forcing=ForcingSpec.zero(2))
+    args = (params, np.array([1e160, -5e159]), np.zeros(2), TimeGrid(T=1.0, M=20))
+
+    def refuse(*a):
+        raise AssertionError("the stage maps were built for a state whose Y overflows")
+
+    monkeypatch.setattr(primal_solver, "_rk4_maps", refuse)
+    traj = integrate_primal(*args)
+    xs, vs = rk4_reference(*args)
+    size = max(np.max(np.abs(xs)), np.max(np.abs(vs)))
+    dev = max(np.max(np.abs(traj.x - xs)), np.max(np.abs(traj.v - vs)))
+    assert dev <= 1e-12 * size
