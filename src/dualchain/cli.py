@@ -331,9 +331,11 @@ class ScenarioConfig:
                             step_control=self.step_control)
 
     def _initial(self, what: str) -> tuple:
-        """(x0, v0), which ``what``, a mode or a base kind, needs."""
-        if self.x0 is None or self.v0 is None:
-            raise ConfigError(f"{what} needs [initial] x0 and v0")
+        """(x0, v0), which ``what``, a mode or a base kind, needs; the error
+        names the keys that are missing."""
+        missing = [name for name in ("x0", "v0") if getattr(self, name) is None]
+        if missing:
+            raise ConfigError(f"{what} needs [initial] {' and '.join(missing)}")
         return self.x0, self.v0
 
     def _base(self, params: ChainParams, grid: TimeGrid):
@@ -365,8 +367,8 @@ class ScenarioConfig:
 
     def _settled_base(self, params: ChainParams, grid: TimeGrid):
         """The last of a run of periods from the [initial] state (rest when
-        it is absent), and its report lines: settle_periods, the periods
-        run with the base's own, and settle_gap, its `_closing_gap`.
+        neither key is given), and its report lines: settle_periods, the
+        periods run with the base's own, and settle_gap, its `_closing_gap`.
 
         Each period starts on the clock's zero, so the forcing is read
         modulo the period (a table covers one period).  Periods at the run's
@@ -380,8 +382,8 @@ class ScenarioConfig:
         does has its last node set to its first for the cyclic problem.
         """
         bound = grid.h ** 2
-        x = self.x0 if self.x0 is not None else np.zeros(self.n)
-        v = self.v0 if self.v0 is not None else np.zeros(self.n)
+        x, v = (np.zeros((2, self.n)) if self.x0 is None and self.v0 is None
+                else self._initial("base kind settled-primal"))
         cap = (self.base_settle - 1) * self.base_refine
         periods, gap = 0, np.inf
         while periods < cap and (periods < self.base_settle - 1 or not gap <= bound):
@@ -530,11 +532,14 @@ def _read_table(path, names: tuple):
     first, second = names
     with open(path) as fh:
         tokens = fh.readline().split()
+        rows = [line for line in fh if line.strip()]
     n = sum(1 for tok in tokens if tok.startswith(f"{first}_"))
     if n == 0 or tokens[0] != "t" or len(tokens) != 1 + 2 * n:
         raise ValueError(f"{path} lacks a 't {first}_1..{first}_n "
                          f"{second}_1..{second}_n' header")
-    data = np.loadtxt(path, skiprows=1, ndmin=2)
+    if len(rows) < 2:
+        raise ValueError(f"{path} has {len(rows)} data rows; a grid needs at least 2")
+    data = np.loadtxt(rows, ndmin=2)
     if data.shape[1] != 1 + 2 * n:
         raise ValueError(f"{path}: rows have {data.shape[1]} columns, "
                          f"expected {1 + 2 * n}")

@@ -25,12 +25,13 @@ directly), serves the open and the cyclic band alike, and at a shift,
 A Hessian is stored as that band and nothing else, open or folded when
 cyclic: `hessian` writes each [gamma, lambda] sub-block of it once, for all
 nodes, straight from the element parts (no element quadrant or node block
-is formed), and records there whether every entry is finite; each
-factorization negates one copy of it.  The spec samples f, K and dK/dx at
-the element midpoints once; the mapped midpoint state of a DualField (the
-primal state, the intermediate covectors and the stiffness inverse) is
-computed once and kept on the immutable field, keyed by the spec, so the
-action, gradient and Hessian at that field share it.
+is formed), and records there whether every entry is finite; that band is
+the only way a `BlockTridiagonal` is made, and each factorization negates
+one copy of it.  The spec samples f, K and dK/dx at the element midpoints
+once; the mapped midpoint state of a DualField (the primal state, the
+intermediate covectors and the stiffness inverse) is computed once and kept
+on the immutable field, keyed by the spec, so the action, gradient and
+Hessian at that field share it.
 
 No eigendecomposition runs on the Newton path when every point is well
 conditioned.  The multiplier-weighted stiffness K is inverted directly, and
@@ -508,16 +509,23 @@ def _folded_order(F: int) -> np.ndarray:
     return np.stack([np.arange(F), np.arange(F)[::-1]], axis=1).ravel()[:F]
 
 
+def _block_rows(ab, b: int) -> np.ndarray:
+    """[place, q, family, c]: row q of each place's block row [D^T, U1, U2]
+    of block size b, read from the lower band ``ab`` (`_skew`); entries left
+    of the diagonal of D^T are not the matrix's."""
+    return _skew(ab, ab.shape[1] // b, 1, b, ab.shape[0] // b)[:, 0, :, :, 0, :]
+
+
 class _BandWriter:
     """Writes the band of a `BlockTridiagonal` once, from its node blocks
     split into v x v sub-blocks of size s (block b = v s), each sub-block
     given once for every node, in any order.
 
-    The band holds ab[i - j, j] = A[i, j] for 0 <= i - j <= bandwidth in
-    Fortran order, which LAPACK reads in place, through `_skew`: column
-    k b + q is row q of place k's block row [D_k^T, U1_k, U2_k] (U2 when
-    cyclic) read along a skew, and one slice assignment writes a sub-block
-    family.  D_k's upper triangle lies left of the diagonal in D_k^T's
+    The band holds ab[i - j, j] = A[i, j] for 0 <= i - j < 2b, or < 3b when
+    cyclic, in Fortran order, which LAPACK reads in place, through `_skew`:
+    column k b + q is row q of place k's block row [D_k^T, U1_k, U2_k] (U2
+    when cyclic) read along a skew, and one slice assignment writes a
+    sub-block family.  D_k's upper triangle lies left of the diagonal in D_k^T's
     rows, outside the band, so a diagonal sub-block is copied where it is
     on or below the diagonal and one wholly above it not at all; every
     entry then comes from the triangle of the block that stores it.  A
@@ -575,11 +583,6 @@ class _BandWriter:
         up[0:F - 2:2, :, 2] = u[:(F - 1) // 2]
         down[1:F - 2:2, :, 2] = np.swapaxes(u[F - 2::-1][:F // 2 - 1], 1, 2)
 
-    def matrix(self) -> "BlockTridiagonal":
-        H = BlockTridiagonal.__new__(BlockTridiagonal)
-        H._adopt(self)
-        return H
-
 
 class BlockTridiagonal:
     """Symmetric block-tridiagonal matrix stored as one lower band.
@@ -591,31 +594,18 @@ class BlockTridiagonal:
     order 0, F-1, 1, F-2, ..., in which every coupling joins nodes at most
     two places apart (scalar bandwidth 3b - 1).
 
-    ``band`` is that lower band (`to_banded`), folded when cyclic, in
-    Fortran order and read-only: it is written once, by `hessian` straight
-    from the element parts or by ``BlockTridiagonal(diag, off)`` from node
-    blocks (`_BandWriter`), and each factorization negates a copy of it.
-    The lower triangle of each D_k is what the band keeps, and every method
-    reads the band.  ``diag_max`` is the largest |entry| of the diagonal
-    blocks as given, both triangles, and ``finite`` says whether every entry
-    is finite.
+    It is made one way, from the `_BandWriter` that `hessian` wrote.
+    ``band`` is the writer's lower band, folded when cyclic, in Fortran
+    order and read-only, LAPACK's ab[i - j, j] = A[i, j]; each
+    factorization negates a copy of it.  The lower triangle of each D_k is
+    what the band keeps, and every method reads the band.  ``diag_max`` is
+    the largest |entry| of the diagonal blocks as written, both triangles,
+    and ``finite`` says whether every entry is finite.
     """
 
     __slots__ = ("band", "block", "cyclic", "diag_max", "finite")
 
-    def __init__(self, diag, off):
-        d, o = np.asarray(diag, float), np.asarray(off, float)
-        if d.ndim != 3 or d.shape[1] != d.shape[2]:
-            raise ValueError("diag must be (F, b, b)")
-        if (o.ndim != 3 or o.shape[1:] != d.shape[1:]
-                or not (o.shape[0] == d.shape[0] - 1 or o.shape[0] == d.shape[0] >= 2)):
-            raise ValueError("off must be (F-1, b, b), or (F, b, b) with F >= 2 when cyclic")
-        writer = _BandWriter(d.shape[0], 1, d.shape[1], o.shape[0] == d.shape[0])
-        writer.put_diag(0, 0, d)
-        writer.put_off(0, 0, o)
-        self._adopt(writer)
-
-    def _adopt(self, writer: _BandWriter) -> None:
+    def __init__(self, writer: _BandWriter):
         writer.ab.setflags(write=False)
         self.band, self.block, self.cyclic = writer.ab, writer.b, writer.cyclic
         self.diag_max = float(np.max(writer.diag_max))
@@ -626,48 +616,17 @@ class BlockTridiagonal:
         return self.band.shape[1]
 
     @property
-    def bandwidth(self) -> int:
-        return self.band.shape[0] - 1
-
-    def _places(self) -> np.ndarray:
-        """[place, q, family, c]: row q of each place's block row
-        [D^T, U1, U2], read from the band (`_skew`); entries left of the
-        diagonal of D^T are not the matrix's."""
-        F, b = self.size // self.block, self.block
-        return _skew(self.band, F, 1, b, self.band.shape[0] // b)[:, 0, :, :, 0, :]
-
-    @property
     def diag(self) -> np.ndarray:
-        """Node k's diagonal block, symmetric, from the band's lower triangle."""
-        D = np.swapaxes(self._places()[:, :, 0], 1, 2)
+        """Node k's diagonal block, symmetric, from the band's lower
+        triangle.  Nothing in the package reads it; the benchmark's tracer
+        reads its shape to size each Hessian."""
+        D = np.swapaxes(_block_rows(self.band, self.block)[:, :, 0], 1, 2)
         blocks = np.where(np.tri(self.block, dtype=bool), D, np.swapaxes(D, 1, 2))
         if not self.cyclic:
             return blocks
         out = np.empty_like(blocks)
         out[_folded_order(len(blocks))] = blocks
         return out
-
-    @property
-    def off(self) -> np.ndarray:
-        """U_k, coupling node k to node k+1 (node 0 for the last when
-        cyclic), from the band; the F = 2 pair comes back summed in U_0."""
-        rows = self._places()
-        F, b = rows.shape[:2]
-        if not self.cyclic:
-            return rows[:-1, :, 1].copy()
-        off = np.zeros((F, b, b))
-        mid = rows[F - 2, :, 1]
-        off[(F - 1) // 2] = mid.T if F % 2 else mid
-        if F > 2:
-            off[F - 1] = rows[0, :, 1].T
-        off[:(F - 1) // 2] = rows[0:F - 2:2, :, 2]
-        off[F - 2::-1][:F // 2 - 1] = np.swapaxes(rows[1:F - 2:2, :, 2], 1, 2)
-        return off
-
-    def to_banded(self) -> np.ndarray:
-        """The stored lower band, folded when cyclic: ab[i - j, j] = A[i, j]
-        for 0 <= i - j <= bandwidth, in Fortran order (read-only)."""
-        return self.band
 
     def to_dense(self) -> np.ndarray:
         """The symmetric matrix in node order."""
@@ -748,7 +707,7 @@ class BlockTridiagonal:
         count = -(-self.size // s)
         wide = np.zeros((2 * s, count * s), order="F")
         wide[:self.band.shape[0], :self.size] = self.band
-        rows = _skew(wide, count, 1, s, 2)[:, 0, :, :, 0, :]
+        rows = _block_rows(wide, s)
         diag, off = np.tril(np.swapaxes(rows[:, :, 0], 1, 2)), rows[:-1, :, 1]
         eye = np.eye(s)  # eigenvalues below -delta, then above delta
         neg, pos = (_negative_pivots(sg * diag + delta * eye, sg * off, count * s - self.size)
@@ -897,7 +856,7 @@ def hessian(D: DualField, spec: ProblemSpec) -> BlockTridiagonal:
             writer.put_diag(v, w, diag)
             ab = (np.add if w == 0 else np.subtract)(C[v, 2 + w] * eye, part[kept])
             writer.put_off(v, w, ab)
-    return writer.matrix()
+    return BlockTridiagonal(writer)
 
 
 def ellipticity_check(D: DualField, spec) -> np.ndarray:

@@ -136,11 +136,13 @@ def _maximize(spec: ProblemSpec, opts: SolveOptions):
     Starts from the zero field or ``opts.initial_guess`` (packed by
     `pack_free`); the tolerance is scaled by the zero-field gradient.
     Stops unconverged when no step makes progress or a point overflows;
-    returns the final field, whether it converged and the max-norm history.
+    returns the final field, its Hessian, whether it converged and the
+    max-norm history.
 
     Each point is one DualField, passed to every evaluation there, so the
     action, gradient and Hessian at a point share its mapped state; the
-    step searches return the field of the point they accept.
+    step searches return the field of the point they accept.  The Hessian
+    is assembled once at every point, the last one's for its inertia.
     """
     u = np.zeros(2 * spec.n * spec.grid.M)
     D = _field(spec, u)
@@ -154,10 +156,10 @@ def _maximize(spec: ProblemSpec, opts: SolveOptions):
     gnorm = float(np.max(np.abs(g)))
     history = [gnorm]
     damped = opts.step_control == "damped-newton"
-    # an overflowed (inf or nan) residual ends the loop unconverged
-    while tol < gnorm < np.inf and len(history) <= opts.max_iterations:
+    while True:
         H = hessian(D, spec)
-        if not H.finite:
+        # an overflowed (inf or nan) residual ends the loop unconverged
+        if not (tol < gnorm < np.inf and len(history) <= opts.max_iterations and H.finite):
             break
         # singular or not is judged on a cyclic problem's first Hessian only,
         # which shows a linear chain's resonance; later iterates go as open ones
@@ -178,7 +180,7 @@ def _maximize(spec: ProblemSpec, opts: SolveOptions):
         g = gradient(D, spec)
         gnorm = float(np.max(np.abs(g)))
         history.append(gnorm)
-    return D, gnorm <= tol, history
+    return D, H, gnorm <= tol, history
 
 
 def _field(spec: ProblemSpec, u) -> DualField:
@@ -324,8 +326,7 @@ def solve_dual(spec: ProblemSpec, opts: SolveOptions | None = None) -> DualSolut
     field (or ``opts.initial_guess``), with the loaded OpenBLAS libraries at
     one thread (see the module docstring)."""
     with _ONE_BLAS_THREAD:
-        D, converged, history = _maximize(spec, opts or SolveOptions())
-        H = hessian(D, spec)
+        D, H, converged, history = _maximize(spec, opts or SolveOptions())
         inertia = H.inertia() if H.finite else None
     return DualSolution(
         D=D,

@@ -2,8 +2,8 @@
 
 Tier-1 runs every property test at hypothesis' default budget.  The
 ``rk4-deep`` profile, selected with ``--hypothesis-profile rk4-deep``, gives
-each test 3,000 examples; CI runs the two RK4 property tests and the
-Hessian band's byte-identity test under it.
+each test 3,000 examples; CI runs the RK4 property tests and the Hessian
+band's two byte-identity tests under it.
 """
 import numpy as np
 import pytest

@@ -25,6 +25,7 @@ from dualchain import (
 from dualchain.dual_action import (
     COND_LIMIT,
     SingularStiffnessError,
+    _BandWriter,
     _element_fields,
     _hessian_parts,
 )
@@ -278,29 +279,60 @@ def assemble_nodes(E, periodic: bool):
     return diag, off if periodic else off[:-1]
 
 
-def block_matvec(H, u):
-    """Product of a BlockTridiagonal (open or cyclic) with a vector, block by
-    block in node order."""
-    F, b, _ = H.diag.shape
+def block_tridiagonal(diag, off) -> BlockTridiagonal:
+    """The BlockTridiagonal with node blocks ``diag`` (F, b, b) and
+    couplings ``off``, F-1 of them, or F (F >= 2) when cyclic, U_k coupling
+    node k to node k+1: the package's band writer given each block whole,
+    as one sub-block of size b.  The band keeps each diagonal block's lower
+    triangle and sums the two couplings of a cyclic F = 2 matrix."""
+    diag, off = np.asarray(diag, float), np.asarray(off, float)
+    writer = _BandWriter(len(diag), 1, diag.shape[1], len(off) == len(diag))
+    writer.put_diag(0, 0, diag)
+    writer.put_off(0, 0, off)
+    return BlockTridiagonal(writer)
+
+
+def node_blocks(H):
+    """(diag, off) read back from ``H.to_dense()``, blocks that
+    `block_tridiagonal` writes into H's band again: the two couplings of a
+    cyclic F = 2 matrix join the same nodes, so they come back summed in
+    U_0, with U_1 zero."""
+    F, b = H.size // H.block, H.block
+    dense = H.to_dense().reshape(F, b, F, b)
+    nodes = np.arange(F)
+    diag = dense[nodes, :, nodes]
+    off = dense[nodes, :, (nodes + 1) % F]
+    if not H.cyclic:
+        return diag, off[:-1]
+    if F == 2:
+        off[1] = 0.0
+    return diag, off
+
+
+def block_matvec(diag, off, u):
+    """Product of the block-tridiagonal matrix with node blocks (diag, off),
+    open or cyclic, with a vector, block by block in node order."""
+    F, b, _ = diag.shape
     un = u.reshape(F, b)
-    out = np.einsum("kij,kj->ki", H.diag, un)
-    for k in range(H.off.shape[0]):
+    out = np.einsum("kij,kj->ki", diag, un)
+    for k in range(off.shape[0]):
         j = (k + 1) % F
-        out[k] += H.off[k] @ un[j]
-        out[j] += H.off[k].T @ un[k]
+        out[k] += off[k] @ un[j]
+        out[j] += off[k].T @ un[k]
     return out.reshape(-1)
 
 
 def shifted(H, mu):
     """H - mu I, built from its blocks: the matrix that ``H.neg_cholesky(mu)``
     factors the negation of."""
-    return BlockTridiagonal(H.diag - mu * np.eye(H.block), H.off)
+    diag, off = node_blocks(H)
+    return block_tridiagonal(diag - mu * np.eye(H.block), off)
 
 
 def banded_by_positions(diag, off) -> np.ndarray:
     """The lower band in Fortran order of the matrix with node blocks
-    (diag, off), as ``BlockTridiagonal(diag, off).to_banded()`` stores it,
-    written by node positions: a cyclic matrix's folded position of each node
+    (diag, off), as ``block_tridiagonal(diag, off).band`` stores it, written
+    by node positions: a cyclic matrix's folded position of each node
     (argsort of the order 0, F-1, 1, F-2, ...) places every coupling as an
     upper block one or two positions off the diagonal, and the one-position
     blocks are summed into zeros in coupling order (np.add.at: the two F = 2

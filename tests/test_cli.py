@@ -669,6 +669,12 @@ _SIDE_FILES = {"wide.txt": "0.0 1.0 0.0\n6.283185307179586 1.0 0.0\n",
                  id="dual-solve"),
     pytest.param(NO_INITIAL, (), "periodic", "base kind primal needs [initial] x0 and v0",
                  id="periodic-primal-base"),
+    # a settled-primal base starts at rest when [initial] gives neither key
+    pytest.param(PRESETS["periodic_forced_n4"].read_text().replace("v0 = 0.0 0.0 0.0 0.0\n", ""),
+                 (), "periodic", "base kind settled-primal needs [initial] v0",
+                 id="settled-base-without-v0"),
+    pytest.param(DAMPED_N1_PERIODIC.format(M=100) + "[initial]\nv0 = 0.0\n", (), "periodic",
+                 "base kind settled-primal needs [initial] x0", id="settled-base-without-x0"),
     pytest.param(SMALL_HARMONIC.replace("kind = primal", "kind = trajectory"), (), "dual-solve",
                  "base kind trajectory needs base.path", id="trajectory-no-path"),
     pytest.param(SMALL_HARMONIC.replace("A = 1.0", "A 1.0"), (), None,
@@ -737,6 +743,23 @@ def test_data_file_times_off_the_grid_are_refused(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_one(_write(tmp_path, text, "follow.cfg"), out) == 2
     assert capsys.readouterr().err.startswith(f"config error: {traj_path.resolve()}: the t column")
+    assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rows", [0, 1])
+def test_data_files_of_fewer_than_two_rows_are_refused(tmp_path, capsys, rows):
+    # a grid has at least two nodes: a header alone, or one row, is refused
+    # by its row count, without a warning from the parser
+    path = tmp_path / "short.txt"
+    path.write_text("t x_1 v_1\n" + "0 1 0\n" * rows)
+    message = f"{path} has {rows} data rows; a grid needs at least 2"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_trajectory(path)
+    text = SMALL_HARMONIC.replace("kind = primal", f"kind = trajectory\npath = {path}")
+    out = tmp_path / "out"
+    assert run_one(_write(tmp_path, text), out) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists() or not list(out.iterdir())
 
 

@@ -432,6 +432,18 @@ def test_singularity_check_runs_on_the_first_periodic_iterate_only(monkeypatch,
     assert calls == []
 
 
+def test_a_stalled_solve_assembles_the_hessian_of_each_point_once(band_counts):
+    # the zero-base damped-newton run visits two points and stalls at the
+    # second, where no trust-region shift helps; the Hessian the loop
+    # assembled there is the one whose inertia the solve reports
+    spec = load_config(PRESETS["periodic_forced_n4"],
+                       sets=("base.kind=zero", "grid.M=100")).problem()
+    sol = solve_periodic(spec, SolveOptions(step_control="damped-newton"))
+    assert not sol.converged and sol.iterations == 1
+    assert band_counts["hessians"] == 2
+    assert sol.hessian_inertia == (770, 0, 30)
+
+
 def test_spec_needs_both_initial_conditions_or_neither():
     spec = _forced_damped_spec(16)
     for x0, v0 in ((np.zeros(1), None), (None, np.zeros(1))):
