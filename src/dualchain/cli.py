@@ -14,7 +14,10 @@ values only start a settled-primal base), and each writes a report with
 [convergence] and [verification].  A settled-primal base settles at the
 run's own step until a period closes to within h^2 of its state's size,
 refines only the period it keeps, and adds the periods it took and that
-period's closing gap to [convergence].
+period's closing gap to [convergence].  A primal base is `base_from_primal`'s;
+a verify run whose base was integrated at the oracle's refinement takes the
+oracle from the base's nodes, before any perturbation.  The output prefix is
+a plain file name, so a run writes into its --out directory only.
 
 Exit codes: 0 success, 2 config or validation error, 3 solver did not
 converge (a trust-region stall included), an integration diverged or a
@@ -57,6 +60,7 @@ from .dual_action import (
     ProblemSpec,
     ScaleParams,
     SingularStiffnessError,
+    base_from_primal,
     perturb_base,
     restrict_base,
     zero_base,
@@ -275,7 +279,6 @@ class ScenarioConfig:
     """Typed scenario description resolved from one config file."""
 
     name: str
-    config_dir: Path
     mode: str
     seed: int
     method: str
@@ -313,7 +316,7 @@ class ScenarioConfig:
         force = QuadraticForce(n=self.n, A=self.A, B=B, C=self.C)
         tables = []
         for j, path in self.tables:
-            data = np.loadtxt(path, ndmin=2)
+            data = _data_rows(path, path.read_text().splitlines())
             if data.shape[1] != 2:
                 raise ConfigError(f"forcing table {path} needs two columns (t, value)")
             tables.append((j, SampledSignal(data[:, 0], data[:, 1])))
@@ -339,19 +342,21 @@ class ScenarioConfig:
         return self.x0, self.v0
 
     def _base(self, params: ChainParams, grid: TimeGrid):
-        """The base state, the refined direct solve it was restricted from
-        (None for the kinds that use no such solve), and the report lines of
-        how a settled-primal base settled (None for the other kinds)."""
+        """The base state; the verify oracle, which is the nodes of a primal
+        base integrated at the oracle's refinement before any perturbation
+        (None for the other runs); and the report lines of how a
+        settled-primal base settled (None for the other kinds)."""
         kind = self.base_kind
         if kind == "zero":
             return zero_base(grid, self.n), None, None
         if kind in ("primal", "perturbed-primal"):
-            fine = integrate_primal(params, *self._initial(f"base kind {kind}"),
-                                    grid.refined(self.base_refine), method=self.method)
-            base = restrict_base(fine, self.base_refine)
+            base = base_from_primal(params, *self._initial(f"base kind {kind}"), grid,
+                                    self.base_refine, method=self.method)
+            oracle = (Trajectory(grid, base.xbar, base.vbar)
+                      if self.mode == "verify" and self.base_refine == _ORACLE_REFINE else None)
             if kind == "perturbed-primal":
                 base = perturb_base(base, self.base_amplitude, seed=self.seed)
-            return base, fine, None
+            return base, oracle, None
         if kind == "settled-primal":
             base, settling = self._settled_base(params, grid)
             return base, None, settling
@@ -407,19 +412,16 @@ class ScenarioConfig:
     periodic_problem = problem
 
     def _problem(self):
-        """The dual problem, periodic in periodic mode; the verify oracle
-        when the base was restricted from the oracle's own integration (None
-        otherwise); and a settled-primal base's report lines (None otherwise)."""
+        """The dual problem, periodic in periodic mode, and `_base`'s verify
+        oracle and settled-primal report lines."""
         periodic = self.mode == "periodic"
         x0, v0 = (None, None) if periodic else self._initial(f"mode {self.mode}")
         params = self.chain_params()
         grid = self.grid()
-        base, fine, settling = self._base(params, grid)
+        base, oracle, settling = self._base(params, grid)
         spec = ProblemSpec(params=params, scales=ScaleParams(self.c_x, self.c_v),
                            base=base, grid=grid, x0=x0, v0=v0)
-        shared = (self.mode == "verify" and fine is not None
-                  and self.base_refine == _ORACLE_REFINE)
-        return spec, fine.restrict(_ORACLE_REFINE) if shared else None, settling
+        return spec, oracle, settling
 
     def semantic_hash(self) -> str:
         """Digest of every field that changes the computation.
@@ -465,7 +467,7 @@ def load_config(path, sets=(), mode: str | None = None) -> ScenarioConfig:
     run_mode = mode or config_mode
     if run_mode is None:
         raise ConfigError(f"{path}: no mode given on the command line or in [run]")
-    fields = {"name": path.name, "config_dir": path.parent, "mode": run_mode}
+    fields = {"name": path.name, "mode": run_mode}
     try:
         _choice(MODES)(run_mode, "mode")
         for (section, key), spec in _KEYS.items():
@@ -492,7 +494,10 @@ def load_config(path, sets=(), mode: str | None = None) -> ScenarioConfig:
                              for j, name in fields["tables"])
     base_path = entries.pop(("base", "path"), [None])[0]
     fields["base_path"] = (path.parent / base_path).resolve() if base_path else None
-    fields["prefix"] = entries.pop(("output", "prefix"), [path.stem])[0]
+    prefix = entries.pop(("output", "prefix"), [path.stem])[0]
+    if prefix in ("", ".", "..") or prefix != Path(prefix).name:
+        raise ConfigError(f"{path}: output.prefix must be a plain file name, got {prefix!r}")
+    fields["prefix"] = prefix
 
     assert not entries, f"unconsumed config entries: {sorted(entries)}"
     return ScenarioConfig(**fields)
@@ -525,6 +530,15 @@ def _write_table(path, names: tuple, grid: TimeGrid, first, second) -> None:
             fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
+def _data_rows(path, lines) -> np.ndarray:
+    """The rows of ``lines``, blank and '#' lines skipped, as a 2-d array;
+    fewer than two, a grid's or a table's least, are refused unparsed."""
+    rows = [line for line in lines if line.strip() and not line.lstrip().startswith("#")]
+    if len(rows) < 2:
+        raise ValueError(f"{path} has {len(rows)} data rows; a grid needs at least 2")
+    return np.loadtxt(rows, ndmin=2)
+
+
 def _read_table(path, names: tuple):
     """The grid and the two (M+1, n) arrays of a file `_write_table` wrote
     with these ``names``.  M is the row count less one and T the last time;
@@ -532,14 +546,11 @@ def _read_table(path, names: tuple):
     first, second = names
     with open(path) as fh:
         tokens = fh.readline().split()
-        rows = [line for line in fh if line.strip()]
-    n = sum(1 for tok in tokens if tok.startswith(f"{first}_"))
-    if n == 0 or tokens[0] != "t" or len(tokens) != 1 + 2 * n:
-        raise ValueError(f"{path} lacks a 't {first}_1..{first}_n "
-                         f"{second}_1..{second}_n' header")
-    if len(rows) < 2:
-        raise ValueError(f"{path} has {len(rows)} data rows; a grid needs at least 2")
-    data = np.loadtxt(rows, ndmin=2)
+        n = sum(1 for tok in tokens if tok.startswith(f"{first}_"))
+        if n == 0 or tokens[0] != "t" or len(tokens) != 1 + 2 * n:
+            raise ValueError(f"{path} lacks a 't {first}_1..{first}_n "
+                             f"{second}_1..{second}_n' header")
+        data = _data_rows(path, fh)
     if data.shape[1] != 1 + 2 * n:
         raise ValueError(f"{path}: rows have {data.shape[1]} columns, "
                          f"expected {1 + 2 * n}")
@@ -646,14 +657,13 @@ def _verification_dict(report) -> dict:
 
 def run_one(config_path, out_dir, sets=(), mode: str | None = None) -> int:
     """Execute one scenario; emit its files; map outcomes to exit codes."""
+    out = Path(out_dir)
     try:
         cfg = load_config(config_path, sets=sets, mode=mode)
-    except ConfigError as exc:
+        out.mkdir(parents=True, exist_ok=True)
+    except (ConfigError, OSError) as exc:  # OSError: --out cannot be a directory
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     code, convergence, verification, manifest = 0, None, None, {}
     stage = "base-state"

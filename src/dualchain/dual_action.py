@@ -199,38 +199,21 @@ def perturb_base(base: BaseState, amplitude: float, seed: int) -> BaseState:
     amplitude in absolute value.
     """
     amplitude = _nonnegative("amplitude", amplitude)
-    rng = np.random.default_rng(seed)
-    t_nodes = base.grid.nodes()
-    t_mid = base.grid.midpoints()
-    T = base.grid.T
-
-    def series(n_cols):
-        coeffs = []
-        for _ in range(n_cols):
-            w = rng.uniform(-1.0, 1.0, size=_HARMONICS)
-            ph = rng.uniform(0.0, 2.0 * np.pi, size=_HARMONICS)
-            total = np.sum(np.abs(w))
-            if total > 0.0:
-                w = w / total
-            coeffs.append((w, ph))
-        return coeffs
-
-    def evaluate(coeffs, t):
-        out = np.zeros((t.size, len(coeffs)))
-        for j, (w, ph) in enumerate(coeffs):
-            for k in range(_HARMONICS):
-                out[:, j] += w[k] * np.sin((k + 1) * np.pi * t / T + ph[k])
-        return amplitude * out
-
-    cx = series(base.n)
-    cv = series(base.n)
-    return BaseState(
-        base.grid,
-        base.xbar + evaluate(cx, t_nodes),
-        base.vbar + evaluate(cv, t_nodes),
-        base.xbar_mid + evaluate(cx, t_mid),
-        base.vbar_mid + evaluate(cv, t_mid),
-    )
+    n, grid = base.n, base.grid
+    # per column, the x columns first: _HARMONICS weights in [-1, 1), then
+    # as many phases in [0, 2 pi), drawn in that order
+    w, ph = np.random.default_rng(seed).uniform(
+        [[-1.0], [0.0]], [[1.0], [2.0 * np.pi]], size=(2 * n, 2, _HARMONICS)).transpose(1, 0, 2)
+    total = np.sum(np.abs(w), axis=1, keepdims=True)
+    w = w / np.where(total > 0.0, total, 1.0)
+    # the nodes, then the midpoints
+    t = np.concatenate([grid.nodes(), grid.midpoints()])[:, None]
+    out = np.zeros((t.size, 2 * n))
+    for k in range(_HARMONICS):
+        out += w[:, k] * np.sin((k + 1) * np.pi * t / grid.T + ph[:, k])
+    nodes, mid = np.split(amplitude * out, [grid.M + 1])
+    return BaseState(grid, base.xbar + nodes[:, :n], base.vbar + nodes[:, n:],
+                     base.xbar_mid + mid[:, :n], base.vbar_mid + mid[:, n:])
 
 
 @dataclass(frozen=True, eq=False)

@@ -129,6 +129,9 @@ RK4_BLOCK = 256
 # is bounded below this, far enough under the largest float that no order
 # of the same sums overflows
 _RK4_LIMIT = 1e300
+# an implicit midpoint step's Newton iteration: its residual bound, relative
+# to 1 + |z|, and the iterations it gets before the step stalls
+_MIDPOINT_TOL, _MIDPOINT_NEWTON = 1e-12, 20
 
 
 def _integrate_rk4(params, x0, v0, grid):
@@ -356,7 +359,7 @@ def _rk4_stages(params, W, h, g_nodes, g_mid, zs, start):
             raise IntegrationBlowUpError(step=k + 1, t=(k + 1) * h)
 
 
-def _integrate_midpoint(params, x0, v0, grid, tol=1e-12, max_newton=20):
+def _integrate_midpoint(params, x0, v0, grid):
     n, m, h = params.n, params.m, grid.h
     g_mid = eval_forcing(params.forcing, grid.midpoints()) - params.force.C
     W = _rate_operator(params)
@@ -371,12 +374,12 @@ def _integrate_midpoint(params, x0, v0, grid, tol=1e-12, max_newton=20):
             z, g = zs[k], g_mid[k]
             z_new = z + h * _rate(params, W, z, g)  # explicit predictor
             ok = False
-            for _ in range(max_newton):
+            for _ in range(_MIDPOINT_NEWTON):
                 if not np.all(np.isfinite(z_new)):
                     break
                 zm = 0.5 * (z + z_new)
                 res = z_new - z - h * _rate(params, W, zm, g)
-                if np.max(np.abs(res)) <= tol * (1.0 + np.max(np.abs(z_new))):
+                if np.max(np.abs(res)) <= _MIDPOINT_TOL * (1.0 + np.max(np.abs(z_new))):
                     ok = True
                     break
                 jac_f[n:, :n] = -force_jacobian(params.force, zm[:n]) / m

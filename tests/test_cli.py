@@ -172,7 +172,7 @@ prefix = myrun
 
 def test_every_key_reaches_its_field(tmp_path):
     cfg = load_config(_write(tmp_path, EVERY_KEY))
-    want = dict(name="case.cfg", config_dir=tmp_path, mode="dual-solve", seed=3,
+    want = dict(name="case.cfg", mode="dual-solve", seed=3,
                 method="implicit-midpoint", n=2, m=2.0, d=0.1,
                 B_entries=((0, 0, 1, -0.25), (1, 1, 1, 0.5)), tables=((1, tmp_path / "drive.txt"),),
                 T=6.0, M=20, c_x=2.0, c_v=0.5, base_kind="trajectory", base_refine=4,
@@ -339,10 +339,19 @@ def test_verify_mode_reports_oracle_deviation(tmp_path):
     assert float(report["run"]["wall_time_s"]) >= 0.0
 
 
-@pytest.mark.parametrize("preset", ["harmonic_n1", "perturbed_base_n4"])
-def test_verify_shares_the_base_integration_with_the_oracle(tmp_path, monkeypatch, preset):
-    # a primal base restricts the oracle's own 10x-refined rk4 solve: verify
-    # integrates it once, and reports what two separate integrations give
+@pytest.mark.parametrize("preset, sets, shared", [
+    pytest.param("harmonic_n1", (), [1280], id="harmonic_n1"),
+    pytest.param("perturbed_base_n4", (), [1280], id="perturbed_base_n4"),
+    # a base refined 5 times is not the oracle's integration: verify
+    # integrates the oracle on its own
+    pytest.param("harmonic_n1", ("base.refine=5",), [640, 1280], id="harmonic_n1-refine-5"),
+])
+def test_verify_shares_the_base_integration_with_the_oracle(tmp_path, monkeypatch, preset,
+                                                            sets, shared):
+    # a primal base is the oracle's own 10x-refined rk4 solve, restricted:
+    # verify integrates it once, and reports what two separate integrations
+    # give
+    sets = ("grid.M=128", *sets)
     calls = []
     integrate = cli.integrate_primal
 
@@ -352,12 +361,12 @@ def test_verify_shares_the_base_integration_with_the_oracle(tmp_path, monkeypatc
 
     monkeypatch.setattr(cli, "integrate_primal", counted)
     monkeypatch.setattr(dual_action, "integrate_primal", counted)
-    assert run_one(PRESETS[preset], tmp_path / "shared", sets=("grid.M=128",)) == 0
-    assert calls == [1280]
+    assert run_one(PRESETS[preset], tmp_path / "shared", sets=sets) == 0
+    assert calls == shared
     problem = cli.ScenarioConfig._problem
     monkeypatch.setattr(cli.ScenarioConfig, "_problem", lambda cfg: (problem(cfg)[0], None, None))
-    assert run_one(PRESETS[preset], tmp_path / "separate", sets=("grid.M=128",)) == 0
-    assert calls == [1280, 1280, 1280]
+    assert run_one(PRESETS[preset], tmp_path / "separate", sets=sets) == 0
+    assert calls == shared + [shared[0], 1280]
     reports = [[line for line in (tmp_path / run / f"{preset}_report.txt").read_text().splitlines()
                 if not line.startswith("wall_time_s")] for run in ("shared", "separate")]
     assert reports[0] == reports[1]
@@ -373,6 +382,7 @@ def test_primal_base_honours_run_method(tmp_path, monkeypatch):
         return integrate(params, x0, v0, grid, method=method)
 
     monkeypatch.setattr(cli, "integrate_primal", spied)
+    monkeypatch.setattr(dual_action, "integrate_primal", spied)
     code = run_one(PRESETS["harmonic_n1"], tmp_path,
                    sets=("grid.M=128", "run.method=implicit-midpoint"))
     assert code == 0
@@ -425,7 +435,8 @@ def test_invalid_solver_values_exit_2(tmp_path, capsys, preset, sets, mode, mess
 
 def _spy_on_integrations_and_solves(monkeypatch) -> list:
     """(name, args) of each integrate_primal and solve_dual call that
-    run_one goes on to make, in order."""
+    run_one goes on to make, in order, a primal base's integration in
+    `base_from_primal` included."""
     calls = []
 
     def spy(name, real):
@@ -434,8 +445,9 @@ def _spy_on_integrations_and_solves(monkeypatch) -> list:
             return real(*args, **kwargs)
         return spied
 
-    for name in ("integrate_primal", "solve_dual"):
-        monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
+    for module, name in ((cli, "integrate_primal"), (dual_action, "integrate_primal"),
+                         (cli, "solve_dual")):
+        monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
     return calls
 
 
@@ -763,6 +775,22 @@ def test_data_files_of_fewer_than_two_rows_are_refused(tmp_path, capsys, rows):
     assert not out.exists() or not list(out.iterdir())
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("body, rows", [("", 0), ("# t value\n", 0), ("0.0 1.0\n", 1)],
+                         ids=["empty", "header-only", "one-row"])
+def test_forcing_tables_of_fewer_than_two_rows_are_refused(tmp_path, capsys, body, rows):
+    # a forcing table is read by the data files' row reader: refused by its
+    # row count, with its path, without a warning from the parser
+    (tmp_path / "drive.txt").write_text(body)
+    text = SMALL_HARMONIC.replace("kind = primal", "kind = zero") + "[forcing]\ntable = 1 drive.txt\n"
+    out = tmp_path / "out"
+    assert run_one(_write(tmp_path, text), out, mode="dual-solve") == 2
+    table = (tmp_path / "drive.txt").resolve()
+    assert capsys.readouterr().err == (
+        f"config error: {table} has {rows} data rows; a grid needs at least 2\n")
+    assert not out.exists() or not list(out.iterdir())
+
+
 @pytest.mark.parametrize("M", [1, 2])
 def test_dual_solve_on_one_or_two_elements(tmp_path, capsys, M):
     # the one-element branch of the nodal-rate rule recovery and residuals share
@@ -1046,6 +1074,46 @@ def test_jobs_below_one_is_rejected_before_any_run(tmp_path, capsys):
     assert exc.value.code == 2
     assert "--jobs must be at least 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("prefix", ["sub/x", "{elsewhere}/x", "x/", "", ".", ".."],
+                         ids=["relative-directory", "absolute", "trailing-slash", "empty",
+                              "dot", "dot-dot"])
+def test_output_prefix_must_be_a_plain_file_name(tmp_path, capsys, prefix):
+    # every file a run writes lies in --out: a prefix with a directory part,
+    # or one that is no file name, is refused before anything runs
+    out, elsewhere = tmp_path / "out", tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    prefix = prefix.format(elsewhere=elsewhere)
+    sets = ("grid.M=50", f"output.prefix={prefix}")
+    assert run_one(PRESETS["harmonic_n1"], out, sets=sets) == 2
+    message = f"{PRESETS['harmonic_n1']}: output.prefix must be a plain file name, got {prefix!r}"
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists() and not list(elsewhere.iterdir())
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        load_config(PRESETS["harmonic_n1"], sets=sets)
+
+
+def test_a_bad_prefix_under_jobs_exits_2_for_each_config(tmp_path, capsys):
+    # each worker refuses its config, and the batch reports every exit
+    out = tmp_path / "out"
+    code = main(["dual-solve", "--config", str(PRESETS["harmonic_n1"]),
+                 "--config", str(PRESETS["damped_n1"]), "--set", "grid.M=50",
+                 "--set", "output.prefix=sub/x", "--jobs", "2", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().out == "harmonic_n1: exit 2\ndamped_n1: exit 2\n"
+    assert not out.exists()
+
+
+def test_an_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    for out, error in ((taken, FileExistsError), (taken / "below", NotADirectoryError)):
+        assert run_one(PRESETS["harmonic_n1"], out, sets=("grid.M=50",)) == 2
+        with pytest.raises(error) as exc:
+            out.mkdir(parents=True, exist_ok=True)
+        assert capsys.readouterr().err == f"config error: {exc.value}\n"
+    assert taken.read_text() == "not a directory\n"
 
 
 def test_main_exit_code_is_worst_of_runs(tmp_path):
