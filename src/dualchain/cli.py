@@ -3,10 +3,12 @@
 Config files are flat key/value text grouped in [sections], with full-line
 comments starting with '#'.  Each key is declared once, in `_KEYS`, with the
 `ScenarioConfig` field it fills, its parser and its default; `load_config`
-reads the run mode, the base kind, the paths and the output prefix itself.
-Particle indices in configs and file headers are 1-based.  Trajectory and
-dual files use 17-significant-digit decimals, so reading a file back
-reproduces the arrays bit for bit.
+reads the run mode, the base kind, the paths and the output prefix itself,
+and reads each file a path names once: a config holds parsed inputs and the
+sha256 of their bytes, not paths.  Particle indices in configs and file
+headers are 1-based.  Trajectory and dual files use 17-significant-digit
+decimals, so reading a file back reproduces the arrays bit for bit; their
+writers return the sha256 of the bytes they write.
 
 Modes dual-solve, verify and periodic solve the dual problem that
 `ScenarioConfig.problem` poses, periodic in periodic mode (whose [initial]
@@ -23,7 +25,8 @@ Exit codes: 0 success, 2 config or validation error, 3 solver did not
 converge (a trust-region stall included), an integration diverged or a
 settled-primal base did not close within its period cap, 4 numerical
 singularity.  Exits 0 and 3 write a report, with the sections the
-run completed, in every mode but simulate; exits 2 and 4 write none.
+run completed, in every mode but simulate; exits 2 and 4 write none, and an
+exit 2 leaves no --out directory.
 An overflowed run exits 3, so `run_one` (in `--jobs` workers too) silences
 numpy's overflow warnings once, around all of its numerical work.
 """
@@ -228,7 +231,7 @@ _KEYS = {
     ("base", "refine"): _Key("base_refine", _to_count, 10),
     ("base", "amplitude"): _Key("base_amplitude", _to_nonnegative, 0.0),
     ("base", "settle_periods"): _Key("base_settle", _to_count, 10),
-    ("base", "path"): _Key("base_path"),
+    ("base", "path"): _Key("base_digest"),
     ("solver", "max_iterations"): _Key("max_iterations", _to_count, 50),
     ("solver", "tolerance"): _Key("tolerance", _to_float, 1e-10),
     ("solver", "step_control"): _Key("step_control", _choice(STEP_CONTROLS), STEP_CONTROLS[0]),
@@ -276,7 +279,10 @@ def _apply_set(entries: dict, assignment: str) -> None:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Typed scenario description resolved from one config file."""
+    """Typed scenario description resolved from one config file.  It holds
+    parsed inputs, not paths, so its methods open no file: a (j,
+    `SampledSignal`, sha256) triple per forcing table, the base.path file's
+    sha256, and its `Trajectory` for base kind trajectory."""
 
     name: str
     mode: str
@@ -300,7 +306,8 @@ class ScenarioConfig:
     base_refine: int
     base_amplitude: float
     base_settle: int
-    base_path: Path | None
+    base_digest: str | None
+    base_trajectory: Trajectory | None
     max_iterations: int
     tolerance: float
     step_control: str
@@ -314,15 +321,8 @@ class ScenarioConfig:
                 B[j, r, s] = value
                 B[j, s, r] = value
         force = QuadraticForce(n=self.n, A=self.A, B=B, C=self.C)
-        tables = []
-        for j, path in self.tables:
-            data = _data_rows(path, path.read_text().splitlines())
-            if data.shape[1] != 2:
-                raise ConfigError(f"forcing table {path} needs two columns (t, value)")
-            tables.append((j, SampledSignal(data[:, 0], data[:, 1])))
-        forcing = ForcingSpec(n=self.n, sinusoids=self.sinusoids, tables=tables)
-        _check_forcing(forcing, 0.0, self.T,
-                       names=[f"forcing.table {path}" for _, path in self.tables])
+        forcing = ForcingSpec(n=self.n, sinusoids=self.sinusoids,
+                              tables=[(j, signal) for j, signal, _ in self.tables])
         return ChainParams(m=self.m, d=self.d, force=force, forcing=forcing)
 
     def grid(self) -> TimeGrid:
@@ -360,15 +360,8 @@ class ScenarioConfig:
         if kind == "settled-primal":
             base, settling = self._settled_base(params, grid)
             return base, None, settling
-        if kind == "trajectory":
-            if self.base_path is None:
-                raise ConfigError("base kind trajectory needs base.path")
-            traj = read_trajectory(self.base_path)
-            if traj.grid != grid or traj.x.shape[1] != self.n:
-                raise ConfigError(
-                    f"base trajectory {self.base_path} does not match the run grid")
-            return BaseState(grid, traj.x, traj.v), None, None
-        raise ConfigError(f"unknown base kind {kind!r}")
+        traj = self.base_trajectory  # base kind trajectory
+        return BaseState(grid, traj.x, traj.v), None, None
 
     def _settled_base(self, params: ChainParams, grid: TimeGrid):
         """The last of a run of periods from the [initial] state (rest when
@@ -426,8 +419,9 @@ class ScenarioConfig:
     def semantic_hash(self) -> str:
         """Digest of every field that changes the computation.
 
-        Output naming is excluded; forcing tables and trajectory bases hash
-        by file content, not path.
+        Output naming is excluded; forcing tables and the base.path file
+        hash by the sha256 of their bytes as `load_config` read them, not by
+        path.
         """
         def arr(a):
             return "none" if a is None else ",".join(repr(float(v)) for v in np.ravel(a))
@@ -440,20 +434,22 @@ class ScenarioConfig:
                             for j, r, s, v in sorted(self.B_entries)),
             "sin=" + ";".join(f"{j},{s.amplitude!r},{s.omega!r},{s.phase!r}"
                               for j, s in self.sinusoids),
-            "tab=" + ";".join(f"{j},{_sha256_file(p)}" for j, p in self.tables),
+            "tab=" + ";".join(f"{j},{digest}" for j, _, digest in self.tables),
             f"T={self.T!r}", f"M={self.M}",
             f"x0={arr(self.x0)}", f"v0={arr(self.v0)}",
             f"c_x={self.c_x!r}", f"c_v={self.c_v!r}",
             f"base={self.base_kind},{self.base_refine},{self.base_amplitude!r},"
             f"{self.base_settle}",
-            "base_file=" + (_sha256_file(self.base_path) if self.base_path else "none"),
+            "base_file=" + (self.base_digest or "none"),
             f"solver={self.max_iterations},{self.tolerance!r},{self.step_control}",
         ]
         return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
 
 
 def load_config(path, sets=(), mode: str | None = None) -> ScenarioConfig:
-    """Parse one scenario file, apply --set overrides, resolve defaults."""
+    """Parse one scenario file, apply --set overrides, resolve defaults, and
+    read the files it names; an unreadable or malformed one raises OSError or
+    ValueError."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -490,17 +486,47 @@ def load_config(path, sets=(), mode: str | None = None) -> ScenarioConfig:
             "base.kind")
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    fields["tables"] = tuple((j, (path.parent / name).resolve())
-                             for j, name in fields["tables"])
     base_path = entries.pop(("base", "path"), [None])[0]
-    fields["base_path"] = (path.parent / base_path).resolve() if base_path else None
     prefix = entries.pop(("output", "prefix"), [path.stem])[0]
     if prefix in ("", ".", "..") or prefix != Path(prefix).name:
         raise ConfigError(f"{path}: output.prefix must be a plain file name, got {prefix!r}")
     fields["prefix"] = prefix
 
     assert not entries, f"unconsumed config entries: {sorted(entries)}"
+    _read_inputs(fields, path.parent, base_path)
     return ScenarioConfig(**fields)
+
+
+def _read_inputs(fields: dict, root: Path, base_path: str | None) -> None:
+    """Read each forcing table and the base.path file (relative to ``root``)
+    once, into ``fields``: the sha256 of its bytes and what they parse to,
+    the tables checked with the sinusoids by `_check_forcing` (for period T
+    in periodic mode) and a trajectory base against the run grid."""
+    paths = [(j, (root / name).resolve()) for j, name in fields["tables"]]
+    tables = []
+    for j, path in paths:
+        data = path.read_bytes()
+        rows = _data_rows(path, data.decode().splitlines())
+        if rows.shape[1] != 2:
+            raise ConfigError(f"forcing table {path} needs two columns (t, value)")
+        tables.append((j, SampledSignal(rows[:, 0], rows[:, 1]), hashlib.sha256(data).hexdigest()))
+    forcing = ForcingSpec(fields["n"], fields["sinusoids"], [(j, s) for j, s, _ in tables])
+    _check_forcing(forcing, 0.0, fields["T"], periodic=fields["mode"] == "periodic",
+                   names=[f"forcing.table {path}" for _, path in paths])
+    fields["tables"] = tuple(tables)
+    fields["base_digest"] = fields["base_trajectory"] = None
+    if not base_path:
+        if fields["base_kind"] == "trajectory":
+            raise ConfigError("base kind trajectory needs base.path")
+        return
+    path = (root / base_path).resolve()
+    data = path.read_bytes()
+    fields["base_digest"] = hashlib.sha256(data).hexdigest()
+    if fields["base_kind"] == "trajectory":
+        traj = Trajectory(*_read_table(path, data.decode().splitlines(), ("x", "v")))
+        if traj.grid != TimeGrid(T=fields["T"], M=fields["M"]) or traj.x.shape[1] != fields["n"]:
+            raise ConfigError(f"base trajectory {path} does not match the run grid")
+        fields["base_trajectory"] = traj
 
 
 def scenario_presets() -> list:
@@ -515,42 +541,61 @@ def scenario_presets() -> list:
 _TABLE_BLOCK_ROWS = 128
 
 
-def _write_table(path, names: tuple, grid: TimeGrid, first, second) -> None:
+def _write_table(path, names: tuple, grid: TimeGrid, first, second) -> str:
     """Header 't <names[0]>_1.. <names[1]>_1..', then one row per node of t
     and the two (M+1, n) arrays, every value as "%.17g" (the bytes of
-    `np.savetxt` with that format), formatted by one `%` per block of rows."""
+    `np.savetxt` with that format), formatted by one `%` per block of rows.
+    Returns the sha256 of the bytes written."""
     n = first.shape[1]
     header = " ".join(["t"] + [f"{name}_{i}" for name in names for i in range(1, n + 1)])
     data = np.column_stack([grid.nodes(), first, second])
     row = " ".join(["%.17g"] * data.shape[1]) + "\n"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
+    digest, text = hashlib.sha256(), header + "\n"  # the header goes with the first block
+    with open(path, "wb") as fh:
         for start in range(0, data.shape[0], _TABLE_BLOCK_ROWS):
             block = data[start:start + _TABLE_BLOCK_ROWS]
-            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+            chunk = (text + (row * block.shape[0]) % tuple(block.ravel().tolist())).encode()
+            digest.update(chunk)
+            fh.write(chunk)
+            text = ""
+    return digest.hexdigest()
 
 
-def _data_rows(path, lines) -> np.ndarray:
-    """The rows of ``lines``, blank and '#' lines skipped, as a 2-d array;
-    fewer than two, a grid's or a table's least, are refused unparsed."""
-    rows = [line for line in lines if line.strip() and not line.lstrip().startswith("#")]
+def _data_rows(path, lines, start: int = 1) -> np.ndarray:
+    """The rows of ``lines``, the file's lines from line ``start`` on, blank
+    and '#' lines skipped, as a 2-d array; fewer than two, a grid's or a
+    table's least, are refused unparsed, and a malformed row by its line."""
+    rows = [(number, line) for number, line in enumerate(lines, start)
+            if line.strip() and not line.lstrip().startswith("#")]
     if len(rows) < 2:
         raise ValueError(f"{path} has {len(rows)} data rows; a grid needs at least 2")
-    return np.loadtxt(rows, ndmin=2)
+    try:
+        return np.loadtxt([line for _, line in rows], ndmin=2)
+    except ValueError as exc:  # numpy's message counts data rows only
+        width = len(rows[0][1].split("#", 1)[0].split())
+        for number, line in rows:
+            try:
+                ok = np.loadtxt([line]).size == width
+            except ValueError:
+                ok = False
+            if not ok:
+                raise ValueError(f"{path}:{number}: expected {width} numbers, "
+                                 f"got {line.strip()!r}") from None
+        raise ValueError(f"{path}: {exc}") from None
 
 
-def _read_table(path, names: tuple):
-    """The grid and the two (M+1, n) arrays of a file `_write_table` wrote
-    with these ``names``.  M is the row count less one and T the last time;
-    every time must be its grid node to within 1e-12 T."""
+def _read_table(path, lines: list, names: tuple):
+    """The grid and the two (M+1, n) arrays of the ``lines`` of a file
+    `_write_table` wrote with these ``names``; ``path`` names it in errors.
+    M is the row count less one and T the last time; every time must be its
+    grid node to within 1e-12 T."""
     first, second = names
-    with open(path) as fh:
-        tokens = fh.readline().split()
-        n = sum(1 for tok in tokens if tok.startswith(f"{first}_"))
-        if n == 0 or tokens[0] != "t" or len(tokens) != 1 + 2 * n:
-            raise ValueError(f"{path} lacks a 't {first}_1..{first}_n "
-                             f"{second}_1..{second}_n' header")
-        data = _data_rows(path, fh)
+    tokens = lines[0].split() if lines else []
+    n = sum(1 for tok in tokens if tok.startswith(f"{first}_"))
+    if n == 0 or tokens[0] != "t" or len(tokens) != 1 + 2 * n:
+        raise ValueError(f"{path} lacks a 't {first}_1..{first}_n "
+                         f"{second}_1..{second}_n' header")
+    data = _data_rows(path, lines[1:], start=2)
     if data.shape[1] != 1 + 2 * n:
         raise ValueError(f"{path}: rows have {data.shape[1]} columns, "
                          f"expected {1 + 2 * n}")
@@ -561,20 +606,21 @@ def _read_table(path, names: tuple):
     return grid, data[:, 1:1 + n], data[:, 1 + n:]
 
 
-def write_trajectory(path, traj: Trajectory) -> None:
-    _write_table(path, ("x", "v"), traj.grid, traj.x, traj.v)
+def write_trajectory(path, traj: Trajectory) -> str:
+    return _write_table(path, ("x", "v"), traj.grid, traj.x, traj.v)
 
 
 def read_trajectory(path) -> Trajectory:
-    return Trajectory(*_read_table(path, ("x", "v")))
+    return Trajectory(*_read_table(path, Path(path).read_text().splitlines(), ("x", "v")))
 
 
-def write_dual_field(path, D: DualField) -> None:
-    _write_table(path, ("gamma", "lambda"), D.grid, D.gamma, D.lam)
+def write_dual_field(path, D: DualField) -> str:
+    return _write_table(path, ("gamma", "lambda"), D.grid, D.gamma, D.lam)
 
 
 def read_dual_field(path) -> DualField:
-    return DualField(*_read_table(path, ("gamma", "lambda")))
+    return DualField(*_read_table(path, Path(path).read_text().splitlines(),
+                                  ("gamma", "lambda")))
 
 
 def _fmt_value(value) -> str:
@@ -640,10 +686,6 @@ def parse_report(path) -> dict:
     return sections
 
 
-def _sha256_file(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def _dual_max(D: DualField) -> float:
     return float(max(np.max(np.abs(D.gamma)), np.max(np.abs(D.lam))))
 
@@ -658,12 +700,6 @@ def _verification_dict(report) -> dict:
 def run_one(config_path, out_dir, sets=(), mode: str | None = None) -> int:
     """Execute one scenario; emit its files; map outcomes to exit codes."""
     out = Path(out_dir)
-    try:
-        cfg = load_config(config_path, sets=sets, mode=mode)
-        out.mkdir(parents=True, exist_ok=True)
-    except (ConfigError, OSError) as exc:  # OSError: --out cannot be a directory
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     started = time.perf_counter()
     code, convergence, verification, manifest = 0, None, None, {}
     stage = "base-state"
@@ -673,13 +709,15 @@ def run_one(config_path, out_dir, sets=(), mode: str | None = None) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             try:
+                cfg = load_config(config_path, sets=sets, mode=mode)
                 opts = cfg.solver_options()
                 if cfg.mode == "simulate":
                     x0, v0 = cfg._initial("mode simulate")
                     sim_params, sim_grid = cfg.chain_params(), cfg.grid()
                 else:
                     spec, oracle, settling = cfg._problem()
-            except (ConfigError, ValueError, OSError) as exc:
+                out.mkdir(parents=True, exist_ok=True)
+            except (ValueError, OSError) as exc:  # OSError: --out cannot be a directory
                 print(f"config error: {exc}", file=sys.stderr)
                 return 2
             stage = "direct"
@@ -695,13 +733,11 @@ def run_one(config_path, out_dir, sets=(), mode: str | None = None) -> int:
                                               method=cfg.method).restrict(_ORACLE_REFINE)
                 traj = recover_primal(sol, spec)
                 if cfg.mode == "dual-solve":
-                    dual_path = out / f"{cfg.prefix}_dual.txt"
-                    write_dual_field(dual_path, sol.D)
-                    manifest[dual_path.name] = _sha256_file(dual_path)
+                    name = f"{cfg.prefix}_dual.txt"
+                    manifest[name] = write_dual_field(out / name, sol.D)
             if cfg.mode != "verify":
-                traj_path = out / f"{cfg.prefix}_trajectory.txt"
-                write_trajectory(traj_path, traj)
-                manifest[traj_path.name] = _sha256_file(traj_path)
+                name = f"{cfg.prefix}_trajectory.txt"
+                manifest[name] = write_trajectory(out / name, traj)
             if cfg.mode != "simulate":
                 verification = _verification_dict(verify(sol, spec, traj, oracle=oracle))
                 code = 0 if sol.converged else 3
@@ -723,6 +759,11 @@ def run_one(config_path, out_dir, sets=(), mode: str | None = None) -> int:
             convergence=convergence, verification=verification,
             manifest=manifest,
         )
+        try:
+            out.mkdir(parents=True, exist_ok=True)  # not yet made after a base-stage exit 3
+        except OSError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
         (out / f"{cfg.prefix}_report.txt").write_text(report.to_text())
     if code == 3 and verification is not None:  # the solver's own exit 3
         print(f"{cfg.name}: solver did not converge (report written)",

@@ -1,6 +1,9 @@
 """Config parsing, file round-trips, exit codes, reports, parallel fan-out."""
+import builtins
+import collections
 import dataclasses
 import hashlib
+import io
 import os
 import re
 from pathlib import Path
@@ -171,22 +174,38 @@ prefix = myrun
 
 
 def test_every_key_reaches_its_field(tmp_path):
+    # the files the config names are read into it, with the sha256 of their bytes
+    times = np.linspace(0.0, 6.0, 7)
+    np.savetxt(tmp_path / "drive.txt", np.column_stack([times, times ** 2]))
+    grid = TimeGrid(T=6.0, M=20)
+    base = Trajectory(grid, np.outer(grid.nodes(), [1.0, -1.0]), np.ones((21, 2)))
+    cli.write_trajectory(tmp_path / "base.txt", base)
+    digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+              for name in ("drive.txt", "base.txt")}
     cfg = load_config(_write(tmp_path, EVERY_KEY))
     want = dict(name="case.cfg", mode="dual-solve", seed=3,
                 method="implicit-midpoint", n=2, m=2.0, d=0.1,
-                B_entries=((0, 0, 1, -0.25), (1, 1, 1, 0.5)), tables=((1, tmp_path / "drive.txt"),),
+                B_entries=((0, 0, 1, -0.25), (1, 1, 1, 0.5)),
                 T=6.0, M=20, c_x=2.0, c_v=0.5, base_kind="trajectory", base_refine=4,
-                base_amplitude=0.05, base_settle=20, base_path=tmp_path / "base.txt",
+                base_amplitude=0.05, base_settle=20, base_digest=digest["base.txt"],
                 max_iterations=7, tolerance=1e-9, step_control="trust-region", prefix="myrun")
     for field, value in want.items():
         assert getattr(cfg, field) == value, field
+    [(j, table, table_digest)] = cfg.tables
+    assert (j, table_digest) == (1, digest["drive.txt"])
+    np.testing.assert_array_equal(table.times, times)
+    np.testing.assert_array_equal(table.values, times ** 2)
+    assert cfg.base_trajectory.grid == grid
+    np.testing.assert_array_equal(cfg.base_trajectory.x, base.x)
+    np.testing.assert_array_equal(cfg.base_trajectory.v, base.v)
     # constant entries follow the sinusoids, as zero-frequency sinusoids
     assert [(j, tuple(vars(s).values())) for j, s in cfg.sinusoids] == [
         (0, (0.5, 1.0, 0.25)), (1, (0.1, 0.0, 0.0))]
     arrays = dict(C=[0.5, 0.25], A=[[2.0, -1.0], [-1.0, 2.0]], x0=[0.3, 0.0], v0=[0.0, -0.1])
     for field, value in arrays.items():
         np.testing.assert_array_equal(getattr(cfg, field), value)
-    assert {f.name for f in dataclasses.fields(cfg)} == set(want) | {"sinusoids"} | set(arrays)
+    assert {f.name for f in dataclasses.fields(cfg)} == (
+        set(want) | {"sinusoids", "tables", "base_trajectory"} | set(arrays))
 
 
 def test_absent_keys_take_their_defaults(tmp_path):
@@ -195,7 +214,7 @@ def test_absent_keys_take_their_defaults(tmp_path):
     assert (cfg.seed, cfg.method, cfg.B_entries, cfg.sinusoids, cfg.tables) == (0, "rk4", (), (), ())
     assert (cfg.x0, cfg.v0, cfg.c_x, cfg.c_v) == (None, None, 1.0, 1.0)
     assert (cfg.base_kind, cfg.base_refine, cfg.base_amplitude, cfg.base_settle,
-            cfg.base_path) == ("zero", 10, 0.0, 10, None)
+            cfg.base_digest, cfg.base_trajectory) == ("zero", 10, 0.0, 10, None, None)
     assert (cfg.max_iterations, cfg.tolerance, cfg.step_control, cfg.prefix) == (
         50, 1e-10, "damped-newton", "case")
     np.testing.assert_array_equal(cfg.C, [0.0])
@@ -496,7 +515,7 @@ def test_forcing_table_short_of_the_span_exits_2(tmp_path, capsys, mode):
     err = capsys.readouterr().err
     table = (cfg_dir / "drive.txt").resolve()
     assert f"forcing.table {table} spans [0.0, 2.0], which does not cover [0.0, 5.0]" in err
-    assert not out.exists() or not list(out.iterdir())
+    assert not out.exists()
 
 
 DAMPED_N1_PERIODIC = """\
@@ -570,15 +589,17 @@ def test_settling_runs_at_the_run_step_and_refines_only_the_base_period(tmp_path
     assert float(convergence["settle_gap"]) <= (2 * np.pi / 100) ** 2
 
 
+# harmonic_n1 undamped, natural frequency sqrt 2, forced at 1 from rest: the
+# free oscillation never decays, and no period closes to h^2
+NEVER_SETTLES = ("chain.A=2", "forcing.sinusoid=1 1.0 1.0 0.0", "initial.x0=0.0",
+                 "base.kind=settled-primal", "base.settle_periods=2", "base.refine=2", "grid.M=50")
+
+
 def test_base_that_never_settles_exits_3_at_the_cap_with_a_report(tmp_path, capsys, monkeypatch):
-    # undamped, natural frequency sqrt 2, forced at 1 from rest: the free
-    # oscillation never decays, and no period closes to h^2.  Settling
-    # stops at the cap, (2 - 1) * 2 periods at step h and the base period on
-    # a grid twice as fine: the steps of two refined periods
+    # settling stops at the cap, (2 - 1) * 2 periods at step h and the base
+    # period on a grid twice as fine: the steps of two refined periods
     calls = _spy_on_integrations_and_solves(monkeypatch)
-    sets = ("chain.A=2", "forcing.sinusoid=1 1.0 1.0 0.0", "initial.x0=0.0",
-            "base.kind=settled-primal", "base.settle_periods=2", "base.refine=2", "grid.M=50")
-    assert run_one(PRESETS["harmonic_n1"], tmp_path, sets=sets, mode="periodic") == 3
+    assert run_one(PRESETS["harmonic_n1"], tmp_path, sets=NEVER_SETTLES, mode="periodic") == 3
     assert [(name, args[3].M) for name, args in calls] == [("integrate_primal", 50),
                                                           ("integrate_primal", 50),
                                                           ("integrate_primal", 100)]
@@ -706,6 +727,12 @@ _SIDE_FILES = {"wide.txt": "0.0 1.0 0.0\n6.283185307179586 1.0 0.0\n",
     pytest.param(None, (), None,
                  "cannot read config {cfg}: [Errno 2] No such file or directory: '{cfg}'",
                  id="unreadable-config"),
+    pytest.param(SMALL_HARMONIC, ("chain.m=-1",), None, "mass m must be positive and finite",
+                 id="negative-mass"),
+    # refused once the primal base is integrated, since its period does not close
+    pytest.param(SMALL_HARMONIC, (), "periodic",
+                 "base vbar is not periodic (first and last nodes differ)",
+                 id="periodic-unclosed-primal-base"),
 ])
 def test_missing_run_inputs_exit_2(tmp_path, capsys, text, sets, mode, message):
     for name, body in _SIDE_FILES.items():
@@ -717,7 +744,7 @@ def test_missing_run_inputs_exit_2(tmp_path, capsys, text, sets, mode, message):
     assert run_one(cfg, out, sets=sets, mode=mode) == 2
     expected = message.format(cfg=cfg, dir=tmp_path.resolve())
     assert capsys.readouterr().err == f"config error: {expected}\n"
-    assert not out.exists() or not list(out.iterdir())
+    assert not out.exists()
 
 
 def test_trajectory_base_on_another_grid_exits_2(tmp_path, capsys):
@@ -729,7 +756,7 @@ def test_trajectory_base_on_another_grid_exits_2(tmp_path, capsys):
     assert run_one(_write(tmp_path, text), out, mode="dual-solve") == 2
     assert capsys.readouterr().err == (
         f"config error: base trajectory {base.resolve()} does not match the run grid\n")
-    assert not out.exists() or not list(out.iterdir())
+    assert not out.exists()
 
 
 def _squeeze_times(path):
@@ -755,7 +782,7 @@ def test_data_file_times_off_the_grid_are_refused(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_one(_write(tmp_path, text, "follow.cfg"), out) == 2
     assert capsys.readouterr().err.startswith(f"config error: {traj_path.resolve()}: the t column")
-    assert not out.exists() or not list(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error")
@@ -772,7 +799,7 @@ def test_data_files_of_fewer_than_two_rows_are_refused(tmp_path, capsys, rows):
     out = tmp_path / "out"
     assert run_one(_write(tmp_path, text), out) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
-    assert not out.exists() or not list(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error")
@@ -788,7 +815,128 @@ def test_forcing_tables_of_fewer_than_two_rows_are_refused(tmp_path, capsys, bod
     table = (tmp_path / "drive.txt").resolve()
     assert capsys.readouterr().err == (
         f"config error: {table} has {rows} data rows; a grid needs at least 2\n")
-    assert not out.exists() or not list(out.iterdir())
+    assert not out.exists()
+
+
+def _with_input_files(tmp_path):
+    """A dual-solve config on SMALL_HARMONIC's chain driven by drive.txt, one
+    period of a cosine on three samples under a '#' line, and solved about
+    base.txt, a trajectory on its grid; both are written into ``tmp_path``,
+    and in both the first data row is line 2."""
+    (tmp_path / "drive.txt").write_text(
+        "# t value\n0.0 1.0\n3.141592653589793 -1.0\n6.283185307179586 1.0\n")
+    grid = TimeGrid(T=6.283185307179586, M=128)
+    t = grid.nodes()[:, None]
+    cli.write_trajectory(tmp_path / "base.txt", Trajectory(grid, np.cos(t), -np.sin(t)))
+    text = (SMALL_HARMONIC.replace("mode = verify", "mode = dual-solve")
+            .replace("kind = primal", "kind = trajectory\npath = base.txt")
+            + "[forcing]\ntable = 1 drive.txt\n")
+    return _write(tmp_path, text)
+
+
+@pytest.mark.parametrize("fault", ["non-numeric", "ragged"])
+@pytest.mark.parametrize("kind", ["table", "base"])
+def test_a_malformed_data_file_is_named_with_its_line(tmp_path, capsys, monkeypatch, kind, fault):
+    # the second data row, line 3, is named by the file's own line number,
+    # without numpy's advice; refused as the config is loaded
+    path = _with_input_files(tmp_path)
+    data = tmp_path / ("drive.txt" if kind == "table" else "base.txt")
+    lines = data.read_text().splitlines()
+    width = len(lines[1].split())
+    if fault == "non-numeric":
+        lines[2] = "abc " + lines[2].split(" ", 1)[1]
+    else:
+        lines[2] += " 0.5"
+    message = f"expected {width} numbers, got {lines[2]!r}"
+    data.write_text("\n".join(lines) + "\n")
+    calls = _spy_on_integrations_and_solves(monkeypatch)
+    out = tmp_path / "out"
+    assert run_one(path, out) == 2
+    assert calls == []
+    assert capsys.readouterr().err == f"config error: {data.resolve()}:3: {message}\n"
+    assert not out.exists()
+
+
+def test_a_loaded_config_holds_its_input_files(tmp_path):
+    # chain_params, problem and semantic_hash use what load_config read,
+    # and open no file
+    cfg = load_config(_with_input_files(tmp_path))
+    params, spec, digest = cfg.chain_params(), cfg.problem(), cfg.semantic_hash()
+    (tmp_path / "drive.txt").unlink()
+    (tmp_path / "base.txt").unlink()
+    t = spec.grid.nodes()
+    np.testing.assert_array_equal(eval_forcing(cfg.chain_params().forcing, t),
+                                  eval_forcing(params.forcing, t))
+    again = cfg.problem()
+    np.testing.assert_array_equal(again.base.xbar, spec.base.xbar)
+    np.testing.assert_array_equal(again.base.vbar, spec.base.vbar)
+    assert cfg.semantic_hash() == digest
+
+
+@pytest.mark.parametrize("mode", ["dual-solve", "verify"])
+def test_each_input_file_is_opened_once_per_run(tmp_path, monkeypatch, mode):
+    path = _with_input_files(tmp_path)
+    inputs = {(tmp_path / name).resolve() for name in ("drive.txt", "base.txt")}
+    opened = collections.Counter()
+    real = io.open
+
+    def spy(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and Path(file).resolve() in inputs:
+            opened[Path(file).resolve()] += 1
+        return real(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", spy)
+    monkeypatch.setattr(builtins, "open", spy)
+    assert run_one(path, tmp_path / "out", mode=mode) == 0
+    assert opened == {file: 1 for file in inputs}
+
+
+def test_writers_return_the_digest_of_the_bytes_they_write(tmp_path):
+    # the manifest's digest, with no second read; 300 rows span three blocks
+    grid = TimeGrid(T=2.0, M=299)
+    t = grid.nodes()[:, None]
+    for write, data in ((cli.write_trajectory, Trajectory(grid, np.cos(t), np.sin(t))),
+                        (cli.write_dual_field, DualField(grid, np.cos(t), t * 0.0))):
+        path = tmp_path / f"{write.__name__}.txt"
+        assert write(path, data) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_a_missing_base_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
+    # a base.path the run does not use is still read, to be hashed: a missing
+    # one is a config error before anything is integrated, in a worker too
+    calls = _spy_on_integrations_and_solves(monkeypatch)
+    missing, out = tmp_path / "missing.txt", tmp_path / "out"
+    sets = ("grid.M=50", f"base.path={missing}")
+    assert run_one(PRESETS["harmonic_n1"], out, sets=sets) == 2
+    assert calls == []
+    assert capsys.readouterr().err == (
+        f"config error: [Errno 2] No such file or directory: '{missing.resolve()}'\n")
+    assert not out.exists()
+    code = main(["dual-solve", "--config", str(PRESETS["harmonic_n1"]),
+                 "--config", str(PRESETS["damped_n1"])]
+                + [arg for setting in sets for arg in ("--set", setting)]
+                + ["--jobs", "2", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().out == "harmonic_n1: exit 2\ndamped_n1: exit 2\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("preset, sets", [("periodic_forced_n4", ()), ("harmonic_n1", NEVER_SETTLES)],
+                         ids=["periodic_forced_n4", "harmonic_n1-undamped"])
+def test_periodic_forcing_off_the_orbit_period_exits_2_before_settling(tmp_path, capsys,
+                                                                       monkeypatch, preset, sets):
+    # the forcing is checked for period T as the config is loaded, before a
+    # settled-primal base integrates anything; the sinusoid set last replaces
+    # any other
+    calls = _spy_on_integrations_and_solves(monkeypatch)
+    out = tmp_path / "out"
+    sets = sets + ("forcing.sinusoid=1 0.5 1.5 0.0",)
+    assert run_one(PRESETS[preset], out, sets=sets, mode="periodic") == 2
+    assert calls == []
+    assert capsys.readouterr().err == (
+        "config error: sinusoid on particle 1 has period 4.18879, "
+        "which does not divide the orbit period 6.28319\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("M", [1, 2])
@@ -1106,13 +1254,19 @@ def test_a_bad_prefix_under_jobs_exits_2_for_each_config(tmp_path, capsys):
 
 
 def test_an_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys):
+    # --out is made once the problem is posed, before the solve or the
+    # simulation, or, for a base that did not settle, for its report
     taken = tmp_path / "taken"
     taken.write_text("not a directory\n")
-    for out, error in ((taken, FileExistsError), (taken / "below", NotADirectoryError)):
-        assert run_one(PRESETS["harmonic_n1"], out, sets=("grid.M=50",)) == 2
-        with pytest.raises(error) as exc:
-            out.mkdir(parents=True, exist_ok=True)
-        assert capsys.readouterr().err == f"config error: {exc.value}\n"
+    runs = (("verify", ("grid.M=50",), ""), ("simulate", ("grid.M=50",), ""),
+            ("periodic", NEVER_SETTLES, r"base-state did not settle: .*\n"))
+    for mode, sets, before in runs:
+        for out, error in ((taken, FileExistsError), (taken / "below", NotADirectoryError)):
+            assert run_one(PRESETS["harmonic_n1"], out, sets=sets, mode=mode) == 2
+            with pytest.raises(error) as exc:
+                out.mkdir(parents=True, exist_ok=True)
+            assert re.fullmatch(before + re.escape(f"config error: {exc.value}\n"),
+                                capsys.readouterr().err)
     assert taken.read_text() == "not a directory\n"
 
 
