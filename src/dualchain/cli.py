@@ -34,6 +34,7 @@ numpy's overflow warnings once, around all of its numerical work.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import multiprocessing
 import os
@@ -509,7 +510,11 @@ def _read_inputs(fields: dict, root: Path, base_path: str | None) -> None:
         rows = _data_rows(path, data.decode().splitlines())
         if rows.shape[1] != 2:
             raise ConfigError(f"forcing table {path} needs two columns (t, value)")
-        tables.append((j, SampledSignal(rows[:, 0], rows[:, 1]), hashlib.sha256(data).hexdigest()))
+        try:
+            signal = SampledSignal(rows[:, 0], rows[:, 1])
+        except ValueError as exc:
+            raise ConfigError(f"forcing.table {path}: {exc}") from None
+        tables.append((j, signal, hashlib.sha256(data).hexdigest()))
     forcing = ForcingSpec(fields["n"], fields["sinusoids"], [(j, s) for j, s, _ in tables])
     _check_forcing(forcing, 0.0, fields["T"], periodic=fields["mode"] == "periodic",
                    names=[f"forcing.table {path}" for _, path in paths])
@@ -702,7 +707,7 @@ def run_one(config_path, out_dir, sets=(), mode: str | None = None) -> int:
     out = Path(out_dir)
     started = time.perf_counter()
     code, convergence, verification, manifest = 0, None, None, {}
-    stage = "base-state"
+    stage, made = "base-state", False
     # far from the dual maximum (an extreme base or mass, say) the mapped
     # state overflows; the solver's finite checks and exit 3 report such a
     # run, so numpy's overflow warnings are silenced here, once
@@ -716,7 +721,7 @@ def run_one(config_path, out_dir, sets=(), mode: str | None = None) -> int:
                     sim_params, sim_grid = cfg.chain_params(), cfg.grid()
                 else:
                     spec, oracle, settling = cfg._problem()
-                out.mkdir(parents=True, exist_ok=True)
+                made = _make_out(out)
             except (ValueError, OSError) as exc:  # OSError: --out cannot be a directory
                 print(f"config error: {exc}", file=sys.stderr)
                 return 2
@@ -732,9 +737,11 @@ def run_one(config_path, out_dir, sets=(), mode: str | None = None) -> int:
                                               spec.grid.refined(_ORACLE_REFINE),
                                               method=cfg.method).restrict(_ORACLE_REFINE)
                 traj = recover_primal(sol, spec)
-                if cfg.mode == "dual-solve":
-                    name = f"{cfg.prefix}_dual.txt"
-                    manifest[name] = write_dual_field(out / name, sol.D)
+            # a run sharing --out may have removed it, empty, at its exit 4
+            out.mkdir(parents=True, exist_ok=True)
+            if cfg.mode == "dual-solve":
+                name = f"{cfg.prefix}_dual.txt"
+                manifest[name] = write_dual_field(out / name, sol.D)
             if cfg.mode != "verify":
                 name = f"{cfg.prefix}_trajectory.txt"
                 manifest[name] = write_trajectory(out / name, traj)
@@ -743,6 +750,9 @@ def run_one(config_path, out_dir, sets=(), mode: str | None = None) -> int:
                 code = 0 if sol.converged else 3
         except (SingularStiffnessError, SingularSystemError) as exc:
             print(f"numerical singularity: {exc}", file=sys.stderr)
+            if made:  # an exit 4 writes nothing; an --out it made goes, if still empty
+                with contextlib.suppress(OSError):
+                    out.rmdir()
             return 4
         except IntegrationBlowUpError as exc:
             print(f"{stage} integration diverged: {exc}", file=sys.stderr)
@@ -760,7 +770,7 @@ def run_one(config_path, out_dir, sets=(), mode: str | None = None) -> int:
             manifest=manifest,
         )
         try:
-            out.mkdir(parents=True, exist_ok=True)  # not yet made after a base-stage exit 3
+            out.mkdir(parents=True, exist_ok=True)  # none yet after a base-stage exit 3
         except OSError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
@@ -769,6 +779,19 @@ def run_one(config_path, out_dir, sets=(), mode: str | None = None) -> int:
         print(f"{cfg.name}: solver did not converge (report written)",
               file=sys.stderr)
     return code
+
+
+def _make_out(out: Path) -> bool:
+    """Make the --out directory and its missing parents; whether this call
+    made it, which only one of the runs sharing it does.  The OSError of
+    `Path.mkdir` where it cannot be a directory."""
+    try:
+        out.mkdir(parents=True)
+    except FileExistsError:
+        if not out.is_dir():
+            raise
+        return False
+    return True
 
 
 def _convergence_dict(sol) -> dict:

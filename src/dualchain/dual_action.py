@@ -38,9 +38,12 @@ conditioned.  The multiplier-weighted stiffness K is inverted directly, and
 kappa_2(K) <= ||K||_F ||K^-1||_F certifies each point; the eigenvalue test,
 the only place a SingularStiffnessError is raised, sees just the points this
 bound cannot certify; `ellipticity_check` reports 0.0 where it would fail.
-`BlockTridiagonal.inertia` counts an eigenvalue within the singularity
-probe's delta = ||H||_1 / COND_LIMIT of zero as zero: (N, 0, 0) when
-`neg_cholesky(-delta)` factors, else Sylvester's law at -delta and delta.
+The Hessian is a Gram product, H = -A^T W^-1 A, with A square and block
+bidiagonal and W = diag(c_x K|_lam, c_v I) per element, so a solve reads its
+final point's inertia off the element weights and A's nullity
+(`_gram_inertia`), with no Hessian formed or factored there.
+`BlockTridiagonal.inertia`, which factors a Hessian at delta = ||H||_1 /
+COND_LIMIT and counts Schur pivots when that fails, is its reference.
 
 Overflow far from the maximum (a huge base or mass) follows numpy's default,
 and the solver's finite checks stop there; only an overflowed certificate
@@ -98,6 +101,11 @@ COND_LIMIT = 1e12
 #: inverse and of the eigenvalues, so the test would pass every point
 #: accepted here.
 _CERT_LIMIT = 1e-2 * COND_LIMIT
+
+#: Largest singular value ratio of the Gram factor A, or per-element rate
+#: of a multiplier, counted as zero: H = -A^T W^-1 A squares A's condition
+#: number, so this is COND_LIMIT's bound on H read on A.
+_GRAM_LIMIT = COND_LIMIT ** -0.5
 
 _HARMONICS = 3  # sine terms per component of a `perturb_base` perturbation
 
@@ -425,6 +433,13 @@ def _gradient_elements(spec: ProblemSpec, D: DualField):
     return g_ga, g_la, g_gb, g_lb
 
 
+def _mapped_jacobian(spec: ProblemSpec, D: DualField) -> np.ndarray:
+    """Mx = dK/dx at the mapped midpoint state, (M, n, n)."""
+    n, M = spec.n, spec.grid.M
+    dx = _core_state(spec, D)[5]
+    return spec._midpoints[2] + (dx @ spec.params.force.B.reshape(n * n, n).T).reshape(M, n, n)
+
+
 def _hessian_parts(spec: ProblemSpec, D: DualField):
     """The element Hessian's parts (C, P, G, L): the 4x4 scalar matrix C and
     the (M, n, n) matrices P = K|_lam^{-1} / c_x, G = Mx P / 2 and
@@ -446,11 +461,9 @@ def _hessian_parts(spec: ProblemSpec, D: DualField):
     gamma_b, lambda_b, and each matrix part lands in the end-node blocks
     with the weights S gives it (see `hessian`).
     """
-    n, M, h = spec.n, spec.grid.M, spec.grid.h
-    _, _, _, _, _, dx, _, _, Kinv = _core_state(spec, D)
-
-    P = Kinv / spec.scales.c_x
-    Mx = spec._midpoints[2] + (dx @ spec.params.force.B.reshape(n * n, n).T).reshape(M, n, n)
+    h = spec.grid.h
+    P = _core_state(spec, D)[8] / spec.scales.c_x
+    Mx = _mapped_jacobian(spec, D)
     MxP = Mx @ P
     L = MxP @ np.swapaxes(Mx, 1, 2)
 
@@ -682,7 +695,9 @@ class BlockTridiagonal:
         and of delta I - A, over nodes, or over the node pairs (k, F-1-k)
         that are adjacent places of a cyclic band, whose band is then an open
         one of block size 2b (an odd F pads its last pair).  The blocks come
-        from the band's lower triangle, the triangle `eigh` reads."""
+        from the band's lower triangle, the triangle `eigh` reads.  Nothing
+        in the package calls it: it is the reference `_gram_inertia` is
+        tested against, and the benchmark's tracer names it."""
         delta = self.norm1() / COND_LIMIT
         if self.neg_cholesky(-delta) is not None:
             return self.size, 0, 0
@@ -840,6 +855,132 @@ def hessian(D: DualField, spec: ProblemSpec) -> BlockTridiagonal:
             ab = (np.add if w == 0 else np.subtract)(C[v, 2 + w] * eye, part[kept])
             writer.put_off(v, w, ab)
     return BlockTridiagonal(writer)
+
+
+# ---------------------------------------------------------------------------
+# Hessian inertia from the Gram factors
+
+def _transfer_matrices(spec: ProblemSpec, Mx: np.ndarray) -> np.ndarray:
+    """R_k = -A_a,k^-1 A_b,k, (M, 2n, 2n), from element k's Gram factor
+    blocks on node k's [gamma, lambda] and on node k+1's, x rows then v rows,
+
+        A_a = sqrt(h) [[-I/h, -Mx^T/2], [I/2, -(d/2 + m/h) I]]
+        A_b = sqrt(h) [[ I/h, -Mx^T/2], [I/2,  (m/h - d/2) I]],
+
+    sqrt(h) times the map from the end nodes to the linearized primal state,
+    so that element k adds -[A_a | A_b]^T W_k^-1 [A_a | A_b] to the Hessian,
+    W_k = diag(c_x K|_lam, c_v I) (`_hessian_parts`).  Through the Schur
+    complement E = (d/2 + m/h) I + (h/4) Mx^T of A_a's -I/h block,
+    R = [[I, -(h/2) Mx^T] - (h/2) Mx^T Y; Y], Y = E^-1 [I, (m/h - d/2) I -
+    (h/4) Mx^T]: n x n solves, where A_a^-1 would take 2n x 2n ones."""
+    n, h, m, d = spec.n, spec.grid.h, spec.params.m, spec.params.d
+    q = (0.25 * h) * np.swapaxes(Mx, 1, 2)
+    eye = np.broadcast_to(np.eye(n), q.shape)
+    Y = np.linalg.solve((0.5 * d + m / h) * eye + q,
+                        np.concatenate([eye, (m / h - 0.5 * d) * eye - q], axis=2))
+    return np.concatenate([np.concatenate([eye, -2.0 * q], axis=2) - 2.0 * q @ Y, Y], axis=1)
+
+
+def _weight_counts(spec: ProblemSpec, lmid, Kinv) -> tuple[int, int]:
+    """(zero, positive) eigenvalue counts of the block diagonal -W^-1, one
+    within max|1/w| / COND_LIMIT of zero counting as zero; the weights w
+    are c_x times the eigenvalues mu of K|_lam, and c_v.  K|_lam = I (lam·B
+    is zero; ``lmid`` is finite) needs no eigenvalues.  Otherwise a K|_lam
+    that factors by Cholesky has no negative mu, and the bounds 1/||K||_F
+    <= 1/mu <= ||K^-1||_F can certify that none is near zero; only what
+    they leave open gets `eigvalsh`."""
+    p, s = spec.params, spec.scales
+    M, n = lmid.shape
+    if not (np.any(p.force.B) and np.any(lmid)):
+        mu = np.ones((M, n))
+    else:
+        K = stiffness_lambda(p.force.B, lmid, s.c_x)
+        try:
+            np.linalg.cholesky(K)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            lo = 1.0 / (s.c_x * np.max(np.linalg.norm(K, axis=(1, 2))))
+            hi = np.max(np.linalg.norm(Kinv, axis=(1, 2))) / s.c_x
+            if min(lo, 1.0 / s.c_v) > max(hi, 1.0 / s.c_v) / COND_LIMIT:
+                return 0, 0
+        mu = np.linalg.eigvalsh(K)
+    inv = np.concatenate([(1.0 / (s.c_x * mu)).ravel(), np.full(M * n, 1.0 / s.c_v)])
+    tiny = np.abs(inv) <= np.max(np.abs(inv)) / COND_LIMIT
+    return int(np.sum(tiny)), int(np.sum((inv < 0.0) & ~tiny))
+
+
+def _multipliers_at_one(R) -> int:
+    """Number of eigenvalues mu of the transfer product R_0 R_1 ... R_{M-1}
+    with |log mu| <= M _GRAM_LIMIT, a rate per element within _GRAM_LIMIT
+    of zero.  The product is formed pairwise, each partial product scaled
+    by its largest entry with the scale's log carried, so none overflows."""
+    M, logs = len(R), np.zeros(len(R))
+    while len(R) > 1:
+        even = len(R) - len(R) % 2
+        prod = R[0:even:2] @ R[1:even:2]
+        scale = np.max(np.abs(prod), axis=(1, 2))
+        scale[scale == 0.0] = 1.0
+        R = np.concatenate([prod / scale[:, None, None], R[even:]])
+        logs = np.concatenate([logs[0:even:2] + logs[1:even:2] + np.log(scale), logs[even:]])
+    mu = np.linalg.eigvals(R[0])
+    with np.errstate(divide="ignore"):  # mu = 0 is as far from 1 as can be
+        rate = np.hypot(np.log(np.abs(mu)) + logs[0], np.angle(mu))
+    return int(np.sum(rate <= M * _GRAM_LIMIT))
+
+
+def _gram_nullity(spec: ProblemSpec, Mx: np.ndarray) -> int:
+    """The nullity of the square Gram factor A, judged against _GRAM_LIMIT.
+
+    A z = 0 says A_a,k z_k + A_b,k z_{k+1} = 0 for every element k
+    (`_transfer_matrices`), with z_M = 0 (open) or z_M = z_0 (cyclic).
+    A_a,k is singular where the Schur complement of its -I/h block,
+    E_k = c (I + X_k) with c = d/2 + m/h and X_k = (h/4c) Mx_k^T, is;
+    ||X_k||_F <= 1/2 bounds cond(E_k) by 3, and only the elements this
+    cannot certify get an SVD, whose singular values at most _GRAM_LIMIT
+    times the largest are counted.  Where every A_a,k is regular,
+    z_k = R_k z_{k+1} with R_k = -A_a,k^-1 A_b,k: the open A is regular,
+    and the cyclic one's nullity is the number of multipliers of
+    R_0 ... R_{M-1} at 1 (`_multipliers_at_one`), the reciprocals of the
+    adjoint's monodromy multipliers.  Otherwise the count is the elements'
+    sum, an upper bound on the open nullity (a block triangular matrix has
+    at least the rank of its diagonal blocks) and an estimate of the cyclic
+    one."""
+    n, h = spec.n, spec.grid.h
+    c = 0.5 * spec.params.d + spec.params.m / h
+    unsure = np.flatnonzero(~(0.25 * h * np.linalg.norm(Mx, axis=(1, 2)) <= 0.5 * c))
+    null = 0
+    if unsure.size:
+        sv = np.linalg.svd(c * np.eye(n) + (0.25 * h) * np.swapaxes(Mx[unsure], 1, 2),
+                           compute_uv=False)
+        null = int(np.sum(sv <= _GRAM_LIMIT * sv[:, :1]))
+    if null or not spec.periodic:
+        return null
+    return _multipliers_at_one(_transfer_matrices(spec, Mx))
+
+
+def _gram_inertia(spec: ProblemSpec, D: DualField) -> tuple[int, int, int] | None:
+    """(negative, zero, positive) eigenvalue counts of the Hessian at D,
+    read off its Gram form with no Hessian formed; None where the mapped
+    state or a Hessian part (`_hessian_parts`) is not finite.
+
+    H = -A^T W^-1 A, where A is square (row block k holds element k's
+    blocks, `_transfer_matrices`, at nodes k and k+1; node M is dropped, or
+    is node 0 when cyclic) and W is block diagonal.  Where A is regular,
+    Sylvester's law (Golub & Van Loan, Matrix Computations, 4th ed., 8.1)
+    gives H the inertia of -W^-1.  So zero is what `_weight_counts` finds
+    near zero plus A's nullity (`_gram_nullity`); positive is the number of
+    negative eigenvalues of K|_lam over the M midpoints that are not near
+    zero, at most N - zero; negative is the rest."""
+    lmid, _, _, _, _, _, x, v, Kinv = _core_state(spec, D)
+    Mx = _mapped_jacobian(spec, D)
+    if not all(np.all(np.isfinite(a)) for a in (lmid, x, v, Mx, *_hessian_parts(spec, D))):
+        return None
+    N = 2 * spec.n * spec.grid.M
+    zero, positive = _weight_counts(spec, lmid, Kinv)
+    zero = min(N, zero + _gram_nullity(spec, Mx))
+    positive = min(positive, N - zero)
+    return N - zero - positive, zero, positive
 
 
 def ellipticity_check(D: DualField, spec) -> np.ndarray:

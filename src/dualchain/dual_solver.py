@@ -49,6 +49,7 @@ from .dual_action import (
     BlockTridiagonal,
     DualField,
     ProblemSpec,
+    _gram_inertia,
     action,
     dtp_map,
     ellipticity_check,
@@ -107,7 +108,9 @@ class DualSolution:
     converged: bool
     iterations: int
     residual_history: tuple
-    hessian_inertia: tuple | None  # None when the final Hessian is not finite
+    # of the final point's Hessian, from its Gram factors; None when a Hessian
+    # the loop assembled, or the final point's state or parts, is not finite
+    hessian_inertia: tuple | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,13 +139,16 @@ def _maximize(spec: ProblemSpec, opts: SolveOptions):
     Starts from the zero field or ``opts.initial_guess`` (packed by
     `pack_free`); the tolerance is scaled by the zero-field gradient.
     Stops unconverged when no step makes progress or a point overflows;
-    returns the final field, its Hessian, whether it converged and the
-    max-norm history.
+    returns the final field, whether it converged, the max-norm history and
+    whether every Hessian it assembled was finite (False where the loop
+    stopped at one that is not).
 
     Each point is one DualField, passed to every evaluation there, so the
     action, gradient and Hessian at a point share its mapped state; the
-    step searches return the field of the point they accept.  The Hessian
-    is assembled once at every point, the last one's for its inertia.
+    step searches return the field of the point they accept.  Convergence,
+    the iteration cap and an overflowed residual are tested first, so the
+    Hessian is assembled only at a point that takes a step, and never at
+    the final one.
     """
     u = np.zeros(2 * spec.n * spec.grid.M)
     D = _field(spec, u)
@@ -156,11 +162,11 @@ def _maximize(spec: ProblemSpec, opts: SolveOptions):
     gnorm = float(np.max(np.abs(g)))
     history = [gnorm]
     damped = opts.step_control == "damped-newton"
-    while True:
+    # an overflowed (inf or nan) residual or Hessian ends the loop unconverged
+    while tol < gnorm < np.inf and len(history) <= opts.max_iterations:
         H = hessian(D, spec)
-        # an overflowed (inf or nan) residual ends the loop unconverged
-        if not (tol < gnorm < np.inf and len(history) <= opts.max_iterations and H.finite):
-            break
+        if not H.finite:
+            return D, False, history, False
         # singular or not is judged on a cyclic problem's first Hessian only,
         # which shows a linear chain's resonance; later iterates go as open ones
         if spec.periodic and len(history) == 1:
@@ -180,7 +186,7 @@ def _maximize(spec: ProblemSpec, opts: SolveOptions):
         g = gradient(D, spec)
         gnorm = float(np.max(np.abs(g)))
         history.append(gnorm)
-    return D, H, gnorm <= tol, history
+    return D, gnorm <= tol, history, True
 
 
 def _field(spec: ProblemSpec, u) -> DualField:
@@ -326,8 +332,8 @@ def solve_dual(spec: ProblemSpec, opts: SolveOptions | None = None) -> DualSolut
     field (or ``opts.initial_guess``), with the loaded OpenBLAS libraries at
     one thread (see the module docstring)."""
     with _ONE_BLAS_THREAD:
-        D, H, converged, history = _maximize(spec, opts or SolveOptions())
-        inertia = H.inertia() if H.finite else None
+        D, converged, history, finite = _maximize(spec, opts or SolveOptions())
+        inertia = _gram_inertia(spec, D) if finite else None
     return DualSolution(
         D=D,
         converged=converged,

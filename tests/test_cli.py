@@ -818,6 +818,19 @@ def test_forcing_tables_of_fewer_than_two_rows_are_refused(tmp_path, capsys, bod
     assert not out.exists()
 
 
+def test_forcing_table_with_uneven_times_names_its_file(tmp_path, capsys):
+    # the sampled signal's own check is reported with the table's path
+    (tmp_path / "drive.txt").write_text("0.0 1.0\n1.0 0.0\n6.283185307179586 1.0\n")
+    text = SMALL_HARMONIC.replace("kind = primal", "kind = zero") + "[forcing]\ntable = 1 drive.txt\n"
+    out = tmp_path / "out"
+    assert run_one(_write(tmp_path, text), out, mode="dual-solve") == 2
+    table = (tmp_path / "drive.txt").resolve()
+    assert capsys.readouterr().err == (
+        f"config error: forcing.table {table}: times must be strictly increasing "
+        f"and uniformly spaced\n")
+    assert not out.exists()
+
+
 def _with_input_files(tmp_path):
     """A dual-solve config on SMALL_HARMONIC's chain driven by drive.txt, one
     period of a cosine on three samples under a '#' line, and solved about
@@ -997,6 +1010,24 @@ kind = zero
         err = capsys.readouterr().err
         assert "singular" in err.lower()
         assert "1-norm condition estimate" in err
+
+
+def test_an_exit_4_removes_only_the_empty_out_it_made(tmp_path, capsys):
+    # an exit 4 writes nothing: the --out it made goes, with nothing else;
+    # an --out that was there already, empty or holding another run's
+    # files, stays as it was
+    sets = ("base.kind=zero", "grid.M=1000", "forcing.sinusoid=1 1.0 1.0 0.0")
+    out = tmp_path / "parent" / "out"
+    assert run_one(PRESETS["harmonic_n1"], out, sets=sets, mode="periodic") == 4
+    assert "numerical singularity" in capsys.readouterr().err
+    assert not out.exists() and out.parent.is_dir()
+    out.mkdir()
+    assert run_one(PRESETS["harmonic_n1"], out, sets=sets, mode="periodic") == 4
+    assert out.is_dir() and not list(out.iterdir())
+    assert run_one(PRESETS["harmonic_n1"], out, sets=("grid.M=50",), mode="dual-solve") == 0
+    before = sorted(out.iterdir())
+    assert run_one(PRESETS["harmonic_n1"], out, sets=sets, mode="periodic") == 4
+    assert sorted(out.iterdir()) == before
 
 
 def test_zero_base_trust_region_stall_exits_3_with_report(tmp_path, capsys):

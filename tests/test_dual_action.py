@@ -46,7 +46,10 @@ from dualchain.dual_action import (
     COND_LIMIT,
     _core_state,
     _element_fields,
+    _gram_inertia,
+    _mapped_jacobian,
     _stiffness_inv,
+    _transfer_matrices,
 )
 from oracles import (
     assemble_nodes,
@@ -1120,6 +1123,140 @@ def test_evaluations_share_one_state_in_any_order(seed, with_B, calls):
         where = other if on_other else spec
         fresh = DualField(D.grid, D.gamma, D.lam)
         assert result(name, D, where) == result(name, fresh, where)
+
+
+# ---------------------------------------------------------------------------
+# Hessian inertia from the Gram factors
+
+
+def _gram_blocks(spec, D):
+    """Element k's Gram factor blocks (A_a, A_b) on nodes k and k+1, as
+    `_transfer_matrices` states them."""
+    n, h, m, d = spec.n, spec.grid.h, spec.params.m, spec.params.d
+    Mx = _mapped_jacobian(spec, D)
+    blocks = np.zeros((2, spec.grid.M, 2 * n, 2 * n))
+    for A, sign in zip(blocks, (-1.0, 1.0)):
+        A[:, :n, :n] = (sign / h) * np.eye(n)
+        A[:, :n, n:] = -0.5 * np.swapaxes(Mx, 1, 2)
+        A[:, n:, :n] = 0.5 * np.eye(n)
+        A[:, n:, n:] = (sign * m / h - 0.5 * d) * np.eye(n)
+    return np.sqrt(h) * blocks
+
+
+def _gram_product(spec, D):
+    """-A^T W^-1 A, dense: row block k of A holds `_gram_blocks` at nodes k
+    and k+1 (node M dropped, or node 0 when cyclic), and W^-1 =
+    diag(K|_lam^-1 / c_x, I / c_v) per element."""
+    n, M = spec.n, spec.grid.M
+    b = 2 * n
+    A_a, A_b = _gram_blocks(spec, D)
+    Kinv = _core_state(spec, D)[8]
+    A = np.zeros((M * b, M * b))
+    Winv = np.zeros((M * b, M * b))
+    for k in range(M):
+        rows = slice(k * b, (k + 1) * b)
+        A[rows, rows] = A_a[k]
+        if k + 1 < M or spec.periodic:
+            j = (k + 1) % M
+            A[rows, j * b:(j + 1) * b] = A_b[k]
+        Winv[k * b:k * b + n, k * b:k * b + n] = Kinv[k] / spec.scales.c_x
+        Winv[k * b + n:(k + 1) * b, k * b + n:(k + 1) * b] = np.eye(n) / spec.scales.c_v
+    return -A.T @ Winv @ A
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(2, 9), st.booleans(),
+       st.booleans(), st.sampled_from([0.0, 0.05, 0.3]))
+@example(seed=0, n=2, M=2, with_B=False, periodic=True, scale=0.05)  # F = 2, linear
+@example(seed=1, n=3, M=2, with_B=True, periodic=True, scale=0.3)  # F = 2, quadratic
+def test_hessian_is_the_gram_product(seed, n, M, with_B, periodic, scale):
+    # H = -A^T W^-1 A with A square, open and cyclic, to rounding; the
+    # stiffness inverse adds its condition number; and the transfer
+    # matrices, from n x n Schur complements, are -A_a^-1 A_b
+    spec, D = _hessian_case(seed, n, M, with_B, periodic, scale)
+    H = hessian(D, spec).to_dense()
+    mu = np.abs(stiffness_eig(spec.params.force.B, _core_state(spec, D)[0], spec.scales.c_x)[0])
+    cond = float(np.max(np.max(mu, axis=1) / np.min(mu, axis=1)))
+    assert np.max(np.abs(_gram_product(spec, D) - H)) <= 64 * n * _EPS * cond * np.max(np.abs(H))
+    A_a, A_b = _gram_blocks(spec, D)
+    np.testing.assert_allclose(_transfer_matrices(spec, _mapped_jacobian(spec, D)),
+                               -np.linalg.solve(A_a, A_b), rtol=1e-12, atol=1e-12)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(2, 9), st.booleans(),
+       st.booleans(), st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+@example(seed=3, n=2, M=5, with_B=True, periodic=True, scale=1.0)  # 2 positive
+@example(seed=11, n=3, M=4, with_B=True, periodic=False, scale=1.0)  # 2 positive
+def test_gram_inertia_matches_the_hessian_inertia(seed, n, M, with_B, periodic, scale):
+    # kappa_2(H) <= 1e9 keeps every eigenvalue beyond inertia()'s delta =
+    # ||H||_1 / COND_LIMIT <= sqrt(N) ||H||_2 / COND_LIMIT (N <= 72 here),
+    # and A and W well conditioned, so both count the signs.  Without the
+    # bound they part where H is near singular: a drawn spec with
+    # kappa_2(H) = 4.8e14 gives 57 3 12 from inertia() and 60 0 12 here
+    spec, D = _hessian_case(seed, n, M, with_B, periodic, scale)
+    try:
+        H = hessian(D, spec)
+    except SingularStiffnessError:
+        assume(False)
+    mu = np.abs(np.linalg.eigvalsh(H.to_dense()))
+    assume(np.max(mu) <= 1e9 * np.min(mu))
+    assert _gram_inertia(spec, D) == H.inertia()
+
+
+def _linear_spec(n, M, k, d=0.0):
+    """Unit-mass linear chain with stiffness k I at rest on [0, 2 pi], zero
+    base, as the initial-value problem."""
+    force = QuadraticForce(n=n, A=k * np.eye(n))
+    params = ChainParams(m=1.0, d=d, force=force, forcing=ForcingSpec.zero(n))
+    grid = TimeGrid(T=2.0 * np.pi, M=M)
+    return ProblemSpec(params=params, scales=ScaleParams(1.0, 1.0), base=zero_base(grid, n),
+                       grid=grid, x0=np.zeros(n), v0=np.zeros(n))
+
+
+def test_gram_inertia_counts_singular_elements_as_an_upper_bound():
+    # at k = -4 (d/2 + m/h) / h every element's A_a is singular, E = 0: the
+    # elements' sum, 2 per element, bounds the open nullity, 2, from above
+    spec = _linear_spec(n=2, M=6, k=-4.0 * (0.25 + 6.0 / (2.0 * np.pi)) / (np.pi / 3.0), d=0.5)
+    D = DualField.zeros(spec.grid, 2)
+    assert hessian(D, spec).inertia() == (22, 2, 0)
+    assert _gram_inertia(spec, D) == (12, 12, 0)
+    # a regular element needs no SVD
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "svd", lambda *a, **k: pytest.fail("an element SVD ran"))
+        assert _gram_inertia(_linear_spec(n=2, M=6, k=1.0), D) == (24, 0, 0)
+
+
+@pytest.mark.parametrize("lam, c_v, counts, reference", [
+    # K = 1e-13 factors, but its weight 1e13 puts the v weights, 1, within
+    # max|1/w| / COND_LIMIT of zero; inertia() counts one more there
+    (-(1.0 - 1e-13), 1.0, (8, 8, 0), (7, 9, 0)),
+    # K = -1 beside 1/c_v = 1e13: its weights count as zero, not positive
+    (-2.0, 1e-13, (8, 8, 0), (8, 8, 0)),
+    (-2.0, 1.0, (8, 0, 8), (8, 0, 8)),
+], ids=["small-K", "negative-K-beside-tiny-c_v", "negative-K"])
+def test_gram_inertia_counts_weights_near_zero_beside_the_largest(lam, c_v, counts, reference):
+    # n = 1, K = 1 + lam on every element of a constant field over one period
+    force = QuadraticForce(n=1, A=[[1.0]], B=np.ones((1, 1, 1)))
+    params = ChainParams(m=1.0, d=0.0, force=force, forcing=ForcingSpec.zero(1))
+    grid = TimeGrid(T=2.0 * np.pi, M=8)
+    spec = ProblemSpec(params=params, scales=ScaleParams(1.0, c_v), base=zero_base(grid, 1),
+                       grid=grid)
+    D = DualField(grid, np.zeros((9, 1)), np.full((9, 1), lam))
+    assert _gram_inertia(spec, D) == counts
+    assert hessian(D, spec).inertia() == reference
+
+
+def test_gram_inertia_is_none_where_a_hessian_part_overflows():
+    # m = 1e300 leaves the mapped state finite but overflows m^2 / c_v in
+    # the scalar part, as it overflows the Hessian
+    spec = _linear_spec(n=1, M=4, k=1.0)
+    huge = dataclasses.replace(spec, params=dataclasses.replace(spec.params, m=1e300))
+    D = DualField.zeros(spec.grid, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not hessian(D, huge).finite
+        assert _gram_inertia(huge, D) is None
+    assert _gram_inertia(spec, D) == (8, 0, 0)
 
 
 # ---------------------------------------------------------------------------

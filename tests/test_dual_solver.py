@@ -304,10 +304,18 @@ def test_midpoint_data_built_once_per_solve(monkeypatch):
 
 
 @pytest.mark.parametrize("step_control", ["damped-newton", "trust-region"])
-def test_open_problem_factors_only_for_a_newton_direction(band_counts, step_control):
+def test_open_problem_factors_only_for_a_newton_direction(band_counts, monkeypatch,
+                                                         step_control):
     # damped Newton factors -H once per iterate; the trust region factors only
-    # at its shifts (and the final inertia's certificate is one more); each
-    # Hessian writes its open band once, and each factorization copies it
+    # at its shifts; each Hessian writes its open band once, and each
+    # factorization copies it; the converged point assembles no Hessian, and
+    # its inertia comes from the Gram factors, not from inertia(), with no
+    # eigenvalues: the weighted stiffness there factors by Cholesky
+    def refuse(*args, **kwargs):
+        raise AssertionError("inertia() or eigvalsh ran")
+
+    monkeypatch.setattr(dual_action.BlockTridiagonal, "inertia", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     n = 4
     grid = TimeGrid(T=3.0, M=80)
     spec = ProblemSpec(params=ChainParams(m=1.0, d=0.0, force=fput_alpha(n, 0.25),
@@ -319,10 +327,25 @@ def test_open_problem_factors_only_for_a_newton_direction(band_counts, step_cont
     assert sol.converged and sol.iterations >= 2
     newton = sol.iterations if step_control == "damped-newton" else 0
     assert counts["dpbtrf"] == newton + counts["shifted"]
-    # one band per Hessian (the loop's and the final one), one negated copy
-    # of it per factorization
-    assert counts["bands"] == counts["hessians"] == sol.iterations + 1
+    if step_control == "damped-newton":
+        assert counts["shifted"] == 0
+    # one band per Hessian, one Hessian per iterate that takes a step, one
+    # negated copy of it per factorization
+    assert counts["bands"] == counts["hessians"] == sol.iterations
     assert counts["copies"] == counts["dpbtrf"]
+    assert sol.hessian_inertia == (2 * n * grid.M, 0, 0)
+
+
+def test_a_solve_from_its_own_maximum_assembles_no_hessian(band_counts):
+    # convergence is tested before any assembly, so a re-solve from the
+    # converged field stops at once, with the same inertia and no Hessian
+    spec = _fput_spec(n=3, M=64, perturb=0.05, seed=2)
+    sol = solve_dual(spec)
+    assert sol.converged and band_counts["hessians"] == sol.iterations > 0
+    again = solve_dual(spec, SolveOptions(initial_guess=sol.D))
+    assert again.converged and again.iterations == 0
+    assert band_counts["hessians"] == sol.iterations
+    assert again.hessian_inertia == sol.hessian_inertia == (2 * 3 * 64, 0, 0)
 
 
 def test_failed_line_search_falls_back_to_a_trust_region_step(monkeypatch):

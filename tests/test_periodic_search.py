@@ -378,9 +378,9 @@ def test_periodic_solve_probes_once_and_factors_only_newton_directions(band_coun
                                                                         step_control):
     # the singularity check factors -H and one shifted probe on the first
     # iterate; a later iterate factors -H only for a damped Newton direction,
-    # so trust-region factors it that once; each shift (the probe, a
-    # trust-region shift, or the final inertia's certificate) gets one
-    # factorization of its own; each Hessian writes its folded band once,
+    # so trust-region factors it that once; each shift (the probe or a
+    # trust-region shift) gets one factorization of its own; each Hessian
+    # writes its folded band once, the converged point assembles none,
     # every factorization negates one copy of it, and no LU runs
     counts = band_counts
 
@@ -392,14 +392,14 @@ def test_periodic_solve_probes_once_and_factors_only_newton_directions(band_coun
     sol = solve_periodic(_fput_forced_spec(M=64), SolveOptions(step_control=step_control))
     k = sol.iterations
     assert sol.converged and k > 1
-    assert counts["bands"] == counts["hessians"] == k + 1
+    assert counts["bands"] == counts["hessians"] == k
     assert counts["copies"] == counts["dpbtrf"]
-    if step_control == "damped-newton":  # k Newton factors, one probe, one certificate
-        assert counts["dpbtrf"] == k + 2
-        assert counts["shifted"] == 2
-    else:  # the first iterate's -H, then only shifts
+    if step_control == "damped-newton":  # k Newton factors and one probe
+        assert counts["dpbtrf"] == k + 1
+        assert counts["shifted"] == 1
+    else:  # the first iterate's -H, then the probe and at least one shift per iterate
         assert counts["dpbtrf"] == 1 + counts["shifted"]
-        assert counts["shifted"] > k + 1
+        assert counts["shifted"] > k
 
 
 @pytest.mark.parametrize("step_control", ["damped-newton", "trust-region"])
@@ -492,13 +492,17 @@ def test_periodic_derivatives_match_finite_differences(n, M, with_B, seed):
     assert np.max(np.abs(H.to_dense() - H_fd)) <= 1e-5 * (1.0 + np.max(np.abs(H_fd)))
 
 
-def _resonant_hessian(M):
+def _resonant_spec(M):
     force = QuadraticForce(n=1, A=[[1.0]])
     forcing = ForcingSpec(n=1, sinusoids=[(0, Sinusoid(1.0, 1.0, 0.0))])
     params = ChainParams(m=1.0, d=0.0, force=force, forcing=forcing)
     grid = TimeGrid(T=2 * np.pi, M=M)
-    spec = ProblemSpec(params=params, scales=UNIT, base=zero_base(grid, 1), grid=grid)
-    return hessian(DualField.zeros(grid, 1), spec)
+    return ProblemSpec(params=params, scales=UNIT, base=zero_base(grid, 1), grid=grid)
+
+
+def _resonant_hessian(M):
+    spec = _resonant_spec(M)
+    return hessian(DualField.zeros(spec.grid, 1), spec)
 
 
 def _decision_bytes(H):
@@ -566,6 +570,17 @@ def test_singularity_probe_and_inertia_agree_on_the_resonant_hessian():
     assert H.inertia() == (998, 2, 0)
     with pytest.raises(SingularSystemError, match="condition estimate > 1.000e"):
         dual_solver._factorize_checked(H)
+
+
+@pytest.mark.parametrize("M, zero", [(100, 0), (200, 0), (500, 2), (1000, 2)])
+def test_gram_inertia_counts_the_resonant_multipliers_as_zero(M, zero):
+    # the transfer product's two multipliers lie 0.524 h^2 from 1 (the
+    # midpoint rule's phase error), and count as zero within M / sqrt(
+    # COND_LIMIT): from M = 275 on, as inertia() does at 300 but not at 200
+    spec = _resonant_spec(M)
+    D = DualField.zeros(spec.grid, 1)
+    assert dual_action._gram_inertia(spec, D) == hessian(D, spec).inertia() == (2 * M - zero,
+                                                                                 zero, 0)
 
 
 def test_singular_probe_tells_singular_from_indefinite():
