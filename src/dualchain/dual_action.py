@@ -19,9 +19,10 @@ produce bit-identical outputs.
 One path per job: a linear force is the quadratic one with B = 0 (its
 weighted stiffness is exactly I); one map takes dual values and rates to the
 primal state, at midpoints for the assembly and at nodes for `dtp_map`; one
-factorization, the banded Cholesky of the negated Hessian (LAPACK dpbtrf
-directly), serves the open and the cyclic band alike, and at a shift,
-`BlockTridiagonal.neg_cholesky(shift)`, answers every definiteness question.
+factorization, the banded Cholesky of the negated Hessian (LAPACK dpbtrf,
+from the library numpy links, `_band_lapack`), serves the open and the
+cyclic band alike, and at a shift, `BlockTridiagonal.neg_cholesky(shift)`,
+answers every definiteness question.
 A Hessian is stored as that band and nothing else, open or folded when
 cyclic: `hessian` writes each [gamma, lambda] sub-block of it once, for all
 nodes, straight from the element parts (no element quadrant or node block
@@ -52,11 +53,13 @@ bound is a decision, sent to the eigenvalue test.
 
 from __future__ import annotations
 
+import ctypes
+import os
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .chain_model import (
     ChainParams,
@@ -461,12 +464,16 @@ def _hessian_parts(spec: ProblemSpec, D: DualField):
     gamma_b, lambda_b, and each matrix part lands in the end-node blocks
     with the weights S gives it (see `hessian`).
     """
-    h = spec.grid.h
     P = _core_state(spec, D)[8] / spec.scales.c_x
     Mx = _mapped_jacobian(spec, D)
     MxP = Mx @ P
     L = MxP @ np.swapaxes(Mx, 1, 2)
+    return _scalar_part(spec), P, 0.5 * MxP, L
 
+
+def _scalar_part(spec: ProblemSpec) -> np.ndarray:
+    """`_hessian_parts`' C, the 4x4 element block of the scalar parts."""
+    h = spec.grid.h
     # map (gamma_mid, lambda_mid, gamma_rate, lambda_rate) -> end-node values
     smap = np.array([
         [0.5, 0.0, 0.5, 0.0],
@@ -482,7 +489,7 @@ def _hessian_parts(spec: ProblemSpec, D: DualField):
         [0.0, 0.0, 0.0, 0.0],
         [-m, d * m, 0.0, -m * m],
     ]) / c_v
-    return h * (smap.T @ scalar @ smap), P, 0.5 * MxP, L
+    return h * (smap.T @ scalar @ smap)
 
 
 # ---------------------------------------------------------------------------
@@ -580,6 +587,93 @@ class _BandWriter:
         down[1:F - 2:2, :, 2] = np.swapaxes(u[F - 2::-1][:F // 2 - 1], 1, 2)
 
 
+# dpbtrf's and dpbtrs's symbols in the LAPACK numpy links, each pattern with
+# the integer of its interface: numpy >= 2 wheels (scipy-openblas, ILP64),
+# numpy 1.2x wheels (ILP64) and LP64 builds
+_LAPACK_SYMBOLS = (("scipy_{}_64_", ctypes.c_int64), ("{}_64_", ctypes.c_int64),
+                   ("{}_", ctypes.c_int))
+
+
+class _BandLapack(NamedTuple):
+    """LAPACK's Cholesky of a lower band: ``dpbtrf(ab)`` factors the band
+    ``ab`` (Fortran order, float64, ab[i - j, j] = A[i, j]) in place and
+    ``dpbtrs(fac, x)`` overwrites the vector ``x`` with A^-1 x, each
+    returning (its result, LAPACK's info).  ``symbol`` names the dpbtrf it
+    calls."""
+
+    symbol: str
+    dpbtrf: Callable
+    dpbtrs: Callable
+
+
+def _band_lapack(symbols=_LAPACK_SYMBOLS) -> _BandLapack:
+    """The band Cholesky of the LAPACK numpy already links, through ctypes.
+
+    dlsym on the handle of numpy's loaded `_umath_linalg` also searches the
+    libraries it depends on (RTLD_NOLOAD opens only what is mapped), so the
+    first pattern of ``symbols`` that names both routines there is bound.
+    Where none does (macOS Accelerate builds; Windows, whose GetProcAddress
+    does not search a DLL's dependencies), scipy.linalg.lapack's wrappers
+    serve, imported here, at import time, so that `solve_dual`'s thread
+    guard finds scipy's OpenBLAS mapped."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__, mode=os.RTLD_NOLOAD)
+    except (AttributeError, OSError):  # no RTLD_NOLOAD, or not a loadable library
+        symbols = ()
+    for pattern, int_t in symbols:
+        trf, trs = (getattr(lib, pattern.format(r), None) for r in ("dpbtrf", "dpbtrs"))
+        if trf is not None and trs is not None:
+            return _BandLapack(pattern.format("dpbtrf"), *_fortran_band_cholesky(trf, trs, int_t))
+    from scipy.linalg import lapack
+
+    def dpbtrf(ab):
+        return lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
+
+    def dpbtrs(fac, x):
+        return lapack.dpbtrs(fac, x, lower=1, overwrite_b=1)
+
+    return _BandLapack("scipy.linalg.lapack", dpbtrf, dpbtrs)
+
+
+def _fortran_band_cholesky(trf, trs, int_t) -> tuple[Callable, Callable]:
+    """`_BandLapack`'s dpbtrf and dpbtrs on the Fortran routines ``trf`` and
+    ``trs``, integers of ctypes type ``int_t`` passed by reference and the
+    length of the character uplo last, as gfortran's ABI has it.  Each
+    checks the layout of the arrays it hands over."""
+    ref, buf, size = ctypes.POINTER(int_t), ctypes.c_void_p, ctypes.c_size_t
+    trf.argtypes = [ctypes.c_char_p, ref, ref, buf, ref, ref, size]
+    trs.argtypes = [ctypes.c_char_p, ref, ref, ref, buf, ref, buf, ref, ref, size]
+    trf.restype = trs.restype = None
+
+    def band(ab):
+        if ab.dtype != np.float64 or ab.ndim != 2 or not ab.flags.f_contiguous:
+            raise ValueError("the band must be a Fortran-ordered float64 matrix")
+        return int_t(ab.shape[1]), int_t(ab.shape[0] - 1), int_t(ab.shape[0])
+
+    def dpbtrf(ab):
+        n, kd, ldab = band(ab)
+        if not ab.flags.writeable:
+            raise ValueError("dpbtrf factors the band in place; it must be writeable")
+        info = int_t()
+        trf(b"L", n, kd, ab.ctypes.data, ldab, info, 1)
+        return ab, info.value
+
+    def dpbtrs(fac, x):
+        n, kd, ldab = band(fac)
+        if (x.dtype != np.float64 or x.shape != (n.value,) or not x.flags.c_contiguous
+                or not x.flags.writeable):
+            raise ValueError("the right-hand side must be a writeable, contiguous float64 "
+                             "vector of the band's size")
+        info = int_t()
+        trs(b"L", n, kd, int_t(1), fac.ctypes.data, ldab, x.ctypes.data, n, info, 1)
+        return x, info.value
+
+    return dpbtrf, dpbtrs
+
+
+_LAPACK = _band_lapack()
+
+
 class BlockTridiagonal:
     """Symmetric block-tridiagonal matrix stored as one lower band.
 
@@ -654,37 +748,43 @@ class BlockTridiagonal:
         return float(np.max(a[:, w - 1:].sum(axis=0) + mirror.sum(axis=1)))
 
     def solve(self, rhs: np.ndarray, fac) -> np.ndarray:
-        """x with A x = rhs, from ``fac``, `neg_cholesky`'s factor of -A;
-        ValueError if rhs is not finite."""
-        rhs = np.asarray_chkfinite(rhs)  # the factor of a finite band is finite
+        """x with A x = rhs, from ``fac``, `neg_cholesky`'s factor of -A, by
+        dpbtrs (`_band_lapack`) on a fresh vector; ValueError if rhs is not
+        finite, before any LAPACK call, or if dpbtrs rejects an argument."""
+        rhs = np.asarray_chkfinite(rhs, dtype=float)  # the factor of a finite band is finite
         b = self.block
         F = self.size // b
         order = _folded_order(F) if self.cyclic else slice(None)
-        # A x = rhs  <=>  x = (-A)^{-1} (-rhs)
-        y = scipy.linalg.lapack.dpbtrs(fac, -rhs.reshape(F, b)[order].ravel(), lower=1)[0]
+        # A x = rhs  <=>  x = (-A)^{-1} (-rhs), solved in a fresh vector
+        y, info = _LAPACK.dpbtrs(fac, -rhs.reshape(F, b)[order].ravel())
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dpbtrs")
         x = np.empty((F, b))
         x[order] = y.reshape(F, b)
         return x.ravel()
 
     def neg_cholesky(self, shift: float = 0.0):
-        """Lower Cholesky factor of -(A - shift I) by LAPACK dpbtrf on the
-        negated band (folded when cyclic), or None when A - shift I is not
-        negative definite; ValueError if that band is not finite.  Each call
-        negates the stored band into a fresh array in one pass, adds the
-        shift to its row 0, the negated diagonal -d (fl(shift - d) =
-        -fl(d - shift)), and factors that array in place."""
+        """Lower Cholesky factor of -(A - shift I) by LAPACK dpbtrf, from the
+        library numpy links (`_band_lapack`), on the negated band (folded
+        when cyclic), or None when A - shift I is not negative definite;
+        ValueError if that band is not finite, before any LAPACK call, or if
+        dpbtrf rejects an argument.  Each call negates the stored band into
+        a fresh array in one pass, adds the shift to its row 0, the negated
+        diagonal -d (fl(shift - d) = -fl(d - shift)), and factors that array
+        in place."""
         if self.finite:
             ab = np.negative(self.band)
             ab[0] += shift  # a shift that is not finite, or overflows, shows here
         if not self.finite or not np.all(np.isfinite(ab[0])):
             raise ValueError("array must not contain infs or NaNs")
-        fac, info = scipy.linalg.lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
+        fac, info = _LAPACK.dpbtrf(ab)
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of dpbtrf")
         return fac if info == 0 else None
 
     def eigenvalues(self) -> np.ndarray:
-        return scipy.linalg.eigvals_banded(self.band, lower=True)
+        """Eigenvalues in ascending order, of the dense matrix."""
+        return np.linalg.eigvalsh(self.to_dense())
 
     def inertia(self) -> tuple[int, int, int]:
         """(negative, zero, positive) eigenvalue counts, an eigenvalue in
@@ -962,7 +1062,9 @@ def _gram_nullity(spec: ProblemSpec, Mx: np.ndarray) -> int:
 def _gram_inertia(spec: ProblemSpec, D: DualField) -> tuple[int, int, int] | None:
     """(negative, zero, positive) eigenvalue counts of the Hessian at D,
     read off its Gram form with no Hessian formed; None where the mapped
-    state or a Hessian part (`_hessian_parts`) is not finite.
+    state or a Hessian part (`_hessian_parts`) is not finite.  Mx, P and C
+    are tested; G and L are formed only where the bounds |G| <= (n/2)
+    max|Mx| max|P| and |L| <= n^2 max|Mx|^2 max|P| leave overflow open.
 
     H = -A^T W^-1 A, where A is square (row block k holds element k's
     blocks, `_transfer_matrices`, at nodes k and k+1; node M is dropped, or
@@ -973,8 +1075,16 @@ def _gram_inertia(spec: ProblemSpec, D: DualField) -> tuple[int, int, int] | Non
     negative eigenvalues of K|_lam over the M midpoints that are not near
     zero, at most N - zero; negative is the rest."""
     lmid, _, _, _, _, _, x, v, Kinv = _core_state(spec, D)
-    Mx = _mapped_jacobian(spec, D)
-    if not all(np.all(np.isfinite(a)) for a in (lmid, x, v, Mx, *_hessian_parts(spec, D))):
+    Mx, P = _mapped_jacobian(spec, D), Kinv / spec.scales.c_x
+    if not all(np.all(np.isfinite(a)) for a in (lmid, x, v, Mx, P, _scalar_part(spec))):
+        return None
+    # Mx P = 2 G is formed on the way to L; below half the largest float,
+    # the bound leaves round-off no room to overflow (an inf or nan bound
+    # certifies nothing)
+    n, mx = spec.n, float(np.max(np.abs(Mx)))
+    bound = n * mx * float(np.max(np.abs(P))) * max(1.0, n * mx)
+    if not bound <= 0.5 * np.finfo(float).max and not all(
+            np.all(np.isfinite(a)) for a in _hessian_parts(spec, D)[2:]):
         return None
     N = 2 * spec.n * spec.grid.M
     zero, positive = _weight_counts(spec, lmid, Kinv)

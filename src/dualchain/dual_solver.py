@@ -9,28 +9,30 @@ iterate, steps fall back to a Levenberg-style trust-region iteration that
 must decrease the gradient norm; when that cannot make progress either, the
 iteration stops unconverged, as it does at an overflowed point.  A damped
 Newton iterate's negated Hessian is factored once by the banded Cholesky
-(LAPACK dpbtrf and dpbtrs, on the folded band when cyclic); where it does
-not factor, the iterate is indefinite and goes to the trust region, whose
-shift grows until it factors.  A cyclic solve checks its first Hessian only
-against `COND_LIMIT`, by a probe at ||H||_1 / COND_LIMIT on the other side
-of zero: a linear chain's Hessian does not depend on the field, so its
-resonance or missing restoring force shows there, and a later iterate near
-singular is not a singular problem.  Each factorization is
-`neg_cholesky(shift)` on the iterate's Hessian, which negates a copy of the
-band the Hessian was written into, open or folded; a Hessian that is not
-finite, as its assembly records, ends the iteration.  The period is the
-grid span, an integer number of forcing periods; orbits of unknown period
-are out of scope.
+(LAPACK dpbtrf and dpbtrs from the library numpy links, on the folded band
+when cyclic); where it does not factor, the iterate is indefinite and goes
+to the trust region, whose shift grows until it factors.  A cyclic solve
+checks its first Hessian only against `COND_LIMIT`, by a probe at
+||H||_1 / COND_LIMIT on the other side of zero: a linear chain's Hessian
+does not depend on the field, so its resonance or missing restoring force
+shows there, and a later iterate near singular is not a singular problem.
+Each factorization is `neg_cholesky(shift)` on the iterate's Hessian, which
+negates a copy of the band the Hessian was written into, open or folded; a
+Hessian that is not finite, as its assembly records, ends the iteration.
+The period is the grid span, an integer number of forcing periods; orbits
+of unknown period are out of scope.
 
 Every `solve_dual` runs with the OpenBLAS libraries already loaded into the
-process (numpy and scipy each bundle one) set to one thread, and gives each
-its previous count back when it returns or raises.  On two cores the two
-pools' idle workers otherwise contend with the thread doing the work: on a
-2-core Xeon the banded Cholesky took more than twice as long with the
-default two threads, and the results are the same with one thread and with
-two.  A user who set OPENBLAS_NUM_THREADS keeps it, the rule `--jobs`
-workers follow too; without /proc, or with another BLAS, the thread counts
-are left alone.
+process set to one thread, and gives each its previous count back when it
+returns or raises: numpy's, which factors the band, and scipy's where
+another import loaded it, or where numpy's LAPACK could not be bound and
+`dual_action` factors with scipy's wrappers.  On two cores idle pool
+workers otherwise contend with the thread doing the work: on a 2-core Xeon
+the banded Cholesky took more than twice as long with the default two
+threads, and the results are the same with one thread and with two.  A
+user who set OPENBLAS_NUM_THREADS keeps it, the rule `--jobs` workers
+follow too; without /proc, or with another BLAS, the thread counts are left
+alone.
 """
 
 from __future__ import annotations

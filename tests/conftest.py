@@ -7,7 +7,6 @@ band's two byte-identity tests under it.
 """
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import settings
 
 from dualchain import dual_action, dual_solver
@@ -23,7 +22,7 @@ def band_counts(monkeypatch) -> dict:
     counts = {"hessians": 0, "bands": 0, "copies": 0, "dpbtrf": 0, "shifted": 0}
     bands = []
     hessian, writer = dual_solver.hessian, dual_action._BandWriter
-    negative, dpbtrf = np.negative, scipy.linalg.lapack.dpbtrf
+    negative, lapack = np.negative, dual_action._LAPACK
     neg_cholesky = dual_action.BlockTridiagonal.neg_cholesky
 
     def counted_hessian(D, spec):
@@ -41,10 +40,10 @@ def band_counts(monkeypatch) -> dict:
         counts["copies"] += any(a is band for band in bands)
         return negative(a, *args, **kwargs)
 
-    def counted_cholesky(ab, **kwargs):
+    def counted_cholesky(ab):
         counts["dpbtrf"] += 1
         assert not any(np.may_share_memory(ab, band) for band in bands)
-        return dpbtrf(ab, **kwargs)
+        return lapack.dpbtrf(ab)
 
     def counted_neg_cholesky(self, shift=0.0):
         counts["shifted"] += shift != 0.0
@@ -53,6 +52,6 @@ def band_counts(monkeypatch) -> dict:
     monkeypatch.setattr(dual_solver, "hessian", counted_hessian)
     monkeypatch.setattr(dual_action, "_BandWriter", CountedWriter)
     monkeypatch.setattr(np, "negative", counted_negative)
-    monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", counted_cholesky)
+    monkeypatch.setattr(dual_action, "_LAPACK", lapack._replace(dpbtrf=counted_cholesky))
     monkeypatch.setattr(dual_action.BlockTridiagonal, "neg_cholesky", counted_neg_cholesky)
     return counts

@@ -6,6 +6,8 @@ import hashlib
 import io
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +55,30 @@ def _write(tmp_path, text, name="case.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+_SCIPY_MODULES = """
+import sys
+from dualchain.cli import run_one, scenario_presets
+presets = {p.stem: p for p in scenario_presets()}
+codes = [run_one(presets[stem], sys.argv[1] + "/" + stem) for stem in sys.argv[2:]]
+print(codes, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_a_run_never_loads_scipy(tmp_path):
+    # the band is factored by the LAPACK numpy links, so importing the
+    # command line and running an initial-value and a periodic preset, in a
+    # fresh interpreter, load no scipy module
+    if dual_action._LAPACK.symbol == "scipy.linalg.lapack":
+        pytest.skip("numpy's LAPACK exports no dpbtrf this package can bind; "
+                    "the band is factored by scipy.linalg.lapack")
+    src = str(Path(dual_action.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", _SCIPY_MODULES, str(tmp_path), "damped_n1",
+                          "periodic_forced_n4"],
+                         capture_output=True, text=True, env=env, timeout=300, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "[0, 0] []"
 
 
 def test_presets_are_the_six_shipped_scenarios():

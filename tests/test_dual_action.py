@@ -1,4 +1,5 @@
 """Discrete action, dual-to-primal map, derivatives, and ellipticity."""
+import ctypes
 import dataclasses
 import hashlib
 import re
@@ -628,6 +629,104 @@ def test_banded_cholesky_and_direction_match_scipy_bit_for_bit(seed, F, b):
             H.neg_cholesky(bad)
 
 
+def _scipy_band_cholesky(H, shift, rhs):
+    """scipy.linalg.lapack's factor of -(H - shift I) the way `neg_cholesky`
+    makes it (None where dpbtrf reports a failing pivot), and its dpbtrs
+    solve of the band-ordered ``rhs`` with that factor."""
+    ab = np.negative(H.band)
+    ab[0] += shift
+    fac, info = scipy.linalg.lapack.dpbtrf(ab, lower=1)
+    if info:
+        return None, None
+    return fac, scipy.linalg.lapack.dpbtrs(fac, rhs, lower=1)[0]
+
+
+def _assert_band_cholesky_bytes(H, shift, rhs):
+    want_fac, want_x = _scipy_band_cholesky(H, shift, rhs)
+    fac = H.neg_cholesky(shift)
+    assert (fac is None) == (want_fac is None)
+    if fac is not None:
+        assert fac.tobytes("F") == want_fac.tobytes("F")
+        x, info = dual_action._LAPACK.dpbtrs(fac, rhs.copy())
+        assert info == 0 and x.tobytes() == want_x.tobytes()
+        assert np.all(np.isfinite(H.solve(rhs, fac)))
+
+
+# open (2b) and cyclic (3b) bands, b = 2..16, of up to 320 unknowns:
+# negative definite ones and indefinite ones, shifted either way by up to
+# their largest diagonal entry, so that a pivot may fail anywhere
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 16), st.integers(2, 160), st.booleans(),
+       st.sampled_from(["negative", None]), st.floats(-1.0, 1.0))
+@example(seed=0, b=16, F=20, cyclic=True, definite="negative", lift=0.0)  # the widest
+def test_band_cholesky_matches_scipy_lapack_byte_for_byte(seed, b, F, cyclic, definite, lift):
+    F = min(F, 320 // b)
+    rng = np.random.default_rng(seed)
+    H = _random_block_tridiagonal(rng, M=F, b=b, definite=definite, cyclic=cyclic)
+    assert H.band.shape[0] == (3 if cyclic else 2) * b
+    _assert_band_cholesky_bytes(H, lift * H.diag_max, rng.normal(size=H.size))
+
+
+def test_band_lapack_falls_back_to_scipy_where_no_symbol_resolves(monkeypatch):
+    # a resolver that finds none of its names binds scipy.linalg.lapack's
+    # wrappers, which give the bytes the default binding gives
+    rng = np.random.default_rng(29)
+    bound = dual_action._LAPACK
+    for symbols in ((), (("no_such_{}_", ctypes.c_int),)):
+        fallback = dual_action._band_lapack(symbols)
+        assert fallback.symbol == "scipy.linalg.lapack"
+        for cyclic in (False, True):
+            H = _random_block_tridiagonal(rng, M=9, b=5, definite="negative", cyclic=cyclic)
+            rhs = rng.normal(size=H.size)
+            results = []
+            for lapack in (bound, fallback):
+                monkeypatch.setattr(dual_action, "_LAPACK", lapack)
+                fac = H.neg_cholesky()
+                results.append((fac.tobytes("F"), H.solve(rhs, fac).tobytes(),
+                                H.neg_cholesky(-2.0 * H.diag_max)))
+            assert results[0][:2] == results[1][:2]
+            assert results[0][2] is None and results[1][2] is None
+
+
+def test_band_lapack_checks_the_arrays_it_hands_to_lapack():
+    if dual_action._LAPACK.symbol == "scipy.linalg.lapack":
+        pytest.skip("the band is factored by scipy.linalg.lapack's wrappers, which check it")
+    ab = np.asfortranarray([[2.0, 2.0, 2.0], [0.0, 0.0, 0.0]])  # 2 I, kd = 1
+    dpbtrf, dpbtrs = dual_action._LAPACK.dpbtrf, dual_action._LAPACK.dpbtrs
+    for bad in (np.ascontiguousarray(ab), ab.astype(np.float32), ab[0]):
+        with pytest.raises(ValueError, match="Fortran-ordered float64"):
+            dpbtrf(bad)
+    ab.setflags(write=False)
+    with pytest.raises(ValueError, match="writeable"):
+        dpbtrf(ab)
+    fac = np.asfortranarray([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+    for bad in (np.ones(2), np.ones(3, dtype=np.float32), np.ones(6)[::2]):
+        with pytest.raises(ValueError, match="vector of the band's size"):
+            dpbtrs(fac, bad)
+    x, info = dpbtrs(fac, np.ones(3))
+    assert info == 0 and x.tolist() == [1.0, 1.0, 1.0]
+
+
+def test_a_band_that_is_not_finite_raises_before_any_lapack_call(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("LAPACK was called")
+
+    rng = np.random.default_rng(30)
+    H = _random_block_tridiagonal(rng, M=4, b=3, definite="negative", cyclic=True)
+    fac = H.neg_cholesky()
+    monkeypatch.setattr(dual_action, "_LAPACK", dual_action._LAPACK._replace(
+        dpbtrf=refuse, dpbtrs=refuse))
+    for bad in (np.nan, np.inf, -np.inf):
+        diag, off = node_blocks(H)
+        off[-1, 0, 0] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            block_tridiagonal(diag, off).neg_cholesky()
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            H.neg_cholesky(bad)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            H.solve(np.where(np.arange(H.size) == 5, bad, 1.0), fac)
+
+
 @pytest.mark.parametrize("cyclic", [False, True])
 def test_finiteness_and_largest_diagonal_entry_are_recorded_with_the_band(cyclic):
     # both triangles of every diagonal block and every coupling count,
@@ -746,11 +845,11 @@ def test_factorizations_copy_the_band_once_each_and_leave_it_unchanged(monkeypat
     assert band.flags.f_contiguous and not band.flags.writeable
     written = band.tobytes("F")
     copies, factored = [], []
-    negative, dpbtrf = np.negative, scipy.linalg.lapack.dpbtrf
+    negative, lapack = np.negative, dual_action._LAPACK
     monkeypatch.setattr(np, "negative",
                         lambda a, *args, **kw: copies.append(a is band) or negative(a, *args, **kw))
-    monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf",
-                        lambda ab, **kw: factored.append(ab) or dpbtrf(ab, **kw))
+    monkeypatch.setattr(dual_action, "_LAPACK", lapack._replace(
+        dpbtrf=lambda ab: factored.append(ab) or lapack.dpbtrf(ab)))
     delta = H.norm1() / COND_LIMIT
     assert copies == []
     fac = H.neg_cholesky()
@@ -1257,6 +1356,30 @@ def test_gram_inertia_is_none_where_a_hessian_part_overflows():
         assert not hessian(D, huge).finite
         assert _gram_inertia(huge, D) is None
     assert _gram_inertia(spec, D) == (8, 0, 0)
+
+
+@pytest.mark.parametrize("k, n, formed, want", [
+    (1e150, 2, False, (16, 0, 0)),  # the bounds certify G and L
+    (1.3e154, 2, True, (16, 0, 0)),  # they cannot; L = k^2 I is finite
+    (1e155, 1, True, None),  # Mx = k I and P = I are finite, L overflows
+    (1e200, 3, True, None),
+])
+def test_gram_inertia_forms_the_hessian_parts_only_where_their_bounds_leave_overflow_open(
+        monkeypatch, k, n, formed, want):
+    # on the linear chain k I, Mx = k I and P = I: |G| <= (n/2) k and
+    # |L| <= n^2 k^2 rule out overflow at k = 1e150, not at 1.3e154 or
+    # beyond; the answers are those of forming every part, None where the
+    # Hessian is not finite
+    spec = _linear_spec(n=n, M=4, k=k)
+    D = DualField.zeros(spec.grid, n)
+    calls = []
+    parts = dual_action._hessian_parts
+    monkeypatch.setattr(dual_action, "_hessian_parts",
+                        lambda *args: calls.append(1) or parts(*args))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _gram_inertia(spec, D) == want
+        assert calls == [1] * formed
+        assert hessian(D, spec).finite == (want is not None)
 
 
 # ---------------------------------------------------------------------------
