@@ -36,11 +36,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
-import multiprocessing
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
@@ -813,6 +811,9 @@ def _run_spawned(tasks, workers: int) -> list:
     the workers from oversubscribing the cores.  This process's environment
     is restored afterwards.
     """
+    import multiprocessing  # here, so that a run without --jobs loads no process pool
+    from concurrent.futures import ProcessPoolExecutor
+
     user_set = _blas_threads_user_set()
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:

@@ -593,37 +593,64 @@ class _BandWriter:
 _LAPACK_SYMBOLS = (("scipy_{}_64_", ctypes.c_int64), ("{}_64_", ctypes.c_int64),
                    ("{}_", ctypes.c_int))
 
+# the thread setters of upstream OpenBLAS, of its ILP64 build (numpy 1.24-era
+# wheels) and of the scipy-openblas wheels, each with the getter of its name
+_OPENBLAS_SETTERS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_")
+
 
 class _BandLapack(NamedTuple):
     """LAPACK's Cholesky of a lower band: ``dpbtrf(ab)`` factors the band
     ``ab`` (Fortran order, float64, ab[i - j, j] = A[i, j]) in place and
     ``dpbtrs(fac, x)`` overwrites the vector ``x`` with A^-1 x, each
     returning (its result, LAPACK's info).  ``symbol`` names the dpbtrf it
-    calls."""
+    calls; ``threads`` is the (getter, setter) of the OpenBLAS thread count
+    of the library that runs them, None where it has no setter."""
 
     symbol: str
     dpbtrf: Callable
     dpbtrs: Callable
+    threads: tuple | None
+
+
+def _loaded_library(path: str):
+    """ctypes handle of the library at ``path`` if it is loaded, else None:
+    RTLD_NOLOAD (absent on Windows) loads nothing."""
+    try:
+        return ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+    except (AttributeError, OSError):
+        return None
+
+
+def _openblas_threads(lib) -> tuple | None:
+    """(getter, setter) of the OpenBLAS thread count that the handle ``lib``
+    resolves, or None where it exports no `_OPENBLAS_SETTERS` name with its
+    getter."""
+    for name in _OPENBLAS_SETTERS if lib is not None else ():
+        setter = getattr(lib, name, None)
+        getter = getattr(lib, name.replace("_set_", "_get_"), None)
+        if setter is not None and getter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return getter, setter
+    return None
 
 
 def _band_lapack(symbols=_LAPACK_SYMBOLS) -> _BandLapack:
     """The band Cholesky of the LAPACK numpy already links, through ctypes.
 
     dlsym on the handle of numpy's loaded `_umath_linalg` also searches the
-    libraries it depends on (RTLD_NOLOAD opens only what is mapped), so the
-    first pattern of ``symbols`` that names both routines there is bound.
-    Where none does (macOS Accelerate builds; Windows, whose GetProcAddress
-    does not search a DLL's dependencies), scipy.linalg.lapack's wrappers
-    serve, imported here, at import time, so that `solve_dual`'s thread
-    guard finds scipy's OpenBLAS mapped."""
-    try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__, mode=os.RTLD_NOLOAD)
-    except (AttributeError, OSError):  # no RTLD_NOLOAD, or not a loadable library
-        symbols = ()
-    for pattern, int_t in symbols:
+    libraries it depends on, so the first pattern of ``symbols`` that names
+    both routines there is bound, with the thread pair that handle
+    resolves.  Where none does (macOS Accelerate builds; Windows, whose
+    GetProcAddress does not search a DLL's dependencies), scipy.linalg.lapack's
+    wrappers serve, with the pair of its `_flapack`'s handle."""
+    lib = _loaded_library(np.linalg._umath_linalg.__file__)
+    for pattern, int_t in symbols if lib is not None else ():
         trf, trs = (getattr(lib, pattern.format(r), None) for r in ("dpbtrf", "dpbtrs"))
         if trf is not None and trs is not None:
-            return _BandLapack(pattern.format("dpbtrf"), *_fortran_band_cholesky(trf, trs, int_t))
+            return _BandLapack(pattern.format("dpbtrf"), *_fortran_band_cholesky(trf, trs, int_t),
+                               _openblas_threads(lib))
     from scipy.linalg import lapack
 
     def dpbtrf(ab):
@@ -632,7 +659,8 @@ def _band_lapack(symbols=_LAPACK_SYMBOLS) -> _BandLapack:
     def dpbtrs(fac, x):
         return lapack.dpbtrs(fac, x, lower=1, overwrite_b=1)
 
-    return _BandLapack("scipy.linalg.lapack", dpbtrf, dpbtrs)
+    return _BandLapack("scipy.linalg.lapack", dpbtrf, dpbtrs,
+                       _openblas_threads(_loaded_library(lapack._flapack.__file__)))
 
 
 def _fortran_band_cholesky(trf, trs, int_t) -> tuple[Callable, Callable]:

@@ -22,23 +22,19 @@ Hessian that is not finite, as its assembly records, ends the iteration.
 The period is the grid span, an integer number of forcing periods; orbits
 of unknown period are out of scope.
 
-Every `solve_dual` runs with the OpenBLAS libraries already loaded into the
-process set to one thread, and gives each its previous count back when it
-returns or raises: numpy's, which factors the band, and scipy's where
-another import loaded it, or where numpy's LAPACK could not be bound and
-`dual_action` factors with scipy's wrappers.  On two cores idle pool
-workers otherwise contend with the thread doing the work: on a 2-core Xeon
-the banded Cholesky took more than twice as long with the default two
-threads, and the results are the same with one thread and with two.  A
-user who set OPENBLAS_NUM_THREADS keeps it, the rule `--jobs` workers
-follow too; without /proc, or with another BLAS, the thread counts are left
-alone.
+Every `solve_dual` holds the OpenBLAS that factors the band at one thread,
+through the thread setter bound with the band Cholesky
+(`dual_action._LAPACK.threads`), and gives it its previous count back when
+it returns or raises: on two cores idle pool workers otherwise contend with
+the thread doing the work (on a 2-core Xeon the banded Cholesky took more
+than twice as long with the default two threads), and the results are the
+same with one thread and with two.  A user who set OPENBLAS_NUM_THREADS
+keeps it, the rule `--jobs` workers follow too; a library with no OpenBLAS
+thread setter, and any other OpenBLAS in the process, keep their counts.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import os
 import threading
 from dataclasses import dataclass
@@ -51,6 +47,7 @@ from .dual_action import (
     BlockTridiagonal,
     DualField,
     ProblemSpec,
+    _LAPACK,
     _gram_inertia,
     action,
     dtp_map,
@@ -251,88 +248,49 @@ def _factorize_checked(H: BlockTridiagonal):
         f"chains this is the signature of forcing at a resonant frequency")
 
 
-# the thread setters of upstream OpenBLAS, of its ILP64 build (numpy 1.24-era
-# wheels) and of the scipy-openblas wheels, each with the getter of its name
-_OPENBLAS_SETTERS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
-                     "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_")
-
-
 def _blas_threads_user_set() -> bool:
     """Whether the user chose the OpenBLAS thread count, which neither a solve
     nor a spawned `--jobs` worker then changes."""
     return "OPENBLAS_NUM_THREADS" in os.environ
 
 
-def _mapped_openblas() -> list:
-    """Paths of the OpenBLAS libraries mapped into this process; none
-    without /proc."""
-    try:
-        with open("/proc/self/maps") as fh:
-            fields = [line.split(None, 5) for line in fh]
-    except OSError:
-        return []
-    paths = {f[5].rstrip("\n") for f in fields if len(f) == 6}
-    return sorted(p for p in paths if "openblas" in os.path.basename(p).lower())
-
-
-@functools.cache
-def _openblas_pools() -> tuple:
-    """(path, getter, setter) of each mapped OpenBLAS that exports a setter
-    and its getter, found once per process.  RTLD_NOLOAD opens only a library
-    that is already mapped, so nothing is loaded."""
-    pools = []
-    for path in _mapped_openblas():
-        try:
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
-        except OSError:
-            continue
-        for name in _OPENBLAS_SETTERS:
-            setter = getattr(lib, name, None)
-            getter = getattr(lib, name.replace("_set_", "_get_"), None)
-            if setter is not None and getter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                pools.append((path, getter, setter))
-                break
-    return tuple(pools)
-
-
 class _OneBlasThread:
-    """Holds every pool that ``pools()`` lists at one thread while any caller
-    is inside, and sets each back to its previous count when the last caller
-    leaves, so nested and concurrent entries set and restore once.  Does
-    nothing when the user set OPENBLAS_NUM_THREADS or no pool is found."""
+    """Holds the OpenBLAS pool of ``threads``, a (getter, setter) pair, at one
+    thread while any caller is inside, and sets it back to its previous count
+    when the last caller leaves, so nested and concurrent entries set and
+    restore once.  Does nothing when the user set OPENBLAS_NUM_THREADS or
+    ``threads`` is None."""
 
-    def __init__(self, pools):
-        self._pools = pools
+    def __init__(self, threads):
+        self._threads = threads
         self._lock = threading.Lock()
         self._inside = 0
-        self._saved = ()
+        self._saved = None
 
     def __enter__(self):
         with self._lock:
-            if self._inside == 0 and not _blas_threads_user_set():
-                self._saved = tuple((setter, getter()) for _, getter, setter in self._pools())
-                for setter, _ in self._saved:
-                    setter(1)
+            if self._inside == 0 and self._threads is not None and not _blas_threads_user_set():
+                getter, setter = self._threads
+                self._saved = getter()
+                setter(1)
             self._inside += 1
 
     def __exit__(self, *exc_info):
         with self._lock:
             self._inside -= 1
-            if self._inside == 0:
-                for setter, count in self._saved:
-                    setter(count)
-                self._saved = ()
+            if self._inside == 0 and self._saved is not None:
+                _, setter = self._threads
+                setter(self._saved)
+                self._saved = None
 
 
-_ONE_BLAS_THREAD = _OneBlasThread(_openblas_pools)
+_ONE_BLAS_THREAD = _OneBlasThread(_LAPACK.threads)
 
 
 def solve_dual(spec: ProblemSpec, opts: SolveOptions | None = None) -> DualSolution:
     """Maximize the discrete dual action by Newton iteration from the zero
-    field (or ``opts.initial_guess``), with the loaded OpenBLAS libraries at
-    one thread (see the module docstring)."""
+    field (or ``opts.initial_guess``), with the OpenBLAS that factors the band
+    at one thread (see the module docstring)."""
     with _ONE_BLAS_THREAD:
         D, converged, history, finite = _maximize(spec, opts or SolveOptions())
         inertia = _gram_inertia(spec, D) if finite else None

@@ -330,17 +330,17 @@ def _rk4_by_maps(params, W, h, g_nodes, g_mid, zs) -> int:
 
 def _rate(params, W, z, g):
     """The rate of the stacked state z at g = f - C, one stage at a time:
-    mass times it is W [z, P] + [0, g].  B meets x before x again, and the
-    mass divides last."""
+    mass times it is W [z, P] + [0, g], summed as f - K(x) - d v: the whole
+    force first, then the damping, so a velocity far below the force's
+    rounding level still drives the rate.  B meets x before x again, and
+    the mass divides last."""
     n = params.n
+    x, v = z[:n], z[n:]
+    force = W[n:, :n] @ x
     if W.shape[1] > 2 * n:
-        x = z[:n]
         P = (params.force.B.reshape(n * n, n) @ x).reshape(n, n) * x
-        z = np.concatenate([z, P.ravel()])
-    k = W @ z
-    k[n:] += g
-    k[n:] /= params.m
-    return k
+        force += W[n:, 2 * n:] @ P.ravel()
+    return np.concatenate([v, ((g + force) - params.d * v) / params.m])
 
 
 def _rk4_stages(params, W, h, g_nodes, g_mid, zs, start):

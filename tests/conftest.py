@@ -18,12 +18,15 @@ settings.register_profile("rk4-deep", max_examples=3000)
 def band_counts(monkeypatch) -> dict:
     """Counts, while a solve runs: Hessians assembled, bands written (every
     `_BandWriter`), negated copies of a Hessian's band, dpbtrf calls (each
-    must get a fresh array, never a band) and shifted factorizations."""
-    counts = {"hessians": 0, "bands": 0, "copies": 0, "dpbtrf": 0, "shifted": 0}
+    must get a fresh array, never a band), shifted factorizations,
+    `BlockTridiagonal.solve` calls and dpbtrs calls."""
+    counts = {"hessians": 0, "bands": 0, "copies": 0, "dpbtrf": 0, "shifted": 0,
+              "solves": 0, "dpbtrs": 0}
     bands = []
     hessian, writer = dual_solver.hessian, dual_action._BandWriter
     negative, lapack = np.negative, dual_action._LAPACK
     neg_cholesky = dual_action.BlockTridiagonal.neg_cholesky
+    solve = dual_action.BlockTridiagonal.solve
 
     def counted_hessian(D, spec):
         counts["hessians"] += 1
@@ -49,9 +52,19 @@ def band_counts(monkeypatch) -> dict:
         counts["shifted"] += shift != 0.0
         return neg_cholesky(self, shift)
 
+    def counted_solve(self, rhs, fac):
+        counts["solves"] += 1
+        return solve(self, rhs, fac)
+
+    def counted_dpbtrs(fac, x):
+        counts["dpbtrs"] += 1
+        return lapack.dpbtrs(fac, x)
+
     monkeypatch.setattr(dual_solver, "hessian", counted_hessian)
     monkeypatch.setattr(dual_action, "_BandWriter", CountedWriter)
     monkeypatch.setattr(np, "negative", counted_negative)
-    monkeypatch.setattr(dual_action, "_LAPACK", lapack._replace(dpbtrf=counted_cholesky))
+    monkeypatch.setattr(dual_action, "_LAPACK", lapack._replace(dpbtrf=counted_cholesky,
+                                                                dpbtrs=counted_dpbtrs))
     monkeypatch.setattr(dual_action.BlockTridiagonal, "neg_cholesky", counted_neg_cholesky)
+    monkeypatch.setattr(dual_action.BlockTridiagonal, "solve", counted_solve)
     return counts

@@ -6,6 +6,9 @@ checked against a second route, not against themselves.
 """
 from __future__ import annotations
 
+import ctypes
+import os
+
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
@@ -529,3 +532,55 @@ def fine_quadrature_action(lam_fun, lamdot_fun, gam_fun, gamdot_fun,
 
 def make_grid(T, M) -> TimeGrid:
     return TimeGrid(T=T, M=M)
+
+
+# ---------------------------------------------------------------------------
+# the OpenBLAS libraries this process maps, read from /proc/self/maps apart
+# from the package, which never reads /proc
+
+
+def mapped_paths() -> set:
+    """The file paths in /proc/self/maps; none without /proc."""
+    try:
+        with open("/proc/self/maps") as fh:
+            return {line.split(None, 5)[-1].strip() for line in fh if "/" in line}
+    except OSError:
+        return set()
+
+
+def address(fn) -> int | None:
+    """Where a ctypes function points, None for None."""
+    return None if fn is None else ctypes.cast(fn, ctypes.c_void_p).value
+
+
+def _handle(path):
+    return ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+
+
+def openblas_exporting(path: str, *symbols: str) -> str | None:
+    """The mapped OpenBLAS that defines the first of ``symbols`` which the
+    loaded library at ``path`` resolves, where that library resolves it;
+    None without /proc, or where the routine comes from another library."""
+    lib = _handle(path)
+    symbol = next((name for name in symbols if hasattr(lib, name)), None)
+    if symbol is None:
+        return None
+    want = address(getattr(lib, symbol))
+    owners = [other for other in sorted(mapped_paths())
+              if "openblas" in os.path.basename(other).lower()
+              and address(getattr(_handle(other), symbol, None)) == want]
+    assert len(owners) <= 1, owners
+    return owners[0] if owners else None
+
+
+def openblas_thread_pairs(path: str) -> set:
+    """The (getter, setter) addresses of every OpenBLAS thread-count pair the
+    loaded library at ``path`` exports, under any of its known names."""
+    lib, pairs = _handle(path), set()
+    for prefix in ("openblas", "scipy_openblas"):
+        for suffix in ("", "64_"):
+            getter, setter = (getattr(lib, f"{prefix}_{verb}_num_threads{suffix}", None)
+                              for verb in ("get", "set"))
+            if getter is not None and setter is not None:
+                pairs.add((address(getter), address(setter)))
+    return pairs

@@ -1,9 +1,11 @@
 """Config parsing, file round-trips, exit codes, reports, parallel fan-out."""
 import builtins
 import collections
+import concurrent.futures
 import dataclasses
 import hashlib
 import io
+import json
 import os
 import re
 import subprocess
@@ -57,28 +59,33 @@ def _write(tmp_path, text, name="case.cfg"):
     return path
 
 
-_SCIPY_MODULES = """
-import sys
-from dualchain.cli import run_one, scenario_presets
+_LOADED_MODULES = """
+import json, sys
+from dualchain.cli import main, scenario_presets
 presets = {p.stem: p for p in scenario_presets()}
-codes = [run_one(presets[stem], sys.argv[1] + "/" + stem) for stem in sys.argv[2:]]
-print(codes, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+codes = [main(["--config", str(presets[stem]), "--out", sys.argv[1] + "/" + stem])
+         for stem in sys.argv[2:]]
+print(json.dumps([codes] + [sorted(m for m in sys.modules if m.split(".")[0] in roots)
+                            for roots in (("scipy",), ("multiprocessing", "concurrent"))]))
 """
 
 
 def test_a_run_never_loads_scipy(tmp_path):
-    # the band is factored by the LAPACK numpy links, so importing the
-    # command line and running an initial-value and a periodic preset, in a
-    # fresh interpreter, load no scipy module
-    if dual_action._LAPACK.symbol == "scipy.linalg.lapack":
-        pytest.skip("numpy's LAPACK exports no dpbtrf this package can bind; "
-                    "the band is factored by scipy.linalg.lapack")
+    # the band is factored by the LAPACK numpy links, and the process pool is
+    # imported only for --jobs, so importing the command line and running an
+    # initial-value and a periodic preset, one config each, in a fresh
+    # interpreter, load no scipy, multiprocessing or concurrent module
     src = str(Path(dual_action.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", _SCIPY_MODULES, str(tmp_path), "damped_n1",
+    out = subprocess.run([sys.executable, "-c", _LOADED_MODULES, str(tmp_path), "damped_n1",
                           "periodic_forced_n4"],
                          capture_output=True, text=True, env=env, timeout=300, check=True)
-    assert out.stdout.strip().splitlines()[-1] == "[0, 0] []"
+    codes, scipy_modules, pool_modules = json.loads(out.stdout.strip().splitlines()[-1])
+    assert codes == [0, 0] and pool_modules == []
+    # only where numpy's LAPACK exports no dpbtrf this package can bind does
+    # scipy.linalg.lapack factor the band
+    if dual_action._LAPACK.symbol != "scipy.linalg.lapack":
+        assert scipy_modules == []
 
 
 def test_presets_are_the_six_shipped_scenarios():
@@ -1190,7 +1197,7 @@ def test_trajectory_base_kind(tmp_path):
     assert report["convergence"]["converged"] == "true"
 
 
-class _SpyPool(cli.ProcessPoolExecutor):
+class _SpyPool(concurrent.futures.ProcessPoolExecutor):
     """Records the start method and the BLAS thread setting that the
     workers inherit when they are started."""
 
@@ -1230,7 +1237,7 @@ def _outputs(out):
 
 def test_parallel_fanout_isolates_outputs(tmp_path, monkeypatch):
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _SpyPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SpyPool)
     monkeypatch.setattr(_SpyPool, "seen", [])
     code, out = _fanout(tmp_path, "fan", jobs=2)
     assert code == 0
@@ -1248,7 +1255,7 @@ def test_parallel_fanout_isolates_outputs(tmp_path, monkeypatch):
 
 def test_parallel_workers_keep_a_user_set_blas_thread_count(tmp_path, monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _SpyPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SpyPool)
     monkeypatch.setattr(_SpyPool, "seen", [])
     code, _ = _fanout(tmp_path, "fan", jobs=2)
     assert code == 0

@@ -1,7 +1,6 @@
 """Newton solve of the dual system, primal recovery, verification reports."""
 import _ctypes
 import importlib.util
-import os
 import threading
 
 import numpy as np
@@ -28,7 +27,13 @@ from dualchain import (
     verify,
     zero_base,
 )
-from oracles import harmonic_solution
+from oracles import (
+    address,
+    harmonic_solution,
+    mapped_paths,
+    openblas_exporting,
+    openblas_thread_pairs,
+)
 
 
 def _harmonic_spec(M, T=2 * np.pi, base=None, x0=1.0, v0=0.0):
@@ -431,24 +436,19 @@ def test_each_point_inverts_its_stiffness_once(monkeypatch, step_control):
 
 
 @pytest.fixture
-def blas_pools(monkeypatch):
-    """The OpenBLAS pools the solver found, each set to two threads so that a
-    restore shows on a one-core machine too; their counts are put back after
-    the test.  Skips where this process has no OpenBLAS."""
+def blas_pool(monkeypatch):
+    """The getter of the OpenBLAS pool that factors the band
+    (`dual_action._LAPACK.threads`), set to two threads so that a restore
+    shows on a one-core machine too; its count is put back after the test.
+    Skips where that library has no OpenBLAS thread setter."""
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    pools = dual_solver._openblas_pools()
-    if not pools:
-        pytest.skip("no OpenBLAS is loaded")
-    before = _counts(pools)
-    for _, _, setter in pools:
-        setter(2)
-    yield pools
-    for (_, _, setter), count in zip(pools, before):
-        setter(count)
-
-
-def _counts(pools):
-    return [getter() for _, getter, _ in pools]
+    if dual_action._LAPACK.threads is None:
+        pytest.skip("the band's LAPACK has no OpenBLAS thread setter")
+    getter, setter = dual_action._LAPACK.threads
+    before = getter()
+    setter(2)
+    yield getter
+    setter(before)
 
 
 def _resonant_periodic_spec():
@@ -461,36 +461,36 @@ def _resonant_periodic_spec():
                        base=zero_base(grid, 1), grid=grid)
 
 
-def _spy_maximize(monkeypatch, pools):
+def _spy_maximize(monkeypatch, count):
     inside = []
     maximize = dual_solver._maximize
 
     def spy(spec, opts):
-        inside.append(_counts(pools))
+        inside.append(count())
         return maximize(spec, opts)
 
     monkeypatch.setattr(dual_solver, "_maximize", spy)
     return inside
 
 
-def test_solve_runs_with_one_blas_thread_and_restores_the_counts(monkeypatch, blas_pools):
-    inside = _spy_maximize(monkeypatch, blas_pools)
+def test_solve_runs_with_one_blas_thread_and_restores_the_counts(monkeypatch, blas_pool):
+    inside = _spy_maximize(monkeypatch, blas_pool)
     sol = solve_dual(_fput_spec(n=3, M=40))
     assert sol.converged
-    assert inside == [[1] * len(blas_pools)]
-    assert _counts(blas_pools) == [2] * len(blas_pools)
+    assert inside == [1]
+    assert blas_pool() == 2
     with pytest.raises(dual_solver.SingularSystemError):
         solve_dual(_resonant_periodic_spec())
-    assert inside[1:] == [[1] * len(blas_pools)]
-    assert _counts(blas_pools) == [2] * len(blas_pools)
+    assert inside[1:] == [1]
+    assert blas_pool() == 2
 
 
-def test_user_set_blas_threads_are_left_alone(monkeypatch, blas_pools):
+def test_user_set_blas_threads_are_left_alone(monkeypatch, blas_pool):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    inside = _spy_maximize(monkeypatch, blas_pools)
+    inside = _spy_maximize(monkeypatch, blas_pool)
     solve_dual(_fput_spec(n=3, M=40))
-    assert inside == [[2] * len(blas_pools)]
-    assert _counts(blas_pools) == [2] * len(blas_pools)
+    assert inside == [2]
+    assert blas_pool() == 2
 
 
 class _FakePool:
@@ -507,20 +507,18 @@ class _FakePool:
 
 def test_nested_and_concurrent_holders_set_and_restore_once(monkeypatch):
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    fakes = [_FakePool(2), _FakePool(4)]
-    found = []
-    limit = dual_solver._OneBlasThread(
-        lambda: found.append(1) or [("fake", f.get, f.set) for f in fakes])
+    fake = _FakePool(2)
+    limit = dual_solver._OneBlasThread((fake.get, fake.set))
     with limit:
         with limit:
-            assert [f.count for f in fakes] == [1, 1]
-        assert [f.count for f in fakes] == [1, 1]  # the outer holder is still inside
-    assert [f.calls for f in fakes] == [[1, 2], [1, 4]] and len(found) == 1
-    # a holder that raises restores too, and the next entry reads the counts afresh
-    fakes[0].count = 3
+            assert fake.count == 1
+        assert fake.count == 1  # the outer holder is still inside
+    assert fake.calls == [1, 2]
+    # a holder that raises restores too, and the next entry reads the count afresh
+    fake.count = 3
     with pytest.raises(ZeroDivisionError), limit:
         1 / 0
-    assert [f.calls for f in fakes] == [[1, 2, 1, 3], [1, 4, 1, 4]]
+    assert fake.calls == [1, 2, 1, 3]
     # threads that overlap inside the limit share one set and one restore
     barrier = threading.Barrier(4, timeout=10)
 
@@ -538,70 +536,46 @@ def test_nested_and_concurrent_holders_set_and_restore_once(monkeypatch):
     for t in threads:
         t.join(timeout=10)
         assert not t.is_alive()
-    assert [f.calls[4:] for f in fakes] == [[1, 3], [1, 4]]
+    assert fake.calls[4:] == [1, 3]
 
 
-@pytest.fixture
-def fresh_pool_search():
-    """The once-per-process pool search, run afresh inside the test and
-    again by the next caller after it."""
-    dual_solver._openblas_pools.cache_clear()
-    yield dual_solver._openblas_pools
-    dual_solver._openblas_pools.cache_clear()
+def test_a_library_with_no_thread_setter_leaves_the_count_alone(blas_pool):
+    # a loaded library that neither exports nor links an OpenBLAS setter
+    lib = dual_action._loaded_library(_ctypes.__file__)
+    assert lib is not None and dual_action._openblas_threads(lib) is None
+    with dual_solver._OneBlasThread(None):
+        assert blas_pool() == 2
+    assert blas_pool() == 2
 
 
-def test_without_proc_or_an_openblas_setter_the_limit_does_nothing(
-        monkeypatch, fresh_pool_search):
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-
-    def no_proc(path, *args, **kwargs):
-        raise FileNotFoundError(path)
-
-    monkeypatch.setattr(dual_solver, "open", no_proc, raising=False)
-    assert dual_solver._mapped_openblas() == []
-    assert fresh_pool_search() == ()
-    # a mapped library that neither exports nor links an OpenBLAS setter
-    fresh_pool_search.cache_clear()
-    monkeypatch.setattr(dual_solver, "_mapped_openblas", lambda: [_ctypes.__file__])
-    assert fresh_pool_search() == ()
-    with dual_solver._OneBlasThread(fresh_pool_search):
-        pass
-
-
-def test_the_pool_search_loads_no_library(monkeypatch, fresh_pool_search):
+def test_the_library_lookup_loads_no_library():
     specs = (importlib.util.find_spec(name) for name in ("xxlimited", "_testbuffer"))
     unloaded = [spec.origin for spec in specs
-                if spec and spec.origin.endswith(".so") and spec.origin not in _maps_paths()]
+                if spec and spec.origin.endswith(".so") and spec.origin not in mapped_paths()]
     if not unloaded:
         pytest.skip("no unloaded extension library to offer")
-    monkeypatch.setattr(dual_solver, "_mapped_openblas", lambda: unloaded[:1])
-    assert fresh_pool_search() == ()
-    assert unloaded[0] not in _maps_paths()
+    assert dual_action._loaded_library(unloaded[0]) is None
+    assert dual_action._openblas_threads(None) is None
+    assert unloaded[0] not in mapped_paths()
 
 
-def test_one_blas_thread_gives_the_same_bits(monkeypatch, blas_pools):
+def test_one_blas_thread_gives_the_same_bits(monkeypatch, blas_pool):
     spec = _fput_spec(n=4, M=60, amplitude=0.3)
     with_limit = solve_dual(spec)
-    monkeypatch.setattr(dual_solver, "_ONE_BLAS_THREAD", dual_solver._OneBlasThread(lambda: ()))
+    monkeypatch.setattr(dual_solver, "_ONE_BLAS_THREAD", dual_solver._OneBlasThread(None))
     without = solve_dual(spec)
     assert with_limit.iterations == without.iterations >= 2
     for got, want in ((with_limit.D.gamma, without.D.gamma), (with_limit.D.lam, without.D.lam)):
         assert got.tobytes() == want.tobytes()
 
 
-def _maps_paths():
-    """The file paths in /proc/self/maps, read apart from the solver's
-    finder; none without /proc."""
-    try:
-        with open("/proc/self/maps") as fh:
-            return {line.split(None, 5)[-1].strip() for line in fh if "/" in line}
-    except OSError:
-        return set()
-
-
-def test_every_mapped_openblas_has_a_thread_setter(fresh_pool_search):
+def test_the_openblas_that_factors_the_band_has_its_thread_pair_bound():
     # a wheel that renames the setter fails here instead of silently
     # running every solve with the default thread count
-    found = {path for path, _, _ in fresh_pool_search()}
-    assert found == {path for path in _maps_paths()
-                     if "openblas" in os.path.basename(path).lower()}
+    if dual_action._LAPACK.symbol == "scipy.linalg.lapack":
+        pytest.skip("numpy's LAPACK is not bound; the fallback test checks scipy's pair")
+    owner = openblas_exporting(np.linalg._umath_linalg.__file__, dual_action._LAPACK.symbol)
+    if owner is None:
+        pytest.skip("no /proc, or the band's LAPACK is not a mapped OpenBLAS")
+    assert dual_action._LAPACK.threads is not None
+    assert tuple(map(address, dual_action._LAPACK.threads)) in openblas_thread_pairs(owner)

@@ -1,7 +1,6 @@
 """Periodic-orbit dual solves: cyclic assembly, resonance detection, recovery."""
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -374,32 +373,29 @@ def test_cyclic_hessian_matches_coo_reference(n, M, singular, seed):
 
 
 @pytest.mark.parametrize("step_control", ["damped-newton", "trust-region"])
-def test_periodic_solve_probes_once_and_factors_only_newton_directions(band_counts, monkeypatch,
-                                                                        step_control):
+def test_periodic_solve_probes_once_and_factors_only_newton_directions(band_counts, step_control):
     # the singularity check factors -H and one shifted probe on the first
     # iterate; a later iterate factors -H only for a damped Newton direction,
     # so trust-region factors it that once; each shift (the probe or a
     # trust-region shift) gets one factorization of its own; each Hessian
     # writes its folded band once, the converged point assembles none,
-    # every factorization negates one copy of it, and no LU runs
+    # every factorization negates one copy of it, and every step the
+    # iteration solves for is one dpbtrs with a Cholesky factor
     counts = band_counts
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a banded LU ran")
-
-    monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf", refuse)
-    monkeypatch.setattr(scipy.linalg.lapack, "dgbtrs", refuse)
     sol = solve_periodic(_fput_forced_spec(M=64), SolveOptions(step_control=step_control))
     k = sol.iterations
     assert sol.converged and k > 1
     assert counts["bands"] == counts["hessians"] == k
     assert counts["copies"] == counts["dpbtrf"]
-    if step_control == "damped-newton":  # k Newton factors and one probe
+    assert counts["dpbtrs"] == counts["solves"]
+    if step_control == "damped-newton":  # k Newton factors, each solved once, and one probe
         assert counts["dpbtrf"] == k + 1
         assert counts["shifted"] == 1
+        assert counts["solves"] == k
     else:  # the first iterate's -H, then the probe and at least one shift per iterate
         assert counts["dpbtrf"] == 1 + counts["shifted"]
         assert counts["shifted"] > k
+        assert k <= counts["solves"] < counts["shifted"]
 
 
 @pytest.mark.parametrize("step_control", ["damped-newton", "trust-region"])

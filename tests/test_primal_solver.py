@@ -408,11 +408,23 @@ _AT_REST_ON_AN_UNSTABLE_EQUILIBRIUM = (
     np.array([1.0, 0.0]), np.zeros(2), TimeGrid(T=9e10, M=9))
 
 
+def _barely_moving_off_an_unstable_equilibrium(v0, T, M):
+    # x'' = x - 1 - x', at rest on x = 1 but for a velocity far below the
+    # rounding level of the force: summed with A x before C, the velocity
+    # rate lost it and the stage loop never overflowed, while the reference,
+    # forming K(x) = A x + C first, grows it by about h^4 / 24 a step
+    params = ChainParams(m=1.0, d=1.0, force=QuadraticForce(n=1, A=[[-1.0]], C=[1.0]),
+                         forcing=ForcingSpec.zero(1))
+    return params, np.array([1.0]), np.array([v0]), TimeGrid(T=T, M=M)
+
+
 @pytest.mark.skipif(np.finfo(np.longdouble).maxexp <= np.finfo(float).maxexp,
                     reason="needs a long double with a wider exponent range than float")
 @settings(deadline=None)
 @given(_diverging_runs())
 @example(run=_AT_REST_ON_AN_UNSTABLE_EQUILIBRIUM)
+@example(run=_barely_moving_off_an_unstable_equilibrium(3.86e-172, T=9e14, M=9))
+@example(run=_barely_moving_off_an_unstable_equilibrium(5.4e-130, T=8e14, M=8))
 def test_rk4_blows_up_at_the_reference_step(run):
     params, x0, v0, grid = run
     ref = _blow_up_step(rk4_reference, params, x0, v0, grid)
