@@ -19,10 +19,10 @@ produce bit-identical outputs.
 One path per job: a linear force is the quadratic one with B = 0 (its
 weighted stiffness is exactly I); one map takes dual values and rates to the
 primal state, at midpoints for the assembly and at nodes for `dtp_map`; one
-factorization, the banded Cholesky of the negated Hessian (LAPACK dpbtrf,
-from the library numpy links, `_band_lapack`), serves the open and the
-cyclic band alike, and at a shift, `BlockTridiagonal.neg_cholesky(shift)`,
-answers every definiteness question.
+factorization of a Hessian, the banded Cholesky of its negation (LAPACK
+dpbtrf, from the library numpy links, `_band_lapack`), serves the open and
+the cyclic band alike, and at a shift, `BlockTridiagonal.neg_cholesky(shift)`,
+answers every definiteness question a Hessian band is asked.
 A Hessian is stored as that band and nothing else, open or folded when
 cyclic: `hessian` writes each [gamma, lambda] sub-block of it once, for all
 nodes, straight from the element parts (no element quadrant or node block
@@ -44,7 +44,12 @@ bidiagonal and W = diag(c_x K|_lam, c_v I) per element, so a solve reads its
 final point's inertia off the element weights and A's nullity
 (`_gram_inertia`), with no Hessian formed or factored there.
 `BlockTridiagonal.inertia`, which factors a Hessian at delta = ||H||_1 /
-COND_LIMIT and counts Schur pivots when that fails, is its reference.
+COND_LIMIT and counts Schur pivots when that fails, is its reference.  The
+open A is block upper bidiagonal, A = blockdiag(A_a,k) (I - U), so an open
+Newton direction is d = A^-1 W A^-T g, two unit triangular band solves
+(LAPACK dtbtrs) around per-element n x n work, where H is certified
+negative definite (`_gram_direction`); no Hessian is formed or factored
+for it.
 
 Overflow far from the maximum (a huge base or mass) follows numpy's default,
 and the solver's finite checks stop there; only an overflowed certificate
@@ -587,9 +592,9 @@ class _BandWriter:
         down[1:F - 2:2, :, 2] = np.swapaxes(u[F - 2::-1][:F // 2 - 1], 1, 2)
 
 
-# dpbtrf's and dpbtrs's symbols in the LAPACK numpy links, each pattern with
-# the integer of its interface: numpy >= 2 wheels (scipy-openblas, ILP64),
-# numpy 1.2x wheels (ILP64) and LP64 builds
+# the symbols of the band routines in the LAPACK numpy links, each pattern
+# with the integer of its interface: numpy >= 2 wheels (scipy-openblas,
+# ILP64), numpy 1.2x wheels (ILP64) and LP64 builds
 _LAPACK_SYMBOLS = (("scipy_{}_64_", ctypes.c_int64), ("{}_64_", ctypes.c_int64),
                    ("{}_", ctypes.c_int))
 
@@ -600,16 +605,21 @@ _OPENBLAS_SETTERS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
 
 
 class _BandLapack(NamedTuple):
-    """LAPACK's Cholesky of a lower band: ``dpbtrf(ab)`` factors the band
-    ``ab`` (Fortran order, float64, ab[i - j, j] = A[i, j]) in place and
-    ``dpbtrs(fac, x)`` overwrites the vector ``x`` with A^-1 x, each
-    returning (its result, LAPACK's info).  ``symbol`` names the dpbtrf it
-    calls; ``threads`` is the (getter, setter) of the OpenBLAS thread count
-    of the library that runs them, None where it has no setter."""
+    """LAPACK's band routines: ``dpbtrf(ab)`` factors the lower band ``ab``
+    (Fortran order, float64, ab[i - j, j] = A[i, j]) by Cholesky in place,
+    ``dpbtrs(fac, x)`` overwrites the vector ``x`` with A^-1 x from that
+    factor, and ``dtbtrs(ab, x, trans)`` overwrites ``x`` with T^-1 x, or
+    T^-T x when ``trans``, for the unit upper triangular band ``ab``
+    (ab[kd + i - j, j] = T[i, j] above the diagonal, kd = its row count
+    less 1; the diagonal row is not read); each returns (its result,
+    LAPACK's info).  ``symbol`` names the dpbtrf it calls; ``threads`` is
+    the (getter, setter) of the OpenBLAS thread count of the library that
+    runs them, None where it has no setter."""
 
     symbol: str
     dpbtrf: Callable
     dpbtrs: Callable
+    dtbtrs: Callable
     threads: tuple | None
 
 
@@ -636,20 +646,23 @@ def _openblas_threads(lib) -> tuple | None:
     return None
 
 
+_BAND_ROUTINES = ("dpbtrf", "dpbtrs", "dtbtrs")
+
+
 def _band_lapack(symbols=_LAPACK_SYMBOLS) -> _BandLapack:
-    """The band Cholesky of the LAPACK numpy already links, through ctypes.
+    """The band routines of the LAPACK numpy already links, through ctypes.
 
     dlsym on the handle of numpy's loaded `_umath_linalg` also searches the
     libraries it depends on, so the first pattern of ``symbols`` that names
-    both routines there is bound, with the thread pair that handle
+    every routine there is bound, with the thread pair that handle
     resolves.  Where none does (macOS Accelerate builds; Windows, whose
     GetProcAddress does not search a DLL's dependencies), scipy.linalg.lapack's
     wrappers serve, with the pair of its `_flapack`'s handle."""
     lib = _loaded_library(np.linalg._umath_linalg.__file__)
     for pattern, int_t in symbols if lib is not None else ():
-        trf, trs = (getattr(lib, pattern.format(r), None) for r in ("dpbtrf", "dpbtrs"))
-        if trf is not None and trs is not None:
-            return _BandLapack(pattern.format("dpbtrf"), *_fortran_band_cholesky(trf, trs, int_t),
+        routines = [getattr(lib, pattern.format(r), None) for r in _BAND_ROUTINES]
+        if all(r is not None for r in routines):
+            return _BandLapack(pattern.format("dpbtrf"), *_fortran_band_routines(*routines, int_t),
                                _openblas_threads(lib))
     from scipy.linalg import lapack
 
@@ -659,24 +672,37 @@ def _band_lapack(symbols=_LAPACK_SYMBOLS) -> _BandLapack:
     def dpbtrs(fac, x):
         return lapack.dpbtrs(fac, x, lower=1, overwrite_b=1)
 
-    return _BandLapack("scipy.linalg.lapack", dpbtrf, dpbtrs,
+    def dtbtrs(ab, x, trans):
+        y, info = lapack.dtbtrs(ab, x[:, None], uplo="U", trans="T" if trans else "N",
+                                diag="U", overwrite_b=1)
+        return y[:, 0], info
+
+    return _BandLapack("scipy.linalg.lapack", dpbtrf, dpbtrs, dtbtrs,
                        _openblas_threads(_loaded_library(lapack._flapack.__file__)))
 
 
-def _fortran_band_cholesky(trf, trs, int_t) -> tuple[Callable, Callable]:
-    """`_BandLapack`'s dpbtrf and dpbtrs on the Fortran routines ``trf`` and
-    ``trs``, integers of ctypes type ``int_t`` passed by reference and the
-    length of the character uplo last, as gfortran's ABI has it.  Each
-    checks the layout of the arrays it hands over."""
-    ref, buf, size = ctypes.POINTER(int_t), ctypes.c_void_p, ctypes.c_size_t
-    trf.argtypes = [ctypes.c_char_p, ref, ref, buf, ref, ref, size]
-    trs.argtypes = [ctypes.c_char_p, ref, ref, ref, buf, ref, buf, ref, ref, size]
-    trf.restype = trs.restype = None
+def _fortran_band_routines(trf, trs, tbtrs, int_t) -> tuple[Callable, Callable, Callable]:
+    """`_BandLapack`'s dpbtrf, dpbtrs and dtbtrs on the Fortran routines
+    ``trf``, ``trs`` and ``tbtrs``, integers of ctypes type ``int_t`` passed
+    by reference and the lengths of the character arguments last, as
+    gfortran's ABI has it.  Each checks the layout of the arrays it hands
+    over."""
+    ref, buf, size, char = ctypes.POINTER(int_t), ctypes.c_void_p, ctypes.c_size_t, ctypes.c_char_p
+    trf.argtypes = [char, ref, ref, buf, ref, ref, size]
+    trs.argtypes = [char, ref, ref, ref, buf, ref, buf, ref, ref, size]
+    tbtrs.argtypes = [char, char, char, ref, ref, ref, buf, ref, buf, ref, ref, size, size, size]
+    trf.restype = trs.restype = tbtrs.restype = None
 
     def band(ab):
         if ab.dtype != np.float64 or ab.ndim != 2 or not ab.flags.f_contiguous:
             raise ValueError("the band must be a Fortran-ordered float64 matrix")
         return int_t(ab.shape[1]), int_t(ab.shape[0] - 1), int_t(ab.shape[0])
+
+    def vector(x, n):
+        if (x.dtype != np.float64 or x.shape != (n.value,) or not x.flags.c_contiguous
+                or not x.flags.writeable):
+            raise ValueError("the right-hand side must be a writeable, contiguous float64 "
+                             "vector of the band's size")
 
     def dpbtrf(ab):
         n, kd, ldab = band(ab)
@@ -688,15 +714,20 @@ def _fortran_band_cholesky(trf, trs, int_t) -> tuple[Callable, Callable]:
 
     def dpbtrs(fac, x):
         n, kd, ldab = band(fac)
-        if (x.dtype != np.float64 or x.shape != (n.value,) or not x.flags.c_contiguous
-                or not x.flags.writeable):
-            raise ValueError("the right-hand side must be a writeable, contiguous float64 "
-                             "vector of the band's size")
+        vector(x, n)
         info = int_t()
         trs(b"L", n, kd, int_t(1), fac.ctypes.data, ldab, x.ctypes.data, n, info, 1)
         return x, info.value
 
-    return dpbtrf, dpbtrs
+    def dtbtrs(ab, x, trans):
+        n, kd, ldab = band(ab)
+        vector(x, n)
+        info = int_t()
+        tbtrs(b"U", b"T" if trans else b"N", b"U", n, kd, int_t(1), ab.ctypes.data, ldab,
+              x.ctypes.data, n, info, 1, 1, 1)
+        return x, info.value
+
+    return dpbtrf, dpbtrs, dtbtrs
 
 
 _LAPACK = _band_lapack()
@@ -986,9 +1017,19 @@ def hessian(D: DualField, spec: ProblemSpec) -> BlockTridiagonal:
 
 
 # ---------------------------------------------------------------------------
-# Hessian inertia from the Gram factors
+# the Gram factors: Hessian inertia and open Newton directions
 
-def _transfer_matrices(spec: ProblemSpec, Mx: np.ndarray) -> np.ndarray:
+def _schur_complements(spec: ProblemSpec, Mx: np.ndarray) -> np.ndarray:
+    """E_k = (d/2 + m/h) I + (h/4) Mx_k^T, (M, n, n): the Schur complement
+    of the -I/h block of element k's Gram factor block A_a,k
+    (`_transfer_matrices`)."""
+    h = spec.grid.h
+    c = 0.5 * spec.params.d + spec.params.m / h
+    return c * np.eye(spec.n) + (0.25 * h) * np.swapaxes(Mx, 1, 2)
+
+
+def _transfer_matrices(spec: ProblemSpec, Mx: np.ndarray, Einv: np.ndarray, out=None,
+                       sign: float = 1.0) -> np.ndarray:
     """R_k = -A_a,k^-1 A_b,k, (M, 2n, 2n), from element k's Gram factor
     blocks on node k's [gamma, lambda] and on node k+1's, x rows then v rows,
 
@@ -997,37 +1038,54 @@ def _transfer_matrices(spec: ProblemSpec, Mx: np.ndarray) -> np.ndarray:
 
     sqrt(h) times the map from the end nodes to the linearized primal state,
     so that element k adds -[A_a | A_b]^T W_k^-1 [A_a | A_b] to the Hessian,
-    W_k = diag(c_x K|_lam, c_v I) (`_hessian_parts`).  Through the Schur
-    complement E = (d/2 + m/h) I + (h/4) Mx^T of A_a's -I/h block,
-    R = [[I, -(h/2) Mx^T] - (h/2) Mx^T Y; Y], Y = E^-1 [I, (m/h - d/2) I -
-    (h/4) Mx^T]: n x n solves, where A_a^-1 would take 2n x 2n ones."""
-    n, h, m, d = spec.n, spec.grid.h, spec.params.m, spec.params.d
-    q = (0.25 * h) * np.swapaxes(Mx, 1, 2)
-    eye = np.broadcast_to(np.eye(n), q.shape)
-    Y = np.linalg.solve((0.5 * d + m / h) * eye + q,
-                        np.concatenate([eye, (m / h - 0.5 * d) * eye - q], axis=2))
-    return np.concatenate([np.concatenate([eye, -2.0 * q], axis=2) - 2.0 * q @ Y, Y], axis=1)
+    W_k = diag(c_x K|_lam, c_v I) (`_hessian_parts`).  Through ``Einv``,
+    the inverses of the Schur complements E = (d/2 + m/h) I + q,
+    q = (h/4) Mx^T (`_schur_complements`),
+    R = [[I - 2 q E^-1, -(4m/h) q E^-1], [E^-1, (2m/h) E^-1 - I]]: one
+    n x n inverse per element, where A_a^-1 would take a 2n x 2n one.
+    ``sign`` R, for ``sign`` = +-1, is written into ``out``, any (M, 2n, 2n)
+    view, or a fresh array when None, and returned."""
+    n, h, m = spec.n, spec.grid.h, spec.params.m
+    out = np.empty((len(Einv), 2 * n, 2 * n)) if out is None else out
+    qE = ((0.25 * h) * np.swapaxes(Mx, 1, 2)) @ Einv
+    eye = sign * np.eye(n)
+    np.subtract(eye, (2.0 * sign) * qE, out=out[:, :n, :n])
+    np.multiply(-4.0 * sign * m / h, qE, out=out[:, :n, n:])
+    np.multiply(sign, Einv, out=out[:, n:, :n])
+    np.subtract((2.0 * sign * m / h) * Einv, eye, out=out[:, n:, n:])
+    return out
+
+
+def _weighted_stiffness(spec: ProblemSpec, lmid) -> tuple[np.ndarray | None, bool]:
+    """(K|_lam at the midpoints ``lmid``, whether every one factors by
+    Cholesky), K None where lam·B is zero and K|_lam = I (``lmid`` is
+    finite)."""
+    B = spec.params.force.B
+    if not (np.any(B) and np.any(lmid)):
+        return None, True
+    K = stiffness_lambda(B, lmid, spec.scales.c_x)
+    try:
+        np.linalg.cholesky(K)
+    except np.linalg.LinAlgError:
+        return K, False
+    return K, True
 
 
 def _weight_counts(spec: ProblemSpec, lmid, Kinv) -> tuple[int, int]:
     """(zero, positive) eigenvalue counts of the block diagonal -W^-1, one
     within max|1/w| / COND_LIMIT of zero counting as zero; the weights w
-    are c_x times the eigenvalues mu of K|_lam, and c_v.  K|_lam = I (lam·B
-    is zero; ``lmid`` is finite) needs no eigenvalues.  Otherwise a K|_lam
-    that factors by Cholesky has no negative mu, and the bounds 1/||K||_F
-    <= 1/mu <= ||K^-1||_F can certify that none is near zero; only what
-    they leave open gets `eigvalsh`."""
-    p, s = spec.params, spec.scales
+    are c_x times the eigenvalues mu of K|_lam, and c_v.  K|_lam = I
+    (`_weighted_stiffness`) needs no eigenvalues.  Otherwise a K|_lam that
+    factors by Cholesky has no negative mu, and the bounds 1/||K||_F <=
+    1/mu <= ||K^-1||_F can certify that none is near zero; only what they
+    leave open gets `eigvalsh`."""
+    s = spec.scales
     M, n = lmid.shape
-    if not (np.any(p.force.B) and np.any(lmid)):
+    K, definite = _weighted_stiffness(spec, lmid)
+    if K is None:
         mu = np.ones((M, n))
     else:
-        K = stiffness_lambda(p.force.B, lmid, s.c_x)
-        try:
-            np.linalg.cholesky(K)
-        except np.linalg.LinAlgError:
-            pass
-        else:
+        if definite:
             lo = 1.0 / (s.c_x * np.max(np.linalg.norm(K, axis=(1, 2))))
             hi = np.max(np.linalg.norm(Kinv, axis=(1, 2))) / s.c_x
             if min(lo, 1.0 / s.c_v) > max(hi, 1.0 / s.c_v) / COND_LIMIT:
@@ -1063,45 +1121,37 @@ def _gram_nullity(spec: ProblemSpec, Mx: np.ndarray) -> int:
     A z = 0 says A_a,k z_k + A_b,k z_{k+1} = 0 for every element k
     (`_transfer_matrices`), with z_M = 0 (open) or z_M = z_0 (cyclic).
     A_a,k is singular where the Schur complement of its -I/h block,
-    E_k = c (I + X_k) with c = d/2 + m/h and X_k = (h/4c) Mx_k^T, is;
-    ||X_k||_F <= 1/2 bounds cond(E_k) by 3, and only the elements this
-    cannot certify get an SVD, whose singular values at most _GRAM_LIMIT
-    times the largest are counted.  Where every A_a,k is regular,
-    z_k = R_k z_{k+1} with R_k = -A_a,k^-1 A_b,k: the open A is regular,
-    and the cyclic one's nullity is the number of multipliers of
+    E_k = c (I + X_k) with c = d/2 + m/h and X_k = (h/4c) Mx_k^T
+    (`_schur_complements`), is; ||X_k||_F <= 1/2 bounds cond(E_k) by 3, and
+    only the elements this cannot certify get an SVD, whose singular values
+    at most _GRAM_LIMIT times the largest are counted.  Where every A_a,k is
+    regular, z_k = R_k z_{k+1} with R_k = -A_a,k^-1 A_b,k: the open A is
+    regular, and the cyclic one's nullity is the number of multipliers of
     R_0 ... R_{M-1} at 1 (`_multipliers_at_one`), the reciprocals of the
     adjoint's monodromy multipliers.  Otherwise the count is the elements'
     sum, an upper bound on the open nullity (a block triangular matrix has
     at least the rank of its diagonal blocks) and an estimate of the cyclic
     one."""
-    n, h = spec.n, spec.grid.h
+    h = spec.grid.h
     c = 0.5 * spec.params.d + spec.params.m / h
     unsure = np.flatnonzero(~(0.25 * h * np.linalg.norm(Mx, axis=(1, 2)) <= 0.5 * c))
     null = 0
     if unsure.size:
-        sv = np.linalg.svd(c * np.eye(n) + (0.25 * h) * np.swapaxes(Mx[unsure], 1, 2),
-                           compute_uv=False)
+        sv = np.linalg.svd(_schur_complements(spec, Mx[unsure]), compute_uv=False)
         null = int(np.sum(sv <= _GRAM_LIMIT * sv[:, :1]))
     if null or not spec.periodic:
         return null
-    return _multipliers_at_one(_transfer_matrices(spec, Mx))
+    Einv = np.linalg.inv(_schur_complements(spec, Mx))
+    return _multipliers_at_one(_transfer_matrices(spec, Mx, Einv))
 
 
-def _gram_inertia(spec: ProblemSpec, D: DualField) -> tuple[int, int, int] | None:
-    """(negative, zero, positive) eigenvalue counts of the Hessian at D,
-    read off its Gram form with no Hessian formed; None where the mapped
+def _gram_parts(spec: ProblemSpec, D: DualField) -> tuple[np.ndarray, np.ndarray] | None:
+    """(lmid, Mx) at D: lambda at the element midpoints, which gives the
+    weights W (`_weight_counts`), and Mx = dK/dx at the mapped state, which
+    gives the Gram factor A (`_transfer_matrices`); None where the mapped
     state or a Hessian part (`_hessian_parts`) is not finite.  Mx, P and C
     are tested; G and L are formed only where the bounds |G| <= (n/2)
-    max|Mx| max|P| and |L| <= n^2 max|Mx|^2 max|P| leave overflow open.
-
-    H = -A^T W^-1 A, where A is square (row block k holds element k's
-    blocks, `_transfer_matrices`, at nodes k and k+1; node M is dropped, or
-    is node 0 when cyclic) and W is block diagonal.  Where A is regular,
-    Sylvester's law (Golub & Van Loan, Matrix Computations, 4th ed., 8.1)
-    gives H the inertia of -W^-1.  So zero is what `_weight_counts` finds
-    near zero plus A's nullity (`_gram_nullity`); positive is the number of
-    negative eigenvalues of K|_lam over the M midpoints that are not near
-    zero, at most N - zero; negative is the rest."""
+    max|Mx| max|P| and |L| <= n^2 max|Mx|^2 max|P| leave overflow open."""
     lmid, _, _, _, _, _, x, v, Kinv = _core_state(spec, D)
     Mx, P = _mapped_jacobian(spec, D), Kinv / spec.scales.c_x
     if not all(np.all(np.isfinite(a)) for a in (lmid, x, v, Mx, P, _scalar_part(spec))):
@@ -1114,11 +1164,79 @@ def _gram_inertia(spec: ProblemSpec, D: DualField) -> tuple[int, int, int] | Non
     if not bound <= 0.5 * np.finfo(float).max and not all(
             np.all(np.isfinite(a)) for a in _hessian_parts(spec, D)[2:]):
         return None
+    return lmid, Mx
+
+
+def _gram_inertia(spec: ProblemSpec, D: DualField) -> tuple[int, int, int] | None:
+    """(negative, zero, positive) eigenvalue counts of the Hessian at D,
+    read off its Gram form with no Hessian formed; None where `_gram_parts`
+    finds a part that is not finite.
+
+    H = -A^T W^-1 A, where A is square (row block k holds element k's
+    blocks, `_transfer_matrices`, at nodes k and k+1; node M is dropped, or
+    is node 0 when cyclic) and W is block diagonal.  Where A is regular,
+    Sylvester's law (Golub & Van Loan, Matrix Computations, 4th ed., 8.1)
+    gives H the inertia of -W^-1.  So zero is what `_weight_counts` finds
+    near zero plus A's nullity (`_gram_nullity`); positive is the number of
+    negative eigenvalues of K|_lam over the M midpoints that are not near
+    zero, at most N - zero; negative is the rest."""
+    parts = _gram_parts(spec, D)
+    if parts is None:
+        return None
+    lmid, Mx = parts
     N = 2 * spec.n * spec.grid.M
-    zero, positive = _weight_counts(spec, lmid, Kinv)
+    zero, positive = _weight_counts(spec, lmid, _core_state(spec, D)[8])
     zero = min(N, zero + _gram_nullity(spec, Mx))
     positive = min(positive, N - zero)
     return N - zero - positive, zero, positive
+
+
+def _gram_direction(spec: ProblemSpec, parts, g: np.ndarray) -> np.ndarray | None:
+    """The Newton direction d, H d = -g, of the open problem at the point
+    whose `_gram_parts` are ``parts``, as d = A^-1 W A^-T g from the Gram
+    form H = -A^T W^-1 A (`_gram_inertia`), with no Hessian formed; None
+    where H is not certified negative definite, which it is exactly when
+    every K|_lam factors by Cholesky (`_weighted_stiffness`) and A is
+    regular (`_gram_nullity`).
+
+    A = A_d (I - U) with A_d = blockdiag(A_a,k) and U holding the transfer
+    matrices R_k (`_transfer_matrices`) on its block superdiagonal, so each
+    solve with I - U or its transpose is one LAPACK dtbtrs call on a unit
+    upper band of 2b rows, b = 2n, ab[2b - 1 + i - j, j] = (I - U)[i, j]
+    (Golub & Van Loan, Matrix Computations, 4th ed., 4.3).  In between, per
+    element and through E^-1 (`_schur_complements`), A_a = sqrt(h) S gives
+    S^-T [a; b] = [(h/2) q - h a; q] with q = E^-T ((h/2) Mx a - b), then
+    W / h (the two sqrt(h) factors together), then S^-1 [x; y] =
+    [-h x - (h/2) Mx^T b; b] with b = -E^-1 (y + (h/2) x)."""
+    lmid, Mx = parts
+    n, M, h = spec.n, spec.grid.M, spec.grid.h
+    c_x, c_v = spec.scales.c_x, spec.scales.c_v
+    K, definite = _weighted_stiffness(spec, lmid)
+    if not definite or _gram_nullity(spec, Mx):
+        return None
+    Einv = np.linalg.inv(_schur_complements(spec, Mx))
+    b = 2 * n
+    ab = np.zeros((2 * b, M * b), order="F")
+    sr, sc = ab.strides
+    # [k, i, j] is ab[b - 1 + i - j, (k + 1) b + j], entry (k b + i, (k + 1) b + j) of I - U
+    upper = np.lib.stride_tricks.as_strided(ab[b - 1:, b:], (M - 1, b, b), (b * sc, sr, sc - sr))
+    _transfer_matrices(spec, Mx[:-1], Einv[:-1], out=upper, sign=-1.0)
+
+    def solve(x, trans):
+        x, info = _LAPACK.dtbtrs(ab, x, trans)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dtbtrs")
+        return x.reshape(M, 2, n)
+
+    z = solve(np.array(g, dtype=float), True)  # (I - U)^-T g, node by node [a; b]
+    a, bl = z[:, 0, :, None], z[:, 1, :, None]
+    q = np.swapaxes(Einv, 1, 2) @ ((0.5 * h) * (Mx @ a) - bl)
+    wx = c_x * (0.5 * q - a)  # (c_x / h) ((h/2) q - h a), times K|_lam below
+    if K is not None:
+        wx = K @ wx
+    bl = -(Einv @ ((c_v / h) * q + (0.5 * h) * wx))
+    a = -h * wx - (0.5 * h) * (np.swapaxes(Mx, 1, 2) @ bl)
+    return solve(np.concatenate([a, bl], axis=1).ravel(), False).ravel()
 
 
 def ellipticity_check(D: DualField, spec) -> np.ndarray:

@@ -7,23 +7,34 @@ stiffness is positive definite, so the default step control is damped Newton
 with an ascent line search.  When no ascent Newton step is available at an
 iterate, steps fall back to a Levenberg-style trust-region iteration that
 must decrease the gradient norm; when that cannot make progress either, the
-iteration stops unconverged, as it does at an overflowed point.  A damped
-Newton iterate's negated Hessian is factored once by the banded Cholesky
-(LAPACK dpbtrf and dpbtrs from the library numpy links, on the folded band
-when cyclic); where it does not factor, the iterate is indefinite and goes
-to the trust region, whose shift grows until it factors.  A cyclic solve
-checks its first Hessian only against `COND_LIMIT`, by a probe at
-||H||_1 / COND_LIMIT on the other side of zero: a linear chain's Hessian
-does not depend on the field, so its resonance or missing restoring force
-shows there, and a later iterate near singular is not a singular problem.
-Each factorization is `neg_cholesky(shift)` on the iterate's Hessian, which
-negates a copy of the band the Hessian was written into, open or folded; a
-Hessian that is not finite, as its assembly records, ends the iteration.
+iteration stops unconverged, as it does at an overflowed point.
+
+An open (initial-value) damped Newton iterate takes its direction from the
+Gram factors of its Hessian, H = -A^T W^-1 A: d = A^-1 W A^-T g, two LAPACK
+dtbtrs solves on a unit upper band (`dual_action._gram_direction`), with no
+Hessian assembled or factored, where H is certified negative definite
+(every weighted stiffness factors by Cholesky and A is regular).  Where it
+is not, or the line search fails, the iterate assembles its Hessian band for
+the trust region, whose shift grows until the band's Cholesky factors.  A
+cyclic (periodic) iterate, and every iterate under the `trust-region` step
+control, keeps the band: a cyclic damped Newton iterate's negated Hessian
+is factored once by the banded Cholesky (LAPACK dpbtrf and dpbtrs from the
+library numpy links, on the folded band), and where it does not factor the
+iterate is indefinite and goes to the trust region.  A cyclic solve checks
+its first Hessian only against `COND_LIMIT`, by a probe at ||H||_1 /
+COND_LIMIT on the other side of zero: a linear chain's Hessian does not
+depend on the field, so its resonance or missing restoring force shows
+there, and a later iterate near singular is not a singular problem.  Each
+factorization is `neg_cholesky(shift)` on the iterate's Hessian, which
+negates a copy of the band the Hessian was written into, open or folded.
+An open iterate whose Gram parts (the mapped state, Mx, P and C, with the
+bound on G and L) are not finite, or a Hessian that is not finite, as its
+assembly records, ends the iteration.
 The period is the grid span, an integer number of forcing periods; orbits
 of unknown period are out of scope.
 
-Every `solve_dual` holds the OpenBLAS that factors the band at one thread,
-through the thread setter bound with the band Cholesky
+Every `solve_dual` holds the OpenBLAS that runs the band routines at one
+thread, through the thread setter bound with them
 (`dual_action._LAPACK.threads`), and gives it its previous count back when
 it returns or raises: on two cores idle pool workers otherwise contend with
 the thread doing the work (on a 2-core Xeon the banded Cholesky took more
@@ -48,7 +59,9 @@ from .dual_action import (
     DualField,
     ProblemSpec,
     _LAPACK,
+    _gram_direction,
     _gram_inertia,
+    _gram_parts,
     action,
     dtp_map,
     ellipticity_check,
@@ -107,8 +120,9 @@ class DualSolution:
     converged: bool
     iterations: int
     residual_history: tuple
-    # of the final point's Hessian, from its Gram factors; None when a Hessian
-    # the loop assembled, or the final point's state or parts, is not finite
+    # of the final point's Hessian, from its Gram factors; None when the Gram
+    # parts or Hessian of a point the loop stepped from, or the final point's
+    # state or parts, are not finite
     hessian_inertia: tuple | None
 
 
@@ -139,15 +153,19 @@ def _maximize(spec: ProblemSpec, opts: SolveOptions):
     `pack_free`); the tolerance is scaled by the zero-field gradient.
     Stops unconverged when no step makes progress or a point overflows;
     returns the final field, whether it converged, the max-norm history and
-    whether every Hessian it assembled was finite (False where the loop
-    stopped at one that is not).
+    whether every point it stepped from was finite (False where the loop
+    stopped at Gram parts or a Hessian that are not).
 
-    Each point is one DualField, passed to every evaluation there, so the
-    action, gradient and Hessian at a point share its mapped state; the
+    An open iterate's Newton direction comes from the Gram factors
+    (`_gram_direction`), and its Hessian band is assembled only for the
+    trust region, when that direction is refused or its line search fails;
+    a cyclic iterate assembles its band first and takes its direction from
+    the band's Cholesky factor (see the module docstring).  Each point is
+    one DualField, passed to every evaluation there, so the action,
+    gradient, Gram parts and Hessian at a point share its mapped state; the
     step searches return the field of the point they accept.  Convergence,
-    the iteration cap and an overflowed residual are tested first, so the
-    Hessian is assembled only at a point that takes a step, and never at
-    the final one.
+    the iteration cap and an overflowed residual are tested first, so
+    nothing is assembled or solved at the final point.
     """
     u = np.zeros(2 * spec.n * spec.grid.M)
     D = _field(spec, u)
@@ -161,23 +179,36 @@ def _maximize(spec: ProblemSpec, opts: SolveOptions):
     gnorm = float(np.max(np.abs(g)))
     history = [gnorm]
     damped = opts.step_control == "damped-newton"
-    # an overflowed (inf or nan) residual or Hessian ends the loop unconverged
+    # an overflowed (inf or nan) residual, Gram part or Hessian ends the loop
+    # unconverged
     while tol < gnorm < np.inf and len(history) <= opts.max_iterations:
-        H = hessian(D, spec)
-        if not H.finite:
-            return D, False, history, False
-        # singular or not is judged on a cyclic problem's first Hessian only,
-        # which shows a linear chain's resonance; later iterates go as open ones
-        if spec.periodic and len(history) == 1:
-            fac = _factorize_checked(H)
-        else:  # factored only for a Newton direction; None if indefinite
-            fac = H.neg_cholesky() if damped else None
-        direction = H.solve(-g, fac) if damped and fac is not None else None
-        del fac  # not held through the step searches
+        H = direction = None
+        if spec.periodic:
+            H = hessian(D, spec)
+            if not H.finite:
+                return D, False, history, False
+            # singular or not is judged on the first Hessian only, which shows
+            # a linear chain's resonance; later iterates go as open ones
+            if len(history) == 1:
+                fac = _factorize_checked(H)
+            else:  # factored only for a Newton direction; None if indefinite
+                fac = H.neg_cholesky() if damped else None
+            direction = H.solve(-g, fac) if damped and fac is not None else None
+            del fac  # not held through the step searches
+        else:
+            parts = _gram_parts(spec, D)
+            if parts is None:
+                return D, False, history, False
+            if damped:  # None where -H is not certified negative definite
+                direction = _gram_direction(spec, parts, g)
         accepted = None
         if direction is not None and np.all(np.isfinite(direction)):
             accepted = _line_search(spec, D, u, direction)
         if accepted is None:
+            if H is None:  # an open iterate's band serves the trust region only
+                H = hessian(D, spec)
+                if not H.finite:
+                    return D, False, history, False
             accepted = _trust_region_step(spec, H, g, u, gnorm)
         if accepted is None:
             break
@@ -289,8 +320,8 @@ _ONE_BLAS_THREAD = _OneBlasThread(_LAPACK.threads)
 
 def solve_dual(spec: ProblemSpec, opts: SolveOptions | None = None) -> DualSolution:
     """Maximize the discrete dual action by Newton iteration from the zero
-    field (or ``opts.initial_guess``), with the OpenBLAS that factors the band
-    at one thread (see the module docstring)."""
+    field (or ``opts.initial_guess``), with the OpenBLAS that runs the band
+    routines at one thread (see the module docstring)."""
     with _ONE_BLAS_THREAD:
         D, converged, history, finite = _maximize(spec, opts or SolveOptions())
         inertia = _gram_inertia(spec, D) if finite else None

@@ -19,9 +19,10 @@ def band_counts(monkeypatch) -> dict:
     """Counts, while a solve runs: Hessians assembled, bands written (every
     `_BandWriter`), negated copies of a Hessian's band, dpbtrf calls (each
     must get a fresh array, never a band), shifted factorizations,
-    `BlockTridiagonal.solve` calls and dpbtrs calls."""
+    `BlockTridiagonal.solve` calls, dpbtrs calls and dtbtrs calls (the
+    triangular band solves of a Gram direction)."""
     counts = {"hessians": 0, "bands": 0, "copies": 0, "dpbtrf": 0, "shifted": 0,
-              "solves": 0, "dpbtrs": 0}
+              "solves": 0, "dpbtrs": 0, "dtbtrs": 0}
     bands = []
     hessian, writer = dual_solver.hessian, dual_action._BandWriter
     negative, lapack = np.negative, dual_action._LAPACK
@@ -60,11 +61,15 @@ def band_counts(monkeypatch) -> dict:
         counts["dpbtrs"] += 1
         return lapack.dpbtrs(fac, x)
 
+    def counted_dtbtrs(ab, x, trans):
+        counts["dtbtrs"] += 1
+        return lapack.dtbtrs(ab, x, trans)
+
     monkeypatch.setattr(dual_solver, "hessian", counted_hessian)
     monkeypatch.setattr(dual_action, "_BandWriter", CountedWriter)
     monkeypatch.setattr(np, "negative", counted_negative)
-    monkeypatch.setattr(dual_action, "_LAPACK", lapack._replace(dpbtrf=counted_cholesky,
-                                                                dpbtrs=counted_dpbtrs))
+    monkeypatch.setattr(dual_action, "_LAPACK", lapack._replace(
+        dpbtrf=counted_cholesky, dpbtrs=counted_dpbtrs, dtbtrs=counted_dtbtrs))
     monkeypatch.setattr(dual_action.BlockTridiagonal, "neg_cholesky", counted_neg_cholesky)
     monkeypatch.setattr(dual_action.BlockTridiagonal, "solve", counted_solve)
     return counts

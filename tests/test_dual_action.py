@@ -49,6 +49,7 @@ from dualchain.dual_action import (
     _element_fields,
     _gram_inertia,
     _mapped_jacobian,
+    _schur_complements,
     _stiffness_inv,
     _transfer_matrices,
 )
@@ -670,6 +671,29 @@ def test_band_cholesky_matches_scipy_lapack_byte_for_byte(seed, b, F, cyclic, de
     _assert_band_cholesky_bytes(H, lift * H.diag_max, rng.normal(size=H.size))
 
 
+def _unit_upper_band(rng, size, kd):
+    """A random unit upper triangular band of ``size`` unknowns and ``kd``
+    superdiagonals, LAPACK's ab[kd + i - j, j], with nan on the diagonal
+    row, which a unit-diagonal solve does not read."""
+    ab = np.asfortranarray(0.3 * rng.normal(size=(kd + 1, size)))
+    ab[kd] = np.nan
+    return ab
+
+
+@pytest.mark.parametrize("size, kd", [(1, 0), (1, 3), (6, 1), (40, 7), (48, 31)])
+def test_triangular_band_solve_matches_the_dense_solve(size, kd):
+    rng = np.random.default_rng(size + kd)
+    ab = _unit_upper_band(rng, size, kd)
+    T = np.eye(size)
+    for r in range(kd):  # superdiagonal kd - r
+        T[np.arange(size - kd + r), np.arange(kd - r, size)] = ab[r, kd - r:]
+    rhs = rng.normal(size=size)
+    for trans, dense in ((False, T), (True, T.T)):
+        x, info = dual_action._LAPACK.dtbtrs(ab, rhs.copy(), trans)
+        assert info == 0
+        np.testing.assert_allclose(x, np.linalg.solve(dense, rhs), rtol=1e-12, atol=1e-12)
+
+
 def test_band_lapack_falls_back_to_scipy_where_no_symbol_resolves(monkeypatch):
     # a resolver that finds none of its names binds scipy.linalg.lapack's
     # wrappers, which give the bytes the default binding gives, with the
@@ -695,6 +719,11 @@ def test_band_lapack_falls_back_to_scipy_where_no_symbol_resolves(monkeypatch):
                                 H.neg_cholesky(-2.0 * H.diag_max)))
             assert results[0][:2] == results[1][:2]
             assert results[0][2] is None and results[1][2] is None
+        ab = _unit_upper_band(rng, size=45, kd=9)
+        for trans in (False, True):
+            x, info = bound.dtbtrs(ab, rhs.copy(), trans)
+            y, fallback_info = fallback.dtbtrs(ab, rhs.copy(), trans)
+            assert info == fallback_info == 0 and x.tobytes() == y.tobytes()
 
 
 def test_band_lapack_checks_the_arrays_it_hands_to_lapack():
@@ -714,6 +743,18 @@ def test_band_lapack_checks_the_arrays_it_hands_to_lapack():
             dpbtrs(fac, bad)
     x, info = dpbtrs(fac, np.ones(3))
     assert info == 0 and x.tolist() == [1.0, 1.0, 1.0]
+    # T = [[1, 2, 0], [0, 1, 3], [0, 0, 1]], its unit diagonal not read
+    dtbtrs = dual_action._LAPACK.dtbtrs
+    ab = np.asfortranarray([[np.nan, 2.0, 3.0], [np.nan, np.nan, np.nan]])
+    for bad in (np.ascontiguousarray(ab), ab.astype(np.float32), ab[0]):
+        with pytest.raises(ValueError, match="Fortran-ordered float64"):
+            dtbtrs(bad, np.ones(3), False)
+    for bad in (np.ones(2), np.ones(3, dtype=np.float32), np.ones(6)[::2]):
+        with pytest.raises(ValueError, match="vector of the band's size"):
+            dtbtrs(ab, bad, False)
+    for trans, want in ((False, [5.0, -2.0, 1.0]), (True, [1.0, -1.0, 4.0])):
+        x, info = dtbtrs(ab, np.ones(3), trans)
+        assert info == 0 and x.tolist() == want
 
 
 def test_a_band_that_is_not_finite_raises_before_any_lapack_call(monkeypatch):
@@ -1287,7 +1328,9 @@ def test_hessian_is_the_gram_product(seed, n, M, with_B, periodic, scale):
     cond = float(np.max(np.max(mu, axis=1) / np.min(mu, axis=1)))
     assert np.max(np.abs(_gram_product(spec, D) - H)) <= 64 * n * _EPS * cond * np.max(np.abs(H))
     A_a, A_b = _gram_blocks(spec, D)
-    np.testing.assert_allclose(_transfer_matrices(spec, _mapped_jacobian(spec, D)),
+    Mx = _mapped_jacobian(spec, D)
+    Einv = np.linalg.inv(_schur_complements(spec, Mx))
+    np.testing.assert_allclose(_transfer_matrices(spec, Mx, Einv),
                                -np.linalg.solve(A_a, A_b), rtol=1e-12, atol=1e-12)
 
 
@@ -1389,6 +1432,44 @@ def test_gram_inertia_forms_the_hessian_parts_only_where_their_bounds_leave_over
         assert _gram_inertia(spec, D) == want
         assert calls == [1] * formed
         assert hessian(D, spec).finite == (want is not None)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 40),
+       st.floats(0.0, 2.0, exclude_min=True), st.floats(0.0, 2.0), st.floats(0.1, 2.0),
+       st.floats(0.1, 2.0), st.booleans(), st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+@example(seed=0, n=2, M=1, m=1.0, d=0.5, c_x=1.0, c_v=1.0, with_B=True, scale=0.05)  # no U
+@example(seed=4, n=3, M=12, m=1.0, d=0.0, c_x=0.2, c_v=1.0, with_B=True, scale=1.0)
+@example(seed=5, n=1, M=40, m=2.0, d=2.0, c_x=1.0, c_v=0.1, with_B=False, scale=0.3)
+def test_gram_direction_is_the_newton_direction_of_the_band(seed, n, M, m, d, c_x, c_v,
+                                                          with_B, scale):
+    # open specs with linear and quadratic forces and small random fields:
+    # where -H factors, A^-1 W A^-T g is the band's H^-1 (-g), to 1e-9
+    # relative where H is well conditioned; where a weighted stiffness has
+    # a negative eigenvalue, H is indefinite and both refuse
+    rng = np.random.default_rng(seed)
+    spec = _random_spec(rng, n=n, M=M, with_B=with_B)
+    spec = dataclasses.replace(spec, params=dataclasses.replace(spec.params, m=m, d=d),
+                               scales=ScaleParams(c_x, c_v))
+    D = unpack_free(spec.grid, n, rng.normal(size=2 * n * M) * scale)
+    try:
+        g = gradient(D, spec)
+    except SingularStiffnessError:
+        assume(False)
+    H = hessian(D, spec)
+    parts = dual_action._gram_parts(spec, D)
+    assert parts is not None and H.finite
+    direction = dual_action._gram_direction(spec, parts, g)
+    fac = H.neg_cholesky()
+    K = stiffness_lambda(spec.params.force.B, _core_state(spec, D)[0], c_x)
+    if np.min(np.linalg.eigvalsh(K)) < 0.0:
+        assert direction is None and fac is None
+        return
+    mu = np.abs(np.linalg.eigvalsh(H.to_dense()))
+    assume(fac is not None and np.max(mu) <= 1e6 * np.min(mu))
+    want = H.solve(-g, fac)
+    assert direction is not None
+    assert np.max(np.abs(direction - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------

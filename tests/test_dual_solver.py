@@ -207,17 +207,18 @@ def test_non_convergence_is_reported_not_raised():
 
 
 def test_a_hessian_that_is_not_finite_ends_the_solve_unconverged(band_counts):
-    # finiteness is decided once, when hessian writes the band: at c_x =
-    # 1e-310, P = K^-1 / c_x overflows at the zero field while the gradient
-    # there stays finite, so the loop stops before any factorization, and
-    # the final Hessian has no inertia
+    # finiteness is decided on the Gram parts, before anything is assembled
+    # or solved: at c_x = 1e-310, P = K^-1 / c_x overflows at the zero field
+    # while the gradient there stays finite, so the loop stops with no
+    # Hessian, factorization or Gram direction, and the final point has no
+    # inertia
     base = _fput_spec(n=2, M=16)
     spec = ProblemSpec(params=base.params, scales=ScaleParams(1e-310, 1.0), base=base.base,
                        grid=base.grid, x0=base.x0, v0=base.v0)
     with np.errstate(over="ignore", invalid="ignore"):
         sol = solve_dual(spec)
     assert not sol.converged and sol.iterations == 0 and sol.hessian_inertia is None
-    assert band_counts["hessians"] == 1 and band_counts["dpbtrf"] == 0
+    assert band_counts["hessians"] == band_counts["dpbtrf"] == band_counts["dtbtrs"] == 0
 
 
 def test_verify_report_on_converged_linear_solve():
@@ -311,11 +312,13 @@ def test_midpoint_data_built_once_per_solve(monkeypatch):
 @pytest.mark.parametrize("step_control", ["damped-newton", "trust-region"])
 def test_open_problem_factors_only_for_a_newton_direction(band_counts, monkeypatch,
                                                          step_control):
-    # damped Newton factors -H once per iterate; the trust region factors only
-    # at its shifts; each Hessian writes its open band once, and each
-    # factorization copies it; the converged point assembles no Hessian, and
-    # its inertia comes from the Gram factors, not from inertia(), with no
-    # eigenvalues: the weighted stiffness there factors by Cholesky
+    # a damped Newton iterate takes its direction from the Gram factors: two
+    # triangular band solves (dtbtrs), no Hessian band and no dpbtrf; the
+    # trust region writes each iterate's open band once and factors only at
+    # its shifts, each factorization copying the band; the converged point
+    # assembles no Hessian, and its inertia comes from the Gram factors, not
+    # from inertia(), with no eigenvalues: the weighted stiffness there
+    # factors by Cholesky
     def refuse(*args, **kwargs):
         raise AssertionError("inertia() or eigvalsh ran")
 
@@ -330,36 +333,41 @@ def test_open_problem_factors_only_for_a_newton_direction(band_counts, monkeypat
     counts = band_counts
     sol = solve_dual(spec, SolveOptions(step_control=step_control))
     assert sol.converged and sol.iterations >= 2
-    newton = sol.iterations if step_control == "damped-newton" else 0
-    assert counts["dpbtrf"] == newton + counts["shifted"]
     if step_control == "damped-newton":
-        assert counts["shifted"] == 0
-    # one band per Hessian, one Hessian per iterate that takes a step, one
-    # negated copy of it per factorization
-    assert counts["bands"] == counts["hessians"] == sol.iterations
+        assert counts["dtbtrs"] == 2 * sol.iterations
+        assert counts["bands"] == counts["hessians"] == counts["dpbtrf"] == 0
+    else:
+        # one band per Hessian, one Hessian per iterate that takes a step,
+        # one negated copy of it per factorization, all of them shifted
+        assert counts["dtbtrs"] == 0
+        assert counts["bands"] == counts["hessians"] == sol.iterations
+        assert counts["dpbtrf"] == counts["shifted"] > 0
     assert counts["copies"] == counts["dpbtrf"]
     assert sol.hessian_inertia == (2 * n * grid.M, 0, 0)
 
 
 def test_a_solve_from_its_own_maximum_assembles_no_hessian(band_counts):
-    # convergence is tested before any assembly, so a re-solve from the
-    # converged field stops at once, with the same inertia and no Hessian
+    # convergence is tested before any direction is made, so a re-solve from
+    # the converged field stops at once, with the same inertia, no Hessian
+    # and no Gram direction
     spec = _fput_spec(n=3, M=64, perturb=0.05, seed=2)
     sol = solve_dual(spec)
-    assert sol.converged and band_counts["hessians"] == sol.iterations > 0
+    assert sol.converged and band_counts["dtbtrs"] == 2 * sol.iterations > 0
     again = solve_dual(spec, SolveOptions(initial_guess=sol.D))
     assert again.converged and again.iterations == 0
-    assert band_counts["hessians"] == sol.iterations
+    assert band_counts["hessians"] == 0 and band_counts["dtbtrs"] == 2 * sol.iterations
     assert again.hessian_inertia == sol.hessian_inertia == (2 * 3 * 64, 0, 0)
 
 
-def test_failed_line_search_falls_back_to_a_trust_region_step(monkeypatch):
-    # the first iterate's Newton direction is found, but every backtracked
-    # trial point's action is nan, so the line search accepts none; the same
-    # iterate then takes a trust-region step, and the solve still converges
-    # to the maximum the unspoilt solve finds
+def test_failed_line_search_falls_back_to_a_trust_region_step(monkeypatch, band_counts):
+    # the first iterate's Newton direction is found from the Gram factors,
+    # but every backtracked trial point's action is nan, so the line search
+    # accepts none; the same iterate then assembles its Hessian band and
+    # takes a trust-region step on it, the one band of the solve, and the
+    # solve still converges to the maximum the unspoilt solve finds
     spec = _fput_spec(n=2, M=32)
     ref = solve_dual(spec)
+    assert band_counts["hessians"] == 0
     action, line_search = dual_solver.action, dual_solver._line_search
     trust_region = dual_solver._trust_region_step
     events, trials = [], []
@@ -381,7 +389,7 @@ def test_failed_line_search_falls_back_to_a_trust_region_step(monkeypatch):
         return accepted
 
     def spied_trust_region(spec, H, g, u, gnorm):
-        events.append(("trust region", u))
+        events.append(("trust region", u, band_counts["hessians"]))
         return trust_region(spec, H, g, u, gnorm)
 
     monkeypatch.setattr(dual_solver, "_line_search", spoilt_first_search)
@@ -390,6 +398,9 @@ def test_failed_line_search_falls_back_to_a_trust_region_step(monkeypatch):
     assert len(trials) == dual_solver._MAX_BACKTRACK
     assert events[0] == ("line search", True)
     assert events[1][0] == "trust region" and not np.any(events[1][1])  # from the zero field
+    assert events[1][2] == band_counts["hessians"] == band_counts["bands"] == 1
+    assert band_counts["dpbtrf"] == band_counts["shifted"] > 0
+    assert band_counts["dtbtrs"] == 2 * (ref.iterations + sol.iterations)
     assert sol.converged
     scale = max(np.max(np.abs(ref.D.gamma)), np.max(np.abs(ref.D.lam)))
     for got, want in ((sol.D.gamma, ref.D.gamma), (sol.D.lam, ref.D.lam)):
