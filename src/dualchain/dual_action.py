@@ -48,8 +48,10 @@ COND_LIMIT and counts Schur pivots when that fails, is its reference.  The
 open A is block upper bidiagonal, A = blockdiag(A_a,k) (I - U), so an open
 Newton direction is d = A^-1 W A^-T g, two unit triangular band solves
 (LAPACK dtbtrs) around per-element n x n work, where H is certified
-negative definite (`_gram_direction`); no Hessian is formed or factored
-for it.
+negative definite (`_gram_direction`); the cyclic A adds one corner block,
+a rank-2n correction that Sherman-Morrison-Woodbury turns into solves with
+one 2n x 2n capacitance, so a cyclic direction is four such band solves.
+No Hessian is formed or factored for a direction.
 
 Overflow far from the maximum (a huge base or mass) follows numpy's default,
 and the solver's finite checks stop there; only an overflowed certificate
@@ -114,6 +116,11 @@ _CERT_LIMIT = 1e-2 * COND_LIMIT
 #: of a multiplier, counted as zero: H = -A^T W^-1 A squares A's condition
 #: number, so this is COND_LIMIT's bound on H read on A.
 _GRAM_LIMIT = COND_LIMIT ** -0.5
+
+#: Largest 1-norm condition number of a cyclic Gram direction's capacitance
+#: I - Pi (`_gram_direction`), whose solves cost the direction up to about
+#: 50 eps cond(I - Pi) of relative accuracy (measured on random specs).
+_CAPACITANCE_LIMIT = 1e4
 
 _HARMONICS = 3  # sine terms per component of a `perturb_base` perturbation
 
@@ -342,26 +349,26 @@ def _check_stiffness(K, points=None):
 
 
 def _stiffness_inv(B, lam, c_x: float):
-    """Inverse of the weighted stiffness K = I + (1/c_x) B·lam at each point
-    of ``lam`` (leading batch axes allowed).  A linear force (B = 0) gives
-    K = I exactly, and its inverse is exactly I.
+    """(K, K^-1) for the weighted stiffness K = I + (1/c_x) B·lam at each
+    point of ``lam`` (leading batch axes allowed).
 
     kappa_2(K) <= ||K||_F ||K^-1||_F certifies a point cheaply.  Only the
     points whose bound exceeds _CERT_LIMIT, or the whole batch when the
     inverse itself fails, go through `_check_stiffness`, so exactly the
     points it rejects raise SingularStiffnessError.  Where lam·B is exactly
-    zero (a linear chain at finite lam, or the zero field) K is I, and the
-    inverse is a read-only broadcast of I, with no inversion or bound.
+    zero (a linear chain at finite lam, or the zero field) K is I: it is
+    None, and the inverse a read-only broadcast of I, with no stiffness,
+    inversion or bound formed.
     """
     if not np.any(lam) or (not np.any(B) and np.all(np.isfinite(lam))):
         n = B.shape[0]
-        return np.broadcast_to(np.eye(n), np.shape(lam)[:-1] + (n, n))
+        return None, np.broadcast_to(np.eye(n), np.shape(lam)[:-1] + (n, n))
     K = stiffness_lambda(B, lam, c_x)
     try:
         Kinv = np.linalg.inv(K)
     except np.linalg.LinAlgError:
         mu, Q = _check_stiffness(K)
-        return (Q / mu[..., None, :]) @ np.swapaxes(Q, -1, -2)
+        return K, (Q / mu[..., None, :]) @ np.swapaxes(Q, -1, -2)
     # a bound that overflows is not a certificate; the eigenvalue test decides
     with np.errstate(over="ignore", invalid="ignore"):
         bound = np.sqrt(np.sum(K * K, axis=(-2, -1)) * np.sum(Kinv * Kinv, axis=(-2, -1)))
@@ -369,23 +376,24 @@ def _stiffness_inv(B, lam, c_x: float):
     if unsure.size:
         n = K.shape[-1]
         _check_stiffness(K.reshape(-1, n, n)[unsure], unsure)
-    return Kinv
+    return K, Kinv
 
 
 def _dual_to_primal(lam, lamdot, gamma, gammadot, xbar, vbar, J, B, m, d, c_x, c_v):
     """Dual-to-primal map at points (leading batch axes allowed), with J the
-    force Jacobian at xbar: (w, r, y, Kinv, x, v), where v = vbar + w / c_v,
-    x = xbar + y / c_x and y = K|_lam^{-1} r, r = gammadot - J^T lam."""
+    force Jacobian at xbar: (w, r, y, K, Kinv, x, v), where v = vbar + w /
+    c_v, x = xbar + y / c_x and y = K|_lam^{-1} r, r = gammadot - J^T lam,
+    and K is `_stiffness_inv`'s, None where K|_lam = I."""
     w = gamma + m * lamdot - d * lam
     r = gammadot - np.einsum("...j,...ji->...i", lam, J)
-    Kinv = _stiffness_inv(B, lam, c_x)
+    K, Kinv = _stiffness_inv(B, lam, c_x)
     y = (Kinv @ r[..., None])[..., 0]
-    return w, r, y, Kinv, xbar + y / c_x, vbar + w / c_v
+    return w, r, y, K, Kinv, xbar + y / c_x, vbar + w / c_v
 
 
 def _core_state(spec: ProblemSpec, D: DualField):
     """Element-midpoint fields of D and the primal state they map to:
-    (lmid, gdot, w, r, y, dx, x, v, Kinv).
+    (lmid, gdot, w, r, y, dx, x, v, Kinv, K), K None where K|_lam = I.
 
     A DualField is immutable, so the state is computed once per point: it
     is kept on D in a one-slot cache keyed by ``spec``, and the action,
@@ -397,16 +405,17 @@ def _core_state(spec: ProblemSpec, D: DualField):
     p, s, base = spec.params, spec.scales, spec.base
     gmid, lmid, gdot, ldot = _element_fields(D.gamma[:-1], D.lam[:-1], D.gamma[1:], D.lam[1:],
                                              spec.grid.h)
-    w, r, y, Kinv, x, v = _dual_to_primal(lmid, ldot, gmid, gdot, base.xbar_mid, base.vbar_mid,
-                                          spec._midpoints[2], p.force.B, p.m, p.d, s.c_x, s.c_v)
-    state = (lmid, gdot, w, r, y, y / s.c_x, x, v, Kinv)
+    w, r, y, K, Kinv, x, v = _dual_to_primal(lmid, ldot, gmid, gdot, base.xbar_mid,
+                                             base.vbar_mid, spec._midpoints[2], p.force.B,
+                                             p.m, p.d, s.c_x, s.c_v)
+    state = (lmid, gdot, w, r, y, y / s.c_x, x, v, Kinv, K)
     object.__setattr__(D, "_state", (spec, state))
     return state
 
 
 def _action_elements(spec: ProblemSpec, D: DualField) -> float:
     """Midpoint-quadrature integral part of the dual action (no boundary terms)."""
-    lmid, gdot, w, r, y, _, _, _, _ = _core_state(spec, D)
+    lmid, gdot, w, r, y = _core_state(spec, D)[:5]
     f_mid, Kbar_mid, _ = spec._midpoints
     s, base = spec.scales, spec.base
     quad = np.sum(w * w, axis=1) / s.c_v + np.sum(r * y, axis=1) / s.c_x
@@ -427,7 +436,7 @@ def _gradient_elements(spec: ProblemSpec, D: DualField):
     d/d(lambda_rate) = -h m v; the chain rule to the element's end nodes
     gives the four parts below.
     """
-    _, _, _, _, _, dx, x, v, _ = _core_state(spec, D)
+    dx, x, v = _core_state(spec, D)[5:8]
     f_mid, Kbar_mid, Abar_mid = spec._midpoints
     p, n, h = spec.params, spec.n, spec.grid.h
     dxdx = (dx[:, :, None] * dx[:, None, :]).reshape(spec.grid.M, n * n)
@@ -950,7 +959,7 @@ def dtp_map(lam, lamdot, gamma, gammadot, xbar, vbar, spec) -> tuple[np.ndarray,
             raise ValueError("all dtp_map inputs must share one shape with trailing length n")
     lam, lamdot, gamma, gammadot, xbar, vbar = arrs
     return _dual_to_primal(lam, lamdot, gamma, gammadot, xbar, vbar,
-                           force_jacobian(p.force, xbar), p.force.B, p.m, p.d, s.c_x, s.c_v)[4:]
+                           force_jacobian(p.force, xbar), p.force.B, p.m, p.d, s.c_x, s.c_v)[5:]
 
 
 def action(D: DualField, spec: ProblemSpec) -> float:
@@ -1017,7 +1026,7 @@ def hessian(D: DualField, spec: ProblemSpec) -> BlockTridiagonal:
 
 
 # ---------------------------------------------------------------------------
-# the Gram factors: Hessian inertia and open Newton directions
+# the Gram factors: Hessian inertia and Newton directions
 
 def _schur_complements(spec: ProblemSpec, Mx: np.ndarray) -> np.ndarray:
     """E_k = (d/2 + m/h) I + (h/4) Mx_k^T, (M, n, n): the Schur complement
@@ -1056,36 +1065,32 @@ def _transfer_matrices(spec: ProblemSpec, Mx: np.ndarray, Einv: np.ndarray, out=
     return out
 
 
-def _weighted_stiffness(spec: ProblemSpec, lmid) -> tuple[np.ndarray | None, bool]:
-    """(K|_lam at the midpoints ``lmid``, whether every one factors by
-    Cholesky), K None where lam·B is zero and K|_lam = I (``lmid`` is
-    finite)."""
-    B = spec.params.force.B
-    if not (np.any(B) and np.any(lmid)):
-        return None, True
-    K = stiffness_lambda(B, lmid, spec.scales.c_x)
+def _definite(K) -> bool:
+    """Whether every weighted stiffness K|_lam of ``K`` (`_core_state`'s,
+    None where K|_lam = I) factors by Cholesky."""
+    if K is None:
+        return True
     try:
         np.linalg.cholesky(K)
     except np.linalg.LinAlgError:
-        return K, False
-    return K, True
+        return False
+    return True
 
 
-def _weight_counts(spec: ProblemSpec, lmid, Kinv) -> tuple[int, int]:
+def _weight_counts(spec: ProblemSpec, K, Kinv) -> tuple[int, int]:
     """(zero, positive) eigenvalue counts of the block diagonal -W^-1, one
     within max|1/w| / COND_LIMIT of zero counting as zero; the weights w
-    are c_x times the eigenvalues mu of K|_lam, and c_v.  K|_lam = I
-    (`_weighted_stiffness`) needs no eigenvalues.  Otherwise a K|_lam that
+    are c_x times the eigenvalues mu of K|_lam, and c_v.  K|_lam = I (K
+    None, `_core_state`) needs no eigenvalues.  Otherwise a K|_lam that
     factors by Cholesky has no negative mu, and the bounds 1/||K||_F <=
     1/mu <= ||K^-1||_F can certify that none is near zero; only what they
     leave open gets `eigvalsh`."""
     s = spec.scales
-    M, n = lmid.shape
-    K, definite = _weighted_stiffness(spec, lmid)
+    M, n = Kinv.shape[:2]
     if K is None:
         mu = np.ones((M, n))
     else:
-        if definite:
+        if _definite(K):
             lo = 1.0 / (s.c_x * np.max(np.linalg.norm(K, axis=(1, 2))))
             hi = np.max(np.linalg.norm(Kinv, axis=(1, 2))) / s.c_x
             if min(lo, 1.0 / s.c_v) > max(hi, 1.0 / s.c_v) / COND_LIMIT:
@@ -1096,12 +1101,11 @@ def _weight_counts(spec: ProblemSpec, lmid, Kinv) -> tuple[int, int]:
     return int(np.sum(tiny)), int(np.sum((inv < 0.0) & ~tiny))
 
 
-def _multipliers_at_one(R) -> int:
-    """Number of eigenvalues mu of the transfer product R_0 R_1 ... R_{M-1}
-    with |log mu| <= M _GRAM_LIMIT, a rate per element within _GRAM_LIMIT
-    of zero.  The product is formed pairwise, each partial product scaled
-    by its largest entry with the scale's log carried, so none overflows."""
-    M, logs = len(R), np.zeros(len(R))
+def _transfer_product(R) -> tuple[np.ndarray, float]:
+    """(P, s) with R_0 R_1 ... R_{M-1} = e^s P.  The product is formed
+    pairwise, each partial product scaled by its largest entry with the
+    scale's log carried, so none overflows."""
+    logs = np.zeros(len(R))
     while len(R) > 1:
         even = len(R) - len(R) % 2
         prod = R[0:even:2] @ R[1:even:2]
@@ -1109,10 +1113,35 @@ def _multipliers_at_one(R) -> int:
         scale[scale == 0.0] = 1.0
         R = np.concatenate([prod / scale[:, None, None], R[even:]])
         logs = np.concatenate([logs[0:even:2] + logs[1:even:2] + np.log(scale), logs[even:]])
-    mu = np.linalg.eigvals(R[0])
+    return R[0], float(logs[0])
+
+
+def _multipliers_at_one(product, M: int) -> int:
+    """Number of eigenvalues mu of the transfer product e^s P of M elements,
+    ``product`` = (P, s) (`_transfer_product`), with |log mu| <= M
+    _GRAM_LIMIT, a rate per element within _GRAM_LIMIT of zero."""
+    P, s = product
+    mu = np.linalg.eigvals(P)
     with np.errstate(divide="ignore"):  # mu = 0 is as far from 1 as can be
-        rate = np.hypot(np.log(np.abs(mu)) + logs[0], np.angle(mu))
+        rate = np.hypot(np.log(np.abs(mu)) + s, np.angle(mu))
     return int(np.sum(rate <= M * _GRAM_LIMIT))
+
+
+def _singular_elements(spec: ProblemSpec, Mx: np.ndarray) -> int:
+    """The summed nullity of the Gram factor's diagonal blocks A_a,k,
+    judged against _GRAM_LIMIT.  A_a,k is singular where the Schur
+    complement of its -I/h block, E_k = c (I + X_k) with c = d/2 + m/h and
+    X_k = (h/4c) Mx_k^T (`_schur_complements`), is; ||X_k||_F <= 1/2 bounds
+    cond(E_k) by 3, and only the elements this cannot certify get an SVD,
+    whose singular values at most _GRAM_LIMIT times the largest are
+    counted."""
+    h = spec.grid.h
+    c = 0.5 * spec.params.d + spec.params.m / h
+    unsure = np.flatnonzero(~(0.25 * h * np.linalg.norm(Mx, axis=(1, 2)) <= 0.5 * c))
+    if not unsure.size:
+        return 0
+    sv = np.linalg.svd(_schur_complements(spec, Mx[unsure]), compute_uv=False)
+    return int(np.sum(sv <= _GRAM_LIMIT * sv[:, :1]))
 
 
 def _gram_nullity(spec: ProblemSpec, Mx: np.ndarray) -> int:
@@ -1120,39 +1149,31 @@ def _gram_nullity(spec: ProblemSpec, Mx: np.ndarray) -> int:
 
     A z = 0 says A_a,k z_k + A_b,k z_{k+1} = 0 for every element k
     (`_transfer_matrices`), with z_M = 0 (open) or z_M = z_0 (cyclic).
-    A_a,k is singular where the Schur complement of its -I/h block,
-    E_k = c (I + X_k) with c = d/2 + m/h and X_k = (h/4c) Mx_k^T
-    (`_schur_complements`), is; ||X_k||_F <= 1/2 bounds cond(E_k) by 3, and
-    only the elements this cannot certify get an SVD, whose singular values
-    at most _GRAM_LIMIT times the largest are counted.  Where every A_a,k is
-    regular, z_k = R_k z_{k+1} with R_k = -A_a,k^-1 A_b,k: the open A is
-    regular, and the cyclic one's nullity is the number of multipliers of
-    R_0 ... R_{M-1} at 1 (`_multipliers_at_one`), the reciprocals of the
-    adjoint's monodromy multipliers.  Otherwise the count is the elements'
-    sum, an upper bound on the open nullity (a block triangular matrix has
-    at least the rank of its diagonal blocks) and an estimate of the cyclic
-    one."""
-    h = spec.grid.h
-    c = 0.5 * spec.params.d + spec.params.m / h
-    unsure = np.flatnonzero(~(0.25 * h * np.linalg.norm(Mx, axis=(1, 2)) <= 0.5 * c))
-    null = 0
-    if unsure.size:
-        sv = np.linalg.svd(_schur_complements(spec, Mx[unsure]), compute_uv=False)
-        null = int(np.sum(sv <= _GRAM_LIMIT * sv[:, :1]))
+    Where every A_a,k is regular (`_singular_elements`), z_k = R_k z_{k+1}
+    with R_k = -A_a,k^-1 A_b,k: the open A is regular, and the cyclic one's
+    nullity is the number of multipliers of the transfer product R_0 ...
+    R_{M-1} (`_transfer_product`, which the cyclic `_gram_direction` shares)
+    at 1 (`_multipliers_at_one`), the reciprocals of the adjoint's
+    monodromy multipliers.  Otherwise the count is the elements' sum, an
+    upper bound on the open nullity (a block triangular matrix has at least
+    the rank of its diagonal blocks) and an estimate of the cyclic one."""
+    null = _singular_elements(spec, Mx)
     if null or not spec.periodic:
         return null
     Einv = np.linalg.inv(_schur_complements(spec, Mx))
-    return _multipliers_at_one(_transfer_matrices(spec, Mx, Einv))
+    return _multipliers_at_one(_transfer_product(_transfer_matrices(spec, Mx, Einv)),
+                               spec.grid.M)
 
 
-def _gram_parts(spec: ProblemSpec, D: DualField) -> tuple[np.ndarray, np.ndarray] | None:
-    """(lmid, Mx) at D: lambda at the element midpoints, which gives the
-    weights W (`_weight_counts`), and Mx = dK/dx at the mapped state, which
-    gives the Gram factor A (`_transfer_matrices`); None where the mapped
-    state or a Hessian part (`_hessian_parts`) is not finite.  Mx, P and C
-    are tested; G and L are formed only where the bounds |G| <= (n/2)
-    max|Mx| max|P| and |L| <= n^2 max|Mx|^2 max|P| leave overflow open."""
-    lmid, _, _, _, _, _, x, v, Kinv = _core_state(spec, D)
+def _gram_parts(spec: ProblemSpec, D: DualField) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """(Mx, K) at D: Mx = dK/dx at the mapped state, which gives the Gram
+    factor A (`_transfer_matrices`), and the weighted stiffness K|_lam at
+    the element midpoints (`_core_state`'s, None where it is I), which gives
+    the weights W (`_weight_counts`); None where the mapped state or a
+    Hessian part (`_hessian_parts`) is not finite.  Mx, P and C are tested;
+    G and L are formed only where the bounds |G| <= (n/2) max|Mx| max|P|
+    and |L| <= n^2 max|Mx|^2 max|P| leave overflow open."""
+    lmid, _, _, _, _, _, x, v, Kinv, K = _core_state(spec, D)
     Mx, P = _mapped_jacobian(spec, D), Kinv / spec.scales.c_x
     if not all(np.all(np.isfinite(a)) for a in (lmid, x, v, Mx, P, _scalar_part(spec))):
         return None
@@ -1164,7 +1185,7 @@ def _gram_parts(spec: ProblemSpec, D: DualField) -> tuple[np.ndarray, np.ndarray
     if not bound <= 0.5 * np.finfo(float).max and not all(
             np.all(np.isfinite(a)) for a in _hessian_parts(spec, D)[2:]):
         return None
-    return lmid, Mx
+    return Mx, K
 
 
 def _gram_inertia(spec: ProblemSpec, D: DualField) -> tuple[int, int, int] | None:
@@ -1183,36 +1204,44 @@ def _gram_inertia(spec: ProblemSpec, D: DualField) -> tuple[int, int, int] | Non
     parts = _gram_parts(spec, D)
     if parts is None:
         return None
-    lmid, Mx = parts
+    Mx, K = parts
     N = 2 * spec.n * spec.grid.M
-    zero, positive = _weight_counts(spec, lmid, _core_state(spec, D)[8])
+    zero, positive = _weight_counts(spec, K, _core_state(spec, D)[8])
     zero = min(N, zero + _gram_nullity(spec, Mx))
     positive = min(positive, N - zero)
     return N - zero - positive, zero, positive
 
 
 def _gram_direction(spec: ProblemSpec, parts, g: np.ndarray) -> np.ndarray | None:
-    """The Newton direction d, H d = -g, of the open problem at the point
-    whose `_gram_parts` are ``parts``, as d = A^-1 W A^-T g from the Gram
-    form H = -A^T W^-1 A (`_gram_inertia`), with no Hessian formed; None
-    where H is not certified negative definite, which it is exactly when
-    every K|_lam factors by Cholesky (`_weighted_stiffness`) and A is
-    regular (`_gram_nullity`).
+    """The Newton direction d, H d = -g, at the point whose `_gram_parts`
+    are ``parts``, as d = A^-1 W A^-T g from the Gram form H = -A^T W^-1 A
+    (`_gram_inertia`), with no Hessian formed; None where H is not
+    certified negative definite, which it is exactly when every K|_lam
+    factors by Cholesky (`_definite`) and A is regular (`_gram_nullity`),
+    and where the cyclic capacitance below is not finite or its 1-norm
+    condition number exceeds _CAPACITANCE_LIMIT.
 
-    A = A_d (I - U) with A_d = blockdiag(A_a,k) and U holding the transfer
-    matrices R_k (`_transfer_matrices`) on its block superdiagonal, so each
-    solve with I - U or its transpose is one LAPACK dtbtrs call on a unit
-    upper band of 2b rows, b = 2n, ab[2b - 1 + i - j, j] = (I - U)[i, j]
-    (Golub & Van Loan, Matrix Computations, 4th ed., 4.3).  In between, per
-    element and through E^-1 (`_schur_complements`), A_a = sqrt(h) S gives
-    S^-T [a; b] = [(h/2) q - h a; q] with q = E^-T ((h/2) Mx a - b), then
-    W / h (the two sqrt(h) factors together), then S^-1 [x; y] =
-    [-h x - (h/2) Mx^T b; b] with b = -E^-1 (y + (h/2) x)."""
-    lmid, Mx = parts
+    A = A_d (I - U - C) with A_d = blockdiag(A_a,k), U holding the transfer
+    matrices R_0 ... R_{M-2} (`_transfer_matrices`) on its block
+    superdiagonal and C, when cyclic, R_{M-1} at block (M-1, 0), zero when
+    open.  Each solve with L = I - U or its transpose is one LAPACK dtbtrs
+    call on a unit upper band of 2b rows, b = 2n, ab[2b - 1 + i - j, j] =
+    L[i, j] (Golub & Van Loan, Matrix Computations, 4th ed., 4.3).  The
+    cyclic corner is a rank-2n correction, so by Sherman-Morrison-Woodbury
+    (ibid., 2.1.4) its solves take two dtbtrs calls each around one 2n x 2n
+    capacitance I - Pi, Pi = R_0 ... R_{M-1} (`_transfer_product`, whose
+    multipliers at 1 A's nullity counts): (I - U - C) y = r is y =
+    L^-1 (r + e_{M-1} R_{M-1} y_0) with y_0 = (I - Pi)^-1 (L^-1 r)_0, and
+    (I - U - C)^T z = s is z = L^-T (s + e_0 w) with (I - Pi^T) w =
+    R_{M-1}^T (L^-T s)_{M-1}.  In between, per element and through E^-1
+    (`_schur_complements`), A_a = sqrt(h) S gives S^-T [a; b] =
+    [(h/2) q - h a; q] with q = E^-T ((h/2) Mx a - b), then W / h (the two
+    sqrt(h) factors together), then S^-1 [x; y] = [-h x - (h/2) Mx^T b; b]
+    with b = -E^-1 (y + (h/2) x)."""
+    Mx, K = parts
     n, M, h = spec.n, spec.grid.M, spec.grid.h
     c_x, c_v = spec.scales.c_x, spec.scales.c_v
-    K, definite = _weighted_stiffness(spec, lmid)
-    if not definite or _gram_nullity(spec, Mx):
+    if not _definite(K) or _singular_elements(spec, Mx):
         return None
     Einv = np.linalg.inv(_schur_complements(spec, Mx))
     b = 2 * n
@@ -1220,15 +1249,39 @@ def _gram_direction(spec: ProblemSpec, parts, g: np.ndarray) -> np.ndarray | Non
     sr, sc = ab.strides
     # [k, i, j] is ab[b - 1 + i - j, (k + 1) b + j], entry (k b + i, (k + 1) b + j) of I - U
     upper = np.lib.stride_tricks.as_strided(ab[b - 1:, b:], (M - 1, b, b), (b * sc, sr, sc - sr))
-    _transfer_matrices(spec, Mx[:-1], Einv[:-1], out=upper, sign=-1.0)
+    if spec.periodic:
+        R = _transfer_matrices(spec, Mx, Einv)
+        np.negative(R[:-1], out=upper)
+        product = _transfer_product(R)
+        if _multipliers_at_one(product, M):
+            return None
+        with np.errstate(over="ignore", invalid="ignore"):
+            capacitance = np.eye(b) - np.exp(product[1]) * product[0]
+        if not (np.all(np.isfinite(capacitance))
+                and np.linalg.cond(capacitance, 1) <= _CAPACITANCE_LIMIT):
+            return None
+    else:
+        _transfer_matrices(spec, Mx[:-1], Einv[:-1], out=upper, sign=-1.0)
 
-    def solve(x, trans):
+    def tbtrs(x, trans):
         x, info = _LAPACK.dtbtrs(ab, x, trans)
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of dtbtrs")
-        return x.reshape(M, 2, n)
+        return x
 
-    z = solve(np.array(g, dtype=float), True)  # (I - U)^-T g, node by node [a; b]
+    def solve(x, trans):
+        """(I - U - C)^-1 x, or (I - U - C)^-T x when ``trans``, for a fresh
+        vector x, which it overwrites."""
+        y = tbtrs(x.copy() if spec.periodic else x, trans)
+        if spec.periodic:  # the corner, through the capacitance
+            if trans:
+                x[:b] += np.linalg.solve(capacitance.T, R[-1].T @ y[-b:])
+            else:
+                x[-b:] += R[-1] @ np.linalg.solve(capacitance, y[:b])
+            y = tbtrs(x, trans)
+        return y.reshape(M, 2, n)
+
+    z = solve(np.array(g, dtype=float), True)  # (I - U - C)^-T g, node by node [a; b]
     a, bl = z[:, 0, :, None], z[:, 1, :, None]
     q = np.swapaxes(Einv, 1, 2) @ ((0.5 * h) * (Mx @ a) - bl)
     wx = c_x * (0.5 * q - a)  # (c_x / h) ((h/2) q - h a), times K|_lam below

@@ -9,26 +9,28 @@ iterate, steps fall back to a Levenberg-style trust-region iteration that
 must decrease the gradient norm; when that cannot make progress either, the
 iteration stops unconverged, as it does at an overflowed point.
 
-An open (initial-value) damped Newton iterate takes its direction from the
-Gram factors of its Hessian, H = -A^T W^-1 A: d = A^-1 W A^-T g, two LAPACK
-dtbtrs solves on a unit upper band (`dual_action._gram_direction`), with no
-Hessian assembled or factored, where H is certified negative definite
-(every weighted stiffness factors by Cholesky and A is regular).  Where it
-is not, or the line search fails, the iterate assembles its Hessian band for
-the trust region, whose shift grows until the band's Cholesky factors.  A
-cyclic (periodic) iterate, and every iterate under the `trust-region` step
-control, keeps the band: a cyclic damped Newton iterate's negated Hessian
-is factored once by the banded Cholesky (LAPACK dpbtrf and dpbtrs from the
-library numpy links, on the folded band), and where it does not factor the
-iterate is indefinite and goes to the trust region.  A cyclic solve checks
-its first Hessian only against `COND_LIMIT`, by a probe at ||H||_1 /
+A damped Newton iterate takes its direction from the Gram factors of its
+Hessian, H = -A^T W^-1 A: d = A^-1 W A^-T g (`dual_action._gram_direction`),
+two LAPACK dtbtrs solves on a unit upper band when open, four around one
+2n x 2n capacitance when cyclic, with no Hessian assembled or factored,
+where H is certified negative definite (every weighted stiffness factors by
+Cholesky and A is regular) and a cyclic capacitance is well conditioned.
+Where an open direction is refused, or the line search fails, the iterate
+assembles its Hessian band for the trust region, whose shift grows until
+the band's Cholesky factors.  A refused cyclic direction, the first cyclic
+iterate and every cyclic iterate under the `trust-region` step control
+keep the band: a cyclic damped Newton iterate's negated Hessian is factored
+once by the banded Cholesky (LAPACK dpbtrf and dpbtrs from the library
+numpy links, on the folded band), and where it does not factor the iterate
+is indefinite and goes to the trust region.  A cyclic solve checks its
+first Hessian only against `COND_LIMIT`, by a probe at ||H||_1 /
 COND_LIMIT on the other side of zero: a linear chain's Hessian does not
 depend on the field, so its resonance or missing restoring force shows
 there, and a later iterate near singular is not a singular problem.  Each
 factorization is `neg_cholesky(shift)` on the iterate's Hessian, which
 negates a copy of the band the Hessian was written into, open or folded.
-An open iterate whose Gram parts (the mapped state, Mx, P and C, with the
-bound on G and L) are not finite, or a Hessian that is not finite, as its
+An iterate whose Gram parts (the mapped state, Mx, P and C, with the bound
+on G and L) are not finite, or a Hessian that is not finite, as its
 assembly records, ends the iteration.
 The period is the grid span, an integer number of forcing periods; orbits
 of unknown period are out of scope.
@@ -144,6 +146,12 @@ _C_LS = 1e-8
 _MAX_BACKTRACK = 40
 _TR_MU_GROWTH = 10.0
 _TR_MAX_TRIES = 25
+# a trust-region step must lower the gradient max-norm by more than this
+# share of it, its round-off: moving each entry of a field by up to one ulp,
+# as rounding a trial point does, moves the max-norm by up to 1400-2500
+# ulps (measured at the stalled points of three zero-base runs), so a
+# decrease within 4096 ulps (9.1e-13) is no evidence of progress
+_TR_ROUNDOFF = 4096.0 * np.finfo(float).eps
 
 
 def _maximize(spec: ProblemSpec, opts: SolveOptions):
@@ -156,11 +164,11 @@ def _maximize(spec: ProblemSpec, opts: SolveOptions):
     whether every point it stepped from was finite (False where the loop
     stopped at Gram parts or a Hessian that are not).
 
-    An open iterate's Newton direction comes from the Gram factors
+    A damped Newton iterate's direction comes from the Gram factors
     (`_gram_direction`), and its Hessian band is assembled only for the
-    trust region, when that direction is refused or its line search fails;
-    a cyclic iterate assembles its band first and takes its direction from
-    the band's Cholesky factor (see the module docstring).  Each point is
+    trust region, when that direction's line search fails or an open one is
+    refused; a refused cyclic one comes from the band's Cholesky factor, as
+    the first cyclic iterate's does (see the module docstring).  Each point is
     one DualField, passed to every evaluation there, so the action,
     gradient, Gram parts and Hessian at a point share its mapped state; the
     step searches return the field of the point they accept.  Convergence,
@@ -183,7 +191,14 @@ def _maximize(spec: ProblemSpec, opts: SolveOptions):
     # unconverged
     while tol < gnorm < np.inf and len(history) <= opts.max_iterations:
         H = direction = None
-        if spec.periodic:
+        # the first cyclic iterate and cyclic trust-region ones take the band
+        if not (spec.periodic and (len(history) == 1 or not damped)):
+            parts = _gram_parts(spec, D)
+            if parts is None:
+                return D, False, history, False
+            if damped:  # None where -H is not certified negative definite
+                direction = _gram_direction(spec, parts, g)
+        if spec.periodic and direction is None:
             H = hessian(D, spec)
             if not H.finite:
                 return D, False, history, False
@@ -195,17 +210,11 @@ def _maximize(spec: ProblemSpec, opts: SolveOptions):
                 fac = H.neg_cholesky() if damped else None
             direction = H.solve(-g, fac) if damped and fac is not None else None
             del fac  # not held through the step searches
-        else:
-            parts = _gram_parts(spec, D)
-            if parts is None:
-                return D, False, history, False
-            if damped:  # None where -H is not certified negative definite
-                direction = _gram_direction(spec, parts, g)
         accepted = None
         if direction is not None and np.all(np.isfinite(direction)):
             accepted = _line_search(spec, D, u, direction)
         if accepted is None:
-            if H is None:  # an open iterate's band serves the trust region only
+            if H is None:  # a Gram iterate's band serves the trust region only
                 H = hessian(D, spec)
                 if not H.finite:
                     return D, False, history, False
@@ -241,8 +250,9 @@ def _line_search(spec: ProblemSpec, D: DualField, u, direction):
 
 def _trust_region_step(spec: ProblemSpec, H: BlockTridiagonal, g, u, gnorm):
     """Levenberg-style step: solve (H - mu I) step = -g with growing mu until
-    H - mu I is negative definite and the gradient norm strictly decreases;
-    (new u, its field), or None if no finite shift achieves that."""
+    H - mu I is negative definite and the gradient norm decreases by more
+    than its round-off, `_TR_ROUNDOFF` of it; (new u, its field), or None if
+    no finite shift achieves that."""
     mu = 1e-8 * (1.0 + H.diag_max)
     for _ in range(_TR_MAX_TRIES):
         if not np.isfinite(mu):
@@ -252,7 +262,7 @@ def _trust_region_step(spec: ProblemSpec, H: BlockTridiagonal, g, u, gnorm):
         if step is not None and np.all(np.isfinite(step)):
             trial = u + step
             D_trial = _field(spec, trial)
-            if float(np.max(np.abs(gradient(D_trial, spec)))) < gnorm:
+            if float(np.max(np.abs(gradient(D_trial, spec)))) < gnorm * (1.0 - _TR_ROUNDOFF):
                 return trial, D_trial
         mu *= _TR_MU_GROWTH
     return None

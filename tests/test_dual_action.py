@@ -215,7 +215,7 @@ def test_dtp_map_at_midpoints_gives_the_element_state(seed, fput, periodic, scal
 
     with pytest.MonkeyPatch.context() as patch:  # dtp_map is traced as the nodal recovery alone
         patch.setattr(dual_action, "dtp_map", unexpected)
-        _, _, _, _, _, _, x, v, _ = _core_state(spec, D)
+        x, v = _core_state(spec, D)[6:8]
     gmid, lmid, gdot, ldot = _element_fields(D.gamma[:-1], D.lam[:-1], D.gamma[1:],
                                              D.lam[1:], spec.grid.h)
     X, V = dtp_map(lmid, ldot, gmid, gdot, spec.base.xbar_mid, spec.base.vbar_mid, spec)
@@ -239,7 +239,8 @@ def test_stiffness_inverse_is_exactly_the_identity_without_quadratic_term(n, mon
     monkeypatch.setattr(dual_action, "stiffness_lambda", refuse)
     monkeypatch.setattr(np.linalg, "inv", refuse)
     for B, lam in cases:
-        got = _stiffness_inv(B, lam, float(rng.uniform(0.1, 3.0)))
+        K, got = _stiffness_inv(B, lam, float(rng.uniform(0.1, 3.0)))
+        assert K is None
         assert got.tobytes() == np.broadcast_to(np.eye(n), lam.shape + (n,)).tobytes()
         assert not got.flags.writeable
     # a field that is not finite makes no zero product: it reaches the stiffness
@@ -1135,7 +1136,7 @@ def _stiffness_batches(draw):
 def test_stiffness_inverse_matches_eigh_reference(case):
     B, lam, c_x = case
     ref, ref_err = _outcome(lambda: stiffness_eig(B, lam, c_x))
-    got, got_err = _outcome(lambda: _stiffness_inv(B, lam, c_x))
+    got, got_err = _outcome(lambda: _stiffness_inv(B, lam, c_x)[1])
     assert got_err == ref_err  # same point, same condition estimate
     if ref_err is None:
         mu, Q = ref
@@ -1156,7 +1157,7 @@ def test_stiffness_inverse_falls_back_to_eigh_when_inv_fails(monkeypatch):
 
     want = _eig_inverse(*stiffness_eig(B, lam, 1.5))
     monkeypatch.setattr(np.linalg, "inv", fail)
-    np.testing.assert_array_equal(_stiffness_inv(B, lam, 1.5), want)
+    np.testing.assert_array_equal(_stiffness_inv(B, lam, 1.5)[1], want)
 
 
 def test_stiffness_inverse_rejects_the_first_bad_point_in_batch_order():
@@ -1179,7 +1180,7 @@ def test_an_overflowing_certificate_bound_leaves_the_point_to_the_eigenvalue_tes
     # then passes K = (1 + 1e200) I and rejects K = diag(1 + 1e200, 1 + 1e180)
     lam = np.array([[1e200, 0.0]])
     B = QuadraticForce(n=2, B=np.array([np.eye(2), np.zeros((2, 2))])).B
-    np.testing.assert_allclose(_stiffness_inv(B, lam, 1.0), np.eye(2)[None] / (1.0 + 1e200))
+    np.testing.assert_allclose(_stiffness_inv(B, lam, 1.0)[1], np.eye(2)[None] / (1.0 + 1e200))
     B = QuadraticForce(n=2, B=np.array([np.diag([1.0, 1e-20]), np.zeros((2, 2))])).B
     with pytest.raises(SingularStiffnessError) as info:
         _stiffness_inv(B, lam, 1.0)
@@ -1434,24 +1435,60 @@ def test_gram_inertia_forms_the_hessian_parts_only_where_their_bounds_leave_over
         assert hessian(D, spec).finite == (want is not None)
 
 
+def _resonant_case(M):
+    """The undamped linear chain x'' + x = cos t over one period, periodic,
+    at the zero field: every multiplier of its transfer product is at 1 to
+    the discretization's phase error."""
+    params = ChainParams(m=1.0, d=0.0, force=QuadraticForce(n=1, A=[[1.0]]),
+                         forcing=ForcingSpec(n=1, sinusoids=[(0, Sinusoid(1.0, 1.0, 0.0))]))
+    grid = TimeGrid(T=2.0 * np.pi, M=M)
+    spec = ProblemSpec(params=params, scales=ScaleParams(1.0, 1.0), base=zero_base(grid, 1),
+                       grid=grid)
+    return spec, DualField.zeros(grid, 1)
+
+
 @settings(deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 40),
        st.floats(0.0, 2.0, exclude_min=True), st.floats(0.0, 2.0), st.floats(0.1, 2.0),
-       st.floats(0.1, 2.0), st.booleans(), st.sampled_from([0.0, 0.05, 0.3, 1.0]))
-@example(seed=0, n=2, M=1, m=1.0, d=0.5, c_x=1.0, c_v=1.0, with_B=True, scale=0.05)  # no U
-@example(seed=4, n=3, M=12, m=1.0, d=0.0, c_x=0.2, c_v=1.0, with_B=True, scale=1.0)
-@example(seed=5, n=1, M=40, m=2.0, d=2.0, c_x=1.0, c_v=0.1, with_B=False, scale=0.3)
+       st.floats(0.1, 2.0), st.booleans(), st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+       st.booleans(), st.just(False))
+@example(seed=0, n=2, M=1, m=1.0, d=0.5, c_x=1.0, c_v=1.0, with_B=True, scale=0.05,
+         periodic=False, resonant=False)  # no U
+@example(seed=4, n=3, M=12, m=1.0, d=0.0, c_x=0.2, c_v=1.0, with_B=True, scale=1.0,
+         periodic=False, resonant=False)
+@example(seed=5, n=1, M=40, m=2.0, d=2.0, c_x=1.0, c_v=0.1, with_B=False, scale=0.3,
+         periodic=False, resonant=False)
+@example(seed=6, n=2, M=2, m=1.0, d=0.5, c_x=1.0, c_v=1.0, with_B=True, scale=0.3,
+         periodic=True, resonant=False)  # M = 2: the folded band sums the pair
+@example(seed=7, n=3, M=7, m=1.5, d=0.2, c_x=0.5, c_v=2.0, with_B=True, scale=0.05,
+         periodic=True, resonant=False)  # odd M
+@example(seed=0, n=1, M=500, m=1.0, d=0.0, c_x=1.0, c_v=1.0, with_B=False, scale=0.0,
+         periodic=True, resonant=True)  # x'' + x = cos t: the multiplier test refuses
+@example(seed=3, n=1, M=4, m=1.0, d=1.0, c_x=1.0, c_v=1.0, with_B=False, scale=0.0,
+         periodic=True, resonant=False)  # cond(H) = 12, cond(I - Pi) = 4.7e6: refused
 def test_gram_direction_is_the_newton_direction_of_the_band(seed, n, M, m, d, c_x, c_v,
-                                                          with_B, scale):
-    # open specs with linear and quadratic forces and small random fields:
-    # where -H factors, A^-1 W A^-T g is the band's H^-1 (-g), to 1e-9
-    # relative where H is well conditioned; where a weighted stiffness has
-    # a negative eigenvalue, H is indefinite and both refuse
-    rng = np.random.default_rng(seed)
-    spec = _random_spec(rng, n=n, M=M, with_B=with_B)
+                                                          with_B, scale, periodic, resonant):
+    # open and periodic specs with linear and quadratic forces and small
+    # random fields: where -H factors, A^-1 W A^-T g, through the capacitance
+    # of the cyclic corner when periodic, is the band's H^-1 (-g), open or
+    # folded, to 1e-9 relative where H is well conditioned, unless the
+    # capacitance I - Pi is too ill conditioned for the corner's solves (a
+    # coarse grid of a strongly damped chain: 0.73 relative error at
+    # cond(I - Pi) = 7.7e13 with cond(H) below 1e6), where the Gram
+    # direction refuses; where a weighted stiffness has a negative
+    # eigenvalue, H is indefinite and both refuse; at resonance the
+    # transfer product has multipliers at 1 and the Gram direction refuses
+    if resonant:
+        spec, D = _resonant_case(M)
+        Mx = _mapped_jacobian(spec, D)
+        assert dual_action._gram_nullity(spec, Mx) == 2
+        assert dual_action._gram_direction(spec, dual_action._gram_parts(spec, D),
+                                           gradient(D, spec)) is None
+        return
+    assume(M >= 2 or not periodic)
+    spec, D = _hessian_case(seed, n, M, with_B, periodic, scale)
     spec = dataclasses.replace(spec, params=dataclasses.replace(spec.params, m=m, d=d),
                                scales=ScaleParams(c_x, c_v))
-    D = unpack_free(spec.grid, n, rng.normal(size=2 * n * M) * scale)
     try:
         g = gradient(D, spec)
     except SingularStiffnessError:
@@ -1467,8 +1504,14 @@ def test_gram_direction_is_the_newton_direction_of_the_band(seed, n, M, m, d, c_
         return
     mu = np.abs(np.linalg.eigvalsh(H.to_dense()))
     assume(fac is not None and np.max(mu) <= 1e6 * np.min(mu))
+    if direction is None:
+        Mx = _mapped_jacobian(spec, D)
+        R = _transfer_matrices(spec, Mx, np.linalg.inv(_schur_complements(spec, Mx)))
+        P, s = dual_action._transfer_product(R)
+        cond = np.linalg.cond(np.eye(2 * n) - np.exp(s) * P, 1)
+        assert periodic and cond > dual_action._CAPACITANCE_LIMIT
+        return
     want = H.solve(-g, fac)
-    assert direction is not None
     assert np.max(np.abs(direction - want)) <= 1e-9 * np.max(np.abs(want))
 
 

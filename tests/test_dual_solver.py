@@ -171,6 +171,21 @@ def test_trust_region_path_also_converges():
     assert sol.converged
 
 
+def test_a_trust_region_step_must_lower_the_gradient_beyond_its_round_off():
+    # the zero-base FPUT chain started at x0 = 4 everywhere: after the first
+    # step the weighted stiffness is indefinite, and the best trust-region
+    # step lowers the gradient max-norm only in its last bits (from
+    # 10521.774278176585 to ...583), which is no progress: the solve stops
+    # there, unconverged, after 1 iteration
+    n = 8
+    grid = TimeGrid(T=3.0, M=200)
+    params = ChainParams(m=1.0, d=0.0, force=fput_alpha(n, 0.25), forcing=ForcingSpec.zero(n))
+    spec = ProblemSpec(params=params, scales=ScaleParams(1.0, 1.0), base=zero_base(grid, n),
+                       grid=grid, x0=np.full(n, 4.0), v0=np.zeros(n))
+    sol = solve_dual(spec)
+    assert not sol.converged and sol.iterations == 1
+
+
 def test_line_search_backtracks_once_then_newton_converges(monkeypatch):
     # a stiff FPUT chain from the zero base: the second full Newton step
     # lowers the action too far, and its half is accepted

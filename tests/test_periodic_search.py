@@ -375,27 +375,64 @@ def test_cyclic_hessian_matches_coo_reference(n, M, singular, seed):
 @pytest.mark.parametrize("step_control", ["damped-newton", "trust-region"])
 def test_periodic_solve_probes_once_and_factors_only_newton_directions(band_counts, step_control):
     # the singularity check factors -H and one shifted probe on the first
-    # iterate; a later iterate factors -H only for a damped Newton direction,
-    # so trust-region factors it that once; each shift (the probe or a
-    # trust-region shift) gets one factorization of its own; each Hessian
-    # writes its folded band once, the converged point assembles none,
-    # every factorization negates one copy of it, and every step the
-    # iteration solves for is one dpbtrs with a Cholesky factor
+    # iterate, whose folded band is written once; a later damped Newton
+    # iterate takes its direction from the Gram factors, with no band
+    # written and no dpbtrf, in four dtbtrs calls (two on the open unit band
+    # around each capacitance solve of the cyclic corner); under
+    # trust-region every iterate writes its band once, each shift (the
+    # probe or a trust-region shift) gets one factorization of its own, and
+    # no dtbtrs runs; the converged point assembles none, every
+    # factorization negates one copy of its band, and every step solved
+    # from a Cholesky factor is one dpbtrs
     counts = band_counts
     sol = solve_periodic(_fput_forced_spec(M=64), SolveOptions(step_control=step_control))
     k = sol.iterations
     assert sol.converged and k > 1
-    assert counts["bands"] == counts["hessians"] == k
     assert counts["copies"] == counts["dpbtrf"]
     assert counts["dpbtrs"] == counts["solves"]
-    if step_control == "damped-newton":  # k Newton factors, each solved once, and one probe
-        assert counts["dpbtrf"] == k + 1
-        assert counts["shifted"] == 1
-        assert counts["solves"] == k
+    if step_control == "damped-newton":  # one band, its -H and the probe, then k - 1 Gram
+        assert counts["bands"] == counts["hessians"] == 1
+        assert counts["dpbtrf"] == 2 and counts["shifted"] == 1
+        assert counts["solves"] == 1
+        assert counts["dtbtrs"] == 4 * (k - 1)
     else:  # the first iterate's -H, then the probe and at least one shift per iterate
+        assert counts["bands"] == counts["hessians"] == k
         assert counts["dpbtrf"] == 1 + counts["shifted"]
         assert counts["shifted"] > k
         assert k <= counts["solves"] < counts["shifted"]
+        assert counts["dtbtrs"] == 0
+
+
+def test_a_refused_cyclic_gram_direction_takes_the_band_newton_factor(band_counts):
+    # a damped chain with a negative linear stiffness (A = -4) over one
+    # period: its transfer product grows like e^(2 T), so cond_1(I - Pi) is
+    # 2.6e5, beyond the capacitance limit, though H is well conditioned;
+    # every later iterate refuses the Gram direction before any dtbtrs and
+    # takes its Newton direction from the folded band's Cholesky factor,
+    # with no trust-region shift
+    force = QuadraticForce(n=1, A=[[-4.0]], B=np.full((1, 1, 1), 0.5))
+    forcing = ForcingSpec(n=1, sinusoids=[(0, Sinusoid(0.3, 1.0, 0.0))])
+    params = ChainParams(m=1.0, d=0.3, force=force, forcing=forcing)
+    grid = TimeGrid(T=2 * np.pi, M=200)
+    spec = PeriodicSpec(params=params, scales=UNIT, base=zero_base(grid, 1), grid=grid)
+    refused = []
+    direction = dual_solver._gram_direction
+
+    def spy(*args):
+        out = direction(*args)
+        refused.append(out is None)
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dual_solver, "_gram_direction", spy)
+        sol = solve_periodic(spec)
+    k = sol.iterations
+    assert sol.converged and k > 1 and refused == [True] * (k - 1)
+    assert sol.hessian_inertia == (400, 0, 0)
+    assert band_counts["bands"] == band_counts["hessians"] == k
+    assert band_counts["dpbtrf"] == k + 1 and band_counts["shifted"] == 1
+    assert band_counts["solves"] == band_counts["dpbtrs"] == k
+    assert band_counts["dtbtrs"] == 0
 
 
 @pytest.mark.parametrize("step_control", ["damped-newton", "trust-region"])
