@@ -22,7 +22,7 @@ primal state, at midpoints for the assembly and at nodes for `dtp_map`; one
 factorization of a Hessian, the banded Cholesky of its negation (LAPACK
 dpbtrf, from the library numpy links, `_band_lapack`), serves the open and
 the cyclic band alike, and at a shift, `BlockTridiagonal.neg_cholesky(shift)`,
-answers every definiteness question a Hessian band is asked.
+answers every definiteness question the solver asks a Hessian band.
 A Hessian is stored as that band and nothing else, open or folded when
 cyclic: `hessian` writes each [gamma, lambda] sub-block of it once, for all
 nodes, straight from the element parts (no element quadrant or node block
@@ -43,12 +43,12 @@ The Hessian is a Gram product, H = -A^T W^-1 A, with A square and block
 bidiagonal and W = diag(c_x K|_lam, c_v I) per element, so a solve reads its
 final point's inertia off the element weights and A's nullity
 (`_gram_inertia`), with no Hessian formed or factored there.
-`BlockTridiagonal.inertia`, which factors a Hessian at delta = ||H||_1 /
-COND_LIMIT and counts Schur pivots when that fails, is its reference.  The
-open A is block upper bidiagonal, A = blockdiag(A_a,k) (I - U), so an open
-Newton direction is d = A^-1 W A^-T g, two unit triangular band solves
-(LAPACK dtbtrs) around per-element n x n work, where H is certified
-negative definite (`_gram_direction`); the cyclic A adds one corner block,
+`BlockTridiagonal.inertia`, which counts a Hessian's dense eigenvalues
+beyond delta = ||H||_1 / COND_LIMIT, is its reference.  The open A is
+block upper bidiagonal, A = blockdiag(A_a,k) (I - U), so an open Newton
+direction is d = A^-1 W A^-T g, two unit triangular band solves (LAPACK
+dtbtrs) around per-element n x n work, where H is certified negative
+definite (`_gram_direction`); the cyclic A adds one corner block,
 a rank-2n correction that Sherman-Morrison-Woodbury turns into solves with
 one 2n x 2n capacitance, so a cyclic direction is four such band solves.
 No Hessian is formed or factored for a direction.
@@ -855,48 +855,14 @@ class BlockTridiagonal:
         return np.linalg.eigvalsh(self.to_dense())
 
     def inertia(self) -> tuple[int, int, int]:
-        """(negative, zero, positive) eigenvalue counts, an eigenvalue in
-        [-delta, delta] counting as zero, delta = ||A||_1 / COND_LIMIT as in
-        the cyclic singularity probe: (size, 0, 0) when -(A + delta I)
-        factors, else, by Sylvester's law (Golub & Van Loan, Matrix
-        Computations, 4th ed., 8.1), the negative Schur pivots of A + delta I
-        and of delta I - A, over nodes, or over the node pairs (k, F-1-k)
-        that are adjacent places of a cyclic band, whose band is then an open
-        one of block size 2b (an odd F pads its last pair).  The blocks come
-        from the band's lower triangle, the triangle `eigh` reads.  Nothing
-        in the package calls it: it is the reference `_gram_inertia` is
-        tested against, and the benchmark's tracer names it."""
-        delta = self.norm1() / COND_LIMIT
-        if self.neg_cholesky(-delta) is not None:
-            return self.size, 0, 0
-        s = 2 * self.block if self.cyclic else self.block
-        count = -(-self.size // s)
-        wide = np.zeros((2 * s, count * s), order="F")
-        wide[:self.band.shape[0], :self.size] = self.band
-        rows = _block_rows(wide, s)
-        diag, off = np.tril(np.swapaxes(rows[:, :, 0], 1, 2)), rows[:-1, :, 1]
-        eye = np.eye(s)  # eigenvalues below -delta, then above delta
-        neg, pos = (_negative_pivots(sg * diag + delta * eye, sg * off, count * s - self.size)
-                    for sg in (1.0, -1.0))
+        """(negative, zero, positive) counts of `eigenvalues()`, an
+        eigenvalue in [-delta, delta] counting as zero, delta = ||A||_1 /
+        COND_LIMIT as in the cyclic singularity probe.  Nothing in the
+        package calls it: it is the reference `_gram_inertia` is tested
+        against, and the benchmark's tracer names it."""
+        eigs, delta = self.eigenvalues(), self.norm1() / COND_LIMIT
+        neg, pos = int(np.sum(eigs < -delta)), int(np.sum(eigs > delta))
         return neg, self.size - neg - pos, pos
-
-
-def _negative_pivots(diag, off, pad=0) -> int:
-    """Number of negative eigenvalues of the open block-tridiagonal matrix
-    (diag, off): by Sylvester's law, those of its successive Schur
-    complements, a zero pivot eigenvalue skipped.  The last block's trailing
-    ``pad`` rows and columns are padding, set to -I and not counted."""
-    if pad:
-        diag[-1, -pad:, -pad:] = -np.eye(pad)
-    neg = -pad
-    S = diag[0]
-    for k in range(diag.shape[0]):
-        mu, Q = np.linalg.eigh(S)
-        neg += int(np.sum(mu < 0.0))
-        if k < diag.shape[0] - 1:
-            inv = np.divide(1.0, mu, out=np.zeros_like(mu), where=mu != 0.0)
-            S = diag[k + 1] - off[k].T @ (Q @ (inv[:, None] * (Q.T @ off[k])))
-    return neg
 
 
 # ---------------------------------------------------------------------------

@@ -9,29 +9,24 @@ iterate, steps fall back to a Levenberg-style trust-region iteration that
 must decrease the gradient norm; when that cannot make progress either, the
 iteration stops unconverged, as it does at an overflowed point.
 
-A damped Newton iterate takes its direction from the Gram factors of its
-Hessian, H = -A^T W^-1 A: d = A^-1 W A^-T g (`dual_action._gram_direction`),
-two LAPACK dtbtrs solves on a unit upper band when open, four around one
-2n x 2n capacitance when cyclic, with no Hessian assembled or factored,
-where H is certified negative definite (every weighted stiffness factors by
-Cholesky and A is regular) and a cyclic capacitance is well conditioned.
-Where an open direction is refused, or the line search fails, the iterate
-assembles its Hessian band for the trust region, whose shift grows until
-the band's Cholesky factors.  A refused cyclic direction, the first cyclic
-iterate and every cyclic iterate under the `trust-region` step control
-keep the band: a cyclic damped Newton iterate's negated Hessian is factored
-once by the banded Cholesky (LAPACK dpbtrf and dpbtrs from the library
-numpy links, on the folded band), and where it does not factor the iterate
-is indefinite and goes to the trust region.  A cyclic solve checks its
-first Hessian only against `COND_LIMIT`, by a probe at ||H||_1 /
-COND_LIMIT on the other side of zero: a linear chain's Hessian does not
-depend on the field, so its resonance or missing restoring force shows
-there, and a later iterate near singular is not a singular problem.  Each
-factorization is `neg_cholesky(shift)` on the iterate's Hessian, which
-negates a copy of the band the Hessian was written into, open or folded.
-An iterate whose Gram parts (the mapped state, Mx, P and C, with the bound
-on G and L) are not finite, or a Hessian that is not finite, as its
-assembly records, ends the iteration.
+Each iterate first tests its Gram parts (the mapped state, Mx, P and C,
+with the bound on G and L); parts that are not finite end the iteration.
+Then it takes one of three routes.  The first cyclic iterate assembles
+its Hessian band and checks it against `COND_LIMIT` by a probe at
+||H||_1 / COND_LIMIT on the other side of zero: a linear chain's Hessian
+does not depend on the field, so its resonance or missing restoring force
+shows there, and a later iterate near singular is not a singular problem.
+Under damped Newton that band's Cholesky factor of -H gives the direction.
+Every other damped Newton iterate, open or cyclic, takes its direction
+from the Gram factors, H = -A^T W^-1 A: d = A^-1 W A^-T g
+(`dual_action._gram_direction`), LAPACK dtbtrs solves on a unit upper band
+(around one 2n x 2n capacitance when cyclic) with no Hessian assembled,
+where H is certified negative definite and a cyclic capacitance is well
+conditioned.  An iterate with no direction, or whose line search fails,
+steps on its Hessian band's trust region, whose shift grows until the
+band's Cholesky (LAPACK dpbtrf, `neg_cholesky(shift)` on a negated copy
+of the band, open or folded) succeeds; a Hessian that is not finite, as
+its assembly records, ends the iteration.
 The period is the grid span, an integer number of forcing periods; orbits
 of unknown period are out of scope.
 
@@ -164,11 +159,11 @@ def _maximize(spec: ProblemSpec, opts: SolveOptions):
     whether every point it stepped from was finite (False where the loop
     stopped at Gram parts or a Hessian that are not).
 
-    A damped Newton iterate's direction comes from the Gram factors
-    (`_gram_direction`), and its Hessian band is assembled only for the
-    trust region, when that direction's line search fails or an open one is
-    refused; a refused cyclic one comes from the band's Cholesky factor, as
-    the first cyclic iterate's does (see the module docstring).  Each point is
+    Three routes, one per iterate (see the module docstring): the first
+    cyclic iterate's direction comes from its checked band factor, every
+    other damped Newton iterate's from the Gram factors
+    (`_gram_direction`), and an iterate with no direction, or whose line
+    search fails, steps on its band's trust region.  Each point is
     one DualField, passed to every evaluation there, so the action,
     gradient, Gram parts and Hessian at a point share its mapped state; the
     step searches return the field of the point they accept.  Convergence,
@@ -190,31 +185,27 @@ def _maximize(spec: ProblemSpec, opts: SolveOptions):
     # an overflowed (inf or nan) residual, Gram part or Hessian ends the loop
     # unconverged
     while tol < gnorm < np.inf and len(history) <= opts.max_iterations:
+        parts = _gram_parts(spec, D)
+        if parts is None:
+            return D, False, history, False
         H = direction = None
-        # the first cyclic iterate and cyclic trust-region ones take the band
-        if not (spec.periodic and (len(history) == 1 or not damped)):
-            parts = _gram_parts(spec, D)
-            if parts is None:
-                return D, False, history, False
-            if damped:  # None where -H is not certified negative definite
-                direction = _gram_direction(spec, parts, g)
-        if spec.periodic and direction is None:
+        # singular or not is judged on the first cyclic Hessian only, which
+        # shows a linear chain's resonance; later iterates go as open ones
+        if spec.periodic and len(history) == 1:
             H = hessian(D, spec)
             if not H.finite:
                 return D, False, history, False
-            # singular or not is judged on the first Hessian only, which shows
-            # a linear chain's resonance; later iterates go as open ones
-            if len(history) == 1:
-                fac = _factorize_checked(H)
-            else:  # factored only for a Newton direction; None if indefinite
-                fac = H.neg_cholesky() if damped else None
-            direction = H.solve(-g, fac) if damped and fac is not None else None
+            fac = _factorize_checked(H)  # None where H is indefinite
+            if damped and fac is not None:
+                direction = H.solve(-g, fac)
             del fac  # not held through the step searches
+        elif damped:  # None where -H is not certified negative definite
+            direction = _gram_direction(spec, parts, g)
         accepted = None
         if direction is not None and np.all(np.isfinite(direction)):
             accepted = _line_search(spec, D, u, direction)
         if accepted is None:
-            if H is None:  # a Gram iterate's band serves the trust region only
+            if H is None:  # the band serves the trust region only
                 H = hessian(D, spec)
                 if not H.finite:
                     return D, False, history, False

