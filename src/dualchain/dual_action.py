@@ -51,7 +51,10 @@ dtbtrs) around per-element n x n work, where H is certified negative
 definite (`_gram_direction`); the cyclic A adds one corner block,
 a rank-2n correction that Sherman-Morrison-Woodbury turns into solves with
 one 2n x 2n capacitance, so a cyclic direction is four such band solves.
-No Hessian is formed or factored for a direction.
+No Hessian is formed or factored for a direction, and none to judge a
+cyclic problem singular: the solver reads that off A's nullity
+(`_gram_nullity`) at its first iterate, the count the inertia's zeros
+include.  A Hessian band is assembled only for a trust-region step.
 
 Overflow far from the maximum (a huge base or mass) follows numpy's default,
 and the solver's finite checks stop there; only an overflowed certificate
@@ -802,19 +805,6 @@ class BlockTridiagonal:
         out[np.ix_(node, node)] = A
         return out
 
-    def norm1(self) -> float:
-        """Exact 1-norm of the symmetric matrix the band stores: column j's
-        sum of |entries| is band column j (on and below the diagonal) plus
-        row j's entries left of the diagonal, read from a zero-padded copy
-        of |band| along a skew."""
-        w, N = self.band.shape
-        a = np.zeros((w, N + w - 1), order="F")
-        np.abs(self.band, out=a[:, w - 1:])
-        sr, sc = a.strides
-        # [i, r - 1] = |ab[r, i - r]| for r = 1..w-1, zero left of column 0
-        mirror = np.lib.stride_tricks.as_strided(a[1:, w - 2:], (N, w - 1), (sc, sr - sc))
-        return float(np.max(a[:, w - 1:].sum(axis=0) + mirror.sum(axis=1)))
-
     def solve(self, rhs: np.ndarray, fac) -> np.ndarray:
         """x with A x = rhs, from ``fac``, `neg_cholesky`'s factor of -A, by
         dpbtrs (`_band_lapack`) on a fresh vector; ValueError if rhs is not
@@ -855,12 +845,13 @@ class BlockTridiagonal:
         return np.linalg.eigvalsh(self.to_dense())
 
     def inertia(self) -> tuple[int, int, int]:
-        """(negative, zero, positive) counts of `eigenvalues()`, an
-        eigenvalue in [-delta, delta] counting as zero, delta = ||A||_1 /
-        COND_LIMIT as in the cyclic singularity probe.  Nothing in the
+        """(negative, zero, positive) counts of the eigenvalues of the dense
+        matrix, an eigenvalue in [-delta, delta] counting as zero, delta =
+        ||A||_1 / COND_LIMIT from that matrix's 1-norm.  Nothing in the
         package calls it: it is the reference `_gram_inertia` is tested
         against, and the benchmark's tracer names it."""
-        eigs, delta = self.eigenvalues(), self.norm1() / COND_LIMIT
+        dense = self.to_dense()
+        eigs, delta = np.linalg.eigvalsh(dense), np.linalg.norm(dense, 1) / COND_LIMIT
         neg, pos = int(np.sum(eigs < -delta)), int(np.sum(eigs > delta))
         return neg, self.size - neg - pos, pos
 

@@ -11,22 +11,23 @@ iteration stops unconverged, as it does at an overflowed point.
 
 Each iterate first tests its Gram parts (the mapped state, Mx, P and C,
 with the bound on G and L); parts that are not finite end the iteration.
-Then it takes one of three routes.  The first cyclic iterate assembles
-its Hessian band and checks it against `COND_LIMIT` by a probe at
-||H||_1 / COND_LIMIT on the other side of zero: a linear chain's Hessian
+The first cyclic iterate then raises SingularSystemError where its Gram
+factor A is singular (`dual_action._gram_nullity`: a transfer multiplier
+within M `_GRAM_LIMIT` of 1, or a singular element block), by the rule
+the reported zero count reads.  Once is enough: a linear chain's Hessian
 does not depend on the field, so its resonance or missing restoring force
 shows there, and a later iterate near singular is not a singular problem.
-Under damped Newton that band's Cholesky factor of -H gives the direction.
-Every other damped Newton iterate, open or cyclic, takes its direction
-from the Gram factors, H = -A^T W^-1 A: d = A^-1 W A^-T g
+Then every iterate takes one of two routes.  A damped Newton iterate, open or cyclic, takes its
+direction from the Gram factors, H = -A^T W^-1 A: d = A^-1 W A^-T g
 (`dual_action._gram_direction`), LAPACK dtbtrs solves on a unit upper band
 (around one 2n x 2n capacitance when cyclic) with no Hessian assembled,
 where H is certified negative definite and a cyclic capacitance is well
 conditioned.  An iterate with no direction, or whose line search fails,
-steps on its Hessian band's trust region, whose shift grows until the
-band's Cholesky (LAPACK dpbtrf, `neg_cholesky(shift)` on a negated copy
-of the band, open or folded) succeeds; a Hessian that is not finite, as
-its assembly records, ends the iteration.
+assembles its Hessian band, the only place one is made, and steps on its
+trust region, whose shift grows until the band's Cholesky (LAPACK dpbtrf,
+`neg_cholesky(shift)` on a negated copy of the band, open or folded)
+succeeds; a Hessian that is not finite, as its assembly records, ends the
+iteration.
 The period is the grid span, an integer number of forcing periods; orbits
 of unknown period are out of scope.
 
@@ -51,13 +52,14 @@ import numpy as np
 
 from .chain_model import _count, _positive
 from .dual_action import (
-    COND_LIMIT,
+    _GRAM_LIMIT,
     BlockTridiagonal,
     DualField,
     ProblemSpec,
     _LAPACK,
     _gram_direction,
     _gram_inertia,
+    _gram_nullity,
     _gram_parts,
     action,
     dtp_map,
@@ -159,16 +161,16 @@ def _maximize(spec: ProblemSpec, opts: SolveOptions):
     whether every point it stepped from was finite (False where the loop
     stopped at Gram parts or a Hessian that are not).
 
-    Three routes, one per iterate (see the module docstring): the first
-    cyclic iterate's direction comes from its checked band factor, every
-    other damped Newton iterate's from the Gram factors
-    (`_gram_direction`), and an iterate with no direction, or whose line
-    search fails, steps on its band's trust region.  Each point is
-    one DualField, passed to every evaluation there, so the action,
-    gradient, Gram parts and Hessian at a point share its mapped state; the
-    step searches return the field of the point they accept.  Convergence,
-    the iteration cap and an overflowed residual are tested first, so
-    nothing is assembled or solved at the final point.
+    Two routes, one per iterate (see the module docstring), after the
+    first cyclic iterate's singularity test: a damped Newton iterate's
+    direction comes from the Gram factors (`_gram_direction`), and an
+    iterate with no direction, or whose line search fails, steps on its
+    band's trust region.  Each point is one DualField, passed to every
+    evaluation there, so the action, gradient, Gram parts and Hessian at a
+    point share its mapped state; the step searches return the field of
+    the point they accept.  Convergence, the iteration cap and an
+    overflowed residual are tested first, so nothing is assembled or
+    solved at the final point.
     """
     u = np.zeros(2 * spec.n * spec.grid.M)
     D = _field(spec, u)
@@ -188,27 +190,23 @@ def _maximize(spec: ProblemSpec, opts: SolveOptions):
         parts = _gram_parts(spec, D)
         if parts is None:
             return D, False, history, False
-        H = direction = None
-        # singular or not is judged on the first cyclic Hessian only, which
+        # singular or not is judged on the first cyclic iterate only, which
         # shows a linear chain's resonance; later iterates go as open ones
-        if spec.periodic and len(history) == 1:
-            H = hessian(D, spec)
-            if not H.finite:
-                return D, False, history, False
-            fac = _factorize_checked(H)  # None where H is indefinite
-            if damped and fac is not None:
-                direction = H.solve(-g, fac)
-            del fac  # not held through the step searches
-        elif damped:  # None where -H is not certified negative definite
-            direction = _gram_direction(spec, parts, g)
+        if spec.periodic and len(history) == 1 and _gram_nullity(spec, parts[0]):
+            raise SingularSystemError(
+                f"cyclic dual system is numerically singular (a transfer multiplier "
+                f"within M * {_GRAM_LIMIT:.0e} = {spec.grid.M * _GRAM_LIMIT:.3e} of 1, or a "
+                f"singular element block); for undamped linear chains this is the "
+                f"signature of forcing at a resonant frequency")
+        # None where -H is not certified negative definite
+        direction = _gram_direction(spec, parts, g) if damped else None
         accepted = None
         if direction is not None and np.all(np.isfinite(direction)):
             accepted = _line_search(spec, D, u, direction)
-        if accepted is None:
-            if H is None:  # the band serves the trust region only
-                H = hessian(D, spec)
-                if not H.finite:
-                    return D, False, history, False
+        if accepted is None:  # the band serves the trust region only
+            H = hessian(D, spec)
+            if not H.finite:
+                return D, False, history, False
             accepted = _trust_region_step(spec, H, g, u, gnorm)
         if accepted is None:
             break
@@ -257,27 +255,6 @@ def _trust_region_step(spec: ProblemSpec, H: BlockTridiagonal, g, u, gnorm):
                 return trial, D_trial
         mu *= _TR_MU_GROWTH
     return None
-
-
-def _factorize_checked(H: BlockTridiagonal):
-    """Cholesky factor of -H for a cyclic Hessian, None when H is indefinite,
-    and SingularSystemError when H is singular to `COND_LIMIT`.
-
-    One more factorization, at delta = ||H||_1 / COND_LIMIT towards the other
-    side of zero, settles it (Weyl's inequality, to rounding): when -H factors
-    but -(H + delta I) does not, H's top eigenvalue lies in [-delta, 0); when
-    -H does not factor but -(H - delta I) does, it lies in [0, delta).  Either
-    way ||H^-1||_1 >= 1/delta, so cond_1(H) >= COND_LIMIT.  Not conversely:
-    ||H^-1||_1 can exceed ||H^-1||_2 by up to sqrt(N), so an H with cond_1
-    above COND_LIMIT but no eigenvalue within delta of zero passes as regular."""
-    fac, delta = H.neg_cholesky(), H.norm1() / COND_LIMIT
-    probe = H.neg_cholesky(delta if fac is None else -delta)
-    if (fac is None) == (probe is None):
-        return fac  # regular: the factor of -H; indefinite: None
-    raise SingularSystemError(
-        f"cyclic dual system is numerically singular "
-        f"(1-norm condition estimate > {COND_LIMIT:.3e}); for undamped linear "
-        f"chains this is the signature of forcing at a resonant frequency")
 
 
 def _blas_threads_user_set() -> bool:

@@ -325,6 +325,12 @@ def block_matvec(diag, off, u):
     return out.reshape(-1)
 
 
+def dense_norm1(H) -> float:
+    """The 1-norm of the symmetric matrix H stores, from its dense form: the
+    scale of a shift relative to H."""
+    return float(np.linalg.norm(H.to_dense(), 1))
+
+
 def shifted(H, mu):
     """H - mu I, built from its blocks: the matrix that ``H.neg_cholesky(mu)``
     factors the negation of."""

@@ -23,7 +23,6 @@ from dualchain import (
     SampledSignal,
     ScaleParams,
     SingularStiffnessError,
-    SingularSystemError,
     Sinusoid,
     TimeGrid,
     Trajectory,
@@ -42,7 +41,7 @@ from dualchain import (
     unpack_free,
     zero_base,
 )
-from dualchain import dual_action, dual_solver
+from dualchain import dual_action
 from dualchain.dual_action import (
     COND_LIMIT,
     _core_state,
@@ -60,6 +59,7 @@ from oracles import (
     block_matvec,
     block_tridiagonal,
     constant_base,
+    dense_norm1,
     fine_quadrature_action,
     hessian_elements_kron,
     hessian_elements_quadrants,
@@ -819,8 +819,7 @@ def _one_ulp_asymmetric(diag, off):
 
 def _assert_bands_match(H, dense):
     """The lower band (dpbtrf, eigvals_banded) holds exactly the entries of
-    ``dense`` in band order, and `norm1` is the 1-norm of the symmetric
-    matrix it stores."""
+    ``dense`` in band order."""
     bw = H.band.shape[0] - 1
     i, j = np.indices(dense.shape)
     ab = H.band
@@ -830,16 +829,13 @@ def _assert_bands_match(H, dense):
     want[(i - j)[inside], j[inside]] = dense[inside]
     assert ab.shape == (bw + 1, H.size)
     assert ab.tobytes("F") == want.tobytes("F")
-    lower = np.tril(dense) + np.tril(dense, -1).T
-    np.testing.assert_allclose(H.norm1(), np.max(np.sum(np.abs(lower), axis=0)), rtol=1e-14)
 
 
 @settings(deadline=None, max_examples=150)
-@given(st.integers(0, 2**32 - 1), st.integers(2, 9), st.integers(1, 4), st.booleans(),
-       st.integers(0, 12))
-@example(seed=0, F=2, b=3, cyclic=True, spread=0)
-@example(seed=1, F=9, b=4, cyclic=True, spread=12)
-def test_one_factorization_serves_open_and_cyclic_matrices(seed, F, b, cyclic, spread):
+@given(st.integers(0, 2**32 - 1), st.integers(2, 9), st.integers(1, 4), st.booleans())
+@example(seed=0, F=2, b=3, cyclic=True)
+@example(seed=1, F=9, b=4, cyclic=True)
+def test_one_factorization_serves_open_and_cyclic_matrices(seed, F, b, cyclic):
     # the Cholesky factor of the negated band, open or folded, solves every
     # system, and refuses a matrix with a clearly positive eigenvalue
     rng = np.random.default_rng(seed)
@@ -854,14 +850,8 @@ def test_one_factorization_serves_open_and_cyclic_matrices(seed, F, b, cyclic, s
     x = H.solve(rhs, fac)
     np.testing.assert_allclose(x, want, rtol=0, atol=1e-10 * np.max(np.abs(want)))
     assert x.tobytes() == H.solve(rhs, H.neg_cholesky()).tobytes()  # a fresh factor
-    positive = shifted(H, np.linalg.eigvalsh(dense)[-1] - 1e-6 * H.norm1())
+    positive = shifted(H, np.linalg.eigvalsh(dense)[-1] - 1e-6 * dense_norm1(H))
     assert positive.neg_cholesky() is None
-    # the exact 1-norm, to rounding, on entries spread over 2 * spread decades
-    S = block_tridiagonal(*(a * 10.0 ** rng.uniform(-spread, spread, a.shape)
-                            for a in node_blocks(H)))
-    lower = np.tril(S.to_dense()) + np.tril(S.to_dense(), -1).T
-    norm = np.max(np.sum(np.abs(lower), axis=0))
-    assert abs(S.norm1() - norm) <= 4 * (S.band.shape[0] - 1) * _EPS * norm
 
 
 @settings(deadline=None, max_examples=100)
@@ -877,7 +867,7 @@ def test_shifted_factorization_matches_the_shifted_matrix_bit_for_bit(seed, F, b
     rng = np.random.default_rng(seed)
     H = _random_block_tridiagonal(rng, M=F, b=b, definite=definite, cyclic=cyclic)
     top = np.linalg.eigvalsh(H.to_dense())[-1]
-    delta = H.norm1() / COND_LIMIT
+    delta = dense_norm1(H) / COND_LIMIT
     lift = top + 0.5 * (1.0 + abs(top))  # above the top eigenvalue: H - lift I factors
     for s in (0.0, delta, -delta, lift):
         got, want = H.neg_cholesky(s), shifted(H, s).neg_cholesky()
@@ -892,7 +882,7 @@ def test_shifted_factorization_matches_the_shifted_matrix_bit_for_bit(seed, F, b
 def test_factorizations_copy_the_band_once_each_and_leave_it_unchanged(monkeypatch, cyclic):
     # open or cyclic, the band is written once, when the matrix is made;
     # each factorization negates one fresh copy of it, which dpbtrf factors
-    # in place; norm1 and solve copy none, and the matrix holds its band and
+    # in place; solve copies none, and the matrix holds its band and
     # the two facts its writer recorded
     rng = np.random.default_rng(26)
     H = _random_block_tridiagonal(rng, M=5, b=3, definite="negative", cyclic=cyclic)
@@ -905,7 +895,7 @@ def test_factorizations_copy_the_band_once_each_and_leave_it_unchanged(monkeypat
                         lambda a, *args, **kw: copies.append(a is band) or negative(a, *args, **kw))
     monkeypatch.setattr(dual_action, "_LAPACK", lapack._replace(
         dpbtrf=lambda ab: factored.append(ab) or lapack.dpbtrf(ab)))
-    delta = H.norm1() / COND_LIMIT
+    delta = dense_norm1(H) / COND_LIMIT
     assert copies == []
     fac = H.neg_cholesky()
     assert fac is not None and H.neg_cholesky(-delta) is not None
@@ -1014,30 +1004,6 @@ def test_cyclic_inertia_matches_dense_eigenvalue_counts(definite, F, b):
         H = block_tridiagonal(np.tile(-2.0 * np.eye(b), (F, 1, 1)), np.tile(np.eye(b), (F, 1, 1)))
     known = {"negative": (H.size, 0, 0), "singular": (H.size - b, b, 0)}
     assert H.inertia() == (known.get(definite) or _ldl_inertia(H))
-
-
-@settings(deadline=None, max_examples=150)
-@given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(1, 3), st.floats(-3.0, 3.0))
-@example(seed=0, F=5, b=2, where=-0.5)
-@example(seed=1, F=4, b=1, where=0.5)
-def test_singularity_probe_and_inertia_agree_on_cyclic_matrices(seed, F, b, where):
-    # the probe and the inertia read one delta = ||H||_1 / COND_LIMIT: a
-    # factor returned means (N, 0, 0), a singular verdict at least one
-    # eigenvalue in [-delta, delta]; the top eigenvalue is moved to about
-    # `where` deltas, and draws with an eigenvalue within rounding of -delta
-    # or delta are skipped
-    rng = np.random.default_rng(seed)
-    H = _random_block_tridiagonal(rng, M=F, b=b, definite="negative", cyclic=True)
-    top = np.linalg.eigvalsh(H.to_dense())[-1]
-    H = shifted(H, top - where * H.norm1() / COND_LIMIT)
-    delta = H.norm1() / COND_LIMIT
-    assume(np.min(np.abs(np.abs(np.linalg.eigvalsh(H.to_dense())) - delta)) > 0.05 * delta)
-    try:
-        fac = dual_solver._factorize_checked(H)
-    except SingularSystemError:
-        assert H.inertia()[1] >= 1
-    else:
-        assert fac is None or H.inertia() == (H.size, 0, 0)
 
 
 # ---------------------------------------------------------------------------

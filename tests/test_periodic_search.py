@@ -36,7 +36,6 @@ from oracles import (
     fd_gradient,
     fd_jacobian,
     hessian_cyclic_coo,
-    shifted,
 )
 
 UNIT = ScaleParams(1.0, 1.0)
@@ -117,8 +116,47 @@ def test_resonant_forcing_raises_singular_system():
         spec = PeriodicSpec(params=params, scales=UNIT,
                             base=zero_base(grid, 1), grid=grid)
         for step_control in ("damped-newton", "trust-region"):
-            with pytest.raises(SingularSystemError, match="1-norm condition estimate"):
+            with pytest.raises(SingularSystemError, match="transfer multiplier"):
                 solve_periodic(spec, SolveOptions(step_control=step_control))
+
+
+@pytest.mark.parametrize("M", [200, 500, 1000])
+def test_the_singular_verdict_does_not_move_with_the_scales(M):
+    # the resonant x'' + x = cos t: A does not hold the scales, so its
+    # multipliers, and the verdict on them, are the same at c_x = 1 and 30
+    # under both step controls (the band's eigenvalues scale with c_x: a
+    # test on them would call M = 200 singular at c_x = 30 only)
+    outcomes = set()
+    for c_x in (1.0, 30.0):
+        spec = _resonant_spec(M, ScaleParams(c_x, 1.0))
+        for step_control in ("damped-newton", "trust-region"):
+            try:
+                sol = solve_periodic(spec, SolveOptions(step_control=step_control))
+            except SingularSystemError:
+                outcomes.add("singular")
+            else:
+                outcomes.add("converged" if sol.converged else "stalled")
+    assert outcomes == {"stalled" if M == 200 else "singular"}
+
+
+def test_a_free_period_that_divides_the_span_is_not_singular():
+    # x'' + 4x = cos t over [0, 2 pi]: the free period pi divides the span,
+    # so the free oscillations at frequency 2 are periodic too, but the
+    # midpoint rule's phase error puts the discrete multipliers 4.19 h^2 =
+    # 6.6e-4 from 1 at M = 500, beyond M * _GRAM_LIMIT = 5e-4 (from M = 549
+    # on they count as zero and the solve raises); the verdict agrees with
+    # the reported count, no zero eigenvalue, and the orbit the solve finds
+    # is cos t / 3 to the midpoint rule's O(h^2)
+    force = QuadraticForce(n=1, A=[[4.0]])
+    forcing = ForcingSpec(n=1, sinusoids=[(0, Sinusoid(1.0, 1.0, 0.0))])
+    params = ChainParams(m=1.0, d=0.0, force=force, forcing=forcing)
+    grid = TimeGrid(T=2 * np.pi, M=500)
+    spec = PeriodicSpec(params=params, scales=UNIT, base=zero_base(grid, 1), grid=grid)
+    for step_control in ("damped-newton", "trust-region"):
+        sol = solve_periodic(spec, SolveOptions(step_control=step_control))
+        assert sol.converged and sol.hessian_inertia == (1000, 0, 0)
+        orbit = recover_periodic_orbit(sol, spec)
+        assert np.max(np.abs(orbit.x[:, 0] - np.cos(grid.nodes()) / 3.0)) < 1e-4
 
 
 def test_undamped_off_resonance_solves():
@@ -320,9 +358,9 @@ def test_midpoint_data_built_once_per_solve(monkeypatch):
     assert calls == [spec.params.forcing]
 
 
-def _outcome(fn, H):
+def _splu_outcome(H):
     try:
-        fn(H)
+        factorize_checked_splu(H)
     except SingularSystemError:
         return "singular"
     return "regular"
@@ -359,11 +397,13 @@ def test_cyclic_hessian_matches_coo_reference(n, M, singular, seed):
     scale = np.max(np.abs(ref))
     np.testing.assert_allclose(H.to_dense(), ref, rtol=0, atol=64 * _EPS * scale)
 
-    # an estimate cannot be asked to agree near its own threshold
+    # an estimate cannot be asked to agree near its own threshold; the
+    # solver's verdict is the nullity of the Gram factor A at the point
     cond = np.linalg.cond(ref, 1)
     assume(not dual_action.COND_LIMIT / 100 < cond < dual_action.COND_LIMIT * 100)
-    decision = _outcome(dual_solver._factorize_checked, H)
-    assert decision == _outcome(factorize_checked_splu, ref_sparse)
+    Mx = dual_action._gram_parts(spec, D)[0]
+    decision = "singular" if dual_action._gram_nullity(spec, Mx) else "regular"
+    assert decision == _splu_outcome(ref_sparse)
     assert decision == ("singular" if singular else "regular")
     if decision == "regular":
         rhs = rng.normal(size=H.size)
@@ -374,32 +414,29 @@ def test_cyclic_hessian_matches_coo_reference(n, M, singular, seed):
 
 @pytest.mark.parametrize("step_control", ["damped-newton", "trust-region"])
 def test_periodic_solve_probes_once_and_factors_only_newton_directions(band_counts, step_control):
-    # the singularity check factors -H and one shifted probe on the first
-    # iterate, whose folded band is written once; a later damped Newton
-    # iterate takes its direction from the Gram factors, with no band
-    # written and no dpbtrf, in four dtbtrs calls (two on the open unit band
-    # around each capacitance solve of the cyclic corner); under
-    # trust-region every iterate writes its band once, each shift (the
-    # probe or a trust-region shift) gets one factorization of its own, and
-    # no dtbtrs runs; the converged point assembles none, every
-    # factorization negates one copy of its band, and every step solved
-    # from a Cholesky factor is one dpbtrs
+    # the singularity test reads the first iterate's Gram factor, with no
+    # band; every damped Newton iterate, the first included, takes its
+    # direction from the Gram factors, with no band written and no dpbtrf,
+    # in four dtbtrs calls (two on the open unit band around each
+    # capacitance solve of the cyclic corner); under trust-region every
+    # iterate writes its band once, each trust-region shift gets one
+    # factorization of its own, and no dtbtrs runs; the converged point
+    # assembles none, every factorization negates one copy of its band,
+    # and every step solved from a Cholesky factor is one dpbtrs
     counts = band_counts
     sol = solve_periodic(_fput_forced_spec(M=64), SolveOptions(step_control=step_control))
     k = sol.iterations
     assert sol.converged and k > 1
     assert counts["copies"] == counts["dpbtrf"]
     assert counts["dpbtrs"] == counts["solves"]
-    if step_control == "damped-newton":  # one band, its -H and the probe, then k - 1 Gram
-        assert counts["bands"] == counts["hessians"] == 1
-        assert counts["dpbtrf"] == 2 and counts["shifted"] == 1
-        assert counts["solves"] == 1
-        assert counts["dtbtrs"] == 4 * (k - 1)
-    else:  # the first iterate's -H, then the probe and at least one shift per iterate
+    if step_control == "damped-newton":  # k Gram directions, no band
+        assert counts["bands"] == counts["hessians"] == 0
+        assert counts["dpbtrf"] == counts["solves"] == 0
+        assert counts["dtbtrs"] == 4 * k
+    else:  # at least one shift per iterate, each factored once
         assert counts["bands"] == counts["hessians"] == k
-        assert counts["dpbtrf"] == 1 + counts["shifted"]
-        assert counts["shifted"] > k
-        assert k <= counts["solves"] < counts["shifted"]
+        assert counts["dpbtrf"] == counts["shifted"] >= k
+        assert k <= counts["solves"] <= counts["shifted"]
         assert counts["dtbtrs"] == 0
 
 
@@ -407,9 +444,9 @@ def test_a_refused_cyclic_gram_direction_takes_the_trust_region(band_counts):
     # a damped chain with a negative linear stiffness (A = -4) over one
     # period: its transfer product grows like e^(2 T), so cond_1(I - Pi) is
     # 2.6e5, beyond the capacitance limit, though H is well conditioned;
-    # every later iterate refuses the Gram direction before any dtbtrs and
-    # steps on its band's trust region, as a refused open direction does,
-    # to the orbit the trust-region step control finds
+    # every iterate refuses the Gram direction before any dtbtrs and steps
+    # on its band's trust region, as a refused open direction does, to the
+    # orbit the trust-region step control finds
     force = QuadraticForce(n=1, A=[[-4.0]], B=np.full((1, 1, 1), 0.5))
     forcing = ForcingSpec(n=1, sinusoids=[(0, Sinusoid(0.3, 1.0, 0.0))])
     params = ChainParams(m=1.0, d=0.3, force=force, forcing=forcing)
@@ -427,11 +464,11 @@ def test_a_refused_cyclic_gram_direction_takes_the_trust_region(band_counts):
         patch.setattr(dual_solver, "_gram_direction", spy)
         sol = solve_periodic(spec)
     k = sol.iterations
-    assert sol.converged and k == 3 and refused == [True] * (k - 1)
+    assert sol.converged and k == 3 and refused == [True] * k
     assert sol.hessian_inertia == (400, 0, 0)
     assert band_counts["bands"] == band_counts["hessians"] == k
-    assert band_counts["dpbtrf"] == 1 + band_counts["shifted"]
-    assert band_counts["shifted"] >= k and band_counts["dtbtrs"] == 0
+    assert band_counts["dpbtrf"] == band_counts["shifted"] >= k
+    assert band_counts["dtbtrs"] == 0
     orbit = recover_periodic_orbit(sol, spec)
     other = solve_periodic(spec, SolveOptions(step_control="trust-region"))
     assert other.converged
@@ -443,18 +480,15 @@ def test_a_refused_cyclic_gram_direction_takes_the_trust_region(band_counts):
 @pytest.mark.parametrize("step_control", ["damped-newton", "trust-region"])
 def test_singularity_check_runs_on_the_first_periodic_iterate_only(monkeypatch,
                                                                    step_control):
-    # the check runs once per periodic solve, on its first Hessian, whether
-    # the solve converges or stalls (the zero-base periodic_forced_n4 run
-    # stops unconverged under both step controls), and never in an
-    # initial-value solve
+    # the check counts the Gram factor's nullity once per periodic solve, at
+    # its first iterate, whether the solve converges or stalls (the
+    # zero-base periodic_forced_n4 run stops unconverged under both step
+    # controls), and never in an initial-value solve; the final point's
+    # inertia counts it inside dual_action, past this name
     calls = []
-    check = dual_solver._factorize_checked
-
-    def counted(H):
-        calls.append(H)
-        return check(H)
-
-    monkeypatch.setattr(dual_solver, "_factorize_checked", counted)
+    nullity = dual_solver._gram_nullity
+    monkeypatch.setattr(dual_solver, "_gram_nullity",
+                        lambda spec, Mx: calls.append(Mx) or nullity(spec, Mx))
     opts = SolveOptions(step_control=step_control)
     stalling = load_config(PRESETS["periodic_forced_n4"],
                            sets=("base.kind=zero", "grid.M=100")).problem()
@@ -489,13 +523,14 @@ def test_every_iterate_tests_its_gram_parts(monkeypatch, step_control):
 
 def test_a_stalled_solve_assembles_the_hessian_of_each_point_once(band_counts):
     # the zero-base damped-newton run visits two points and stalls at the
-    # second, where no trust-region shift helps; the Hessian the loop
-    # assembled there is the one whose inertia the solve reports
+    # second, where no trust-region shift helps; the first takes a Gram
+    # direction and assembles nothing, and the Hessian the loop assembled
+    # at the second is the one whose inertia the solve reports
     spec = load_config(PRESETS["periodic_forced_n4"],
                        sets=("base.kind=zero", "grid.M=100")).problem()
     sol = solve_periodic(spec, SolveOptions(step_control="damped-newton"))
     assert not sol.converged and sol.iterations == 1
-    assert band_counts["hessians"] == 2
+    assert band_counts["hessians"] == 1
     assert sol.hessian_inertia == (770, 0, 30)
 
 
@@ -547,22 +582,17 @@ def test_periodic_derivatives_match_finite_differences(n, M, with_B, seed):
     assert np.max(np.abs(H.to_dense() - H_fd)) <= 1e-5 * (1.0 + np.max(np.abs(H_fd)))
 
 
-def _resonant_spec(M):
+def _resonant_spec(M, scales=UNIT):
     force = QuadraticForce(n=1, A=[[1.0]])
     forcing = ForcingSpec(n=1, sinusoids=[(0, Sinusoid(1.0, 1.0, 0.0))])
     params = ChainParams(m=1.0, d=0.0, force=force, forcing=forcing)
     grid = TimeGrid(T=2 * np.pi, M=M)
-    return ProblemSpec(params=params, scales=UNIT, base=zero_base(grid, 1), grid=grid)
+    return ProblemSpec(params=params, scales=scales, base=zero_base(grid, 1), grid=grid)
 
 
-def _resonant_hessian(M):
-    spec = _resonant_spec(M)
-    return hessian(DualField.zeros(spec.grid, 1), spec)
-
-
-def _decision_bytes(H):
+def _decision(spec):
     try:
-        return dual_solver._factorize_checked(H).tobytes()
+        return solve_dual(spec).D.lam.tobytes()
     except SingularSystemError as exc:
         return str(exc)
 
@@ -574,57 +604,40 @@ def test_condition_check_is_deterministic_and_draws_no_random_numbers():
     after = np.random.get_state()
     assert after[0] == state[0] and after[2:] == state[2:]
     np.testing.assert_array_equal(after[1], state[1])
-    # equal matrices, equal decisions: byte-equal factors or the same message
-    for H in (_resonant_hessian(500), shifted(_resonant_hessian(64), 0.5)):
-        decisions = [_decision_bytes(H) for _ in range(2)]
+    # equal problems, equal decisions: byte-equal solutions or the same message
+    for spec in (_resonant_spec(500), _forced_damped_spec(64)):
+        decisions = [_decision(spec) for _ in range(2)]
         assert decisions[0] == decisions[1]
-
-
-def test_condition_check_returns_the_factor_it_checked(monkeypatch):
-    # the check factors -H and one shifted probe, and hands -H's factor to
-    # the Newton direction, which factors nothing; the 1-norm is exact
-    calls = []
-    lapack = dual_action._LAPACK
-    H = shifted(_resonant_hessian(64), 0.5)
-    want = H.neg_cholesky()
-    monkeypatch.setattr(dual_action, "_LAPACK", lapack._replace(
-        dpbtrf=lambda ab: calls.append(1) or lapack.dpbtrf(ab)))
-    fac = dual_solver._factorize_checked(H)
-    step = H.solve(-np.ones(H.size), fac)
-    assert calls == [1, 1]
-    assert fac.tobytes() == want.tobytes()
-    np.testing.assert_allclose(step, np.linalg.solve(H.to_dense(), -np.ones(H.size)),
-                               rtol=1e-10)
-    np.testing.assert_allclose(H.norm1(), np.max(np.sum(np.abs(H.to_dense()), axis=0)),
-                               rtol=1e-14)
 
 
 @pytest.mark.parametrize("step_control", ["damped-newton", "trust-region"])
 @pytest.mark.parametrize("M", [200, 500, 501])
 def test_chain_without_restoring_force_is_singular(step_control, M):
     # with A = 0 the forced damped chain has a one-parameter family of
-    # orbits (any constant shift), so the cyclic Hessian is singular; -H need
-    # not factor, and the shifted probe still reports it as singular rather
-    # than sending it to the trust region as an indefinite one
+    # orbits (any constant shift), so the cyclic Hessian is singular: the
+    # transfer product has a multiplier at exactly 1, and the first iterate
+    # reports it as singular rather than sending it to the trust region
     force = QuadraticForce(n=1, A=[[0.0]])
     forcing = ForcingSpec(n=1, sinusoids=[(0, Sinusoid(1.0, 1.0, 0.0))])
     params = ChainParams(m=1.0, d=1.0, force=force, forcing=forcing)
     grid = TimeGrid(T=2 * np.pi, M=M)
     spec = PeriodicSpec(params=params, scales=UNIT, base=zero_base(grid, 1), grid=grid)
-    with pytest.raises(SingularSystemError, match="1-norm condition estimate"):
+    with pytest.raises(SingularSystemError, match="transfer multiplier"):
         solve_periodic(spec, SolveOptions(step_control=step_control))
 
 
 def test_singularity_probe_and_inertia_agree_on_the_resonant_hessian():
     # the undamped n = 1 oscillator over its own period at M = 500 (the
-    # forcing does not enter the Hessian): its top eigenvalues, -2.6e-12 and
-    # -2.1e-12, lie within delta = ||H||_1 / COND_LIMIT = 3.2e-10 of zero, so
-    # -H factors and -(H + delta I) does not; the probe calls H singular and
-    # the inertia counts those two eigenvalues as zero
-    H = _resonant_hessian(500)
-    assert H.inertia() == (998, 2, 0)
-    with pytest.raises(SingularSystemError, match="condition estimate > 1.000e"):
-        dual_solver._factorize_checked(H)
+    # forcing does not enter the Hessian): its transfer product's two
+    # multipliers lie within M * _GRAM_LIMIT of 1, so the solve raises, and
+    # the reference inertia counts the two eigenvalues they stand for,
+    # -2.6e-12 and -2.1e-12, as zero within ||H||_1 / COND_LIMIT = 3.2e-10
+    spec = _resonant_spec(500)
+    D = DualField.zeros(spec.grid, 1)
+    assert dual_action._gram_nullity(spec, dual_action._mapped_jacobian(spec, D)) == 2
+    assert hessian(D, spec).inertia() == (998, 2, 0)
+    with pytest.raises(SingularSystemError, match=r"within M \* 1e-06 = 5.000e-04 of 1"):
+        solve_dual(spec)
 
 
 @pytest.mark.parametrize("M, zero", [(100, 0), (200, 0), (500, 2), (1000, 2)])
@@ -636,25 +649,3 @@ def test_gram_inertia_counts_the_resonant_multipliers_as_zero(M, zero):
     D = DualField.zeros(spec.grid, 1)
     assert dual_action._gram_inertia(spec, D) == hessian(D, spec).inertia() == (2 * M - zero,
                                                                                  zero, 0)
-
-
-def test_singular_probe_tells_singular_from_indefinite():
-    # a Hessian that does not factor is singular when its shift by
-    # ||H||_1 / COND_LIMIT factors, and indefinite when that does not either;
-    # one that factors is singular when its shift the other way does not
-    H = shifted(_resonant_hessian(65), 0.5)
-    top = np.linalg.eigvalsh(H.to_dense())[-1]
-    delta = H.norm1() / dual_action.COND_LIMIT
-    with pytest.raises(SingularSystemError, match="condition estimate > 1.000e"):
-        dual_solver._factorize_checked(shifted(H, top - 0.5 * delta))
-    assert dual_solver._factorize_checked(shifted(H, top - 10.0 * delta)) is None
-    with pytest.raises(SingularSystemError, match="condition estimate > 1.000e"):
-        dual_solver._factorize_checked(shifted(H, top + 0.5 * delta))
-    # the test is the eigenvalue's distance from zero, not cond_1: 1.1 delta
-    # below zero passes as regular though cond_1 is above COND_LIMIT
-    for regular in (shifted(H, top + 10.0 * delta), shifted(H, top + 1.1 * delta)):
-        assert (dual_solver._factorize_checked(regular).tobytes()
-                == regular.neg_cholesky().tobytes())
-    dense = regular.to_dense()
-    cond1 = np.linalg.norm(dense, 1) * np.linalg.norm(np.linalg.inv(dense), 1)
-    assert cond1 > 1.05 * dual_action.COND_LIMIT
