@@ -1006,7 +1006,8 @@ def _transfer_matrices(spec: ProblemSpec, Mx: np.ndarray, Einv: np.ndarray, out=
     so that element k adds -[A_a | A_b]^T W_k^-1 [A_a | A_b] to the Hessian,
     W_k = diag(c_x K|_lam, c_v I) (`_hessian_parts`).  Through ``Einv``,
     the inverses of the Schur complements E = (d/2 + m/h) I + q,
-    q = (h/4) Mx^T (`_schur_complements`),
+    q = (h/4) Mx^T (`_schur_complements`), by Newton-Schulz where every
+    ||q||_F <= (d/2 + m/h) / 2, by LU elsewhere (`_schur_inverses`),
     R = [[I - 2 q E^-1, -(4m/h) q E^-1], [E^-1, (2m/h) E^-1 - I]]: one
     n x n inverse per element, where A_a^-1 would take a 2n x 2n one.
     ``sign`` R, for ``sign`` = +-1, is written into ``out``, any (M, 2n, 2n)
@@ -1073,32 +1074,56 @@ def _transfer_product(R) -> tuple[np.ndarray, float]:
     return R[0], float(logs[0])
 
 
-def _multipliers_at_one(product, M: int) -> int:
-    """Number of eigenvalues mu of the transfer product e^s P of M elements,
-    ``product`` = (P, s) (`_transfer_product`), with |log mu| <= M
-    _GRAM_LIMIT, a rate per element within _GRAM_LIMIT of zero."""
-    P, s = product
+def _schur_inverses(spec: ProblemSpec, Mx: np.ndarray, rho: float) -> np.ndarray:
+    """E_k^-1 for the Schur complements E_k = c (I + X_k) of A_a,k's -I/h
+    blocks (`_schur_complements`), c = d/2 + m/h, X_k = (h/4c) Mx_k^T: Y / c
+    by Newton-Schulz (Schulz, ZAMM 13, 1933; Pan & Schreiber, SIAM J. Sci.
+    Stat. Comput. 12, 1991) where rho = max ||X_k||_F <= 1/2 (cond(E_k) <= 3),
+    by LU elsewhere.  Y = I - X leaves the residual X^2, and each step
+    Y <- Y + Y (I - (I + X) Y) squares it: steps run while rho^(2^(j+1)) > eps."""
+    if not rho <= 0.5:  # also where rho, or Mx, is not finite
+        return np.linalg.inv(_schur_complements(spec, Mx))
+    h = spec.grid.h
+    c = 0.5 * spec.params.d + spec.params.m / h
+    X, eye = ((0.25 * h) * np.swapaxes(Mx, 1, 2)) / c, np.eye(spec.n)
+    Y, residual = eye - X, rho * rho
+    while residual > np.finfo(float).eps:
+        Y = Y + Y @ (eye - Y - X @ Y)
+        residual *= residual
+    return Y / c
+
+
+class _GramFactor(NamedTuple):
+    """One point's Gram factor (`_gram_factor`); Einv, R, product if cyclic."""
+    nullity: int
+    rho: float
+    Einv: np.ndarray | None = None
+    R: np.ndarray | None = None
+    product: tuple | None = None
+
+
+def _gram_factor(spec: ProblemSpec, Mx: np.ndarray) -> _GramFactor:
+    """A's nullity (`_gram_nullity`) where dK/dx is Mx and rho = max ||X_k||_F
+    (`_schur_inverses`), with an SVD of the element blocks where rho > 1/2;
+    when cyclic with regular blocks, also E^-1, the transfer matrices R and
+    their product (P, s).  Nothing is kept; a first cyclic iterate passes it on."""
+    h = spec.grid.h
+    c = 0.5 * spec.params.d + spec.params.m / h
+    rho = float(np.max(0.25 * h * np.linalg.norm(Mx, axis=(1, 2)))) / c  # inf or nan where Mx is
+    if not rho <= 0.5:
+        sv = np.linalg.svd(_schur_complements(spec, Mx), compute_uv=False)
+        singular = int(np.sum(sv <= _GRAM_LIMIT * sv[:, :1]))
+        if singular:
+            return _GramFactor(singular, rho)
+    if not spec.periodic:  # an open direction forms its own E^-1
+        return _GramFactor(0, rho)
+    Einv = _schur_inverses(spec, Mx, rho)
+    R = _transfer_matrices(spec, Mx, Einv)
+    P, s = product = _transfer_product(R)
     mu = np.linalg.eigvals(P)
     with np.errstate(divide="ignore"):  # mu = 0 is as far from 1 as can be
         rate = np.hypot(np.log(np.abs(mu)) + s, np.angle(mu))
-    return int(np.sum(rate <= M * _GRAM_LIMIT))
-
-
-def _singular_elements(spec: ProblemSpec, Mx: np.ndarray) -> int:
-    """The summed nullity of the Gram factor's diagonal blocks A_a,k,
-    judged against _GRAM_LIMIT.  A_a,k is singular where the Schur
-    complement of its -I/h block, E_k = c (I + X_k) with c = d/2 + m/h and
-    X_k = (h/4c) Mx_k^T (`_schur_complements`), is; ||X_k||_F <= 1/2 bounds
-    cond(E_k) by 3, and only the elements this cannot certify get an SVD,
-    whose singular values at most _GRAM_LIMIT times the largest are
-    counted."""
-    h = spec.grid.h
-    c = 0.5 * spec.params.d + spec.params.m / h
-    unsure = np.flatnonzero(~(0.25 * h * np.linalg.norm(Mx, axis=(1, 2)) <= 0.5 * c))
-    if not unsure.size:
-        return 0
-    sv = np.linalg.svd(_schur_complements(spec, Mx[unsure]), compute_uv=False)
-    return int(np.sum(sv <= _GRAM_LIMIT * sv[:, :1]))
+    return _GramFactor(int(np.sum(rate <= spec.grid.M * _GRAM_LIMIT)), rho, Einv, R, product)
 
 
 def _gram_nullity(spec: ProblemSpec, Mx: np.ndarray) -> int:
@@ -1106,20 +1131,16 @@ def _gram_nullity(spec: ProblemSpec, Mx: np.ndarray) -> int:
 
     A z = 0 says A_a,k z_k + A_b,k z_{k+1} = 0 for every element k
     (`_transfer_matrices`), with z_M = 0 (open) or z_M = z_0 (cyclic).
-    Where every A_a,k is regular (`_singular_elements`), z_k = R_k z_{k+1}
+    Where every A_a,k is regular (`_schur_inverses`), z_k = R_k z_{k+1}
     with R_k = -A_a,k^-1 A_b,k: the open A is regular, and the cyclic one's
     nullity is the number of multipliers of the transfer product R_0 ...
-    R_{M-1} (`_transfer_product`, which the cyclic `_gram_direction` shares)
-    at 1 (`_multipliers_at_one`), the reciprocals of the adjoint's
-    monodromy multipliers.  Otherwise the count is the elements' sum, an
+    R_{M-1} at 1, |log mu| <= M _GRAM_LIMIT, the reciprocals of the
+    adjoint's monodromy multipliers.  Otherwise it is the elements' summed
+    nullity (singular values at most _GRAM_LIMIT times the largest), an
     upper bound on the open nullity (a block triangular matrix has at least
-    the rank of its diagonal blocks) and an estimate of the cyclic one."""
-    null = _singular_elements(spec, Mx)
-    if null or not spec.periodic:
-        return null
-    Einv = np.linalg.inv(_schur_complements(spec, Mx))
-    return _multipliers_at_one(_transfer_product(_transfer_matrices(spec, Mx, Einv)),
-                               spec.grid.M)
+    the rank of its diagonal blocks) and an estimate of the cyclic one; its
+    `_gram_factor` holds the product the cyclic `_gram_direction` reads."""
+    return _gram_factor(spec, Mx).nullity
 
 
 def _gram_parts(spec: ProblemSpec, D: DualField) -> tuple[np.ndarray, np.ndarray | None] | None:
@@ -1169,11 +1190,14 @@ def _gram_inertia(spec: ProblemSpec, D: DualField) -> tuple[int, int, int] | Non
     return N - zero - positive, zero, positive
 
 
-def _gram_direction(spec: ProblemSpec, parts, g: np.ndarray) -> np.ndarray | None:
+def _gram_direction(spec: ProblemSpec, parts, g: np.ndarray,
+                    factor: _GramFactor | None = None) -> np.ndarray | None:
     """The Newton direction d, H d = -g, at the point whose `_gram_parts`
     are ``parts``, as d = A^-1 W A^-T g from the Gram form H = -A^T W^-1 A
-    (`_gram_inertia`), with no Hessian formed; None where H is not
-    certified negative definite, which it is exactly when every K|_lam
+    (`_gram_inertia`), with no Hessian formed, from the point's Gram factor
+    ``factor``, built here (`_gram_factor`) when None (a cyclic solve's
+    first iterate passes the one its singularity test read); None where H
+    is not certified negative definite, which it is exactly when every K|_lam
     factors by Cholesky (`_definite`) and A is regular (`_gram_nullity`),
     and where the cyclic capacitance below is not finite or its 1-norm
     condition number exceeds _CAPACITANCE_LIMIT.
@@ -1191,27 +1215,26 @@ def _gram_direction(spec: ProblemSpec, parts, g: np.ndarray) -> np.ndarray | Non
     L^-1 (r + e_{M-1} R_{M-1} y_0) with y_0 = (I - Pi)^-1 (L^-1 r)_0, and
     (I - U - C)^T z = s is z = L^-T (s + e_0 w) with (I - Pi^T) w =
     R_{M-1}^T (L^-T s)_{M-1}.  In between, per element and through E^-1
-    (`_schur_complements`), A_a = sqrt(h) S gives S^-T [a; b] =
+    (`_schur_inverses`), A_a = sqrt(h) S gives S^-T [a; b] =
     [(h/2) q - h a; q] with q = E^-T ((h/2) Mx a - b), then W / h (the two
     sqrt(h) factors together), then S^-1 [x; y] = [-h x - (h/2) Mx^T b; b]
     with b = -E^-1 (y + (h/2) x)."""
     Mx, K = parts
     n, M, h = spec.n, spec.grid.M, spec.grid.h
     c_x, c_v = spec.scales.c_x, spec.scales.c_v
-    if not _definite(K) or _singular_elements(spec, Mx):
+    if not _definite(K):
         return None
-    Einv = np.linalg.inv(_schur_complements(spec, Mx))
+    nullity, rho, Einv, R, product = _gram_factor(spec, Mx) if factor is None else factor
+    if nullity:
+        return None
+    Einv = _schur_inverses(spec, Mx, rho) if Einv is None else Einv
     b = 2 * n
     ab = np.zeros((2 * b, M * b), order="F")
     sr, sc = ab.strides
     # [k, i, j] is ab[b - 1 + i - j, (k + 1) b + j], entry (k b + i, (k + 1) b + j) of I - U
     upper = np.lib.stride_tricks.as_strided(ab[b - 1:, b:], (M - 1, b, b), (b * sc, sr, sc - sr))
     if spec.periodic:
-        R = _transfer_matrices(spec, Mx, Einv)
         np.negative(R[:-1], out=upper)
-        product = _transfer_product(R)
-        if _multipliers_at_one(product, M):
-            return None
         with np.errstate(over="ignore", invalid="ignore"):
             capacitance = np.eye(b) - np.exp(product[1]) * product[0]
         if not (np.all(np.isfinite(capacitance))

@@ -9,25 +9,26 @@ iterate, steps fall back to a Levenberg-style trust-region iteration that
 must decrease the gradient norm; when that cannot make progress either, the
 iteration stops unconverged, as it does at an overflowed point.
 
-Each iterate first tests its Gram parts (the mapped state, Mx, P and C,
-with the bound on G and L); parts that are not finite end the iteration.
-The first cyclic iterate then raises SingularSystemError where its Gram
-factor A is singular (`dual_action._gram_nullity`: a transfer multiplier
-within M `_GRAM_LIMIT` of 1, or a singular element block), by the rule
-the reported zero count reads.  Once is enough: a linear chain's Hessian
-does not depend on the field, so its resonance or missing restoring force
-shows there, and a later iterate near singular is not a singular problem.
-Then every iterate takes one of two routes.  A damped Newton iterate, open or cyclic, takes its
-direction from the Gram factors, H = -A^T W^-1 A: d = A^-1 W A^-T g
-(`dual_action._gram_direction`), LAPACK dtbtrs solves on a unit upper band
-(around one 2n x 2n capacitance when cyclic) with no Hessian assembled,
-where H is certified negative definite and a cyclic capacitance is well
-conditioned.  An iterate with no direction, or whose line search fails,
-assembles its Hessian band, the only place one is made, and steps on its
-trust region, whose shift grows until the band's Cholesky (LAPACK dpbtrf,
-`neg_cholesky(shift)` on a negated copy of the band, open or folded)
-succeeds; a Hessian that is not finite, as its assembly records, ends the
-iteration.
+Each iterate first tests its Gram parts (the mapped state, Mx, P and C, with
+the bound on G and L); parts that are not finite end the iteration.  The
+first cyclic iterate then raises SingularSystemError where its Gram factor A
+is singular (a transfer multiplier within M `_GRAM_LIMIT` of 1, or a
+singular element block), by the rule the reported zero count reads; the
+factor it built for that (`dual_action._gram_factor`, Schur inverses by
+Newton-Schulz under a norm bound) gives its direction too.  Once is enough:
+a linear chain's Hessian does not depend on the field, so its resonance or
+missing restoring force shows there, and a later iterate near singular is
+not a singular problem.  Then every iterate takes one of two routes.  A
+damped Newton iterate, open or cyclic, takes its direction from the Gram
+factors, H = -A^T W^-1 A: d = A^-1 W A^-T g (`dual_action._gram_direction`),
+dtbtrs band solves (around one 2n x 2n capacitance when cyclic) with no
+Hessian assembled, where H is certified negative definite and a cyclic
+capacitance is well conditioned.  An iterate with no direction, or whose
+line search fails, assembles its Hessian band, the only place one is made,
+and steps on its trust region, whose shift grows until the band's Cholesky
+(LAPACK dpbtrf, `neg_cholesky(shift)` on a negated copy of the band, open or
+folded) succeeds; a Hessian that is not finite, as its assembly records,
+ends the iteration.
 The period is the grid span, an integer number of forcing periods; orbits
 of unknown period are out of scope.
 
@@ -58,8 +59,8 @@ from .dual_action import (
     ProblemSpec,
     _LAPACK,
     _gram_direction,
+    _gram_factor,
     _gram_inertia,
-    _gram_nullity,
     _gram_parts,
     action,
     dtp_map,
@@ -192,14 +193,15 @@ def _maximize(spec: ProblemSpec, opts: SolveOptions):
             return D, False, history, False
         # singular or not is judged on the first cyclic iterate only, which
         # shows a linear chain's resonance; later iterates go as open ones
-        if spec.periodic and len(history) == 1 and _gram_nullity(spec, parts[0]):
+        factor = _gram_factor(spec, parts[0]) if spec.periodic and len(history) == 1 else None
+        if factor is not None and factor.nullity:
             raise SingularSystemError(
                 f"cyclic dual system is numerically singular (a transfer multiplier "
                 f"within M * {_GRAM_LIMIT:.0e} = {spec.grid.M * _GRAM_LIMIT:.3e} of 1, or a "
                 f"singular element block); for undamped linear chains this is the "
                 f"signature of forcing at a resonant frequency")
         # None where -H is not certified negative definite
-        direction = _gram_direction(spec, parts, g) if damped else None
+        direction = _gram_direction(spec, parts, g, factor) if damped else None
         accepted = None
         if direction is not None and np.all(np.isfinite(direction)):
             accepted = _line_search(spec, D, u, direction)

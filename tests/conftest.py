@@ -2,8 +2,9 @@
 
 Tier-1 runs every property test at hypothesis' default budget.  The
 ``rk4-deep`` profile, selected with ``--hypothesis-profile rk4-deep``, gives
-each test 3,000 examples; CI runs the RK4 property tests and the Hessian
-band's two byte-identity tests under it.
+each test 3,000 examples; CI runs the RK4 property tests, the Hessian
+band's two byte-identity tests and the Gram factor's property tests under
+it.
 """
 import numpy as np
 import pytest

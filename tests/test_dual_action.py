@@ -1435,6 +1435,95 @@ def test_gram_direction_is_the_newton_direction_of_the_band(seed, n, M, m, d, c_
     assert np.max(np.abs(direction - want)) <= 1e-9 * np.max(np.abs(want))
 
 
+@settings(deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 64),
+       st.floats(0.05, 20.0), st.floats(0.1, 10.0), st.floats(0.0, 2.0),
+       st.floats(0.0, 1.5), st.sampled_from([None, np.nan, np.inf, -np.inf]))
+@example(seed=0, n=4, M=64, T=2.0 * np.pi, m=1.0, d=0.4, size=0.003, bad=None)  # workload size
+@example(seed=1, n=8, M=64, T=20.0, m=0.1, d=0.0, size=0.5, bad=None)  # rho up to 1/2
+@example(seed=2, n=3, M=5, T=1.0, m=1.0, d=1.0, size=0.0, bad=None)  # X = 0: no step
+@example(seed=3, n=2, M=7, T=1.0, m=1.0, d=1.0, size=0.1, bad=np.nan)
+@example(seed=0, n=3, M=1, T=1.0, m=1.0, d=0.0, size=0.0, bad=np.inf)  # LU raises
+def test_schur_inverses_by_newton_schulz_match_lu_under_their_bound(seed, n, M, T, m, d,
+                                                                   size, bad):
+    # E_k = c (I + X_k) with ||X_k||_F drawn in [0, size]: the Gram factor's
+    # rho is the largest norm; where it is at most 1/2 the Newton-Schulz
+    # inverses match LU's to 4 n eps cond(E_k) with no np.linalg.inv call,
+    # and where it exceeds 1/2, or is not finite because an entry of Mx is
+    # not (the Gram parts stop such a point before any factor is built), LU
+    # inverts them, once.  A RuntimeWarning is an error in this suite, so
+    # none escapes
+    rng = np.random.default_rng(seed)
+    force = QuadraticForce(n=n, A=np.eye(n))
+    params = ChainParams(m=m, d=d, force=force, forcing=ForcingSpec.zero(n))
+    grid = TimeGrid(T=T, M=M)
+    spec = ProblemSpec(params=params, scales=ScaleParams(1.0, 1.0), base=zero_base(grid, n),
+                       grid=grid, x0=np.zeros(n), v0=np.zeros(n))
+    h = grid.h
+    c = 0.5 * d + m / h
+    X = rng.normal(size=(M, n, n))
+    X *= (size * rng.uniform(size=M) / np.linalg.norm(X, axis=(1, 2)))[:, None, None]
+    norms = np.linalg.norm(X, axis=(1, 2))
+    assume(np.all(np.abs(norms - 0.5) > 1e-9))  # clear of the bound's round-off
+    Mx = (4.0 * c / h) * np.swapaxes(X, 1, 2)
+    if bad is None:
+        factor = dual_action._gram_factor(spec, Mx)
+        assert factor.nullity == 0 and factor.Einv is None  # open: no inverses formed
+        rho = factor.rho
+        assert abs(rho - np.max(norms)) <= 1e-12 * max(1.0, np.max(norms))
+    else:
+        Mx[rng.integers(M), rng.integers(n), rng.integers(n)] = bad
+        rho = float(np.max(0.25 * h * np.linalg.norm(Mx, axis=(1, 2)))) / c  # as the factor's
+        assert not np.isfinite(rho)
+    within = bad is None and np.all(norms <= 0.5)
+    calls = []
+    inv = np.linalg.inv
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
+        try:
+            Einv = dual_action._schur_inverses(spec, Mx, rho)
+        except np.linalg.LinAlgError:  # LU may meet an exact zero pivot past an inf
+            assert bad is not None
+    assert calls == ([] if within else [(M, n, n)])
+    if bad is not None:
+        return
+    E = _schur_complements(spec, Mx)
+    want = inv(E)
+    if within:
+        err = np.linalg.norm(Einv - want, axis=(1, 2))
+        bound = 4 * n * _EPS * np.linalg.cond(E) * np.linalg.norm(want, axis=(1, 2))
+        assert np.all(err <= bound)
+    else:
+        assert Einv.tobytes() == want.tobytes()
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(2, 64),
+       st.floats(0.1, 10.0), st.floats(0.0, 2.0), st.booleans(),
+       st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+@example(seed=0, n=4, M=64, m=1.0, d=0.4, with_B=True, scale=0.05)
+def test_a_shared_cyclic_gram_factor_gives_the_fresh_direction_byte_for_byte(
+        seed, n, M, m, d, with_B, scale):
+    # the factor a cyclic solve's first iterate builds for its singularity
+    # test gives its direction the bytes of a factor built afresh, refused
+    # or not, and its nullity is the test's
+    spec, D = _hessian_case(seed, n, M, with_B, True, scale)
+    spec = dataclasses.replace(spec, params=dataclasses.replace(spec.params, m=m, d=d))
+    try:
+        g = gradient(D, spec)
+    except SingularStiffnessError:
+        assume(False)
+    parts = dual_action._gram_parts(spec, D)
+    assume(parts is not None)
+    factor = dual_action._gram_factor(spec, parts[0])
+    assert factor.nullity == dual_action._gram_nullity(spec, parts[0])
+    shared = dual_action._gram_direction(spec, parts, g, factor)
+    fresh = dual_action._gram_direction(spec, parts, g)
+    assert (shared is None) == (fresh is None)
+    if fresh is not None:
+        assert shared.tobytes() == fresh.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # base states
 

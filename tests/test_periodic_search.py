@@ -1,4 +1,6 @@
 """Periodic-orbit dual solves: cyclic assembly, resonance detection, recovery."""
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -480,15 +482,16 @@ def test_a_refused_cyclic_gram_direction_takes_the_trust_region(band_counts):
 @pytest.mark.parametrize("step_control", ["damped-newton", "trust-region"])
 def test_singularity_check_runs_on_the_first_periodic_iterate_only(monkeypatch,
                                                                    step_control):
-    # the check counts the Gram factor's nullity once per periodic solve, at
-    # its first iterate, whether the solve converges or stalls (the
-    # zero-base periodic_forced_n4 run stops unconverged under both step
-    # controls), and never in an initial-value solve; the final point's
-    # inertia counts it inside dual_action, past this name
+    # the check builds the Gram factor whose nullity it counts once per
+    # periodic solve, at its first iterate, whether the solve converges or
+    # stalls (the zero-base periodic_forced_n4 run stops unconverged under
+    # both step controls), and never in an initial-value solve; later
+    # directions and the final point's inertia build theirs inside
+    # dual_action, past this name
     calls = []
-    nullity = dual_solver._gram_nullity
-    monkeypatch.setattr(dual_solver, "_gram_nullity",
-                        lambda spec, Mx: calls.append(Mx) or nullity(spec, Mx))
+    factor = dual_solver._gram_factor
+    monkeypatch.setattr(dual_solver, "_gram_factor",
+                        lambda spec, Mx: calls.append(Mx) or factor(spec, Mx))
     opts = SolveOptions(step_control=step_control)
     stalling = load_config(PRESETS["periodic_forced_n4"],
                            sets=("base.kind=zero", "grid.M=100")).problem()
@@ -502,6 +505,32 @@ def test_singularity_check_runs_on_the_first_periodic_iterate_only(monkeypatch,
     sol = solve_dual(open_spec, opts)
     assert not open_spec.periodic and sol.iterations >= 1
     assert calls == []
+
+
+def test_each_periodic_point_forms_one_transfer_product_and_no_lu_schur_inverse(monkeypatch):
+    # a damped Newton solve that converges forms one transfer product per
+    # iterate, the first iterate's singularity test and direction sharing
+    # theirs, and one at the final point for its inertia; on a chain of the
+    # periodic workloads' size (n = 4, M = 1000) Newton-Schulz inverts every
+    # Schur complement, so np.linalg.inv runs only for weighted stiffnesses
+    products, inverters = [], []
+    product, inv = dual_action._transfer_product, np.linalg.inv
+    monkeypatch.setattr(dual_action, "_transfer_product",
+                        lambda R: products.append(len(R)) or product(R))
+
+    def counted_inv(a):
+        inverters.append(sys._getframe(1).f_code.co_name)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
+    forcing = ForcingSpec(n=4, sinusoids=[(0, Sinusoid(0.1, 1.0, 0.0))])
+    params = ChainParams(m=1.0, d=0.4, force=fput_alpha(4, 0.25), forcing=forcing)
+    grid = TimeGrid(T=2 * np.pi, M=1000)
+    spec = PeriodicSpec(params=params, scales=UNIT, base=zero_base(grid, 4), grid=grid)
+    sol = solve_periodic(spec)
+    assert sol.converged and sol.iterations > 1
+    assert products == [1000] * (sol.iterations + 1)
+    assert inverters and set(inverters) == {"_stiffness_inv"}
 
 
 @pytest.mark.parametrize("step_control", ["damped-newton", "trust-region"])
