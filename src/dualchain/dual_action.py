@@ -52,9 +52,11 @@ definite (`_gram_direction`); the cyclic A adds one corner block,
 a rank-2n correction that Sherman-Morrison-Woodbury turns into solves with
 one 2n x 2n capacitance, so a cyclic direction is four such band solves.
 No Hessian is formed or factored for a direction, and none to judge a
-cyclic problem singular: the solver reads that off A's nullity
-(`_gram_nullity`) at its first iterate, the count the inertia's zeros
-include.  A Hessian band is assembled only for a trust-region step.
+cyclic problem singular: the solver reads that off A's nullity at its
+first iterate, the count the inertia's zeros include.  These three readers
+share one Gram record per point (`_gram_point`), which forms A's nullity,
+E^-1, the transfer matrices and their product when a reader first needs
+them.  A Hessian band is assembled only for a trust-region step.
 
 Overflow far from the maximum (a huge base or mass) follows numpy's default,
 and the solver's finite checks stop there; only an overflowed certificate
@@ -1023,32 +1025,20 @@ def _transfer_matrices(spec: ProblemSpec, Mx: np.ndarray, Einv: np.ndarray, out=
     return out
 
 
-def _definite(K) -> bool:
-    """Whether every weighted stiffness K|_lam of ``K`` (`_core_state`'s,
-    None where K|_lam = I) factors by Cholesky."""
-    if K is None:
-        return True
-    try:
-        np.linalg.cholesky(K)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
-def _weight_counts(spec: ProblemSpec, K, Kinv) -> tuple[int, int]:
-    """(zero, positive) eigenvalue counts of the block diagonal -W^-1, one
-    within max|1/w| / COND_LIMIT of zero counting as zero; the weights w
-    are c_x times the eigenvalues mu of K|_lam, and c_v.  K|_lam = I (K
-    None, `_core_state`) needs no eigenvalues.  Otherwise a K|_lam that
+def _weight_counts(point: _GramPoint) -> tuple[int, int]:
+    """(zero, positive) eigenvalue counts of the block diagonal -W^-1 at
+    ``point``, one within max|1/w| / COND_LIMIT of zero counting as zero;
+    the weights w are c_x times the eigenvalues mu of K|_lam, and c_v.
+    K|_lam = I (K None) needs no eigenvalues.  Otherwise a K|_lam that
     factors by Cholesky has no negative mu, and the bounds 1/||K||_F <=
     1/mu <= ||K^-1||_F can certify that none is near zero; only what they
     leave open gets `eigvalsh`."""
-    s = spec.scales
+    s, K, Kinv = point.spec.scales, point.K, point.Kinv
     M, n = Kinv.shape[:2]
     if K is None:
         mu = np.ones((M, n))
     else:
-        if _definite(K):
+        if point.definite:
             lo = 1.0 / (s.c_x * np.max(np.linalg.norm(K, axis=(1, 2))))
             hi = np.max(np.linalg.norm(Kinv, axis=(1, 2))) / s.c_x
             if min(lo, 1.0 / s.c_v) > max(hi, 1.0 / s.c_v) / COND_LIMIT:
@@ -1093,64 +1083,78 @@ def _schur_inverses(spec: ProblemSpec, Mx: np.ndarray, rho: float) -> np.ndarray
     return Y / c
 
 
-class _GramFactor(NamedTuple):
-    """One point's Gram factor (`_gram_factor`); Einv, R, product if cyclic."""
-    nullity: int
-    rho: float
-    Einv: np.ndarray | None = None
-    R: np.ndarray | None = None
-    product: tuple | None = None
+class _GramPoint:
+    """The Gram form H = -A^T W^-1 A at one point (`_gram_point`): ``Mx`` =
+    dK/dx at the mapped state gives the Gram factor A (`_transfer_matrices`),
+    ``K`` = K|_lam at the midpoints and ``Kinv`` (`_core_state`'s, K None
+    where it is I) give the weights W, and ``rho`` = max ||X_k||_F bounds
+    A's element blocks (`_schur_inverses`).  Formed when first read, then
+    kept: ``definite``, ``nullity``, ``Einv`` = E^-1, the transfer matrices
+    ``R`` and their ``product`` (P, s).  Nothing keeps a record between points."""
+
+    def __init__(self, spec: ProblemSpec, Mx: np.ndarray, K, Kinv: np.ndarray):
+        self.spec, self.Mx, self.K, self.Kinv = spec, Mx, K, Kinv
+        h = spec.grid.h
+        c = 0.5 * spec.params.d + spec.params.m / h
+        # inf or nan where Mx is
+        self.rho = float(np.max(0.25 * h * np.linalg.norm(Mx, axis=(1, 2)))) / c
+
+    @cached_property
+    def definite(self) -> bool:
+        """Whether every K|_lam factors by Cholesky."""
+        if self.K is not None:
+            try:
+                np.linalg.cholesky(self.K)
+            except np.linalg.LinAlgError:
+                return False
+        return True
+
+    @cached_property
+    def nullity(self) -> int:
+        """The nullity of the square Gram factor A, judged against _GRAM_LIMIT.
+
+        A z = 0 says A_a,k z_k + A_b,k z_{k+1} = 0 for every element k
+        (`_transfer_matrices`), with z_M = 0 (open) or z_M = z_0 (cyclic).
+        Where every A_a,k is regular, as rho <= 1/2 certifies with no SVD,
+        z_k = R_k z_{k+1} with R_k = -A_a,k^-1 A_b,k: the open A is regular,
+        with no E^-1 formed, and the cyclic one's nullity is the number of
+        multipliers of the transfer product R_0 ... R_{M-1} at 1, |log mu|
+        <= M _GRAM_LIMIT, the reciprocals of the adjoint's monodromy
+        multipliers.  Otherwise it is the elements' summed nullity (singular
+        values at most _GRAM_LIMIT times the largest), an upper bound on the
+        open nullity (a block triangular matrix has at least the rank of its
+        diagonal blocks) and an estimate of the cyclic one."""
+        if not self.rho <= 0.5:
+            sv = np.linalg.svd(_schur_complements(self.spec, self.Mx), compute_uv=False)
+            singular = int(np.sum(sv <= _GRAM_LIMIT * sv[:, :1]))
+            if singular:
+                return singular
+        if not self.spec.periodic:
+            return 0
+        P, s = self.product
+        mu = np.linalg.eigvals(P)
+        with np.errstate(divide="ignore"):  # mu = 0 is as far from 1 as can be
+            rate = np.hypot(np.log(np.abs(mu)) + s, np.angle(mu))
+        return int(np.sum(rate <= self.spec.grid.M * _GRAM_LIMIT))
+
+    @cached_property
+    def Einv(self) -> np.ndarray:
+        return _schur_inverses(self.spec, self.Mx, self.rho)
+
+    @cached_property
+    def R(self) -> np.ndarray:
+        return _transfer_matrices(self.spec, self.Mx, self.Einv)
+
+    @cached_property
+    def product(self) -> tuple[np.ndarray, float]:
+        return _transfer_product(self.R)
 
 
-def _gram_factor(spec: ProblemSpec, Mx: np.ndarray) -> _GramFactor:
-    """A's nullity (`_gram_nullity`) where dK/dx is Mx and rho = max ||X_k||_F
-    (`_schur_inverses`), with an SVD of the element blocks where rho > 1/2;
-    when cyclic with regular blocks, also E^-1, the transfer matrices R and
-    their product (P, s).  Nothing is kept; a first cyclic iterate passes it on."""
-    h = spec.grid.h
-    c = 0.5 * spec.params.d + spec.params.m / h
-    rho = float(np.max(0.25 * h * np.linalg.norm(Mx, axis=(1, 2)))) / c  # inf or nan where Mx is
-    if not rho <= 0.5:
-        sv = np.linalg.svd(_schur_complements(spec, Mx), compute_uv=False)
-        singular = int(np.sum(sv <= _GRAM_LIMIT * sv[:, :1]))
-        if singular:
-            return _GramFactor(singular, rho)
-    if not spec.periodic:  # an open direction forms its own E^-1
-        return _GramFactor(0, rho)
-    Einv = _schur_inverses(spec, Mx, rho)
-    R = _transfer_matrices(spec, Mx, Einv)
-    P, s = product = _transfer_product(R)
-    mu = np.linalg.eigvals(P)
-    with np.errstate(divide="ignore"):  # mu = 0 is as far from 1 as can be
-        rate = np.hypot(np.log(np.abs(mu)) + s, np.angle(mu))
-    return _GramFactor(int(np.sum(rate <= spec.grid.M * _GRAM_LIMIT)), rho, Einv, R, product)
-
-
-def _gram_nullity(spec: ProblemSpec, Mx: np.ndarray) -> int:
-    """The nullity of the square Gram factor A, judged against _GRAM_LIMIT.
-
-    A z = 0 says A_a,k z_k + A_b,k z_{k+1} = 0 for every element k
-    (`_transfer_matrices`), with z_M = 0 (open) or z_M = z_0 (cyclic).
-    Where every A_a,k is regular (`_schur_inverses`), z_k = R_k z_{k+1}
-    with R_k = -A_a,k^-1 A_b,k: the open A is regular, and the cyclic one's
-    nullity is the number of multipliers of the transfer product R_0 ...
-    R_{M-1} at 1, |log mu| <= M _GRAM_LIMIT, the reciprocals of the
-    adjoint's monodromy multipliers.  Otherwise it is the elements' summed
-    nullity (singular values at most _GRAM_LIMIT times the largest), an
-    upper bound on the open nullity (a block triangular matrix has at least
-    the rank of its diagonal blocks) and an estimate of the cyclic one; its
-    `_gram_factor` holds the product the cyclic `_gram_direction` reads."""
-    return _gram_factor(spec, Mx).nullity
-
-
-def _gram_parts(spec: ProblemSpec, D: DualField) -> tuple[np.ndarray, np.ndarray | None] | None:
-    """(Mx, K) at D: Mx = dK/dx at the mapped state, which gives the Gram
-    factor A (`_transfer_matrices`), and the weighted stiffness K|_lam at
-    the element midpoints (`_core_state`'s, None where it is I), which gives
-    the weights W (`_weight_counts`); None where the mapped state or a
-    Hessian part (`_hessian_parts`) is not finite.  Mx, P and C are tested;
-    G and L are formed only where the bounds |G| <= (n/2) max|Mx| max|P|
-    and |L| <= n^2 max|Mx|^2 max|P| leave overflow open."""
+def _gram_point(spec: ProblemSpec, D: DualField) -> _GramPoint | None:
+    """D's `_GramPoint`, or None where the mapped state or a Hessian part
+    (`_hessian_parts`) is not finite.  Mx, P and C are tested; G and L are
+    formed only where the bounds |G| <= (n/2) max|Mx| max|P| and
+    |L| <= n^2 max|Mx|^2 max|P| leave overflow open."""
     lmid, _, _, _, _, _, x, v, Kinv, K = _core_state(spec, D)
     Mx, P = _mapped_jacobian(spec, D), Kinv / spec.scales.c_x
     if not all(np.all(np.isfinite(a)) for a in (lmid, x, v, Mx, P, _scalar_part(spec))):
@@ -1163,52 +1167,50 @@ def _gram_parts(spec: ProblemSpec, D: DualField) -> tuple[np.ndarray, np.ndarray
     if not bound <= 0.5 * np.finfo(float).max and not all(
             np.all(np.isfinite(a)) for a in _hessian_parts(spec, D)[2:]):
         return None
-    return Mx, K
+    return _GramPoint(spec, Mx, K, Kinv)
 
 
 def _gram_inertia(spec: ProblemSpec, D: DualField) -> tuple[int, int, int] | None:
     """(negative, zero, positive) eigenvalue counts of the Hessian at D,
-    read off its Gram form with no Hessian formed; None where `_gram_parts`
-    finds a part that is not finite.
+    read off the Gram record made here (`_gram_point`) with no Hessian
+    formed; None where a part is not finite.
 
     H = -A^T W^-1 A, where A is square (row block k holds element k's
     blocks, `_transfer_matrices`, at nodes k and k+1; node M is dropped, or
     is node 0 when cyclic) and W is block diagonal.  Where A is regular,
     Sylvester's law (Golub & Van Loan, Matrix Computations, 4th ed., 8.1)
     gives H the inertia of -W^-1.  So zero is what `_weight_counts` finds
-    near zero plus A's nullity (`_gram_nullity`); positive is the number of
-    negative eigenvalues of K|_lam over the M midpoints that are not near
-    zero, at most N - zero; negative is the rest."""
-    parts = _gram_parts(spec, D)
-    if parts is None:
+    near zero plus A's nullity (`_GramPoint.nullity`); positive is the
+    number of negative eigenvalues of K|_lam over the M midpoints that are
+    not near zero, at most N - zero; negative is the rest."""
+    point = _gram_point(spec, D)
+    if point is None:
         return None
-    Mx, K = parts
     N = 2 * spec.n * spec.grid.M
-    zero, positive = _weight_counts(spec, K, _core_state(spec, D)[8])
-    zero = min(N, zero + _gram_nullity(spec, Mx))
+    zero, positive = _weight_counts(point)
+    zero = min(N, zero + point.nullity)
     positive = min(positive, N - zero)
     return N - zero - positive, zero, positive
 
 
-def _gram_direction(spec: ProblemSpec, parts, g: np.ndarray,
-                    factor: _GramFactor | None = None) -> np.ndarray | None:
-    """The Newton direction d, H d = -g, at the point whose `_gram_parts`
-    are ``parts``, as d = A^-1 W A^-T g from the Gram form H = -A^T W^-1 A
-    (`_gram_inertia`), with no Hessian formed, from the point's Gram factor
-    ``factor``, built here (`_gram_factor`) when None (a cyclic solve's
-    first iterate passes the one its singularity test read); None where H
-    is not certified negative definite, which it is exactly when every K|_lam
-    factors by Cholesky (`_definite`) and A is regular (`_gram_nullity`),
-    and where the cyclic capacitance below is not finite or its 1-norm
-    condition number exceeds _CAPACITANCE_LIMIT.
+def _gram_direction(spec: ProblemSpec, point: _GramPoint, g: np.ndarray) -> np.ndarray | None:
+    """The Newton direction d, H d = -g, at ``point`` (`_gram_point`), as
+    d = A^-1 W A^-T g from the Gram form H = -A^T W^-1 A (`_gram_inertia`),
+    with no Hessian formed, reading the record's E^-1 and, when cyclic, its
+    R and (P, s); None where H is not certified negative definite, which it
+    is exactly when every K|_lam factors by Cholesky and A is regular (the
+    record's ``definite`` and ``nullity``), and where the cyclic
+    capacitance below is not finite or its 1-norm condition number exceeds
+    _CAPACITANCE_LIMIT.
 
     A = A_d (I - U - C) with A_d = blockdiag(A_a,k), U holding the transfer
     matrices R_0 ... R_{M-2} (`_transfer_matrices`) on its block
     superdiagonal and C, when cyclic, R_{M-1} at block (M-1, 0), zero when
     open.  Each solve with L = I - U or its transpose is one LAPACK dtbtrs
     call on a unit upper band of 2b rows, b = 2n, ab[2b - 1 + i - j, j] =
-    L[i, j] (Golub & Van Loan, Matrix Computations, 4th ed., 4.3).  The
-    cyclic corner is a rank-2n correction, so by Sherman-Morrison-Woodbury
+    L[i, j] (Golub & Van Loan, Matrix Computations, 4th ed., 4.3); the open
+    -R is written straight into it, with no R kept.  The cyclic corner
+    is a rank-2n correction, so by Sherman-Morrison-Woodbury
     (ibid., 2.1.4) its solves take two dtbtrs calls each around one 2n x 2n
     capacitance I - Pi, Pi = R_0 ... R_{M-1} (`_transfer_product`, whose
     multipliers at 1 A's nullity counts): (I - U - C) y = r is y =
@@ -1219,24 +1221,22 @@ def _gram_direction(spec: ProblemSpec, parts, g: np.ndarray,
     [(h/2) q - h a; q] with q = E^-T ((h/2) Mx a - b), then W / h (the two
     sqrt(h) factors together), then S^-1 [x; y] = [-h x - (h/2) Mx^T b; b]
     with b = -E^-1 (y + (h/2) x)."""
-    Mx, K = parts
+    Mx, K = point.Mx, point.K
     n, M, h = spec.n, spec.grid.M, spec.grid.h
     c_x, c_v = spec.scales.c_x, spec.scales.c_v
-    if not _definite(K):
+    if not point.definite or point.nullity:
         return None
-    nullity, rho, Einv, R, product = _gram_factor(spec, Mx) if factor is None else factor
-    if nullity:
-        return None
-    Einv = _schur_inverses(spec, Mx, rho) if Einv is None else Einv
+    Einv = point.Einv
     b = 2 * n
     ab = np.zeros((2 * b, M * b), order="F")
     sr, sc = ab.strides
     # [k, i, j] is ab[b - 1 + i - j, (k + 1) b + j], entry (k b + i, (k + 1) b + j) of I - U
     upper = np.lib.stride_tricks.as_strided(ab[b - 1:, b:], (M - 1, b, b), (b * sc, sr, sc - sr))
     if spec.periodic:
+        R, (P, s) = point.R, point.product
         np.negative(R[:-1], out=upper)
         with np.errstate(over="ignore", invalid="ignore"):
-            capacitance = np.eye(b) - np.exp(product[1]) * product[0]
+            capacitance = np.eye(b) - np.exp(s) * P
         if not (np.all(np.isfinite(capacitance))
                 and np.linalg.cond(capacitance, 1) <= _CAPACITANCE_LIMIT):
             return None

@@ -9,13 +9,13 @@ iterate, steps fall back to a Levenberg-style trust-region iteration that
 must decrease the gradient norm; when that cannot make progress either, the
 iteration stops unconverged, as it does at an overflowed point.
 
-Each iterate first tests its Gram parts (the mapped state, Mx, P and C, with
-the bound on G and L); parts that are not finite end the iteration.  The
-first cyclic iterate then raises SingularSystemError where its Gram factor A
-is singular (a transfer multiplier within M `_GRAM_LIMIT` of 1, or a
-singular element block), by the rule the reported zero count reads; the
-factor it built for that (`dual_action._gram_factor`, Schur inverses by
-Newton-Schulz under a norm bound) gives its direction too.  Once is enough:
+Each iterate first makes its Gram record (`dual_action._gram_point`), which
+tests the mapped state, Mx, P and C, with the bound on G and L; parts that
+are not finite end the iteration.  The first cyclic iterate then raises
+SingularSystemError where the record's Gram factor A is singular (a
+transfer multiplier within M `_GRAM_LIMIT` of 1, or a singular element
+block), by the rule the reported zero count reads, and its direction reads
+the product the test formed.  Once is enough:
 a linear chain's Hessian does not depend on the field, so its resonance or
 missing restoring force shows there, and a later iterate near singular is
 not a singular problem.  Then every iterate takes one of two routes.  A
@@ -59,9 +59,8 @@ from .dual_action import (
     ProblemSpec,
     _LAPACK,
     _gram_direction,
-    _gram_factor,
     _gram_inertia,
-    _gram_parts,
+    _gram_point,
     action,
     dtp_map,
     ellipticity_check,
@@ -120,9 +119,9 @@ class DualSolution:
     converged: bool
     iterations: int
     residual_history: tuple
-    # of the final point's Hessian, from its Gram factors; None when the Gram
-    # parts or Hessian of a point the loop stepped from, or the final point's
-    # state or parts, are not finite
+    # of the final point's Hessian, from its Gram record; None when the Gram
+    # record or Hessian of a point the loop stepped from, or the final
+    # point's Gram record, finds a part that is not finite
     hessian_inertia: tuple | None
 
 
@@ -160,18 +159,19 @@ def _maximize(spec: ProblemSpec, opts: SolveOptions):
     Stops unconverged when no step makes progress or a point overflows;
     returns the final field, whether it converged, the max-norm history and
     whether every point it stepped from was finite (False where the loop
-    stopped at Gram parts or a Hessian that are not).
+    stopped at a Gram record or a Hessian with a part that is not).
 
     Two routes, one per iterate (see the module docstring), after the
     first cyclic iterate's singularity test: a damped Newton iterate's
     direction comes from the Gram factors (`_gram_direction`), and an
     iterate with no direction, or whose line search fails, steps on its
-    band's trust region.  Each point is one DualField, passed to every
-    evaluation there, so the action, gradient, Gram parts and Hessian at a
-    point share its mapped state; the step searches return the field of
-    the point they accept.  Convergence, the iteration cap and an
-    overflowed residual are tested first, so nothing is assembled or
-    solved at the final point.
+    band's trust region.  One Gram record (`_gram_point`) per iterate
+    serves the test and the direction, and is dropped before the step.
+    Each point is one DualField, passed to every evaluation there, so the
+    action, gradient, Gram record and Hessian at a point share its mapped
+    state; the step searches return the field of the point they accept.
+    Convergence, the iteration cap and an overflowed residual are tested
+    first, so nothing is assembled or solved at the final point.
     """
     u = np.zeros(2 * spec.n * spec.grid.M)
     D = _field(spec, u)
@@ -188,20 +188,20 @@ def _maximize(spec: ProblemSpec, opts: SolveOptions):
     # an overflowed (inf or nan) residual, Gram part or Hessian ends the loop
     # unconverged
     while tol < gnorm < np.inf and len(history) <= opts.max_iterations:
-        parts = _gram_parts(spec, D)
-        if parts is None:
+        point = _gram_point(spec, D)
+        if point is None:
             return D, False, history, False
         # singular or not is judged on the first cyclic iterate only, which
         # shows a linear chain's resonance; later iterates go as open ones
-        factor = _gram_factor(spec, parts[0]) if spec.periodic and len(history) == 1 else None
-        if factor is not None and factor.nullity:
+        if spec.periodic and len(history) == 1 and point.nullity:
             raise SingularSystemError(
                 f"cyclic dual system is numerically singular (a transfer multiplier "
                 f"within M * {_GRAM_LIMIT:.0e} = {spec.grid.M * _GRAM_LIMIT:.3e} of 1, or a "
                 f"singular element block); for undamped linear chains this is the "
                 f"signature of forcing at a resonant frequency")
         # None where -H is not certified negative definite
-        direction = _gram_direction(spec, parts, g, factor) if damped else None
+        direction = _gram_direction(spec, point, g) if damped else None
+        del point  # its E^-1 and transfer matrices are not kept through the step
         accepted = None
         if direction is not None and np.all(np.isfinite(direction)):
             accepted = _line_search(spec, D, u, direction)

@@ -1195,6 +1195,29 @@ def test_evaluations_share_one_state_in_any_order(seed, with_B, calls):
         assert result(name, D, where) == result(name, fresh, where)
 
 
+def test_one_field_under_two_scales_gives_each_spec_the_bytes_of_a_fresh_field():
+    # _core_state keeps a field's mapped state keyed by the spec, and the
+    # Gram record reads it: at lam = -2 the weighted stiffness 1 + lam / c_x
+    # is -1 under c_x = 1 and 14/15 under c_x = 30, so the two specs map the
+    # field apart and count different inertias; each evaluation, the spec
+    # switching at every call, gives the bytes a fresh field gives
+    force = QuadraticForce(n=1, A=[[1.0]], B=np.ones((1, 1, 1)))
+    params = ChainParams(m=1.0, d=0.2, force=force, forcing=ForcingSpec.zero(1))
+    grid = TimeGrid(T=2.0 * np.pi, M=8)
+    specs = [ProblemSpec(params=params, scales=ScaleParams(c_x, 1.0), base=zero_base(grid, 1),
+                         grid=grid) for c_x in (1.0, 30.0)]
+    gamma = 0.1 * np.sin(grid.nodes())[:, None]
+    gamma[-1] = gamma[0]
+    D = DualField(grid, gamma, np.full((grid.M + 1, 1), -2.0))
+    evaluations = (lambda F, spec: np.float64(action(F, spec)).tobytes(),
+                   lambda F, spec: gradient(F, spec).tobytes(),
+                   lambda F, spec: _gram_inertia(spec, F))
+    got = [[evaluate(D, spec) for spec in specs] for evaluate in evaluations]
+    for evaluate, pair in zip(evaluations, got):
+        assert pair == [evaluate(DualField(grid, D.gamma, D.lam), spec) for spec in specs]
+        assert pair[0] != pair[1]
+
+
 # ---------------------------------------------------------------------------
 # Hessian inertia from the Gram factors
 
@@ -1400,9 +1423,8 @@ def test_gram_direction_is_the_newton_direction_of_the_band(seed, n, M, m, d, c_
     # transfer product has multipliers at 1 and the Gram direction refuses
     if resonant:
         spec, D = _resonant_case(M)
-        Mx = _mapped_jacobian(spec, D)
-        assert dual_action._gram_nullity(spec, Mx) == 2
-        assert dual_action._gram_direction(spec, dual_action._gram_parts(spec, D),
+        assert dual_action._gram_point(spec, D).nullity == 2
+        assert dual_action._gram_direction(spec, dual_action._gram_point(spec, D),
                                            gradient(D, spec)) is None
         return
     assume(M >= 2 or not periodic)
@@ -1414,9 +1436,9 @@ def test_gram_direction_is_the_newton_direction_of_the_band(seed, n, M, m, d, c_
     except SingularStiffnessError:
         assume(False)
     H = hessian(D, spec)
-    parts = dual_action._gram_parts(spec, D)
-    assert parts is not None and H.finite
-    direction = dual_action._gram_direction(spec, parts, g)
+    point = dual_action._gram_point(spec, D)
+    assert point is not None and H.finite
+    direction = dual_action._gram_direction(spec, point, g)
     fac = H.neg_cholesky()
     K = stiffness_lambda(spec.params.force.B, _core_state(spec, D)[0], c_x)
     if np.min(np.linalg.eigvalsh(K)) < 0.0:
@@ -1446,11 +1468,12 @@ def test_gram_direction_is_the_newton_direction_of_the_band(seed, n, M, m, d, c_
 @example(seed=0, n=3, M=1, T=1.0, m=1.0, d=0.0, size=0.0, bad=np.inf)  # LU raises
 def test_schur_inverses_by_newton_schulz_match_lu_under_their_bound(seed, n, M, T, m, d,
                                                                    size, bad):
-    # E_k = c (I + X_k) with ||X_k||_F drawn in [0, size]: the Gram factor's
-    # rho is the largest norm; where it is at most 1/2 the Newton-Schulz
-    # inverses match LU's to 4 n eps cond(E_k) with no np.linalg.inv call,
-    # and where it exceeds 1/2, or is not finite because an entry of Mx is
-    # not (the Gram parts stop such a point before any factor is built), LU
+    # E_k = c (I + X_k) with ||X_k||_F drawn in [0, size]: the record made
+    # from Mx has the largest norm as its rho, and an open record's nullity
+    # forms no E^-1; where rho is at most 1/2 the Newton-Schulz inverses
+    # match LU's to 4 n eps cond(E_k) with no np.linalg.inv call, and where
+    # it exceeds 1/2, or is not finite because an entry of Mx is not
+    # (`_gram_point` stops such a point before any record is made), LU
     # inverts them, once.  A RuntimeWarning is an error in this suite, so
     # none escapes
     rng = np.random.default_rng(seed)
@@ -1466,22 +1489,22 @@ def test_schur_inverses_by_newton_schulz_match_lu_under_their_bound(seed, n, M, 
     norms = np.linalg.norm(X, axis=(1, 2))
     assume(np.all(np.abs(norms - 0.5) > 1e-9))  # clear of the bound's round-off
     Mx = (4.0 * c / h) * np.swapaxes(X, 1, 2)
-    if bad is None:
-        factor = dual_action._gram_factor(spec, Mx)
-        assert factor.nullity == 0 and factor.Einv is None  # open: no inverses formed
-        rho = factor.rho
-        assert abs(rho - np.max(norms)) <= 1e-12 * max(1.0, np.max(norms))
-    else:
+    if bad is not None:
         Mx[rng.integers(M), rng.integers(n), rng.integers(n)] = bad
-        rho = float(np.max(0.25 * h * np.linalg.norm(Mx, axis=(1, 2)))) / c  # as the factor's
-        assert not np.isfinite(rho)
+    # the linear chain's weights: K|_lam = I
+    point = dual_action._GramPoint(spec, Mx, None, np.broadcast_to(np.eye(n), (M, n, n)))
+    if bad is None:
+        assert point.nullity == 0 and "Einv" not in vars(point)  # open: no inverses formed
+        assert abs(point.rho - np.max(norms)) <= 1e-12 * max(1.0, np.max(norms))
+    else:
+        assert not np.isfinite(point.rho)
     within = bad is None and np.all(norms <= 0.5)
     calls = []
     inv = np.linalg.inv
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
         try:
-            Einv = dual_action._schur_inverses(spec, Mx, rho)
+            Einv = point.Einv
         except np.linalg.LinAlgError:  # LU may meet an exact zero pivot past an inf
             assert bad is not None
     assert calls == ([] if within else [(M, n, n)])
@@ -1502,23 +1525,25 @@ def test_schur_inverses_by_newton_schulz_match_lu_under_their_bound(seed, n, M, 
        st.floats(0.1, 10.0), st.floats(0.0, 2.0), st.booleans(),
        st.sampled_from([0.0, 0.05, 0.3, 1.0]))
 @example(seed=0, n=4, M=64, m=1.0, d=0.4, with_B=True, scale=0.05)
-def test_a_shared_cyclic_gram_factor_gives_the_fresh_direction_byte_for_byte(
+def test_a_cyclic_record_read_for_its_nullity_first_gives_the_fresh_direction(
         seed, n, M, m, d, with_B, scale):
-    # the factor a cyclic solve's first iterate builds for its singularity
-    # test gives its direction the bytes of a factor built afresh, refused
-    # or not, and its nullity is the test's
+    # a cyclic solve's first iterate reads its record's nullity, for the
+    # singularity test, before the direction reads the record: that gives
+    # the bytes of the direction from a fresh record, refused or not, and
+    # the nullity read first is the one the fresh record reads after
     spec, D = _hessian_case(seed, n, M, with_B, True, scale)
     spec = dataclasses.replace(spec, params=dataclasses.replace(spec.params, m=m, d=d))
     try:
         g = gradient(D, spec)
     except SingularStiffnessError:
         assume(False)
-    parts = dual_action._gram_parts(spec, D)
-    assume(parts is not None)
-    factor = dual_action._gram_factor(spec, parts[0])
-    assert factor.nullity == dual_action._gram_nullity(spec, parts[0])
-    shared = dual_action._gram_direction(spec, parts, g, factor)
-    fresh = dual_action._gram_direction(spec, parts, g)
+    point = dual_action._gram_point(spec, D)
+    assume(point is not None)
+    nullity = point.nullity
+    shared = dual_action._gram_direction(spec, point, g)
+    fresh_point = dual_action._gram_point(spec, D)
+    fresh = dual_action._gram_direction(spec, fresh_point, g)
+    assert fresh_point.nullity == nullity
     assert (shared is None) == (fresh is None)
     if fresh is not None:
         assert shared.tobytes() == fresh.tobytes()

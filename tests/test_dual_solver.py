@@ -222,7 +222,7 @@ def test_non_convergence_is_reported_not_raised():
 
 
 def test_a_hessian_that_is_not_finite_ends_the_solve_unconverged(band_counts):
-    # finiteness is decided on the Gram parts, before anything is assembled
+    # finiteness is decided on the Gram record, before anything is assembled
     # or solved: at c_x = 1e-310, P = K^-1 / c_x overflows at the zero field
     # while the gradient there stays finite, so the loop stops with no
     # Hessian, factorization or Gram direction, and the final point has no

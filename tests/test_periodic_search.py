@@ -403,8 +403,7 @@ def test_cyclic_hessian_matches_coo_reference(n, M, singular, seed):
     # solver's verdict is the nullity of the Gram factor A at the point
     cond = np.linalg.cond(ref, 1)
     assume(not dual_action.COND_LIMIT / 100 < cond < dual_action.COND_LIMIT * 100)
-    Mx = dual_action._gram_parts(spec, D)[0]
-    decision = "singular" if dual_action._gram_nullity(spec, Mx) else "regular"
+    decision = "singular" if dual_action._gram_point(spec, D).nullity else "regular"
     assert decision == _splu_outcome(ref_sparse)
     assert decision == ("singular" if singular else "regular")
     if decision == "regular":
@@ -482,16 +481,21 @@ def test_a_refused_cyclic_gram_direction_takes_the_trust_region(band_counts):
 @pytest.mark.parametrize("step_control", ["damped-newton", "trust-region"])
 def test_singularity_check_runs_on_the_first_periodic_iterate_only(monkeypatch,
                                                                    step_control):
-    # the check builds the Gram factor whose nullity it counts once per
+    # the check reads the nullity of its point's Gram record once per
     # periodic solve, at its first iterate, whether the solve converges or
     # stalls (the zero-base periodic_forced_n4 run stops unconverged under
-    # both step controls), and never in an initial-value solve; later
-    # directions and the final point's inertia build theirs inside
-    # dual_action, past this name
+    # both step controls), and never in an initial-value solve; directions
+    # and the final point's inertia read theirs inside dual_action, so only
+    # the reads made in _maximize are the check's
     calls = []
-    factor = dual_solver._gram_factor
-    monkeypatch.setattr(dual_solver, "_gram_factor",
-                        lambda spec, Mx: calls.append(Mx) or factor(spec, Mx))
+    nullity = dual_action._GramPoint.nullity
+
+    def spied(point):
+        if sys._getframe(1).f_code.co_name == "_maximize":
+            calls.append(point)
+        return nullity.__get__(point)
+
+    monkeypatch.setattr(dual_action._GramPoint, "nullity", property(spied))
     opts = SolveOptions(step_control=step_control)
     stalling = load_config(PRESETS["periodic_forced_n4"],
                            sets=("base.kind=zero", "grid.M=100")).problem()
@@ -507,13 +511,19 @@ def test_singularity_check_runs_on_the_first_periodic_iterate_only(monkeypatch,
     assert calls == []
 
 
-def test_each_periodic_point_forms_one_transfer_product_and_no_lu_schur_inverse(monkeypatch):
-    # a damped Newton solve that converges forms one transfer product per
-    # iterate, the first iterate's singularity test and direction sharing
-    # theirs, and one at the final point for its inertia; on a chain of the
-    # periodic workloads' size (n = 4, M = 1000) Newton-Schulz inverts every
-    # Schur complement, so np.linalg.inv runs only for weighted stiffnesses
-    products, inverters = [], []
+@pytest.mark.parametrize("step_control", ["damped-newton", "trust-region"])
+def test_each_periodic_point_forms_one_transfer_product_and_no_lu_schur_inverse(monkeypatch,
+                                                                               step_control):
+    # a periodic solve that converges forms one transfer product per damped
+    # Newton iterate, the first iterate's singularity test and direction
+    # sharing its record's, and one at the final point for its inertia;
+    # under the trust region only the first iterate's test and the final
+    # point form one.  On a chain of the periodic workloads' size (n = 4,
+    # M = 1000) Newton-Schulz inverts every Schur complement, so
+    # np.linalg.inv runs only for weighted stiffnesses.  An open solve forms
+    # E^-1 once per Gram direction taken and none at the final point, whose
+    # nullity needs none
+    products, inverters, schur, directions = [], [], [], []
     product, inv = dual_action._transfer_product, np.linalg.inv
     monkeypatch.setattr(dual_action, "_transfer_product",
                         lambda R: products.append(len(R)) or product(R))
@@ -523,25 +533,42 @@ def test_each_periodic_point_forms_one_transfer_product_and_no_lu_schur_inverse(
         return inv(a)
 
     monkeypatch.setattr(np.linalg, "inv", counted_inv)
+    opts = SolveOptions(step_control=step_control)
     forcing = ForcingSpec(n=4, sinusoids=[(0, Sinusoid(0.1, 1.0, 0.0))])
     params = ChainParams(m=1.0, d=0.4, force=fput_alpha(4, 0.25), forcing=forcing)
     grid = TimeGrid(T=2 * np.pi, M=1000)
     spec = PeriodicSpec(params=params, scales=UNIT, base=zero_base(grid, 4), grid=grid)
-    sol = solve_periodic(spec)
+    sol = solve_periodic(spec, opts)
     assert sol.converged and sol.iterations > 1
-    assert products == [1000] * (sol.iterations + 1)
+    damped = step_control == "damped-newton"
+    assert products == [1000] * (sol.iterations + 1 if damped else 2)
     assert inverters and set(inverters) == {"_stiffness_inv"}
+
+    inverses, direction = dual_action._schur_inverses, dual_solver._gram_direction
+    monkeypatch.setattr(dual_action, "_schur_inverses",
+                        lambda *args: schur.append(1) or inverses(*args))
+
+    def counted_direction(*args):
+        d = direction(*args)
+        directions.append(d is not None)
+        return d
+
+    monkeypatch.setattr(dual_solver, "_gram_direction", counted_direction)
+    open_spec = load_config(PRESETS["perturbed_base_n4"], sets=("grid.M=100",)).problem()
+    sol = solve_dual(open_spec, opts)
+    assert sol.converged and sol.iterations > 1
+    assert len(schur) == sum(directions) == (sol.iterations if damped else 0)
 
 
 @pytest.mark.parametrize("step_control", ["damped-newton", "trust-region"])
 def test_every_iterate_tests_its_gram_parts(monkeypatch, step_control):
     # open or cyclic, under either step control, each iterate the loop steps
-    # from tests its Gram parts once; the final point's inertia reads them
-    # inside dual_action, past this name
+    # from makes and tests its Gram record once; the final point's inertia
+    # makes its own inside dual_action, past this name
     calls = []
-    parts = dual_solver._gram_parts
-    monkeypatch.setattr(dual_solver, "_gram_parts",
-                        lambda spec, D: calls.append(D) or parts(spec, D))
+    point = dual_solver._gram_point
+    monkeypatch.setattr(dual_solver, "_gram_point",
+                        lambda spec, D: calls.append(D) or point(spec, D))
     open_spec = load_config(PRESETS["perturbed_base_n4"], sets=("grid.M=100",)).problem()
     for spec in (open_spec, _fput_forced_spec(M=64)):
         calls.clear()
@@ -663,7 +690,7 @@ def test_singularity_probe_and_inertia_agree_on_the_resonant_hessian():
     # -2.6e-12 and -2.1e-12, as zero within ||H||_1 / COND_LIMIT = 3.2e-10
     spec = _resonant_spec(500)
     D = DualField.zeros(spec.grid, 1)
-    assert dual_action._gram_nullity(spec, dual_action._mapped_jacobian(spec, D)) == 2
+    assert dual_action._gram_point(spec, D).nullity == 2
     assert hessian(D, spec).inertia() == (998, 2, 0)
     with pytest.raises(SingularSystemError, match=r"within M \* 1e-06 = 5.000e-04 of 1"):
         solve_dual(spec)
