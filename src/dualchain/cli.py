@@ -71,7 +71,6 @@ from .dual_solver import (
     STEP_CONTROLS,
     SingularSystemError,
     SolveOptions,
-    _blas_threads_user_set,
     recover_primal,
     solve_dual,
     verify,
@@ -806,15 +805,15 @@ def _run_spawned(tasks, workers: int) -> list:
     """`run_one` over ``tasks`` in spawned worker processes.
 
     A spawned worker loads numpy afresh, so its BLAS reads its thread count
-    from the environment it inherits: one thread, unless the user set
-    OPENBLAS_NUM_THREADS (the rule `solve_dual` follows in process), keeps
-    the workers from oversubscribing the cores.  This process's environment
-    is restored afterwards.
+    from the environment it inherits.  N workers on N cores keep every core
+    busy already, and a BLAS pool in each would oversubscribe them, so each
+    starts with one thread unless the user set OPENBLAS_NUM_THREADS.  This
+    process's environment is restored afterwards.
     """
     import multiprocessing  # here, so that a run without --jobs loads no process pool
     from concurrent.futures import ProcessPoolExecutor
 
-    user_set = _blas_threads_user_set()
+    user_set = "OPENBLAS_NUM_THREADS" in os.environ
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         with ProcessPoolExecutor(max_workers=workers,

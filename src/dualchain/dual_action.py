@@ -612,11 +612,6 @@ class _BandWriter:
 _LAPACK_SYMBOLS = (("scipy_{}_64_", ctypes.c_int64), ("{}_64_", ctypes.c_int64),
                    ("{}_", ctypes.c_int))
 
-# the thread setters of upstream OpenBLAS, of its ILP64 build (numpy 1.24-era
-# wheels) and of the scipy-openblas wheels, each with the getter of its name
-_OPENBLAS_SETTERS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
-                     "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_")
-
 
 class _BandLapack(NamedTuple):
     """LAPACK's band routines: ``dpbtrf(ab)`` factors the lower band ``ab``
@@ -626,15 +621,12 @@ class _BandLapack(NamedTuple):
     T^-T x when ``trans``, for the unit upper triangular band ``ab``
     (ab[kd + i - j, j] = T[i, j] above the diagonal, kd = its row count
     less 1; the diagonal row is not read); each returns (its result,
-    LAPACK's info).  ``symbol`` names the dpbtrf it calls; ``threads`` is
-    the (getter, setter) of the OpenBLAS thread count of the library that
-    runs them, None where it has no setter."""
+    LAPACK's info).  ``symbol`` names the dpbtrf it calls."""
 
     symbol: str
     dpbtrf: Callable
     dpbtrs: Callable
     dtbtrs: Callable
-    threads: tuple | None
 
 
 def _loaded_library(path: str):
@@ -646,20 +638,6 @@ def _loaded_library(path: str):
         return None
 
 
-def _openblas_threads(lib) -> tuple | None:
-    """(getter, setter) of the OpenBLAS thread count that the handle ``lib``
-    resolves, or None where it exports no `_OPENBLAS_SETTERS` name with its
-    getter."""
-    for name in _OPENBLAS_SETTERS if lib is not None else ():
-        setter = getattr(lib, name, None)
-        getter = getattr(lib, name.replace("_set_", "_get_"), None)
-        if setter is not None and getter is not None:
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            getter.argtypes, getter.restype = [], ctypes.c_int
-            return getter, setter
-    return None
-
-
 _BAND_ROUTINES = ("dpbtrf", "dpbtrs", "dtbtrs")
 
 
@@ -668,16 +646,14 @@ def _band_lapack(symbols=_LAPACK_SYMBOLS) -> _BandLapack:
 
     dlsym on the handle of numpy's loaded `_umath_linalg` also searches the
     libraries it depends on, so the first pattern of ``symbols`` that names
-    every routine there is bound, with the thread pair that handle
-    resolves.  Where none does (macOS Accelerate builds; Windows, whose
-    GetProcAddress does not search a DLL's dependencies), scipy.linalg.lapack's
-    wrappers serve, with the pair of its `_flapack`'s handle."""
+    every routine there is bound.  Where none does (macOS Accelerate builds;
+    Windows, whose GetProcAddress does not search a DLL's dependencies),
+    scipy.linalg.lapack's wrappers serve."""
     lib = _loaded_library(np.linalg._umath_linalg.__file__)
     for pattern, int_t in symbols if lib is not None else ():
         routines = [getattr(lib, pattern.format(r), None) for r in _BAND_ROUTINES]
         if all(r is not None for r in routines):
-            return _BandLapack(pattern.format("dpbtrf"), *_fortran_band_routines(*routines, int_t),
-                               _openblas_threads(lib))
+            return _BandLapack(pattern.format("dpbtrf"), *_fortran_band_routines(*routines, int_t))
     from scipy.linalg import lapack
 
     def dpbtrf(ab):
@@ -691,8 +667,7 @@ def _band_lapack(symbols=_LAPACK_SYMBOLS) -> _BandLapack:
                                 diag="U", overwrite_b=1)
         return y[:, 0], info
 
-    return _BandLapack("scipy.linalg.lapack", dpbtrf, dpbtrs, dtbtrs,
-                       _openblas_threads(_loaded_library(lapack._flapack.__file__)))
+    return _BandLapack("scipy.linalg.lapack", dpbtrf, dpbtrs, dtbtrs)
 
 
 def _fortran_band_routines(trf, trs, tbtrs, int_t) -> tuple[Callable, Callable, Callable]:

@@ -31,22 +31,10 @@ folded) succeeds; a Hessian that is not finite, as its assembly records,
 ends the iteration.
 The period is the grid span, an integer number of forcing periods; orbits
 of unknown period are out of scope.
-
-Every `solve_dual` holds the OpenBLAS that runs the band routines at one
-thread, through the thread setter bound with them
-(`dual_action._LAPACK.threads`), and gives it its previous count back when
-it returns or raises: on two cores idle pool workers otherwise contend with
-the thread doing the work (on a 2-core Xeon the banded Cholesky took more
-than twice as long with the default two threads), and the results are the
-same with one thread and with two.  A user who set OPENBLAS_NUM_THREADS
-keeps it, the rule `--jobs` workers follow too; a library with no OpenBLAS
-thread setter, and any other OpenBLAS in the process, keep their counts.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +45,6 @@ from .dual_action import (
     BlockTridiagonal,
     DualField,
     ProblemSpec,
-    _LAPACK,
     _gram_direction,
     _gram_inertia,
     _gram_point,
@@ -259,52 +246,11 @@ def _trust_region_step(spec: ProblemSpec, H: BlockTridiagonal, g, u, gnorm):
     return None
 
 
-def _blas_threads_user_set() -> bool:
-    """Whether the user chose the OpenBLAS thread count, which neither a solve
-    nor a spawned `--jobs` worker then changes."""
-    return "OPENBLAS_NUM_THREADS" in os.environ
-
-
-class _OneBlasThread:
-    """Holds the OpenBLAS pool of ``threads``, a (getter, setter) pair, at one
-    thread while any caller is inside, and sets it back to its previous count
-    when the last caller leaves, so nested and concurrent entries set and
-    restore once.  Does nothing when the user set OPENBLAS_NUM_THREADS or
-    ``threads`` is None."""
-
-    def __init__(self, threads):
-        self._threads = threads
-        self._lock = threading.Lock()
-        self._inside = 0
-        self._saved = None
-
-    def __enter__(self):
-        with self._lock:
-            if self._inside == 0 and self._threads is not None and not _blas_threads_user_set():
-                getter, setter = self._threads
-                self._saved = getter()
-                setter(1)
-            self._inside += 1
-
-    def __exit__(self, *exc_info):
-        with self._lock:
-            self._inside -= 1
-            if self._inside == 0 and self._saved is not None:
-                _, setter = self._threads
-                setter(self._saved)
-                self._saved = None
-
-
-_ONE_BLAS_THREAD = _OneBlasThread(_LAPACK.threads)
-
-
 def solve_dual(spec: ProblemSpec, opts: SolveOptions | None = None) -> DualSolution:
     """Maximize the discrete dual action by Newton iteration from the zero
-    field (or ``opts.initial_guess``), with the OpenBLAS that runs the band
-    routines at one thread (see the module docstring)."""
-    with _ONE_BLAS_THREAD:
-        D, converged, history, finite = _maximize(spec, opts or SolveOptions())
-        inertia = _gram_inertia(spec, D) if finite else None
+    field (or ``opts.initial_guess``)."""
+    D, converged, history, finite = _maximize(spec, opts or SolveOptions())
+    inertia = _gram_inertia(spec, D) if finite else None
     return DualSolution(
         D=D,
         converged=converged,

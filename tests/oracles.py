@@ -541,8 +541,8 @@ def make_grid(T, M) -> TimeGrid:
 
 
 # ---------------------------------------------------------------------------
-# the OpenBLAS libraries this process maps, read from /proc/self/maps apart
-# from the package, which never reads /proc
+# the libraries this process maps (read from /proc/self/maps, which the
+# package never reads) and the OpenBLAS thread-count pairs a library resolves
 
 
 def mapped_paths() -> set:
@@ -554,39 +554,17 @@ def mapped_paths() -> set:
         return set()
 
 
-def address(fn) -> int | None:
-    """Where a ctypes function points, None for None."""
-    return None if fn is None else ctypes.cast(fn, ctypes.c_void_p).value
-
-
-def _handle(path):
-    return ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
-
-
-def openblas_exporting(path: str, *symbols: str) -> str | None:
-    """The mapped OpenBLAS that defines the first of ``symbols`` which the
-    loaded library at ``path`` resolves, where that library resolves it;
-    None without /proc, or where the routine comes from another library."""
-    lib = _handle(path)
-    symbol = next((name for name in symbols if hasattr(lib, name)), None)
-    if symbol is None:
-        return None
-    want = address(getattr(lib, symbol))
-    owners = [other for other in sorted(mapped_paths())
-              if "openblas" in os.path.basename(other).lower()
-              and address(getattr(_handle(other), symbol, None)) == want]
-    assert len(owners) <= 1, owners
-    return owners[0] if owners else None
-
-
-def openblas_thread_pairs(path: str) -> set:
-    """The (getter, setter) addresses of every OpenBLAS thread-count pair the
-    loaded library at ``path`` exports, under any of its known names."""
-    lib, pairs = _handle(path), set()
+def openblas_thread_pairs(path: str) -> list:
+    """The (getter, setter) of every OpenBLAS thread-count pair that the
+    loaded library at ``path`` resolves, under any of its known names, bound
+    through ctypes."""
+    lib, pairs = ctypes.CDLL(path, mode=os.RTLD_NOLOAD), []
     for prefix in ("openblas", "scipy_openblas"):
         for suffix in ("", "64_"):
             getter, setter = (getattr(lib, f"{prefix}_{verb}_num_threads{suffix}", None)
                               for verb in ("get", "set"))
             if getter is not None and setter is not None:
-                pairs.add((address(getter), address(setter)))
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                pairs.append((getter, setter))
     return pairs

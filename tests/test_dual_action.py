@@ -53,7 +53,6 @@ from dualchain.dual_action import (
     _transfer_matrices,
 )
 from oracles import (
-    address,
     assemble_nodes,
     banded_by_positions,
     block_matvec,
@@ -64,8 +63,6 @@ from oracles import (
     hessian_elements_kron,
     hessian_elements_quadrants,
     node_blocks,
-    openblas_exporting,
-    openblas_thread_pairs,
     predual_action,
     shifted,
     stiffness_eig,
@@ -701,18 +698,12 @@ def test_triangular_band_solve_matches_the_dense_solve(size, kd):
 
 def test_band_lapack_falls_back_to_scipy_where_no_symbol_resolves(monkeypatch):
     # a resolver that finds none of its names binds scipy.linalg.lapack's
-    # wrappers, which give the bytes the default binding gives, with the
-    # thread pair of the OpenBLAS that scipy's _flapack links
+    # wrappers, which give the bytes the default binding gives
     rng = np.random.default_rng(29)
     bound = dual_action._LAPACK
-    scipy_openblas = openblas_exporting(scipy.linalg.lapack._flapack.__file__, "scipy_dpbtrf_",
-                                        "dpbtrf_", "scipy_dpbtrf_64_", "dpbtrf_64_")
     for symbols in ((), (("no_such_{}_", ctypes.c_int),)):
         fallback = dual_action._band_lapack(symbols)
         assert fallback.symbol == "scipy.linalg.lapack"
-        if scipy_openblas is not None:
-            assert fallback.threads is not None
-            assert tuple(map(address, fallback.threads)) in openblas_thread_pairs(scipy_openblas)
         for cyclic in (False, True):
             H = _random_block_tridiagonal(rng, M=9, b=5, definite="negative", cyclic=cyclic)
             rhs = rng.normal(size=H.size)

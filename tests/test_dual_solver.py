@@ -1,7 +1,5 @@
 """Newton solve of the dual system, primal recovery, verification reports."""
-import _ctypes
 import importlib.util
-import threading
 
 import numpy as np
 import pytest
@@ -28,10 +26,8 @@ from dualchain import (
     zero_base,
 )
 from oracles import (
-    address,
     harmonic_solution,
     mapped_paths,
-    openblas_exporting,
     openblas_thread_pairs,
 )
 
@@ -462,15 +458,15 @@ def test_each_point_inverts_its_stiffness_once(monkeypatch, step_control):
 
 
 @pytest.fixture
-def blas_pool(monkeypatch):
-    """The getter of the OpenBLAS pool that factors the band
-    (`dual_action._LAPACK.threads`), set to two threads so that a restore
-    shows on a one-core machine too; its count is put back after the test.
-    Skips where that library has no OpenBLAS thread setter."""
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    if dual_action._LAPACK.threads is None:
-        pytest.skip("the band's LAPACK has no OpenBLAS thread setter")
-    getter, setter = dual_action._LAPACK.threads
+def blas_pool():
+    """The getter of the OpenBLAS pool that numpy's LAPACK runs on, set to
+    two threads so that a change shows on a one-core machine too; its count
+    is put back after the test.  Skips where numpy's `_umath_linalg` resolves
+    no OpenBLAS thread setter."""
+    pairs = openblas_thread_pairs(np.linalg._umath_linalg.__file__)
+    if not pairs:
+        pytest.skip("numpy's LAPACK has no OpenBLAS thread setter")
+    getter, setter = pairs[0]
     before = getter()
     setter(2)
     yield getter
@@ -487,90 +483,19 @@ def _resonant_periodic_spec():
                        base=zero_base(grid, 1), grid=grid)
 
 
-def _spy_maximize(monkeypatch, count):
+def test_a_solve_leaves_the_openblas_thread_count_as_it_found_it(monkeypatch, blas_pool):
     inside = []
     maximize = dual_solver._maximize
 
     def spy(spec, opts):
-        inside.append(count())
+        inside.append(blas_pool())
         return maximize(spec, opts)
 
     monkeypatch.setattr(dual_solver, "_maximize", spy)
-    return inside
-
-
-def test_solve_runs_with_one_blas_thread_and_restores_the_counts(monkeypatch, blas_pool):
-    inside = _spy_maximize(monkeypatch, blas_pool)
-    sol = solve_dual(_fput_spec(n=3, M=40))
-    assert sol.converged
-    assert inside == [1]
-    assert blas_pool() == 2
+    assert solve_dual(_fput_spec(n=3, M=40)).converged
     with pytest.raises(dual_solver.SingularSystemError):
         solve_dual(_resonant_periodic_spec())
-    assert inside[1:] == [1]
-    assert blas_pool() == 2
-
-
-def test_user_set_blas_threads_are_left_alone(monkeypatch, blas_pool):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    inside = _spy_maximize(monkeypatch, blas_pool)
-    solve_dual(_fput_spec(n=3, M=40))
-    assert inside == [2]
-    assert blas_pool() == 2
-
-
-class _FakePool:
-    def __init__(self, count):
-        self.count, self.calls = count, []
-
-    def get(self):
-        return self.count
-
-    def set(self, count):
-        self.calls.append(count)
-        self.count = count
-
-
-def test_nested_and_concurrent_holders_set_and_restore_once(monkeypatch):
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    fake = _FakePool(2)
-    limit = dual_solver._OneBlasThread((fake.get, fake.set))
-    with limit:
-        with limit:
-            assert fake.count == 1
-        assert fake.count == 1  # the outer holder is still inside
-    assert fake.calls == [1, 2]
-    # a holder that raises restores too, and the next entry reads the count afresh
-    fake.count = 3
-    with pytest.raises(ZeroDivisionError), limit:
-        1 / 0
-    assert fake.calls == [1, 2, 1, 3]
-    # threads that overlap inside the limit share one set and one restore
-    barrier = threading.Barrier(4, timeout=10)
-
-    def hold():
-        with limit:
-            barrier.wait()  # all four are inside at once
-            barrier.wait()
-
-    threads = [threading.Thread(target=hold) for _ in range(3)]
-    for t in threads:
-        t.start()
-    with limit:
-        barrier.wait()
-        barrier.wait()
-    for t in threads:
-        t.join(timeout=10)
-        assert not t.is_alive()
-    assert fake.calls[4:] == [1, 3]
-
-
-def test_a_library_with_no_thread_setter_leaves_the_count_alone(blas_pool):
-    # a loaded library that neither exports nor links an OpenBLAS setter
-    lib = dual_action._loaded_library(_ctypes.__file__)
-    assert lib is not None and dual_action._openblas_threads(lib) is None
-    with dual_solver._OneBlasThread(None):
-        assert blas_pool() == 2
+    assert inside == [2, 2]
     assert blas_pool() == 2
 
 
@@ -581,27 +506,4 @@ def test_the_library_lookup_loads_no_library():
     if not unloaded:
         pytest.skip("no unloaded extension library to offer")
     assert dual_action._loaded_library(unloaded[0]) is None
-    assert dual_action._openblas_threads(None) is None
     assert unloaded[0] not in mapped_paths()
-
-
-def test_one_blas_thread_gives_the_same_bits(monkeypatch, blas_pool):
-    spec = _fput_spec(n=4, M=60, amplitude=0.3)
-    with_limit = solve_dual(spec)
-    monkeypatch.setattr(dual_solver, "_ONE_BLAS_THREAD", dual_solver._OneBlasThread(None))
-    without = solve_dual(spec)
-    assert with_limit.iterations == without.iterations >= 2
-    for got, want in ((with_limit.D.gamma, without.D.gamma), (with_limit.D.lam, without.D.lam)):
-        assert got.tobytes() == want.tobytes()
-
-
-def test_the_openblas_that_factors_the_band_has_its_thread_pair_bound():
-    # a wheel that renames the setter fails here instead of silently
-    # running every solve with the default thread count
-    if dual_action._LAPACK.symbol == "scipy.linalg.lapack":
-        pytest.skip("numpy's LAPACK is not bound; the fallback test checks scipy's pair")
-    owner = openblas_exporting(np.linalg._umath_linalg.__file__, dual_action._LAPACK.symbol)
-    if owner is None:
-        pytest.skip("no /proc, or the band's LAPACK is not a mapped OpenBLAS")
-    assert dual_action._LAPACK.threads is not None
-    assert tuple(map(address, dual_action._LAPACK.threads)) in openblas_thread_pairs(owner)
