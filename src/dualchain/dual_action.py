@@ -30,15 +30,17 @@ is formed), and records there whether every entry is finite; that band is
 the only way a `BlockTridiagonal` is made, and each factorization negates
 one copy of it.  The spec samples f, K and dK/dx at the element midpoints
 once; the mapped midpoint state of a DualField (the primal state, the
-intermediate covectors and the stiffness inverse) is computed once and kept
-on the immutable field, keyed by the spec, so the action, gradient and
-Hessian at that field share it.
+intermediate covectors, and Mx and the stiffness inverse once read) is
+computed once and kept on the immutable field, keyed by the spec, so the
+action, gradient, Gram record and Hessian at that field share it.
 
-No eigendecomposition runs on the Newton path when every point is well
-conditioned.  The multiplier-weighted stiffness K is inverted directly, and
-kappa_2(K) <= ||K||_F ||K^-1||_F certifies each point; the eigenvalue test,
-the only place a SingularStiffnessError is raised, sees just the points this
-bound cannot certify; `ellipticity_check` reports 0.0 where it would fail.
+No eigendecomposition or factorization runs on the Newton path when every
+multiplier-weighted stiffness K is within _CERT_RHO of I (Frobenius norm):
+K is then positive definite and well conditioned, and solved, not
+inverted.  Elsewhere kappa_2(K) <= ||K||_F ||K^-1||_F certifies a point;
+the eigenvalue test, the only place a SingularStiffnessError is raised,
+sees just the points neither bound certifies; `ellipticity_check` reports
+0.0 where it would fail.
 The Hessian is a Gram product, H = -A^T W^-1 A, with A square and block
 bidiagonal and W = diag(c_x K|_lam, c_v I) per element, so a solve reads its
 final point's inertia off the element weights and A's nullity
@@ -111,11 +113,14 @@ __all__ = [
 #: the matrix is treated as numerically singular.
 COND_LIMIT = 1e12
 
-#: Largest Frobenius bound ||K||_F ||K^-1||_F accepted without the eigenvalue
-#: test.  The margin below COND_LIMIT absorbs the round-off of the computed
-#: inverse and of the eigenvalues, so the test would pass every point
-#: accepted here.
+#: Largest condition number kappa_2 of a weighted stiffness K accepted
+#: without the eigenvalue test, certified by K's distance from I, rho =
+#: ||K - I||_F <= _CERT_RHO (K's eigenvalues then lie in [1 - rho, 1 + rho]:
+#: K is positive definite and ||K^-1||_2 <= 1 / (1 - rho)), or else by the
+#: Frobenius bound ||K||_F ||K^-1||_F.  The margin below COND_LIMIT absorbs
+#: the round-off of rho, of the inverse and of the eigenvalues.
 _CERT_LIMIT = 1e-2 * COND_LIMIT
+_CERT_RHO = (_CERT_LIMIT - 1.0) / (_CERT_LIMIT + 1.0)
 
 #: Largest singular value ratio of the Gram factor A, or per-element rate
 #: of a multiplier, counted as zero: H = -A^T W^-1 A squares A's condition
@@ -353,81 +358,96 @@ def _check_stiffness(K, points=None):
     return mu, Q
 
 
-def _stiffness_inv(B, lam, c_x: float):
-    """(K, K^-1) for the weighted stiffness K = I + (1/c_x) B·lam at each
-    point of ``lam`` (leading batch axes allowed).
-
-    kappa_2(K) <= ||K||_F ||K^-1||_F certifies a point cheaply.  Only the
-    points whose bound exceeds _CERT_LIMIT, or the whole batch when the
-    inverse itself fails, go through `_check_stiffness`, so exactly the
-    points it rejects raise SingularStiffnessError.  Where lam·B is exactly
-    zero (a linear chain at finite lam, or the zero field) K is I: it is
-    None, and the inverse a read-only broadcast of I, with no stiffness,
-    inversion or bound formed.
-    """
+def _stiffness_solve(B, lam, c_x: float, r):
+    """(y, K, rho, Kinv): y = K^-1 r for the weighted stiffness K = I +
+    (1/c_x) B·lam at each point of ``lam`` (leading batch axes allowed),
+    rho = ||K - I||_F per point.  Where every rho <= _CERT_RHO, y =
+    np.linalg.solve(K, r), with nothing inverted or factored: Kinv is None.
+    Otherwise y = K^-1 r and kappa_2(K) <= ||K||_F ||K^-1||_F certifies a
+    point; only the points whose bound exceeds _CERT_LIMIT, or the whole
+    batch when the inverse itself fails, go through `_check_stiffness`, so
+    exactly the points it rejects raise SingularStiffnessError.  Where
+    lam·B is exactly zero (a linear chain at finite lam, or the zero
+    field) K is I: it is None, rho zero and Kinv a read-only broadcast of
+    I, with no stiffness, inversion or bound formed."""
+    n, batch = B.shape[0], np.shape(lam)[:-1]
     if not np.any(lam) or (not np.any(B) and np.all(np.isfinite(lam))):
-        n = B.shape[0]
-        return None, np.broadcast_to(np.eye(n), np.shape(lam)[:-1] + (n, n))
+        Kinv = np.broadcast_to(np.eye(n), batch + (n, n))
+        return (Kinv @ r[..., None])[..., 0], None, np.zeros(batch), Kinv
     K = stiffness_lambda(B, lam, c_x)
+    # rho^2 = ||K||_F^2 - 2 tr K + n; one that overflows certifies nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        KK = np.einsum("...ij,...ij->...", K, K)
+        rho = np.sqrt(np.maximum(KK - 2.0 * np.einsum("...ii->...", K) + n, 0.0))
+    if np.all(rho <= _CERT_RHO):
+        return np.linalg.solve(K, r[..., None])[..., 0], K, rho, None
     try:
         Kinv = np.linalg.inv(K)
     except np.linalg.LinAlgError:
         mu, Q = _check_stiffness(K)
-        return K, (Q / mu[..., None, :]) @ np.swapaxes(Q, -1, -2)
-    # a bound that overflows is not a certificate; the eigenvalue test decides
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound = np.sqrt(np.sum(K * K, axis=(-2, -1)) * np.sum(Kinv * Kinv, axis=(-2, -1)))
-    unsure = np.flatnonzero(~(bound <= _CERT_LIMIT))
-    if unsure.size:
-        n = K.shape[-1]
-        _check_stiffness(K.reshape(-1, n, n)[unsure], unsure)
-    return K, Kinv
+        Kinv = (Q / mu[..., None, :]) @ np.swapaxes(Q, -1, -2)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # nor does an overflowed bound
+            bound = np.sqrt(KK * np.einsum("...ij,...ij->...", Kinv, Kinv))
+        unsure = np.flatnonzero(~(bound <= _CERT_LIMIT))
+        if unsure.size:
+            _check_stiffness(K.reshape(-1, n, n)[unsure], unsure)
+    return (Kinv @ r[..., None])[..., 0], K, rho, Kinv
 
 
-def _dual_to_primal(lam, lamdot, gamma, gammadot, xbar, vbar, J, B, m, d, c_x, c_v):
-    """Dual-to-primal map at points (leading batch axes allowed), with J the
-    force Jacobian at xbar: (w, r, y, K, Kinv, x, v), where v = vbar + w /
-    c_v, x = xbar + y / c_x and y = K|_lam^{-1} r, r = gammadot - J^T lam,
-    and K is `_stiffness_inv`'s, None where K|_lam = I."""
-    w = gamma + m * lamdot - d * lam
-    r = gammadot - np.einsum("...j,...ji->...i", lam, J)
-    K, Kinv = _stiffness_inv(B, lam, c_x)
-    y = (Kinv @ r[..., None])[..., 0]
-    return w, r, y, K, Kinv, xbar + y / c_x, vbar + w / c_v
+class _MappedState:
+    """The dual-to-primal map at points (leading batch axes allowed), J the
+    force Jacobian at xbar: w, r = gammadot - J^T lam, (y, K, rho) =
+    `_stiffness_solve`'s, dx = y / c_x, x = xbar + dx and v = vbar + w / c_v.
+    Formed when first read, then kept: ``Kinv`` = K|_lam^-1 (formed already
+    where a rho exceeds _CERT_RHO) and ``Mx`` = dK/dx at x."""
+
+    def __init__(self, lam, lamdot, gamma, gammadot, xbar, vbar, J, B, m, d, c_x, c_v):
+        self.lam, self.gammadot, self.J, self.B = lam, gammadot, J, B
+        self.w = gamma + m * lamdot - d * lam
+        self.r = gammadot - np.einsum("...j,...ji->...i", lam, J)
+        self.y, self.K, self.rho, Kinv = _stiffness_solve(B, lam, c_x, self.r)
+        self.dx = self.y / c_x
+        self.x, self.v = xbar + self.dx, vbar + self.w / c_v
+        if Kinv is not None:
+            self.Kinv = Kinv
+
+    @cached_property
+    def Kinv(self) -> np.ndarray:
+        return np.linalg.inv(self.K)
+
+    @cached_property
+    def Mx(self) -> np.ndarray:
+        n = self.B.shape[0]
+        return self.J + (self.dx @ self.B.reshape(n * n, n).T).reshape(self.J.shape)
 
 
-def _core_state(spec: ProblemSpec, D: DualField):
-    """Element-midpoint fields of D and the primal state they map to:
-    (lmid, gdot, w, r, y, dx, x, v, Kinv, K), K None where K|_lam = I.
-
-    A DualField is immutable, so the state is computed once per point: it
-    is kept on D in a one-slot cache keyed by ``spec``, and the action,
-    gradient and Hessian at D share it.
-    """
+def _core_state(spec: ProblemSpec, D: DualField) -> _MappedState:
+    """D's element-midpoint fields (lam, gammadot) mapped to the primal state.
+    A DualField is immutable, so this is computed once per point: it is kept
+    on D in a one-slot cache keyed by ``spec``, and the action, gradient,
+    Gram record and Hessian at D share it."""
     cached = D.__dict__.get("_state")
     if cached is not None and cached[0] is spec:
         return cached[1]
     p, s, base = spec.params, spec.scales, spec.base
     gmid, lmid, gdot, ldot = _element_fields(D.gamma[:-1], D.lam[:-1], D.gamma[1:], D.lam[1:],
                                              spec.grid.h)
-    w, r, y, K, Kinv, x, v = _dual_to_primal(lmid, ldot, gmid, gdot, base.xbar_mid,
-                                             base.vbar_mid, spec._midpoints[2], p.force.B,
-                                             p.m, p.d, s.c_x, s.c_v)
-    state = (lmid, gdot, w, r, y, y / s.c_x, x, v, Kinv, K)
+    state = _MappedState(lmid, ldot, gmid, gdot, base.xbar_mid, base.vbar_mid,
+                         spec._midpoints[2], p.force.B, p.m, p.d, s.c_x, s.c_v)
     object.__setattr__(D, "_state", (spec, state))
     return state
 
 
 def _action_elements(spec: ProblemSpec, D: DualField) -> float:
     """Midpoint-quadrature integral part of the dual action (no boundary terms)."""
-    lmid, gdot, w, r, y = _core_state(spec, D)[:5]
-    f_mid, Kbar_mid, _ = spec._midpoints
+    st, (f_mid, Kbar_mid, _) = _core_state(spec, D), spec._midpoints
     s, base = spec.scales, spec.base
-    quad = np.sum(w * w, axis=1) / s.c_v + np.sum(r * y, axis=1) / s.c_x
+    quad = np.sum(st.w * st.w, axis=1) / s.c_v + np.sum(st.r * st.y, axis=1) / s.c_x
     rest = (
-        -np.sum(base.vbar_mid * w, axis=1)
-        - np.sum(base.xbar_mid * gdot, axis=1)
-        + np.sum(lmid * (Kbar_mid - f_mid), axis=1)
+        -np.sum(base.vbar_mid * st.w, axis=1)
+        - np.sum(base.xbar_mid * st.gammadot, axis=1)
+        + np.sum(st.lam * (Kbar_mid - f_mid), axis=1)
     )
     return float(spec.grid.h * np.sum(-0.5 * quad + rest))
 
@@ -441,8 +461,8 @@ def _gradient_elements(spec: ProblemSpec, D: DualField):
     d/d(lambda_rate) = -h m v; the chain rule to the element's end nodes
     gives the four parts below.
     """
-    dx, x, v = _core_state(spec, D)[5:8]
-    f_mid, Kbar_mid, Abar_mid = spec._midpoints
+    st, (f_mid, Kbar_mid, Abar_mid) = _core_state(spec, D), spec._midpoints
+    dx, x, v = st.dx, st.x, st.v
     p, n, h = spec.params, spec.n, spec.grid.h
     dxdx = (dx[:, :, None] * dx[:, None, :]).reshape(spec.grid.M, n * n)
     Kx = (Kbar_mid + np.einsum("mjr,mr->mj", Abar_mid, dx)
@@ -453,13 +473,6 @@ def _gradient_elements(spec: ProblemSpec, D: DualField):
     g_la = 0.5 * h * mom + p.m * v
     g_lb = 0.5 * h * mom - p.m * v
     return g_ga, g_la, g_gb, g_lb
-
-
-def _mapped_jacobian(spec: ProblemSpec, D: DualField) -> np.ndarray:
-    """Mx = dK/dx at the mapped midpoint state, (M, n, n)."""
-    n, M = spec.n, spec.grid.M
-    dx = _core_state(spec, D)[5]
-    return spec._midpoints[2] + (dx @ spec.params.force.B.reshape(n * n, n).T).reshape(M, n, n)
 
 
 def _hessian_parts(spec: ProblemSpec, D: DualField):
@@ -483,8 +496,8 @@ def _hessian_parts(spec: ProblemSpec, D: DualField):
     gamma_b, lambda_b, and each matrix part lands in the end-node blocks
     with the weights S gives it (see `hessian`).
     """
-    P = _core_state(spec, D)[8] / spec.scales.c_x
-    Mx = _mapped_jacobian(spec, D)
+    state = _core_state(spec, D)
+    P, Mx = state.Kinv / spec.scales.c_x, state.Mx
     MxP = Mx @ P
     L = MxP @ np.swapaxes(Mx, 1, 2)
     return _scalar_part(spec), P, 0.5 * MxP, L
@@ -886,14 +899,14 @@ def dtp_map(lam, lamdot, gamma, gammadot, xbar, vbar, spec) -> tuple[np.ndarray,
     a singular or ill-conditioned stiffness raises SingularStiffnessError.
     """
     p, s = spec.params, spec.scales
-    n = p.n
     arrs = [np.asarray(a, dtype=float) for a in (lam, lamdot, gamma, gammadot, xbar, vbar)]
     for a in arrs:
-        if a.shape != arrs[0].shape or a.shape[-1] != n:
+        if a.shape != arrs[0].shape or a.shape[-1] != p.n:
             raise ValueError("all dtp_map inputs must share one shape with trailing length n")
     lam, lamdot, gamma, gammadot, xbar, vbar = arrs
-    return _dual_to_primal(lam, lamdot, gamma, gammadot, xbar, vbar,
-                           force_jacobian(p.force, xbar), p.force.B, p.m, p.d, s.c_x, s.c_v)[5:]
+    state = _MappedState(lam, lamdot, gamma, gammadot, xbar, vbar,
+                         force_jacobian(p.force, xbar), p.force.B, p.m, p.d, s.c_x, s.c_v)
+    return state.x, state.v
 
 
 def action(D: DualField, spec: ProblemSpec) -> float:
@@ -1003,22 +1016,19 @@ def _transfer_matrices(spec: ProblemSpec, Mx: np.ndarray, Einv: np.ndarray, out=
 def _weight_counts(point: _GramPoint) -> tuple[int, int]:
     """(zero, positive) eigenvalue counts of the block diagonal -W^-1 at
     ``point``, one within max|1/w| / COND_LIMIT of zero counting as zero;
-    the weights w are c_x times the eigenvalues mu of K|_lam, and c_v.
-    K|_lam = I (K None) needs no eigenvalues.  Otherwise a K|_lam that
-    factors by Cholesky has no negative mu, and the bounds 1/||K||_F <=
-    1/mu <= ||K^-1||_F can certify that none is near zero; only what they
-    leave open gets `eigvalsh`."""
-    s, K, Kinv = point.spec.scales, point.K, point.Kinv
-    M, n = Kinv.shape[:2]
-    if K is None:
-        mu = np.ones((M, n))
-    else:
-        if point.definite:
-            lo = 1.0 / (s.c_x * np.max(np.linalg.norm(K, axis=(1, 2))))
-            hi = np.max(np.linalg.norm(Kinv, axis=(1, 2))) / s.c_x
-            if min(lo, 1.0 / s.c_v) > max(hi, 1.0 / s.c_v) / COND_LIMIT:
-                return 0, 0
-        mu = np.linalg.eigvalsh(K)
+    the weights w are c_x times the eigenvalues mu of K|_lam, and c_v.  A
+    K|_lam that factors by Cholesky has no negative mu, and the bounds
+    1/(1 + rho) <= 1/mu <= 1/(1 - rho), rho = max ||K - I||_F, or ||K^-1||_F
+    where rho exceeds _CERT_RHO, can certify that none is near zero; only
+    what they leave open gets `eigvalsh`, and K|_lam = I (K None) none."""
+    s, state = point.spec.scales, point.state
+    rho, (M, n) = float(np.max(state.rho)), point.Mx.shape[:2]
+    if point.definite:
+        hi = 1.0 / (1.0 - rho) if rho <= _CERT_RHO else np.max(
+            np.linalg.norm(state.Kinv, axis=(1, 2)))
+        if min(1.0 / (1.0 + rho), s.c_x / s.c_v) > max(hi, s.c_x / s.c_v) / COND_LIMIT:
+            return 0, 0
+    mu = np.ones((M, n)) if state.K is None else np.linalg.eigvalsh(state.K)
     inv = np.concatenate([(1.0 / (s.c_x * mu)).ravel(), np.full(M * n, 1.0 / s.c_v)])
     tiny = np.abs(inv) <= np.max(np.abs(inv)) / COND_LIMIT
     return int(np.sum(tiny)), int(np.sum((inv < 0.0) & ~tiny))
@@ -1059,27 +1069,28 @@ def _schur_inverses(spec: ProblemSpec, Mx: np.ndarray, rho: float) -> np.ndarray
 
 
 class _GramPoint:
-    """The Gram form H = -A^T W^-1 A at one point (`_gram_point`): ``Mx`` =
-    dK/dx at the mapped state gives the Gram factor A (`_transfer_matrices`),
-    ``K`` = K|_lam at the midpoints and ``Kinv`` (`_core_state`'s, K None
-    where it is I) give the weights W, and ``rho`` = max ||X_k||_F bounds
-    A's element blocks (`_schur_inverses`).  Formed when first read, then
-    kept: ``definite``, ``nullity``, ``Einv`` = E^-1, the transfer matrices
-    ``R`` and their ``product`` (P, s).  Nothing keeps a record between points."""
+    """The Gram form H = -A^T W^-1 A at one point (`_gram_point`), read off
+    its mapped ``state`` (`_core_state`): ``Mx`` = dK/dx at the mapped state
+    gives the Gram factor A (`_transfer_matrices`), K|_lam at the midpoints
+    the weights W, and ``rho`` = max ||X_k||_F bounds A's element blocks
+    (`_schur_inverses`).  Formed when first read, then kept: ``definite``,
+    ``nullity``, ``Einv`` = E^-1, the transfer matrices ``R`` and their
+    ``product`` (P, s).  Nothing keeps a record between points."""
 
-    def __init__(self, spec: ProblemSpec, Mx: np.ndarray, K, Kinv: np.ndarray):
-        self.spec, self.Mx, self.K, self.Kinv = spec, Mx, K, Kinv
+    def __init__(self, spec: ProblemSpec, state: _MappedState):
+        self.spec, self.state, self.Mx = spec, state, state.Mx
         h = spec.grid.h
         c = 0.5 * spec.params.d + spec.params.m / h
         # inf or nan where Mx is
-        self.rho = float(np.max(0.25 * h * np.linalg.norm(Mx, axis=(1, 2)))) / c
+        self.rho = float(np.max(0.25 * h * np.linalg.norm(self.Mx, axis=(1, 2)))) / c
 
     @cached_property
     def definite(self) -> bool:
-        """Whether every K|_lam factors by Cholesky."""
-        if self.K is not None:
+        """Whether every K|_lam factors by Cholesky; one within _CERT_RHO of I does."""
+        unsure = ~(self.state.rho <= _CERT_RHO)  # none where K|_lam = I
+        if np.any(unsure):
             try:
-                np.linalg.cholesky(self.K)
+                np.linalg.cholesky(self.state.K[unsure])
             except np.linalg.LinAlgError:
                 return False
         return True
@@ -1127,22 +1138,26 @@ class _GramPoint:
 
 def _gram_point(spec: ProblemSpec, D: DualField) -> _GramPoint | None:
     """D's `_GramPoint`, or None where the mapped state or a Hessian part
-    (`_hessian_parts`) is not finite.  Mx, P and C are tested; G and L are
-    formed only where the bounds |G| <= (n/2) max|Mx| max|P| and
-    |L| <= n^2 max|Mx|^2 max|P| leave overflow open."""
-    lmid, _, _, _, _, _, x, v, Kinv, K = _core_state(spec, D)
-    Mx, P = _mapped_jacobian(spec, D), Kinv / spec.scales.c_x
-    if not all(np.all(np.isfinite(a)) for a in (lmid, x, v, Mx, P, _scalar_part(spec))):
+    (`_hessian_parts`) is not finite.  Mx, max|P| and C are tested, with
+    max|P| <= 1 / (c_x (1 - rho)) where every rho <= _CERT_RHO (no K|_lam^-1
+    formed); G and L are formed only where the bounds |G| <= (n/2) max|Mx|
+    max|P| and |L| <= n^2 max|Mx|^2 max|P| leave overflow open."""
+    state = _core_state(spec, D)
+    Mx, rho = state.Mx, float(np.max(state.rho))
+    pmax = (1.0 / (1.0 - rho) if rho <= _CERT_RHO else
+            float(np.max(np.abs(state.Kinv)))) / spec.scales.c_x
+    if not (pmax < np.inf and all(np.all(np.isfinite(a)) for a in (
+            state.lam, state.x, state.v, Mx, _scalar_part(spec)))):
         return None
     # Mx P = 2 G is formed on the way to L; below half the largest float,
     # the bound leaves round-off no room to overflow (an inf or nan bound
     # certifies nothing)
     n, mx = spec.n, float(np.max(np.abs(Mx)))
-    bound = n * mx * float(np.max(np.abs(P))) * max(1.0, n * mx)
+    bound = n * mx * pmax * max(1.0, n * mx)
     if not bound <= 0.5 * np.finfo(float).max and not all(
             np.all(np.isfinite(a)) for a in _hessian_parts(spec, D)[2:]):
         return None
-    return _GramPoint(spec, Mx, K, Kinv)
+    return _GramPoint(spec, state)
 
 
 def _gram_inertia(spec: ProblemSpec, D: DualField) -> tuple[int, int, int] | None:
@@ -1196,7 +1211,7 @@ def _gram_direction(spec: ProblemSpec, point: _GramPoint, g: np.ndarray) -> np.n
     [(h/2) q - h a; q] with q = E^-T ((h/2) Mx a - b), then W / h (the two
     sqrt(h) factors together), then S^-1 [x; y] = [-h x - (h/2) Mx^T b; b]
     with b = -E^-1 (y + (h/2) x)."""
-    Mx, K = point.Mx, point.K
+    Mx, K = point.Mx, point.state.K
     n, M, h = spec.n, spec.grid.M, spec.grid.h
     c_x, c_v = spec.scales.c_x, spec.scales.c_v
     if not point.definite or point.nullity:

@@ -3,6 +3,7 @@ import ctypes
 import dataclasses
 import hashlib
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -47,9 +48,8 @@ from dualchain.dual_action import (
     _core_state,
     _element_fields,
     _gram_inertia,
-    _mapped_jacobian,
     _schur_complements,
-    _stiffness_inv,
+    _stiffness_solve,
     _transfer_matrices,
 )
 from oracles import (
@@ -212,18 +212,19 @@ def test_dtp_map_at_midpoints_gives_the_element_state(seed, fput, periodic, scal
 
     with pytest.MonkeyPatch.context() as patch:  # dtp_map is traced as the nodal recovery alone
         patch.setattr(dual_action, "dtp_map", unexpected)
-        x, v = _core_state(spec, D)[6:8]
+        state = _core_state(spec, D)
     gmid, lmid, gdot, ldot = _element_fields(D.gamma[:-1], D.lam[:-1], D.gamma[1:],
                                              D.lam[1:], spec.grid.h)
     X, V = dtp_map(lmid, ldot, gmid, gdot, spec.base.xbar_mid, spec.base.vbar_mid, spec)
-    assert X.tobytes() == x.tobytes() and V.tobytes() == v.tobytes()
+    assert X.tobytes() == state.x.tobytes() and V.tobytes() == state.v.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_stiffness_inverse_is_exactly_the_identity_without_quadratic_term(n, monkeypatch):
     # lam.B is exactly zero for a linear chain (B = 0) at any finite lam, and
     # for a quadratic chain at the zero field: the inverse is then a
-    # read-only I, with no stiffness, inversion or bound computed
+    # read-only I and y = r, with no stiffness, inversion, solve or bound
+    # computed
     rng = np.random.default_rng(n)
     linear = QuadraticForce(n=n, A=np.eye(n)).B  # all zero
     quadratic = fput_alpha(n, 0.25).B
@@ -235,9 +236,12 @@ def test_stiffness_inverse_is_exactly_the_identity_without_quadratic_term(n, mon
 
     monkeypatch.setattr(dual_action, "stiffness_lambda", refuse)
     monkeypatch.setattr(np.linalg, "inv", refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
     for B, lam in cases:
-        K, got = _stiffness_inv(B, lam, float(rng.uniform(0.1, 3.0)))
-        assert K is None
+        r = rng.normal(size=lam.shape)
+        y, K, rho, got = _stiffness_solve(B, lam, float(rng.uniform(0.1, 3.0)), r)
+        assert K is None and y.tobytes() == r.tobytes()
+        assert rho.tobytes() == np.zeros(lam.shape[:-1]).tobytes()
         assert got.tobytes() == np.broadcast_to(np.eye(n), lam.shape + (n,)).tobytes()
         assert not got.flags.writeable
     # a field that is not finite makes no zero product: it reaches the stiffness
@@ -245,7 +249,7 @@ def test_stiffness_inverse_is_exactly_the_identity_without_quadratic_term(n, mon
     monkeypatch.setattr(dual_action, "stiffness_lambda",
                         lambda *args: reached.append(args) or refuse())
     with pytest.raises(AssertionError):
-        _stiffness_inv(linear, np.full((2, n), np.nan), 1.0)
+        _stiffness_solve(linear, np.full((2, n), np.nan), 1.0, np.ones((2, n)))
     assert len(reached) == 1
 
 
@@ -1011,6 +1015,8 @@ def _outcome(fn):
         return fn(), None
     except SingularStiffnessError as exc:
         return None, (exc.where, exc.cond)
+    except np.linalg.LinAlgError as exc:  # eigh of a K that is all nan
+        return None, str(exc)
 
 
 @st.composite
@@ -1042,12 +1048,19 @@ def _stiffness_batches(draw):
     return QuadraticForce(n=n, B=B).B, lam, c_x
 
 
+def _checked_inverse(B, lam, c_x):
+    """The stiffness inverse the mapped state reads: `_stiffness_solve`'s
+    where it forms one, else np.linalg.inv of its K (`_MappedState.Kinv`)."""
+    _, K, _, Kinv = _stiffness_solve(B, lam, c_x, np.ones(np.shape(lam)))
+    return np.linalg.inv(K) if Kinv is None else Kinv
+
+
 @settings(deadline=None, max_examples=300)
 @given(_stiffness_batches())
 def test_stiffness_inverse_matches_eigh_reference(case):
     B, lam, c_x = case
     ref, ref_err = _outcome(lambda: stiffness_eig(B, lam, c_x))
-    got, got_err = _outcome(lambda: _stiffness_inv(B, lam, c_x)[1])
+    got, got_err = _outcome(lambda: _checked_inverse(B, lam, c_x))
     assert got_err == ref_err  # same point, same condition estimate
     if ref_err is None:
         mu, Q = ref
@@ -1059,16 +1072,24 @@ def test_stiffness_inverse_matches_eigh_reference(case):
 
 
 def test_stiffness_inverse_falls_back_to_eigh_when_inv_fails(monkeypatch):
+    # K is about 3 I at point 2, far beyond the distance bound, so the batch
+    # forms its inverse; where inv fails, the eigenvalue test forms it and y
     rng = np.random.default_rng(25)
-    B = QuadraticForce(n=3, B=rng.normal(size=(3, 3, 3))).B
-    lam = rng.normal(size=(4, 3)) * 0.1
+    B = rng.normal(size=(3, 3, 3)) * 0.1
+    B[0] += np.eye(3)
+    B = QuadraticForce(n=3, B=B).B
+    lam, r = rng.normal(size=(4, 3)) * 0.1, rng.normal(size=(4, 3))
+    lam[2] = [3.0, 0.0, 0.0]
 
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
 
     want = _eig_inverse(*stiffness_eig(B, lam, 1.5))
     monkeypatch.setattr(np.linalg, "inv", fail)
-    np.testing.assert_array_equal(_stiffness_inv(B, lam, 1.5)[1], want)
+    y, _, rho, Kinv = _stiffness_solve(B, lam, 1.5, r)
+    assert rho[2] > dual_action._CERT_RHO
+    np.testing.assert_array_equal(Kinv, want)
+    assert y.tobytes() == (want @ r[..., None])[..., 0].tobytes()
 
 
 def test_stiffness_inverse_rejects_the_first_bad_point_in_batch_order():
@@ -1077,25 +1098,109 @@ def test_stiffness_inverse_rejects_the_first_bad_point_in_batch_order():
                                         [[0.0, 0.0], [0.0, 0.0]]])).B
     lam = np.array([[0.1, 0.0], [1.0, 0.0], [0.2, 0.0], [1.0 - 1e-13, 0.0]])
     with pytest.raises(SingularStiffnessError) as info:
-        _stiffness_inv(B, lam, 1.0)
+        _stiffness_solve(B, lam, 1.0, np.ones((4, 2)))
     assert (info.value.where, info.value.cond) == (1, None)
     with pytest.raises(SingularStiffnessError) as info:
-        _stiffness_inv(B, lam[[0, 2, 3]], 1.0)
+        _stiffness_solve(B, lam[[0, 2, 3]], 1.0, np.ones((3, 2)))
     assert info.value.where == 2 and info.value.cond > COND_LIMIT
 
 
 def test_an_overflowing_certificate_bound_leaves_the_point_to_the_eigenvalue_test():
-    # at lambda = 1e200 the squared Frobenius norms overflow and underflow,
-    # so the bound is nan and certifies nothing, without a RuntimeWarning
-    # (pyproject's filterwarnings makes one an error); the eigenvalue test
-    # then passes K = (1 + 1e200) I and rejects K = diag(1 + 1e200, 1 + 1e180)
+    # at lambda = 1e200 the distance from I overflows, and the squared
+    # Frobenius norms overflow and underflow, so the bound is nan and
+    # certifies nothing, without a RuntimeWarning (pyproject's
+    # filterwarnings makes one an error); the eigenvalue test then passes
+    # K = (1 + 1e200) I and rejects K = diag(1 + 1e200, 1 + 1e180)
     lam = np.array([[1e200, 0.0]])
     B = QuadraticForce(n=2, B=np.array([np.eye(2), np.zeros((2, 2))])).B
-    np.testing.assert_allclose(_stiffness_inv(B, lam, 1.0)[1], np.eye(2)[None] / (1.0 + 1e200))
+    y, _, rho, Kinv = _stiffness_solve(B, lam, 1.0, np.ones((1, 2)))
+    assert rho[0] == np.inf
+    np.testing.assert_allclose(Kinv, np.eye(2)[None] / (1.0 + 1e200))
+    np.testing.assert_allclose(y, np.ones((1, 2)) / (1.0 + 1e200))
     B = QuadraticForce(n=2, B=np.array([np.diag([1.0, 1e-20]), np.zeros((2, 2))])).B
     with pytest.raises(SingularStiffnessError) as info:
-        _stiffness_inv(B, lam, 1.0)
+        _stiffness_solve(B, lam, 1.0, np.ones((1, 2)))
     assert info.value.where == 0 and info.value.cond > COND_LIMIT
+
+
+@st.composite
+def _certified_batches(draw):
+    """(B, lam, c_x, c_v, r): a `_stiffness_batches` batch with up to three
+    more planted points at lam = t e_j: K - I = (t / c_x) B[j] at a
+    Frobenius distance from I of _CERT_RHO (1 -+ 1e-12), just inside and
+    just outside the bound (up to kappa_2 ~ 1e10 when B[j] is near rank
+    one), or t = 1e200 (the distance overflows) or nan; and a random r."""
+    B, lam, c_x = draw(_stiffness_batches())
+    n = B.shape[0]
+    B = B.copy()
+    for plant in draw(st.lists(st.sampled_from(("inside", "outside", "huge", "nan")),
+                               max_size=3)):
+        j = draw(st.integers(0, n - 1))
+        norm = float(np.linalg.norm(B[j]))
+        if plant in ("huge", "nan"):
+            t = 1e200 if plant == "huge" else np.nan
+        elif norm > 0.0:
+            t = c_x * dual_action._CERT_RHO * (1.0 + (1e-12 if plant == "outside" else -1e-12)) / norm
+        else:
+            continue
+        lam = np.insert(lam, draw(st.integers(0, lam.shape[0])), t * np.eye(n)[j], axis=0)
+    r = draw(hnp.arrays(float, lam.shape, elements=st.floats(-1.0, 1.0)))
+    return B, lam, c_x, draw(st.floats(0.1, 10.0)), r
+
+
+def _weight_counts_reference(K, c_x, c_v):
+    """`_weight_counts` from the eigenvalues of every K."""
+    mu = np.linalg.eigvalsh(K)
+    inv = np.concatenate([(1.0 / (c_x * mu)).ravel(), np.full(mu.size, 1.0 / c_v)])
+    tiny = np.abs(inv) <= np.max(np.abs(inv)) / COND_LIMIT
+    return int(np.sum(tiny)), int(np.sum((inv < 0.0) & ~tiny))
+
+
+@settings(deadline=None)
+@given(_certified_batches())
+@example(case=(QuadraticForce(n=2, B=np.array([np.diag([1.0, 0.0]), np.zeros((2, 2))])).B,
+               np.array([[-dual_action._CERT_RHO * (1.0 - 1e-12), 0.0]]), 1.0, 1.0,
+               np.ones((1, 2))))  # just inside: K = diag(2e-10, 1)
+def test_certified_stiffness_solve_matches_eigh_reference(case):
+    # within _CERT_RHO of I a batch is solved with no inverse formed, and
+    # elsewhere inverted and tested as before: the same exception, point
+    # and condition estimate as the eigenvalue reference, and y = K^-1 r to
+    # 64 n eps kappa at every finite point; on the batches that pass, the
+    # Gram record's `definite` and `_weight_counts` agree with Cholesky and
+    # eigvalsh of every K
+    B, lam, c_x, c_v, r = case
+    n = B.shape[0]
+    ref, ref_err = _outcome(lambda: stiffness_eig(B, lam, c_x))
+    got, got_err = _outcome(lambda: _stiffness_solve(B, lam, c_x, r))
+    assert got_err == ref_err  # same point, same condition estimate
+    if ref_err is not None:
+        return
+    y, K, rho, Kinv = got
+    certified = K is not None and np.all(rho <= dual_action._CERT_RHO)
+    assert (Kinv is None) == certified
+    mu, Q = ref
+    finite = np.all(np.isfinite(lam), axis=-1)
+    with np.errstate(invalid="ignore"):  # at a nan point
+        inverse = _eig_inverse(mu, Q)
+        want = (inverse @ r[..., None])[..., 0]
+        cond = np.max(np.abs(mu), axis=-1) / np.min(np.abs(mu), axis=-1)
+    # r's magnitude plus the smallest normal float: near underflow, round-off is absolute
+    scale = np.sum(np.abs(r), axis=-1) + np.finfo(float).tiny
+    tol = 64 * n * _EPS * cond * np.max(np.abs(inverse), axis=(-2, -1)) * scale
+    assert np.all(np.max(np.abs(y - want), axis=-1)[finite] <= tol[finite])
+    if not np.all(finite):
+        return  # `_gram_point` stops such a point before any record is made
+    Kref = stiffness_lambda(B, lam, c_x)
+    point = SimpleNamespace(spec=SimpleNamespace(scales=ScaleParams(c_x, c_v)), Mx=Kref,
+                            state=SimpleNamespace(K=K, rho=rho, Kinv=Kinv))
+    point.definite = dual_action._GramPoint.definite.func(point)
+    try:
+        np.linalg.cholesky(Kref)
+        factors = True
+    except np.linalg.LinAlgError:
+        factors = False
+    assert point.definite == factors
+    assert dual_action._weight_counts(point) == _weight_counts_reference(Kref, c_x, c_v)
 
 
 @settings(deadline=None, max_examples=60)
@@ -1217,7 +1322,7 @@ def _gram_blocks(spec, D):
     """Element k's Gram factor blocks (A_a, A_b) on nodes k and k+1, as
     `_transfer_matrices` states them."""
     n, h, m, d = spec.n, spec.grid.h, spec.params.m, spec.params.d
-    Mx = _mapped_jacobian(spec, D)
+    Mx = _core_state(spec, D).Mx
     blocks = np.zeros((2, spec.grid.M, 2 * n, 2 * n))
     for A, sign in zip(blocks, (-1.0, 1.0)):
         A[:, :n, :n] = (sign / h) * np.eye(n)
@@ -1234,7 +1339,7 @@ def _gram_product(spec, D):
     n, M = spec.n, spec.grid.M
     b = 2 * n
     A_a, A_b = _gram_blocks(spec, D)
-    Kinv = _core_state(spec, D)[8]
+    Kinv = _core_state(spec, D).Kinv
     A = np.zeros((M * b, M * b))
     Winv = np.zeros((M * b, M * b))
     for k in range(M):
@@ -1259,11 +1364,11 @@ def test_hessian_is_the_gram_product(seed, n, M, with_B, periodic, scale):
     # matrices, from n x n Schur complements, are -A_a^-1 A_b
     spec, D = _hessian_case(seed, n, M, with_B, periodic, scale)
     H = hessian(D, spec).to_dense()
-    mu = np.abs(stiffness_eig(spec.params.force.B, _core_state(spec, D)[0], spec.scales.c_x)[0])
+    mu = np.abs(stiffness_eig(spec.params.force.B, _core_state(spec, D).lam, spec.scales.c_x)[0])
     cond = float(np.max(np.max(mu, axis=1) / np.min(mu, axis=1)))
     assert np.max(np.abs(_gram_product(spec, D) - H)) <= 64 * n * _EPS * cond * np.max(np.abs(H))
     A_a, A_b = _gram_blocks(spec, D)
-    Mx = _mapped_jacobian(spec, D)
+    Mx = _core_state(spec, D).Mx
     Einv = np.linalg.inv(_schur_complements(spec, Mx))
     np.testing.assert_allclose(_transfer_matrices(spec, Mx, Einv),
                                -np.linalg.solve(A_a, A_b), rtol=1e-12, atol=1e-12)
@@ -1431,14 +1536,14 @@ def test_gram_direction_is_the_newton_direction_of_the_band(seed, n, M, m, d, c_
     assert point is not None and H.finite
     direction = dual_action._gram_direction(spec, point, g)
     fac = H.neg_cholesky()
-    K = stiffness_lambda(spec.params.force.B, _core_state(spec, D)[0], c_x)
+    K = stiffness_lambda(spec.params.force.B, _core_state(spec, D).lam, c_x)
     if np.min(np.linalg.eigvalsh(K)) < 0.0:
         assert direction is None and fac is None
         return
     mu = np.abs(np.linalg.eigvalsh(H.to_dense()))
     assume(fac is not None and np.max(mu) <= 1e6 * np.min(mu))
     if direction is None:
-        Mx = _mapped_jacobian(spec, D)
+        Mx = _core_state(spec, D).Mx
         R = _transfer_matrices(spec, Mx, np.linalg.inv(_schur_complements(spec, Mx)))
         P, s = dual_action._transfer_product(R)
         cond = np.linalg.cond(np.eye(2 * n) - np.exp(s) * P, 1)
@@ -1483,7 +1588,7 @@ def test_schur_inverses_by_newton_schulz_match_lu_under_their_bound(seed, n, M, 
     if bad is not None:
         Mx[rng.integers(M), rng.integers(n), rng.integers(n)] = bad
     # the linear chain's weights: K|_lam = I
-    point = dual_action._GramPoint(spec, Mx, None, np.broadcast_to(np.eye(n), (M, n, n)))
+    point = dual_action._GramPoint(spec, SimpleNamespace(Mx=Mx, K=None, rho=np.zeros(M)))
     if bad is None:
         assert point.nullity == 0 and "Einv" not in vars(point)  # open: no inverses formed
         assert abs(point.rho - np.max(norms)) <= 1e-12 * max(1.0, np.max(norms))

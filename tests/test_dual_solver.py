@@ -1,5 +1,6 @@
 """Newton solve of the dual system, primal recovery, verification reports."""
 import importlib.util
+import sys
 
 import numpy as np
 import pytest
@@ -419,7 +420,12 @@ def test_failed_line_search_falls_back_to_a_trust_region_step(monkeypatch, band_
 
 
 @pytest.mark.parametrize("step_control", ["damped-newton", "trust-region"])
-def test_each_point_inverts_its_stiffness_once(monkeypatch, step_control):
+def test_each_point_solves_its_stiffness_once(monkeypatch, step_control):
+    # every point is within the distance bound of I here, so its weighted
+    # stiffness is solved, not inverted, and judged definite with no
+    # Cholesky: a damped solve inverts and factors no K; under the trust
+    # region each point whose band is assembled forms K^-1 once, for the
+    # Hessian parts
     n, M = 4, 80
     params = ChainParams(m=1.0, d=0.0, force=fput_alpha(n, 0.25),
                          forcing=ForcingSpec.zero(n))
@@ -428,33 +434,49 @@ def test_each_point_inverts_its_stiffness_once(monkeypatch, step_control):
                        base=zero_base(grid, n), grid=grid,
                        x0=0.3 * np.sin(np.arange(1, n + 1) * np.pi / (n + 1)),
                        v0=np.zeros(n))
-    inverted = []
-    invert = dual_action._stiffness_inv
+    solved, formed = [], []  # batch sizes of K solves; (caller, batch) of K inverses, factors
 
-    def spy_inverse(B, lam, c_x):
-        inverted.append(lam.shape[0])  # M midpoints per point, M + 1 nodes in recovery
-        return invert(B, lam, c_x)
+    def spy(log, fn, callers):
+        def spied(a, *args):
+            caller = sys._getframe(1).f_code.co_name
+            if caller in callers:
+                log.append(a.shape[0] if log is solved else (caller, a.shape[0]))
+            return fn(a, *args)
+        return spied
 
-    monkeypatch.setattr(dual_action, "_stiffness_inv", spy_inverse)
-    points = []  # every DualField evaluated, kept alive so identities stay distinct
+    # M midpoints per point, M + 1 nodes in recovery
+    monkeypatch.setattr(np.linalg, "solve", spy(solved, np.linalg.solve, {"_stiffness_solve"}))
+    for name in ("inv", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, spy(formed, getattr(np.linalg, name),
+                                                 {"_stiffness_solve", "Kinv", "definite"}))
+    points, banded = [], []  # every DualField evaluated, kept alive so identities stay distinct
     for name in ("action", "gradient", "hessian"):
-        def spy(D, spec, _fn=getattr(dual_solver, name)):
+        def spied_evaluation(D, spec, _fn=getattr(dual_solver, name), _name=name):
             if not any(D is seen for seen in points):
                 points.append(D)
+            if _name == "hessian":
+                banded.append(D)
             return _fn(D, spec)
-        monkeypatch.setattr(dual_solver, name, spy)
+        monkeypatch.setattr(dual_solver, name, spied_evaluation)
 
     sol = solve_dual(spec, SolveOptions(step_control=step_control))
     verify(sol, spec, recover_primal(sol, spec))
     assert sol.converged and sol.iterations >= 2
-    # the zero start plus one point per step trial, each inverted once, and
-    # the final Hessian and verify's gradient reuse the last point's inverse
-    assert inverted.count(M) == len(points)
+    # one point per step trial, each solved once, after the zero start,
+    # whose K is I; the final inertia and verify's gradient reuse the last
+    # point's state
+    assert not np.any(points[0].lam) and solved.count(M) == len(points) - 1
     assert len({D.gamma.tobytes() + D.lam.tobytes() for D in points}) == len(points)
-    assert inverted.count(M + 1) == 1 and len(inverted) == len(points) + 1
+    assert solved.count(M + 1) == 1 and len(solved) == len(points)
     assert points[-1] is sol.D
     if step_control == "damped-newton":
+        assert formed == [] and banded == []
         assert len(points) <= 2 * sol.iterations
+    else:
+        assert len(banded) == sol.iterations
+        assert all(not any(D is E for E in banded[:k]) for k, D in enumerate(banded))
+        # the zero start's K^-1 is a read-only I, formed by no inverse
+        assert formed == [("Kinv", M)] * sum(bool(np.any(D.lam)) for D in banded)
 
 
 @pytest.fixture

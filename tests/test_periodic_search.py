@@ -1,4 +1,5 @@
 """Periodic-orbit dual solves: cyclic assembly, resonance detection, recovery."""
+import functools
 import sys
 
 import numpy as np
@@ -325,6 +326,14 @@ def _fput_forced_spec(M=200):
     return PeriodicSpec(params=params, scales=UNIT, base=zero_base(grid, 3), grid=grid)
 
 
+def _fput_forced_workload_spec():
+    """A forced damped FPUT chain of the periodic workloads' size, n = 4 and M = 1000."""
+    forcing = ForcingSpec(n=4, sinusoids=[(0, Sinusoid(0.1, 1.0, 0.0))])
+    params = ChainParams(m=1.0, d=0.4, force=fput_alpha(4, 0.25), forcing=forcing)
+    grid = TimeGrid(T=2 * np.pi, M=1000)
+    return PeriodicSpec(params=params, scales=UNIT, base=zero_base(grid, 4), grid=grid)
+
+
 def test_trust_region_converges_to_the_damped_newton_orbit():
     spec = _fput_forced_spec()
     newton = solve_periodic(spec)
@@ -519,8 +528,10 @@ def test_each_periodic_point_forms_one_transfer_product_and_no_lu_schur_inverse(
     # sharing its record's, and one at the final point for its inertia;
     # under the trust region only the first iterate's test and the final
     # point form one.  On a chain of the periodic workloads' size (n = 4,
-    # M = 1000) Newton-Schulz inverts every Schur complement, so
-    # np.linalg.inv runs only for weighted stiffnesses.  An open solve forms
+    # M = 1000) Newton-Schulz inverts every Schur complement and every
+    # weighted stiffness is within the distance bound of I, so
+    # np.linalg.inv runs on nothing under damped Newton and only for the
+    # trust region's Hessian parts, K^-1 (`_MappedState.Kinv`).  An open solve forms
     # E^-1 once per Gram direction taken and none at the final point, whose
     # nullity needs none
     products, inverters, schur, directions = [], [], [], []
@@ -534,15 +545,11 @@ def test_each_periodic_point_forms_one_transfer_product_and_no_lu_schur_inverse(
 
     monkeypatch.setattr(np.linalg, "inv", counted_inv)
     opts = SolveOptions(step_control=step_control)
-    forcing = ForcingSpec(n=4, sinusoids=[(0, Sinusoid(0.1, 1.0, 0.0))])
-    params = ChainParams(m=1.0, d=0.4, force=fput_alpha(4, 0.25), forcing=forcing)
-    grid = TimeGrid(T=2 * np.pi, M=1000)
-    spec = PeriodicSpec(params=params, scales=UNIT, base=zero_base(grid, 4), grid=grid)
-    sol = solve_periodic(spec, opts)
+    sol = solve_periodic(_fput_forced_workload_spec(), opts)
     assert sol.converged and sol.iterations > 1
     damped = step_control == "damped-newton"
     assert products == [1000] * (sol.iterations + 1 if damped else 2)
-    assert inverters and set(inverters) == {"_stiffness_inv"}
+    assert set(inverters) == (set() if damped else {"Kinv"})
 
     inverses, direction = dual_action._schur_inverses, dual_solver._gram_direction
     monkeypatch.setattr(dual_action, "_schur_inverses",
@@ -558,6 +565,27 @@ def test_each_periodic_point_forms_one_transfer_product_and_no_lu_schur_inverse(
     sol = solve_dual(open_spec, opts)
     assert sol.converged and sol.iterations > 1
     assert len(schur) == sum(directions) == (sol.iterations if damped else 0)
+
+
+@pytest.mark.parametrize("step_control", ["damped-newton", "trust-region"])
+def test_each_point_forms_its_mapped_jacobian_once(monkeypatch, step_control):
+    # Mx = dK/dx at the mapped state is kept on the point's mapped state,
+    # which the Gram record and, under the trust region, the Hessian parts
+    # both read: one Mx per iterate and one at the final point, for its
+    # inertia, and none at a trial point the line search rejects
+    formed, mx = [], dual_action._MappedState.Mx
+
+    def spied(state):
+        formed.append(state)
+        return mx.func(state)
+
+    once = functools.cached_property(spied)
+    once.__set_name__(dual_action._MappedState, "Mx")
+    monkeypatch.setattr(dual_action._MappedState, "Mx", once)
+    sol = solve_periodic(_fput_forced_workload_spec(), SolveOptions(step_control=step_control))
+    assert sol.converged and sol.iterations > 1
+    assert len(formed) == sol.iterations + 1
+    assert len({id(state) for state in formed}) == len(formed)
 
 
 @pytest.mark.parametrize("step_control", ["damped-newton", "trust-region"])
