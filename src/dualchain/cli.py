@@ -538,28 +538,29 @@ def scenario_presets() -> list:
                   if item.name.endswith(".cfg"))
 
 
-# rows formatted by one `%`; the block bounds the Python floats and strings
-# held at once, which for a whole table came to 9 times the size of its array
-_TABLE_BLOCK_ROWS = 128
+_TABLE_BLOCK_ROWS = 128  # bounds the kernel's work arrays, about 300 bytes a value
 
 
 def _write_table(path, names: tuple, grid: TimeGrid, first, second) -> str:
     """Header 't <names[0]>_1.. <names[1]>_1..', then one row per node of t
     and the two (M+1, n) arrays, every value as "%.17g" (the bytes of
-    `np.savetxt` with that format), formatted by one `%` per block of rows.
-    Returns the sha256 of the bytes written."""
+    `np.savetxt` with that format), formatted by `_format17g.slots` per block
+    of rows.  Returns the sha256 of the bytes written."""
+    from . import _format17g  # compiled and built on a run's first table only
     n = first.shape[1]
     header = " ".join(["t"] + [f"{name}_{i}" for name in names for i in range(1, n + 1)])
     data = np.column_stack([grid.nodes(), first, second])
-    row = " ".join(["%.17g"] * data.shape[1]) + "\n"
-    digest, text = hashlib.sha256(), header + "\n"  # the header goes with the first block
+    digest, text = hashlib.sha256(), (header + "\n").encode()  # with the first block
     with open(path, "wb") as fh:
         for start in range(0, data.shape[0], _TABLE_BLOCK_ROWS):
             block = data[start:start + _TABLE_BLOCK_ROWS]
-            chunk = (text + (row * block.shape[0]) % tuple(block.ravel().tolist())).encode()
+            slots = _format17g.slots(block.ravel()).reshape(block.shape + (_format17g.SLOT,))
+            slots[:, :, -1] = ord(" ")  # the separators, a newline ending each row
+            slots[:, -1, -1] = ord("\n")
+            chunk = text + slots.tobytes().translate(None, b"\0")
             digest.update(chunk)
             fh.write(chunk)
-            text = ""
+            text = b""
     return digest.hexdigest()
 
 

@@ -32,7 +32,8 @@ one copy of it.  The spec samples f, K and dK/dx at the element midpoints
 once; the mapped midpoint state of a DualField (the primal state, the
 intermediate covectors, and Mx and the stiffness inverse once read) is
 computed once and kept on the immutable field, keyed by the spec, so the
-action, gradient, Gram record and Hessian at that field share it.
+action, gradient, Gram record and Hessian at that field share it; the
+action's value and the gradient are kept there too, assembled once.
 
 No eigendecomposition or factorization runs on the Newton path when every
 multiplier-weighted stiffness K is within _CERT_RHO of I (Frobenius norm):
@@ -400,7 +401,11 @@ class _MappedState:
     force Jacobian at xbar: w, r = gammadot - J^T lam, (y, K, rho) =
     `_stiffness_solve`'s, dx = y / c_x, x = xbar + dx and v = vbar + w / c_v.
     Formed when first read, then kept: ``Kinv`` = K|_lam^-1 (formed already
-    where a rho exceeds _CERT_RHO) and ``Mx`` = dK/dx at x."""
+    where a rho exceeds _CERT_RHO) and ``Mx`` = dK/dx at x.  A DualField's
+    state (`_core_state`) also keeps the field's action ``S`` and read-only
+    gradient ``g`` once `action` and `gradient` assemble them."""
+
+    S = g = None
 
     def __init__(self, lam, lamdot, gamma, gammadot, xbar, vbar, J, B, m, d, c_x, c_v):
         self.lam, self.gammadot, self.J, self.B = lam, gammadot, J, B
@@ -910,33 +915,42 @@ def dtp_map(lam, lamdot, gamma, gammadot, xbar, vbar, spec) -> tuple[np.ndarray,
 
 
 def action(D: DualField, spec: ProblemSpec) -> float:
-    """Value of the discretized dual functional, boundary terms included."""
+    """Value of the discretized dual functional, boundary terms included;
+    assembled once per point and kept with D's mapped state."""
     _require_boundary(D, spec)
-    S = _action_elements(spec, D)
-    if not spec.periodic:
-        S -= spec.params.m * float(D.lam[0] @ spec.v0)
-        S -= float(D.gamma[0] @ spec.x0)
-    return S
+    state = _core_state(spec, D)
+    if state.S is None:
+        S = _action_elements(spec, D)
+        if not spec.periodic:
+            S -= spec.params.m * float(D.lam[0] @ spec.v0)
+            S -= float(D.gamma[0] @ spec.x0)
+        state.S = S
+    return state.S
 
 
 def gradient(D: DualField, spec: ProblemSpec) -> np.ndarray:
-    """Exact gradient of ``action`` over the free nodal values (packed)."""
+    """Exact gradient of ``action`` over the free nodal values (packed),
+    read-only: assembled once per point and kept with D's mapped state."""
     _require_boundary(D, spec)
-    g_ga, g_la, g_gb, g_lb = _gradient_elements(spec, D)
-    M, n = spec.grid.M, spec.n
-    g_gamma = np.zeros((M + 1, n))
-    g_lam = np.zeros((M + 1, n))
-    g_gamma[:-1] += g_ga
-    g_gamma[1:] += g_gb
-    g_lam[:-1] += g_la
-    g_lam[1:] += g_lb
-    if spec.periodic:  # node M is node 0
-        g_gamma[0] += g_gamma[M]
-        g_lam[0] += g_lam[M]
-    else:  # node M is pinned to zero; node 0 carries the initial conditions
-        g_gamma[0] -= spec.x0
-        g_lam[0] -= spec.params.m * spec.v0
-    return _pack(g_gamma, g_lam)
+    state = _core_state(spec, D)
+    if state.g is None:
+        g_ga, g_la, g_gb, g_lb = _gradient_elements(spec, D)
+        M, n = spec.grid.M, spec.n
+        g_gamma = np.zeros((M + 1, n))
+        g_lam = np.zeros((M + 1, n))
+        g_gamma[:-1] += g_ga
+        g_gamma[1:] += g_gb
+        g_lam[:-1] += g_la
+        g_lam[1:] += g_lb
+        if spec.periodic:  # node M is node 0
+            g_gamma[0] += g_gamma[M]
+            g_lam[0] += g_lam[M]
+        else:  # node M is pinned to zero; node 0 carries the initial conditions
+            g_gamma[0] -= spec.x0
+            g_lam[0] -= spec.params.m * spec.v0
+        state.g = _pack(g_gamma, g_lam)
+        state.g.flags.writeable = False
+    return state.g
 
 
 def hessian(D: DualField, spec: ProblemSpec) -> BlockTridiagonal:
@@ -1281,3 +1295,28 @@ def ellipticity_check(D: DualField, spec) -> np.ndarray:
     out = np.minimum(floor, np.min(1.0 / (s.c_x * safe_mu), axis=1))
     out[_singular(mu)[0]] = 0.0
     return out
+
+
+def _ellipticity_min(D: DualField, spec) -> float:
+    """``float(np.min(ellipticity_check(D, spec)))``, bit for bit.  Where
+    every nodal K is within _CERT_RHO of I it is min(m^2/c_v, 1/(c_x mu)),
+    mu the largest eigenvalue of any nodal K, each at most its bound min(1 +
+    rho, Gershgorin): m^2/c_v decides with no eigenvalue formed, or eigvalsh
+    sees the node of the largest bound, then the nodes whose bound reaches
+    its mu."""
+    p, s = spec.params, spec.scales
+    K = stiffness_lambda(p.force.B, D.lam, s.c_x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = np.sqrt(np.einsum("...ij,...ij->...", K - np.eye(p.n), K - np.eye(p.n)))
+    if not np.all(rho <= _CERT_RHO):
+        return float(np.min(ellipticity_check(D, spec)))
+    floor = p.m * p.m / s.c_v
+    # the slack covers the round-off of the bounds and of the eigenvalues,
+    # exact where K is I to round-off (an eigenvalue of 1.0)
+    bound = (np.minimum(1.0 + rho, np.max(np.sum(np.abs(K), axis=-1), axis=-1))
+             * np.where(rho > 0.0, 1.0 + 1e-10, 1.0))
+    if floor <= 1.0 / (s.c_x * np.max(bound)):
+        return floor
+    mu = float(np.max(np.linalg.eigvalsh(K[np.argmax(bound)])))
+    mu = float(np.max(np.linalg.eigvalsh(K[bound >= mu])))  # that node among them
+    return min(floor, 1.0 / (s.c_x * mu))

@@ -45,12 +45,12 @@ from .dual_action import (
     BlockTridiagonal,
     DualField,
     ProblemSpec,
+    _ellipticity_min,
     _gram_direction,
     _gram_inertia,
     _gram_point,
     action,
     dtp_map,
-    ellipticity_check,
     gradient,
     hessian,
     pack_free,
@@ -156,7 +156,9 @@ def _maximize(spec: ProblemSpec, opts: SolveOptions):
     serves the test and the direction, and is dropped before the step.
     Each point is one DualField, passed to every evaluation there, so the
     action, gradient, Gram record and Hessian at a point share its mapped
-    state; the step searches return the field of the point they accept.
+    state, which keeps its action and gradient once assembled; the step
+    searches return the field of the point they accept, so an iterate's
+    action and gradient are its accepted trial's.
     Convergence, the iteration cap and an overflowed residual are tested
     first, so nothing is assembled or solved at the final point.
     """
@@ -284,10 +286,12 @@ def recover_primal(sol: DualSolution, spec: ProblemSpec) -> Trajectory:
 
 def verify(sol: DualSolution, spec: ProblemSpec, traj: Trajectory,
            oracle: Trajectory | None = None) -> VerificationReport:
-    """Check a dual solution: gradient norm, primal residuals of ``traj``,
-    the trajectory `recover_primal` gave for it, optional max deviation from
-    an oracle trajectory, pointwise ellipticity, and the Hessian concavity
-    data.
+    """Check a dual solution: gradient norm (the final iterate's gradient,
+    kept with its state), primal residuals of ``traj``, the trajectory
+    `recover_primal` gave for it, optional max deviation from an oracle
+    trajectory, the least pointwise ellipticity (`_ellipticity_min`, read off
+    the stiffness certificate where every node holds it), and the Hessian
+    concavity data.
 
     Failures are report entries, not exceptions.
     """
@@ -300,7 +304,6 @@ def verify(sol: DualSolution, spec: ProblemSpec, traj: Trajectory,
     if oracle is not None:
         deviation = float(max(np.max(np.abs(traj.x - oracle.x)),
                               np.max(np.abs(traj.v - oracle.v))))
-    ell = ellipticity_check(sol.D, spec)
     inertia = sol.hessian_inertia
     concavity_ok = None
     if inertia is not None and not spec.params.force.has_quadratic:
@@ -310,7 +313,7 @@ def verify(sol: DualSolution, spec: ProblemSpec, traj: Trajectory,
         momentum_residual_max=float(np.max(res_m)),
         kinematic_residual_max=float(np.max(res_k)),
         oracle_deviation_max=deviation,
-        ellipticity_min=float(np.min(ell)),
+        ellipticity_min=_ellipticity_min(sol.D, spec),
         hessian_inertia=None if inertia is None else tuple(inertia),
         concavity_ok=concavity_ok,
     )

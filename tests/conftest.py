@@ -4,7 +4,7 @@ Tier-1 runs every property test at hypothesis' default budget.  The
 ``rk4-deep`` profile, selected with ``--hypothesis-profile rk4-deep``, gives
 each test 3,000 examples; CI runs the RK4 property tests, the Hessian
 band's two byte-identity tests and the Gram factor's property tests under
-it.
+it, and the table formatter's sweep, which takes 400 doubles per example.
 """
 import numpy as np
 import pytest

@@ -321,19 +321,33 @@ def test_simulate_round_trip(tmp_path):
 # signed zeros, subnormals and the extremes of the exponent range
 _AWKWARD = (-0.0, 0.0, 5e-324, -1.5e-320, 2.2250738585072014e-308,
             1.7976931348623157e308, -1e-300, 1e300, -1.0 / 3.0, 0.1)
+# the edges of the classes of `_format17g.slots`: |x| <= 1e-11 and >= 1e17 go
+# through `%` (float 1e-11 prints as 9.9999999999999994e-12), "%.17g"
+# turns to the scientific form below 1e-4 and prints 17 integer digits up to
+# 1e17; half-way ties of the 17th digit round to even, a value whose
+# digits end in zeros drops them (and its point), and the last one's 17
+# digits split at 10^8 in float64 round up to the next multiple
+_EDGES = (1e-11, np.nextafter(1e-11, 1.0), -1e17, np.nextafter(1e17, 0.0), 1e16,
+          np.nextafter(1e16, 0.0), 1e-4, -np.nextafter(1e-4, 0.0), 1e-5, 2.0 ** 50 + 0.25,
+          -(2.0 ** 50 + 0.75), 0.5, 123.0, 1e15 + 0.5, 2.5e-7, 12345678999999998.0)
 
 
 @settings(deadline=None, max_examples=40)
 @given(st.integers(1, 3), st.integers(1, 6), st.data())
 @example(n=2, M=4, data=None)
 @example(n=1, M=2 * cli._TABLE_BLOCK_ROWS, data=None)  # three blocks, the last of one row
+@example(n=3, M=cli._TABLE_BLOCK_ROWS - 1, data=None)  # one whole block
+@example(n=1, M=len(_EDGES) - 1, data="edges")  # each class edge in every column
+@example(n=2, M=len(_EDGES), data="edges")
 def test_tables_write_the_bytes_of_savetxt_and_read_back(tmp_path_factory, n, M, data):
     shape = (2, M + 1, n)
-    if data is None:  # every awkward value in every column
+    if data == "edges":
+        values = np.resize(np.array(_EDGES), shape)
+    elif data is None:  # every awkward value in every column
         values = np.resize(np.array(_AWKWARD), shape)
     else:
         values = data.draw(hnp.arrays(float, shape, elements=st.one_of(
-            st.sampled_from(_AWKWARD), st.floats(allow_nan=False, allow_infinity=False))))
+            st.sampled_from(_AWKWARD + _EDGES), st.floats(allow_nan=False, allow_infinity=False))))
     grid = TimeGrid(T=2.5, M=M)
     tmp = tmp_path_factory.mktemp("tables")
     writers = ((cli.write_trajectory, read_trajectory, ("x", "v"), Trajectory),
@@ -356,6 +370,53 @@ def test_tables_write_the_bytes_of_savetxt_and_read_back(tmp_path_factory, n, M,
         with pytest.raises(ValueError, match=f"short.txt: rows have {2 * n} columns, "
                                              f"expected {2 * n + 1}"):
             read(short)
+
+
+def _sweep(count: int) -> np.ndarray:
+    """At least ``count`` doubles, the same ones on every call: signed zeros,
+    subnormals, nan and infinities; every power of ten that is a normal
+    double, each with its 4 nearest neighbours either side; half-way ties of
+    the 17th digit, m 2^(-s-1) for odd m at each decimal exponent 16 - s,
+    s = 1..24 (there are none below 1e-8); values whose digits end in
+    zeros; and the rest random mantissas at every decimal exponent from -12
+    to 17, and random bits."""
+    rng = np.random.default_rng(20260315)
+    special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+               2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308]
+    tens = np.array([float(f"1e{k}") for k in range(-307, 309)])
+    near, up, down = [tens], tens, tens
+    for _ in range(4):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+        near += [up, down]
+    ties = []
+    for s in range(1, 25):  # odd m 2^(-s-1) in [10^(16-s), 10^(17-s)): 17 digits and a 5
+        lo = max(1, int(2.0 ** (s + 1) * 10.0 ** (16 - s)))
+        hi = min(int(2.0 ** (s + 1) * 10.0 ** (17 - s)), 2 ** 53)
+        ties.append(np.ldexp((rng.integers(lo, hi, 200) | 1).astype(float), -s - 1))
+    short = rng.integers(1, 10 ** rng.integers(1, 8, 20000), dtype=np.int64).astype(float)
+    short = short * 10.0 ** rng.integers(-12, 10, short.size) / 2.0 ** rng.integers(0, 4, short.size)
+    parts = [np.array(special), *near, *ties, short]
+    fixed = sum(part.size for part in parts)
+    left = max(count - fixed, 0)
+    mantissas = rng.uniform(1.0, 10.0, left - left // 4) * 10.0 ** rng.integers(-12, 18, left - left // 4)
+    bits = rng.integers(0, 2 ** 64, left // 4, dtype=np.uint64).view(float)
+    values = np.concatenate(parts + [mantissas, bits])
+    values.view(np.uint64)[rng.random(values.size) < 0.5] ^= np.uint64(2 ** 63)  # the sign
+    return values
+
+
+def test_table_formatter_matches_percent_over_a_sweep(tmp_path):
+    # the table writer's "%.17g" kernel against `%` itself over a fixed sweep
+    # of 400 doubles per example of the hypothesis profile: 40,000 under
+    # the default, 1.2 million under rk4-deep, which CI runs
+    values = _sweep(400 * settings().max_examples)
+    values = np.resize(values, (-(-values.size // 8), 8))  # rows of 8
+    grid = TimeGrid(T=1.0, M=values.shape[0] - 1)
+    cli._write_table(tmp_path / "sweep.txt", ("x", "v"), grid, values[:, :4], values[:, 4:])
+    data = np.column_stack([grid.nodes(), values])
+    header = "t x_1 x_2 x_3 x_4 v_1 v_2 v_3 v_4\n"
+    want = header + (" ".join(["%.17g"] * 9) + "\n") * data.shape[0] % tuple(data.ravel().tolist())
+    assert (tmp_path / "sweep.txt").read_bytes() == want.encode()
 
 
 def test_dual_solve_artifacts_and_manifest(tmp_path):

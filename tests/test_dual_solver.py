@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from dualchain import dual_action, dual_solver
 from dualchain import (
@@ -17,7 +19,9 @@ from dualchain import (
     Sinusoid,
     SolveOptions,
     TimeGrid,
+    Trajectory,
     base_from_primal,
+    ellipticity_check,
     fput_alpha,
     integrate_primal,
     perturb_base,
@@ -529,3 +533,140 @@ def test_the_library_lookup_loads_no_library():
         pytest.skip("no unloaded extension library to offer")
     assert dual_action._loaded_library(unloaded[0]) is None
     assert unloaded[0] not in mapped_paths()
+
+
+@pytest.mark.parametrize("step_control", ["damped-newton", "trust-region"])
+def test_each_point_assembles_its_action_and_gradient_once(monkeypatch, step_control):
+    # a point's action and gradient are kept with its mapped state: the line
+    # search's current action is its accepted trial's, the iterate's
+    # gradient a trust-region trial's, and verify's the final iterate's;
+    # each value is the one a fresh copy of its field assembles
+    spec = _fput_spec(n=3, M=64, perturb=0.05, seed=2)
+    assembled = {"_action_elements": [], "_gradient_elements": []}
+    for name, log in assembled.items():
+        def spied(spec, D, _fn=getattr(dual_action, name), _log=log):
+            _log.append(D)
+            return _fn(spec, D)
+        monkeypatch.setattr(dual_action, name, spied)
+
+    sol = solve_dual(spec, SolveOptions(step_control=step_control))
+    before = {name: len(log) for name, log in assembled.items()}
+    report = verify(sol, spec, recover_primal(sol, spec))
+    assert sol.converged and sol.iterations >= 2
+    assert {name: len(log) for name, log in assembled.items()} == before
+    assert assembled["_gradient_elements"][-1] is sol.D
+    if step_control == "damped-newton":
+        assert len(assembled["_action_elements"]) > sol.iterations
+    for log in assembled.values():
+        assert all(not any(D is E for E in log[:k]) for k, D in enumerate(log))
+    g = dual_action.gradient(sol.D, spec)
+    assert report.gradient_norm == float(np.max(np.abs(g)))
+    with pytest.raises(ValueError, match="read-only"):
+        g[0] = 0.0
+    for D in assembled["_action_elements"] + assembled["_gradient_elements"]:
+        fresh = DualField(D.grid, D.gamma.copy(), D.lam.copy())
+        assert dual_action.action(D, spec) == dual_action.action(fresh, spec)
+        assert dual_action.gradient(D, spec).tobytes() == dual_action.gradient(fresh, spec).tobytes()
+
+
+def _node_field_spec(n, M, periodic, B, c_x, c_v, m):
+    grid = TimeGrid(T=1.0, M=M)
+    params = ChainParams(m=m, d=0.1, force=QuadraticForce(n=n, A=np.eye(n), B=B),
+                         forcing=ForcingSpec.zero(n))
+    start = {} if periodic else {"x0": np.zeros(n), "v0": np.zeros(n)}
+    return ProblemSpec(params=params, scales=ScaleParams(c_x, c_v), base=zero_base(grid, n),
+                       grid=grid, **start)
+
+
+def _report_of(spec, lam):
+    """verify's report on the field (0, lam), read as a solution."""
+    D = DualField(spec.grid, np.zeros_like(lam), lam)
+    sol = DualSolution(D=D, converged=False, iterations=0, residual_history=(0.0,),
+                       hessian_inertia=None)
+    zero = np.zeros_like(lam)
+    return D, verify(sol, spec, Trajectory(spec.grid, zero, zero))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 3), st.integers(2, 9), st.booleans(), st.data())
+@example(n=1, M=4, periodic=False, data="singular")  # K = 0 exactly at a node
+@example(n=1, M=4, periodic=True, data="indefinite")  # K = -0.5 at a node
+@example(n=2, M=6, periodic=False, data="identity")  # a linear chain: K = I
+@example(n=1, M=4, periodic=False, data="within")  # K = 1.6: certified, eigvalsh decides
+def test_verify_reads_the_certified_ellipticity_minimum_bit_for_bit(n, M, periodic, data):
+    # verify's ellipticity_min is ellipticity_check's minimum, whether the
+    # certificate reads it (every nodal K within _CERT_RHO of I) or not;
+    # lambda lives on every other node, so the midpoint stiffness verify's
+    # gradient solves is regular where a node's K is singular or indefinite
+    B = np.zeros((n, n, n))
+    c_x = c_v = m = 1.0
+    lam = np.zeros((M + 1, n))
+    if isinstance(data, str):
+        if data != "identity":
+            B[0, 0, 0] = 2.0
+            lam[2, 0] = {"singular": -0.5, "indefinite": -0.75, "within": 0.3}[data]
+    else:
+        c_x, c_v, m = (data.draw(st.floats(0.2, 5.0)) for _ in range(3))
+        if data.draw(st.booleans()):  # else a linear chain
+            B = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n ** 3, max_size=n ** 3)
+                          .map(lambda v: np.reshape(v, (n, n, n))))
+            B = B + np.swapaxes(B, 1, 2)  # symmetric in its last two indices
+        scale = data.draw(st.sampled_from([0.0, 1e-3, 0.1, 0.4, 1.0, 3.0]))
+        for k in range(0, M + 1, 2):
+            lam[k] = scale * np.array(data.draw(st.lists(st.floats(-1.0, 1.0),
+                                                         min_size=n, max_size=n)))
+    lam[-1] = lam[0] if periodic else 0.0
+    spec = _node_field_spec(n, M, periodic, B, c_x, c_v, m)
+    try:
+        D, report = _report_of(spec, lam)
+    except dual_action.SingularStiffnessError:  # at a midpoint, in verify's gradient
+        assume(False)
+    want = float(np.min(ellipticity_check(D, spec)))
+    assert np.float64(report.ellipticity_min).tobytes() == np.float64(want).tobytes()
+
+
+def test_eigvalsh_sees_only_the_candidate_nodes_of_a_certified_field(monkeypatch):
+    # every nodal K is within _CERT_RHO of I, and m^2/c_v is too large to
+    # decide: eigvalsh sees the node of the largest bound min(1 + rho,
+    # Gershgorin) on its largest eigenvalue, then only the nodes whose bound
+    # reaches that node's, none of the flat ends of the field; with a small
+    # m^2/c_v it sees no node at all
+    n, M = 3, 60
+    force = fput_alpha(n, 0.25)
+    lam = np.zeros((M + 1, n))
+    t = np.linspace(0.0, 1.0, M + 1)
+    lam[:, 0] = 0.8 * np.exp(-((t - 0.4) / 0.05) ** 2)
+    lam[-1] = 0.0
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spied(K):
+        seen.append(np.array(K, ndmin=3))
+        return eigvalsh(K)
+
+    for c_v, expected_calls in ((1e-3, 2), (1e3, 0)):
+        grid = TimeGrid(T=1.0, M=M)
+        spec = ProblemSpec(params=ChainParams(m=1.0, d=0.0, force=force,
+                                              forcing=ForcingSpec.zero(n)),
+                           scales=ScaleParams(1.0, c_v), base=zero_base(grid, n), grid=grid,
+                           x0=np.zeros(n), v0=np.zeros(n))
+        K = dual_action.stiffness_lambda(force.B, lam, 1.0)
+        dev = K - np.eye(n)
+        rho = np.sqrt(np.sum(dev * dev, axis=(1, 2)))
+        assert np.all(rho <= dual_action._CERT_RHO)
+        bound = np.minimum(1.0 + rho, np.max(np.sum(np.abs(K), axis=2), axis=1))
+        bound *= np.where(rho > 0.0, 1.0 + 1e-10, 1.0)
+        best = int(np.argmax(bound))
+        near = np.flatnonzero(bound >= np.max(eigvalsh(K[best])))  # best among them
+        seen.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigvalsh", spied)
+            D, report = _report_of(spec, lam)
+        assert len(seen) == expected_calls
+        if expected_calls:
+            assert seen[0].tobytes() == K[best].tobytes()
+            assert seen[1].tobytes() == K[near].tobytes() and best in near
+            assert len(near) < (M + 1) // 4
+        want = float(np.min(ellipticity_check(D, spec)))
+        assert report.ellipticity_min == want
+        assert want == (1.0 / c_v if expected_calls == 0 else 1.0 / np.max(eigvalsh(K)))
