@@ -22,11 +22,12 @@ oracle from the base's nodes, before any perturbation.  The output prefix is
 a plain file name, so a run writes into its --out directory only.
 
 Exit codes: 0 success, 2 config or validation error, 3 solver did not
-converge (a trust-region stall included), an integration diverged or a
-settled-primal base did not close within its period cap, 4 numerical
-singularity.  Exits 0 and 3 write a report, with the sections the
-run completed, in every mode but simulate; exits 2 and 4 write none, and an
-exit 2 leaves no --out directory.
+converge (a trust-region stall included), an integration diverged, a
+settled-primal base did not close within its period cap or a stage ran out
+of memory (numpy's MemoryError, named on stderr with the stage and
+chain.n), 4 numerical singularity.  Exits 0 and 3 write a report, with the
+sections the run completed, in every mode but simulate; exits 2 and 4 write
+none, and an exit 2 leaves no --out directory.
 An overflowed run exits 3, so `run_one` (in `--jobs` workers too) silences
 numpy's overflow warnings once, around all of its numerical work.
 """
@@ -705,7 +706,7 @@ def run_one(config_path, out_dir, sets=(), mode: str | None = None) -> int:
     out = Path(out_dir)
     started = time.perf_counter()
     code, convergence, verification, manifest = 0, None, None, {}
-    stage, made = "base-state", False
+    stage, made, cfg = "base-state", False, None
     # far from the dual maximum (an extreme base or mass, say) the mapped
     # state overflows; the solver's finite checks and exit 3 report such a
     # run, so numpy's overflow warnings are silenced here, once
@@ -723,13 +724,15 @@ def run_one(config_path, out_dir, sets=(), mode: str | None = None) -> int:
             except (ValueError, OSError) as exc:  # OSError: --out cannot be a directory
                 print(f"config error: {exc}", file=sys.stderr)
                 return 2
-            stage = "direct"
             if cfg.mode == "simulate":
+                stage = "direct"
                 traj = integrate_primal(sim_params, x0, v0, sim_grid, method=cfg.method)
             else:
+                stage = "dual-solve"
                 sol = solve_dual(spec, opts)
                 convergence = {**(settling or {}),
                                **_convergence_dict(sol)}
+                stage = "direct"
                 if cfg.mode == "verify" and oracle is None:
                     oracle = integrate_primal(spec.params, spec.x0, spec.v0,
                                               spec.grid.refined(_ORACLE_REFINE),
@@ -758,6 +761,11 @@ def run_one(config_path, out_dir, sets=(), mode: str | None = None) -> int:
         except UnsettledBaseError as exc:
             print(f"{stage} did not settle: {exc}", file=sys.stderr)
             code, convergence = 3, exc.settling
+        except MemoryError:
+            if cfg is None:  # reading the config itself: no chain to name
+                raise
+            print(f"{stage} stage ran out of memory at chain.n = {cfg.n}", file=sys.stderr)
+            code = 3
 
     if cfg.mode != "simulate":
         report = RunReport(

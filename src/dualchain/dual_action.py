@@ -24,11 +24,10 @@ dpbtrf, from the library numpy links, `_band_lapack`), serves the open and
 the cyclic band alike, and at a shift, `BlockTridiagonal.neg_cholesky(shift)`,
 answers every definiteness question the solver asks a Hessian band.
 A Hessian is stored as that band and nothing else, open or folded when
-cyclic: `hessian` writes each [gamma, lambda] sub-block of it once, for all
-nodes, straight from the element parts (no element quadrant or node block
-is formed), and records there whether every entry is finite; that band is
-the only way a `BlockTridiagonal` is made, and each factorization negates
-one copy of it.  The spec samples f, K and dK/dx at the element midpoints
+cyclic: `hessian` forms its node blocks from each element's Gram blocks
+(no (M, 4n, 4n) element array), `BlockTridiagonal` writes each block whole
+into the band once and records there whether every entry is finite, and
+each factorization negates one copy of it.  The spec samples f, K and dK/dx at the element midpoints
 once; the mapped midpoint state of a DualField (the primal state, the
 intermediate covectors, and Mx and the stiffness inverse once read) is
 computed once and kept on the immutable field, keyed by the spec, so the
@@ -480,148 +479,22 @@ def _gradient_elements(spec: ProblemSpec, D: DualField):
     return g_ga, g_la, g_gb, g_lb
 
 
-def _hessian_parts(spec: ProblemSpec, D: DualField):
-    """The element Hessian's parts (C, P, G, L): the 4x4 scalar matrix C and
-    the (M, n, n) matrices P = K|_lam^{-1} / c_x, G = Mx P / 2 and
-    L = Mx P Mx^T.
-
-    An element couples its end nodes a and b, each with the values
-    [gamma, lambda], by a symmetric (4n, 4n) block.  The reduced midpoint
-    Hessian is -J^T diag(c_x K|_lam, c_v I)^{-1} J with J the mixed second
-    derivatives of the generating integrand, which is what makes the dual
-    integrand concave wherever the weighted stiffness is positive definite.
-
-    In the midpoint variables (gamma_mid, lambda_mid, gamma_rate,
-    lambda_rate) that Hessian is a scalar multiple of I in every block except
-    three: -P at (rate, rate), Mx P at (lambda_mid, gamma_rate) and its
-    transpose, and -L at (lambda_mid, lambda_mid), with Mx = dK/dx at the
-    mapped state.  The element block is h S^T H S for the 4x4 map S from
-    end-node values to midpoint variables: the scalar parts combine once as
-    C = h S^T (scalar) S, whose rows and columns are gamma_a, lambda_a,
-    gamma_b, lambda_b, and each matrix part lands in the end-node blocks
-    with the weights S gives it (see `hessian`).
-    """
-    state = _core_state(spec, D)
-    P, Mx = state.Kinv / spec.scales.c_x, state.Mx
-    MxP = Mx @ P
-    L = MxP @ np.swapaxes(Mx, 1, 2)
-    return _scalar_part(spec), P, 0.5 * MxP, L
-
-
-def _scalar_part(spec: ProblemSpec) -> np.ndarray:
-    """`_hessian_parts`' C, the 4x4 element block of the scalar parts."""
-    h = spec.grid.h
-    # map (gamma_mid, lambda_mid, gamma_rate, lambda_rate) -> end-node values
-    smap = np.array([
-        [0.5, 0.0, 0.5, 0.0],
-        [0.0, 0.5, 0.0, 0.5],
-        [-1.0 / h, 0.0, 1.0 / h, 0.0],
-        [0.0, -1.0 / h, 0.0, 1.0 / h],
-    ])
-    # coefficients of I in the midpoint Hessian; gamma_rate has none
-    m, d, c_v = spec.params.m, spec.params.d, spec.scales.c_v
-    scalar = np.array([
-        [-1.0, d, 0.0, -m],
-        [d, -d * d, 0.0, d * m],
-        [0.0, 0.0, 0.0, 0.0],
-        [-m, d * m, 0.0, -m * m],
-    ]) / c_v
-    return h * (smap.T @ scalar @ smap)
-
-
 # ---------------------------------------------------------------------------
 # block-tridiagonal matrix
 
-def _skew(ab, F: int, v: int, s: int, families: int) -> np.ndarray:
+def _skew(ab, b: int) -> np.ndarray:
     """Strided view of a lower band in Fortran order, by places of block size
-    b = v s split into v x v sub-blocks of size s: [place k, i, q, family f,
-    j, c] is ab[f b + j s + c - (i s + q), k b + i s + q], entry (j s + c) of
-    row (i s + q) of place k's block row [D_k^T, U1_k, U2_k] (f = 0, 1, 2).
-    Writable when ``ab`` is."""
-    b = v * s
+    b: [place k, q, family f, c] is ab[f b + c - q, k b + q], entry c of row
+    q of place k's block row [D_k^T, U1_k, U2_k] (f = 0, 1, 2; the band has
+    a row block per family).  Writable when ``ab`` is."""
     sr, sc = ab.strides
     return np.lib.stride_tricks.as_strided(
-        ab, (F, v, s, families, v, s), (b * sc, s * (sc - sr), sc - sr, b * sr, s * sr, sr))
+        ab, (ab.shape[1] // b, b, ab.shape[0] // b, b), (b * sc, sc - sr, b * sr, sr))
 
 
 def _folded_order(F: int) -> np.ndarray:
     """Node at each place of the folded order 0, F-1, 1, F-2, ..."""
     return np.stack([np.arange(F), np.arange(F)[::-1]], axis=1).ravel()[:F]
-
-
-def _block_rows(ab, b: int) -> np.ndarray:
-    """[place, q, family, c]: row q of each place's block row [D^T, U1, U2]
-    of block size b, read from the lower band ``ab`` (`_skew`); entries left
-    of the diagonal of D^T are not the matrix's."""
-    return _skew(ab, ab.shape[1] // b, 1, b, ab.shape[0] // b)[:, 0, :, :, 0, :]
-
-
-class _BandWriter:
-    """Writes the band of a `BlockTridiagonal` once, from its node blocks
-    split into v x v sub-blocks of size s (block b = v s), each sub-block
-    given once for every node, in any order.
-
-    The band holds ab[i - j, j] = A[i, j] for 0 <= i - j < 2b, or < 3b when
-    cyclic, in Fortran order, which LAPACK reads in place, through `_skew`:
-    column k b + q is row q of place k's block row [D_k^T, U1_k, U2_k] (U2
-    when cyclic) read along a skew, and one slice assignment writes a
-    sub-block family.  D_k's upper triangle lies left of the diagonal in D_k^T's
-    rows, outside the band, so a diagonal sub-block is copied where it is
-    on or below the diagonal and one wholly above it not at all; every
-    entry then comes from the triangle of the block that stores it.  A
-    cyclic matrix is written in the folded order: place 2j holds node j
-    and place 2j+1 node F-1-j, so the couplings of even and of odd places
-    are gap-2 families, and only two couplings join places one apart, node
-    0 with node F-1 at place 0 and the middle one at place F-2 (both at
-    place 0 when F = 2).  Those two are added to the zero band, so the
-    F = 2 pair is summed and -0.0 becomes +0.0.
-
-    It records the largest |entry| of the diagonal blocks, both triangles,
-    and whether every coupling is finite: the matrix's finiteness is decided
-    here, once.
-    """
-
-    def __init__(self, F: int, v: int, s: int, cyclic: bool):
-        self.F, self.b, self.cyclic = F, v * s, cyclic
-        families = 3 if cyclic else 2
-        self.ab = np.zeros((families * self.b, F * self.b), order="F")
-        self.rows = _skew(self.ab, F, v, s, families)
-        self.diag_max = []
-        self.finite = True
-
-    def put_diag(self, v: int, w: int, d: np.ndarray) -> None:
-        """Sub-block (v, w) of every diagonal block, (F, s, s) in node order."""
-        self.diag_max.append(max(d.max(), -d.min()))
-        if v < w:
-            return
-        at = self.rows[:, w, :, 0, v, :]  # where D^T's sub-block (w, v) goes
-        dT = np.swapaxes(d, 1, 2)
-        lower = np.tri(d.shape[1], dtype=bool).T if v == w else True  # [q, c]: c >= q
-        if self.cyclic:
-            half = self.F // 2
-            np.copyto(at[0::2], dT[:self.F - half], where=lower)
-            np.copyto(at[1::2], dT[::-1][:half], where=lower)
-        else:
-            np.copyto(at, dT, where=lower)
-
-    def put_off(self, v: int, w: int, u: np.ndarray) -> None:
-        """Sub-block (v, w) of every coupling, in node order: F-1 of them,
-        or F when cyclic."""
-        self.finite = self.finite and bool(np.all(np.isfinite(u)))
-        F = self.F
-        up = self.rows[:, v, :, :, w, :]  # where U's sub-block (v, w) goes
-        down = self.rows[:, w, :, :, v, :]  # where U^T's sub-block (w, v) goes
-        if not self.cyclic:
-            up[:F - 1, :, 1] = u
-            return
-        mid = u[(F - 1) // 2]  # joins places F-2 and F-1, in reverse when F is odd
-        if F % 2:
-            down[F - 2, :, 1] += mid.T
-        else:
-            up[F - 2, :, 1] += mid
-        down[0, :, 1] += u[F - 1].T
-        up[0:F - 2:2, :, 2] = u[:(F - 1) // 2]
-        down[1:F - 2:2, :, 2] = np.swapaxes(u[F - 2::-1][:F // 2 - 1], 1, 2)
 
 
 # the symbols of the band routines in the LAPACK numpy links, each pattern
@@ -750,22 +623,47 @@ class BlockTridiagonal:
     order 0, F-1, 1, F-2, ..., in which every coupling joins nodes at most
     two places apart (scalar bandwidth 3b - 1).
 
-    It is made one way, from the `_BandWriter` that `hessian` wrote.
-    ``band`` is the writer's lower band, folded when cyclic, in Fortran
-    order and read-only, LAPACK's ab[i - j, j] = A[i, j]; each
-    factorization negates a copy of it.  The lower triangle of each D_k is
-    what the band keeps, and every method reads the band.  ``diag_max`` is
-    the largest |entry| of the diagonal blocks as written, both triangles,
-    and ``finite`` says whether every entry is finite.
+    It is made from its node blocks, ``diag`` (F, b, b) and ``off``, F-1
+    or F couplings, which `__init__` writes once into ``band``: the lower
+    band, folded when cyclic, in Fortran order and read-only, LAPACK's
+    ab[i - j, j] = A[i, j], which each factorization negates a copy of.
+    Through `_skew`, column k b + q is row q of place k's block row [D_k^T,
+    U1_k, U2_k] read along a skew, and one slice assignment writes a block
+    family.  D_k's upper triangle lies left of the diagonal in D_k^T's rows,
+    outside the band, so the band keeps each D_k's lower triangle and every
+    entry comes from the triangle of the block that stores it; every method
+    reads the band.  A cyclic matrix is written in the folded order: place
+    2j holds node j and place 2j+1 node F-1-j, so the couplings of even and
+    of odd places are gap-2 families, and only two couplings join places
+    one apart, node 0 with node F-1 at place 0 and the middle one at place
+    F-2 (both at place 0 when F = 2).  Those two are added to the zero
+    band, so the F = 2 pair is summed and -0.0 becomes +0.0.  ``diag_max``
+    is the largest |entry| of the diagonal blocks as given, both triangles,
+    and ``finite`` says whether every entry of the blocks is finite.
     """
 
     __slots__ = ("band", "block", "cyclic", "diag_max", "finite")
 
-    def __init__(self, writer: _BandWriter):
-        writer.ab.setflags(write=False)
-        self.band, self.block, self.cyclic = writer.ab, writer.b, writer.cyclic
-        self.diag_max = float(np.max(writer.diag_max))
-        self.finite = bool(np.isfinite(self.diag_max)) and writer.finite
+    def __init__(self, diag: np.ndarray, off: np.ndarray):
+        F, b = diag.shape[:2]
+        self.block, self.cyclic = b, len(off) == F
+        self.diag_max = float(max(diag.max(), -diag.min()))
+        self.finite = bool(np.isfinite(self.diag_max) and np.all(np.isfinite(off)))
+        ab = np.zeros(((3 if self.cyclic else 2) * b, F * b), order="F")
+        rows = _skew(ab, b)
+        order = _folded_order(F) if self.cyclic else slice(None)
+        # D_k^T's entries on or right of its diagonal, [q, c]: c >= q
+        np.copyto(rows[:, :, 0], np.swapaxes(diag, 1, 2)[order], where=np.tri(b, dtype=bool).T)
+        if not self.cyclic:
+            rows[:F - 1, :, 1] = off
+        else:
+            mid = off[(F - 1) // 2]  # joins places F-2 and F-1, in reverse when F is odd
+            rows[F - 2, :, 1] += mid.T if F % 2 else mid
+            rows[0, :, 1] += off[F - 1].T
+            rows[0:F - 2:2, :, 2] = off[:(F - 1) // 2]
+            rows[1:F - 2:2, :, 2] = np.swapaxes(off[F - 2::-1][:F // 2 - 1], 1, 2)
+        ab.setflags(write=False)
+        self.band = ab
 
     @property
     def size(self) -> int:
@@ -776,7 +674,7 @@ class BlockTridiagonal:
         """Node k's diagonal block, symmetric, from the band's lower
         triangle.  Nothing in the package reads it; the benchmark's tracer
         reads its shape to size each Hessian."""
-        D = np.swapaxes(_block_rows(self.band, self.block)[:, :, 0], 1, 2)
+        D = np.swapaxes(_skew(self.band, self.block)[:, :, 0], 1, 2)
         blocks = np.where(np.tri(self.block, dtype=bool), D, np.swapaxes(D, 1, 2))
         if not self.cyclic:
             return blocks
@@ -955,35 +853,50 @@ def gradient(D: DualField, spec: ProblemSpec) -> np.ndarray:
 
 def hessian(D: DualField, spec: ProblemSpec) -> BlockTridiagonal:
     """Exact Hessian of ``action`` over the free nodal values; cyclic for
-    the periodic problem.  Node k's diagonal block sums element k's aa and
-    element k-1's bb quadrant; element k's ab quadrant couples node k to
-    node k+1.  Each [gamma, lambda] x [gamma, lambda] sub-block of a
-    quadrant is C I plus or minus one matrix part of `_hessian_parts`, made
-    for every element at once and written straight into the band; no
-    quadrant is formed."""
+    the periodic problem.
+
+    It is the Gram product H = -A^T W^-1 A (`_gram_inertia`), which is what
+    makes the dual action concave wherever every weighted stiffness is
+    positive definite: element k adds -h S_i^T W_k^-1 S_j to the node
+    blocks i, j of its end nodes a = k and b = k+1, with S_a and S_b its
+    Gram blocks A_a / sqrt(h) and A_b / sqrt(h) (`_transfer_matrices`) and
+    W_k = diag(c_x K|_lam, c_v I).  The x rows of S are [-Y_0, Y_1] on
+    node a and [Y_0, Y_1] on node b, Y = [I/h, -Mx^T/2] with Mx = dK/dx
+    at the mapped state, so every product of x rows is the one Gram block
+    Y^T K|_lam^-1 Y / c_x with signs; the v rows are s_a (x) I and
+    s_b (x) I, s_a = [1/2, -(d/2 + m/h)] and s_b = [1/2, m/h - d/2].  Node
+    k's diagonal block sums element k's aa product and element k-1's bb
+    product; element k's ab product couples node k to node k+1.  Each
+    product is formed for every element at once as a (M, 2n, 2n) array,
+    sqrt(h) taken into Y and s, so that no intermediate exceeds the bound
+    `_gram_point` reads, and `BlockTridiagonal` writes the band."""
     _require_boundary(D, spec)
-    C, P, G, L = _hessian_parts(spec, D)
+    state = _core_state(spec, D)
     n, M, h = spec.n, spec.grid.M, spec.grid.h
-    periodic = spec.periodic
-    # gamma_rate = (gamma_b - gamma_a) / h and lambda_mid = (lambda_a +
-    # lambda_b) / 2 give each sub-block one matrix part, subtracted in aa,
-    # in bb on the diagonal sub-blocks and in ab on the lambda columns
-    parts = ((P / h, np.swapaxes(G, 1, 2)), (G, (0.25 * h) * L))
-    eye = np.eye(n)
-    kept = slice(None) if periodic else slice(M - 1)  # open: node M is pinned
-    writer = _BandWriter(M, 2, n, periodic)
-    for v in range(2):
-        for w in range(2):
-            part = parts[v][w]
-            diag = np.subtract(C[v, w] * eye, part)
-            bb = (np.subtract if v == w else np.add)(C[2 + v, 2 + w] * eye, part)
-            diag[1:] += bb[:-1]
-            if periodic:  # element M-1 ends at node M, which is node 0
-                diag[0] += bb[-1]
-            writer.put_diag(v, w, diag)
-            ab = (np.add if w == 0 else np.subtract)(C[v, 2 + w] * eye, part[kept])
-            writer.put_off(v, w, ab)
-    return BlockTridiagonal(writer)
+    m, d, root = spec.params.m, spec.params.d, np.sqrt(h)
+    Y = np.empty((M, n, 2 * n))  # sqrt(h) Y
+    Y[:, :, :n] = np.eye(n) / root
+    Y[:, :, n:] = (-0.5 * root) * np.swapaxes(state.Mx, 1, 2)
+    G = np.swapaxes(Y, 1, 2) @ ((state.Kinv / spec.scales.c_x) @ Y)  # h Y^T P Y
+    sign = np.repeat([[-1.0, 1.0], [1.0, 1.0]], n, axis=1)  # of S_a's and S_b's x columns
+    s = root * np.array([[0.5, -(0.5 * d + m / h)], [0.5, m / h - 0.5 * d]])  # sqrt(h) s_a, s_b
+    # -h S_i^T W^-1 S_j = X[i, j] G - V[i, j]: X holds the x columns' signs,
+    # negated, and V = h (s_i s_j^T / c_v) (x) I the v rows' product
+    X = -sign[:, None, :, None] * sign[None, :, None, :]
+    V = np.kron(s[:, None, :, None] * s[None, :, None, :], np.eye(n)) / spec.scales.c_v
+
+    def product(i, j):
+        """-h S_i^T W^-1 S_j of every element."""
+        out = G * X[i, j]
+        out -= V[i, j]
+        return out
+
+    diag, bb, off = product(0, 0), product(1, 1), product(0, 1)
+    diag[1:] += bb[:-1]
+    if not spec.periodic:  # node M is pinned
+        return BlockTridiagonal(diag, off[:-1])
+    diag[0] += bb[-1]  # element M-1 ends at node M, which is node 0
+    return BlockTridiagonal(diag, off)
 
 
 # ---------------------------------------------------------------------------
@@ -1008,7 +921,7 @@ def _transfer_matrices(spec: ProblemSpec, Mx: np.ndarray, Einv: np.ndarray, out=
 
     sqrt(h) times the map from the end nodes to the linearized primal state,
     so that element k adds -[A_a | A_b]^T W_k^-1 [A_a | A_b] to the Hessian,
-    W_k = diag(c_x K|_lam, c_v I) (`_hessian_parts`).  Through ``Einv``,
+    W_k = diag(c_x K|_lam, c_v I) (`hessian`).  Through ``Einv``,
     the inverses of the Schur complements E = (d/2 + m/h) I + q,
     q = (h/4) Mx^T (`_schur_complements`), by Newton-Schulz where every
     ||q||_F <= (d/2 + m/h) / 2, by LU elsewhere (`_schur_inverses`),
@@ -1151,25 +1064,27 @@ class _GramPoint:
 
 
 def _gram_point(spec: ProblemSpec, D: DualField) -> _GramPoint | None:
-    """D's `_GramPoint`, or None where the mapped state or a Hessian part
-    (`_hessian_parts`) is not finite.  Mx, max|P| and C are tested, with
+    """D's `_GramPoint`, or None where the mapped state or the Hessian is
+    not finite.  Mx and max|P|, P = K|_lam^-1 / c_x, are tested, with
     max|P| <= 1 / (c_x (1 - rho)) where every rho <= _CERT_RHO (no K|_lam^-1
-    formed); G and L are formed only where the bounds |G| <= (n/2) max|Mx|
-    max|P| and |L| <= n^2 max|Mx|^2 max|P| leave overflow open."""
+    formed); the Hessian is formed only where one bound on its Gram
+    products (`hessian`), h 4n^2 s^2 max(max|P|, 1/c_v) with s the largest
+    |entry| of the Gram blocks S, leaves overflow open."""
     state = _core_state(spec, D)
     Mx, rho = state.Mx, float(np.max(state.rho))
     pmax = (1.0 / (1.0 - rho) if rho <= _CERT_RHO else
             float(np.max(np.abs(state.Kinv)))) / spec.scales.c_x
     if not (pmax < np.inf and all(np.all(np.isfinite(a)) for a in (
-            state.lam, state.x, state.v, Mx, _scalar_part(spec)))):
+            state.lam, state.x, state.v, Mx))):
         return None
-    # Mx P = 2 G is formed on the way to L; below half the largest float,
-    # the bound leaves round-off no room to overflow (an inf or nan bound
-    # certifies nothing)
-    n, mx = spec.n, float(np.max(np.abs(Mx)))
-    bound = n * mx * pmax * max(1.0, n * mx)
-    if not bound <= 0.5 * np.finfo(float).max and not all(
-            np.all(np.isfinite(a)) for a in _hessian_parts(spec, D)[2:]):
+    # an entry of S^T P S sums n^2 terms, two elements meet at a node, and
+    # every intermediate of `hessian` is within the bound; below half the
+    # largest float it leaves round-off no room to overflow (an inf or nan
+    # bound certifies nothing)
+    n, h, p = spec.n, spec.grid.h, spec.params
+    s = max(0.5, 1.0 / h, 0.5 * float(np.max(np.abs(Mx))), 0.5 * p.d + p.m / h)
+    bound = h * 4 * n * n * s * s * max(pmax, 1.0 / spec.scales.c_v)
+    if not bound <= 0.5 * np.finfo(float).max and not hessian(D, spec).finite:
         return None
     return _GramPoint(spec, state)
 

@@ -10,8 +10,9 @@ must decrease the gradient norm; when that cannot make progress either, the
 iteration stops unconverged, as it does at an overflowed point.
 
 Each iterate first makes its Gram record (`dual_action._gram_point`), which
-tests the mapped state, Mx, P and C, with the bound on G and L; parts that
-are not finite end the iteration.  The first cyclic iterate then raises
+tests the mapped state, Mx and P, and the Hessian where one bound on its
+Gram products leaves overflow open; one that is not finite ends the
+iteration.  The first cyclic iterate then raises
 SingularSystemError where the record's Gram factor A is singular (a
 transfer multiplier within M `_GRAM_LIMIT` of 1, or a singular element
 block), by the rule the reported zero count reads, and its direction reads

@@ -3,8 +3,9 @@
 Tier-1 runs every property test at hypothesis' default budget.  The
 ``rk4-deep`` profile, selected with ``--hypothesis-profile rk4-deep``, gives
 each test 3,000 examples; CI runs the RK4 property tests, the Hessian
-band's two byte-identity tests and the Gram factor's property tests under
-it, and the table formatter's sweep, which takes 400 doubles per example.
+band's byte-identity test and its reference test, open and cyclic, and the
+Gram factor's property tests under it, and the table formatter's sweep,
+which takes 400 doubles per example.
 """
 import numpy as np
 import pytest
@@ -18,14 +19,15 @@ settings.register_profile("rk4-deep", max_examples=3000)
 @pytest.fixture
 def band_counts(monkeypatch) -> dict:
     """Counts, while a solve runs: Hessians assembled, bands written (every
-    `_BandWriter`), negated copies of a Hessian's band, dpbtrf calls (each
-    must get a fresh array, never a band), shifted factorizations,
-    `BlockTridiagonal.solve` calls, dpbtrs calls and dtbtrs calls (the
-    triangular band solves of a Gram direction)."""
+    `BlockTridiagonal` made, which writes its band from its node blocks),
+    negated copies of a Hessian's band, dpbtrf calls (each must get a fresh
+    array, never a band), shifted factorizations, `BlockTridiagonal.solve`
+    calls, dpbtrs calls and dtbtrs calls (the triangular band solves of a
+    Gram direction)."""
     counts = {"hessians": 0, "bands": 0, "copies": 0, "dpbtrf": 0, "shifted": 0,
               "solves": 0, "dpbtrs": 0, "dtbtrs": 0}
     bands = []
-    hessian, writer = dual_solver.hessian, dual_action._BandWriter
+    hessian, init = dual_solver.hessian, dual_action.BlockTridiagonal.__init__
     negative, lapack = np.negative, dual_action._LAPACK
     neg_cholesky = dual_action.BlockTridiagonal.neg_cholesky
     solve = dual_action.BlockTridiagonal.solve
@@ -36,10 +38,9 @@ def band_counts(monkeypatch) -> dict:
         bands.append(H.band)
         return H
 
-    class CountedWriter(writer):
-        def __init__(self, *args):
-            counts["bands"] += 1
-            super().__init__(*args)
+    def counted_init(self, diag, off):
+        counts["bands"] += 1
+        init(self, diag, off)
 
     def counted_negative(a, *args, **kwargs):
         counts["copies"] += any(a is band for band in bands)
@@ -67,7 +68,7 @@ def band_counts(monkeypatch) -> dict:
         return lapack.dtbtrs(ab, x, trans)
 
     monkeypatch.setattr(dual_solver, "hessian", counted_hessian)
-    monkeypatch.setattr(dual_action, "_BandWriter", CountedWriter)
+    monkeypatch.setattr(dual_action.BlockTridiagonal, "__init__", counted_init)
     monkeypatch.setattr(np, "negative", counted_negative)
     monkeypatch.setattr(dual_action, "_LAPACK", lapack._replace(
         dpbtrf=counted_cholesky, dpbtrs=counted_dpbtrs, dtbtrs=counted_dtbtrs))

@@ -28,9 +28,7 @@ from dualchain import (
 from dualchain.dual_action import (
     COND_LIMIT,
     SingularStiffnessError,
-    _BandWriter,
     _element_fields,
-    _hessian_parts,
 )
 
 
@@ -242,31 +240,6 @@ def hessian_elements_kron(spec, ga, la, gb, lb) -> np.ndarray:
     return h * (W.T @ (Hm @ W))
 
 
-def hessian_elements_quadrants(spec, D) -> np.ndarray:
-    """Per-element nodal Hessian blocks of ``spec``'s problem at D, shape
-    (M, 4n, 4n), from the package's parts (C, P, G, L) written into whole
-    (M, 2n, 2n) quadrants aa, ab and bb, ba being ab transposed: each
-    [gamma, lambda] x [gamma, lambda] block of a quadrant is C I plus or
-    minus one part, added or subtracted by the sign listed for it."""
-    C, P, G, L = _hessian_parts(spec, D)
-    n, M, h = spec.n, spec.grid.M, spec.grid.h
-    eye = np.eye(n)
-    parts = ((P / h, np.swapaxes(G, 1, 2)), (G, (0.25 * h) * L))
-    quads = []
-    for row, col, signs in ((0, 0, ((-1, -1), (-1, -1))),
-                            (0, 2, ((1, -1), (1, -1))),
-                            (2, 2, ((-1, 1), (1, -1)))):
-        Q = np.empty((M, 2 * n, 2 * n))
-        blocks = Q.reshape(M, 2, n, 2, n)  # [element, value, i, value, j]
-        for i in range(2):
-            for j in range(2):
-                combine = np.add if signs[i][j] > 0 else np.subtract
-                combine(C[row + i, col + j] * eye, parts[i][j], out=blocks[:, i, :, j])
-        quads.append(Q)
-    aa, ab, bb = quads
-    return np.block([[aa, ab], [np.swapaxes(ab, 1, 2), bb]])
-
-
 def assemble_nodes(E, periodic: bool):
     """(diag, off) node blocks from per-element blocks E (M, 2b, 2b): node
     k's diagonal block is element k's first diagonal quadrant plus element
@@ -285,14 +258,10 @@ def assemble_nodes(E, periodic: bool):
 def block_tridiagonal(diag, off) -> BlockTridiagonal:
     """The BlockTridiagonal with node blocks ``diag`` (F, b, b) and
     couplings ``off``, F-1 of them, or F (F >= 2) when cyclic, U_k coupling
-    node k to node k+1: the package's band writer given each block whole,
-    as one sub-block of size b.  The band keeps each diagonal block's lower
-    triangle and sums the two couplings of a cyclic F = 2 matrix."""
-    diag, off = np.asarray(diag, float), np.asarray(off, float)
-    writer = _BandWriter(len(diag), 1, diag.shape[1], len(off) == len(diag))
-    writer.put_diag(0, 0, diag)
-    writer.put_off(0, 0, off)
-    return BlockTridiagonal(writer)
+    node k to node k+1, as float arrays.  The band keeps each diagonal
+    block's lower triangle and sums the two couplings of a cyclic F = 2
+    matrix."""
+    return BlockTridiagonal(np.asarray(diag, float), np.asarray(off, float))
 
 
 def node_blocks(H):

@@ -756,6 +756,25 @@ def test_diverging_base_integration_exits_3(tmp_path, capsys, monkeypatch):
     assert "convergence" not in report and report["manifest"] == {}
 
 
+@pytest.mark.parametrize("module, name, stage", [(primal_solver, "_rk4_maps", "base-state"),
+                                                 (cli, "solve_dual", "dual-solve")])
+def test_a_stage_that_runs_out_of_memory_exits_3_with_a_report(tmp_path, capsys, monkeypatch,
+                                                               module, name, stage):
+    # numpy's MemoryError, raised here where the base integration forms its
+    # step maps or where the solve starts (nothing large is allocated), ends
+    # the run as a diverged base does: exit 3, one stderr line naming the
+    # stage and chain.n, and a report with only the sections it completed
+    def refuse(*args):
+        raise MemoryError("Unable to allocate")
+
+    monkeypatch.setattr(module, name, refuse)
+    assert run_one(PRESETS["fput_alpha_n8"], tmp_path, sets=("grid.M=100",)) == 3
+    assert capsys.readouterr().err == f"{stage} stage ran out of memory at chain.n = 8\n"
+    report = parse_report(tmp_path / "fput_alpha_n8_report.txt")
+    assert report["run"]["mode"] == "dual-solve"
+    assert "convergence" not in report and report["manifest"] == {}
+
+
 def test_diverging_oracle_integration_exits_3_with_the_solve_reported(tmp_path, capsys):
     # from the zero base the solve converges; the verify oracle, integrated
     # on its own, then diverges, and the report keeps [convergence] only

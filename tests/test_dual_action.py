@@ -61,7 +61,6 @@ from oracles import (
     dense_norm1,
     fine_quadrature_action,
     hessian_elements_kron,
-    hessian_elements_quadrants,
     node_blocks,
     predual_action,
     shifted,
@@ -914,6 +913,32 @@ def test_block_tridiagonal_band_storage_matches_dense():
         np.testing.assert_array_equal(H.to_dense(), np.tril(dense) + np.tril(dense, -1).T)
 
 
+def _hessian_case(seed, n, M, with_B, periodic, scale):
+    """A random open or periodic spec with n particles on M elements and a
+    field of the given scale on it (the zero field at scale 0)."""
+    rng = np.random.default_rng(seed)
+    spec = _random_spec(rng, n=n, M=M, with_B=with_B)
+    if periodic:  # one forcing period, a base that closes, a field that wraps
+        grid = TimeGrid(T=2.0 * np.pi, M=M)
+        t = grid.nodes()[:, None]
+        base = BaseState(grid, 0.3 * np.sin(t + rng.normal(size=n)),
+                         0.3 * np.cos(t + rng.normal(size=n)))
+        forcing = ForcingSpec(n=n, sinusoids=[(0, Sinusoid(0.5, 1.0, 0.3))])
+        spec = ProblemSpec(params=dataclasses.replace(spec.params, forcing=forcing),
+                           scales=spec.scales, base=base, grid=grid)
+    u = rng.normal(size=2 * n * M) * scale
+    return spec, unpack_free(spec.grid, n, u, periodic=periodic)
+
+
+def _reference_blocks(seed, n, M, with_B, periodic, scale):
+    """The node blocks (diag, off) of `_hessian_case`'s Hessian, summed from
+    the element blocks of the dense triple products (signed zeros among
+    them: a linear chain's K|_lam^-1 is diagonal)."""
+    spec, D = _hessian_case(seed, n, M, with_B, periodic, scale)
+    E = hessian_elements_kron(spec, D.gamma[:-1], D.lam[:-1], D.gamma[1:], D.lam[1:])
+    return assemble_nodes(E, periodic)
+
+
 @st.composite
 def _block_families(draw):
     """(diag, off) of an open or cyclic BlockTridiagonal with F in 2..12 and
@@ -929,6 +954,10 @@ def _block_families(draw):
 @given(_block_families())
 @example(blocks=(np.full((2, 1, 1), -0.0), np.full((2, 1, 1), -0.0)))
 @example(blocks=(np.zeros((3, 2, 2)), -np.zeros((3, 2, 2))))
+@example(blocks=_reference_blocks(0, n=2, M=2, with_B=False, periodic=True, scale=0.05))  # F = 2
+@example(blocks=_reference_blocks(1, n=3, M=2, with_B=True, periodic=True, scale=0.3))  # F = 2
+@example(blocks=_reference_blocks(2, n=3, M=7, with_B=False, periodic=True, scale=0.0))  # odd F
+@example(blocks=_reference_blocks(3, n=2, M=8, with_B=True, periodic=False, scale=0.05))
 def test_band_matches_the_positional_writer_byte_for_byte(blocks):
     # one slice assignment per block family writes the bytes that placing
     # each coupling by its folded position and summing the one-place
@@ -1204,16 +1233,19 @@ def test_certified_stiffness_solve_matches_eigh_reference(case):
 
 
 @settings(deadline=None, max_examples=60)
-@given(st.integers(0, 2**32 - 1), st.booleans(), st.floats(0.01, 0.5))
-def test_element_hessian_matches_kron_reference(seed, with_B, scale):
-    rng = np.random.default_rng(seed)
-    spec = _random_spec(rng, with_B=with_B)
-    D = _small_dual(rng, spec, scale=scale)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(2, 16), st.booleans(),
+       st.booleans(), st.one_of(st.just(0.0), st.floats(0.01, 0.5)))
+@example(seed=0, n=2, M=2, with_B=False, periodic=True, scale=0.05)  # F = 2, linear
+@example(seed=1, n=3, M=2, with_B=True, periodic=True, scale=0.3)  # F = 2, quadratic
+@example(seed=2, n=3, M=7, with_B=False, periodic=True, scale=0.0)  # odd F, zero field
+@example(seed=4, n=2, M=5, with_B=True, periodic=True, scale=0.0)  # odd F, zero field
+def test_element_hessian_matches_kron_reference(seed, n, M, with_B, periodic, scale):
+    spec, D = _hessian_case(seed, n, M, with_B, periodic, scale)
     args = (D.gamma[:-1], D.lam[:-1], D.gamma[1:], D.lam[1:])
-    # the band the package writes from the element parts against the band
-    # of the node blocks summed from the dense triple products
+    # the band the package writes from the Gram blocks against the band of
+    # the node blocks summed from the dense triple products, open or cyclic
     want = block_tridiagonal(*assemble_nodes(hessian_elements_kron(spec, *args),
-                                             periodic=False)).band
+                                             periodic)).band
     got = hessian(D, spec).band
     cond = 1.0
     if with_B:
@@ -1223,48 +1255,6 @@ def test_element_hessian_matches_kron_reference(seed, with_B, scale):
     # its condition number
     tol = 64 * 4 * spec.n * _EPS * cond * np.max(np.abs(want))
     assert np.max(np.abs(got - want)) <= tol
-
-
-def _hessian_case(seed, n, M, with_B, periodic, scale):
-    """A random open or periodic spec with n particles on M elements and a
-    field of the given scale on it (the zero field at scale 0)."""
-    rng = np.random.default_rng(seed)
-    spec = _random_spec(rng, n=n, M=M, with_B=with_B)
-    if periodic:  # one forcing period, a base that closes, a field that wraps
-        grid = TimeGrid(T=2.0 * np.pi, M=M)
-        t = grid.nodes()[:, None]
-        base = BaseState(grid, 0.3 * np.sin(t + rng.normal(size=n)),
-                         0.3 * np.cos(t + rng.normal(size=n)))
-        forcing = ForcingSpec(n=n, sinusoids=[(0, Sinusoid(0.5, 1.0, 0.3))])
-        spec = ProblemSpec(params=dataclasses.replace(spec.params, forcing=forcing),
-                           scales=spec.scales, base=base, grid=grid)
-    u = rng.normal(size=2 * n * M) * scale
-    return spec, unpack_free(spec.grid, n, u, periodic=periodic)
-
-
-@settings(deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(2, 9), st.booleans(),
-       st.booleans(), st.sampled_from([0.0, 0.05, 0.3]))
-@example(seed=0, n=2, M=2, with_B=False, periodic=True, scale=0.05)  # F = 2, linear
-@example(seed=1, n=3, M=2, with_B=True, periodic=True, scale=0.3)  # F = 2, quadratic
-@example(seed=2, n=3, M=7, with_B=False, periodic=True, scale=0.0)  # odd F, zero field
-@example(seed=3, n=2, M=8, with_B=True, periodic=False, scale=0.05)
-def test_hessian_band_matches_the_quadrant_assembly_byte_for_byte(seed, n, M, with_B,
-                                                                  periodic, scale):
-    # the band written straight from the element parts holds the bytes of
-    # the band placed entry by entry, by node positions, from node blocks
-    # summed from whole element quadrants: the same C I +- part and
-    # aa_k + bb_{k-1} arithmetic, signed zeros included (a linear chain's P
-    # is diagonal, so C 0 +- 0 sets the sign of its off-diagonal entries,
-    # and the F = 2 couplings are summed); the largest |diagonal-block
-    # entry| and finiteness match the blocks' too
-    spec, D = _hessian_case(seed, n, M, with_B, periodic, scale)
-    H = hessian(D, spec)
-    diag, off = assemble_nodes(hessian_elements_quadrants(spec, D), periodic)
-    assert H.cyclic == periodic and H.block == 2 * n
-    assert H.band.tobytes("F") == banded_by_positions(diag, off).tobytes("F")
-    assert H.diag_max == float(np.max(np.abs(diag)))
-    assert H.finite and np.all(np.isfinite(off))
 
 
 @settings(deadline=None, max_examples=40)
@@ -1439,8 +1429,8 @@ def test_gram_inertia_counts_weights_near_zero_beside_the_largest(lam, c_v, coun
 
 
 def test_gram_inertia_is_none_where_a_hessian_part_overflows():
-    # m = 1e300 leaves the mapped state finite but overflows m^2 / c_v in
-    # the scalar part, as it overflows the Hessian
+    # m = 1e300 leaves the mapped state finite but overflows the Hessian's
+    # (m/h)^2 h / c_v terms
     spec = _linear_spec(n=1, M=4, k=1.0)
     huge = dataclasses.replace(spec, params=dataclasses.replace(spec.params, m=1e300))
     D = DualField.zeros(spec.grid, 1)
@@ -1451,23 +1441,24 @@ def test_gram_inertia_is_none_where_a_hessian_part_overflows():
 
 
 @pytest.mark.parametrize("k, n, formed, want", [
-    (1e150, 2, False, (16, 0, 0)),  # the bounds certify G and L
-    (1.3e154, 2, True, (16, 0, 0)),  # they cannot; L = k^2 I is finite
-    (1e155, 1, True, None),  # Mx = k I and P = I are finite, L overflows
+    (1e150, 2, False, (16, 0, 0)),  # the bound certifies the Hessian
+    (4.5e153, 2, True, (16, 0, 0)),  # 4n^2 cannot, though 4n would
+    (1.3e154, 2, True, (16, 0, 0)),  # it cannot; the largest entry, h k^2 / 2, is finite
+    (1e155, 1, True, None),  # Mx = k I and P = I are finite, the Hessian overflows
     (1e200, 3, True, None),
 ])
 def test_gram_inertia_forms_the_hessian_parts_only_where_their_bounds_leave_overflow_open(
         monkeypatch, k, n, formed, want):
-    # on the linear chain k I, Mx = k I and P = I: |G| <= (n/2) k and
-    # |L| <= n^2 k^2 rule out overflow at k = 1e150, not at 1.3e154 or
-    # beyond; the answers are those of forming every part, None where the
-    # Hessian is not finite
+    # on the linear chain k I, Mx = k I and P = I, the Gram blocks' largest
+    # entry is s = k/2, and the bound h 4n^2 s^2 = h n^2 k^2 rules out
+    # overflow at k = 1e150, not at 4.5e153 or beyond; the answers are those
+    # of forming the Hessian, None where it is not finite
     spec = _linear_spec(n=n, M=4, k=k)
     D = DualField.zeros(spec.grid, n)
     calls = []
-    parts = dual_action._hessian_parts
-    monkeypatch.setattr(dual_action, "_hessian_parts",
-                        lambda *args: calls.append(1) or parts(*args))
+    assemble = dual_action.hessian
+    monkeypatch.setattr(dual_action, "hessian",
+                        lambda *args: calls.append(1) or assemble(*args))
     with np.errstate(over="ignore", invalid="ignore"):
         assert _gram_inertia(spec, D) == want
         assert calls == [1] * formed
