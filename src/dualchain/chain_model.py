@@ -17,6 +17,7 @@ period.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -100,7 +101,8 @@ class QuadraticForce:
 
     Derived at construction: ``B_flat``, a read-only (n, n^2) view of B with
     the index pair (r, s) flattened, and ``has_quadratic``, true when any B
-    entry is nonzero (the genuinely nonlinear case).
+    entry is nonzero (the genuinely nonlinear case).  Derived when the dual
+    first reads it, then kept: ``band``, B on its diagonals.
     """
 
     n: int
@@ -121,6 +123,22 @@ class QuadraticForce:
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "B_flat", B.reshape(n, n * n))
         object.__setattr__(self, "has_quadratic", bool(np.any(B)))
+
+    @cached_property
+    def band(self) -> tuple:
+        """(kd, w, BK, BJ): kd = max |i - r|, w = max |j - i| over B[j, i, r]
+        != 0, the half-bandwidths of lam·B and B·x; lam @ BK is lam·B's lower
+        band, BK[j, i (kd + 1) + d] = B[j, i + d, i], and x @ BJ B·x's
+        diagonals -w..w, BJ[s, (w + d) n + i] = B[i, i + d, s]."""
+        B, n = self.B, self.n
+        j, i, r = np.nonzero(B)
+        kd, w = int(np.max(np.abs(i - r), initial=0)), int(np.max(np.abs(j - i), initial=0))
+        BK, BJ = np.zeros((n, n, kd + 1)), np.zeros((n, 2 * w + 1, n))
+        for d in range(kd + 1):
+            BK[:, :n - d, d] = np.diagonal(B, -d, 1, 2)
+        for d in range(-w, w + 1):
+            BJ[:, w + d, max(0, -d):n - max(0, d)] = np.diagonal(B, d, 0, 1)
+        return kd, w, BK.reshape(n, -1), BJ.reshape(n, -1)
 
 
 def eval_force(force: QuadraticForce, x) -> np.ndarray:

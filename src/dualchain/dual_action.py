@@ -34,13 +34,13 @@ computed once and kept on the immutable field, keyed by the spec, so the
 action, gradient, Gram record and Hessian at that field share it; the
 action's value and the gradient are kept there too, assembled once.
 
-No eigendecomposition or factorization runs on the Newton path when every
-multiplier-weighted stiffness K is within _CERT_RHO of I (Frobenius norm):
-K is then positive definite and well conditioned, and solved, not
-inverted.  Elsewhere kappa_2(K) <= ||K||_F ||K^-1||_F certifies a point;
-the eigenvalue test, the only place a SingularStiffnessError is raised,
-sees just the points neither bound certifies; `ellipticity_check` reports
-0.0 where it would fail.
+No eigendecomposition runs on the Newton path when every multiplier-
+weighted stiffness K is within _CERT_RHO of I (Frobenius norm): K, banded
+like B, is then positive definite and well conditioned, and a batch's K
+are one band, formed, factored and solved on it.  Elsewhere kappa_2(K)
+<= ||K||_F ||K^-1||_F certifies a point; the eigenvalue test, the only
+place a SingularStiffnessError is raised, sees just the points neither
+bound certifies; `ellipticity_check` reports 0.0 where it would fail.
 The Hessian is a Gram product, H = -A^T W^-1 A, with A square and block
 bidiagonal and W = diag(c_x K|_lam, c_v I) per element, so a solve reads its
 final point's inertia off the element weights and A's nullity
@@ -77,6 +77,7 @@ import numpy as np
 
 from .chain_model import (
     ChainParams,
+    QuadraticForce,
     _check_forcing,
     _check_state,
     _freeze_arrays,
@@ -358,37 +359,73 @@ def _check_stiffness(K, points=None):
     return mu, Q
 
 
-def _stiffness_solve(B, lam, c_x: float, r):
+def _stiffness_band(band, lam, c_x: float):
+    """(low, rho) of K = I + (1/c_x) B·lam at each point of ``lam``, one matmul
+    with B's ``band``: low[..., i, d] = K[i + d, i], zero where i + d >= n, and
+    rho = ||K - I||_F off the band (one that overflows certifies nothing)."""
+    kd, _, BK, _ = band
+    with np.errstate(over="ignore", invalid="ignore"):
+        low = (lam @ BK).reshape(np.shape(lam) + (kd + 1,)) / c_x
+        sq = low * low
+        rho = np.sqrt(np.sum(sq[..., 0], axis=-1) + 2.0 * np.sum(sq[..., 1:], axis=(-2, -1)))
+    low[..., 0] += 1.0
+    return low, rho
+
+
+@dataclass(eq=False)
+class _Stiffness:
+    """Weighted stiffnesses K on their lower band ``low`` (`_stiffness_band`):
+    ``K @ v`` applies them through the band, and numpy (inv, eigvalsh) reads
+    them as the dense K @ I, each entry a copy of the band's."""
+
+    low: np.ndarray
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self @ np.eye(self.low.shape[-2]), dtype=dtype)
+
+    def __matmul__(self, v):
+        n, b = self.low.shape[-2:]
+        out = self.low[..., 0, None] * v
+        for d in range(1, b):
+            low = self.low[..., :n - d, d, None]  # K[i + d, i] = K[i, i + d]
+            out[..., d:, :] += low * v[..., :n - d, :]
+            out[..., :n - d, :] += low * v[..., d:, :]
+        return out
+
+
+def _stiffness_solve(B, lam, c_x: float, r, band=None):
     """(y, K, rho, Kinv): y = K^-1 r for the weighted stiffness K = I +
     (1/c_x) B·lam at each point of ``lam`` (leading batch axes allowed),
-    rho = ||K - I||_F per point.  Where every rho <= _CERT_RHO, y =
-    np.linalg.solve(K, r), with nothing inverted or factored: Kinv is None.
-    Otherwise y = K^-1 r and kappa_2(K) <= ||K||_F ||K^-1||_F certifies a
-    point; only the points whose bound exceeds _CERT_LIMIT, or the whole
-    batch when the inverse itself fails, go through `_check_stiffness`, so
-    exactly the points it rejects raise SingularStiffnessError.  Where
-    lam·B is exactly zero (a linear chain at finite lam, or the zero
-    field) K is I: it is None, rho zero and Kinv a read-only broadcast of
-    I, with no stiffness, inversion or bound formed."""
+    rho = ||K - I||_F per point, off B's ``band`` (derived when None).
+    Where every rho <= _CERT_RHO, one dpbtrf and one dpbtrs solve all K as
+    one band: K is their `_Stiffness`, Kinv None.  Otherwise, or where
+    dpbtrf fails, y = K^-1 r and kappa_2(K) <= ||K||_F ||K^-1||_F certifies
+    a point; only the points whose bound exceeds _CERT_LIMIT, or the whole
+    batch when the inverse fails, go through `_check_stiffness`, so exactly
+    the points it rejects raise SingularStiffnessError.  Where lam·B is
+    exactly zero (a linear chain at finite lam, or the zero field) K is I:
+    None, rho zero and Kinv a read-only broadcast of I, with nothing formed."""
     n, batch = B.shape[0], np.shape(lam)[:-1]
-    if not np.any(lam) or (not np.any(B) and np.all(np.isfinite(lam))):
+    band = band or QuadraticForce(n=n, B=B).band
+    if not np.any(lam) or (not np.any(band[2]) and np.all(np.isfinite(lam))):
         Kinv = np.broadcast_to(np.eye(n), batch + (n, n))
         return (Kinv @ r[..., None])[..., 0], None, np.zeros(batch), Kinv
-    K = stiffness_lambda(B, lam, c_x)
-    # rho^2 = ||K||_F^2 - 2 tr K + n; one that overflows certifies nothing
-    with np.errstate(over="ignore", invalid="ignore"):
-        KK = np.einsum("...ij,...ij->...", K, K)
-        rho = np.sqrt(np.maximum(KK - 2.0 * np.einsum("...ii->...", K) + n, 0.0))
+    low, rho = _stiffness_band(band, lam, c_x)
     if np.all(rho <= _CERT_RHO):
-        return np.linalg.solve(K, r[..., None])[..., 0], K, rho, None
+        fac, info = _LAPACK.dpbtrf(np.array(low.reshape(-1, low.shape[-1]).T, order="F"))
+        if info == 0:
+            y, _ = _LAPACK.dpbtrs(fac, np.array(r, dtype=float).ravel())
+            return y.reshape(np.shape(r)), _Stiffness(low), rho, None
+    K = stiffness_lambda(B, lam, c_x)
     try:
         Kinv = np.linalg.inv(K)
     except np.linalg.LinAlgError:
         mu, Q = _check_stiffness(K)
         Kinv = (Q / mu[..., None, :]) @ np.swapaxes(Q, -1, -2)
     else:
-        with np.errstate(over="ignore", invalid="ignore"):  # nor does an overflowed bound
-            bound = np.sqrt(KK * np.einsum("...ij,...ij->...", Kinv, Kinv))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed bound certifies nothing
+            bound = np.sqrt(np.einsum("...ij,...ij->...", K, K)
+                            * np.einsum("...ij,...ij->...", Kinv, Kinv))
         unsure = np.flatnonzero(~(bound <= _CERT_LIMIT))
         if unsure.size:
             _check_stiffness(K.reshape(-1, n, n)[unsure], unsure)
@@ -396,21 +433,22 @@ def _stiffness_solve(B, lam, c_x: float, r):
 
 
 class _MappedState:
-    """The dual-to-primal map at points (leading batch axes allowed), J the
-    force Jacobian at xbar: w, r = gammadot - J^T lam, (y, K, rho) =
-    `_stiffness_solve`'s, dx = y / c_x, x = xbar + dx and v = vbar + w / c_v.
-    Formed when first read, then kept: ``Kinv`` = K|_lam^-1 (formed already
-    where a rho exceeds _CERT_RHO) and ``Mx`` = dK/dx at x.  A DualField's
-    state (`_core_state`) also keeps the field's action ``S`` and read-only
+    """The dual-to-primal map at points (leading batch axes allowed) for the
+    quadratic ``force``, J its Jacobian at xbar: w, r = gammadot - J^T lam,
+    (y, K, rho) = `_stiffness_solve`'s on the force's band, dx = y / c_x,
+    x = xbar + dx and v = vbar + w / c_v.  Formed when first read, then
+    kept: ``Kinv`` = K|_lam^-1 (formed already where a rho exceeds
+    _CERT_RHO) and ``Mx`` = dK/dx at x.  A DualField's state
+    (`_core_state`) also keeps the field's action ``S`` and read-only
     gradient ``g`` once `action` and `gradient` assemble them."""
 
     S = g = None
 
-    def __init__(self, lam, lamdot, gamma, gammadot, xbar, vbar, J, B, m, d, c_x, c_v):
-        self.lam, self.gammadot, self.J, self.B = lam, gammadot, J, B
+    def __init__(self, lam, lamdot, gamma, gammadot, xbar, vbar, J, force, m, d, c_x, c_v):
+        self.lam, self.gammadot, self.J, self.band = lam, gammadot, J, force.band
         self.w = gamma + m * lamdot - d * lam
         self.r = gammadot - np.einsum("...j,...ji->...i", lam, J)
-        self.y, self.K, self.rho, Kinv = _stiffness_solve(B, lam, c_x, self.r)
+        self.y, self.K, self.rho, Kinv = _stiffness_solve(force.B, lam, c_x, self.r, self.band)
         self.dx = self.y / c_x
         self.x, self.v = xbar + self.dx, vbar + self.w / c_v
         if Kinv is not None:
@@ -418,12 +456,17 @@ class _MappedState:
 
     @cached_property
     def Kinv(self) -> np.ndarray:
-        return np.linalg.inv(self.K)
+        return np.linalg.inv(np.asarray(self.K))
 
     @cached_property
     def Mx(self) -> np.ndarray:
-        n = self.B.shape[0]
-        return self.J + (self.dx @ self.B.reshape(n * n, n).T).reshape(self.J.shape)
+        """J + B·dx, one matmul dx @ BJ giving B·dx's 2w + 1 diagonals."""
+        (_, w, _, BJ), n, Mx = self.band, self.J.shape[-1], self.J.copy()
+        Bdx = (self.dx @ BJ).reshape(self.dx.shape[:-1] + (2 * w + 1, n))
+        for d in range(-w, w + 1):  # rows lo..hi-1 of diagonal d, a view
+            lo, hi = max(0, -d), n - max(0, d)
+            np.einsum("...ii->...i", Mx[..., lo:hi, lo + d:hi + d])[...] += Bdx[..., w + d, lo:hi]
+        return Mx
 
 
 def _core_state(spec: ProblemSpec, D: DualField) -> _MappedState:
@@ -438,7 +481,7 @@ def _core_state(spec: ProblemSpec, D: DualField) -> _MappedState:
     gmid, lmid, gdot, ldot = _element_fields(D.gamma[:-1], D.lam[:-1], D.gamma[1:], D.lam[1:],
                                              spec.grid.h)
     state = _MappedState(lmid, ldot, gmid, gdot, base.xbar_mid, base.vbar_mid,
-                         spec._midpoints[2], p.force.B, p.m, p.d, s.c_x, s.c_v)
+                         spec._midpoints[2], p.force, p.m, p.d, s.c_x, s.c_v)
     object.__setattr__(D, "_state", (spec, state))
     return state
 
@@ -466,11 +509,9 @@ def _gradient_elements(spec: ProblemSpec, D: DualField):
     gives the four parts below.
     """
     st, (f_mid, Kbar_mid, Abar_mid) = _core_state(spec, D), spec._midpoints
-    dx, x, v = st.dx, st.x, st.v
-    p, n, h = spec.params, spec.n, spec.grid.h
-    dxdx = (dx[:, :, None] * dx[:, None, :]).reshape(spec.grid.M, n * n)
-    Kx = (Kbar_mid + np.einsum("mjr,mr->mj", Abar_mid, dx)
-          + 0.5 * (dxdx @ p.force.B.reshape(n, n * n).T))
+    x, v, p, h = st.x, st.v, spec.params, spec.grid.h
+    # K(x) = Kbar + J dx + (1/2) (B·dx) dx, exact for the quadratic force
+    Kx = Kbar_mid + 0.5 * np.einsum("mjr,mr->mj", Abar_mid + st.Mx, st.dx)
     mom = p.d * v + Kx - f_mid
     g_ga = -0.5 * h * v + x
     g_gb = -0.5 * h * v - x
@@ -808,7 +849,7 @@ def dtp_map(lam, lamdot, gamma, gammadot, xbar, vbar, spec) -> tuple[np.ndarray,
             raise ValueError("all dtp_map inputs must share one shape with trailing length n")
     lam, lamdot, gamma, gammadot, xbar, vbar = arrs
     state = _MappedState(lam, lamdot, gamma, gammadot, xbar, vbar,
-                         force_jacobian(p.force, xbar), p.force.B, p.m, p.d, s.c_x, s.c_v)
+                         force_jacobian(p.force, xbar), p.force, p.m, p.d, s.c_x, s.c_v)
     return state.x, state.v
 
 
@@ -867,17 +908,20 @@ def hessian(D: DualField, spec: ProblemSpec) -> BlockTridiagonal:
     s_b (x) I, s_a = [1/2, -(d/2 + m/h)] and s_b = [1/2, m/h - d/2].  Node
     k's diagonal block sums element k's aa product and element k-1's bb
     product; element k's ab product couples node k to node k+1.  Each
-    product is formed for every element at once as a (M, 2n, 2n) array,
-    sqrt(h) taken into Y and s, so that no intermediate exceeds the bound
-    `_gram_point` reads, and `BlockTridiagonal` writes the band."""
+    product is formed for every element at once as a (M, 2n, 2n) array, the
+    Gram block from its three distinct blocks and sqrt(h) taken into s, so that
+    no intermediate exceeds `_gram_point`'s bound; `BlockTridiagonal` writes the band."""
     _require_boundary(D, spec)
     state = _core_state(spec, D)
     n, M, h = spec.n, spec.grid.M, spec.grid.h
     m, d, root = spec.params.m, spec.params.d, np.sqrt(h)
-    Y = np.empty((M, n, 2 * n))  # sqrt(h) Y
-    Y[:, :, :n] = np.eye(n) / root
-    Y[:, :, n:] = (-0.5 * root) * np.swapaxes(state.Mx, 1, 2)
-    G = np.swapaxes(Y, 1, 2) @ ((state.Kinv / spec.scales.c_x) @ Y)  # h Y^T P Y
+    # h Y^T P Y = [[P / h, P U], [U^T P, h U^T P U]], U = -Mx^T / 2
+    P, U = state.Kinv / spec.scales.c_x, -0.5 * np.swapaxes(state.Mx, 1, 2)
+    G = np.empty((M, 2 * n, 2 * n))
+    np.divide(P, h, out=G[:, :n, :n])
+    np.matmul(P, U, out=G[:, :n, n:])
+    G[:, n:, :n] = np.swapaxes(G[:, :n, n:], 1, 2)
+    np.matmul(np.swapaxes(h * U, 1, 2), G[:, :n, n:], out=G[:, n:, n:])
     sign = np.repeat([[-1.0, 1.0], [1.0, 1.0]], n, axis=1)  # of S_a's and S_b's x columns
     s = root * np.array([[0.5, -(0.5 * d + m / h)], [0.5, m / h - 0.5 * d]])  # sqrt(h) s_a, s_b
     # -h S_i^T W^-1 S_j = X[i, j] G - V[i, j]: X holds the x columns' signs,
@@ -1205,7 +1249,7 @@ def ellipticity_check(D: DualField, spec) -> np.ndarray:
     if D.n != p.n:
         raise ValueError(f"dual field is for n={D.n}, problem for n={p.n}")
     floor = p.m * p.m / s.c_v
-    mu = np.linalg.eigvalsh(stiffness_lambda(p.force.B, D.lam, s.c_x))
+    mu = np.linalg.eigvalsh(_Stiffness(_stiffness_band(p.force.band, D.lam, s.c_x)[0]))
     safe_mu = np.where(mu == 0.0, 1.0, mu)
     out = np.minimum(floor, np.min(1.0 / (s.c_x * safe_mu), axis=1))
     out[_singular(mu)[0]] = 0.0
@@ -1213,25 +1257,23 @@ def ellipticity_check(D: DualField, spec) -> np.ndarray:
 
 
 def _ellipticity_min(D: DualField, spec) -> float:
-    """``float(np.min(ellipticity_check(D, spec)))``, bit for bit.  Where
-    every nodal K is within _CERT_RHO of I it is min(m^2/c_v, 1/(c_x mu)),
-    mu the largest eigenvalue of any nodal K, each at most its bound min(1 +
-    rho, Gershgorin): m^2/c_v decides with no eigenvalue formed, or eigvalsh
-    sees the node of the largest bound, then the nodes whose bound reaches
-    its mu."""
+    """``float(np.min(ellipticity_check(D, spec)))``, bit for bit, off the
+    same band.  Where every nodal K is within _CERT_RHO of I it is
+    min(m^2/c_v, 1/(c_x mu)), mu the largest eigenvalue of any nodal K,
+    each at most its bound min(1 + rho, Gershgorin): m^2/c_v decides with
+    no eigenvalue formed, or eigvalsh sees the node of the largest bound,
+    then the nodes whose bound reaches its mu, the only K formed dense."""
     p, s = spec.params, spec.scales
-    K = stiffness_lambda(p.force.B, D.lam, s.c_x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        rho = np.sqrt(np.einsum("...ij,...ij->...", K - np.eye(p.n), K - np.eye(p.n)))
+    low, rho = _stiffness_band(p.force.band, D.lam, s.c_x)
     if not np.all(rho <= _CERT_RHO):
         return float(np.min(ellipticity_check(D, spec)))
     floor = p.m * p.m / s.c_v
     # the slack covers the round-off of the bounds and of the eigenvalues,
-    # exact where K is I to round-off (an eigenvalue of 1.0)
-    bound = (np.minimum(1.0 + rho, np.max(np.sum(np.abs(K), axis=-1), axis=-1))
-             * np.where(rho > 0.0, 1.0 + 1e-10, 1.0))
+    # exact where K is I to round-off (an eigenvalue of 1.0); |K| 1 sums the rows
+    rows = (_Stiffness(np.abs(low)) @ np.ones(low.shape[:-1] + (1,)))[..., 0]
+    bound = np.minimum(1.0 + rho, np.max(rows, axis=-1)) * np.where(rho > 0.0, 1.0 + 1e-10, 1.0)
     if floor <= 1.0 / (s.c_x * np.max(bound)):
         return floor
-    mu = float(np.max(np.linalg.eigvalsh(K[np.argmax(bound)])))
-    mu = float(np.max(np.linalg.eigvalsh(K[bound >= mu])))  # that node among them
+    mu = float(np.max(np.linalg.eigvalsh(_Stiffness(low[np.argmax(bound)]))))
+    mu = float(np.max(np.linalg.eigvalsh(_Stiffness(low[bound >= mu]))))  # that node among them
     return min(floor, 1.0 / (s.c_x * mu))

@@ -175,8 +175,8 @@ def _maximize(spec: ProblemSpec, opts: SolveOptions):
     gnorm = float(np.max(np.abs(g)))
     history = [gnorm]
     damped = opts.step_control == "damped-newton"
-    # an overflowed (inf or nan) residual, Gram part or Hessian ends the loop
-    # unconverged
+    # an overflowed (inf or nan) residual, Gram part, Newton direction or
+    # Hessian ends the loop unconverged
     while tol < gnorm < np.inf and len(history) <= opts.max_iterations:
         point = _gram_point(spec, D)
         if point is None:
@@ -192,9 +192,9 @@ def _maximize(spec: ProblemSpec, opts: SolveOptions):
         # None where -H is not certified negative definite
         direction = _gram_direction(spec, point, g) if damped else None
         del point  # its E^-1 and transfer matrices are not kept through the step
-        accepted = None
-        if direction is not None and np.all(np.isfinite(direction)):
-            accepted = _line_search(spec, D, u, direction)
+        if direction is not None and not np.all(np.isfinite(direction)):
+            break
+        accepted = None if direction is None else _line_search(spec, D, u, direction)
         if accepted is None:  # the band serves the trust region only
             H = hessian(D, spec)
             if not H.finite:
@@ -222,8 +222,8 @@ def _line_search(spec: ProblemSpec, D: DualField, u, direction):
     for _ in range(_MAX_BACKTRACK):
         drop = _C_LS * t * t * float(direction @ direction)
         trial = u + t * direction
-        D_trial = _field(spec, trial)
-        if action(D_trial, spec) >= S_cur - drop - floor:
+        D_trial = _field(spec, trial) if np.all(np.isfinite(trial)) else None
+        if D_trial is not None and action(D_trial, spec) >= S_cur - drop - floor:
             return trial, D_trial
         t *= 0.5
     return None

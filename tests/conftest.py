@@ -3,10 +3,12 @@
 Tier-1 runs every property test at hypothesis' default budget.  The
 ``rk4-deep`` profile, selected with ``--hypothesis-profile rk4-deep``, gives
 each test 3,000 examples; CI runs the RK4 property tests, the Hessian
-band's byte-identity test and its reference test, open and cyclic, and the
-Gram factor's property tests under it, and the table formatter's sweep,
-which takes 400 doubles per example.
+band's byte-identity test and its reference test, open and cyclic, the
+Gram factor's property tests and the weighted stiffness band's test under
+it, and the table formatter's sweep, which takes 400 doubles per example.
 """
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -23,9 +25,13 @@ def band_counts(monkeypatch) -> dict:
     negated copies of a Hessian's band, dpbtrf calls (each must get a fresh
     array, never a band), shifted factorizations, `BlockTridiagonal.solve`
     calls, dpbtrs calls and dtbtrs calls (the triangular band solves of a
-    Gram direction)."""
+    Gram direction).  The weighted stiffness's band (`_stiffness_solve`)
+    is counted apart: its dpbtrf and dpbtrs calls are "stiffness_dpbtrf"
+    and "stiffness_dpbtrs", and every other call of either routine counts
+    as a Hessian band's."""
     counts = {"hessians": 0, "bands": 0, "copies": 0, "dpbtrf": 0, "shifted": 0,
-              "solves": 0, "dpbtrs": 0, "dtbtrs": 0}
+              "solves": 0, "dpbtrs": 0, "dtbtrs": 0, "stiffness_dpbtrf": 0,
+              "stiffness_dpbtrs": 0}
     bands = []
     hessian, init = dual_solver.hessian, dual_action.BlockTridiagonal.__init__
     negative, lapack = np.negative, dual_action._LAPACK
@@ -46,8 +52,12 @@ def band_counts(monkeypatch) -> dict:
         counts["copies"] += any(a is band for band in bands)
         return negative(a, *args, **kwargs)
 
+    def stiffness():
+        """Whether the caller of the counted routine is `_stiffness_solve`."""
+        return sys._getframe(2).f_code is dual_action._stiffness_solve.__code__
+
     def counted_cholesky(ab):
-        counts["dpbtrf"] += 1
+        counts["stiffness_dpbtrf" if stiffness() else "dpbtrf"] += 1
         assert not any(np.may_share_memory(ab, band) for band in bands)
         return lapack.dpbtrf(ab)
 
@@ -60,7 +70,7 @@ def band_counts(monkeypatch) -> dict:
         return solve(self, rhs, fac)
 
     def counted_dpbtrs(fac, x):
-        counts["dpbtrs"] += 1
+        counts["stiffness_dpbtrs" if stiffness() else "dpbtrs"] += 1
         return lapack.dpbtrs(fac, x)
 
     def counted_dtbtrs(ab, x, trans):

@@ -134,6 +134,17 @@ def einsum_stiffness(B, lam, c_x: float):
     return np.einsum("...j,jir->...ir", np.asarray(lam), B) / c_x + np.eye(B.shape[0])
 
 
+def einsum_stiffness_distance(B, lam, c_x: float):
+    """rho = ||K - I||_F of the weighted stiffness, from (1/c_x) lam_j B[j]
+    by the two-operand contraction, with no I added or taken away."""
+    return np.linalg.norm(np.einsum("...j,jir->...ir", np.asarray(lam), B) / c_x, axis=(-2, -1))
+
+
+def einsum_mapped_jacobian(B, J, dx):
+    """Mx = J + B·dx by the two-operand contraction over B's last index."""
+    return J + np.einsum("jrs,...s->...jr", B, np.asarray(dx))
+
+
 def rk4_reference(params, x0, v0, grid, dtype=float):
     """Classical RK4 on (x, v) one stage at a time, with the acceleration
     (f - d v - K(x)) / m from ``einsum_force``; returns the (M+1, n) arrays

@@ -47,6 +47,7 @@ from dualchain.dual_action import (
     COND_LIMIT,
     _core_state,
     _element_fields,
+    _gradient_elements,
     _gram_inertia,
     _schur_complements,
     _stiffness_solve,
@@ -59,6 +60,10 @@ from oracles import (
     block_tridiagonal,
     constant_base,
     dense_norm1,
+    einsum_force,
+    einsum_mapped_jacobian,
+    einsum_stiffness,
+    einsum_stiffness_distance,
     fine_quadrature_action,
     hessian_elements_kron,
     node_blocks,
@@ -1230,6 +1235,86 @@ def test_certified_stiffness_solve_matches_eigh_reference(case):
         factors = False
     assert point.definite == factors
     assert dual_action._weight_counts(point) == _weight_counts_reference(Kref, c_x, c_v)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+       st.integers(1, 20), st.floats(0.0, 0.999), st.booleans(), st.booleans())
+@example(seed=0, n=3, reach=1.0, density=0.0, M=5, t=0.5, beyond=False, refuse=False)  # B = 0
+@example(seed=1, n=4, reach=0.0, density=1.0, M=7, t=0.5, beyond=False, refuse=False)  # diagonal
+@example(seed=2, n=5, reach=1.0, density=1.0, M=20, t=0.9, beyond=False, refuse=False)  # dense
+@example(seed=3, n=1, reach=0.0, density=1.0, M=3, t=0.5, beyond=False, refuse=False)  # n = 1
+@example(seed=4, n=5, reach=1.0, density=1.0, M=20, t=0.5, beyond=True, refuse=False)
+@example(seed=5, n=4, reach=0.3, density=0.6, M=9, t=0.5, beyond=False, refuse=True)
+def test_stiffness_band_matches_dense_references(seed, n, reach, density, M, t, beyond, refuse):
+    # a random B, symmetric in its last two indices, zero beyond the drawn
+    # half-bandwidth kd of K and at random elsewhere, and a field whose
+    # midpoint stiffnesses reach t _CERT_RHO, or t + 1 to t + 3 times it
+    # (beyond the bound, where the inverse-and-test path takes over); with
+    # ``refuse``, dpbtrf is made to report a pivot and that path takes over
+    # too.  The band's K, rho and Mx and the gradient's force term match
+    # the dense einsum references to rounding, y = K^-1 r the eigenvalue
+    # reference to 64 n eps kappa, with the same exception where it raises
+    rng = np.random.default_rng(seed)
+    i, r = np.indices((n, n))
+    B = rng.uniform(-1.0, 1.0, (n, n, n)) * (rng.uniform(size=(n, n, n)) < density)
+    A = rng.normal(size=(n, n))
+    force = QuadraticForce(n=n, A=A + A.T, B=B * (np.abs(i - r) <= round(reach * (n - 1))))
+    B = force.B
+    j, i, r = np.nonzero(B)
+    assert force.band[:2] == (max(np.abs(i - r), default=0), max(np.abs(j - i), default=0))
+    grid, (c_x, c_v) = TimeGrid(T=1.0, M=M), rng.uniform(0.5, 2.0, 2)
+    base = BaseState(grid, 0.3 * rng.normal(size=(M + 1, n)), 0.3 * rng.normal(size=(M + 1, n)))
+    spec = ProblemSpec(ChainParams(m=rng.uniform(0.5, 2.0), d=rng.uniform(0.0, 1.0), force=force,
+                                   forcing=ForcingSpec.zero(n)),
+                       ScaleParams(c_x, c_v), base, grid, x0=rng.normal(size=n), v0=np.zeros(n))
+    lam, gamma = rng.normal(size=(2, M + 1, n))
+    lam[-1] = gamma[-1] = 0.0
+    unit = np.max(einsum_stiffness_distance(B, 0.5 * (lam[:-1] + lam[1:]), c_x))
+    if unit > 0.0:
+        lam *= (t + (1.0 + 2.0 * rng.uniform() if beyond else 0.0)) * dual_action._CERT_RHO / unit
+    D = DualField(grid, gamma, lam)
+    lmid = 0.5 * (lam[:-1] + lam[1:])
+    ref, ref_err = _outcome(lambda: stiffness_eig(B, lmid, c_x))
+    with pytest.MonkeyPatch.context() as patch:
+        if refuse:
+            patch.setattr(dual_action, "_LAPACK",
+                          dual_action._LAPACK._replace(dpbtrf=lambda ab: (ab, 1)))
+        state, err = _outcome(lambda: _core_state(spec, D))
+    assert err == ref_err
+    if ref_err is not None:
+        return
+    rho = einsum_stiffness_distance(B, lmid, c_x)
+    assert np.all(np.abs(state.rho - rho) <= 8 * n * _EPS * rho)
+    if state.K is None:  # lam·B is exactly zero: B = 0 or the zero field
+        assert np.all(rho == 0.0) and not (np.any(B) and np.any(lmid))
+    else:
+        # the band where the distance certifies every point and dpbtrf factors
+        banded = bool(np.all(rho <= dual_action._CERT_RHO)) and not refuse
+        assert isinstance(state.K, np.ndarray) != banded and ("Kinv" in state.__dict__) != banded
+        scale = 1.0 + np.sum(np.abs(lmid), axis=-1)[:, None, None] * np.max(np.abs(B)) / c_x
+        assert np.all(np.abs(np.asarray(state.K) - einsum_stiffness(B, lmid, c_x))
+                      <= 8 * n * _EPS * scale)
+    mu, Q = ref
+    cond = np.max(np.abs(mu), axis=-1) / np.min(np.abs(mu), axis=-1)
+    inverse = _eig_inverse(mu, Q)
+    tol = 64 * n * _EPS * cond * np.max(np.abs(inverse), axis=(-2, -1))
+    want = (inverse @ state.r[..., None])[..., 0]
+    assert np.all(np.max(np.abs(state.y - want), axis=-1)
+                  <= tol * (np.sum(np.abs(state.r), axis=-1) + np.finfo(float).tiny))
+    # Mx = J + B·dx, and K(x) in the gradient's lambda parts, to rounding
+    J, dx, x, v = state.J, state.dx, state.x, state.v
+    assert np.all(np.abs(state.Mx - einsum_mapped_jacobian(B, J, dx))
+                  <= 8 * n * _EPS * einsum_mapped_jacobian(np.abs(B), np.abs(J), np.abs(dx)))
+    p, h = spec.params, grid.h
+    _, g_la, _, g_lb = _gradient_elements(spec, D)
+    mom = p.d * v + einsum_force(force, x)
+    span = np.abs(x) + np.abs(base.xbar_mid)  # of K(x) and of K(xbar) + J dx
+    K_size = (np.abs(force.C) + span @ np.abs(force.A).T
+              + np.einsum("jrs,mr,ms->mj", np.abs(B), span, span))
+    g_tol = 64 * n * n * _EPS * (0.5 * h * (p.d * np.abs(v) + K_size) + p.m * np.abs(v))
+    assert np.all(np.abs(g_la - (0.5 * h * mom + p.m * v)) <= g_tol)
+    assert np.all(np.abs(g_lb - (0.5 * h * mom - p.m * v)) <= g_tol)
 
 
 @settings(deadline=None, max_examples=60)

@@ -212,6 +212,17 @@ def test_line_search_backtracks_once_then_newton_converges(monkeypatch):
     assert all(t == pytest.approx(1.0) for i, t in enumerate(steps) if i != 1)
 
 
+def test_a_line_search_trial_beyond_the_largest_float_is_no_step():
+    # u + t d overflows at the first trial, which is halved like one that
+    # lowers the action instead of reaching the field's finite check
+    grid = TimeGrid(T=2 * np.pi, M=10)
+    spec = _harmonic_spec(M=10, base=zero_base(grid, 1))
+    u = np.full(2 * grid.M, 1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = dual_solver._line_search(spec, dual_solver._field(spec, u), u, np.full_like(u, 1e308))
+    assert got is None or np.all(np.isfinite(got[0]))
+
+
 def test_non_convergence_is_reported_not_raised():
     spec = _fput_spec(n=3, M=64, perturb=0.3, seed=5, amplitude=0.4)
     sol = solve_dual(spec, SolveOptions(max_iterations=1))
@@ -334,12 +345,18 @@ def test_open_problem_factors_only_for_a_newton_direction(band_counts, monkeypat
     # its shifts, each factorization copying the band; the converged point
     # assembles no Hessian, and its inertia comes from the Gram factors, not
     # from inertia(), with no eigenvalues: the weighted stiffness there
-    # factors by Cholesky
+    # factors by Cholesky.  Either way each mapped state whose K|_lam is
+    # not I factors exactly one stiffness band and solves it once, and no
+    # K|_lam goes through np.linalg.solve
     def refuse(*args, **kwargs):
-        raise AssertionError("inertia() or eigvalsh ran")
+        raise AssertionError("inertia(), eigvalsh or np.linalg.solve ran")
 
     monkeypatch.setattr(dual_action.BlockTridiagonal, "inertia", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    states, init = [], dual_action._MappedState.__init__
+    monkeypatch.setattr(dual_action._MappedState, "__init__",
+                        lambda self, *args: states.append(self) or init(self, *args))
     n = 4
     grid = TimeGrid(T=3.0, M=80)
     spec = ProblemSpec(params=ChainParams(m=1.0, d=0.0, force=fput_alpha(n, 0.25),
@@ -360,6 +377,8 @@ def test_open_problem_factors_only_for_a_newton_direction(band_counts, monkeypat
         assert counts["dpbtrf"] == counts["shifted"] > 0
     assert counts["copies"] == counts["dpbtrf"]
     assert sol.hessian_inertia == (2 * n * grid.M, 0, 0)
+    stiff = sum(state.K is not None for state in states)
+    assert counts["stiffness_dpbtrf"] == counts["stiffness_dpbtrs"] == stiff >= sol.iterations
 
 
 def test_a_solve_from_its_own_maximum_assembles_no_hessian(band_counts):
@@ -448,8 +467,17 @@ def test_each_point_solves_its_stiffness_once(monkeypatch, step_control):
             return fn(a, *args)
         return spied
 
-    # M midpoints per point, M + 1 nodes in recovery
+    # M midpoints per point, M + 1 nodes in recovery, each batch one band
+    # solve; a K solved by np.linalg.solve would count twice
+    lapack = dual_action._LAPACK
+
+    def band_solve(fac, x):
+        if sys._getframe(1).f_code.co_name == "_stiffness_solve":
+            solved.append(x.size // n)
+        return lapack.dpbtrs(fac, x)
+
     monkeypatch.setattr(np.linalg, "solve", spy(solved, np.linalg.solve, {"_stiffness_solve"}))
+    monkeypatch.setattr(dual_action, "_LAPACK", lapack._replace(dpbtrs=band_solve))
     for name in ("inv", "cholesky"):
         monkeypatch.setattr(np.linalg, name, spy(formed, getattr(np.linalg, name),
                                                  {"_stiffness_solve", "Kinv", "definite"}))
