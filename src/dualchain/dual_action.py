@@ -46,13 +46,13 @@ bidiagonal and W = diag(c_x K|_lam, c_v I) per element, so a solve reads its
 final point's inertia off the element weights and A's nullity
 (`_gram_inertia`), with no Hessian formed or factored there.
 `BlockTridiagonal.inertia`, which counts a Hessian's dense eigenvalues
-beyond delta = ||H||_1 / COND_LIMIT, is its reference.  The open A is
-block upper bidiagonal, A = blockdiag(A_a,k) (I - U), so an open Newton
-direction is d = A^-1 W A^-T g, two unit triangular band solves (LAPACK
-dtbtrs) around per-element n x n work, where H is certified negative
-definite (`_gram_direction`); the cyclic A adds one corner block,
-a rank-2n correction that Sherman-Morrison-Woodbury turns into solves with
-one 2n x 2n capacitance, so a cyclic direction is four such band solves.
+beyond delta = ||H||_1 / COND_LIMIT, is its reference.  A no-pivot band
+LU of each element's n x n Schur complement makes the open A sqrt(h)
+G^-1 T, T upper triangular and banded, so an open Newton direction is d =
+A^-1 W A^-T g, two band solves (LAPACK dtbtrs) with T around per-element
+work, where H is certified negative definite (`_gram_direction`); the
+cyclic A, on the unit band of its transfer matrices, adds a rank-2n corner
+that Sherman-Morrison-Woodbury solves with a 2n x 2n capacitance.
 No Hessian is formed or factored for a direction, and none to judge a
 cyclic problem singular: the solver reads that off A's nullity at its
 first iterate, the count the inertia's zeros include.  These three readers
@@ -70,7 +70,7 @@ from __future__ import annotations
 import ctypes
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -549,10 +549,10 @@ class _BandLapack(NamedTuple):
     """LAPACK's band routines: ``dpbtrf(ab)`` factors the lower band ``ab``
     (Fortran order, float64, ab[i - j, j] = A[i, j]) by Cholesky in place,
     ``dpbtrs(fac, x)`` overwrites the vector ``x`` with A^-1 x from that
-    factor, and ``dtbtrs(ab, x, trans)`` overwrites ``x`` with T^-1 x, or
-    T^-T x when ``trans``, for the unit upper triangular band ``ab``
-    (ab[kd + i - j, j] = T[i, j] above the diagonal, kd = its row count
-    less 1; the diagonal row is not read); each returns (its result,
+    factor, and ``dtbtrs(ab, x, trans, unit=False)`` overwrites ``x`` with
+    T^-1 x, or T^-T x when ``trans``, for the upper triangular band ``ab``
+    (ab[kd + i - j, j] = T[i, j], kd = its row count less 1; the diagonal
+    row kd is read as ones when ``unit``); each returns (its result,
     LAPACK's info).  ``symbol`` names the dpbtrf it calls."""
 
     symbol: str
@@ -594,9 +594,9 @@ def _band_lapack(symbols=_LAPACK_SYMBOLS) -> _BandLapack:
     def dpbtrs(fac, x):
         return lapack.dpbtrs(fac, x, lower=1, overwrite_b=1)
 
-    def dtbtrs(ab, x, trans):
+    def dtbtrs(ab, x, trans, unit=False):
         y, info = lapack.dtbtrs(ab, x[:, None], uplo="U", trans="T" if trans else "N",
-                                diag="U", overwrite_b=1)
+                                diag="U" if unit else "N", overwrite_b=1)
         return y[:, 0], info
 
     return _BandLapack("scipy.linalg.lapack", dpbtrf, dpbtrs, dtbtrs)
@@ -640,11 +640,11 @@ def _fortran_band_routines(trf, trs, tbtrs, int_t) -> tuple[Callable, Callable, 
         trs(b"L", n, kd, int_t(1), fac.ctypes.data, ldab, x.ctypes.data, n, info, 1)
         return x, info.value
 
-    def dtbtrs(ab, x, trans):
+    def dtbtrs(ab, x, trans, unit=False):
         n, kd, ldab = band(ab)
         vector(x, n)
         info = int_t()
-        tbtrs(b"U", b"T" if trans else b"N", b"U", n, kd, int_t(1), ab.ctypes.data, ldab,
+        tbtrs(b"U", b"T" if trans else b"N", b"U" if unit else b"N", n, kd, int_t(1), ab.ctypes.data, ldab,
               x.ctypes.data, n, info, 1, 1, 1)
         return x, info.value
 
@@ -955,8 +955,7 @@ def _schur_complements(spec: ProblemSpec, Mx: np.ndarray) -> np.ndarray:
     return c * np.eye(spec.n) + (0.25 * h) * np.swapaxes(Mx, 1, 2)
 
 
-def _transfer_matrices(spec: ProblemSpec, Mx: np.ndarray, Einv: np.ndarray, out=None,
-                       sign: float = 1.0) -> np.ndarray:
+def _transfer_matrices(spec: ProblemSpec, Mx: np.ndarray, Einv: np.ndarray) -> np.ndarray:
     """R_k = -A_a,k^-1 A_b,k, (M, 2n, 2n), from element k's Gram factor
     blocks on node k's [gamma, lambda] and on node k+1's, x rows then v rows,
 
@@ -970,18 +969,45 @@ def _transfer_matrices(spec: ProblemSpec, Mx: np.ndarray, Einv: np.ndarray, out=
     q = (h/4) Mx^T (`_schur_complements`), by Newton-Schulz where every
     ||q||_F <= (d/2 + m/h) / 2, by LU elsewhere (`_schur_inverses`),
     R = [[I - 2 q E^-1, -(4m/h) q E^-1], [E^-1, (2m/h) E^-1 - I]]: one
-    n x n inverse per element, where A_a^-1 would take a 2n x 2n one.
-    ``sign`` R, for ``sign`` = +-1, is written into ``out``, any (M, 2n, 2n)
-    view, or a fresh array when None, and returned."""
+    n x n inverse per element, where A_a^-1 would take a 2n x 2n one.  Only
+    the periodic problem reads them."""
     n, h, m = spec.n, spec.grid.h, spec.params.m
-    out = np.empty((len(Einv), 2 * n, 2 * n)) if out is None else out
+    out = np.empty((len(Einv), 2 * n, 2 * n))
     qE = ((0.25 * h) * np.swapaxes(Mx, 1, 2)) @ Einv
-    eye = sign * np.eye(n)
-    np.subtract(eye, (2.0 * sign) * qE, out=out[:, :n, :n])
-    np.multiply(-4.0 * sign * m / h, qE, out=out[:, :n, n:])
-    np.multiply(sign, Einv, out=out[:, n:, :n])
-    np.subtract((2.0 * sign * m / h) * Einv, eye, out=out[:, n:, n:])
+    eye = np.eye(n)
+    np.subtract(eye, 2.0 * qE, out=out[:, :n, :n])
+    np.multiply(-4.0 * m / h, qE, out=out[:, :n, n:])
+    out[:, n:, :n] = Einv
+    np.subtract((2.0 * m / h) * Einv, eye, out=out[:, n:, n:])
     return out
+
+
+def _schur_lu(spec: ProblemSpec, Mx: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """(F, U): E_k = L_k U_k, the LU factorization without pivoting of every
+    Schur complement E_k = c (I + X_k) (`_schur_inverses`), and F_k = L_k^-1,
+    for Mx of half-bandwidth ``w``.  Where rho = max ||X_k||_F <= 1/2 no
+    pivot is below c/2 in magnitude: each leading block of I + X_k is within
+    1/2 of I, so its singular values are at least 1/2, and the reciprocal of
+    pivot j is an entry of the inverse of E_k's leading block of order j.
+    Only E's band is formed, in an (n, n, M) array whose every step works on
+    rows of M, and U is read on and within w above its diagonal; F^T =
+    L^-T is formed by rows, from the last, each from the w rows below it."""
+    n, M, h = spec.n, len(Mx), spec.grid.h
+    E = np.empty((n, n, M))  # [i, j, k] = E_k[i, j], only |i - j| <= w written
+    rows = E.reshape(n * n, M)
+    for d in range(-w, w + 1):  # diagonal d of E, (h/4) Mx^T's, from E[0, d] or E[-d, 0]
+        np.multiply(np.diagonal(Mx, -d, 1, 2).T, 0.25 * h,
+                    out=rows[max(d, -d * n)::n + 1][:n - abs(d)])
+    rows[::n + 1] += 0.5 * spec.params.d + spec.params.m / h
+    for j in range(n - 1):
+        hi = min(n, j + w + 1)
+        E[j + 1:hi, j] /= E[j, j]  # column j of L
+        E[j + 1:hi, j + 1:hi] -= E[j + 1:hi, j, None] * E[j, j + 1:hi]
+    Ft = np.tile(np.eye(n), (M, 1, 1))
+    for r in range(n - 2, -1, -1):  # row r of L^-T: e_r - sum_s L[r + s, r] row r + s
+        for s in range(1, min(w, n - 1 - r) + 1):
+            Ft[:, r, r + 1:] -= E[r + s, r, :, None] * Ft[:, r + s, r + 1:]
+    return np.swapaxes(Ft, 1, 2), E.transpose(2, 0, 1)
 
 
 def _weight_counts(point: _GramPoint) -> tuple[int, int]:
@@ -1156,65 +1182,112 @@ def _gram_inertia(spec: ProblemSpec, D: DualField) -> tuple[int, int, int] | Non
     return N - zero - positive, zero, positive
 
 
-def _gram_direction(spec: ProblemSpec, point: _GramPoint, g: np.ndarray) -> np.ndarray | None:
+def _direction_band(spec: ProblemSpec) -> np.ndarray:
+    """A zero band for `_gram_direction`, one per solve: T's, kd = 3n + w, w
+    the half-bandwidth of Mx = A + B·x, the larger of A's and B·x's
+    (`QuadraticForce.band`); or, periodic, that of I - U, kd = 4n - 1."""
+    force, n = spec.params.force, spec.n
+    i, j = np.nonzero(force.A)
+    w = max(force.band[1], int(np.max(np.abs(i - j), initial=0)))
+    kd = 4 * n - 1 if spec.periodic else 3 * n + w
+    return np.zeros((kd + 1, 2 * n * spec.grid.M), order="F")
+
+
+def _band_entries(ab, b, r, c, count, shape, steps=((1, 1),)) -> np.ndarray:
+    """[k, ...] = T[b k + r + i dr, b k + c + i dc] (steps (dr, dc) per axis),
+    a view numpy checks lies in ``ab``, ab[kd + i - j, j] = T[i, j] for
+    0 <= j - i <= kd only (an entry outside aliases another)."""
+    kd, (sr, sc) = ab.shape[0] - 1, ab.strides
+    if not count:
+        return np.empty((0,) + shape)
+    return np.ndarray((count,) + shape, float, ab.T, (kd + r - c) * sr + c * sc,
+                      (b * sc,) + tuple(dr * sr + dc * (sc - sr) for dr, dc in steps))
+
+
+def _write_factor(ab: np.ndarray, spec: ProblemSpec, Mx, F, U) -> None:
+    """Write T into ``ab`` (`_direction_band`), element k's block row T_kk =
+    [[-I/h, -Mx_k^T/2], [0, -U_k]] and T_k,k+1 = [[I/h, -Mx_k^T/2], [F_k,
+    (2m/h) F_k - U_k]] (k + 1 < M): Mx^T and U by their diagonals within
+    w, F and (2m/h) F - U as whole blocks, the same positions for any F, U."""
+    n, M, h, m = spec.n, spec.grid.M, spec.grid.h, spec.params.m
+    b = 2 * n
+    w, entries = ab.shape[0] - 1 - 3 * n, partial(_band_entries, ab, b)
+    entries(0, 0, M, (n,))[...] = -1.0 / h
+    entries(0, b, M - 1, (n,))[...] = 1.0 / h
+    for d in range(-w, w + 1):  # diagonal d of Mx^T, rows i0.., in T_kk and T_k,k+1
+        i0, half = max(0, -d), -0.5 * np.diagonal(Mx, -d, 1, 2)
+        entries(i0, n + i0 + d, M, (n - abs(d),))[...] = half
+        entries(i0, 3 * n + i0 + d, M - 1, (n - abs(d),))[...] = half[:-1]
+    Ft, block = np.swapaxes(F[:-1], 1, 2), ((0, 1), (1, 0))  # [k, j, i]: down T's columns
+    np.copyto(entries(n, b, M - 1, (n, n), block), Ft)
+    np.multiply(2.0 * m / h, Ft, out=entries(n, 3 * n, M - 1, (n, n), block))
+    for d in range(w + 1):  # diagonal d of U, in T_kk and T_k,k+1
+        Ud = np.diagonal(U, d, 1, 2)
+        # not np.negative: numpy 2.4.6's reads this Ud wrong into this out at (M, n) = (2, 3)
+        np.multiply(Ud, -1.0, out=entries(n, n + d, M, (n - d,)))
+        entries(n, 3 * n + d, M - 1, (n - d,))[...] -= Ud[:-1]
+
+
+def _gram_direction(spec: ProblemSpec, point: _GramPoint, g: np.ndarray,
+                    ab: np.ndarray | None = None) -> np.ndarray | None:
     """The Newton direction d, H d = -g, at ``point`` (`_gram_point`), as
     d = A^-1 W A^-T g from the Gram form H = -A^T W^-1 A (`_gram_inertia`),
-    with no Hessian formed, reading the record's E^-1 and, when cyclic, its
-    R and (P, s); None where H is not certified negative definite, which it
-    is exactly when every K|_lam factors by Cholesky and A is regular (the
-    record's ``definite`` and ``nullity``), and where the cyclic
-    capacitance below is not finite or its 1-norm condition number exceeds
-    _CAPACITANCE_LIMIT.
+    with no Hessian formed, on the band ``ab`` (`_direction_band`, made
+    here when None), whose every nonzero it rewrites; None where H is not
+    certified negative definite, which it is exactly when every K|_lam
+    factors by Cholesky and A is regular (the record's ``definite`` and
+    ``nullity``), and where the cyclic capacitance below is not finite or
+    its 1-norm condition number exceeds _CAPACITANCE_LIMIT.
 
-    A = A_d (I - U - C) with A_d = blockdiag(A_a,k), U holding the transfer
-    matrices R_0 ... R_{M-2} (`_transfer_matrices`) on its block
-    superdiagonal and C, when cyclic, R_{M-1} at block (M-1, 0), zero when
-    open.  Each solve with L = I - U or its transpose is one LAPACK dtbtrs
-    call on a unit upper band of 2b rows, b = 2n, ab[2b - 1 + i - j, j] =
-    L[i, j] (Golub & Van Loan, Matrix Computations, 4th ed., 4.3); the open
-    -R is written straight into it, with no R kept.  The cyclic corner
-    is a rank-2n correction, so by Sherman-Morrison-Woodbury
-    (ibid., 2.1.4) its solves take two dtbtrs calls each around one 2n x 2n
-    capacitance I - Pi, Pi = R_0 ... R_{M-1} (`_transfer_product`, whose
-    multipliers at 1 A's nullity counts): (I - U - C) y = r is y =
-    L^-1 (r + e_{M-1} R_{M-1} y_0) with y_0 = (I - Pi)^-1 (L^-1 r)_0, and
-    (I - U - C)^T z = s is z = L^-T (s + e_0 w) with (I - Pi^T) w =
-    R_{M-1}^T (L^-T s)_{M-1}.  In between, per element and through E^-1
-    (`_schur_inverses`), A_a = sqrt(h) S gives S^-T [a; b] =
-    [(h/2) q - h a; q] with q = E^-T ((h/2) Mx a - b), then W / h (the two
-    sqrt(h) factors together), then S^-1 [x; y] = [-h x - (h/2) Mx^T b; b]
-    with b = -E^-1 (y + (h/2) x)."""
+    Open: the row transform G_k = [[I, 0], [(h/2) F_k, F_k]] takes element
+    k's Gram blocks (`_transfer_matrices`) to sqrt(h) [T_kk | T_k,k+1]
+    (`_write_factor`), F_k = L_k^-1 of E_k = L_k U_k (`_schur_lu`) where
+    rho <= 1/2, else F_k = E_k^-1 (``Einv``) and U_k = I.  So A = sqrt(h)
+    G^-1 T, T upper triangular, and d = (1/h) T^-1 G W G^T T^-T g: each
+    solve with T or T^T is one LAPACK dtbtrs call on the band (Golub & Van
+    Loan, Matrix Computations, 4th ed., 4.3), around per-element F_k, F_k^T
+    and K|_lam's band.
+
+    Cyclic: A = A_d (I - U - C) with A_d = blockdiag(A_a,k), U holding
+    the record's transfer matrices R_0 ... R_{M-2} on its block
+    superdiagonal and C R_{M-1} at block (M-1, 0).  I - U is a unit band
+    (dtbtrs's ``unit``), and the corner is a rank-2n correction, so by
+    Sherman-Morrison-Woodbury (ibid., 2.1.4) its solves take two dtbtrs
+    calls each around one 2n x 2n capacitance I - Pi, Pi = R_0 ... R_{M-1}
+    (`_transfer_product`, whose multipliers at 1 A's nullity counts):
+    (I - U - C) y = r is y = (I - U)^-1 (r + e_{M-1} R_{M-1} y_0) with y_0
+    = (I - Pi)^-1 ((I - U)^-1 r)_0, and (I - U - C)^T z = s is z = (I -
+    U)^-T (s + e_0 w) with (I - Pi^T) w = R_{M-1}^T ((I - U)^-T s)_{M-1}.
+    In between, A_a = sqrt(h) S gives S^-T [a; b] = [(h/2) q - h a; q]
+    with q = E^-T ((h/2) Mx a - b), W / h, and S^-1 [x; y] = [-h x - (h/2)
+    Mx^T b; b] with b = -E^-1 (y + (h/2) x)."""
     Mx, K = point.Mx, point.state.K
-    n, M, h = spec.n, spec.grid.M, spec.grid.h
+    n, M, h, b = spec.n, spec.grid.M, spec.grid.h, 2 * spec.n
     c_x, c_v = spec.scales.c_x, spec.scales.c_v
     if not point.definite or point.nullity:
         return None
-    Einv = point.Einv
-    b = 2 * n
-    ab = np.zeros((2 * b, M * b), order="F")
-    sr, sc = ab.strides
-    # [k, i, j] is ab[b - 1 + i - j, (k + 1) b + j], entry (k b + i, (k + 1) b + j) of I - U
-    upper = np.lib.stride_tricks.as_strided(ab[b - 1:, b:], (M - 1, b, b), (b * sc, sr, sc - sr))
+    ab = _direction_band(spec) if ab is None else ab
     if spec.periodic:
-        R, (P, s) = point.R, point.product
-        np.negative(R[:-1], out=upper)
+        R, (P, s), F = point.R, point.product, point.Einv
         with np.errstate(over="ignore", invalid="ignore"):
             capacitance = np.eye(b) - np.exp(s) * P
         if not (np.all(np.isfinite(capacitance))
                 and np.linalg.cond(capacitance, 1) <= _CAPACITANCE_LIMIT):
             return None
+        np.multiply(R[:-1], -1.0, out=_band_entries(ab, b, 0, b, M - 1, (b, b), ((1, 0), (0, 1))))
     else:
-        _transfer_matrices(spec, Mx[:-1], Einv[:-1], out=upper, sign=-1.0)
+        F, U = ((point.Einv, np.broadcast_to(np.eye(n), Mx.shape)) if not point.rho <= 0.5
+                else _schur_lu(spec, Mx, ab.shape[0] - 1 - 3 * n))
+        _write_factor(ab, spec, Mx, F, U)
 
     def tbtrs(x, trans):
-        x, info = _LAPACK.dtbtrs(ab, x, trans)
+        x, info = _LAPACK.dtbtrs(ab, x, trans, spec.periodic)
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of dtbtrs")
         return x
 
     def solve(x, trans):
-        """(I - U - C)^-1 x, or (I - U - C)^-T x when ``trans``, for a fresh
-        vector x, which it overwrites."""
+        """The band's (cyclic: and corner's) solve of a fresh x, transposed if ``trans``."""
         y = tbtrs(x.copy() if spec.periodic else x, trans)
         if spec.periodic:  # the corner, through the capacitance
             if trans:
@@ -1222,17 +1295,19 @@ def _gram_direction(spec: ProblemSpec, point: _GramPoint, g: np.ndarray) -> np.n
             else:
                 x[-b:] += R[-1] @ np.linalg.solve(capacitance, y[:b])
             y = tbtrs(x, trans)
-        return y.reshape(M, 2, n)
+        return y.reshape(M, 2, n, 1)
 
-    z = solve(np.array(g, dtype=float), True)  # (I - U - C)^-T g, node by node [a; b]
-    a, bl = z[:, 0, :, None], z[:, 1, :, None]
-    q = np.swapaxes(Einv, 1, 2) @ ((0.5 * h) * (Mx @ a) - bl)
-    wx = c_x * (0.5 * q - a)  # (c_x / h) ((h/2) q - h a), times K|_lam below
+    # element by element: S^-T, or G^T when open, then W / h, then S^-1, or G
+    a, bl = np.swapaxes(solve(np.array(g, dtype=float), True), 0, 1)
+    q = np.swapaxes(F, 1, 2) @ ((0.5 * h) * (Mx @ a) - bl if spec.periodic else bl)
+    wx = c_x * (0.5 * q - a) if spec.periodic else (c_x / h) * (a + (0.5 * h) * q)
     if K is not None:
         wx = K @ wx
-    bl = -(Einv @ ((c_v / h) * q + (0.5 * h) * wx))
-    a = -h * wx - (0.5 * h) * (np.swapaxes(Mx, 1, 2) @ bl)
-    return solve(np.concatenate([a, bl], axis=1).ravel(), False).ravel()
+    bl = F @ ((c_v / h) * q + (0.5 * h) * wx)
+    if spec.periodic:
+        bl = -bl
+        wx = -h * wx - (0.5 * h) * (np.swapaxes(Mx, 1, 2) @ bl)
+    return solve(np.concatenate([wx, bl], axis=1).ravel(), False).ravel()
 
 
 def ellipticity_check(D: DualField, spec) -> np.ndarray:

@@ -22,14 +22,14 @@ missing restoring force shows there, and a later iterate near singular is
 not a singular problem.  Then every iterate takes one of two routes.  A
 damped Newton iterate, open or cyclic, takes its direction from the Gram
 factors, H = -A^T W^-1 A: d = A^-1 W A^-T g (`dual_action._gram_direction`),
-dtbtrs band solves (around one 2n x 2n capacitance when cyclic) with no
-Hessian assembled, where H is certified negative definite and a cyclic
-capacitance is well conditioned.  An iterate with no direction, or whose
-line search fails, assembles its Hessian band, the only place one is made,
-and steps on its trust region, whose shift grows until the band's Cholesky
-(LAPACK dpbtrf, `neg_cholesky(shift)` on a negated copy of the band, open or
-folded) succeeds; a Hessian that is not finite, as its assembly records,
-ends the iteration.
+dtbtrs solves, on one band per open solve (around a 2n x 2n capacitance
+when cyclic), no Hessian assembled, where H is certified negative definite
+and a cyclic capacitance is well conditioned.  An iterate with no
+direction, or whose line search fails, assembles its Hessian band, the
+only place one is made, and steps on its trust region, whose shift grows
+until the band's Cholesky (LAPACK dpbtrf, `neg_cholesky(shift)` on a
+negated copy of the band, open or folded) succeeds; a Hessian that is not
+finite, as its assembly records, ends the iteration.
 The period is the grid span, an integer number of forcing periods; orbits
 of unknown period are out of scope.
 """
@@ -46,6 +46,7 @@ from .dual_action import (
     BlockTridiagonal,
     DualField,
     ProblemSpec,
+    _direction_band,
     _ellipticity_min,
     _gram_direction,
     _gram_inertia,
@@ -151,7 +152,8 @@ def _maximize(spec: ProblemSpec, opts: SolveOptions):
 
     Two routes, one per iterate (see the module docstring), after the
     first cyclic iterate's singularity test: a damped Newton iterate's
-    direction comes from the Gram factors (`_gram_direction`), and an
+    direction comes from the Gram factors (`_gram_direction`), on the band
+    `_direction_band` allocates once for an open solve, and an
     iterate with no direction, or whose line search fails, steps on its
     band's trust region.  One Gram record (`_gram_point`) per iterate
     serves the test and the direction, and is dropped before the step.
@@ -175,6 +177,8 @@ def _maximize(spec: ProblemSpec, opts: SolveOptions):
     gnorm = float(np.max(np.abs(g)))
     history = [gnorm]
     damped = opts.step_control == "damped-newton"
+    # open only: a cyclic direction's own fresh band measured faster
+    band = _direction_band(spec) if damped and not spec.periodic else None
     # an overflowed (inf or nan) residual, Gram part, Newton direction or
     # Hessian ends the loop unconverged
     while tol < gnorm < np.inf and len(history) <= opts.max_iterations:
@@ -190,7 +194,7 @@ def _maximize(spec: ProblemSpec, opts: SolveOptions):
                 f"singular element block); for undamped linear chains this is the "
                 f"signature of forcing at a resonant frequency")
         # None where -H is not certified negative definite
-        direction = _gram_direction(spec, point, g) if damped else None
+        direction = _gram_direction(spec, point, g, band) if damped else None
         del point  # its E^-1 and transfer matrices are not kept through the step
         if direction is not None and not np.all(np.isfinite(direction)):
             break

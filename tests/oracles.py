@@ -349,6 +349,44 @@ def banded_by_positions(diag, off) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# the Gram factor's element blocks and an upper triangular band
+
+
+def gram_blocks(spec, Mx):
+    """Element k's Gram factor blocks (A_a, A_b), each (M, 2n, 2n), on
+    nodes k and k+1, x rows then v rows, as `dual_action._transfer_matrices`
+    states them: sqrt(h) [[-+I/h, -Mx^T/2], [I/2, (-+m/h - d/2) I]]."""
+    n, h, m, d = spec.n, spec.grid.h, spec.params.m, spec.params.d
+    blocks = np.zeros((2, len(Mx), 2 * n, 2 * n))
+    for A, sign in zip(blocks, (-1.0, 1.0)):
+        A[:, :n, :n] = (sign / h) * np.eye(n)
+        A[:, :n, n:] = -0.5 * np.swapaxes(Mx, 1, 2)
+        A[:, n:, :n] = 0.5 * np.eye(n)
+        A[:, n:, n:] = (sign * m / h - 0.5 * d) * np.eye(n)
+    return np.sqrt(h) * blocks
+
+
+def upper_band_by_positions(diag, sup, kd: int):
+    """(ab, outside): LAPACK's upper band ab[kd + i - j, j] = T[i, j], in
+    Fortran order, of the block upper bidiagonal T with diagonal blocks
+    ``diag`` (M, b, b) and superdiagonal blocks ``sup`` (M - 1, b, b),
+    written entry by entry, and the largest |entry| of T that lies outside
+    the band, below the diagonal or more than kd above it."""
+    M, b, _ = diag.shape
+    ab, outside = np.zeros((kd + 1, M * b), order="F"), 0.0
+    for k in range(M):
+        for blocks, c0 in ((diag, 0), (sup, b)):
+            for i in range(b if k < len(blocks) else 0):
+                for j in range(b):
+                    r, c = k * b + i, k * b + c0 + j
+                    if 0 <= c - r <= kd:
+                        ab[kd + r - c, c] = blocks[k][i, j]
+                    else:
+                        outside = max(outside, abs(blocks[k][i, j]))
+    return ab, outside
+
+
+# ---------------------------------------------------------------------------
 # the cyclic Hessian as a scipy sparse matrix, assembled from COO triplets,
 # and its singularity check by sparse LU
 

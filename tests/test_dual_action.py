@@ -2,6 +2,7 @@
 import ctypes
 import dataclasses
 import hashlib
+import itertools
 import re
 from types import SimpleNamespace
 
@@ -65,11 +66,13 @@ from oracles import (
     einsum_stiffness,
     einsum_stiffness_distance,
     fine_quadrature_action,
+    gram_blocks,
     hessian_elements_kron,
     node_blocks,
     predual_action,
     shifted,
     stiffness_eig,
+    upper_band_by_positions,
 )
 
 _EPS = np.finfo(float).eps
@@ -681,27 +684,29 @@ def test_band_cholesky_matches_scipy_lapack_byte_for_byte(seed, b, F, cyclic, de
     _assert_band_cholesky_bytes(H, lift * H.diag_max, rng.normal(size=H.size))
 
 
-def _unit_upper_band(rng, size, kd):
-    """A random unit upper triangular band of ``size`` unknowns and ``kd``
-    superdiagonals, LAPACK's ab[kd + i - j, j], with nan on the diagonal
-    row, which a unit-diagonal solve does not read."""
+def _upper_band(rng, size, kd):
+    """A random upper triangular band of ``size`` unknowns and ``kd``
+    superdiagonals, LAPACK's ab[kd + i - j, j], and the dense matrix it
+    stores; its diagonal is 1 to 2 in magnitude, of random sign."""
     ab = np.asfortranarray(0.3 * rng.normal(size=(kd + 1, size)))
-    ab[kd] = np.nan
-    return ab
+    ab[kd] = rng.choice([-1.0, 1.0], size) * rng.uniform(1.0, 2.0, size)
+    T = np.zeros((size, size))
+    for r in range(kd + 1):  # superdiagonal kd - r
+        T[np.arange(size - kd + r), np.arange(kd - r, size)] = ab[r, kd - r:]
+    return ab, T
 
 
 @pytest.mark.parametrize("size, kd", [(1, 0), (1, 3), (6, 1), (40, 7), (48, 31)])
 def test_triangular_band_solve_matches_the_dense_solve(size, kd):
     rng = np.random.default_rng(size + kd)
-    ab = _unit_upper_band(rng, size, kd)
-    T = np.eye(size)
-    for r in range(kd):  # superdiagonal kd - r
-        T[np.arange(size - kd + r), np.arange(kd - r, size)] = ab[r, kd - r:]
+    ab, T = _upper_band(rng, size, kd)
     rhs = rng.normal(size=size)
-    for trans, dense in ((False, T), (True, T.T)):
-        x, info = dual_action._LAPACK.dtbtrs(ab, rhs.copy(), trans)
-        assert info == 0
-        np.testing.assert_allclose(x, np.linalg.solve(dense, rhs), rtol=1e-12, atol=1e-12)
+    for unit, dense in ((False, T), (True, T - np.diag(np.diag(T)) + np.eye(size))):
+        for trans in (False, True):
+            x, info = dual_action._LAPACK.dtbtrs(ab, rhs.copy(), trans, unit)
+            assert info == 0
+            want = np.linalg.solve(dense.T if trans else dense, rhs)
+            np.testing.assert_allclose(x, want, rtol=1e-12, atol=1e-12)
 
 
 def test_band_lapack_falls_back_to_scipy_where_no_symbol_resolves(monkeypatch):
@@ -723,10 +728,10 @@ def test_band_lapack_falls_back_to_scipy_where_no_symbol_resolves(monkeypatch):
                                 H.neg_cholesky(-2.0 * H.diag_max)))
             assert results[0][:2] == results[1][:2]
             assert results[0][2] is None and results[1][2] is None
-        ab = _unit_upper_band(rng, size=45, kd=9)
-        for trans in (False, True):
-            x, info = bound.dtbtrs(ab, rhs.copy(), trans)
-            y, fallback_info = fallback.dtbtrs(ab, rhs.copy(), trans)
+        ab, _ = _upper_band(rng, size=45, kd=9)
+        for trans, unit in itertools.product((False, True), repeat=2):
+            x, info = bound.dtbtrs(ab, rhs.copy(), trans, unit)
+            y, fallback_info = fallback.dtbtrs(ab, rhs.copy(), trans, unit)
             assert info == fallback_info == 0 and x.tobytes() == y.tobytes()
 
 
@@ -747,9 +752,9 @@ def test_band_lapack_checks_the_arrays_it_hands_to_lapack():
             dpbtrs(fac, bad)
     x, info = dpbtrs(fac, np.ones(3))
     assert info == 0 and x.tolist() == [1.0, 1.0, 1.0]
-    # T = [[1, 2, 0], [0, 1, 3], [0, 0, 1]], its unit diagonal not read
+    # T = [[1, 2, 0], [0, 1, 3], [0, 0, 1]], the corner ab[0, 0] outside it not read
     dtbtrs = dual_action._LAPACK.dtbtrs
-    ab = np.asfortranarray([[np.nan, 2.0, 3.0], [np.nan, np.nan, np.nan]])
+    ab = np.asfortranarray([[np.nan, 2.0, 3.0], [1.0, 1.0, 1.0]])
     for bad in (np.ascontiguousarray(ab), ab.astype(np.float32), ab[0]):
         with pytest.raises(ValueError, match="Fortran-ordered float64"):
             dtbtrs(bad, np.ones(3), False)
@@ -759,6 +764,10 @@ def test_band_lapack_checks_the_arrays_it_hands_to_lapack():
     for trans, want in ((False, [5.0, -2.0, 1.0]), (True, [1.0, -1.0, 4.0])):
         x, info = dtbtrs(ab, np.ones(3), trans)
         assert info == 0 and x.tolist() == want
+        ab[1] = np.nan  # a unit diagonal is not read
+        x, info = dtbtrs(ab, np.ones(3), trans, True)
+        assert info == 0 and x.tolist() == want
+        ab[1] = 1.0
 
 
 def test_a_band_that_is_not_finite_raises_before_any_lapack_call(monkeypatch):
@@ -1394,17 +1403,8 @@ def test_one_field_under_two_scales_gives_each_spec_the_bytes_of_a_fresh_field()
 
 
 def _gram_blocks(spec, D):
-    """Element k's Gram factor blocks (A_a, A_b) on nodes k and k+1, as
-    `_transfer_matrices` states them."""
-    n, h, m, d = spec.n, spec.grid.h, spec.params.m, spec.params.d
-    Mx = _core_state(spec, D).Mx
-    blocks = np.zeros((2, spec.grid.M, 2 * n, 2 * n))
-    for A, sign in zip(blocks, (-1.0, 1.0)):
-        A[:, :n, :n] = (sign / h) * np.eye(n)
-        A[:, :n, n:] = -0.5 * np.swapaxes(Mx, 1, 2)
-        A[:, n:, :n] = 0.5 * np.eye(n)
-        A[:, n:, n:] = (sign * m / h - 0.5 * d) * np.eye(n)
-    return np.sqrt(h) * blocks
+    """Element k's Gram factor blocks (A_a, A_b) on nodes k and k+1 at D."""
+    return gram_blocks(spec, _core_state(spec, D).Mx)
 
 
 def _gram_product(spec, D):
@@ -1719,6 +1719,147 @@ def test_a_cyclic_record_read_for_its_nullity_first_gives_the_fresh_direction(
     assert (shared is None) == (fresh is None)
     if fresh is not None:
         assert shared.tobytes() == fresh.tobytes()
+
+
+def _factor_case(seed, n, M, T, reach, density, d, periodic):
+    """A unit-mass spec with n particles on M elements, open or periodic,
+    whose A and B·x are zero more than round(reach (n - 1)) off the
+    diagonal and random within, each entry kept with probability
+    ``density``, and a small random field on it."""
+    rng = np.random.default_rng(seed)
+    i, j = np.indices((n, n))
+    near = np.abs(i - j) <= round(reach * (n - 1))
+    A = rng.normal(size=(n, n)) * near * (rng.uniform(size=(n, n)) < density)
+    B = (0.5 * rng.normal(size=(n, n, n)) * near[:, :, None] * near[:, None, :]
+         * (rng.uniform(size=(n, n, n)) < density))
+    grid = TimeGrid(T=T, M=M)
+    t = (2.0 * np.pi / T) * grid.nodes()[:, None]  # one period: the base closes
+    base = BaseState(grid, 0.3 * np.sin(t + rng.normal(size=n)),
+                     0.3 * np.cos(t + rng.normal(size=n)))
+    params = ChainParams(m=1.0, d=d, force=QuadraticForce(n=n, A=A + A.T, B=B),
+                         forcing=ForcingSpec.zero(n))
+    ends = {} if periodic else {"x0": rng.normal(size=n), "v0": rng.normal(size=n)}
+    spec = ProblemSpec(params, ScaleParams(*rng.uniform(0.5, 2.0, 2)), base, grid, **ends)
+    return spec, unpack_free(grid, n, 0.05 * rng.normal(size=2 * n * M), periodic=periodic)
+
+
+def _with_rho(spec, D, rho):
+    """``spec`` with the mass m and damping d, in the ratio d/m it has, that
+    put rho = max ||(h/4c) Mx_k^T||_F, c = d/2 + m/h, at ``rho`` for the
+    field D (Mx depends on neither m nor d); as it is where Mx is zero."""
+    h, params = spec.grid.h, spec.params
+    mu = float(np.max(np.linalg.norm(_core_state(spec, D).Mx, axis=(1, 2))))
+    if mu == 0.0:
+        return spec
+    m = h * mu / (4.0 * rho * (0.5 * params.d / params.m + 1.0 / h))
+    return dataclasses.replace(spec, params=dataclasses.replace(
+        params, m=m, d=m * params.d / params.m))
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 20), st.floats(0.5, 4.0),
+       st.floats(0.0, 1.0), st.floats(0.2, 1.0), st.floats(0.0, 2.0), st.booleans(),
+       st.one_of(st.floats(1e-6, 0.5), st.floats(0.5, 2.0, exclude_min=True)))
+@example(seed=0, n=1, M=5, T=1.0, reach=0.0, density=1.0, d=0.5, periodic=False,
+         rho=0.3)  # w = 0
+@example(seed=1, n=3, M=1, T=1.0, reach=1.0, density=1.0, d=0.5, periodic=False,
+         rho=0.3)  # M = 1
+@example(seed=2, n=5, M=8, T=2.0, reach=1.0, density=1.0, d=1.0, periodic=True,
+         rho=0.1)  # dense A and B·x
+@example(seed=3, n=8, M=64, T=3.0, reach=1.0 / 7.0, density=1.0, d=0.0, periodic=False,
+         rho=1e-3)  # the open workloads' smallest chain: n = 8, w = 1
+@example(seed=4, n=4, M=12, T=1.0, reach=0.4, density=1.0, d=0.5, periodic=False,
+         rho=0.5 - 1e-9)  # rho just under 1/2: the no-pivot LU
+@example(seed=5, n=4, M=12, T=1.0, reach=0.4, density=1.0, d=0.5, periodic=False,
+         rho=1.5)  # beyond 1/2: F = E^-1
+def test_band_lu_factor_reproduces_the_gram_factor_and_its_newton_direction(
+        seed, n, M, T, reach, density, d, periodic, rho):
+    # Mx of every half-bandwidth w from 0 to n - 1, banded or dense, and the
+    # mass, at the damping rate d/m drawn as d, that puts rho = max
+    # ||X_k||_F at the drawn value, within 1/2 (the no-pivot LU, F E = U
+    # with F unit lower triangular and U upper, within w of the diagonal)
+    # or beyond (F = E^-1, U = I).  An open band has kd = 3n + w and holds
+    # T: G A = sqrt(h) T block by block, with nothing of G A outside T's
+    # band, to 64 n eps times its largest entry (times max cond(E_k) where
+    # F = E^-1); a periodic band has kd = 4n - 1 and holds the unit
+    # triangular I - U, -R_k = A_a^-1 A_b on its superdiagonal, its
+    # diagonal of ones not stored (dtbtrs's ``unit``).  The
+    # direction, on a band another spec's direction (another h, the other
+    # side of 1/2) wrote first, is the fresh band's, and the Hessian band's
+    # H^-1 (-g) to 1e-9 relative where H is well conditioned
+    assume(M >= 2 or not periodic)
+    spec, D = _factor_case(seed, n, M, T, reach, density, d, periodic)
+    spec = _with_rho(spec, D, rho)
+    force, h = spec.params.force, spec.grid.h
+    i, j = np.nonzero(force.A)
+    jb, ib, _ = np.nonzero(force.B)
+    w = max(np.max(np.abs(i - j), initial=0), np.max(np.abs(jb - ib), initial=0))
+    try:
+        g = gradient(D, spec)
+    except SingularStiffnessError:
+        assume(False)
+    point = dual_action._gram_point(spec, D)
+    assume(point is not None)
+    Mx = point.Mx
+    assert abs(point.rho - rho) <= 1e-12 * rho or not np.any(Mx)
+    lu = not periodic and point.rho <= 0.5
+    ab = dual_action._direction_band(spec)
+    kd = 4 * n - 1 if periodic else 3 * n + w
+    assert ab.shape == (kd + 1, 2 * n * M) and not np.any(ab)
+    grid = TimeGrid(T=1.5 * T, M=M)
+    other = dataclasses.replace(spec, grid=grid, base=BaseState(grid, spec.base.xbar,
+                                                                spec.base.vbar))
+    D_other = DualField(grid, D.gamma, D.lam)
+    other = _with_rho(other, D_other, 1.5 if lu else 0.25)
+    dual_action._gram_direction(other, dual_action._gram_point(other, D_other),
+                                gradient(D_other, other), ab)
+    direction = dual_action._gram_direction(spec, point, g, ab)
+    assert lu == ("Einv" not in vars(point)) or direction is None
+    fresh = dual_action._gram_direction(spec, dual_action._gram_point(spec, D), g)
+    assert (direction is None) == (fresh is None)
+    if direction is None:  # refused: a singular A, or a cyclic capacitance
+        assert not point.definite or point.nullity or periodic
+        return
+    assert direction.tobytes() == fresh.tobytes()
+
+    A_a, A_b = gram_blocks(spec, Mx)
+    if periodic:  # I - U, the R_k = -A_a^-1 A_b on its superdiagonal, its unit diagonal unstored
+        R = -np.linalg.solve(A_a, A_b)
+        want, outside = upper_band_by_positions(np.zeros(R.shape), -R[:-1], kd)
+        tol = 64 * n * _EPS * np.max(np.linalg.cond(A_a)) * max(1.0, np.max(np.abs(R)))
+        assert outside == 0.0 and np.max(np.abs(ab - want)) <= tol
+        return _assert_newton_direction(spec, D, g, direction)
+    E = _schur_complements(spec, Mx)
+    if lu:
+        F, U = dual_action._schur_lu(spec, Mx, w)
+        r, c = np.indices((n, n))
+        U = np.where((c >= r) & (c - r <= w), U, 0.0)  # the U the band reads
+        assert np.all(np.diagonal(F, 0, 1, 2) == 1.0) and not np.any(np.triu(F, 1))
+        assert np.all(np.abs(F @ E - U) <= 16 * n * _EPS * (np.abs(F) @ np.abs(E)))
+        cond = 1.0
+    else:
+        F, U = point.Einv, np.eye(n)
+        cond = float(np.max(np.linalg.cond(E)))
+    G = np.zeros((M, 2 * n, 2 * n))
+    G[:, :n, :n] = np.eye(n)
+    G[:, n:, :n] = 0.5 * h * F
+    G[:, n:, n:] = F
+    diag, sup = G @ A_a / np.sqrt(h), G @ A_b / np.sqrt(h)
+    want, outside = upper_band_by_positions(diag, sup[:-1], kd)
+    tol = 64 * n * _EPS * cond * max(np.max(np.abs(diag)), np.max(np.abs(sup)))
+    assert outside <= tol and np.max(np.abs(ab - want)) <= tol
+    _assert_newton_direction(spec, D, g, direction)
+
+
+def _assert_newton_direction(spec, D, g, direction):
+    """``direction`` is the Hessian band's H^-1 (-g) to 1e-9 relative,
+    where H is negative definite with condition number at most 1e6."""
+    H = hessian(D, spec)
+    fac = H.neg_cholesky()
+    mu = np.abs(np.linalg.eigvalsh(H.to_dense()))
+    assume(fac is not None and np.max(mu) <= 1e6 * np.min(mu))
+    want = H.solve(-g, fac)
+    assert np.max(np.abs(direction - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------

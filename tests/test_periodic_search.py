@@ -531,13 +531,18 @@ def test_each_periodic_point_forms_one_transfer_product_and_no_lu_schur_inverse(
     # M = 1000) Newton-Schulz inverts every Schur complement and every
     # weighted stiffness is within the distance bound of I, so
     # np.linalg.inv runs on nothing under damped Newton and only for the
-    # trust region's Hessian parts, K^-1 (`_MappedState.Kinv`).  An open solve forms
-    # E^-1 once per Gram direction taken and none at the final point, whose
-    # nullity needs none
-    products, inverters, schur, directions = [], [], [], []
-    product, inv = dual_action._transfer_product, np.linalg.inv
+    # trust region's Hessian parts, K^-1 (`_MappedState.Kinv`).  An open
+    # damped solve whose every rho is at most 1/2 takes its directions from
+    # the no-pivot LU: no E^-1, no transfer matrices and no np.linalg.inv
+    # anywhere, the final point's nullity included; the open solve allocates
+    # one direction band under damped Newton, none under the trust region,
+    # and the periodic one none (each cyclic direction makes its own)
+    products, inverters, schur, directions, bands = [], [], [], [], []
+    product, inv, band = dual_action._transfer_product, np.linalg.inv, dual_solver._direction_band
     monkeypatch.setattr(dual_action, "_transfer_product",
                         lambda R: products.append(len(R)) or product(R))
+    monkeypatch.setattr(dual_solver, "_direction_band",
+                        lambda spec: bands.append(spec) or band(spec))
 
     def counted_inv(a):
         inverters.append(sys._getframe(1).f_code.co_name)
@@ -549,22 +554,34 @@ def test_each_periodic_point_forms_one_transfer_product_and_no_lu_schur_inverse(
     assert sol.converged and sol.iterations > 1
     damped = step_control == "damped-newton"
     assert products == [1000] * (sol.iterations + 1 if damped else 2)
-    assert set(inverters) == (set() if damped else {"Kinv"})
+    assert set(inverters) == (set() if damped else {"Kinv"}) and bands == []
 
-    inverses, direction = dual_action._schur_inverses, dual_solver._gram_direction
-    monkeypatch.setattr(dual_action, "_schur_inverses",
-                        lambda *args: schur.append(1) or inverses(*args))
+    for name in ("_schur_inverses", "_transfer_matrices"):
+        formed = getattr(dual_action, name)
+        monkeypatch.setattr(dual_action, name,
+                            lambda *args, name=name, formed=formed: schur.append(name)
+                            or formed(*args))
+    direction, point, rhos = dual_solver._gram_direction, dual_solver._gram_point, []
 
     def counted_direction(*args):
         d = direction(*args)
         directions.append(d is not None)
         return d
 
+    def recorded_point(spec, D):
+        p = point(spec, D)
+        rhos.append(p.rho)
+        return p
+
     monkeypatch.setattr(dual_solver, "_gram_direction", counted_direction)
+    monkeypatch.setattr(dual_solver, "_gram_point", recorded_point)
+    inverters.clear()
     open_spec = load_config(PRESETS["perturbed_base_n4"], sets=("grid.M=100",)).problem()
     sol = solve_dual(open_spec, opts)
-    assert sol.converged and sol.iterations > 1
-    assert len(schur) == sum(directions) == (sol.iterations if damped else 0)
+    assert sol.converged and sol.iterations > 1 and max(rhos) <= 0.5
+    assert sum(directions) == (sol.iterations if damped else 0) and schur == []
+    assert set(inverters) == (set() if damped else {"Kinv"})
+    assert len(bands) == (1 if damped else 0)
 
 
 @pytest.mark.parametrize("step_control", ["damped-newton", "trust-region"])
