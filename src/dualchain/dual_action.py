@@ -47,18 +47,18 @@ final point's inertia off the element weights and A's nullity
 (`_gram_inertia`), with no Hessian formed or factored there.
 `BlockTridiagonal.inertia`, which counts a Hessian's dense eigenvalues
 beyond delta = ||H||_1 / COND_LIMIT, is its reference.  A no-pivot band
-LU of each element's n x n Schur complement makes the open A sqrt(h)
-G^-1 T, T upper triangular and banded, so an open Newton direction is d =
-A^-1 W A^-T g, two band solves (LAPACK dtbtrs) with T around per-element
-work, where H is certified negative definite (`_gram_direction`); the
-cyclic A, on the unit band of its transfer matrices, adds a rank-2n corner
-that Sherman-Morrison-Woodbury solves with a 2n x 2n capacitance.
-No Hessian is formed or factored for a direction, and none to judge a
-cyclic problem singular: the solver reads that off A's nullity at its
-first iterate, the count the inertia's zeros include.  These three readers
-share one Gram record per point (`_gram_point`), which forms A's nullity,
-E^-1, the transfer matrices and their product when a reader first needs
-them.  A Hessian band is assembled only for a trust-region step.
+LU of each element's n x n Schur complement makes A sqrt(h) G^-1 T, T
+upper triangular and banded, so a Newton direction is d = A^-1 W A^-T g,
+two band solves (LAPACK dtbtrs) with T around per-element work, where H is
+certified negative definite (`_gram_direction`); the cyclic A adds to T a
+rank-2n corner that Sherman-Morrison-Woodbury solves with a 2n x 2n
+capacitance.  No Hessian is formed or factored for a direction, and none
+to judge a cyclic problem singular: the solver reads that off A's nullity
+at its first iterate, the count the inertia's zeros include.  These three
+readers share one Gram record per point (`_gram_point`), which forms A's
+nullity, the LU, E^-1, the transfer matrices and their product when a
+reader first needs them.  A Hessian band is assembled only for a
+trust-region step.
 
 Overflow far from the maximum (a huge base or mass) follows numpy's default,
 and the solver's finite checks stop there; only an overflowed certificate
@@ -549,11 +549,10 @@ class _BandLapack(NamedTuple):
     """LAPACK's band routines: ``dpbtrf(ab)`` factors the lower band ``ab``
     (Fortran order, float64, ab[i - j, j] = A[i, j]) by Cholesky in place,
     ``dpbtrs(fac, x)`` overwrites the vector ``x`` with A^-1 x from that
-    factor, and ``dtbtrs(ab, x, trans, unit=False)`` overwrites ``x`` with
-    T^-1 x, or T^-T x when ``trans``, for the upper triangular band ``ab``
-    (ab[kd + i - j, j] = T[i, j], kd = its row count less 1; the diagonal
-    row kd is read as ones when ``unit``); each returns (its result,
-    LAPACK's info).  ``symbol`` names the dpbtrf it calls."""
+    factor, and ``dtbtrs(ab, x, trans)`` overwrites ``x`` with T^-1 x, or
+    T^-T x when ``trans``, for the upper triangular band ``ab`` (ab[kd + i
+    - j, j] = T[i, j], kd = its row count less 1); each returns (its
+    result, LAPACK's info).  ``symbol`` names the dpbtrf it calls."""
 
     symbol: str
     dpbtrf: Callable
@@ -594,9 +593,9 @@ def _band_lapack(symbols=_LAPACK_SYMBOLS) -> _BandLapack:
     def dpbtrs(fac, x):
         return lapack.dpbtrs(fac, x, lower=1, overwrite_b=1)
 
-    def dtbtrs(ab, x, trans, unit=False):
+    def dtbtrs(ab, x, trans):
         y, info = lapack.dtbtrs(ab, x[:, None], uplo="U", trans="T" if trans else "N",
-                                diag="U" if unit else "N", overwrite_b=1)
+                                overwrite_b=1)
         return y[:, 0], info
 
     return _BandLapack("scipy.linalg.lapack", dpbtrf, dpbtrs, dtbtrs)
@@ -640,11 +639,11 @@ def _fortran_band_routines(trf, trs, tbtrs, int_t) -> tuple[Callable, Callable, 
         trs(b"L", n, kd, int_t(1), fac.ctypes.data, ldab, x.ctypes.data, n, info, 1)
         return x, info.value
 
-    def dtbtrs(ab, x, trans, unit=False):
+    def dtbtrs(ab, x, trans):
         n, kd, ldab = band(ab)
         vector(x, n)
         info = int_t()
-        tbtrs(b"U", b"T" if trans else b"N", b"U" if unit else b"N", n, kd, int_t(1), ab.ctypes.data, ldab,
+        tbtrs(b"U", b"T" if trans else b"N", b"N", n, kd, int_t(1), ab.ctypes.data, ldab,
               x.ctypes.data, n, info, 1, 1, 1)
         return x, info.value
 
@@ -966,11 +965,11 @@ def _transfer_matrices(spec: ProblemSpec, Mx: np.ndarray, Einv: np.ndarray) -> n
     so that element k adds -[A_a | A_b]^T W_k^-1 [A_a | A_b] to the Hessian,
     W_k = diag(c_x K|_lam, c_v I) (`hessian`).  Through ``Einv``,
     the inverses of the Schur complements E = (d/2 + m/h) I + q,
-    q = (h/4) Mx^T (`_schur_complements`), by Newton-Schulz where every
-    ||q||_F <= (d/2 + m/h) / 2, by LU elsewhere (`_schur_inverses`),
-    R = [[I - 2 q E^-1, -(4m/h) q E^-1], [E^-1, (2m/h) E^-1 - I]]: one
-    n x n inverse per element, where A_a^-1 would take a 2n x 2n one.  Only
-    the periodic problem reads them."""
+    q = (h/4) Mx^T (`_schur_complements`), from the record's LU
+    (`_GramPoint.Einv`), R = [[I - 2 q E^-1, -(4m/h) q E^-1], [E^-1,
+    (2m/h) E^-1 - I]]: one n x n inverse per element, where A_a^-1 would
+    take a 2n x 2n one.  Only the periodic problem reads them, for their
+    log-scaled product (`_transfer_product`)."""
     n, h, m = spec.n, spec.grid.h, spec.params.m
     out = np.empty((len(Einv), 2 * n, 2 * n))
     qE = ((0.25 * h) * np.swapaxes(Mx, 1, 2)) @ Einv
@@ -984,8 +983,9 @@ def _transfer_matrices(spec: ProblemSpec, Mx: np.ndarray, Einv: np.ndarray) -> n
 
 def _schur_lu(spec: ProblemSpec, Mx: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
     """(F, U): E_k = L_k U_k, the LU factorization without pivoting of every
-    Schur complement E_k = c (I + X_k) (`_schur_inverses`), and F_k = L_k^-1,
-    for Mx of half-bandwidth ``w``.  Where rho = max ||X_k||_F <= 1/2 no
+    Schur complement E_k = c (I + X_k), c = d/2 + m/h and X_k = (h/4c)
+    Mx_k^T (`_schur_complements`), and F_k = L_k^-1, for Mx of
+    half-bandwidth ``w`` (`_mx_width`).  Where rho = max ||X_k||_F <= 1/2 no
     pivot is below c/2 in magnitude: each leading block of I + X_k is within
     1/2 of I, so its singular values are at least 1/2, and the reciprocal of
     pivot j is an entry of the inverse of E_k's leading block of order j.
@@ -1046,40 +1046,24 @@ def _transfer_product(R) -> tuple[np.ndarray, float]:
     return R[0], float(logs[0])
 
 
-def _schur_inverses(spec: ProblemSpec, Mx: np.ndarray, rho: float) -> np.ndarray:
-    """E_k^-1 for the Schur complements E_k = c (I + X_k) of A_a,k's -I/h
-    blocks (`_schur_complements`), c = d/2 + m/h, X_k = (h/4c) Mx_k^T: Y / c
-    by Newton-Schulz (Schulz, ZAMM 13, 1933; Pan & Schreiber, SIAM J. Sci.
-    Stat. Comput. 12, 1991) where rho = max ||X_k||_F <= 1/2 (cond(E_k) <= 3),
-    by LU elsewhere.  Y = I - X leaves the residual X^2, and each step
-    Y <- Y + Y (I - (I + X) Y) squares it: steps run while rho^(2^(j+1)) > eps."""
-    if not rho <= 0.5:  # also where rho, or Mx, is not finite
-        return np.linalg.inv(_schur_complements(spec, Mx))
-    h = spec.grid.h
-    c = 0.5 * spec.params.d + spec.params.m / h
-    X, eye = ((0.25 * h) * np.swapaxes(Mx, 1, 2)) / c, np.eye(spec.n)
-    Y, residual = eye - X, rho * rho
-    while residual > np.finfo(float).eps:
-        Y = Y + Y @ (eye - Y - X @ Y)
-        residual *= residual
-    return Y / c
-
-
 class _GramPoint:
     """The Gram form H = -A^T W^-1 A at one point (`_gram_point`), read off
     its mapped ``state`` (`_core_state`): ``Mx`` = dK/dx at the mapped state
     gives the Gram factor A (`_transfer_matrices`), K|_lam at the midpoints
     the weights W, and ``rho`` = max ||X_k||_F bounds A's element blocks
-    (`_schur_inverses`).  Formed when first read, then kept: ``definite``,
-    ``nullity``, ``Einv`` = E^-1, the transfer matrices ``R`` and their
-    ``product`` (P, s).  Nothing keeps a record between points."""
+    (`_schur_lu`).  Formed when first read, then kept: ``definite``,
+    ``nullity``, the Schur complements' factor ``lu`` = (F, U), ``Einv`` =
+    E^-1, the transfer matrices ``R`` and their ``product`` (P, s).
+    Nothing keeps a record between points."""
 
     def __init__(self, spec: ProblemSpec, state: _MappedState):
         self.spec, self.state, self.Mx = spec, state, state.Mx
         h = spec.grid.h
         c = 0.5 * spec.params.d + spec.params.m / h
-        # inf or nan where Mx is
-        self.rho = float(np.max(0.25 * h * np.linalg.norm(self.Mx, axis=(1, 2)))) / c
+        # inf or nan where Mx is; inf, which certifies nothing, where c
+        # underflows to zero (a subnormal mass with no damping)
+        norm = float(np.max(0.25 * h * np.linalg.norm(self.Mx, axis=(1, 2))))
+        self.rho = norm / c if c > 0.0 else np.inf
 
     @cached_property
     def definite(self) -> bool:
@@ -1121,8 +1105,28 @@ class _GramPoint:
         return int(np.sum(rate <= self.spec.grid.M * _GRAM_LIMIT))
 
     @cached_property
+    def lu(self) -> tuple[np.ndarray, np.ndarray]:
+        """(F, U) with F_k E_k = U_k: `_schur_lu`'s where rho <= 1/2, else
+        (E^-1, I), also where rho, or Mx, is not finite."""
+        if not self.rho <= 0.5:
+            Einv = np.linalg.inv(_schur_complements(self.spec, self.Mx))
+            return Einv, np.broadcast_to(np.eye(self.spec.n), Einv.shape)
+        return _schur_lu(self.spec, self.Mx, _mx_width(self.spec.params.force))
+
+    @cached_property
     def Einv(self) -> np.ndarray:
-        return _schur_inverses(self.spec, self.Mx, self.rho)
+        """E^-1 = U^-1 F, by back substitution on U's w superdiagonals
+        (`_mx_width`), from the last row; F itself where U = I."""
+        F, U = self.lu
+        if not self.rho <= 0.5:
+            return F
+        n, w = self.spec.n, _mx_width(self.spec.params.force)
+        X = np.array(np.swapaxes(F, 0, 1))  # X[r]: row r of every element's E^-1, contiguous
+        for r in range(n - 1, -1, -1):
+            for s in range(1, min(w, n - 1 - r) + 1):
+                X[r] -= U[:, r, r + s, None] * X[r + s]
+            X[r] /= U[:, r, r, None]
+        return np.swapaxes(X, 0, 1)
 
     @cached_property
     def R(self) -> np.ndarray:
@@ -1182,15 +1186,18 @@ def _gram_inertia(spec: ProblemSpec, D: DualField) -> tuple[int, int, int] | Non
     return N - zero - positive, zero, positive
 
 
-def _direction_band(spec: ProblemSpec) -> np.ndarray:
-    """A zero band for `_gram_direction`, one per solve: T's, kd = 3n + w, w
-    the half-bandwidth of Mx = A + B·x, the larger of A's and B·x's
-    (`QuadraticForce.band`); or, periodic, that of I - U, kd = 4n - 1."""
-    force, n = spec.params.force, spec.n
+def _mx_width(force: QuadraticForce) -> int:
+    """w, the half-bandwidth of Mx = A + B·x, the larger of A's and B·x's
+    (`QuadraticForce.band`)."""
     i, j = np.nonzero(force.A)
-    w = max(force.band[1], int(np.max(np.abs(i - j), initial=0)))
-    kd = 4 * n - 1 if spec.periodic else 3 * n + w
-    return np.zeros((kd + 1, 2 * n * spec.grid.M), order="F")
+    return max(force.band[1], int(np.max(np.abs(i - j), initial=0)))
+
+
+def _direction_band(spec: ProblemSpec) -> np.ndarray:
+    """A zero band for `_gram_direction`, one per solve: T's, kd = 3n + w
+    (`_mx_width`)."""
+    kd = 3 * spec.n + _mx_width(spec.params.force)
+    return np.zeros((kd + 1, 2 * spec.n * spec.grid.M), order="F")
 
 
 def _band_entries(ab, b, r, c, count, shape, steps=((1, 1),)) -> np.ndarray:
@@ -1239,49 +1246,43 @@ def _gram_direction(spec: ProblemSpec, point: _GramPoint, g: np.ndarray,
     ``nullity``), and where the cyclic capacitance below is not finite or
     its 1-norm condition number exceeds _CAPACITANCE_LIMIT.
 
-    Open: the row transform G_k = [[I, 0], [(h/2) F_k, F_k]] takes element
-    k's Gram blocks (`_transfer_matrices`) to sqrt(h) [T_kk | T_k,k+1]
-    (`_write_factor`), F_k = L_k^-1 of E_k = L_k U_k (`_schur_lu`) where
-    rho <= 1/2, else F_k = E_k^-1 (``Einv``) and U_k = I.  So A = sqrt(h)
-    G^-1 T, T upper triangular, and d = (1/h) T^-1 G W G^T T^-T g: each
-    solve with T or T^T is one LAPACK dtbtrs call on the band (Golub & Van
-    Loan, Matrix Computations, 4th ed., 4.3), around per-element F_k, F_k^T
-    and K|_lam's band.
-
-    Cyclic: A = A_d (I - U - C) with A_d = blockdiag(A_a,k), U holding
-    the record's transfer matrices R_0 ... R_{M-2} on its block
-    superdiagonal and C R_{M-1} at block (M-1, 0).  I - U is a unit band
-    (dtbtrs's ``unit``), and the corner is a rank-2n correction, so by
-    Sherman-Morrison-Woodbury (ibid., 2.1.4) its solves take two dtbtrs
-    calls each around one 2n x 2n capacitance I - Pi, Pi = R_0 ... R_{M-1}
-    (`_transfer_product`, whose multipliers at 1 A's nullity counts):
-    (I - U - C) y = r is y = (I - U)^-1 (r + e_{M-1} R_{M-1} y_0) with y_0
-    = (I - Pi)^-1 ((I - U)^-1 r)_0, and (I - U - C)^T z = s is z = (I -
-    U)^-T (s + e_0 w) with (I - Pi^T) w = R_{M-1}^T ((I - U)^-T s)_{M-1}.
-    In between, A_a = sqrt(h) S gives S^-T [a; b] = [(h/2) q - h a; q]
-    with q = E^-T ((h/2) Mx a - b), W / h, and S^-1 [x; y] = [-h x - (h/2)
-    Mx^T b; b] with b = -E^-1 (y + (h/2) x)."""
+    The row transform G_k = [[I, 0], [(h/2) F_k, F_k]], (F, U) the record's
+    ``lu``, takes element k's Gram blocks (`_transfer_matrices`) to sqrt(h)
+    [T_kk | T_k,k+1] (`_write_factor`).  So the open A is sqrt(h) G^-1 T, T
+    upper triangular, and d = (1/h) T^-1 G W G^T T^-T g: each solve with T
+    or T^T is one LAPACK dtbtrs call on the band (Golub & Van Loan, Matrix
+    Computations, 4th ed., 4.3), around per-element F_k, F_k^T and K|_lam's
+    band.  The cyclic A is sqrt(h) G^-1 (T + e_{M-1} V e_0^T): element
+    M-1's T_k,k+1, V, sits on node M, which is node 0.  That corner is a
+    rank-2n correction, so by Sherman-Morrison-Woodbury (ibid., 2.1.4) each
+    solve takes two dtbtrs calls around one 2n x 2n capacitance I - Pi, Pi
+    = R_0 ... R_{M-1} with R_k = -T_kk^-1 T_k,k+1 = -A_a,k^-1 A_b,k (the
+    record's ``product``, whose multipliers at 1 A's nullity counts): y =
+    T^-1 (r - e_{M-1} V y_0) with (I - Pi) y_0 = (T^-1 r)_0, and the
+    transposed solve z = T^-T (s - e_0 u) with (I - Pi^T) u = V^T (T^-T
+    s)_{M-1}."""
     Mx, K = point.Mx, point.state.K
     n, M, h, b = spec.n, spec.grid.M, spec.grid.h, 2 * spec.n
     c_x, c_v = spec.scales.c_x, spec.scales.c_v
     if not point.definite or point.nullity:
         return None
-    ab = _direction_band(spec) if ab is None else ab
+    F, U = point.lu  # a cyclic record's product has formed it
     if spec.periodic:
-        R, (P, s), F = point.R, point.product, point.Einv
+        P, s = point.product
         with np.errstate(over="ignore", invalid="ignore"):
             capacitance = np.eye(b) - np.exp(s) * P
         if not (np.all(np.isfinite(capacitance))
                 and np.linalg.cond(capacitance, 1) <= _CAPACITANCE_LIMIT):
             return None
-        np.multiply(R[:-1], -1.0, out=_band_entries(ab, b, 0, b, M - 1, (b, b), ((1, 0), (0, 1))))
-    else:
-        F, U = ((point.Einv, np.broadcast_to(np.eye(n), Mx.shape)) if not point.rho <= 0.5
-                else _schur_lu(spec, Mx, ab.shape[0] - 1 - 3 * n))
-        _write_factor(ab, spec, Mx, F, U)
+        # U read within w of its diagonal, as the band reads it
+        V = np.block([[np.eye(n) / h, -0.5 * Mx[-1].T],
+                      [F[-1], (2.0 * spec.params.m / h) * F[-1]
+                       - np.triu(np.tril(U[-1], _mx_width(spec.params.force)))]])
+    ab = _direction_band(spec) if ab is None else ab
+    _write_factor(ab, spec, Mx, F, U)
 
     def tbtrs(x, trans):
-        x, info = _LAPACK.dtbtrs(ab, x, trans, spec.periodic)
+        x, info = _LAPACK.dtbtrs(ab, x, trans)
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of dtbtrs")
         return x
@@ -1291,22 +1292,19 @@ def _gram_direction(spec: ProblemSpec, point: _GramPoint, g: np.ndarray,
         y = tbtrs(x.copy() if spec.periodic else x, trans)
         if spec.periodic:  # the corner, through the capacitance
             if trans:
-                x[:b] += np.linalg.solve(capacitance.T, R[-1].T @ y[-b:])
+                x[:b] -= np.linalg.solve(capacitance.T, V.T @ y[-b:])
             else:
-                x[-b:] += R[-1] @ np.linalg.solve(capacitance, y[:b])
+                x[-b:] -= V @ np.linalg.solve(capacitance, y[:b])
             y = tbtrs(x, trans)
         return y.reshape(M, 2, n, 1)
 
-    # element by element: S^-T, or G^T when open, then W / h, then S^-1, or G
+    # element by element: G^T, then W / h, then G
     a, bl = np.swapaxes(solve(np.array(g, dtype=float), True), 0, 1)
-    q = np.swapaxes(F, 1, 2) @ ((0.5 * h) * (Mx @ a) - bl if spec.periodic else bl)
-    wx = c_x * (0.5 * q - a) if spec.periodic else (c_x / h) * (a + (0.5 * h) * q)
+    q = np.swapaxes(F, 1, 2) @ bl
+    wx = (c_x / h) * (a + (0.5 * h) * q)
     if K is not None:
         wx = K @ wx
     bl = F @ ((c_v / h) * q + (0.5 * h) * wx)
-    if spec.periodic:
-        bl = -bl
-        wx = -h * wx - (0.5 * h) * (np.swapaxes(Mx, 1, 2) @ bl)
     return solve(np.concatenate([wx, bl], axis=1).ravel(), False).ravel()
 
 

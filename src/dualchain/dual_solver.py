@@ -22,9 +22,9 @@ missing restoring force shows there, and a later iterate near singular is
 not a singular problem.  Then every iterate takes one of two routes.  A
 damped Newton iterate, open or cyclic, takes its direction from the Gram
 factors, H = -A^T W^-1 A: d = A^-1 W A^-T g (`dual_action._gram_direction`),
-dtbtrs solves, on one band per open solve (around a 2n x 2n capacitance
-when cyclic), no Hessian assembled, where H is certified negative definite
-and a cyclic capacitance is well conditioned.  An iterate with no
+dtbtrs solves on one band per solve (around a 2n x 2n capacitance when
+cyclic), no Hessian assembled, where H is certified negative definite and a
+cyclic capacitance is well conditioned.  An iterate with no
 direction, or whose line search fails, assembles its Hessian band, the
 only place one is made, and steps on its trust region, whose shift grows
 until the band's Cholesky (LAPACK dpbtrf, `neg_cholesky(shift)` on a
@@ -153,8 +153,8 @@ def _maximize(spec: ProblemSpec, opts: SolveOptions):
     Two routes, one per iterate (see the module docstring), after the
     first cyclic iterate's singularity test: a damped Newton iterate's
     direction comes from the Gram factors (`_gram_direction`), on the band
-    `_direction_band` allocates once for an open solve, and an
-    iterate with no direction, or whose line search fails, steps on its
+    `_direction_band` allocates once per damped solve, open or cyclic, and
+    an iterate with no direction, or whose line search fails, steps on its
     band's trust region.  One Gram record (`_gram_point`) per iterate
     serves the test and the direction, and is dropped before the step.
     Each point is one DualField, passed to every evaluation there, so the
@@ -177,8 +177,7 @@ def _maximize(spec: ProblemSpec, opts: SolveOptions):
     gnorm = float(np.max(np.abs(g)))
     history = [gnorm]
     damped = opts.step_control == "damped-newton"
-    # open only: a cyclic direction's own fresh band measured faster
-    band = _direction_band(spec) if damped and not spec.periodic else None
+    band = _direction_band(spec) if damped else None
     # an overflowed (inf or nan) residual, Gram part, Newton direction or
     # Hessian ends the loop unconverged
     while tol < gnorm < np.inf and len(history) <= opts.max_iterations:
@@ -195,7 +194,7 @@ def _maximize(spec: ProblemSpec, opts: SolveOptions):
                 f"signature of forcing at a resonant frequency")
         # None where -H is not certified negative definite
         direction = _gram_direction(spec, point, g, band) if damped else None
-        del point  # its E^-1 and transfer matrices are not kept through the step
+        del point  # its LU and transfer matrices are not kept through the step
         if direction is not None and not np.all(np.isfinite(direction)):
             break
         accepted = None if direction is None else _line_search(spec, D, u, direction)

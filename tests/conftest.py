@@ -73,9 +73,9 @@ def band_counts(monkeypatch) -> dict:
         counts["stiffness_dpbtrs" if stiffness() else "dpbtrs"] += 1
         return lapack.dpbtrs(fac, x)
 
-    def counted_dtbtrs(ab, x, trans, unit=False):
+    def counted_dtbtrs(ab, x, trans):
         counts["dtbtrs"] += 1
-        return lapack.dtbtrs(ab, x, trans, unit)
+        return lapack.dtbtrs(ab, x, trans)
 
     monkeypatch.setattr(dual_solver, "hessian", counted_hessian)
     monkeypatch.setattr(dual_action.BlockTridiagonal, "__init__", counted_init)

@@ -295,6 +295,22 @@ def test_nonpositive_scale_exits_2(tmp_path, capsys):
     assert "c_x must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["dual-solve", "periodic"])
+def test_a_subnormal_mass_with_no_damping_solves_or_exits_singular(tmp_path, mode):
+    # m = 5e-324 with d = 0 underflows c = d/2 + m/h to 0.0: the Gram
+    # record's bound rho is then inf, which certifies nothing, so the solve
+    # returns or raises SingularSystemError, open or periodic, and the run
+    # exits 0, 3 or 4 rather than with a ZeroDivisionError
+    sets = ("chain.m=5e-324", "chain.d=0.0", "grid.M=2", "base.kind=zero")
+    spec = load_config(PRESETS["harmonic_n1"], sets=sets, mode=mode).problem()
+    assert spec.periodic == (mode == "periodic")
+    try:
+        dual_solver.solve_dual(spec)
+    except dual_solver.SingularSystemError:
+        pass
+    assert run_one(PRESETS["harmonic_n1"], tmp_path, sets=sets, mode=mode) in (0, 3, 4)
+
+
 def test_bad_set_target_exits_2(tmp_path, capsys):
     code = run_one(PRESETS["harmonic_n1"], tmp_path, sets=("grid.steps=10",))
     assert code == 2

@@ -427,8 +427,8 @@ def test_periodic_solve_probes_once_and_factors_only_newton_directions(band_coun
     # the singularity test reads the first iterate's Gram factor, with no
     # band; every damped Newton iterate, the first included, takes its
     # direction from the Gram factors, with no band written and no dpbtrf,
-    # in four dtbtrs calls (two on the open unit band around each
-    # capacitance solve of the cyclic corner); under trust-region every
+    # in four dtbtrs calls (two on T's band around each capacitance
+    # solve of the cyclic corner); under trust-region every
     # iterate writes its band once, each trust-region shift gets one
     # factorization of its own, and no dtbtrs runs; the converged point
     # assembles none, every factorization negates one copy of its band,
@@ -528,21 +528,27 @@ def test_each_periodic_point_forms_one_transfer_product_and_no_lu_schur_inverse(
     # sharing its record's, and one at the final point for its inertia;
     # under the trust region only the first iterate's test and the final
     # point form one.  On a chain of the periodic workloads' size (n = 4,
-    # M = 1000) Newton-Schulz inverts every Schur complement and every
-    # weighted stiffness is within the distance bound of I, so
-    # np.linalg.inv runs on nothing under damped Newton and only for the
-    # trust region's Hessian parts, K^-1 (`_MappedState.Kinv`).  An open
-    # damped solve whose every rho is at most 1/2 takes its directions from
-    # the no-pivot LU: no E^-1, no transfer matrices and no np.linalg.inv
-    # anywhere, the final point's nullity included; the open solve allocates
-    # one direction band under damped Newton, none under the trust region,
-    # and the periodic one none (each cyclic direction makes its own)
-    products, inverters, schur, directions, bands = [], [], [], [], []
+    # M = 1000) every rho is at most 1/2, so each such record factors its
+    # Schur complements once by the no-pivot LU (`_schur_lu`), which its
+    # E^-1 and its direction share, and every weighted stiffness is within
+    # the distance bound of I: np.linalg.inv runs on nothing under damped
+    # Newton and only for the trust region's Hessian parts, K^-1
+    # (`_MappedState.Kinv`).  An open damped solve whose every rho is at
+    # most 1/2 takes its directions from one LU per iterate: no transfer
+    # matrices and no np.linalg.inv anywhere, the final point's nullity
+    # included.  Each solve allocates one direction band under damped
+    # Newton, open or cyclic, and none under the trust region
+    products, inverters, lus, transfers, directions, bands = [], [], [], [], [], []
     product, inv, band = dual_action._transfer_product, np.linalg.inv, dual_solver._direction_band
+    schur_lu, transfer = dual_action._schur_lu, dual_action._transfer_matrices
     monkeypatch.setattr(dual_action, "_transfer_product",
                         lambda R: products.append(len(R)) or product(R))
     monkeypatch.setattr(dual_solver, "_direction_band",
                         lambda spec: bands.append(spec) or band(spec))
+    monkeypatch.setattr(dual_action, "_schur_lu",
+                        lambda *args: lus.append(len(args[1])) or schur_lu(*args))
+    monkeypatch.setattr(dual_action, "_transfer_matrices",
+                        lambda *args: transfers.append(len(args[1])) or transfer(*args))
 
     def counted_inv(a):
         inverters.append(sys._getframe(1).f_code.co_name)
@@ -550,17 +556,14 @@ def test_each_periodic_point_forms_one_transfer_product_and_no_lu_schur_inverse(
 
     monkeypatch.setattr(np.linalg, "inv", counted_inv)
     opts = SolveOptions(step_control=step_control)
-    sol = solve_periodic(_fput_forced_workload_spec(), opts)
+    spec = _fput_forced_workload_spec()
+    sol = solve_periodic(spec, opts)
     assert sol.converged and sol.iterations > 1
     damped = step_control == "damped-newton"
-    assert products == [1000] * (sol.iterations + 1 if damped else 2)
-    assert set(inverters) == (set() if damped else {"Kinv"}) and bands == []
+    assert products == lus == [1000] * (sol.iterations + 1 if damped else 2)
+    assert set(inverters) == (set() if damped else {"Kinv"})
+    assert bands == ([spec] if damped else [])
 
-    for name in ("_schur_inverses", "_transfer_matrices"):
-        formed = getattr(dual_action, name)
-        monkeypatch.setattr(dual_action, name,
-                            lambda *args, name=name, formed=formed: schur.append(name)
-                            or formed(*args))
     direction, point, rhos = dual_solver._gram_direction, dual_solver._gram_point, []
 
     def counted_direction(*args):
@@ -575,13 +578,14 @@ def test_each_periodic_point_forms_one_transfer_product_and_no_lu_schur_inverse(
 
     monkeypatch.setattr(dual_solver, "_gram_direction", counted_direction)
     monkeypatch.setattr(dual_solver, "_gram_point", recorded_point)
-    inverters.clear()
+    inverters.clear(), lus.clear(), transfers.clear(), bands.clear()
     open_spec = load_config(PRESETS["perturbed_base_n4"], sets=("grid.M=100",)).problem()
     sol = solve_dual(open_spec, opts)
     assert sol.converged and sol.iterations > 1 and max(rhos) <= 0.5
-    assert sum(directions) == (sol.iterations if damped else 0) and schur == []
+    assert sum(directions) == (sol.iterations if damped else 0) and transfers == []
+    assert lus == [100] * sum(directions)
     assert set(inverters) == (set() if damped else {"Kinv"})
-    assert len(bands) == (1 if damped else 0)
+    assert bands == ([open_spec] if damped else [])
 
 
 @pytest.mark.parametrize("step_control", ["damped-newton", "trust-region"])
