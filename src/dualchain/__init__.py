@@ -17,7 +17,6 @@ from .chain_model import (
     eval_forcing,
     force_jacobian,
     fput_alpha,
-    stiffness_lambda,
 )
 from .primal_solver import (
     IntegrationBlowUpError,

@@ -31,7 +31,6 @@ __all__ = [
     "force_jacobian",
     "fput_alpha",
     "eval_forcing",
-    "stiffness_lambda",
 ]
 
 
@@ -126,13 +125,15 @@ class QuadraticForce:
 
     @cached_property
     def band(self) -> tuple:
-        """(kd, w, BK, BJ): kd = max |i - r|, w = max |j - i| over B[j, i, r]
-        != 0, the half-bandwidths of lam·B and B·x; lam @ BK is lam·B's lower
-        band, BK[j, i (kd + 1) + d] = B[j, i + d, i], and x @ BJ B·x's
-        diagonals -w..w, BJ[s, (w + d) n + i] = B[i, i + d, s]."""
+        """(kd, w, BK, BJ): kd = max |i - r| over B[j, i, r] != 0, the
+        half-bandwidth of lam·B, and w that of Mx = A + B·x, the larger of
+        A's and B·x's (max |j - i| over A[j, i] != 0 and B[j, i, r] != 0);
+        lam @ BK is lam·B's lower band, BK[j, i (kd + 1) + d] = B[j, i + d,
+        i], and x @ BJ B·x's diagonals -w..w, BJ[s, (w + d) n + i] = B[i, i +
+        d, s]."""
         B, n = self.B, self.n
-        j, i, r = np.nonzero(B)
-        kd, w = int(np.max(np.abs(i - r), initial=0)), int(np.max(np.abs(j - i), initial=0))
+        (j, i, r), (a, c) = np.nonzero(B), np.nonzero((self.A != 0) | np.any(B, axis=2))
+        kd, w = int(np.max(np.abs(i - r), initial=0)), int(np.max(np.abs(a - c), initial=0))
         BK, BJ = np.zeros((n, n, kd + 1)), np.zeros((n, 2 * w + 1, n))
         for d in range(kd + 1):
             BK[:, :n - d, d] = np.diagonal(B, -d, 1, 2)
@@ -328,21 +329,3 @@ class ChainParams:
     def n(self) -> int:
         return self.force.n
 
-
-def stiffness_lambda(B, lam, c_x: float) -> np.ndarray:
-    """Multiplier-weighted stiffness: delta_ir + (1/c_x) lam_j B[j, i, r].
-
-    ``lam`` may carry leading batch axes.  Always symmetric because B is
-    symmetric in its last two indices.  One matmul on the flattened B does
-    the contraction.
-    """
-    _positive("c_x", c_x)
-    B = np.asarray(B, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    n = B.shape[0]
-    if B.shape != (n, n, n):
-        raise ValueError(f"B must be an (n, n, n) tensor, got {B.shape}")
-    if lam.shape[-1] != n:
-        raise ValueError(f"lam must have trailing length {n}, got shape {lam.shape}")
-    out = (lam @ B.reshape(n, n * n)).reshape(lam.shape[:-1] + (n, n)) / c_x
-    return out + np.eye(n)

@@ -34,9 +34,10 @@ computed once and kept on the immutable field, keyed by the spec, so the
 action, gradient, Gram record and Hessian at that field share it; the
 action's value and the gradient are kept there too, assembled once.
 
-No eigendecomposition runs on the Newton path when every multiplier-
-weighted stiffness K is within _CERT_RHO of I (Frobenius norm): K, banded
-like B, is then positive definite and well conditioned, and a batch's K
+Every multiplier-weighted stiffness K is held one way, banded like B
+(`_Stiffness`), I's band where lam·B is zero.  No eigendecomposition runs
+on the Newton path when every K is within _CERT_RHO of I (Frobenius
+norm): K is then positive definite and well conditioned, and a batch's K
 are one band, formed, factored and solved on it.  Elsewhere kappa_2(K)
 <= ||K||_F ||K^-1||_F certifies a point; the eigenvalue test, the only
 place a SingularStiffnessError is raised, sees just the points neither
@@ -86,7 +87,6 @@ from .chain_model import (
     eval_force,
     eval_forcing,
     force_jacobian,
-    stiffness_lambda,
 )
 from .primal_solver import TimeGrid, Trajectory, integrate_primal
 
@@ -393,52 +393,48 @@ class _Stiffness:
         return out
 
 
-def _stiffness_solve(B, lam, c_x: float, r, band=None):
+def _stiffness_solve(force: QuadraticForce, lam, c_x: float, r):
     """(y, K, rho, Kinv): y = K^-1 r for the weighted stiffness K = I +
-    (1/c_x) B·lam at each point of ``lam`` (leading batch axes allowed),
-    rho = ||K - I||_F per point, off B's ``band`` (derived when None).
-    Where every rho <= _CERT_RHO, one dpbtrf and one dpbtrs solve all K as
-    one band: K is their `_Stiffness`, Kinv None.  Otherwise, or where
-    dpbtrf fails, y = K^-1 r and kappa_2(K) <= ||K||_F ||K^-1||_F certifies
-    a point; only the points whose bound exceeds _CERT_LIMIT, or the whole
-    batch when the inverse fails, go through `_check_stiffness`, so exactly
-    the points it rejects raise SingularStiffnessError.  Where lam·B is
-    exactly zero (a linear chain at finite lam, or the zero field) K is I:
-    None, rho zero and Kinv a read-only broadcast of I, with nothing formed."""
-    n, batch = B.shape[0], np.shape(lam)[:-1]
-    band = band or QuadraticForce(n=n, B=B).band
-    if not np.any(lam) or (not np.any(band[2]) and np.all(np.isfinite(lam))):
-        Kinv = np.broadcast_to(np.eye(n), batch + (n, n))
-        return (Kinv @ r[..., None])[..., 0], None, np.zeros(batch), Kinv
-    low, rho = _stiffness_band(band, lam, c_x)
+    (1/c_x) B·lam at each point of ``lam`` (leading batch axes allowed), K
+    their `_Stiffness` on ``force``'s band and rho = ||K - I||_F per point.
+    Where every rho <= _CERT_RHO, as where lam·B is zero (a linear chain,
+    the zero field: K is I's band and y = r), one dpbtrf and one dpbtrs
+    solve all K as one band, Kinv None.  Otherwise, or where dpbtrf fails,
+    y = K^-1 r from the dense K (K as an array) and kappa_2(K) <= ||K||_F
+    ||K^-1||_F certifies a point; only the points whose bound exceeds
+    _CERT_LIMIT, or the whole batch when the inverse fails, go through
+    `_check_stiffness`, so exactly the points it rejects raise
+    SingularStiffnessError."""
+    low, rho = _stiffness_band(force.band, lam, c_x)
+    K = _Stiffness(low)
     if np.all(rho <= _CERT_RHO):
         fac, info = _LAPACK.dpbtrf(np.array(low.reshape(-1, low.shape[-1]).T, order="F"))
         if info == 0:
             y, _ = _LAPACK.dpbtrs(fac, np.array(r, dtype=float).ravel())
-            return y.reshape(np.shape(r)), _Stiffness(low), rho, None
-    K = stiffness_lambda(B, lam, c_x)
+            return y.reshape(np.shape(r)), K, rho, None
+    dense = np.asarray(K)
     try:
-        Kinv = np.linalg.inv(K)
+        Kinv = np.linalg.inv(dense)
     except np.linalg.LinAlgError:
-        mu, Q = _check_stiffness(K)
+        mu, Q = _check_stiffness(dense)
         Kinv = (Q / mu[..., None, :]) @ np.swapaxes(Q, -1, -2)
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowed bound certifies nothing
-            bound = np.sqrt(np.einsum("...ij,...ij->...", K, K)
+            bound = np.sqrt(np.einsum("...ij,...ij->...", dense, dense)
                             * np.einsum("...ij,...ij->...", Kinv, Kinv))
         unsure = np.flatnonzero(~(bound <= _CERT_LIMIT))
         if unsure.size:
-            _check_stiffness(K.reshape(-1, n, n)[unsure], unsure)
+            _check_stiffness(dense.reshape((-1,) + dense.shape[-2:])[unsure], unsure)
     return (Kinv @ r[..., None])[..., 0], K, rho, Kinv
 
 
 class _MappedState:
     """The dual-to-primal map at points (leading batch axes allowed) for the
     quadratic ``force``, J its Jacobian at xbar: w, r = gammadot - J^T lam,
-    (y, K, rho) = `_stiffness_solve`'s on the force's band, dx = y / c_x,
-    x = xbar + dx and v = vbar + w / c_v.  Formed when first read, then
-    kept: ``Kinv`` = K|_lam^-1 (formed already where a rho exceeds
-    _CERT_RHO) and ``Mx`` = dK/dx at x.  A DualField's state
+    (y, K, rho) = `_stiffness_solve`'s, K always the band `_Stiffness`,
+    dx = y / c_x, x = xbar + dx and v = vbar + w / c_v.  Formed when first
+    read, then kept: ``Kinv`` = K|_lam^-1 (formed already where a rho
+    exceeds _CERT_RHO) and ``Mx`` = dK/dx at x.  A DualField's state
     (`_core_state`) also keeps the field's action ``S`` and read-only
     gradient ``g`` once `action` and `gradient` assemble them."""
 
@@ -448,7 +444,7 @@ class _MappedState:
         self.lam, self.gammadot, self.J, self.band = lam, gammadot, J, force.band
         self.w = gamma + m * lamdot - d * lam
         self.r = gammadot - np.einsum("...j,...ji->...i", lam, J)
-        self.y, self.K, self.rho, Kinv = _stiffness_solve(force.B, lam, c_x, self.r, self.band)
+        self.y, self.K, self.rho, Kinv = _stiffness_solve(force, lam, c_x, self.r)
         self.dx = self.y / c_x
         self.x, self.v = xbar + self.dx, vbar + self.w / c_v
         if Kinv is not None:
@@ -460,7 +456,7 @@ class _MappedState:
 
     @cached_property
     def Mx(self) -> np.ndarray:
-        """J + B·dx, one matmul dx @ BJ giving B·dx's 2w + 1 diagonals."""
+        """J + B·dx, one matmul dx @ BJ giving B·dx on Mx's 2w + 1 diagonals."""
         (_, w, _, BJ), n, Mx = self.band, self.J.shape[-1], self.J.copy()
         Bdx = (self.dx @ BJ).reshape(self.dx.shape[:-1] + (2 * w + 1, n))
         for d in range(-w, w + 1):  # rows lo..hi-1 of diagonal d, a view
@@ -985,13 +981,14 @@ def _schur_lu(spec: ProblemSpec, Mx: np.ndarray, w: int) -> tuple[np.ndarray, np
     """(F, U): E_k = L_k U_k, the LU factorization without pivoting of every
     Schur complement E_k = c (I + X_k), c = d/2 + m/h and X_k = (h/4c)
     Mx_k^T (`_schur_complements`), and F_k = L_k^-1, for Mx of
-    half-bandwidth ``w`` (`_mx_width`).  Where rho = max ||X_k||_F <= 1/2 no
-    pivot is below c/2 in magnitude: each leading block of I + X_k is within
-    1/2 of I, so its singular values are at least 1/2, and the reciprocal of
-    pivot j is an entry of the inverse of E_k's leading block of order j.
-    Only E's band is formed, in an (n, n, M) array whose every step works on
-    rows of M, and U is read on and within w above its diagonal; F^T =
-    L^-T is formed by rows, from the last, each from the w rows below it."""
+    half-bandwidth ``w`` (`QuadraticForce.band`).  Where rho = max
+    ||X_k||_F <= 1/2 no pivot is below c/2 in magnitude: each leading block
+    of I + X_k is within 1/2 of I, so its singular values are at least 1/2,
+    and the reciprocal of pivot j is an entry of the inverse of E_k's
+    leading block of order j.  Only E's band is formed, in an (n, n, M)
+    array whose every step works on rows of M, and U is read on and within
+    w above its diagonal; F^T = L^-T is formed by rows, from the last, each
+    from the w rows below it."""
     n, M, h = spec.n, len(Mx), spec.grid.h
     E = np.empty((n, n, M))  # [i, j, k] = E_k[i, j], only |i - j| <= w written
     rows = E.reshape(n * n, M)
@@ -1017,7 +1014,7 @@ def _weight_counts(point: _GramPoint) -> tuple[int, int]:
     K|_lam that factors by Cholesky has no negative mu, and the bounds
     1/(1 + rho) <= 1/mu <= 1/(1 - rho), rho = max ||K - I||_F, or ||K^-1||_F
     where rho exceeds _CERT_RHO, can certify that none is near zero; only
-    what they leave open gets `eigvalsh`, and K|_lam = I (K None) none."""
+    what they leave open gets `eigvalsh`, of the dense form of K's band."""
     s, state = point.spec.scales, point.state
     rho, (M, n) = float(np.max(state.rho)), point.Mx.shape[:2]
     if point.definite:
@@ -1025,7 +1022,7 @@ def _weight_counts(point: _GramPoint) -> tuple[int, int]:
             np.linalg.norm(state.Kinv, axis=(1, 2)))
         if min(1.0 / (1.0 + rho), s.c_x / s.c_v) > max(hi, s.c_x / s.c_v) / COND_LIMIT:
             return 0, 0
-    mu = np.ones((M, n)) if state.K is None else np.linalg.eigvalsh(state.K)
+    mu = np.linalg.eigvalsh(state.K)
     inv = np.concatenate([(1.0 / (s.c_x * mu)).ravel(), np.full(M * n, 1.0 / s.c_v)])
     tiny = np.abs(inv) <= np.max(np.abs(inv)) / COND_LIMIT
     return int(np.sum(tiny)), int(np.sum((inv < 0.0) & ~tiny))
@@ -1053,7 +1050,7 @@ class _GramPoint:
     the weights W, and ``rho`` = max ||X_k||_F bounds A's element blocks
     (`_schur_lu`).  Formed when first read, then kept: ``definite``,
     ``nullity``, the Schur complements' factor ``lu`` = (F, U), ``Einv`` =
-    E^-1, the transfer matrices ``R`` and their ``product`` (P, s).
+    E^-1 and the transfer matrices' ``product`` (P, s).
     Nothing keeps a record between points."""
 
     def __init__(self, spec: ProblemSpec, state: _MappedState):
@@ -1068,10 +1065,10 @@ class _GramPoint:
     @cached_property
     def definite(self) -> bool:
         """Whether every K|_lam factors by Cholesky; one within _CERT_RHO of I does."""
-        unsure = ~(self.state.rho <= _CERT_RHO)  # none where K|_lam = I
+        unsure = ~(self.state.rho <= _CERT_RHO)
         if np.any(unsure):
             try:
-                np.linalg.cholesky(self.state.K[unsure])
+                np.linalg.cholesky(_Stiffness(self.state.K.low[unsure]))
             except np.linalg.LinAlgError:
                 return False
         return True
@@ -1111,16 +1108,16 @@ class _GramPoint:
         if not self.rho <= 0.5:
             Einv = np.linalg.inv(_schur_complements(self.spec, self.Mx))
             return Einv, np.broadcast_to(np.eye(self.spec.n), Einv.shape)
-        return _schur_lu(self.spec, self.Mx, _mx_width(self.spec.params.force))
+        return _schur_lu(self.spec, self.Mx, self.spec.params.force.band[1])
 
     @cached_property
     def Einv(self) -> np.ndarray:
         """E^-1 = U^-1 F, by back substitution on U's w superdiagonals
-        (`_mx_width`), from the last row; F itself where U = I."""
+        (`QuadraticForce.band`), from the last row; F itself where U = I."""
         F, U = self.lu
         if not self.rho <= 0.5:
             return F
-        n, w = self.spec.n, _mx_width(self.spec.params.force)
+        n, w = self.spec.n, self.spec.params.force.band[1]
         X = np.array(np.swapaxes(F, 0, 1))  # X[r]: row r of every element's E^-1, contiguous
         for r in range(n - 1, -1, -1):
             for s in range(1, min(w, n - 1 - r) + 1):
@@ -1129,12 +1126,8 @@ class _GramPoint:
         return np.swapaxes(X, 0, 1)
 
     @cached_property
-    def R(self) -> np.ndarray:
-        return _transfer_matrices(self.spec, self.Mx, self.Einv)
-
-    @cached_property
     def product(self) -> tuple[np.ndarray, float]:
-        return _transfer_product(self.R)
+        return _transfer_product(_transfer_matrices(self.spec, self.Mx, self.Einv))
 
 
 def _gram_point(spec: ProblemSpec, D: DualField) -> _GramPoint | None:
@@ -1186,17 +1179,10 @@ def _gram_inertia(spec: ProblemSpec, D: DualField) -> tuple[int, int, int] | Non
     return N - zero - positive, zero, positive
 
 
-def _mx_width(force: QuadraticForce) -> int:
-    """w, the half-bandwidth of Mx = A + B·x, the larger of A's and B·x's
-    (`QuadraticForce.band`)."""
-    i, j = np.nonzero(force.A)
-    return max(force.band[1], int(np.max(np.abs(i - j), initial=0)))
-
-
 def _direction_band(spec: ProblemSpec) -> np.ndarray:
-    """A zero band for `_gram_direction`, one per solve: T's, kd = 3n + w
-    (`_mx_width`)."""
-    kd = 3 * spec.n + _mx_width(spec.params.force)
+    """A zero band for `_gram_direction`, one per solve: T's, kd = 3n + w,
+    w Mx's half-bandwidth (`QuadraticForce.band`)."""
+    kd = 3 * spec.n + spec.params.force.band[1]
     return np.zeros((kd + 1, 2 * spec.n * spec.grid.M), order="F")
 
 
@@ -1236,11 +1222,11 @@ def _write_factor(ab: np.ndarray, spec: ProblemSpec, Mx, F, U) -> None:
 
 
 def _gram_direction(spec: ProblemSpec, point: _GramPoint, g: np.ndarray,
-                    ab: np.ndarray | None = None) -> np.ndarray | None:
+                    ab: np.ndarray) -> np.ndarray | None:
     """The Newton direction d, H d = -g, at ``point`` (`_gram_point`), as
     d = A^-1 W A^-T g from the Gram form H = -A^T W^-1 A (`_gram_inertia`),
-    with no Hessian formed, on the band ``ab`` (`_direction_band`, made
-    here when None), whose every nonzero it rewrites; None where H is not
+    with no Hessian formed, on the band ``ab`` (`_direction_band`), whose
+    every nonzero it rewrites; None where H is not
     certified negative definite, which it is exactly when every K|_lam
     factors by Cholesky and A is regular (the record's ``definite`` and
     ``nullity``), and where the cyclic capacitance below is not finite or
@@ -1277,8 +1263,7 @@ def _gram_direction(spec: ProblemSpec, point: _GramPoint, g: np.ndarray,
         # U read within w of its diagonal, as the band reads it
         V = np.block([[np.eye(n) / h, -0.5 * Mx[-1].T],
                       [F[-1], (2.0 * spec.params.m / h) * F[-1]
-                       - np.triu(np.tril(U[-1], _mx_width(spec.params.force)))]])
-    ab = _direction_band(spec) if ab is None else ab
+                       - np.triu(np.tril(U[-1], spec.params.force.band[1]))]])
     _write_factor(ab, spec, Mx, F, U)
 
     def tbtrs(x, trans):
@@ -1301,9 +1286,7 @@ def _gram_direction(spec: ProblemSpec, point: _GramPoint, g: np.ndarray,
     # element by element: G^T, then W / h, then G
     a, bl = np.swapaxes(solve(np.array(g, dtype=float), True), 0, 1)
     q = np.swapaxes(F, 1, 2) @ bl
-    wx = (c_x / h) * (a + (0.5 * h) * q)
-    if K is not None:
-        wx = K @ wx
+    wx = K @ ((c_x / h) * (a + (0.5 * h) * q))
     bl = F @ ((c_v / h) * q + (0.5 * h) * wx)
     return solve(np.concatenate([wx, bl], axis=1).ravel(), False).ravel()
 

@@ -46,6 +46,7 @@ from .dual_action import (
     BlockTridiagonal,
     DualField,
     ProblemSpec,
+    SingularStiffnessError,
     _direction_band,
     _ellipticity_min,
     _gram_direction,
@@ -216,6 +217,15 @@ def _field(spec: ProblemSpec, u) -> DualField:
     return unpack_free(spec.grid, spec.n, u, periodic=spec.periodic)
 
 
+def _at_trial(evaluate, D_trial: DualField, spec: ProblemSpec):
+    """``evaluate(D_trial, spec)`` at a step's trial point, nan where a weighted
+    stiffness there is singular: a bad step, which fails its test."""
+    try:
+        return evaluate(D_trial, spec)
+    except SingularStiffnessError:
+        return np.nan
+
+
 def _line_search(spec: ProblemSpec, D: DualField, u, direction):
     """Backtracking ascent step from the point u (field D) along
     ``direction``; (new u, its field), or None if no step passes."""
@@ -226,7 +236,7 @@ def _line_search(spec: ProblemSpec, D: DualField, u, direction):
         drop = _C_LS * t * t * float(direction @ direction)
         trial = u + t * direction
         D_trial = _field(spec, trial) if np.all(np.isfinite(trial)) else None
-        if D_trial is not None and action(D_trial, spec) >= S_cur - drop - floor:
+        if D_trial is not None and _at_trial(action, D_trial, spec) >= S_cur - drop - floor:
             return trial, D_trial
         t *= 0.5
     return None
@@ -246,7 +256,7 @@ def _trust_region_step(spec: ProblemSpec, H: BlockTridiagonal, g, u, gnorm):
         if step is not None and np.all(np.isfinite(step)):
             trial = u + step
             D_trial = _field(spec, trial)
-            if float(np.max(np.abs(gradient(D_trial, spec)))) < gnorm * (1.0 - _TR_ROUNDOFF):
+            if np.max(np.abs(_at_trial(gradient, D_trial, spec))) < gnorm * (1 - _TR_ROUNDOFF):
                 return trial, D_trial
         mu *= _TR_MU_GROWTH
     return None

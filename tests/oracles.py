@@ -23,7 +23,6 @@ from dualchain import (
     eval_force,
     eval_forcing,
     force_jacobian,
-    stiffness_lambda,
 )
 from dualchain.dual_action import (
     COND_LIMIT,
@@ -192,7 +191,7 @@ def stiffness_eig(B, lam, c_x: float):
     Raises SingularStiffnessError, naming the first point in C order, when
     any point is singular or has a condition number beyond COND_LIMIT.
     """
-    mu, Q = np.linalg.eigh(stiffness_lambda(B, lam, c_x))
+    mu, Q = np.linalg.eigh(einsum_stiffness(B, lam, c_x))
     amin = np.min(np.abs(mu), axis=-1).ravel()
     amax = np.max(np.abs(mu), axis=-1).ravel()
     bad = (amin == 0.0) | (amax > COND_LIMIT * amin)

@@ -19,8 +19,8 @@ from dualchain import (
     eval_forcing,
     force_jacobian,
     fput_alpha,
-    stiffness_lambda,
 )
+from dualchain.dual_action import _Stiffness, _stiffness_band
 from oracles import bond_potential, einsum_force, einsum_jacobian, einsum_stiffness, fd_gradient
 
 
@@ -209,9 +209,11 @@ def test_jacobian_and_stiffness_match_the_einsum_contractions(case):
     # where the terms cancel exactly, as the bond terms of an FPUT table do
     # at equal displacements (the explicit example), the two can differ by
     # the rounding error of one product; the smallest normal float covers
-    # terms in the subnormal range
+    # terms in the subnormal range.  The stiffness is read as an array off
+    # its band, the one form the solver holds
     force, x, c_x = case
-    got = (force_jacobian(force, x), stiffness_lambda(force.B, x, c_x))
+    K = _Stiffness(_stiffness_band(force.band, x, c_x)[0])
+    got = (force_jacobian(force, x), np.asarray(K))
     want = (einsum_jacobian(force, x), einsum_stiffness(force.B, x, c_x))
     size = (np.abs(force.A) + np.einsum("jrs,...s->...jr", np.abs(force.B), np.abs(x)),
             np.einsum("...j,jir->...ir", np.abs(x), np.abs(force.B)) / c_x + 1.0)
@@ -320,52 +322,6 @@ def test_counts_are_positive_integers_and_not_bools(make):
         with pytest.raises(ValueError, match="must be a positive integer"):
             make(bad)
     make(np.int64(2))
-
-
-def test_stiffness_lambda_identity_cases():
-    B = np.zeros((2, 2, 2))
-    np.testing.assert_array_equal(stiffness_lambda(B, np.zeros(2), 1.0), np.eye(2))
-    np.testing.assert_array_equal(stiffness_lambda(B, np.array([3.0, -1.0]), 2.0), np.eye(2))
-    Bq = np.random.default_rng(7).normal(size=(2, 2, 2))
-    Bq = 0.5 * (Bq + np.swapaxes(Bq, 1, 2))
-    np.testing.assert_array_equal(stiffness_lambda(Bq, np.zeros(2), 1.3), np.eye(2))
-
-
-def test_stiffness_lambda_scalar_example():
-    B = np.zeros((1, 1, 1))
-    B[0, 0, 0] = 2.0
-    out = stiffness_lambda(B, np.array([0.3]), 1.0)
-    np.testing.assert_allclose(out, [[1.6]], rtol=1e-15)
-
-
-def test_stiffness_lambda_symmetry_random():
-    rng = np.random.default_rng(8)
-    for n in (2, 4):
-        B = rng.normal(size=(n, n, n))
-        B = 0.5 * (B + np.swapaxes(B, 1, 2))
-        lam = rng.normal(size=n)
-        K = stiffness_lambda(B, lam, 0.7)
-        np.testing.assert_allclose(K, K.T, rtol=0, atol=1e-15)
-
-
-def test_stiffness_lambda_batched():
-    rng = np.random.default_rng(9)
-    B = rng.normal(size=(2, 2, 2))
-    B = 0.5 * (B + np.swapaxes(B, 1, 2))
-    lams = rng.normal(size=(5, 2))
-    batched = stiffness_lambda(B, lams, 1.1)
-    assert batched.shape == (5, 2, 2)
-    for i in range(5):
-        np.testing.assert_allclose(batched[i], stiffness_lambda(B, lams[i], 1.1),
-                                   rtol=1e-15)
-
-
-def test_stiffness_lambda_rejects_bad_weight():
-    B = np.zeros((1, 1, 1))
-    with pytest.raises(ValueError):
-        stiffness_lambda(B, np.zeros(1), 0.0)
-    with pytest.raises(ValueError):
-        stiffness_lambda(B, np.zeros(1), -1.0)
 
 
 def test_chain_params_validation():

@@ -38,7 +38,6 @@ from dualchain import (
     pack_free,
     perturb_base,
     primal_residual,
-    stiffness_lambda,
     unpack_free,
     zero_base,
 )
@@ -46,6 +45,7 @@ from dualchain import dual_action
 from dualchain.dual_action import (
     COND_LIMIT,
     _core_state,
+    _direction_band,
     _element_fields,
     _gradient_elements,
     _gram_inertia,
@@ -227,36 +227,38 @@ def test_dtp_map_at_midpoints_gives_the_element_state(seed, fput, periodic, scal
 
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_stiffness_inverse_is_exactly_the_identity_without_quadratic_term(n, monkeypatch):
-    # lam.B is exactly zero for a linear chain (B = 0) at any finite lam, and
-    # for a quadratic chain at the zero field: the inverse is then a
-    # read-only I and y = r, with no stiffness, inversion, solve or bound
-    # computed
+    # lam·B is exactly zero for a linear chain (B = 0) at any finite lam, and
+    # for a quadratic chain at the zero field: K is then I on its band, a
+    # `_Stiffness` like every other, solved on the band with y = r byte for
+    # byte and no inverse, dense solve or eigenvalue formed
     rng = np.random.default_rng(n)
-    linear = QuadraticForce(n=n, A=np.eye(n)).B  # all zero
-    quadratic = fput_alpha(n, 0.25).B
+    linear = QuadraticForce(n=n, A=np.eye(n))  # B = 0
+    quadratic = fput_alpha(n, 0.25)
     cases = [(linear, rng.normal(size=shape)) for shape in ((n,), (7, n), (3, 4, n))]
     cases += [(quadratic, np.zeros(shape)) for shape in ((n,), (7, n))]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the identity was computed")
+        raise AssertionError("an inverse was formed")
 
-    monkeypatch.setattr(dual_action, "stiffness_lambda", refuse)
-    monkeypatch.setattr(np.linalg, "inv", refuse)
-    monkeypatch.setattr(np.linalg, "solve", refuse)
-    for B, lam in cases:
+    for name in ("inv", "solve", "eigh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for force, lam in cases:
         r = rng.normal(size=lam.shape)
-        y, K, rho, got = _stiffness_solve(B, lam, float(rng.uniform(0.1, 3.0)), r)
-        assert K is None and y.tobytes() == r.tobytes()
+        y, K, rho, Kinv = _stiffness_solve(force, lam, float(rng.uniform(0.1, 3.0)), r)
+        assert isinstance(K, dual_action._Stiffness) and Kinv is None
+        identity = np.eye(1, force.band[0] + 1)  # the diagonal 1, the rest 0
+        assert np.array_equal(K.low, np.broadcast_to(identity, K.low.shape))
+        assert K.low.shape == lam.shape + identity.shape[1:]
+        assert y.tobytes() == r.tobytes()
         assert rho.tobytes() == np.zeros(lam.shape[:-1]).tobytes()
-        assert got.tobytes() == np.broadcast_to(np.eye(n), lam.shape + (n,)).tobytes()
-        assert not got.flags.writeable
-    # a field that is not finite makes no zero product: it reaches the stiffness
-    reached = []
-    monkeypatch.setattr(dual_action, "stiffness_lambda",
-                        lambda *args: reached.append(args) or refuse())
-    with pytest.raises(AssertionError):
-        _stiffness_solve(linear, np.full((2, n), np.nan), 1.0, np.ones((2, n)))
-    assert len(reached) == 1
+    # a field that is not finite makes no zero product: its K is not I but
+    # nan, which eigh rejects or carries into y
+    monkeypatch.undo()
+    try:
+        y, K, _, _ = _stiffness_solve(linear, np.full((2, n), np.nan), 1.0, np.ones((2, n)))
+    except np.linalg.LinAlgError:
+        return
+    assert np.all(np.isnan(K.low)) and np.all(np.isnan(y))
 
 
 # ---------------------------------------------------------------------------
@@ -1058,7 +1060,7 @@ def _outcome(fn):
 
 @st.composite
 def _stiffness_batches(draw):
-    """(B, lam, c_x) with lam a batch of points where the weighted stiffness
+    """(force, lam, c_x) with lam a batch of points where the weighted stiffness
     is well conditioned, plus, in most draws, one planted point at which K
     has the eigenvalues 1 + (1 - delta) beta_i: beta_0 = -1 makes the smallest
     delta, so condition numbers run over 1e9..1e13, or an exactly singular
@@ -1082,22 +1084,23 @@ def _stiffness_batches(draw):
         point = np.zeros(n)
         point[0] = c_x if plant == "singular" else c_x * (1.0 - delta)
         lam = np.insert(lam, draw(st.integers(0, lam.shape[0])), point, axis=0)
-    return QuadraticForce(n=n, B=B).B, lam, c_x
+    return QuadraticForce(n=n, B=B), lam, c_x
 
 
-def _checked_inverse(B, lam, c_x):
+def _checked_inverse(force, lam, c_x):
     """The stiffness inverse the mapped state reads: `_stiffness_solve`'s
     where it forms one, else np.linalg.inv of its K (`_MappedState.Kinv`)."""
-    _, K, _, Kinv = _stiffness_solve(B, lam, c_x, np.ones(np.shape(lam)))
-    return np.linalg.inv(K) if Kinv is None else Kinv
+    _, K, _, Kinv = _stiffness_solve(force, lam, c_x, np.ones(np.shape(lam)))
+    return np.linalg.inv(np.asarray(K)) if Kinv is None else Kinv
 
 
 @settings(deadline=None, max_examples=300)
 @given(_stiffness_batches())
 def test_stiffness_inverse_matches_eigh_reference(case):
-    B, lam, c_x = case
+    force, lam, c_x = case
+    B = force.B
     ref, ref_err = _outcome(lambda: stiffness_eig(B, lam, c_x))
-    got, got_err = _outcome(lambda: _checked_inverse(B, lam, c_x))
+    got, got_err = _outcome(lambda: _checked_inverse(force, lam, c_x))
     assert got_err == ref_err  # same point, same condition estimate
     if ref_err is None:
         mu, Q = ref
@@ -1114,16 +1117,16 @@ def test_stiffness_inverse_falls_back_to_eigh_when_inv_fails(monkeypatch):
     rng = np.random.default_rng(25)
     B = rng.normal(size=(3, 3, 3)) * 0.1
     B[0] += np.eye(3)
-    B = QuadraticForce(n=3, B=B).B
+    force = QuadraticForce(n=3, B=B)
     lam, r = rng.normal(size=(4, 3)) * 0.1, rng.normal(size=(4, 3))
     lam[2] = [3.0, 0.0, 0.0]
 
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
 
-    want = _eig_inverse(*stiffness_eig(B, lam, 1.5))
     monkeypatch.setattr(np.linalg, "inv", fail)
-    y, _, rho, Kinv = _stiffness_solve(B, lam, 1.5, r)
+    y, K, rho, Kinv = _stiffness_solve(force, lam, 1.5, r)
+    want = _eig_inverse(*np.linalg.eigh(np.asarray(K)))
     assert rho[2] > dual_action._CERT_RHO
     np.testing.assert_array_equal(Kinv, want)
     assert y.tobytes() == (want @ r[..., None])[..., 0].tobytes()
@@ -1131,14 +1134,14 @@ def test_stiffness_inverse_falls_back_to_eigh_when_inv_fails(monkeypatch):
 
 def test_stiffness_inverse_rejects_the_first_bad_point_in_batch_order():
     # point 1 is singular and point 3 exceeds the condition limit
-    B = QuadraticForce(n=2, B=np.array([[[-1.0, 0.0], [0.0, 0.0]],
-                                        [[0.0, 0.0], [0.0, 0.0]]])).B
+    force = QuadraticForce(n=2, B=np.array([[[-1.0, 0.0], [0.0, 0.0]],
+                                            [[0.0, 0.0], [0.0, 0.0]]]))
     lam = np.array([[0.1, 0.0], [1.0, 0.0], [0.2, 0.0], [1.0 - 1e-13, 0.0]])
     with pytest.raises(SingularStiffnessError) as info:
-        _stiffness_solve(B, lam, 1.0, np.ones((4, 2)))
+        _stiffness_solve(force, lam, 1.0, np.ones((4, 2)))
     assert (info.value.where, info.value.cond) == (1, None)
     with pytest.raises(SingularStiffnessError) as info:
-        _stiffness_solve(B, lam[[0, 2, 3]], 1.0, np.ones((3, 2)))
+        _stiffness_solve(force, lam[[0, 2, 3]], 1.0, np.ones((3, 2)))
     assert info.value.where == 2 and info.value.cond > COND_LIMIT
 
 
@@ -1149,27 +1152,26 @@ def test_an_overflowing_certificate_bound_leaves_the_point_to_the_eigenvalue_tes
     # filterwarnings makes one an error); the eigenvalue test then passes
     # K = (1 + 1e200) I and rejects K = diag(1 + 1e200, 1 + 1e180)
     lam = np.array([[1e200, 0.0]])
-    B = QuadraticForce(n=2, B=np.array([np.eye(2), np.zeros((2, 2))])).B
-    y, _, rho, Kinv = _stiffness_solve(B, lam, 1.0, np.ones((1, 2)))
+    force = QuadraticForce(n=2, B=np.array([np.eye(2), np.zeros((2, 2))]))
+    y, _, rho, Kinv = _stiffness_solve(force, lam, 1.0, np.ones((1, 2)))
     assert rho[0] == np.inf
     np.testing.assert_allclose(Kinv, np.eye(2)[None] / (1.0 + 1e200))
     np.testing.assert_allclose(y, np.ones((1, 2)) / (1.0 + 1e200))
-    B = QuadraticForce(n=2, B=np.array([np.diag([1.0, 1e-20]), np.zeros((2, 2))])).B
+    force = QuadraticForce(n=2, B=np.array([np.diag([1.0, 1e-20]), np.zeros((2, 2))]))
     with pytest.raises(SingularStiffnessError) as info:
-        _stiffness_solve(B, lam, 1.0, np.ones((1, 2)))
+        _stiffness_solve(force, lam, 1.0, np.ones((1, 2)))
     assert info.value.where == 0 and info.value.cond > COND_LIMIT
 
 
 @st.composite
 def _certified_batches(draw):
-    """(B, lam, c_x, c_v, r): a `_stiffness_batches` batch with up to three
+    """(force, lam, c_x, c_v, r): a `_stiffness_batches` batch with up to three
     more planted points at lam = t e_j: K - I = (t / c_x) B[j] at a
     Frobenius distance from I of _CERT_RHO (1 -+ 1e-12), just inside and
     just outside the bound (up to kappa_2 ~ 1e10 when B[j] is near rank
     one), or t = 1e200 (the distance overflows) or nan; and a random r."""
-    B, lam, c_x = draw(_stiffness_batches())
-    n = B.shape[0]
-    B = B.copy()
+    force, lam, c_x = draw(_stiffness_batches())
+    B, n = force.B, force.n
     for plant in draw(st.lists(st.sampled_from(("inside", "outside", "huge", "nan")),
                                max_size=3)):
         j = draw(st.integers(0, n - 1))
@@ -1182,7 +1184,7 @@ def _certified_batches(draw):
             continue
         lam = np.insert(lam, draw(st.integers(0, lam.shape[0])), t * np.eye(n)[j], axis=0)
     r = draw(hnp.arrays(float, lam.shape, elements=st.floats(-1.0, 1.0)))
-    return B, lam, c_x, draw(st.floats(0.1, 10.0)), r
+    return force, lam, c_x, draw(st.floats(0.1, 10.0)), r
 
 
 def _weight_counts_reference(K, c_x, c_v):
@@ -1195,7 +1197,7 @@ def _weight_counts_reference(K, c_x, c_v):
 
 @settings(deadline=None)
 @given(_certified_batches())
-@example(case=(QuadraticForce(n=2, B=np.array([np.diag([1.0, 0.0]), np.zeros((2, 2))])).B,
+@example(case=(QuadraticForce(n=2, B=np.array([np.diag([1.0, 0.0]), np.zeros((2, 2))])),
                np.array([[-dual_action._CERT_RHO * (1.0 - 1e-12), 0.0]]), 1.0, 1.0,
                np.ones((1, 2))))  # just inside: K = diag(2e-10, 1)
 def test_certified_stiffness_solve_matches_eigh_reference(case):
@@ -1205,16 +1207,16 @@ def test_certified_stiffness_solve_matches_eigh_reference(case):
     # 64 n eps kappa at every finite point; on the batches that pass, the
     # Gram record's `definite` and `_weight_counts` agree with Cholesky and
     # eigvalsh of every K
-    B, lam, c_x, c_v, r = case
-    n = B.shape[0]
+    force, lam, c_x, c_v, r = case
+    B, n = force.B, force.n
     ref, ref_err = _outcome(lambda: stiffness_eig(B, lam, c_x))
-    got, got_err = _outcome(lambda: _stiffness_solve(B, lam, c_x, r))
+    got, got_err = _outcome(lambda: _stiffness_solve(force, lam, c_x, r))
     assert got_err == ref_err  # same point, same condition estimate
     if ref_err is not None:
         return
     y, K, rho, Kinv = got
-    certified = K is not None and np.all(rho <= dual_action._CERT_RHO)
-    assert (Kinv is None) == certified
+    assert isinstance(K, dual_action._Stiffness)
+    assert (Kinv is None) == np.all(rho <= dual_action._CERT_RHO)
     mu, Q = ref
     finite = np.all(np.isfinite(lam), axis=-1)
     with np.errstate(invalid="ignore"):  # at a nan point
@@ -1227,7 +1229,7 @@ def test_certified_stiffness_solve_matches_eigh_reference(case):
     assert np.all(np.max(np.abs(y - want), axis=-1)[finite] <= tol[finite])
     if not np.all(finite):
         return  # `_gram_point` stops such a point before any record is made
-    Kref = stiffness_lambda(B, lam, c_x)
+    Kref = einsum_stiffness(B, lam, c_x)
     point = SimpleNamespace(spec=SimpleNamespace(scales=ScaleParams(c_x, c_v)), Mx=Kref,
                             state=SimpleNamespace(K=K, rho=rho, Kinv=Kinv))
     point.definite = dual_action._GramPoint.definite.func(point)
@@ -1252,23 +1254,32 @@ def test_certified_stiffness_solve_matches_eigh_reference(case):
 # rho summed from terms that cancel: the two drawn by the deep profile
 @example(seed=16, n=2, reach=0.0, density=0.5, M=16, t=0.196, beyond=True, refuse=False)
 @example(seed=21295, n=2, reach=0.0, density=0.5, M=10, t=0.5, beyond=False, refuse=False)
+# B = 0, with a field beyond the bound and with dpbtrf refused
+@example(seed=6, n=4, reach=1.0, density=0.0, M=6, t=0.5, beyond=True, refuse=False)
+@example(seed=7, n=3, reach=1.0, density=0.0, M=5, t=0.5, beyond=False, refuse=True)
+# the zero field (t = 0) of a dense B, also with dpbtrf refused
+@example(seed=8, n=5, reach=1.0, density=1.0, M=8, t=0.0, beyond=False, refuse=False)
+@example(seed=9, n=3, reach=0.5, density=0.7, M=4, t=0.0, beyond=False, refuse=True)
 def test_stiffness_band_matches_dense_references(seed, n, reach, density, M, t, beyond, refuse):
     # a random B, symmetric in its last two indices, zero beyond the drawn
-    # half-bandwidth kd of K and at random elsewhere, and a field whose
-    # midpoint stiffnesses reach t _CERT_RHO, or t + 1 to t + 3 times it
-    # (beyond the bound, where the inverse-and-test path takes over); with
-    # ``refuse``, dpbtrf is made to report a pivot and that path takes over
-    # too.  The band's K, rho and Mx and the gradient's force term match
-    # the dense einsum references to rounding, y = K^-1 r the eigenvalue
-    # reference to 64 n eps kappa, with the same exception where it raises
+    # half-bandwidth kd of K and at random elsewhere (B = 0 at density 0),
+    # and a field whose midpoint stiffnesses reach t _CERT_RHO (the zero
+    # field at t = 0), or t + 1 to t + 3 times it (beyond the bound, where
+    # the inverse-and-test path takes over); with ``refuse``, dpbtrf is
+    # made to report a pivot and that path takes over too.  On every path
+    # K is the band's `_Stiffness`; its dense form, rho and Mx and the
+    # gradient's force term match the dense einsum references to rounding,
+    # y = K^-1 r the eigenvalue reference to 64 n eps kappa, with the same
+    # exception where it raises
     rng = np.random.default_rng(seed)
     i, r = np.indices((n, n))
     B = rng.uniform(-1.0, 1.0, (n, n, n)) * (rng.uniform(size=(n, n, n)) < density)
     A = rng.normal(size=(n, n))
     force = QuadraticForce(n=n, A=A + A.T, B=B * (np.abs(i - r) <= round(reach * (n - 1))))
     B = force.B
-    j, i, r = np.nonzero(B)
-    assert force.band[:2] == (max(np.abs(i - r), default=0), max(np.abs(j - i), default=0))
+    (j, i, r), (a, c) = np.nonzero(B), np.nonzero(force.A)
+    w = max(np.max(np.abs(j - i), initial=0), np.max(np.abs(a - c), initial=0))
+    assert force.band[:2] == (max(np.abs(i - r), default=0), w)  # w: Mx = A + B·x's
     grid, (c_x, c_v) = TimeGrid(T=1.0, M=M), rng.uniform(0.5, 2.0, 2)
     base = BaseState(grid, 0.3 * rng.normal(size=(M + 1, n)), 0.3 * rng.normal(size=(M + 1, n)))
     spec = ProblemSpec(ChainParams(m=rng.uniform(0.5, 2.0), d=rng.uniform(0.0, 1.0), force=force,
@@ -1295,15 +1306,16 @@ def test_stiffness_band_matches_dense_references(seed, n, reach, density, M, t, 
     rho = einsum_stiffness_distance(B, lmid, c_x)
     magnitude = einsum_stiffness_distance(np.abs(B), np.abs(lmid), c_x)
     assert np.all(np.abs(state.rho - rho) <= 8 * n * _EPS * magnitude)
-    if state.K is None:  # lam·B is exactly zero: B = 0 or the zero field
-        assert np.all(rho == 0.0) and not (np.any(B) and np.any(lmid))
-    else:
-        # the band where the distance certifies every point and dpbtrf factors
-        banded = bool(np.all(rho <= dual_action._CERT_RHO)) and not refuse
-        assert isinstance(state.K, np.ndarray) != banded and ("Kinv" in state.__dict__) != banded
-        scale = 1.0 + np.sum(np.abs(lmid), axis=-1)[:, None, None] * np.max(np.abs(B)) / c_x
-        assert np.all(np.abs(np.asarray(state.K) - einsum_stiffness(B, lmid, c_x))
-                      <= 8 * n * _EPS * scale)
+    assert isinstance(state.K, dual_action._Stiffness)
+    if not (np.any(B) and np.any(lmid)):  # lam·B is exactly zero: K is I
+        assert np.all(rho == 0.0) and np.all(np.asarray(state.K) == np.eye(n))
+    # solved on the band where the distance certifies every point and dpbtrf
+    # factors; else K's inverse is formed
+    banded = bool(np.all(rho <= dual_action._CERT_RHO)) and not refuse
+    assert ("Kinv" in state.__dict__) != banded
+    scale = 1.0 + np.sum(np.abs(lmid), axis=-1)[:, None, None] * np.max(np.abs(B)) / c_x
+    assert np.all(np.abs(np.asarray(state.K) - einsum_stiffness(B, lmid, c_x))
+                  <= 8 * n * _EPS * scale)
     mu, Q = ref
     cond = np.max(np.abs(mu), axis=-1) / np.min(np.abs(mu), axis=-1)
     inverse = _eig_inverse(mu, Q)
@@ -1597,7 +1609,7 @@ def test_gram_direction_is_the_newton_direction_of_the_band(seed, n, M, m, d, c_
         spec, D = _resonant_case(M)
         assert dual_action._gram_point(spec, D).nullity == 2
         assert dual_action._gram_direction(spec, dual_action._gram_point(spec, D),
-                                           gradient(D, spec)) is None
+                                           gradient(D, spec), _direction_band(spec)) is None
         return
     assume(M >= 2 or not periodic)
     spec, D = _hessian_case(seed, n, M, with_B, periodic, scale)
@@ -1610,9 +1622,9 @@ def test_gram_direction_is_the_newton_direction_of_the_band(seed, n, M, m, d, c_
     H = hessian(D, spec)
     point = dual_action._gram_point(spec, D)
     assert point is not None and H.finite
-    direction = dual_action._gram_direction(spec, point, g)
+    direction = dual_action._gram_direction(spec, point, g, _direction_band(spec))
     fac = H.neg_cholesky()
-    K = stiffness_lambda(spec.params.force.B, _core_state(spec, D).lam, c_x)
+    K = einsum_stiffness(spec.params.force.B, _core_state(spec, D).lam, c_x)
     if np.min(np.linalg.eigvalsh(K)) < 0.0:
         assert direction is None and fac is None
         return
@@ -1659,7 +1671,7 @@ def test_schur_lu_and_its_inverses_match_inv_under_their_bound(seed, n, M, T, m,
     grid = TimeGrid(T=T, M=M)
     spec = ProblemSpec(params=params, scales=ScaleParams(1.0, 1.0), base=zero_base(grid, n),
                        grid=grid, x0=np.zeros(n), v0=np.zeros(n))
-    assert dual_action._mx_width(force) == w
+    assert force.band[1] == w
     h = grid.h
     c = 0.5 * d + m / h
     X = rng.normal(size=(M, n, n)) * near
@@ -1724,9 +1736,9 @@ def test_a_cyclic_record_read_for_its_nullity_first_gives_the_fresh_direction(
     point = dual_action._gram_point(spec, D)
     assume(point is not None)
     nullity = point.nullity
-    shared = dual_action._gram_direction(spec, point, g)
+    shared = dual_action._gram_direction(spec, point, g, _direction_band(spec))
     fresh_point = dual_action._gram_point(spec, D)
-    fresh = dual_action._gram_direction(spec, fresh_point, g)
+    fresh = dual_action._gram_direction(spec, fresh_point, g, _direction_band(spec))
     assert fresh_point.nullity == nullity
     assert (shared is None) == (fresh is None)
     if fresh is not None:
@@ -1829,7 +1841,8 @@ def test_band_lu_factor_reproduces_the_gram_factor_and_its_newton_direction(
         patch.setattr(np, "block", lambda *args: corners.append(block(*args)) or corners[-1])
         direction = dual_action._gram_direction(spec, point, g, ab)
     assert ("Einv" in vars(point)) == periodic or direction is None  # E^-1 for R only
-    fresh = dual_action._gram_direction(spec, dual_action._gram_point(spec, D), g)
+    fresh = dual_action._gram_direction(spec, dual_action._gram_point(spec, D), g,
+                                        _direction_band(spec))
     assert (direction is None) == (fresh is None)
     if direction is None:  # refused: a singular A, or a cyclic capacitance
         assert not point.definite or point.nullity or periodic
@@ -2055,9 +2068,6 @@ _SPOILT.update({
         lambda: _node_problem(periodic=True, forcing=ForcingSpec(
             n=2, tables=[(0, (np.linspace(0.0, 2.0, 5), np.zeros(5)))])),
         "table on particle 1"),
-    ("stiffness B", "rank"): (lambda: stiffness_lambda(np.ones((2, 2)), np.ones(2), 1.0), "B"),
-    ("stiffness lam", "pair"): (lambda: stiffness_lambda(np.ones((2, 2, 2)), np.ones(3), 1.0),
-                                "lam"),
     ("problem base", "grid"): (lambda: _node_problem(base=zero_base(TimeGrid(T=1.0, M=8), 2)),
                                "base state"),
     ("free vector", "rows"): (lambda: unpack_free(_NODE_GRID, 2, np.ones(15)), "u"),

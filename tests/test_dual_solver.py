@@ -24,6 +24,7 @@ from dualchain import (
     ellipticity_check,
     fput_alpha,
     integrate_primal,
+    pack_free,
     perturb_base,
     recover_primal,
     solve_dual,
@@ -31,6 +32,7 @@ from dualchain import (
     zero_base,
 )
 from oracles import (
+    einsum_stiffness,
     harmonic_solution,
     mapped_paths,
     openblas_thread_pairs,
@@ -221,6 +223,38 @@ def test_a_line_search_trial_beyond_the_largest_float_is_no_step():
     with np.errstate(over="ignore", invalid="ignore"):
         got = dual_solver._line_search(spec, dual_solver._field(spec, u), u, np.full_like(u, 1e308))
     assert got is None or np.all(np.isfinite(got[0]))
+
+
+@pytest.mark.parametrize("step_control", ["damped-newton", "trust-region"])
+def test_a_trial_point_with_a_singular_stiffness_is_a_rejected_trial(monkeypatch, step_control):
+    # one particle with B = 1 and c_x = 1, so K = 1 + lambda: the first step
+    # (the Newton direction, or the trust region's first shifted solve) is
+    # planted to reach lambda = -1, where K = 0 at every midpoint but the
+    # last.  That trial fails its test like any bad step, and the step is
+    # halved, or the shift grown, instead of the solve stopping as singular
+    M = 8
+    grid = TimeGrid(T=1.0, M=M)
+    force = QuadraticForce(n=1, A=[[1.0]], B=[[[1.0]]])
+    params = ChainParams(m=1.0, d=0.0, force=force, forcing=ForcingSpec.zero(1))
+    spec = ProblemSpec(params=params, scales=ScaleParams(1.0, 1.0), base=zero_base(grid, 1),
+                       grid=grid, x0=np.array([0.3]), v0=np.zeros(1))
+    lam = np.zeros((M + 1, 1))
+    lam[:-1] = -1.0
+    planted = DualField(grid, np.zeros((M + 1, 1)), lam)
+    with pytest.raises(dual_action.SingularStiffnessError):
+        dual_action.action(planted, spec)
+    owner, name = ((dual_solver, "_gram_direction") if step_control == "damped-newton"
+                   else (dual_action.BlockTridiagonal, "solve"))
+    real, trials = getattr(owner, name), []
+
+    def plant(*args):
+        trials.append(args)
+        return pack_free(planted) if len(trials) == 1 else real(*args)
+
+    monkeypatch.setattr(owner, name, plant)
+    sol = solve_dual(spec, SolveOptions(step_control=step_control))
+    assert len(trials) > 1 and sol.converged
+    assert np.all(1.0 + 0.5 * (sol.D.lam[:-1] + sol.D.lam[1:]) > 0.0)
 
 
 def test_non_convergence_is_reported_not_raised():
@@ -444,11 +478,11 @@ def test_failed_line_search_falls_back_to_a_trust_region_step(monkeypatch, band_
 
 @pytest.mark.parametrize("step_control", ["damped-newton", "trust-region"])
 def test_each_point_solves_its_stiffness_once(monkeypatch, step_control):
-    # every point is within the distance bound of I here, so its weighted
-    # stiffness is solved, not inverted, and judged definite with no
-    # Cholesky: a damped solve inverts and factors no K; under the trust
-    # region each point whose band is assembled forms K^-1 once, for the
-    # Hessian parts
+    # every point is within the distance bound of I here, the zero start
+    # (K = I) too, so its weighted stiffness is solved on its band, not
+    # inverted, and judged definite with no Cholesky: a damped solve
+    # inverts and factors no K; under the trust region each point whose
+    # band is assembled forms K^-1 once, for the Hessian parts
     n, M = 4, 80
     params = ChainParams(m=1.0, d=0.0, force=fput_alpha(n, 0.25),
                          forcing=ForcingSpec.zero(n))
@@ -494,12 +528,11 @@ def test_each_point_solves_its_stiffness_once(monkeypatch, step_control):
     sol = solve_dual(spec, SolveOptions(step_control=step_control))
     verify(sol, spec, recover_primal(sol, spec))
     assert sol.converged and sol.iterations >= 2
-    # one point per step trial, each solved once, after the zero start,
-    # whose K is I; the final inertia and verify's gradient reuse the last
-    # point's state
-    assert not np.any(points[0].lam) and solved.count(M) == len(points) - 1
+    # the zero start and one point per step trial, each solved once; the
+    # final inertia and verify's gradient reuse the last point's state
+    assert not np.any(points[0].lam) and solved.count(M) == len(points)
     assert len({D.gamma.tobytes() + D.lam.tobytes() for D in points}) == len(points)
-    assert solved.count(M + 1) == 1 and len(solved) == len(points)
+    assert solved.count(M + 1) == 1 and len(solved) == len(points) + 1
     assert points[-1] is sol.D
     if step_control == "damped-newton":
         assert formed == [] and banded == []
@@ -507,8 +540,7 @@ def test_each_point_solves_its_stiffness_once(monkeypatch, step_control):
     else:
         assert len(banded) == sol.iterations
         assert all(not any(D is E for E in banded[:k]) for k, D in enumerate(banded))
-        # the zero start's K^-1 is a read-only I, formed by no inverse
-        assert formed == [("Kinv", M)] * sum(bool(np.any(D.lam)) for D in banded)
+        assert formed == [("Kinv", M)] * len(banded)
 
 
 @pytest.fixture
@@ -678,7 +710,7 @@ def test_eigvalsh_sees_only_the_candidate_nodes_of_a_certified_field(monkeypatch
                                               forcing=ForcingSpec.zero(n)),
                            scales=ScaleParams(1.0, c_v), base=zero_base(grid, n), grid=grid,
                            x0=np.zeros(n), v0=np.zeros(n))
-        K = dual_action.stiffness_lambda(force.B, lam, 1.0)
+        K = einsum_stiffness(force.B, lam, 1.0)
         dev = K - np.eye(n)
         rho = np.sqrt(np.sum(dev * dev, axis=(1, 2)))
         assert np.all(rho <= dual_action._CERT_RHO)
