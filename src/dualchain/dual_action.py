@@ -349,8 +349,8 @@ def _check_stiffness(K, points=None):
     """Eigenvalue test of weighted stiffness matrices K (leading batch axes
     allowed): raises SingularStiffnessError, naming the first failing point
     in C order (its index in ``points`` when given), when a point is singular
-    or has a condition number beyond COND_LIMIT.  Returns (mu, Q)."""
-    mu, Q = np.linalg.eigh(K)
+    (one not finite is tested as 0) or beyond COND_LIMIT.  Returns (mu, Q)."""
+    mu, Q = np.linalg.eigh(np.where(np.all(np.isfinite(K), axis=(-2, -1))[..., None, None], K, 0.0))
     bad, amin, amax = _singular(mu)
     if np.any(bad):
         first = int(np.argmax(bad))
@@ -959,22 +959,20 @@ def _transfer_matrices(spec: ProblemSpec, Mx: np.ndarray, Einv: np.ndarray) -> n
 
     sqrt(h) times the map from the end nodes to the linearized primal state,
     so that element k adds -[A_a | A_b]^T W_k^-1 [A_a | A_b] to the Hessian,
-    W_k = diag(c_x K|_lam, c_v I) (`hessian`).  Through ``Einv``,
-    the inverses of the Schur complements E = (d/2 + m/h) I + q,
-    q = (h/4) Mx^T (`_schur_complements`), from the record's LU
-    (`_GramPoint.Einv`), R = [[I - 2 q E^-1, -(4m/h) q E^-1], [E^-1,
-    (2m/h) E^-1 - I]]: one n x n inverse per element, where A_a^-1 would
-    take a 2n x 2n one.  Only the periodic problem reads them, for their
-    log-scaled product (`_transfer_product`)."""
+    W_k = diag(c_x K|_lam, c_v I) (`hessian`).  Through ``Einv``, E^-1 of
+    E = (d/2 + m/h) I + q, q = (h/4) Mx^T (`_schur_complements`), R =
+    [[I - 2 q E^-1, -(4m/h) q E^-1], [E^-1, (2m/h) E^-1 - I]] = D + Y Q, Y =
+    [-2 q E^-1; E^-1] written in place, Q = [I, (2m/h) I], D = diag(I, -I):
+    one matmul, each entry one of Y's times 1 or 2m/h, so R has the blocks'
+    bytes (a zero's sign aside), one n x n inverse per element where A_a^-1
+    takes 2n x 2n.  The periodic problem reads them (`_transfer_product`)."""
     n, h, m = spec.n, spec.grid.h, spec.params.m
-    out = np.empty((len(Einv), 2 * n, 2 * n))
-    qE = ((0.25 * h) * np.swapaxes(Mx, 1, 2)) @ Einv
-    eye = np.eye(n)
-    np.subtract(eye, 2.0 * qE, out=out[:, :n, :n])
-    np.multiply(-4.0 * m / h, qE, out=out[:, :n, n:])
-    out[:, n:, :n] = Einv
-    np.subtract((2.0 * m / h) * Einv, eye, out=out[:, n:, n:])
-    return out
+    Y = np.empty((len(Einv), 2 * n, n))
+    np.matmul((-0.5 * h) * np.swapaxes(Mx, 1, 2), Einv, out=Y[:, :n])
+    Y[:, n:] = Einv
+    R = Y @ np.hstack([np.eye(n), (2.0 * m / h) * np.eye(n)])
+    R.reshape(len(R), -1)[:, ::2 * n + 1] += np.repeat([1.0, -1.0], n)
+    return R
 
 
 def _schur_lu(spec: ProblemSpec, Mx: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
@@ -1029,18 +1027,28 @@ def _weight_counts(point: _GramPoint) -> tuple[int, int]:
 
 
 def _transfer_product(R) -> tuple[np.ndarray, float]:
-    """(P, s) with R_0 R_1 ... R_{M-1} = e^s P.  The product is formed
-    pairwise, each partial product scaled by its largest entry with the
-    scale's log carried, so none overflows."""
-    logs = np.zeros(len(R))
-    while len(R) > 1:
-        even = len(R) - len(R) % 2
-        prod = R[0:even:2] @ R[1:even:2]
-        scale = np.max(np.abs(prod), axis=(1, 2))
-        scale[scale == 0.0] = 1.0
-        R = np.concatenate([prod / scale[:, None, None], R[even:]])
-        logs = np.concatenate([logs[0:even:2] + logs[1:even:2] + np.log(scale), logs[even:]])
-    return R[0], float(logs[0])
+    """(P, s) with R_0 R_1 ... R_{M-1} = e^s P, max|P| in [1, 2): the pairwise
+    tree, its levels multiplied between ``R`` (overwritten) and one half-size
+    array, scaled by powers of two, exactly, only where hi >= log2 of every
+    largest |entry| (R's, then 2 hi + log2(2n)) lets a product pass 2^1020 or
+    the least |[0, 0] entry| is below 1 (so nothing underflows that factors
+    scaled to 1 would keep): all by one power where hi allows, else each."""
+    k, b = len(R), R.shape[-1]
+    exp, spare, hi = 0, np.empty(((k + 1) // 2, b, b)), np.frexp(max(R.max(), -R.min()))[1]
+    while k > 1:
+        frac, e = np.frexp(np.abs(R[:k, 0, 0]).min())  # lo = frac 2^e <= every largest |entry|
+        if 2 * hi + np.log2(b) > 1020 or e < 1:  # overflow open, or lo < 1
+            shift, hi = 1 - e, hi + 1 - e  # one power: the least |[0, 0] entry| into [1, 2)
+            if not (frac > 0.0 and 2 * hi + np.log2(b) <= 1020):  # else each largest |entry|,
+                top = np.max(np.abs(R[:k]), axis=(1, 2), keepdims=True)  # a subnormal one twice
+                shift, hi = np.minimum(1 - np.frexp(top)[1], 1022), 1
+            R[:k] *= np.ldexp(1.0, shift)
+            exp -= int(np.sum(np.broadcast_to(shift, (k, 1, 1))))
+        np.matmul(R[0:k - 1:2], R[1:k:2], out=spare[:k // 2])
+        spare[k // 2:(k + 1) // 2] = R[k - k % 2:k]  # an odd last factor
+        R, spare, k, hi = spare, R, (k + 1) // 2, 2 * hi + np.log2(b)
+    e = min(1 - int(np.frexp(np.abs(R[0]).max())[1]), 1022)
+    return R[0] * np.ldexp(1.0, e), (exp - e) * np.log(2.0)
 
 
 class _GramPoint:
@@ -1050,13 +1058,13 @@ class _GramPoint:
     the weights W, and ``rho`` = max ||X_k||_F bounds A's element blocks
     (`_schur_lu`).  Formed when first read, then kept: ``definite``,
     ``nullity``, the Schur complements' factor ``lu`` = (F, U), ``Einv`` =
-    E^-1 and the transfer matrices' ``product`` (P, s).
-    Nothing keeps a record between points."""
+    E^-1 (flushed, from the LU) and the transfer matrices' ``product`` (P,
+    s), whose R no reader keeps.  Nothing keeps a record between points."""
 
     def __init__(self, spec: ProblemSpec, state: _MappedState):
         self.spec, self.state, self.Mx = spec, state, state.Mx
         h = spec.grid.h
-        c = 0.5 * spec.params.d + spec.params.m / h
+        self.c = c = 0.5 * spec.params.d + spec.params.m / h
         # inf or nan where Mx is; inf, which certifies nothing, where c
         # underflows to zero (a subnormal mass with no damping)
         norm = float(np.max(0.25 * h * np.linalg.norm(self.Mx, axis=(1, 2))))
@@ -1112,18 +1120,20 @@ class _GramPoint:
 
     @cached_property
     def Einv(self) -> np.ndarray:
-        """E^-1 = U^-1 F, by back substitution on U's w superdiagonals
-        (`QuadraticForce.band`), from the last row; F itself where U = I."""
+        """E^-1 = U^-1 F by back substitution on U's w superdiagonals, from
+        the last row, entries below eps / (n c) flushed: that moves E_k^-1 by
+        eps / c <= 1.5 eps ||E_k^-1||_2 at most (||E_k^-1||_2 >= 2 / 3c at rho
+        <= 1/2), within its own error bound (Higham, 8.2); F where U = I."""
         F, U = self.lu
         if not self.rho <= 0.5:
             return F
         n, w = self.spec.n, self.spec.params.force.band[1]
-        X = np.array(np.swapaxes(F, 0, 1))  # X[r]: row r of every element's E^-1, contiguous
+        X = np.array(np.swapaxes(F, 0, 1), order="C")  # X[r]: row r of every E_k^-1, contiguous
         for r in range(n - 1, -1, -1):
             for s in range(1, min(w, n - 1 - r) + 1):
                 X[r] -= U[:, r, r + s, None] * X[r + s]
             X[r] /= U[:, r, r, None]
-        return np.swapaxes(X, 0, 1)
+        return np.swapaxes(X * (np.abs(X) >= np.finfo(float).eps / (n * self.c)), 0, 1)
 
     @cached_property
     def product(self) -> tuple[np.ndarray, float]:
@@ -1243,7 +1253,7 @@ def _gram_direction(spec: ProblemSpec, point: _GramPoint, g: np.ndarray,
     rank-2n correction, so by Sherman-Morrison-Woodbury (ibid., 2.1.4) each
     solve takes two dtbtrs calls around one 2n x 2n capacitance I - Pi, Pi
     = R_0 ... R_{M-1} with R_k = -T_kk^-1 T_k,k+1 = -A_a,k^-1 A_b,k (the
-    record's ``product``, whose multipliers at 1 A's nullity counts): y =
+    record's ``product`` e^s P, whose multipliers at 1 A's nullity counts): y =
     T^-1 (r - e_{M-1} V y_0) with (I - Pi) y_0 = (T^-1 r)_0, and the
     transposed solve z = T^-T (s - e_0 u) with (I - Pi^T) u = V^T (T^-T
     s)_{M-1}."""

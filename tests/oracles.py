@@ -189,15 +189,21 @@ def stiffness_eig(B, lam, c_x: float):
     (leading batch axes allowed).
 
     Raises SingularStiffnessError, naming the first point in C order, when
-    any point is singular or has a condition number beyond COND_LIMIT.
+    any point is singular or has a condition number beyond COND_LIMIT; a
+    point whose stiffness is not finite is singular, with no condition
+    estimate (its eigenpairs here are I's placeholders).
     """
-    mu, Q = np.linalg.eigh(einsum_stiffness(B, lam, c_x))
+    K = einsum_stiffness(B, lam, c_x)
+    finite = np.all(np.isfinite(K), axis=(-2, -1))
+    mu, Q = np.linalg.eigh(np.where(finite[..., None, None], K, np.eye(K.shape[-1])))
     amin = np.min(np.abs(mu), axis=-1).ravel()
     amax = np.max(np.abs(mu), axis=-1).ravel()
-    bad = (amin == 0.0) | (amax > COND_LIMIT * amin)
+    finite = finite.ravel()
+    bad = ~finite | (amin == 0.0) | (amax > COND_LIMIT * amin)
     if np.any(bad):
         where = int(np.argmax(bad))
-        cond = None if amin[where] == 0.0 else float(amax[where] / amin[where])
+        singular = amin[where] == 0.0 or not finite[where]
+        cond = None if singular else float(amax[where] / amin[where])
         raise SingularStiffnessError(where, cond)
     return mu, Q
 
@@ -363,6 +369,39 @@ def gram_blocks(spec, Mx):
         A[:, n:, :n] = 0.5 * np.eye(n)
         A[:, n:, n:] = (sign * m / h - 0.5 * d) * np.eye(n)
     return np.sqrt(h) * blocks
+
+
+def transfer_matrices_by_blocks(spec, Mx, Einv):
+    """R_k = -A_a,k^-1 A_b,k from E^-1, its four blocks [[I - 2 q E^-1,
+    -(4m/h) q E^-1], [E^-1, (2m/h) E^-1 - I]], q = (h/4) Mx^T, written one
+    by one: the reference for `dual_action._transfer_matrices`, which forms
+    the same R as D + Y Q by one matmul."""
+    n, h, m = spec.n, spec.grid.h, spec.params.m
+    out = np.empty((len(Einv), 2 * n, 2 * n))
+    qE = ((0.25 * h) * np.swapaxes(Mx, 1, 2)) @ Einv
+    eye = np.eye(n)
+    np.subtract(eye, 2.0 * qE, out=out[:, :n, :n])
+    np.multiply(-4.0 * m / h, qE, out=out[:, :n, n:])
+    out[:, n:, :n] = Einv
+    np.subtract((2.0 * m / h) * Einv, eye, out=out[:, n:, n:])
+    return out
+
+
+def pairwise_transfer_product(R):
+    """(P, s) with R_0 R_1 ... R_{M-1} = e^s P, pairwise, each partial
+    product divided by its largest entry with the scale's log carried, so
+    that none overflows, and the odd last factor of a level carried to the
+    next: the reference for `dual_action._transfer_product`, which forms the
+    same tree in place, scaled by powers of two."""
+    logs = np.zeros(len(R))
+    while len(R) > 1:
+        even = len(R) - len(R) % 2
+        prod = R[0:even:2] @ R[1:even:2]
+        scale = np.max(np.abs(prod), axis=(1, 2))
+        scale[scale == 0.0] = 1.0
+        R = np.concatenate([prod / scale[:, None, None], R[even:]])
+        logs = np.concatenate([logs[0:even:2] + logs[1:even:2] + np.log(scale), logs[even:]])
+    return R[0], float(logs[0])
 
 
 def upper_band_by_positions(diag, sup, kd: int):

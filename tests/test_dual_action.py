@@ -68,9 +68,11 @@ from oracles import (
     gram_blocks,
     hessian_elements_kron,
     node_blocks,
+    pairwise_transfer_product,
     predual_action,
     shifted,
     stiffness_eig,
+    transfer_matrices_by_blocks,
     upper_band_by_positions,
 )
 
@@ -252,13 +254,16 @@ def test_stiffness_inverse_is_exactly_the_identity_without_quadratic_term(n, mon
         assert y.tobytes() == r.tobytes()
         assert rho.tobytes() == np.zeros(lam.shape[:-1]).tobytes()
     # a field that is not finite makes no zero product: its K is not I but
-    # nan, which eigh rejects or carries into y
+    # nan, singular by the eigenvalue test at every n, with no condition
+    # estimate (eigh once returned nan eigenvalues at n = 1 and 2, a nan y
+    # with no error, and raised LinAlgError at n = 5)
     monkeypatch.undo()
-    try:
-        y, K, _, _ = _stiffness_solve(linear, np.full((2, n), np.nan), 1.0, np.ones((2, n)))
-    except np.linalg.LinAlgError:
-        return
-    assert np.all(np.isnan(K.low)) and np.all(np.isnan(y))
+    lam = np.zeros((3, n))
+    lam[1, -1] = np.nan
+    for force in (linear, quadratic):
+        with pytest.raises(SingularStiffnessError) as info:
+            _stiffness_solve(force, lam, 1.0, np.ones((3, n)))
+        assert (info.value.where, info.value.cond) == (1, None)
 
 
 # ---------------------------------------------------------------------------
@@ -1052,10 +1057,8 @@ def _eig_inverse(mu, Q):
 def _outcome(fn):
     try:
         return fn(), None
-    except SingularStiffnessError as exc:
+    except SingularStiffnessError as exc:  # a K that is not finite among them
         return None, (exc.where, exc.cond)
-    except np.linalg.LinAlgError as exc:  # eigh of a K that is all nan
-        return None, str(exc)
 
 
 @st.composite
@@ -1714,6 +1717,138 @@ def test_schur_lu_and_its_inverses_match_inv_under_their_bound(seed, n, M, T, m,
     err = np.linalg.norm(Einv - want, axis=(1, 2))
     bound = 4 * n * _EPS * np.linalg.cond(E) * np.linalg.norm(want, axis=(1, 2))
     assert np.all(err <= bound)
+
+
+def _corner_case(rng, n, M, T, m, d, size, exact=False):
+    """(spec, Mx): an open spec of a chain whose A has a half-bandwidth drawn
+    from 0 to n - 1, and Mx with X_k = (h/4c) Mx_k^T of that band and
+    ||X_k||_F = size (``exact``) or drawn in [0, size], c = d/2 + m/h."""
+    w = int(rng.integers(n))
+    i, j = np.indices((n, n))
+    near = np.abs(i - j) <= w
+    force = QuadraticForce(n=n, A=near.astype(float))
+    params = ChainParams(m=m, d=d, force=force, forcing=ForcingSpec.zero(n))
+    grid = TimeGrid(T=T, M=M)
+    spec = ProblemSpec(params=params, scales=ScaleParams(1.0, 1.0), base=zero_base(grid, n),
+                       grid=grid, x0=np.zeros(n), v0=np.zeros(n))
+    h = grid.h
+    X = rng.normal(size=(M, n, n)) * near
+    norms = size * (np.ones(M) if exact else rng.uniform(size=M))
+    X *= (norms / np.linalg.norm(X, axis=(1, 2)))[:, None, None]
+    return spec, (4.0 * (0.5 * d + m / h) / h) * np.swapaxes(X, 1, 2)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 24),
+       st.floats(0.05, 20.0), st.floats(0.1, 10.0), st.floats(0.0, 2.0),
+       st.one_of(st.just(0.0), st.floats(1e-12, 1.5)))
+@example(seed=0, n=4, M=24, T=0.15, m=1.0, d=0.4, size=0.003)  # a workload's element size
+@example(seed=1, n=6, M=3, T=1.0, m=1.0, d=0.4, size=1.5)  # rho > 1/2: E^-1 from inv
+def test_transfer_matrices_are_the_block_formula_byte_for_byte(seed, n, M, T, m, d, size):
+    # R = D + Y Q, one matmul, against the block formula of tests/oracles.py
+    # (its four block writes) on the record's E^-1, back substituted
+    # and flushed where rho <= 1/2 and from inv beyond: every entry's bytes,
+    # a zero's sign aside (Y Q sums from +0, where -(4m/h) q E^-1 gave -0).
+    # -2 q = (-h/2) Mx^T is exactly -2 times (h/4) Mx^T where neither
+    # underflows, so X_k is drawn zero or of norm at least 1e-12
+    spec, Mx = _corner_case(np.random.default_rng(seed), n, M, T, m, d, size)
+    Einv = dual_action._GramPoint(spec, SimpleNamespace(Mx=Mx, K=None, rho=np.zeros(M))).Einv
+    got = _transfer_matrices(spec, Mx, Einv)
+    want = transfer_matrices_by_blocks(spec, Mx, Einv)
+    assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 70),
+       st.floats(0.6, 3.0), st.floats(0.0, 150.0))
+@example(seed=0, n=2, M=1, size=1.0, spread=0.0)  # one factor, no level
+@example(seed=1, n=3, M=70, size=2.0, spread=150.0)
+@example(seed=2, n=1, M=64, size=0.6, spread=150.0)  # no odd level
+@example(seed=3, n=4, M=63, size=3.0, spread=0.0)  # an odd factor at every level
+def test_transfer_product_matches_the_pairwise_reference(seed, n, M, size, spread):
+    # R from E with rho = size > 1/2 (E^-1 from inv), each R_k scaled to a
+    # largest entry 10^u, u uniform in [-spread, spread] (1e-150 to 1e150):
+    # the in-place product scaled by powers of two against the pairwise one
+    # of tests/oracles.py, which divides each partial product by its largest
+    # entry.  Each is within (levels + 1)(2n + 1) eps |R_0| ... |R_{M-1}| of
+    # the exact product (Higham, Accuracy and Stability, 3.5; the pairwise
+    # division adds one rounding a level), here M (2n + 1) eps times the
+    # largest entry of the pairwise product of the |R_k|, compared in that
+    # product's log scale.  Each log adds its own round-off: eps |s| for
+    # each exponential, and the reference's sum of one log a partial
+    # product, eps times at most twice sum_k |log max|R_k|| plus 2M log(4n)
+    # (each partial product of factors scaled to largest entry 1 has one
+    # at most 2n); and by Bauer-Fike every multiplier of P lies within
+    # cond(V) ||Pi - Pi_ref||_F (plus the eigenvalues' own round-off) of
+    # one of the reference's, V the reference's eigenvectors.  P's largest
+    # entry is in [1, 2)
+    rng = np.random.default_rng(seed)
+    spec, Mx = _corner_case(rng, n, M, 2.0 * np.pi, 1.0, 0.4, size, exact=True)
+    try:
+        Einv = np.linalg.inv(_schur_complements(spec, Mx))
+    except np.linalg.LinAlgError:  # X_k = -I exactly
+        assume(False)
+    R = _transfer_matrices(spec, Mx, Einv)
+    R *= (10.0 ** rng.uniform(-spread, spread, size=M)
+          / np.max(np.abs(R), axis=(1, 2)))[:, None, None]
+    factors = R.copy()
+    want, s_want = pairwise_transfer_product(R.copy())
+    bound, s_bound = pairwise_transfer_product(np.abs(R))
+    P, s = dual_action._transfer_product(R)
+    assert 1.0 <= np.max(np.abs(P)) < 2.0 and np.isfinite(s)
+    b = 2 * n
+    got, ref = P * np.exp(s - s_bound), want * np.exp(s_want - s_bound)
+    logs = (abs(s) + abs(s_want) + 2.0 * abs(s_bound) + 2.0 + 2.0 * M * np.log(2.0 * b)
+            + 2.0 * np.sum(np.abs(np.log(np.max(np.abs(factors), axis=(1, 2))))))
+    assert np.max(np.abs(got - ref)) <= (M * (b + 1) + logs) * _EPS * np.max(bound)
+    B = P * np.exp(s - s_want)  # in the reference's scale, whose P has largest entry 1
+    mu_ref, V = np.linalg.eig(want)
+    radius = np.linalg.cond(V) * (np.linalg.norm(B - want)
+                                  + 16 * b * _EPS * (np.linalg.norm(want) + np.linalg.norm(B)))
+    gaps = np.min(np.abs(np.linalg.eigvals(B)[:, None] - mu_ref[None, :]), axis=1)
+    assert np.all(gaps <= radius)
+
+
+def test_a_decaying_inverse_at_n128_is_flushed_within_its_bound():
+    # n = 128 with a tridiagonal stiffness, each element's scaled by a draw
+    # in [0.9, 1.1], on the grid of the periodic FPUT run at M = 200 (h =
+    # 2 pi / 200) but M = 5 elements: E^-1 decays off its diagonal by about
+    # 2.5e-4 a step, so inv's far entries are subnormal, and so are those
+    # of the R built from them.  The record's E^-1 flushes what lies below
+    # tau = eps / (n c): within inv's by eps / c, the flush's own bound, plus
+    # the back substitution's (4 n eps cond(E) ||E^-1||_F, as
+    # `test_schur_lu_and_its_inverses_match_inv_under_their_bound` allows),
+    # every entry it zeroed within that of |entry| < tau, and no subnormal
+    # left in E^-1, in R or in the first level's products
+    n, M, m, d = 128, 5, 1.0, 0.4
+    A = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    params = ChainParams(m=m, d=d, force=QuadraticForce(n=n, A=A), forcing=ForcingSpec.zero(n))
+    grid = TimeGrid(T=2.0 * np.pi * M / 200, M=M)
+    spec = ProblemSpec(params=params, scales=ScaleParams(1.0, 1.0), base=zero_base(grid, n),
+                       grid=grid, x0=np.zeros(n), v0=np.zeros(n))
+    Mx = A * np.random.default_rng(128).uniform(0.9, 1.1, size=M)[:, None, None]
+    point = dual_action._GramPoint(spec, SimpleNamespace(Mx=Mx, K=None, rho=np.zeros(M)))
+    assert point.rho <= 0.5
+    E = _schur_complements(spec, Mx)
+    want = np.linalg.inv(E)
+    tiny = np.finfo(float).tiny
+
+    def subnormal(a):
+        return np.any((a != 0.0) & (np.abs(a) < tiny))
+
+    assert subnormal(want) and subnormal(_transfer_matrices(spec, Mx, want))
+    Einv = point.Einv
+    c = 0.5 * d + m / grid.h
+    tau = _EPS / (n * c)
+    sub = 4 * n * _EPS * np.linalg.cond(E) * np.linalg.norm(want, axis=(1, 2))
+    assert np.all(np.linalg.norm(Einv - want, axis=(1, 2)) <= _EPS / c + sub)
+    flushed = (Einv == 0.0) & (want != 0.0)
+    assert np.any(flushed)
+    assert np.all(np.abs(want) <= tau + sub[:, None, None], where=flushed)
+    assert np.all(np.abs(Einv) >= tau, where=Einv != 0.0)
+    R = _transfer_matrices(spec, Mx, Einv)
+    assert not subnormal(Einv) and not subnormal(R)
+    assert not subnormal(R[0:M - 1:2] @ R[1:M:2])
 
 
 @settings(deadline=None)

@@ -216,12 +216,15 @@ def test_line_search_backtracks_once_then_newton_converges(monkeypatch):
 
 def test_a_line_search_trial_beyond_the_largest_float_is_no_step():
     # u + t d overflows at the first trial, which is halved like one that
-    # lowers the action instead of reaching the field's finite check
+    # lowers the action instead of reaching the field's finite check; u is
+    # 1e307, not 1e308, whose element midpoints overflow: a current point
+    # whose weighted stiffness is not finite is singular
     grid = TimeGrid(T=2 * np.pi, M=10)
     spec = _harmonic_spec(M=10, base=zero_base(grid, 1))
-    u = np.full(2 * grid.M, 1e308)
+    u = np.full(2 * grid.M, 1e307)
     with np.errstate(over="ignore", invalid="ignore"):
-        got = dual_solver._line_search(spec, dual_solver._field(spec, u), u, np.full_like(u, 1e308))
+        direction = np.full_like(u, 1.7e308)
+        got = dual_solver._line_search(spec, dual_solver._field(spec, u), u, direction)
     assert got is None or np.all(np.isfinite(got[0]))
 
 
@@ -255,6 +258,27 @@ def test_a_trial_point_with_a_singular_stiffness_is_a_rejected_trial(monkeypatch
     sol = solve_dual(spec, SolveOptions(step_control=step_control))
     assert len(trials) > 1 and sol.converged
     assert np.all(1.0 + 0.5 * (sol.D.lam[:-1] + sol.D.lam[1:]) > 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_a_trial_point_whose_stiffness_is_not_finite_is_a_rejected_trial(n):
+    # multipliers of 1.7e308 at every node but the pinned last one overflow
+    # at the element midpoints (0.5 (a + b) is inf, silenced as run_one
+    # silences overflow), so K = I + B·lam / c_x is not finite: the
+    # stiffness solve calls it singular at every n, with no condition
+    # estimate, where eigh once returned nan eigenvalues at n = 1 and 2 (a
+    # nan y, no error) and raised LinAlgError at n = 5, which no exit code
+    # named; a step trial there is rejected like any bad step
+    spec = _fput_spec(n, 8)
+    lam = np.full((9, n), 1.7e308)
+    lam[-1] = 0.0
+    huge = DualField(spec.grid, np.zeros((9, n)), lam)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(dual_action.SingularStiffnessError) as info:
+            dual_action.action(huge, spec)
+        assert info.value.cond is None
+        assert np.isnan(dual_solver._at_trial(dual_action.action, huge, spec))
+        assert np.isnan(dual_solver._at_trial(dual_action.gradient, huge, spec))
 
 
 def test_non_convergence_is_reported_not_raised():
